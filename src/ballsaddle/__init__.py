@@ -14,7 +14,7 @@ independent brute-force oracles (dense grids, fixed-point iteration) live
 in ``ballsaddle.oracles``.
 """
 
-from .ba import (BACertificate, ba_small_radius, check_nearest_point,
+from .ba import (BACertificate, ba_small_radius, certify_ba, check_nearest_point,
                  solve_best_approx, solve_prox_pair)
 from .catalog import (AnalyticConstants, Payoff, SmoothMap, ba_payoff,
                       make_affine, make_constant, make_quadratic, map_from_dict,
@@ -29,8 +29,8 @@ from .geometry import (Ball, Box, ConvexSet, ProjectionOracle, dist_ball, inner,
                        norm, project_ball, project_set, sample_ball, sample_sphere)
 from .saddle import (CheckReport, SaddleChecks, SaddleConfig, SaddlePoint,
                      check_saddle, phi_value_grad, solve_saddle)
-from .vi import (SmallRadiusResult, VICertificate, check_vi, small_radius,
-                 solve_vi, solve_vi_shifted)
+from .vi import (SmallRadiusResult, VICertificate, certify_vi, check_vi,
+                 small_radius, solve_vi, solve_vi_shifted)
 
 __version__ = "0.1.0"
 
@@ -41,8 +41,9 @@ __all__ = [
     "HypothesisViolation", "InvalidInput", "NonConvergence", "Payoff",
     "ProjectionOracle", "SaddleChecks", "SaddleConfig", "SaddlePoint",
     "SmallRadiusResult", "SmoothMap", "VICertificate", "admissible_radius",
-    "ba_payoff", "ba_report", "ba_small_radius", "check_nearest_point",
-    "check_saddle", "check_vi", "combine_flags", "delta_const", "dist_ball", "estimate_lipschitz",
+    "ba_payoff", "ba_report", "ba_small_radius", "certify_ba", "certify_vi",
+    "check_nearest_point", "check_saddle", "check_vi", "combine_flags",
+    "delta_const", "dist_ball", "estimate_lipschitz",
     "estimate_theta", "inner", "make_affine", "make_constant", "make_quadratic",
     "map_from_dict", "norm", "op_norm", "phi_value_grad", "project_ball",
     "project_set", "sample_ball", "sample_sphere", "shift_map", "sigma_ba",

@@ -14,7 +14,9 @@ unique nearest point of ball(r) to its own image:
 
 ``solve_prox_pair`` certifies the general pair; ``solve_best_approx`` adds
 the collapse and nearest-point conclusions; ``ba_small_radius`` picks a
-radius that makes the hypotheses automatic when f(0) != 0.
+radius that makes the hypotheses automatic when f(0) != 0.  Both solves
+gate the problem (``ba_problem``), solve, and hand the solution to
+``certify_ba``, the same certify step ``verify`` runs on a stored solution.
 """
 
 from __future__ import annotations
@@ -24,141 +26,137 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import SmoothMap, ba_payoff
-from .constants import ConstantsReport, ba_report, op_norm
-from .errors import CertificationError, CheckFailure, HypothesisViolation, InvalidInput
+from .constants import ConstantsReport, ba_report
+from .errors import CheckFailure, HypothesisViolation
 from .geometry import Ball, ConvexSet, dist_ball, norm
-from .oracles import uniqueness_probe
-from .saddle import (CheckReport, SaddleChecks, SaddleConfig, ball_check_samples,
-                     check_saddle, solve_saddle)
-from .vi import MAP_ZERO_TOL, UNIQUENESS_TOL, SmallRadiusResult
+from .saddle import (Certificate, CheckReport, SaddleConfig, SaddlePoint,
+                     ball_check_samples, check_saddle, gate, probe_uniqueness,
+                     raise_failure, solve_saddle)
+from .vi import COLLAPSE_TOL, SmallRadiusResult, radius_from_origin
 
-COLLAPSE_TOL = 1e-6
 IDENTITY_TOL = 1e-6
 CONTAINMENT_TOL = 1e-9
 
 
 @dataclass
-class BACertificate:
-    """Solution, constants and check outcomes of one approximation run."""
+class BACertificate(Certificate):
+    """Certificate of statement 5 or 6: the projection identity and, for
+    statement 6 only, the collapse, the distance identity and the
+    nearest-point check."""
 
-    theorem: str
-    mode: str
-    r: float
-    x_star: np.ndarray
-    y_star: np.ndarray
-    residual: float
-    iterations: int
     projection_gap: float
-    constants: ConstantsReport
-    saddle_checks: SaddleChecks
-    uniqueness: dict | None
-    passed: bool
     collapse_gap: float | None = None
     distance_gap: float | None = None
     nearest_check: CheckReport | None = None
 
-    def to_dict(self):
-        res = {"saddle_residual": float(self.residual),
-               "projection_gap": float(self.projection_gap)}
-        if self.collapse_gap is not None:
-            res["collapse_gap"] = float(self.collapse_gap)
-        if self.distance_gap is not None:
-            res["distance_gap"] = float(self.distance_gap)
-        checks = {"saddle": self.saddle_checks.to_dict(), "uniqueness": self.uniqueness}
+    def failed_checks(self) -> list[str]:
+        failed = super().failed_checks()
         if self.nearest_check is not None:
-            checks["nearest-point"] = self.nearest_check.to_dict()
-        return {
-            "theorem": self.theorem, "mode": self.mode, "r": float(self.r),
-            "solution": {"x_star": [float(v) for v in self.x_star],
-                         "y_star": [float(v) for v in self.y_star]},
-            "residuals": res, "iterations": int(self.iterations),
-            "constants": self.constants.to_dict(), "checks": checks,
-            "passed": bool(self.passed),
-        }
+            failed += [name for name, ok in (
+                ("nearest-point", self.nearest_check.passed),
+                ("distance-identity", self.distance_gap <= IDENTITY_TOL)) if not ok]
+        return failed
+
+    def to_dict(self):
+        d = super().to_dict()
+        d["residuals"]["projection_gap"] = float(self.projection_gap)
+        if self.nearest_check is not None:
+            d["residuals"].update(collapse_gap=float(self.collapse_gap),
+                                  distance_gap=float(self.distance_gap))
+            d["checks"]["nearest-point"] = self.nearest_check.to_dict()
+        return d
 
 
-def _containment_check(T: ConvexSet, Y: ConvexSet, seed: int, n: int = 128):
+def _containment_check(T: ConvexSet, Y: ConvexSet, seed: int, fail, n: int = 128):
+    if isinstance(T, Ball) and isinstance(Y, Ball) and T.radius <= Y.radius:
+        return
     rng = np.random.default_rng(seed)
     for t in T.sample(rng, n):
-        if norm(Y.project(t) - t) > CONTAINMENT_TOL:
-            raise HypothesisViolation(
-                "T must be contained in Y; a sampled point of T projects "
-                f"{norm(Y.project(t) - t):.2e} away")
+        gap = norm(Y.project(t) - t)
+        if gap > CONTAINMENT_TOL:
+            fail("containment", HypothesisViolation(
+                f"T must be contained in Y; a sampled point of T projects {gap:.2e} away"))
+            return
 
 
-def _uniqueness(payoff, cfg: SaddleConfig, starts: int, seed: int) -> dict:
-    def solve_from(x0):
-        return solve_saddle(payoff, cfg, x0=x0, y0=x0).x_star
+def ba_problem(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None, r: float | None,
+               report: ConstantsReport, mode: str = "certified", *, seed: int = 0,
+               fail=raise_failure, **knobs) -> SaddleConfig:
+    """The gated saddle problem of an approximation run: ``gate`` on the
+    report, T (ball(r) when None) contained in Y, and the regularization
+    weight L.  ``knobs`` are the solver and check tolerances of
+    SaddleConfig."""
+    r = gate(report, r, mode, m.domain_radius, fail)
+    T = Ball(r, m.dimension) if T is None else T
+    _containment_check(T, Y, seed + 7, fail)
+    L = report.L.value
+    return SaddleConfig(r=r, T=T, L=L, smoothness=2.0 * L + report.theta.value,
+                        r_max=report.r_max, **knobs)
 
-    spread = uniqueness_probe(solve_from, starts=starts, seed=seed,
-                              dim=payoff.dimension, radius=cfg.r)
-    return {"starts": starts, "max_pairwise": float(spread),
-            "passed": bool(spread <= UNIQUENESS_TOL)}
+
+def certify_ba(m: SmoothMap, Y: ConvexSet, point: SaddlePoint, cfg: SaddleConfig,
+               report: ConstantsReport, *, mode: str = "certified",
+               uniqueness: dict | None = None, n_samples: int = 2000, seed: int = 0,
+               theorem: str = "5", fail=raise_failure) -> BACertificate:
+    """The certify step of an approximation run on the problem ``cfg`` from
+    ``ba_problem``.
+
+    Checks y* = P_T(f(x*)) and runs the sampled saddle checks of ``point``
+    (a fresh solve or a stored solution).  Statement 6 adds the collapse
+    x* = y*, the distance identity and the sampled nearest-point check.  A
+    failed identity goes to ``fail``; ``uniqueness`` is the solver's record
+    and is only carried into the verdict.
+    """
+    x_star, y_star, r = point.x_star, point.y_star, cfg.r
+    projection_gap = norm(y_star - cfg.T.project(m.val(x_star)))
+    if projection_gap > IDENTITY_TOL:
+        fail("projection", CheckFailure(
+            f"y* is {projection_gap:.2e} from the projection of f(x*) onto T",
+            witness=y_star))
+    schecks = check_saddle(ba_payoff(m, Y), point, cfg, n_samples=n_samples, seed=seed + 1)
+    cert = BACertificate(
+        theorem=theorem, mode=mode, r=r, x_star=x_star, y_star=y_star,
+        residual=point.residual, iterations=point.iterations,
+        projection_gap=float(projection_gap), constants=report,
+        saddle_checks=schecks, uniqueness=uniqueness)
+    if theorem == "6":
+        cert.collapse_gap = float(norm(x_star - y_star))
+        if cert.collapse_gap > COLLAPSE_TOL:
+            fail("collapse", CheckFailure(
+                f"saddle components did not collapse (gap {cert.collapse_gap:.2e})",
+                witness=x_star))
+        fx = m.val(x_star)
+        cert.distance_gap = float(abs(norm(fx - x_star) - dist_ball(fx, r)))
+        cert.nearest_check = check_nearest_point(
+            m, x_star, r, n_samples=n_samples, seed=seed + 4,
+            strict_margin=cfg.strict_margin, exclusion_factor=cfg.exclusion_factor)
+    return cert
 
 
-def solve_prox_pair(m: SmoothMap, Y: ConvexSet, T: ConvexSet,
+def solve_prox_pair(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None,
                     r: float | None = None, report: ConstantsReport | None = None,
                     *, mode: str = "certified", n_samples: int = 2000, seed: int = 0,
                     uniqueness_starts: int = 16, tol: float = 1e-8,
                     max_iters: int = 10**6, check_tol: float = 1e-8,
                     strict_margin: float = 1e-9, exclusion_factor: float = 1e-4,
-                    theorem: str = "5",
-                    skip_containment: bool = False) -> BACertificate:
+                    theorem: str = "5") -> BACertificate:
     """Solve and certify the saddle pair of the approximation payoff on
     ball(r) x T, with y* the projection of f(x*) onto T.
 
-    ``r`` defaults to the admissible radius sigma / L.  Certified mode
-    requires certification-grade constants and r within the admissible
-    radius.
+    ``r`` defaults to the admissible radius sigma / L and ``T`` (None) to
+    ball(r).  Certified mode requires certification-grade constants and r
+    within the admissible radius.
     """
-    if mode not in ("certified", "heuristic"):
-        raise InvalidInput(f"mode must be 'certified' or 'heuristic', got {mode!r}")
     if report is None:
         report = ba_report(m, Y, seed=seed)
-    sigma = report.sigma.value if report.sigma is not None else 0.0
-    if sigma <= 0.0:
-        raise HypothesisViolation(
-            "sigma = 0: Y reaches the gradient kernel at the origin")
-    if r is None:
-        r = report.r_max
-    if not (np.isfinite(r) and 0 < r <= m.domain_radius):
-        raise InvalidInput(f"r must lie in (0, {m.domain_radius}], got {r}")
-    if mode == "certified":
-        if not report.certified:
-            raise CertificationError(
-                "constants are sampled lower bounds, not certification grade; "
-                "rerun in heuristic mode or declare analytic constants")
-        if r > report.r_max + 1e-12:
-            raise HypothesisViolation(
-                f"r = {r} exceeds the admissible radius {report.r_max}",
-                deficit=r - report.r_max)
-    if not skip_containment:
-        _containment_check(T, Y, seed + 7)
-
+    cfg = ba_problem(m, Y, T, r, report, mode, seed=seed, tol=tol,
+                     max_iters=max_iters, check_tol=check_tol,
+                     strict_margin=strict_margin, exclusion_factor=exclusion_factor)
     payoff = ba_payoff(m, Y)
-    L = report.L.value
-    cfg = SaddleConfig(
-        r=r, T=T, L=L, smoothness=2.0 * L + report.theta.value,
-        tol=tol, max_iters=max_iters, check_tol=check_tol,
-        strict_margin=strict_margin, exclusion_factor=exclusion_factor,
-        r_max=report.r_max)
-    sp = solve_saddle(payoff, cfg)
-
-    proj = T.project(m.val(sp.x_star))
-    projection_gap = norm(sp.y_star - proj)
-    if projection_gap > IDENTITY_TOL:
-        raise CheckFailure(
-            f"y* is {projection_gap:.2e} from the projection of f(x*) onto T",
-            witness=sp.y_star)
-    schecks = check_saddle(payoff, sp, cfg, n_samples=n_samples, seed=seed + 1)
-    uniq = (_uniqueness(payoff, cfg, uniqueness_starts, seed + 3)
-            if uniqueness_starts >= 2 else None)
-    passed = schecks.passed and (uniq is None or uniq["passed"])
-    return BACertificate(
-        theorem=theorem, mode=mode, r=float(r), x_star=sp.x_star, y_star=sp.y_star,
-        residual=sp.residual, iterations=sp.iterations,
-        projection_gap=float(projection_gap), constants=report,
-        saddle_checks=schecks, uniqueness=uniq, passed=passed)
+    point = solve_saddle(payoff, cfg)
+    uniq = probe_uniqueness(payoff, cfg, uniqueness_starts, seed + 3)
+    return certify_ba(m, Y, point, cfg, report, mode=mode, uniqueness=uniq,
+                      n_samples=n_samples, seed=seed, theorem=theorem)
 
 
 def check_nearest_point(m: SmoothMap, x_star, r: float, n_samples: int = 2000,
@@ -197,56 +195,15 @@ def solve_best_approx(m: SmoothMap, r: float | None = None,
     """Certify the unique best-approximation point: Y = ball(rho) and
     T = ball(r), where the saddle pair collapses onto x* = P_ball(r)(f(x*)).
     """
-    Y = Ball(m.domain_radius, m.dimension)
-    if report is None:
-        report = ba_report(m, Y, seed=seed)
-    if report.sigma is None or report.sigma.value <= 0.0:
-        raise HypothesisViolation(
-            "sigma = 0: Y reaches the gradient kernel at the origin")
-    if r is None:
-        r = report.r_max
-    cert = solve_prox_pair(
-        m, Y, Ball(float(r), m.dimension), r, report, mode=mode,
+    return solve_prox_pair(
+        m, Ball(m.domain_radius, m.dimension), None, r, report, mode=mode,
         n_samples=n_samples, seed=seed, uniqueness_starts=uniqueness_starts,
         tol=tol, max_iters=max_iters, check_tol=check_tol,
-        strict_margin=strict_margin, exclusion_factor=exclusion_factor,
-        theorem="6", skip_containment=True)
-
-    collapse_gap = norm(cert.x_star - cert.y_star)
-    if collapse_gap > COLLAPSE_TOL:
-        raise CheckFailure(
-            f"saddle components did not collapse (gap {collapse_gap:.2e})",
-            witness=cert.x_star)
-    fx = m.val(cert.x_star)
-    distance_gap = abs(norm(fx - cert.x_star) - dist_ball(fx, cert.r))
-    near = check_nearest_point(m, cert.x_star, cert.r, n_samples=n_samples,
-                               seed=seed + 4, strict_margin=strict_margin,
-                               exclusion_factor=exclusion_factor)
-    cert.collapse_gap = float(collapse_gap)
-    cert.distance_gap = float(distance_gap)
-    cert.nearest_check = near
-    cert.passed = bool(cert.passed and near.passed and distance_gap <= IDENTITY_TOL)
-    return cert
+        strict_margin=strict_margin, exclusion_factor=exclusion_factor, theorem="6")
 
 
 def ba_small_radius(m: SmoothMap, epsilon: float = 0.5) -> SmallRadiusResult:
-    """Pick r* = min(rho, (1 - eps) ||f(0)|| / ||jac(0)||) so the restricted
-    approximation problem has sigma >= eps * ||f(0)|| > 0.
-
-    Requires f(0) != 0; a fixed point at the origin leaves nothing to
-    approximate from the sphere.
-    """
-    if not (0.0 < epsilon < 1.0):
-        raise InvalidInput(f"epsilon must lie in (0, 1), got {epsilon}")
-    zero = np.zeros(m.dimension)
-    v0 = norm(m.val(zero))
-    if v0 <= MAP_ZERO_TOL:
-        raise HypothesisViolation(
-            "the map vanishes at the origin; no positive radius can be certified")
-    j0 = op_norm(m.jac(zero))
-    r_star = min(m.domain_radius, (1.0 - epsilon) * v0 / max(j0, 1e-12))
-    restricted = m.restrict(r_star)
-    report = ba_report(restricted, Ball(r_star, m.dimension))
-    return SmallRadiusResult(r_star=float(r_star), epsilon=float(epsilon),
-                             sigma_floor=float(epsilon * v0), report=report,
-                             map=restricted)
+    """The radius of statement 7: requires f(0) != 0, since a fixed point at
+    the origin leaves nothing to approximate from the sphere."""
+    return radius_from_origin(
+        m, epsilon, lambda restricted, r_star: ba_report(restricted, Ball(r_star, m.dimension)))

@@ -409,7 +409,8 @@ def validate_payoff(p: Payoff, n_points: int = 100, seed: int = 0,
     return worst
 
 
-def _require_fields(doc: dict, path: str, required: tuple, optional: tuple = ()):
+def require_fields(doc: dict, path: str, required: tuple, optional: tuple = ()):
+    """Reject unknown and missing fields of a config object at ``path``."""
     from .errors import ConfigError
 
     for key in doc:
@@ -435,7 +436,7 @@ def map_from_dict(doc: dict, path: str = "problem") -> SmoothMap:
         raise ConfigError("problem must be an object", path=path)
     declared = None
     if "map" in doc:
-        _require_fields(doc, path, required=("map", "rho"),
+        require_fields(doc, path, required=("map", "rho"),
                         optional=("dimension", "analytic_constants"))
         inner = doc["map"]
         inner_path = path + ".map"
@@ -443,7 +444,7 @@ def map_from_dict(doc: dict, path: str = "problem") -> SmoothMap:
         declared = doc.get("analytic_constants")
         want_dim = doc.get("dimension")
     else:
-        _require_fields(doc, path, required=("kind", "rho"),
+        require_fields(doc, path, required=("kind", "rho"),
                         optional=("c", "A", "b", "Q", "shift", "analytic_constants",
                                   "dimension"))
         inner = {k: v for k, v in doc.items()
@@ -463,16 +464,16 @@ def map_from_dict(doc: dict, path: str = "problem") -> SmoothMap:
     kind = inner["kind"]
     try:
         if kind == "constant":
-            _require_fields(inner, inner_path, required=("kind", "c"),
+            require_fields(inner, inner_path, required=("kind", "c"),
                             optional=("shift",))
             m = make_constant(np.asarray(inner["c"], dtype=float), rho)
         elif kind == "affine":
-            _require_fields(inner, inner_path, required=("kind", "A", "b"),
+            require_fields(inner, inner_path, required=("kind", "A", "b"),
                             optional=("shift",))
             m = make_affine(np.asarray(inner["A"], dtype=float),
                             np.asarray(inner["b"], dtype=float), rho)
         elif kind == "quadratic":
-            _require_fields(inner, inner_path, required=("kind", "A", "b", "Q"),
+            require_fields(inner, inner_path, required=("kind", "A", "b", "Q"),
                             optional=("shift",))
             m = make_quadratic(np.asarray(inner["A"], dtype=float),
                                np.asarray(inner["b"], dtype=float),
@@ -491,7 +492,7 @@ def map_from_dict(doc: dict, path: str = "problem") -> SmoothMap:
             f"declared dimension {want_dim} does not match coefficients ({m.dimension})",
             path=path + ".dimension")
     if declared is not None:
-        _require_fields(declared, path + ".analytic_constants",
+        require_fields(declared, path + ".analytic_constants",
                         required=(), optional=("theta", "gamma", "eta"))
         base = m.analytic
         m.analytic = AnalyticConstants(

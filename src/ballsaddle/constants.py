@@ -21,7 +21,7 @@ solution is guaranteed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -297,6 +297,14 @@ def delta_const(payoff, Y: ConvexSet, n_samples: int = 2000, seed: int = 0) -> C
     return CertValue(best, CertFlag.SAMPLED)
 
 
+def _gamma(m, samples: int, seed: int) -> CertValue:
+    """The declared Jacobian Lipschitz constant, else a sampled lower bound."""
+    if m.analytic is not None:
+        return CertValue(m.analytic.gamma, m.analytic.gamma_flag)
+    return estimate_lipschitz(m.jac, m.domain_radius, pairs=samples, seed=seed + 1,
+                              dim=m.dimension)
+
+
 def vi_report(m, samples: int = 1000, seed: int = 0) -> ConstantsReport:
     """Constants report for a variational-inequality run on the map ``m``.
 
@@ -305,11 +313,7 @@ def vi_report(m, samples: int = 1000, seed: int = 0) -> ConstantsReport:
     sigma is solved exactly from the map data at the origin.
     """
     theta = estimate_theta(m, samples=samples, seed=seed)
-    if m.analytic is not None:
-        gamma = CertValue(m.analytic.gamma, m.analytic.gamma_flag)
-    else:
-        gamma = estimate_lipschitz(m.jac, m.domain_radius, pairs=samples,
-                                   seed=seed + 1, dim=m.dimension)
+    gamma = _gamma(m, samples, seed)
     rho = m.domain_radius
     M = CertValue(2.0 * (theta.value + rho * gamma.value),
                   combine_flags(theta.flag, gamma.flag))
@@ -317,9 +321,7 @@ def vi_report(m, samples: int = 1000, seed: int = 0) -> ConstantsReport:
     sig = CertValue(sigma_vi(m.val(zero), m.jac(zero), rho), CertFlag.ANALYTIC)
     report = ConstantsReport(rho=rho, theta=theta, gamma=gamma, M=M, sigma=sig,
                              radius_rule="vi")
-    r_max = admissible_radius("vi", report, rho) if sig.value > 0 else 0.0
-    return ConstantsReport(rho=rho, theta=theta, gamma=gamma, M=M, sigma=sig,
-                           r_max=r_max, radius_rule="vi")
+    return replace(report, r_max=admissible_radius("vi", report, rho) if sig.value > 0 else 0.0)
 
 
 def ba_report(m, Y: ConvexSet, samples: int = 1000, seed: int = 0) -> ConstantsReport:
@@ -330,16 +332,10 @@ def ba_report(m, Y: ConvexSet, samples: int = 1000, seed: int = 0) -> ConstantsR
     admissible radius is sigma / L capped at rho.
     """
     theta = estimate_theta(m, samples=samples, seed=seed)
-    if m.analytic is not None:
-        gamma = CertValue(m.analytic.gamma, m.analytic.gamma_flag)
-        if m.analytic.eta is not None:
-            eta = CertValue(m.analytic.eta, m.analytic.eta_flag)
-        else:
-            eta = estimate_lipschitz(lambda x, m=m: x - m.val(x), m.domain_radius,
-                                     pairs=samples, seed=seed + 2, dim=m.dimension)
+    gamma = _gamma(m, samples, seed)
+    if m.analytic is not None and m.analytic.eta is not None:
+        eta = CertValue(m.analytic.eta, m.analytic.eta_flag)
     else:
-        gamma = estimate_lipschitz(m.jac, m.domain_radius, pairs=samples,
-                                   seed=seed + 1, dim=m.dimension)
         eta = estimate_lipschitz(lambda x, m=m: x - m.val(x), m.domain_radius,
                                  pairs=samples, seed=seed + 2, dim=m.dimension)
     rho = m.domain_radius
@@ -350,9 +346,7 @@ def ba_report(m, Y: ConvexSet, samples: int = 1000, seed: int = 0) -> ConstantsR
     delta = CertValue(2.0 * sig.value, CertFlag.ANALYTIC)
     report = ConstantsReport(rho=rho, theta=theta, gamma=gamma, eta=eta, delta=delta,
                              L=L, sigma=sig, radius_rule="ba")
-    r_max = admissible_radius("ba", report, rho) if sig.value > 0 else 0.0
-    return ConstantsReport(rho=rho, theta=theta, gamma=gamma, eta=eta, delta=delta,
-                           L=L, sigma=sig, r_max=r_max, radius_rule="ba")
+    return replace(report, r_max=admissible_radius("ba", report, rho) if sig.value > 0 else 0.0)
 
 
 def admissible_radius(mode: str, report: ConstantsReport, rho: float) -> float:

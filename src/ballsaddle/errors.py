@@ -47,8 +47,8 @@ class CheckFailure(BallSaddleError):
 
 
 class CertificationError(BallSaddleError):
-    """A user-supplied oracle broke its contract (e.g. a projection that is
-    not idempotent)."""
+    """Certified mode met constants that are not certification grade, or a
+    user-supplied oracle broke its contract (a non-idempotent projection)."""
 
 
 class ConfigError(BallSaddleError):

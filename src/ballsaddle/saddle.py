@@ -10,6 +10,11 @@ step, both through the projections.
 property of y* within tolerance, the strictly-minimizing property of x*
 with a margin outside a small exclusion ball, sphere membership of x* when
 the radius is admissible, and the minimax gap of phi.
+
+Every solve is a solver step (``solve_saddle`` plus ``probe_uniqueness``)
+and a certify step.  ``gate`` is the radius/mode gate both share: the
+solve paths run it before solving, ``verify`` runs it with a failure sink
+that records instead of raising.
 """
 
 from __future__ import annotations
@@ -18,12 +23,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, NonConvergence
+from .constants import ConstantsReport
+from .errors import CertificationError, HypothesisViolation, InvalidInput, NonConvergence
 from .geometry import Ball, ConvexSet, as_point, norm, project_ball, sample_ball, sample_sphere
+from .oracles import uniqueness_probe
 
 EVAL_DOMAIN_TOL = 1e-9
 SPHERE_TOL = 1e-6
 MAX_STEP_HALVINGS = 60
+UNIQUENESS_TOL = 1e-5
 
 
 @dataclass
@@ -108,6 +116,51 @@ class SaddleChecks:
     def to_dict(self):
         return {"passed": self.passed, "minimax_gap": float(self.minimax_gap),
                 "reports": [rep.to_dict() for rep in self.reports]}
+
+
+@dataclass
+class Certificate:
+    """Solution, constants and check outcomes of one certified run; the VI
+    and approximation certificates add their own identities and checks.
+
+    ``theorem`` is the wire label of the certified statement template (see
+    the certificate format notes in the README).  ``mode`` is "certified"
+    only when every constant used is certification grade and r respects the
+    admissible radius.  ``passed`` holds when no check failed and the
+    uniqueness record, if any, passed.
+    """
+
+    theorem: str
+    mode: str
+    r: float
+    x_star: np.ndarray
+    y_star: np.ndarray
+    residual: float
+    iterations: int
+    constants: ConstantsReport
+    saddle_checks: SaddleChecks
+    uniqueness: dict | None
+
+    def failed_checks(self) -> list[str]:
+        return [] if self.saddle_checks.passed else ["saddle-checks"]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failed_checks() and (self.uniqueness is None
+                                             or bool(self.uniqueness["passed"]))
+
+    def to_dict(self):
+        return {
+            "theorem": self.theorem, "mode": self.mode, "r": float(self.r),
+            "solution": {"x_star": [float(v) for v in self.x_star],
+                         "y_star": [float(v) for v in self.y_star]},
+            "residuals": {"saddle_residual": float(self.residual)},
+            "iterations": int(self.iterations),
+            "constants": self.constants.to_dict(),
+            "checks": {"saddle": self.saddle_checks.to_dict(),
+                       "uniqueness": self.uniqueness},
+            "passed": bool(self.passed),
+        }
 
 
 def _grad_y(payoff, x, y):
@@ -200,6 +253,65 @@ def solve_saddle(payoff, cfg: SaddleConfig, x0=None, y0=None) -> SaddlePoint:
         residual=res, iterations=cfg.max_iters)
 
 
+def raise_failure(name: str, error: Exception):
+    """Failure sink of the solve paths: a failed gate or identity raises.
+    ``verify`` passes a sink that records ``name`` and goes on."""
+    raise error
+
+
+def gate(report, r, mode: str, rho: float, fail=raise_failure) -> float:
+    """The radius/mode gate of every solve; returns r.
+
+    The numerator of the report's radius rule (sigma, or delta for the
+    saddle rule) must be positive, r defaults to the admissible radius and
+    must lie in (0, rho], and certified mode needs certification-grade
+    constants and r <= r_max.  Heuristic mode skips the last two.
+    """
+    if mode not in ("certified", "heuristic"):
+        raise InvalidInput(f"mode must be 'certified' or 'heuristic', got {mode!r}")
+    what = "delta" if report.radius_rule == "saddle" else "sigma"
+    positive = getattr(report, what)
+    if positive is None or positive.value <= 0.0:
+        fail("positivity", HypothesisViolation(
+            f"{what} = 0: the dual set reaches the gradient kernel at the origin"))
+    if r is None:
+        r = report.r_max
+    if not (np.isfinite(r) and 0 < r <= rho):
+        raise InvalidInput(f"r must lie in (0, {rho}], got {r}")
+    if mode == "certified":
+        if not report.certified:
+            fail("constants-certified", CertificationError(
+                "constants are sampled lower bounds, not certification grade; "
+                "rerun in heuristic mode or declare analytic constants"))
+        if r > report.r_max + 1e-12:
+            fail("radius-admissible", HypothesisViolation(
+                f"r = {r} exceeds the admissible radius {report.r_max}",
+                deficit=r - report.r_max))
+    return float(r)
+
+
+def probe_uniqueness(payoff, cfg: SaddleConfig, starts: int, seed: int) -> dict | None:
+    """The uniqueness record of a solve: the spread of the solutions from
+    ``starts`` scattered starting points, or None below two starts."""
+    if starts < 2:
+        return None
+    spread = uniqueness_probe(
+        lambda x0: solve_saddle(payoff, cfg, x0=x0, y0=x0).x_star,
+        starts=starts, seed=seed, dim=payoff.dimension, radius=cfg.r)
+    return {"starts": starts, "max_pairwise": float(spread),
+            "passed": bool(spread <= UNIQUENESS_TOL)}
+
+
+def uniqueness_consistent(record, starts: int) -> bool:
+    """Whether a stored uniqueness record could come from
+    ``probe_uniqueness`` with ``starts``: the same start count and a verdict
+    that matches its own spread."""
+    if record is None:
+        return starts < 2
+    return (isinstance(record, dict) and record.get("starts") == starts
+            and record.get("passed") == (float(record["max_pairwise"]) <= UNIQUENESS_TOL))
+
+
 def payoff_depends_on_y(payoff, x_star, T: ConvexSet, seed: int = 0) -> bool:
     """False when the payoff is y-independent near the solution (then the
     reported y* is just one valid choice among many)."""
@@ -237,9 +349,9 @@ def _y_samples(rng, n: int, T: ConvexSet, dim: int) -> np.ndarray:
     return np.vstack(pts)
 
 
-def check_saddle(payoff, point, cfg: SaddleConfig, n_samples: int = 2000,
+def check_saddle(payoff, point: SaddlePoint, cfg: SaddleConfig, n_samples: int = 2000,
                  seed: int = 0) -> SaddleChecks:
-    """Sampled certification of a saddle candidate.
+    """Sampled certification of a saddle candidate (solved or stored).
 
     Checks, in order: J(x*, y) <= J(x*, y*) + check_tol over sampled y in T;
     J(x, y*) >= J(x*, y*) + strict_margin over sampled x in ball(r) outside
@@ -247,12 +359,8 @@ def check_saddle(payoff, point, cfg: SaddleConfig, n_samples: int = 2000,
     1e-6 when L > 0 and r is within the admissible radius.  Also reports the
     sampled minimax gap of phi.
     """
-    if isinstance(point, SaddlePoint):
-        x_star, y_star = point.x_star, point.y_star
-    else:
-        x_star, y_star = point
-    x_star = as_point(x_star, dim=payoff.dimension)
-    y_star = as_point(y_star, dim=payoff.dimension)
+    x_star = as_point(point.x_star, dim=payoff.dimension)
+    y_star = as_point(point.y_star, dim=payoff.dimension)
     rng = np.random.default_rng(seed)
     dim = payoff.dimension
     r = cfg.r

@@ -9,7 +9,9 @@ sphere of radius r satisfying the double strict inequality
 The point is computed as the collapsed saddle point of the payoff
 J(x, y) = <F(x), x - y> regularized with weight L = M, and certified by
 sampled checks plus structural identities: x* = y*, F(x*) != 0 and x*
-antiparallel to F(x*) on the sphere.
+antiparallel to F(x*) on the sphere.  ``solve_vi`` gates the problem
+(``vi_problem``), solves, and hands the solution to ``certify_vi``, the
+same certify step ``verify`` runs on a stored solution.
 
 ``solve_vi_shifted`` handles maps with vanishing Jacobian at the origin
 shifted by a far-enough target w, and ``small_radius`` picks a radius that
@@ -24,63 +26,42 @@ import numpy as np
 
 from .catalog import SmoothMap, shift_map, vi_payoff
 from .constants import ConstantsReport, op_norm, vi_report
-from .errors import CertificationError, CheckFailure, HypothesisViolation, InvalidInput
+from .errors import CheckFailure, HypothesisViolation, InvalidInput
 from .geometry import Ball, norm
-from .oracles import uniqueness_probe
-from .saddle import (CheckReport, SaddleChecks, SaddleConfig, ball_check_samples,
-                     check_saddle, solve_saddle)
+from .saddle import (Certificate, CheckReport, SaddleConfig, SaddlePoint,
+                     ball_check_samples, check_saddle, gate, probe_uniqueness,
+                     raise_failure, solve_saddle)
 
 COLLAPSE_TOL = 1e-6
 DIRECTION_TOL = 1e-6
-UNIQUENESS_TOL = 1e-5
 MAP_ZERO_TOL = 1e-9
 
 
 @dataclass
-class VICertificate:
-    """Solution, constants and check outcomes of one run.
+class VICertificate(Certificate):
+    """Certificate of statement 2 or 4: the structural identities, the
+    double-inequality check and, for statement 4, the shift gate record."""
 
-    ``theorem`` is the wire label of the certified statement template (see
-    the certificate format notes in the README).  ``mode`` is "certified"
-    only when every constant used is certification grade and r respects the
-    admissible radius.
-    """
-
-    theorem: str
-    mode: str
-    r: float
-    x_star: np.ndarray
-    y_star: np.ndarray
-    residual: float
-    iterations: int
     collapse_gap: float
     map_norm: float
     direction_gap: float
-    constants: ConstantsReport
-    saddle_checks: SaddleChecks
     vi_check: CheckReport
-    uniqueness: dict | None
-    passed: bool
     gate: dict = field(default_factory=dict)
 
+    def failed_checks(self) -> list[str]:
+        return super().failed_checks() + [
+            name for name, ok in (("vi-inequality", self.vi_check.passed),
+                                  ("direction", self.direction_gap <= DIRECTION_TOL))
+            if not ok]
+
     def to_dict(self):
-        sol = {"x_star": [float(v) for v in self.x_star],
-               "y_star": [float(v) for v in self.y_star]}
-        return {
-            "theorem": self.theorem, "mode": self.mode, "r": float(self.r),
-            "solution": sol,
-            "residuals": {"saddle_residual": float(self.residual),
-                          "collapse_gap": float(self.collapse_gap),
-                          "direction_gap": float(self.direction_gap),
-                          "map_norm": float(self.map_norm)},
-            "iterations": int(self.iterations),
-            "constants": self.constants.to_dict(),
-            "checks": {"saddle": self.saddle_checks.to_dict(),
-                       "vi": self.vi_check.to_dict(),
-                       "uniqueness": self.uniqueness},
-            "gate": self.gate,
-            "passed": bool(self.passed),
-        }
+        d = super().to_dict()
+        d["residuals"].update(collapse_gap=float(self.collapse_gap),
+                              direction_gap=float(self.direction_gap),
+                              map_norm=float(self.map_norm))
+        d["checks"]["vi"] = self.vi_check.to_dict()
+        d["gate"] = self.gate
+        return d
 
 
 def check_vi(m: SmoothMap, x_star, r: float, n_samples: int = 2000, seed: int = 0,
@@ -115,14 +96,52 @@ def check_vi(m: SmoothMap, x_star, r: float, n_samples: int = 2000, seed: int = 
                  "worst_second_form": float(np.max(second))})
 
 
-def _uniqueness(payoff, cfg: SaddleConfig, starts: int, seed: int) -> dict:
-    def solve_from(x0):
-        return solve_saddle(payoff, cfg, x0=x0, y0=x0).x_star
+def vi_problem(m: SmoothMap, r: float | None, report: ConstantsReport,
+               mode: str = "certified", *, fail=raise_failure, **knobs) -> SaddleConfig:
+    """The gated saddle problem of a VI run: ``gate`` on the report, then
+    T = ball(r) and the regularization weight L = M.  ``knobs`` are the
+    solver and check tolerances of SaddleConfig."""
+    r = gate(report, r, mode, m.domain_radius, fail)
+    M = report.M.value
+    return SaddleConfig(r=r, T=Ball(r, m.dimension), L=M,
+                        smoothness=2.0 * M + report.theta.value,
+                        r_max=report.r_max, **knobs)
 
-    spread = uniqueness_probe(solve_from, starts=starts, seed=seed,
-                              dim=payoff.dimension, radius=cfg.r)
-    return {"starts": starts, "max_pairwise": float(spread),
-            "passed": bool(spread <= UNIQUENESS_TOL)}
+
+def certify_vi(m: SmoothMap, point: SaddlePoint, cfg: SaddleConfig,
+               report: ConstantsReport, *, mode: str = "certified",
+               uniqueness: dict | None = None, n_samples: int = 2000, seed: int = 0,
+               theorem: str = "2", fail=raise_failure) -> VICertificate:
+    """The certify step of a VI run on the problem ``cfg`` from ``vi_problem``.
+
+    Checks the structural identities of ``point`` (a fresh solve or a
+    stored solution): x* = y*, F(x*) != 0 and x* antiparallel to F(x*) on
+    the sphere; then runs the sampled saddle and double-inequality checks.
+    A failed identity goes to ``fail``; ``uniqueness`` is the solver's
+    record and is only carried into the verdict.
+    """
+    x_star, r = point.x_star, cfg.r
+    collapse_gap = norm(x_star - point.y_star)
+    if collapse_gap > COLLAPSE_TOL:
+        fail("collapse", CheckFailure(
+            f"saddle components did not collapse (gap {collapse_gap:.2e}); "
+            "the solver failed or the constants are invalid", witness=x_star))
+    fx = m.val(x_star)
+    map_norm = norm(fx)
+    if map_norm <= MAP_ZERO_TOL:
+        fail("map-nonzero", CheckFailure("the map vanishes at the solution",
+                                         witness=x_star))
+    direction_gap = norm(x_star + (r / map_norm) * fx) if map_norm > 0.0 else np.inf
+    schecks = check_saddle(vi_payoff(m), point, cfg, n_samples=n_samples, seed=seed + 1)
+    vcheck = check_vi(m, x_star, r, n_samples=n_samples, seed=seed + 2,
+                      strict_margin=cfg.strict_margin,
+                      exclusion_factor=cfg.exclusion_factor)
+    return VICertificate(
+        theorem=theorem, mode=mode, r=r, x_star=x_star, y_star=point.y_star,
+        residual=point.residual, iterations=point.iterations,
+        collapse_gap=float(collapse_gap), map_norm=float(map_norm),
+        direction_gap=float(direction_gap), constants=report,
+        saddle_checks=schecks, vi_check=vcheck, uniqueness=uniqueness)
 
 
 def solve_vi(m: SmoothMap, r: float | None = None,
@@ -137,62 +156,47 @@ def solve_vi(m: SmoothMap, r: float | None = None,
     constants must be certification grade and r must respect the admissible
     radius; heuristic mode skips both gates and watermarks the certificate.
     """
-    if mode not in ("certified", "heuristic"):
-        raise InvalidInput(f"mode must be 'certified' or 'heuristic', got {mode!r}")
     if report is None:
         report = vi_report(m, seed=seed)
-    sigma = report.sigma.value if report.sigma is not None else 0.0
-    if sigma <= 0.0:
-        raise HypothesisViolation(
-            "sigma = 0: the dual ball reaches the gradient kernel at the origin")
-    if r is None:
-        r = report.r_max
-    if not (np.isfinite(r) and 0 < r <= m.domain_radius):
-        raise InvalidInput(f"r must lie in (0, {m.domain_radius}], got {r}")
-    if mode == "certified":
-        if not report.certified:
-            raise CertificationError(
-                "constants are sampled lower bounds, not certification grade; "
-                "rerun in heuristic mode or declare analytic constants")
-        if r > report.r_max + 1e-12:
-            raise HypothesisViolation(
-                f"r = {r} exceeds the admissible radius {report.r_max}",
-                deficit=r - report.r_max)
-
+    cfg = vi_problem(m, r, report, mode, tol=tol, max_iters=max_iters,
+                     check_tol=check_tol, strict_margin=strict_margin,
+                     exclusion_factor=exclusion_factor)
     payoff = vi_payoff(m)
-    L = report.M.value
-    cfg = SaddleConfig(
-        r=r, T=Ball(r, m.dimension), L=L,
-        smoothness=2.0 * report.M.value + report.theta.value,
-        tol=tol, max_iters=max_iters, check_tol=check_tol,
-        strict_margin=strict_margin, exclusion_factor=exclusion_factor,
-        r_max=report.r_max)
-    sp = solve_saddle(payoff, cfg)
+    point = solve_saddle(payoff, cfg)
+    uniq = probe_uniqueness(payoff, cfg, uniqueness_starts, seed + 3)
+    return certify_vi(m, point, cfg, report, mode=mode, uniqueness=uniq,
+                      n_samples=n_samples, seed=seed, theorem=theorem)
 
-    collapse_gap = norm(sp.x_star - sp.y_star)
-    if collapse_gap > COLLAPSE_TOL:
-        raise CheckFailure(
-            f"saddle components did not collapse (gap {collapse_gap:.2e}); "
-            "the solver failed or the constants are invalid",
-            witness=sp.x_star)
-    map_norm = norm(m.val(sp.x_star))
-    if map_norm <= MAP_ZERO_TOL:
-        raise CheckFailure("the map vanishes at the solution", witness=sp.x_star)
-    direction_gap = norm(sp.x_star + (r / map_norm) * m.val(sp.x_star))
 
-    schecks = check_saddle(payoff, sp, cfg, n_samples=n_samples, seed=seed + 1)
-    vcheck = check_vi(m, sp.x_star, r, n_samples=n_samples, seed=seed + 2,
-                      strict_margin=strict_margin, exclusion_factor=exclusion_factor)
-    uniq = (_uniqueness(payoff, cfg, uniqueness_starts, seed + 3)
-            if uniqueness_starts >= 2 else None)
-    passed = (schecks.passed and vcheck.passed and direction_gap <= DIRECTION_TOL
-              and (uniq is None or uniq["passed"]))
-    return VICertificate(
-        theorem=theorem, mode=mode, r=float(r), x_star=sp.x_star, y_star=sp.y_star,
-        residual=sp.residual, iterations=sp.iterations,
-        collapse_gap=float(collapse_gap), map_norm=float(map_norm),
-        direction_gap=float(direction_gap), constants=report,
-        saddle_checks=schecks, vi_check=vcheck, uniqueness=uniq, passed=passed)
+def shift_problem(m: SmoothMap, w, *, seed: int = 0, fail=raise_failure):
+    """(shifted map x -> m(x) - w, its constants report, gate record) of
+    statement 4.
+
+    The Jacobian of ``m`` must vanish at the origin and ||w - m(0)|| must
+    reach 2 M1 rho with M1 = 2 (theta1 + rho gamma1); a shortfall goes to
+    ``fail`` with the deficit.  The shift leaves the Jacobian alone, so M1
+    is the M of the shifted report.
+    """
+    w = np.asarray(w, dtype=float)
+    zero = np.zeros(m.dimension)
+    jac0_norm = op_norm(m.jac(zero))
+    if jac0_norm > 1e-10:
+        fail("shift-jacobian", HypothesisViolation(
+            f"the Jacobian at the origin must vanish (norm {jac0_norm:.2e})",
+            deficit=jac0_norm))
+    shifted = shift_map(m, w)
+    report = vi_report(shifted, seed=seed)
+    threshold = 2.0 * report.M.value * m.domain_radius
+    gap = norm(w - m.val(zero))
+    deficit = threshold - gap
+    if deficit > 0.0:
+        fail("shift-threshold", HypothesisViolation(
+            f"||w - value(0)|| = {gap} is below the threshold {threshold}",
+            deficit=deficit))
+    record = {"M1": float(report.M.value), "threshold": float(threshold),
+              "shift_gap": float(gap), "deficit": float(max(deficit, 0.0)),
+              "jacobian_origin_norm": float(jac0_norm)}
+    return shifted, report, record
 
 
 def solve_vi_shifted(m: SmoothMap, w, r: float | None = None, *,
@@ -202,41 +206,16 @@ def solve_vi_shifted(m: SmoothMap, w, r: float | None = None, *,
                      strict_margin: float = 1e-9,
                      exclusion_factor: float = 1e-4) -> VICertificate:
     """Variational inequality for x -> m(x) - w when the Jacobian of ``m``
-    vanishes at the origin.
-
-    Requires ||w - m(0)|| >= 2 M1 rho with M1 = 2 (theta1 + rho gamma1); a
-    shortfall raises HypothesisViolation with the deficit.  Every radius up
-    to rho is then admissible for the shifted map.
+    vanishes at the origin (see ``shift_problem`` for the gate).  Every
+    radius up to rho is then admissible for the shifted map.
     """
-    w = np.asarray(w, dtype=float)
-    zero = np.zeros(m.dimension)
-    jac0_norm = op_norm(m.jac(zero))
-    if jac0_norm > 1e-10:
-        raise HypothesisViolation(
-            f"the Jacobian at the origin must vanish (norm {jac0_norm:.2e})",
-            deficit=jac0_norm)
-    base = vi_report(m, seed=seed)
-    if mode == "certified" and not base.certified:
-        raise CertificationError(
-            "constants of the unshifted map are not certification grade")
-    m1 = base.M.value
-    rho = m.domain_radius
-    gap = norm(w - m.val(zero))
-    deficit = 2.0 * m1 * rho - gap
-    if deficit > 0.0:
-        raise HypothesisViolation(
-            f"||w - value(0)|| = {gap} is below the threshold {2.0 * m1 * rho}",
-            deficit=deficit)
-    shifted = shift_map(m, w)
-    rep = vi_report(shifted, seed=seed)
-    cert = solve_vi(shifted, r, rep, mode=mode, n_samples=n_samples, seed=seed,
+    shifted, report, record = shift_problem(m, w, seed=seed)
+    cert = solve_vi(shifted, r, report, mode=mode, n_samples=n_samples, seed=seed,
                     uniqueness_starts=uniqueness_starts, tol=tol,
                     max_iters=max_iters, check_tol=check_tol,
                     strict_margin=strict_margin, exclusion_factor=exclusion_factor,
                     theorem="4")
-    cert.gate = {"M1": float(m1), "threshold": float(2.0 * m1 * rho),
-                 "shift_gap": float(gap), "deficit": float(max(deficit, 0.0)),
-                 "jacobian_origin_norm": float(jac0_norm)}
+    cert.gate = record
     return cert
 
 
@@ -257,13 +236,10 @@ class SmallRadiusResult:
                 "constants": self.report.to_dict()}
 
 
-def small_radius(m: SmoothMap, epsilon: float = 0.5) -> SmallRadiusResult:
-    """Pick r* = min(rho, (1 - eps) ||m(0)|| / ||jac(0)||) so that the
-    restricted map has sigma >= eps * ||m(0)|| > 0.
-
-    Requires m(0) != 0; this turns nonvanishing at the origin into a
-    certified variational inequality on the sphere of any r <= r*.
-    """
+def radius_from_origin(m: SmoothMap, epsilon: float, report_of) -> SmallRadiusResult:
+    """r* = min(rho, (1 - eps) ||m(0)|| / ||jac(0)||) and the constants
+    report ``report_of(restricted map, r*)`` of the map restricted to
+    ball(r*), whose sigma is then at least eps * ||m(0)|| > 0."""
     if not (0.0 < epsilon < 1.0):
         raise InvalidInput(f"epsilon must lie in (0, 1), got {epsilon}")
     zero = np.zeros(m.dimension)
@@ -274,7 +250,13 @@ def small_radius(m: SmoothMap, epsilon: float = 0.5) -> SmallRadiusResult:
     j0 = op_norm(m.jac(zero))
     r_star = min(m.domain_radius, (1.0 - epsilon) * v0 / max(j0, 1e-12))
     restricted = m.restrict(r_star)
-    report = vi_report(restricted)
     return SmallRadiusResult(r_star=float(r_star), epsilon=float(epsilon),
-                             sigma_floor=float(epsilon * v0), report=report,
-                             map=restricted)
+                             sigma_floor=float(epsilon * v0),
+                             report=report_of(restricted, r_star), map=restricted)
+
+
+def small_radius(m: SmoothMap, epsilon: float = 0.5) -> SmallRadiusResult:
+    """The radius of statement 3: requires m(0) != 0, which turns
+    nonvanishing at the origin into a certified variational inequality on
+    the sphere of any r <= r*."""
+    return radius_from_origin(m, epsilon, lambda restricted, r_star: vi_report(restricted))

@@ -125,16 +125,6 @@ class TestExitCodes:
         assert main(["vi", "--config", cfgp]) == 4
         assert "non-convergence" in capsys.readouterr().err
 
-    def test_threads_env_validated(self, tmp_path, capsys, monkeypatch):
-        cfgp = write_config(tmp_path, {"problem": AFFINE})
-        monkeypatch.setenv("BALLSADDLE_THREADS", "zero")
-        assert main(["vi", "--config", cfgp]) == 1
-        monkeypatch.setenv("BALLSADDLE_THREADS", "0")
-        assert main(["vi", "--config", cfgp]) == 1
-        monkeypatch.setenv("BALLSADDLE_THREADS", "2")
-        capsys.readouterr()
-        assert main(["vi", "--config", cfgp]) == 0
-
 
 class TestOverrides:
     def test_radius_flag(self, tmp_path, capsys):
@@ -185,51 +175,162 @@ class TestCertificates:
         assert list(doc) == sorted(doc)
 
 
+QUARTIC = {"kind": "quadratic", "A": [[0, 0], [0, 0]], "b": [0, 0], "rho": 1.0,
+           "Q": [[[1, 0], [0, 1]], [[0, 0], [0, 0]]]}
+CONSTANT = {"kind": "constant", "c": [2.0, 0.0], "rho": 1.0}
+BOX = {"kind": "box", "lower": [-0.5, -0.5], "upper": [0.5, 0.5]}
+ROUND_TRIPS = {
+    "vi": ("vi", {"problem": AFFINE}),
+    "vi-shifted": ("vi-shifted", {"problem": QUARTIC, "w": [16.0, 0.0], "r": 1.0}),
+    "prox-pair-box": ("prox-pair", {"problem": CONSTANT, "r": 0.5, "t_set": BOX}),
+    "best-approx": ("best-approx", {"problem": AFFINE}),
+    "saddle-vi": ("saddle", {"problem": AFFINE}),
+    "saddle-ba": ("saddle", {"problem": AFFINE, "payoff": "ba"}),
+    "constants": ("constants", {"problem": AFFINE, "application": "ba"}),
+    "small-radius": ("small-radius", {"problem": AFFINE}),
+}
+
+
 class TestVerify:
-    def make_cert(self, tmp_path, command="vi", extra=None, name="cert.json"):
-        doc = {"problem": AFFINE}
-        if extra:
-            doc.update(extra)
-        cfgp = write_config(tmp_path, doc, name="in_" + name)
+    def make_cert(self, tmp_path, command="vi", doc=None, name="cert.json"):
+        cfgp = write_config(tmp_path, doc or {"problem": AFFINE}, name="in_" + name)
         out = tmp_path / name
         code = main([command, "--config", cfgp, "--out", str(out)])
         assert code == 0
         return out
 
-    def test_round_trip(self, tmp_path, capsys):
-        cert = self.make_cert(tmp_path)
-        capsys.readouterr()
-        assert main(["verify", "--config", str(cert)]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["format"] == "ballsaddle-verification/1"
-        assert doc["verified"] is True
-        assert doc["failures"] == []
-
-    def test_best_approx_round_trip(self, tmp_path, capsys):
-        cert = self.make_cert(tmp_path, command="best-approx", name="ba.json")
-        capsys.readouterr()
-        assert main(["verify", "--config", str(cert)]) == 0
-
-    def test_tampered_solution_detected(self, tmp_path, capsys):
-        cert = self.make_cert(tmp_path)
+    def verify_tampered(self, tmp_path, capsys, cert, tamper):
         doc = json.loads(cert.read_text())
-        doc["certificate"]["solution"]["x_star"] = [0.25, 0.0]
+        tamper(doc)
         cert.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["verify", "--config", str(cert)]) == 3
         out = json.loads(capsys.readouterr().out)
         assert out["verified"] is False
-        assert any("vi" in f or "direction" in f for f in out["failures"])
+        return out["failures"]
+
+    @pytest.mark.parametrize("case", sorted(ROUND_TRIPS))
+    def test_round_trip(self, tmp_path, capsys, case):
+        command, doc = ROUND_TRIPS[case]
+        cert = self.make_cert(tmp_path, command, doc)
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cert)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["format"] == "ballsaddle-verification/1"
+        assert out["verified"] is True
+        assert out["failures"] == []
+
+    def test_verify_does_not_solve(self, tmp_path, capsys, monkeypatch):
+        import ballsaddle.ba as ba_mod
+        import ballsaddle.cli as cli_mod
+        import ballsaddle.saddle as saddle_mod
+        import ballsaddle.vi as vi_mod
+
+        certs = [self.make_cert(tmp_path, command, doc, name=f"{case}.json")
+                 for case, (command, doc) in sorted(ROUND_TRIPS.items())]
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (cli_mod, saddle_mod, vi_mod, ba_mod):
+            for name in ("solve_saddle", "uniqueness_probe", "vi_report", "ba_report"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counting(getattr(mod, name)))
+        for cert in certs:
+            calls.clear()
+            assert main(["verify", "--config", str(cert)]) == 0
+            # one constants report and no solve per verify
+            assert calls in (["vi_report"], ["ba_report"]), (cert.name, calls)
+
+    def test_tampered_solution_detected(self, tmp_path, capsys):
+        def tamper(doc):
+            doc["certificate"]["solution"]["x_star"] = [0.25, 0.0]
+        failures = self.verify_tampered(tmp_path, capsys, self.make_cert(tmp_path), tamper)
+        assert any("vi" in f or "direction" in f for f in failures)
 
     def test_tampered_constants_detected(self, tmp_path, capsys):
-        cert = self.make_cert(tmp_path)
-        doc = json.loads(cert.read_text())
-        doc["certificate"]["constants"]["sigma"]["value"] = 5.0
-        cert.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert main(["verify", "--config", str(cert)]) == 3
-        out = json.loads(capsys.readouterr().out)
-        assert any(f.startswith("constants:sigma") for f in out["failures"])
+        def tamper(doc):
+            doc["certificate"]["constants"]["sigma"]["value"] = 5.0
+        failures = self.verify_tampered(tmp_path, capsys, self.make_cert(tmp_path), tamper)
+        assert any(f.startswith("constants:sigma") for f in failures)
+
+    def test_mode_relabelled_certified(self, tmp_path, capsys):
+        cert = self.make_cert(tmp_path, doc={"problem": AFFINE, "r": 0.3, "heuristic": True})
+
+        def tamper(doc):
+            doc["certificate"]["mode"] = "certified"
+        assert "recorded:mode" in self.verify_tampered(tmp_path, capsys, cert, tamper)
+
+    def test_heuristic_config_relabelled_certified(self, tmp_path, capsys):
+        cert = self.make_cert(tmp_path, doc={"problem": AFFINE, "r": 0.3, "heuristic": True})
+
+        def tamper(doc):
+            doc["config"]["heuristic"] = False
+            doc["certificate"]["mode"] = "certified"
+        assert self.verify_tampered(tmp_path, capsys, cert, tamper) == ["radius-admissible"]
+
+    def test_theorem_changed(self, tmp_path, capsys):
+        def tamper(doc):
+            doc["certificate"]["theorem"] = "3"
+        failures = self.verify_tampered(tmp_path, capsys, self.make_cert(tmp_path), tamper)
+        assert failures == ["recorded:theorem"]
+
+    def test_shift_gate_changed(self, tmp_path, capsys):
+        command, doc = ROUND_TRIPS["vi-shifted"]
+        cert = self.make_cert(tmp_path, command, doc)
+
+        def tamper(doc):
+            doc["certificate"]["gate"].update(threshold=0, deficit=123)
+        failures = self.verify_tampered(tmp_path, capsys, cert, tamper)
+        assert failures == ["recorded:gate.deficit", "recorded:gate.threshold"]
+
+    def test_shift_below_threshold_is_named(self, tmp_path, capsys):
+        command, doc = ROUND_TRIPS["vi-shifted"]
+        cert = self.make_cert(tmp_path, command, doc)
+
+        def tamper(doc):
+            doc["config"]["w"] = [15.9, 0.0]
+        assert "shift-threshold" in self.verify_tampered(tmp_path, capsys, cert, tamper)
+
+    def test_check_margin_changed(self, tmp_path, capsys):
+        def tamper(doc):
+            doc["certificate"]["checks"]["vi"]["margin"] = 99
+            doc["certificate"]["residuals"]["direction_gap"] = 0
+        failures = self.verify_tampered(tmp_path, capsys, self.make_cert(tmp_path), tamper)
+        # the true direction gap is below the 1e-9 comparison tolerance
+        assert failures == ["recorded:checks.vi.margin"]
+
+    def test_residual_changed(self, tmp_path, capsys):
+        def tamper(doc):
+            doc["certificate"]["residuals"]["direction_gap"] = 0.5
+        failures = self.verify_tampered(tmp_path, capsys, self.make_cert(tmp_path), tamper)
+        assert failures == ["recorded:residuals.direction_gap"]
+
+    def test_passed_inconsistent_with_uniqueness_record(self, tmp_path, capsys):
+        def tamper(doc):
+            doc["certificate"]["checks"]["uniqueness"]["passed"] = False
+        failures = self.verify_tampered(tmp_path, capsys, self.make_cert(tmp_path), tamper)
+        assert failures == ["uniqueness-record", "recorded:passed"]
+
+    def test_containment_broken_is_named(self, tmp_path, capsys):
+        command, doc = ROUND_TRIPS["prox-pair-box"]
+        cert = self.make_cert(tmp_path, command, doc)
+
+        def tamper(doc):
+            doc["config"]["y_set"] = {"kind": "ball", "radius": 0.6}
+        assert "containment" in self.verify_tampered(tmp_path, capsys, cert, tamper)
+
+    def test_small_radius_vanishing_origin_is_named(self, tmp_path, capsys):
+        command, doc = ROUND_TRIPS["small-radius"]
+        cert = self.make_cert(tmp_path, command, doc)
+
+        def tamper(doc):
+            doc["config"]["problem"]["b"] = [0.0, 0.0]
+        assert "origin-nonzero" in self.verify_tampered(tmp_path, capsys, cert, tamper)
 
     def test_wrong_format_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, {"format": "something-else"})
