@@ -82,9 +82,14 @@ doc["certificate"]["solution"]["x_star"] = [0.2, 0.1]
 tampered.write_text(json.dumps(doc, indent=2))
 proc = run("verify", "--config", str(tampered))
 print(f"  tampered exit = {proc.returncode}")
-print(f"  tampered stdout: {proc.stdout.strip()}")
 check("tampered solution is rejected with exit 3", proc.returncode == 3)
-check("failure names the broken check", "vi" in proc.stdout + proc.stderr)
+try:
+    named = json.loads(proc.stdout)["failures"]
+except (json.JSONDecodeError, KeyError):
+    named = []
+print(f"  tampered failures: {named}")
+check("failures name the broken direction identity and inequality check",
+      {"direction", "vi-inequality"} <= set(named))
 
 # ======================================================================
 # Hypothesis failures get their own exit code

@@ -19,12 +19,12 @@ delta constant can be solved exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .constants import CertFlag, combine_flags, op_norm
+from .constants import CertFlag, op_norm
 from .errors import DimensionMismatch, InvalidInput
 from .geometry import Ball, ConvexSet, as_point, sample_ball
 
@@ -65,7 +65,6 @@ class SmoothMap:
     value_batch: Callable[[np.ndarray], np.ndarray] | None = None
     restricted: Callable[[float], "SmoothMap"] | None = None
     kind: str = "oracle"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -103,7 +102,7 @@ class SmoothMap:
             return self.restricted(new_rho)
         return SmoothMap(self.dimension, new_rho, self.value, self.jacobian,
                          analytic=self.analytic, value_batch=self.value_batch,
-                         kind=self.kind, params=dict(self.params))
+                         kind=self.kind)
 
 
 def make_constant(c, rho: float) -> SmoothMap:
@@ -117,7 +116,7 @@ def make_constant(c, rho: float) -> SmoothMap:
         jacobian=lambda x, zj=zero_jac: zj.copy(),
         analytic=AnalyticConstants(theta=0.0, gamma=0.0, eta=1.0),
         value_batch=lambda X, c=c: np.broadcast_to(c, (np.asarray(X).shape[0], c.size)).copy(),
-        kind="constant", params={"c": c.tolist()},
+        kind="constant",
     )
     m.restricted = lambda r, c=c: make_constant(c, r)
     return m
@@ -135,15 +134,14 @@ def make_affine(A, b, rho: float) -> SmoothMap:
         raise DimensionMismatch(f"A has shape {A.shape}, b has size {n}")
     if not np.all(np.isfinite(A)):
         raise InvalidInput("A has non-finite entries")
-    theta = op_norm(A)
-    eta = op_norm(np.eye(n) - A)
+    theta, eta = (float(v) for v in op_norm(np.stack([A, np.eye(n) - A])))
     m = SmoothMap(
         n, float(rho),
         value=lambda x, A=A, b=b: A @ x + b,
         jacobian=lambda x, A=A: A.copy(),
         analytic=AnalyticConstants(theta=theta, gamma=0.0, eta=eta),
         value_batch=lambda X, A=A, b=b: np.asarray(X) @ A.T + b,
-        kind="affine", params={"A": A.tolist(), "b": b.tolist()},
+        kind="affine",
     )
     m.restricted = lambda r, A=A, b=b: make_affine(A, b, r)
     return m
@@ -169,14 +167,15 @@ def make_quadratic(A, b, Q, rho: float) -> SmoothMap:
             f"Q must stack {n} square matrices of size {n}, got shape {Q.shape}")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(Q))):
         raise InvalidInput("coefficients have non-finite entries")
-    asym = max(float(np.max(np.abs(Qi - Qi.T))) for Qi in Q)
+    asym = float(np.max(np.abs(Q - Q.transpose(0, 2, 1))))
     if asym > 1e-12:
         raise InvalidInput(f"each Q_i must be symmetric (max asymmetry {asym:.2e})")
     if not Q.any():
         return make_affine(A, b, rho)
-    s = float(np.sqrt(sum(op_norm(Qi) ** 2 for Qi in Q)))
-    theta = op_norm(A) + 2.0 * float(rho) * s
-    eta = op_norm(np.eye(n) - A) + 2.0 * float(rho) * s
+    norms = op_norm(np.concatenate([A[None], (np.eye(n) - A)[None], Q]))
+    s = float(np.sqrt(np.sum(norms[2:] ** 2)))
+    theta = float(norms[0]) + 2.0 * float(rho) * s
+    eta = float(norms[1]) + 2.0 * float(rho) * s
     m = SmoothMap(
         n, float(rho),
         value=lambda x, A=A, b=b, Q=Q: A @ x + b + np.einsum("i,kij,j->k", x, Q, x),
@@ -188,7 +187,7 @@ def make_quadratic(A, b, Q, rho: float) -> SmoothMap:
             eta_flag=CertFlag.CONSERVATIVE),
         value_batch=lambda X, A=A, b=b, Q=Q: (
             np.asarray(X) @ A.T + b + np.einsum("mi,kij,mj->mk", np.asarray(X), Q, np.asarray(X))),
-        kind="quadratic", params={"A": A.tolist(), "b": b.tolist(), "Q": Q.tolist()},
+        kind="quadratic",
     )
     m.restricted = lambda r, A=A, b=b, Q=Q: make_quadratic(A, b, Q, r)
     return m
@@ -204,7 +203,7 @@ def shift_map(m: SmoothMap, w) -> SmoothMap:
         analytic=m.analytic,
         value_batch=(None if m.value_batch is None
                      else (lambda X, m=m, w=w: m.vals(X) - w)),
-        kind="shifted-" + m.kind, params=dict(m.params, shift=w.tolist()),
+        kind="shifted-" + m.kind,
     )
     out.restricted = lambda r, m=m, w=w: shift_map(m.restrict(r), w)
     return out
@@ -228,7 +227,6 @@ class Payoff:
     grad_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_y: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     grad_lipschitz: float | None = None
-    grad_lipschitz_flag: CertFlag = CertFlag.ANALYTIC
     cross_bound: float | None = None
     grad0_affine: tuple[np.ndarray, np.ndarray] | None = None
     value_xbatch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
@@ -275,17 +273,14 @@ def vi_payoff(m: SmoothMap, y_set: ConvexSet | None = None) -> Payoff:
         v = m.val(x)
         return (x - np.asarray(Y)) @ v
 
-    lip = None
-    lip_flag = CertFlag.ANALYTIC
-    cross = None
+    lip = cross = None
     if m.analytic is not None:
         a = m.analytic
         lip = 2.0 * (a.theta + m.domain_radius * a.gamma)
-        lip_flag = combine_flags(a.theta_flag, a.gamma_flag)
         cross = a.theta
     return Payoff(
         m.dimension, m.domain_radius, y_set, value, grad_x, grad_y,
-        grad_lipschitz=lip, grad_lipschitz_flag=lip_flag, cross_bound=cross,
+        grad_lipschitz=lip, cross_bound=cross,
         grad0_affine=(m.val(np.zeros(m.dimension)), m.jac(np.zeros(m.dimension))),
         value_xbatch=value_xbatch, value_ybatch=value_ybatch, kind="vi",
     )
@@ -321,21 +316,27 @@ def ba_payoff(m: SmoothMap, y_set: ConvexSet) -> Payoff:
         d = fx - np.asarray(Y)
         return float(np.dot(fx - x, fx - x)) - np.einsum("mi,mi->m", d, d)
 
-    lip = None
-    lip_flag = CertFlag.ANALYTIC
-    cross = None
+    lip = cross = None
     if m.analytic is not None and m.analytic.eta is not None:
         a = m.analytic
         lip = 2.0 * (a.eta + a.theta + a.gamma * (m.domain_radius + y_set.sup_norm()))
-        lip_flag = combine_flags(a.theta_flag, a.gamma_flag, a.eta_flag)
         cross = a.theta
     zero = np.zeros(m.dimension)
     return Payoff(
         m.dimension, m.domain_radius, y_set, value, grad_x, grad_y,
-        grad_lipschitz=lip, grad_lipschitz_flag=lip_flag, cross_bound=cross,
+        grad_lipschitz=lip, cross_bound=cross,
         grad0_affine=(2.0 * m.val(zero), 2.0 * m.jac(zero)),
         value_xbatch=value_xbatch, value_ybatch=value_ybatch, kind="ba",
     )
+
+
+def _fd_error(f, x, h: float, exact) -> float:
+    """Relative error of ``exact`` against central differences of ``f`` at
+    ``x`` with step ``h``: the gradient of a scalar f, the Jacobian of a
+    vector f."""
+    fd = np.stack([(np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * h)
+                   for e in h * np.eye(x.size)], axis=-1)
+    return float(np.linalg.norm(fd - exact) / max(1.0, float(np.linalg.norm(exact))))
 
 
 def validate_map(m: SmoothMap, n_points: int = 100, seed: int = 0,
@@ -355,13 +356,7 @@ def validate_map(m: SmoothMap, n_points: int = 100, seed: int = 0,
         v = m.val(x)
         if not (np.all(np.isfinite(J)) and np.all(np.isfinite(v))):
             raise InvalidInput("map oracle returned non-finite values")
-        fd = np.empty_like(J)
-        for j in range(m.dimension):
-            e = np.zeros(m.dimension)
-            e[j] = h
-            fd[:, j] = (m.val(x + e) - m.val(x - e)) / (2.0 * h)
-        err = float(np.linalg.norm(fd - J) / max(1.0, float(np.linalg.norm(J))))
-        worst = max(worst, err)
+        worst = max(worst, _fd_error(m.val, x, h, J))
     if worst > rel_tol:
         raise InvalidInput(
             f"jacobian disagrees with finite differences (relative error {worst:.2e})")
@@ -379,23 +374,11 @@ def validate_payoff(p: Payoff, n_points: int = 100, seed: int = 0,
     ys = p.y_set.sample(rng, n_points)
     worst = 0.0
     for x, y in zip(xs, ys):
-        gx = np.asarray(p.grad_x(x, y), dtype=float)
-        fd = np.empty(p.dimension)
-        for j in range(p.dimension):
-            e = np.zeros(p.dimension)
-            e[j] = h
-            fd[j] = (p.value(x + e, y) - p.value(x - e, y)) / (2.0 * h)
-        err = float(np.linalg.norm(fd - gx) / max(1.0, float(np.linalg.norm(gx))))
-        worst = max(worst, err)
+        worst = max(worst, _fd_error(lambda v: p.value(v, y), x, h,
+                                     np.asarray(p.grad_x(x, y), dtype=float)))
         if p.grad_y is not None:
-            gy = np.asarray(p.grad_y(x, y), dtype=float)
-            fdy = np.empty(p.dimension)
-            for j in range(p.dimension):
-                e = np.zeros(p.dimension)
-                e[j] = h
-                fdy[j] = (p.value(x, y + e) - p.value(x, y - e)) / (2.0 * h)
-            erry = float(np.linalg.norm(fdy - gy) / max(1.0, float(np.linalg.norm(gy))))
-            worst = max(worst, erry)
+            worst = max(worst, _fd_error(lambda v: p.value(x, v), y, h,
+                                         np.asarray(p.grad_y(x, y), dtype=float)))
     # midpoint concavity in y on fresh triples
     for _ in range(n_points):
         x = sample_ball(rng, 1, p.dimension, p.x_radius)[0]

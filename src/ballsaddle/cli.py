@@ -389,7 +389,10 @@ def verify(cert: dict) -> dict:
             fresh, failures = {}, ["origin-nonzero"]
         failures += [name for name, c in fresh.get("checks", {}).items() if not c["passed"]]
     else:
-        fresh, failed = _recertify(cfg, body, lambda name, error: failures.append(name))
+        try:
+            fresh, failed = _recertify(cfg, body, lambda name, error: failures.append(name))
+        except HypothesisViolation:  # positivity (recorded) failed and no r is left to gate
+            fresh, failed = {}, []
         failures += failed
     fresh = _to_jsonable(fresh)
     for path in _compare_dicts(body, fresh):
@@ -401,19 +404,22 @@ def verify(cert: dict) -> dict:
             "recomputed": fresh, "certificate_passed": bool(body.get("passed", False))}
 
 
-def _compare_dicts(stored, fresh, tol: float = 1e-9, prefix: str = "") -> list[str]:
+def _compare_dicts(stored, fresh, rel_tol: float = 1e-9, prefix: str = "") -> list[str]:
+    """Dotted paths where ``fresh`` disagrees with ``stored``; numbers agree
+    within ``rel_tol`` of their own magnitude, so a stored 0 matches only 0."""
     bad = []
     if isinstance(stored, dict) and isinstance(fresh, dict):
         for key in sorted(set(stored) | set(fresh)):
             if key not in stored or key not in fresh:
                 bad.append(prefix + key)
                 continue
-            bad.extend(_compare_dicts(stored[key], fresh[key], tol,
+            bad.extend(_compare_dicts(stored[key], fresh[key], rel_tol,
                                       prefix + key + "."))
         return bad
     if isinstance(stored, (int, float)) and isinstance(fresh, (int, float)) \
             and not isinstance(stored, bool) and not isinstance(fresh, bool):
-        if abs(float(stored) - float(fresh)) > tol:
+        a, b = float(stored), float(fresh)
+        if abs(a - b) > rel_tol * max(abs(a), abs(b)):
             bad.append(prefix.rstrip("."))
         return bad
     if stored != fresh:

@@ -209,6 +209,15 @@ def sample_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> np
     return radii * (g / lengths)
 
 
+def axis_points(dim: int, radius: float) -> np.ndarray:
+    """The points +-radius e_i of the sphere, shape (2 dim, dim), ordered
+    radius e_1, -radius e_1, radius e_2, ..."""
+    pts = np.zeros((2 * dim, dim))
+    for i in range(dim):
+        pts[2 * i, i], pts[2 * i + 1, i] = radius, -radius
+    return pts
+
+
 def sample_sphere(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
     """n points uniform on the sphere {||x|| = radius}, shape (n, dim)."""
     g = rng.standard_normal(size=(n, dim))

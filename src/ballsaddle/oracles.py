@@ -206,7 +206,7 @@ def grid_sigma_oracle(b, A, C: ConvexSet, ppa: int = 201, refine: int = 1) -> fl
     """Dense-grid minimum of ||b - A^T y|| over y in C, with local window
     refinement around the coarse argmin.
 
-    Independent of the projected-gradient route: pure enumeration.
+    Independent of the SVD and projected-gradient routes: pure enumeration.
     """
     b = np.asarray(b, dtype=float)
     A = np.asarray(A, dtype=float)

@@ -25,7 +25,8 @@ import numpy as np
 
 from .constants import ConstantsReport
 from .errors import CertificationError, HypothesisViolation, InvalidInput, NonConvergence
-from .geometry import Ball, ConvexSet, as_point, norm, project_ball, sample_ball, sample_sphere
+from .geometry import (Ball, ConvexSet, as_point, axis_points, norm, project_ball, sample_ball,
+                       sample_sphere)
 from .oracles import uniqueness_probe
 
 EVAL_DOMAIN_TOL = 1e-9
@@ -265,15 +266,20 @@ def gate(report, r, mode: str, rho: float, fail=raise_failure) -> float:
     The numerator of the report's radius rule (sigma, or delta for the
     saddle rule) must be positive, r defaults to the admissible radius and
     must lie in (0, rho], and certified mode needs certification-grade
-    constants and r <= r_max.  Heuristic mode skips the last two.
+    constants and r <= r_max.  Heuristic mode skips the last two.  Without
+    positivity and without an explicit r the gate raises even when ``fail``
+    records.
     """
     if mode not in ("certified", "heuristic"):
         raise InvalidInput(f"mode must be 'certified' or 'heuristic', got {mode!r}")
     what = "delta" if report.radius_rule == "saddle" else "sigma"
     positive = getattr(report, what)
     if positive is None or positive.value <= 0.0:
-        fail("positivity", HypothesisViolation(
-            f"{what} = 0: the dual set reaches the gradient kernel at the origin"))
+        error = HypothesisViolation(
+            f"{what} = 0: the dual set reaches the gradient kernel at the origin")
+        fail("positivity", error)
+        if r is None:  # the default radius r_max is then 0: nothing is left to gate
+            raise error
     if r is None:
         r = report.r_max
     if not (np.isfinite(r) and 0 < r <= rho):
@@ -326,11 +332,7 @@ def ball_check_samples(rng, n: int, dim: int, r: float, x_star: np.ndarray) -> n
     the antipode of x*."""
     inside = sample_ball(rng, n, dim, r)
     on_sphere = sample_sphere(rng, max(n // 4, 1), dim, r)
-    axes = np.zeros((2 * dim, dim))
-    for i in range(dim):
-        axes[2 * i, i] = r
-        axes[2 * i + 1, i] = -r
-    extras = [inside, on_sphere, axes]
+    extras = [inside, on_sphere, axis_points(dim, r)]
     nx = norm(x_star)
     if nx > 0:
         extras.append((-r / nx) * x_star[None, :])
@@ -341,11 +343,7 @@ def _y_samples(rng, n: int, T: ConvexSet, dim: int) -> np.ndarray:
     pts = [T.sample(rng, n)]
     if isinstance(T, Ball):
         pts.append(sample_sphere(rng, max(n // 4, 1), dim, T.radius))
-        axes = np.zeros((2 * dim, dim))
-        for i in range(dim):
-            axes[2 * i, i] = T.radius
-            axes[2 * i + 1, i] = -T.radius
-        pts.append(axes)
+        pts.append(axis_points(dim, T.radius))
     return np.vstack(pts)
 
 

@@ -301,7 +301,7 @@ class TestVerify:
             doc["certificate"]["checks"]["vi"]["margin"] = 99
             doc["certificate"]["residuals"]["direction_gap"] = 0
         failures = self.verify_tampered(tmp_path, capsys, self.make_cert(tmp_path), tamper)
-        # the true direction gap is below the 1e-9 comparison tolerance
+        # the true direction gap of this instance is exactly 0
         assert failures == ["recorded:checks.vi.margin"]
 
     def test_residual_changed(self, tmp_path, capsys):
@@ -309,6 +309,27 @@ class TestVerify:
             doc["certificate"]["residuals"]["direction_gap"] = 0.5
         failures = self.verify_tampered(tmp_path, capsys, self.make_cert(tmp_path), tamper)
         assert failures == ["recorded:residuals.direction_gap"]
+
+    def test_small_residual_changed(self, tmp_path, capsys):
+        # a stored 0 is compared relative to its own scale, not to 1e-9
+        cert = self.make_cert(tmp_path, doc={"problem": AFFINE, "r": 0.25, "seed": 7})
+        assert json.loads(cert.read_text())["certificate"]["residuals"]["direction_gap"] == 0.0
+
+        def tamper(doc):
+            doc["certificate"]["residuals"]["direction_gap"] = 5e-10
+        failures = self.verify_tampered(tmp_path, capsys, cert, tamper)
+        assert failures == ["recorded:residuals.direction_gap"]
+
+    def test_zero_sigma_without_radius_is_named(self, tmp_path, capsys):
+        cert = self.make_cert(tmp_path)
+
+        def tamper(doc):
+            doc["config"]["problem"]["b"] = [0.0, 0.0]
+        assert "positivity" in self.verify_tampered(tmp_path, capsys, cert, tamper)
+        # the solve path still refuses the problem as a hypothesis violation
+        cfgp = write_config(tmp_path, {"problem": dict(AFFINE, b=[0.0, 0.0])})
+        assert main(["vi", "--config", cfgp]) == 2
+        assert "sigma = 0" in capsys.readouterr().err
 
     def test_passed_inconsistent_with_uniqueness_record(self, tmp_path, capsys):
         def tamper(doc):
@@ -335,6 +356,28 @@ class TestVerify:
     def test_wrong_format_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, {"format": "something-else"})
         assert main(["verify", "--config", str(path)]) == 1
+
+
+def test_cli_run_leaves_scipy_optimize_unimported(tmp_path):
+    # importing scipy.optimize costs several times the whole CLI start-up
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    cfgp = write_config(tmp_path, {"problem": {
+        "kind": "affine", "A": [[1.0, 0.2, 0.0], [0.0, 0.9, 0.1], [0.1, 0.0, 1.1]],
+        "b": [2.0, 0.0, 1.0], "rho": 1.0}})
+    script = ("import sys, ballsaddle\n"
+              "from ballsaddle.cli import main\n"
+              f"assert main(['vi', '--config', {cfgp!r}, '--out', {str(tmp_path / 'c.json')!r}]) == 0\n"
+              "print('scipy.optimize' in sys.modules)\n")
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "False"
 
 
 def test_command_list_is_stable():

@@ -15,6 +15,29 @@ from ballsaddle import (Ball, Box, CertFlag, CertValue, ConstantsReport,
 from ballsaddle.oracles import grid_sigma_oracle
 
 
+def _sphere(rng, k, n):
+    g = rng.normal(size=(k, n))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def _trust_region_point(b, A, rho):
+    """argmin over ||y|| <= rho of ||b - A^T y|| by bisection on the
+    multiplier, scaled into the ball (independent of the library's Newton)."""
+    U, s, Vt = np.linalg.svd(A.T)
+    c = U.T @ b
+
+    def y(lam):
+        return Vt.T @ (s * c / (s * s + lam))
+    if np.linalg.norm(c / s) <= rho:
+        return Vt.T @ (c / s)
+    lo, hi = 0.0, s.max() * np.linalg.norm(c) / rho
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if np.linalg.norm(y(mid)) > rho else (lo, mid)
+    out = y(hi)
+    return out * min(1.0, rho / np.linalg.norm(out))
+
+
 def bare(m):
     """The same map with its declared constants dropped."""
     return dataclasses.replace(m, analytic=None, restricted=None)
@@ -46,6 +69,37 @@ class TestOpNorm:
         from ballsaddle import InvalidInput
         with pytest.raises(InvalidInput):
             op_norm(np.zeros((3, 2)))
+
+    def test_stack_matches_each_matrix(self):
+        stack = np.random.default_rng(1).normal(size=(7, 4, 4))
+        assert_allclose(op_norm(stack), [np.linalg.norm(A, 2) for A in stack],
+                        rtol=1e-15)
+
+    def test_clustered_top_singular_values(self):
+        # the top two singular values 1 and 1 - 1e-5 stalled the old power
+        # iteration (it raised on draws 0, 2 and 3, and was low on the rest)
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            U = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+            V = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+            A = U @ np.diag([1, 1 - 1e-5, 0.5, 0.3, 0.2, 0.1]) @ V.T
+            m = make_affine(A, np.ones(6), 1.0)
+            exact = np.linalg.norm(A, 2)
+            assert abs(m.analytic.theta - exact) <= 1e-14 * exact
+
+    def test_quadratic_gamma_is_the_exact_norm_sum(self):
+        # the benchmark family at n = 32: A = I + 0.3 G / sqrt(n) and
+        # symmetric Q_i scaled to sqrt(sum ||Q_i||^2) = 0.1
+        n = 32
+        rng = np.random.default_rng(32)
+        A = np.eye(n) + 0.3 * rng.normal(size=(n, n)) / np.sqrt(n)
+        Q = rng.normal(size=(n, n, n))
+        Q = 0.5 * (Q + Q.transpose(0, 2, 1))
+        Q *= 0.1 / np.sqrt(sum(np.linalg.norm(q, 2) ** 2 for q in Q))
+        m = make_quadratic(A, np.ones(n), Q, 1.0)
+        s = np.sqrt(sum(np.linalg.norm(q, 2) ** 2 for q in Q))
+        assert abs(m.analytic.gamma / 2.0 - s) <= 1e-14 * s
+        assert m.analytic.theta >= np.linalg.norm(A, 2) + 2.0 * s * (1.0 - 1e-14)
 
 
 class TestFlags:
@@ -88,6 +142,20 @@ class TestEstimates:
         # same seed: the first 50 draws are a prefix of the 400
         assert big >= small - 1e-12
 
+    def test_batched_estimates_match_per_point_loop(self):
+        from ballsaddle.constants import _ball_point_stream, quasi_ball_points
+        rng = np.random.default_rng(4)
+        Q = rng.normal(size=(3, 3, 3))
+        Q = 0.5 * (Q + np.transpose(Q, (0, 2, 1)))
+        m = bare(make_quadratic(rng.normal(size=(3, 3)), np.zeros(3), Q, 1.0))
+        pts = quasi_ball_points(3, 1.0, 60, seed=2)
+        assert estimate_theta(m, samples=60, seed=2).value == max(
+            np.linalg.norm(m.jac(x), 2) for x in pts)
+        pts = _ball_point_stream(np.random.default_rng(5), 80, 3, 1.0)
+        ref = max(np.linalg.norm(m.jac(a) - m.jac(b), 2) / np.linalg.norm(a - b)
+                  for a, b in zip(pts[0::2], pts[1::2]))
+        assert estimate_lipschitz(m.jac, 1.0, pairs=40, seed=5, dim=3).value == ref
+
     def test_lipschitz_passthrough_and_sampled(self):
         A = np.array([[1.0, 2.0], [0.0, 1.0]])
         m = make_affine(A, np.zeros(2), 1.0)
@@ -128,6 +196,26 @@ class TestSigma:
             else:
                 # an interior zero: the grid can only localize it to a cell
                 assert grid <= 1e-3
+
+    def test_ill_conditioned_ball_in_closed_form(self):
+        # condition number 1e8: the old projected gradient raised
+        # NonConvergence on draws 18 and 32
+        rng = np.random.default_rng(5)
+        probe = np.random.default_rng(6)
+        for _ in range(100):
+            U = np.linalg.qr(rng.normal(size=(5, 5)))[0]
+            V = np.linalg.qr(rng.normal(size=(5, 5)))[0]
+            A = U @ np.diag(np.logspace(0, -8, 5)) @ V.T
+            b = 0.5 * rng.normal(size=5)
+            sigma = sigma_vi(b, A, 1.0)
+            # lower bound: no feasible y does better
+            ys = np.vstack([Ball(1.0, 5).sample(probe, 200), _sphere(probe, 200, 5)])
+            assert sigma <= np.min(np.linalg.norm(b - ys @ A, axis=1)) + 1e-12
+            # and tight: the trust-region point y(lam) on the sphere attains it
+            y = _trust_region_point(b, A, 1.0)
+            attained = np.linalg.norm(b - A.T @ y)
+            assert sigma <= attained + 1e-12
+            assert attained - sigma <= 1e-9
 
     def test_ba_sigma_over_box(self):
         # constant f: the residual |f'(0)^T y - f(0)| reduces to |f(0)|
