@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -49,6 +50,8 @@ from .vi import (certify_vi, shift_problem, small_radius, solve_vi, solve_vi_shi
 
 CERT_FORMAT = "ballsaddle-certificate/1"
 VERIFY_FORMAT = "ballsaddle-verification/1"
+VERIFY_REL_TOL = 1e-9
+VERIFY_ABS_TOL = 1e-14
 COMMANDS = ("constants", "saddle", "vi", "vi-shifted", "prox-pair",
             "best-approx", "small-radius", "verify")
 DEFAULT_TOLERANCES = {"solve": 1e-8, "check": 1e-8,
@@ -404,22 +407,24 @@ def verify(cert: dict) -> dict:
             "recomputed": fresh, "certificate_passed": bool(body.get("passed", False))}
 
 
-def _compare_dicts(stored, fresh, rel_tol: float = 1e-9, prefix: str = "") -> list[str]:
-    """Dotted paths where ``fresh`` disagrees with ``stored``; numbers agree
-    within ``rel_tol`` of their own magnitude, so a stored 0 matches only 0."""
+def _compare_dicts(stored, fresh, prefix: str = "") -> list[str]:
+    """Dotted paths where ``fresh`` disagrees with ``stored``.  Finite numbers
+    agree within VERIFY_REL_TOL of their own magnitude plus VERIFY_ABS_TOL,
+    which absorbs last-bit noise in values near 0; a non-finite number
+    matches only itself."""
     bad = []
     if isinstance(stored, dict) and isinstance(fresh, dict):
         for key in sorted(set(stored) | set(fresh)):
             if key not in stored or key not in fresh:
                 bad.append(prefix + key)
                 continue
-            bad.extend(_compare_dicts(stored[key], fresh[key], rel_tol,
-                                      prefix + key + "."))
+            bad.extend(_compare_dicts(stored[key], fresh[key], prefix + key + "."))
         return bad
     if isinstance(stored, (int, float)) and isinstance(fresh, (int, float)) \
             and not isinstance(stored, bool) and not isinstance(fresh, bool):
         a, b = float(stored), float(fresh)
-        if abs(a - b) > rel_tol * max(abs(a), abs(b)):
+        if a != b and not (math.isfinite(a) and math.isfinite(b) and
+                           abs(a - b) <= VERIFY_REL_TOL * max(abs(a), abs(b)) + VERIFY_ABS_TOL):
             bad.append(prefix.rstrip("."))
         return bad
     if stored != fresh:

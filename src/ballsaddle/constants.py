@@ -173,8 +173,7 @@ def estimate_theta(smooth_map, samples: int = 1000, seed: int = 0) -> CertValue:
     if samples < 1:
         raise InvalidInput("samples must be >= 1")
     pts = quasi_ball_points(smooth_map.dimension, smooth_map.domain_radius, samples, seed)
-    jacs = np.stack([smooth_map.jac(x) for x in pts])
-    return CertValue(float(np.max(op_norm(jacs))), CertFlag.SAMPLED)
+    return CertValue(max(op_norm(smooth_map.jac(x)) for x in pts), CertFlag.SAMPLED)
 
 
 def estimate_lipschitz(oracle, rho: float, pairs: int = 1000, seed: int = 0,
@@ -194,12 +193,14 @@ def estimate_lipschitz(oracle, rho: float, pairs: int = 1000, seed: int = 0,
         raise InvalidInput("dim is required when no declared constant is given")
     rng = np.random.default_rng(seed)
     pts = _ball_point_stream(rng, 2 * pairs, dim, rho)
-    diffs = np.stack([np.asarray(oracle(a), dtype=float) - np.asarray(oracle(b), dtype=float)
-                      for a, b in zip(pts[0::2], pts[1::2])])
-    dn = op_norm(diffs) if diffs.ndim == 3 else np.linalg.norm(diffs, axis=1)
-    gaps = np.linalg.norm(pts[0::2] - pts[1::2], axis=1)
-    keep = gaps >= 1e-14
-    return CertValue(float(np.max(dn[keep] / gaps[keep], initial=0.0)), CertFlag.SAMPLED)
+    best = 0.0
+    for a, b in zip(pts[0::2], pts[1::2]):
+        gap = float(np.linalg.norm(a - b))
+        if gap >= 1e-14:
+            diff = np.asarray(oracle(a), dtype=float) - np.asarray(oracle(b), dtype=float)
+            dn = op_norm(diff) if diff.ndim == 2 else float(np.linalg.norm(diff))
+            best = max(best, dn / gap)
+    return CertValue(best, CertFlag.SAMPLED)
 
 
 def _min_residual_over_ball(b: np.ndarray, A: np.ndarray, rho: float) -> float:
@@ -208,8 +209,9 @@ def _min_residual_over_ball(b: np.ndarray, A: np.ndarray, rho: float) -> float:
     multiplier lam >= 0 bounds the squared minimum from below by
     g(lam) = sum c_i^2 lam / (s_i^2 + lam) - lam rho^2, tight at the root of
     ||y(lam)|| = rho, or at lam = 0 when the unconstrained minimizer lies in
-    the ball.  Newton's method on the convex, decreasing 1/||y(lam)|| - 1/rho
-    climbs to that root from lam = 0 without overshooting; no failure exit.
+    the ball.  1/||y(lam)|| - 1/rho is concave and increasing, so Newton's
+    method from lam = 0 stays left of the root and climbs to it; no failure
+    exit.
     """
     U, s, _ = np.linalg.svd(A.T)
     c2 = (U.T @ b) ** 2
@@ -244,7 +246,7 @@ def _min_residual_over_set(b: np.ndarray, A: np.ndarray, C: ConvexSet) -> float:
     if A.shape != (b.size, b.size):
         raise InvalidInput(f"matrix shape {A.shape} does not match dimension {b.size}")
     if isinstance(C, Ball):
-        return _min_residual_over_ball(b, A, C.radius)
+        return _min_residual_over_ball(as_point(b, dim=C.dim), A, C.radius)
     na = op_norm(A)
     if na <= 1e-9:
         # The y-term is negligible; return the sound lower bound.

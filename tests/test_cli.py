@@ -258,6 +258,13 @@ class TestVerify:
         failures = self.verify_tampered(tmp_path, capsys, self.make_cert(tmp_path), tamper)
         assert any(f.startswith("constants:sigma") for f in failures)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_constant_detected(self, tmp_path, capsys, value):
+        def tamper(doc):
+            doc["certificate"]["constants"]["sigma"]["value"] = value
+        failures = self.verify_tampered(tmp_path, capsys, self.make_cert(tmp_path), tamper)
+        assert "constants:sigma" in failures
+
     def test_mode_relabelled_certified(self, tmp_path, capsys):
         cert = self.make_cert(tmp_path, doc={"problem": AFFINE, "r": 0.3, "heuristic": True})
 
@@ -319,6 +326,15 @@ class TestVerify:
             doc["certificate"]["residuals"]["direction_gap"] = 5e-10
         failures = self.verify_tampered(tmp_path, capsys, cert, tamper)
         assert failures == ["recorded:residuals.direction_gap"]
+
+    def test_last_bit_noise_near_zero_verifies(self, tmp_path, capsys):
+        # a value at the level of rounding noise, as another BLAS build may
+        # produce it, still matches a recomputed 0
+        cert = self.make_cert(tmp_path, doc={"problem": AFFINE, "r": 0.25, "seed": 7})
+        doc = json.loads(cert.read_text())
+        doc["certificate"]["residuals"]["direction_gap"] = 1e-16
+        cert.write_text(json.dumps(doc))
+        assert main(["verify", "--config", str(cert)]) == 0
 
     def test_zero_sigma_without_radius_is_named(self, tmp_path, capsys):
         cert = self.make_cert(tmp_path)

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ballsaddle import (Ball, Box, CertFlag, CertValue, ConstantsReport,
-                        HypothesisViolation, admissible_radius, ba_report,
+                        DimensionMismatch, HypothesisViolation, admissible_radius, ba_report,
                         combine_flags, delta_const, estimate_lipschitz,
                         estimate_theta, make_affine, make_constant,
                         make_quadratic, op_norm, sigma_ba, sigma_vi, vi_payoff,
@@ -142,7 +142,7 @@ class TestEstimates:
         # same seed: the first 50 draws are a prefix of the 400
         assert big >= small - 1e-12
 
-    def test_batched_estimates_match_per_point_loop(self):
+    def test_sampled_estimates_use_exact_norms(self):
         from ballsaddle.constants import _ball_point_stream, quasi_ball_points
         rng = np.random.default_rng(4)
         Q = rng.normal(size=(3, 3, 3))
@@ -216,6 +216,10 @@ class TestSigma:
             attained = np.linalg.norm(b - A.T @ y)
             assert sigma <= attained + 1e-12
             assert attained - sigma <= 1e-9
+
+    def test_ball_of_other_dimension_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            sigma_ba(np.array([2.0, 0.0]), np.eye(2), Ball(1.0, 3))
 
     def test_ba_sigma_over_box(self):
         # constant f: the residual |f'(0)^T y - f(0)| reduces to |f(0)|
