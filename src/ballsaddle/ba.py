@@ -30,8 +30,8 @@ from .constants import ConstantsReport, ba_report
 from .errors import CheckFailure, HypothesisViolation
 from .geometry import Ball, ConvexSet, dist_ball, norm
 from .saddle import (Certificate, CheckReport, SaddleConfig, SaddlePoint,
-                     ball_check_samples, check_saddle, gate, probe_uniqueness,
-                     raise_failure, solve_saddle)
+                     ball_check_samples, check_saddle, exclusion_mask, gate,
+                     probe_uniqueness, raise_failure, slack_report, solve_saddle)
 from .vi import COLLAPSE_TOL, SmallRadiusResult, radius_from_origin
 
 IDENTITY_TOL = 1e-6
@@ -167,22 +167,11 @@ def check_nearest_point(m: SmoothMap, x_star, r: float, n_samples: int = 2000,
     x_star = np.asarray(x_star, dtype=float)
     rng = np.random.default_rng(seed)
     xs = ball_check_samples(rng, n_samples, m.dimension, r, x_star)
-    far = np.linalg.norm(xs - x_star, axis=1) > exclusion_factor * r
-    xs = xs[far]
-    if xs.shape[0] == 0:
-        return CheckReport(name="nearest-point", passed=True, n_samples=0,
-                           margin=np.inf)
+    xs = xs[exclusion_mask(xs, x_star, r, exclusion_factor)]
     F = m.vals(xs)
-    to_star = np.linalg.norm(F - x_star, axis=1)
-    to_self = np.linalg.norm(F - xs, axis=1)
-    slack = to_self - to_star - strict_margin
-    i_bad = int(np.argmin(slack))
-    return CheckReport(
-        name="nearest-point", passed=bool(slack[i_bad] >= 0.0),
-        n_samples=xs.shape[0], margin=float(slack[i_bad]),
-        witness=None if slack[i_bad] >= 0.0 else xs[i_bad],
-        details={"strict_margin": strict_margin,
-                 "exclusion_radius": exclusion_factor * r})
+    slack = np.linalg.norm(F - xs, axis=1) - np.linalg.norm(F - x_star, axis=1) - strict_margin
+    return slack_report("nearest-point", slack, xs, {"strict_margin": strict_margin,
+                                                     "exclusion_radius": exclusion_factor * r})
 
 
 def solve_best_approx(m: SmoothMap, r: float | None = None,

@@ -19,7 +19,7 @@ delta constant can be solved exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -474,14 +474,14 @@ def map_from_dict(doc: dict, path: str = "problem") -> SmoothMap:
         raise ConfigError(
             f"declared dimension {want_dim} does not match coefficients ({m.dimension})",
             path=path + ".dimension")
-    if declared is not None:
-        require_fields(declared, path + ".analytic_constants",
-                        required=(), optional=("theta", "gamma", "eta"))
-        base = m.analytic
-        m.analytic = AnalyticConstants(
-            theta=float(declared.get("theta", base.theta if base else 0.0)),
-            gamma=float(declared.get("gamma", base.gamma if base else 0.0)),
-            eta=(float(declared["eta"]) if "eta" in declared
-                 else (base.eta if base else None)),
-        )
+    if declared is not None:  # declared values are tagged analytic, the rest keep their flags
+        declared_path = path + ".analytic_constants"
+        require_fields(declared, declared_path, required=(), optional=("theta", "gamma", "eta"))
+        values = {}
+        for name, v in declared.items():
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 <= v < np.inf:
+                raise ConfigError(f"{name} must be a finite number >= 0",
+                                  path=f"{declared_path}.{name}")
+            values.update({name: float(v), name + "_flag": CertFlag.ANALYTIC})
+        m.analytic = replace(m.analytic, **values)
     return m

@@ -11,7 +11,8 @@ Commands::
     ballsaddle small-radius --config problem.json
     ballsaddle verify       --config certificate.json
 
-plus ``--r``, ``--seed``, ``--out`` and ``--heuristic`` overrides.  Exit
+plus ``--out``, and the ``--r``, ``--seed`` and ``--heuristic`` overrides
+of the config fields a command's schema has (``verify`` takes none).  Exit
 codes: 0 all checks pass, 1 bad config or I/O, 2 hypothesis or
 certification violation (stderr carries the deficit), 3 a check failed,
 4 the solver did not converge.
@@ -101,25 +102,11 @@ class RunConfig:
         return "heuristic" if self.heuristic else "certified"
 
     def to_dict(self):
-        d = {"command": self.command, "problem": self.problem, "seed": self.seed,
-             "n_samples": self.n_samples, "heuristic": self.heuristic,
-             "tolerances": dict(self.tolerances)}
-        if self.r is not None:
-            d["r"] = self.r
-        if self.command in ("vi", "vi-shifted", "prox-pair", "best-approx"):
-            d["uniqueness_starts"] = self.uniqueness_starts
-        if self.command in ("constants", "small-radius"):
-            d["application"] = self.application
-        if self.command == "small-radius":
-            d["epsilon"] = self.epsilon
-        if self.command == "saddle":
-            d["payoff"] = self.payoff
-        if self.w is not None:
-            d["w"] = list(self.w)
-        if self.y_set is not None:
-            d["y_set"] = self.y_set
-        if self.t_set is not None:
-            d["t_set"] = self.t_set
+        spec = _FIELDS[self.command]
+        d = {"command": self.command}
+        for key in spec["required"] + spec["optional"]:
+            if getattr(self, key) is not None:
+                d[key] = getattr(self, key)
         return d
 
 
@@ -384,24 +371,27 @@ def verify(cert: dict) -> dict:
     if conf.pop("command", command) != command:
         raise ConfigError("config command does not match the certificate command")
     cfg = parse_config(conf, command)
-    failures = []
+    failures, fresh = [], None
     if command in ("constants", "small-radius"):  # nothing solved: rerun
         try:
             fresh = run(cfg)
+            failures = [name for name, c in fresh.get("checks", {}).items() if not c["passed"]]
         except HypothesisViolation:  # small-radius: the map vanishes at the origin
-            fresh, failures = {}, ["origin-nonzero"]
-        failures += [name for name, c in fresh.get("checks", {}).items() if not c["passed"]]
+            failures = ["origin-nonzero"]
     else:
         try:
             fresh, failed = _recertify(cfg, body, lambda name, error: failures.append(name))
+            failures += failed
         except HypothesisViolation:  # positivity (recorded) failed and no r is left to gate
-            fresh, failed = {}, []
-        failures += failed
-    fresh = _to_jsonable(fresh)
-    for path in _compare_dicts(body, fresh):
-        head, _, rest = path.partition(".")
-        failures.append(f"constants:{rest.split('.')[0]}" if head == "constants" and rest
-                        else f"recorded:{path}")
+            pass
+    if fresh is None:  # a gate stopped the recomputation: there is nothing to compare
+        fresh = {}
+    else:
+        fresh = _to_jsonable(fresh)
+        for path in _compare_dicts(body, fresh):
+            parts = path.split(".")  # a constants report sits at "constants" or below
+            failures.append(f"constants:{parts[parts.index('constants') + 1]}"
+                            if "constants" in parts[:-1] else f"recorded:{path}")
     failures = list(dict.fromkeys(failures))
     return {"format": VERIFY_FORMAT, "verified": not failures, "failures": failures,
             "recomputed": fresh, "certificate_passed": bool(body.get("passed", False))}
@@ -455,6 +445,15 @@ def _write_atomic(path: str, text: str):
     os.replace(tmp, path)
 
 
+# command-line overrides of config fields; a command takes those in its schema
+_OVERRIDES = {
+    "r": {"type": float, "help": "ball radius override"},
+    "seed": {"type": int, "help": "seed override"},
+    "heuristic": {"action": "store_const", "const": True,
+                  "help": "skip certification gates and watermark the output"},
+}
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; that code means hypothesis violation
     # here, so bad usage is remapped to the config-error exit 1
@@ -472,11 +471,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--r", type=float, default=None, help="ball radius override")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--out", default=None, help="write the certificate here")
-        p.add_argument("--heuristic", action="store_true",
-                       help="skip certification gates and watermark the output")
+        for key, kwargs in _OVERRIDES.items():
+            if key in _FIELDS.get(name, {}).get("optional", ()):
+                p.add_argument("--" + key, **kwargs)
     return parser
 
 
@@ -497,12 +495,9 @@ def main(argv=None) -> int:
             passed = out_doc["verified"]
         else:
             cfg = parse_config(doc, args.command)
-            if args.r is not None:
-                cfg.r = args.r
-            if args.seed is not None:
-                cfg.seed = args.seed
-            if args.heuristic:
-                cfg.heuristic = True
+            for key in _OVERRIDES:
+                if getattr(args, key, None) is not None:
+                    setattr(cfg, key, getattr(args, key))
             body = run(cfg)
             passed = bool(body.get("passed", False))
             out_doc = {"format": CERT_FORMAT, "command": cfg.command,

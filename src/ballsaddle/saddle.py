@@ -327,24 +327,40 @@ def payoff_depends_on_y(payoff, x_star, T: ConvexSet, seed: int = 0) -> bool:
                for y in probes)
 
 
-def ball_check_samples(rng, n: int, dim: int, r: float, x_star: np.ndarray) -> np.ndarray:
-    """Ball samples enriched with sphere samples, axis boundary points and
-    the antipode of x*."""
+def ball_check_samples(rng, n: int, dim: int, r: float,
+                       x_star: np.ndarray | None = None) -> np.ndarray:
+    """Ball samples enriched with sphere samples, axis boundary points and,
+    when x* is given and nonzero, the antipode of x*."""
     inside = sample_ball(rng, n, dim, r)
     on_sphere = sample_sphere(rng, max(n // 4, 1), dim, r)
     extras = [inside, on_sphere, axis_points(dim, r)]
-    nx = norm(x_star)
+    nx = 0.0 if x_star is None else norm(x_star)
     if nx > 0:
         extras.append((-r / nx) * x_star[None, :])
     return np.vstack(extras)
 
 
-def _y_samples(rng, n: int, T: ConvexSet, dim: int) -> np.ndarray:
-    pts = [T.sample(rng, n)]
-    if isinstance(T, Ball):
-        pts.append(sample_sphere(rng, max(n // 4, 1), dim, T.radius))
-        pts.append(axis_points(dim, T.radius))
-    return np.vstack(pts)
+def exclusion_mask(xs: np.ndarray, x_star: np.ndarray, r: float, factor: float) -> np.ndarray:
+    """Rows of ``xs`` outside the exclusion ball of radius factor * r about x*.
+
+    factor must lie in (0, 1): then one of the axis points +-r e_1 of
+    ``ball_check_samples`` lies at least r from x* and survives, so no check
+    of ball(r) runs on zero samples.
+    """
+    if not 0.0 < factor < 1.0:
+        raise InvalidInput(f"exclusion_factor must lie in (0, 1), got {factor}")
+    return np.linalg.norm(xs - x_star, axis=1) > factor * r
+
+
+def slack_report(name: str, slack: np.ndarray, points: np.ndarray, details: dict) -> CheckReport:
+    """The outcome of a property sampled at the rows of ``points`` with the
+    given slack (positive means it held with room): the worst slack is the
+    margin, a nonnegative margin passes, and on failure the sample that
+    attains it is the witness."""
+    i = int(np.argmin(slack))
+    passed = bool(slack[i] >= 0.0)
+    return CheckReport(name=name, passed=passed, n_samples=slack.size, margin=float(slack[i]),
+                       witness=None if passed else points[i], details=details)
 
 
 def check_saddle(payoff, point: SaddlePoint, cfg: SaddleConfig, n_samples: int = 2000,
@@ -362,49 +378,29 @@ def check_saddle(payoff, point: SaddlePoint, cfg: SaddleConfig, n_samples: int =
     rng = np.random.default_rng(seed)
     dim = payoff.dimension
     r = cfg.r
-
-    ys = _y_samples(rng, n_samples, cfg.T, dim)
+    T = cfg.T
+    ys = (ball_check_samples(rng, n_samples, dim, T.radius) if isinstance(T, Ball)
+          else T.sample(rng, n_samples))
     xs = ball_check_samples(rng, n_samples, dim, r, x_star)
+    far = exclusion_mask(xs, x_star, r, cfg.exclusion_factor)
 
     j_star = payoff.value(x_star, y_star)
     j_up = payoff.values_y(x_star, ys)
-    up_slack = (j_star + cfg.check_tol) - j_up
-    i_bad = int(np.argmin(up_slack))
-    upper = CheckReport(
-        name="y-maximal", passed=bool(up_slack[i_bad] >= 0.0),
-        n_samples=ys.shape[0], margin=float(up_slack[i_bad]),
-        witness=None if up_slack[i_bad] >= 0.0 else ys[i_bad],
-        details={"tolerance": cfg.check_tol})
-
-    excl = cfg.exclusion_factor * r
-    far = np.linalg.norm(xs - x_star, axis=1) > excl
-    xs_far = xs[far]
-    j_low = payoff.values_x(xs_far, y_star)
-    low_slack = j_low - (j_star + cfg.strict_margin)
-    if xs_far.shape[0] == 0:
-        lower = CheckReport(name="x-strictly-minimal", passed=True, n_samples=0,
-                            margin=np.inf, details={"exclusion_radius": excl})
-    else:
-        i_bad = int(np.argmin(low_slack))
-        lower = CheckReport(
-            name="x-strictly-minimal", passed=bool(low_slack[i_bad] >= 0.0),
-            n_samples=xs_far.shape[0], margin=float(low_slack[i_bad]),
-            witness=None if low_slack[i_bad] >= 0.0 else xs_far[i_bad],
-            details={"exclusion_radius": excl, "strict_margin": cfg.strict_margin})
-
-    reports = [upper, lower]
-    sphere_applicable = cfg.L > 0 and cfg.r_max is not None and r <= cfg.r_max + 1e-12
-    if sphere_applicable:
+    j_at_xs = payoff.values_x(xs, y_star)
+    reports = [
+        slack_report("y-maximal", (j_star + cfg.check_tol) - j_up, ys,
+                     {"tolerance": cfg.check_tol}),
+        slack_report("x-strictly-minimal", j_at_xs[far] - (j_star + cfg.strict_margin), xs[far],
+                     {"exclusion_radius": cfg.exclusion_factor * r,
+                      "strict_margin": cfg.strict_margin})]
+    if cfg.L > 0 and cfg.r_max is not None and r <= cfg.r_max + 1e-12:
         gap = abs(norm(x_star) - r)
-        reports.append(CheckReport(
-            name="sphere-membership", passed=bool(gap <= SPHERE_TOL),
-            n_samples=1, margin=float(SPHERE_TOL - gap),
-            witness=None if gap <= SPHERE_TOL else x_star,
-            details={"norm_gap": gap}))
+        reports.append(slack_report("sphere-membership", np.array([SPHERE_TOL - gap]),
+                                    x_star[None, :], {"norm_gap": gap}))
 
     # minimax gap of the regularized objective over the same samples
     half_l = 0.5 * cfg.L
     phi_up = half_l * float(x_star @ x_star) + max(float(np.max(j_up)), j_star)
-    phi_at_xs = half_l * np.einsum("mi,mi->m", xs, xs) + payoff.values_x(xs, y_star)
+    phi_at_xs = half_l * np.einsum("mi,mi->m", xs, xs) + j_at_xs
     phi_low = min(float(np.min(phi_at_xs)), half_l * float(x_star @ x_star) + j_star)
     return SaddleChecks(reports=reports, minimax_gap=float(phi_up - phi_low))

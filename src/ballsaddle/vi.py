@@ -29,8 +29,8 @@ from .constants import ConstantsReport, op_norm, vi_report
 from .errors import CheckFailure, HypothesisViolation, InvalidInput
 from .geometry import Ball, norm
 from .saddle import (Certificate, CheckReport, SaddleConfig, SaddlePoint,
-                     ball_check_samples, check_saddle, gate, probe_uniqueness,
-                     raise_failure, solve_saddle)
+                     ball_check_samples, check_saddle, exclusion_mask, gate,
+                     probe_uniqueness, raise_failure, slack_report, solve_saddle)
 
 COLLAPSE_TOL = 1e-6
 DIRECTION_TOL = 1e-6
@@ -75,25 +75,15 @@ def check_vi(m: SmoothMap, x_star, r: float, n_samples: int = 2000, seed: int = 
     x_star = np.asarray(x_star, dtype=float)
     rng = np.random.default_rng(seed)
     xs = ball_check_samples(rng, n_samples, m.dimension, r, x_star)
-    far = np.linalg.norm(xs - x_star, axis=1) > exclusion_factor * r
-    xs = xs[far]
-    if xs.shape[0] == 0:
-        return CheckReport(name="vi-double-inequality", passed=True, n_samples=0,
-                           margin=np.inf)
+    xs = xs[exclusion_mask(xs, x_star, r, exclusion_factor)]
     d = x_star - xs
     first = d @ m.val(x_star)
     second = np.einsum("mi,mi->m", m.vals(xs), d)
-    worst = np.maximum(first, second)
-    i_bad = int(np.argmax(worst))
-    slack = -float(worst[i_bad]) - strict_margin
-    return CheckReport(
-        name="vi-double-inequality", passed=bool(slack >= 0.0),
-        n_samples=xs.shape[0], margin=slack,
-        witness=None if slack >= 0.0 else xs[i_bad],
-        details={"strict_margin": strict_margin,
-                 "exclusion_radius": exclusion_factor * r,
-                 "worst_first_form": float(np.max(first)),
-                 "worst_second_form": float(np.max(second))})
+    return slack_report("vi-double-inequality", -np.maximum(first, second) - strict_margin, xs,
+                        {"strict_margin": strict_margin,
+                         "exclusion_radius": exclusion_factor * r,
+                         "worst_first_form": float(np.max(first)),
+                         "worst_second_form": float(np.max(second))})
 
 
 def vi_problem(m: SmoothMap, r: float | None, report: ConstantsReport,

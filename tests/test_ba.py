@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ballsaddle import (Ball, Box, CheckFailure, HypothesisViolation,
+from ballsaddle import (Ball, Box, CheckFailure, HypothesisViolation, InvalidInput,
                         ba_small_radius, check_nearest_point, dist_ball,
                         make_affine, make_constant, solve_best_approx,
                         solve_prox_pair)
@@ -101,6 +101,12 @@ class TestNearestCheck:
         rep = check_nearest_point(m, np.array([-1.0, 0.0]), 1.0,
                                   n_samples=2000, seed=2)
         assert not rep.passed and rep.witness is not None
+
+    @pytest.mark.parametrize("factor", [0.0, 1.0, 3.0])
+    def test_exclusion_factor_outside_unit_interval_rejected(self, factor):
+        with pytest.raises(InvalidInput, match="exclusion_factor"):
+            check_nearest_point(constant_two(), np.array([1.0, 0.0]), 1.0, n_samples=50,
+                                exclusion_factor=factor)
 
 
 class TestBASmallRadius:

@@ -228,6 +228,22 @@ class TestMapFromDict:
         m = map_from_dict(doc)
         assert m.analytic.theta == 5.0 and m.analytic.gamma == 1.0
 
+    def test_partly_declared_constants_keep_catalog_flags(self):
+        doc = {"kind": "quadratic", "A": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 0.0],
+               "Q": [[[0.1, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.1]]], "rho": 1.0}
+        catalog = map_from_dict(doc).analytic
+        a = map_from_dict(dict(doc, analytic_constants={"eta": 5})).analytic
+        assert (a.eta, a.eta_flag) == (5.0, CertFlag.ANALYTIC)
+        assert (a.theta, a.theta_flag) == (catalog.theta, CertFlag.CONSERVATIVE)
+        assert (a.gamma, a.gamma_flag) == (catalog.gamma, CertFlag.CONSERVATIVE)
+
+    @pytest.mark.parametrize("value", ["abc", -1.0, None, True, float("inf"), [1.0]])
+    def test_bad_declared_constant_has_path(self, value):
+        doc = {"kind": "affine", "A": [[1.0]], "b": [2.0], "rho": 1.0,
+               "analytic_constants": {"gamma": 0.0, "theta": value}}
+        with pytest.raises(ConfigError, match=r"problem\.analytic_constants\.theta"):
+            map_from_dict(doc)
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="kind"):
             map_from_dict({"kind": "cubic", "rho": 1.0})

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from ballsaddle import ConfigError, NonConvergence
-from ballsaddle.cli import (COMMANDS, DEFAULT_TOLERANCES, main, parse_config,
-                            set_from_dict)
+from ballsaddle.cli import (_FIELDS, COMMANDS, DEFAULT_TOLERANCES, _build_parser, main,
+                            parse_config, set_from_dict)
 
 AFFINE = {"kind": "affine", "A": [[1.0, 0.0], [0.0, 1.0]],
           "b": [2.0, 0.0], "rho": 1.0}
@@ -114,6 +114,13 @@ class TestExitCodes:
         assert main(["vi-shifted", "--config", cfgp]) == 2
         assert "deficit 0.1" in capsys.readouterr().err
 
+    def test_exclusion_factor_outside_unit_interval_is_one(self, tmp_path, capsys):
+        # a factor of 3 excludes the whole ball, so the checks would see no sample
+        cfgp = write_config(tmp_path, {"problem": AFFINE,
+                                       "tolerances": {"exclusion_factor": 3}})
+        assert main(["vi", "--config", cfgp]) == 1
+        assert "exclusion_factor" in capsys.readouterr().err
+
     def test_nonconvergence_is_four(self, tmp_path, capsys, monkeypatch):
         import ballsaddle.cli as cli_mod
 
@@ -146,6 +153,44 @@ class TestOverrides:
         assert main(["vi", "--config", cfgp]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["certificate"]["mode"] == "heuristic"
+
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_overrides_follow_the_schema(self, command):
+        fields = _FIELDS.get(command, {"optional": ()})["optional"]
+        for flag, key, value in (("--r", "r", "0.3"), ("--seed", "seed", "9"),
+                                 ("--heuristic", "heuristic", None)):
+            argv = [command, "--config", "cfg.json", flag] + ([value] if value else [])
+            if key in fields:
+                assert getattr(_build_parser().parse_args(argv), key) is not None
+            else:
+                with pytest.raises(ConfigError, match="unrecognized"):
+                    _build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", [["constants", "--r", "0.3"], ["small-radius", "--r", "0.3"],
+                                      ["verify", "--seed", "9"], ["verify", "--heuristic"]])
+    def test_override_outside_the_schema_is_one(self, tmp_path, capsys, argv):
+        # constants and small-radius have no r: their certificate would hold a
+        # field that verify rejects; verify recomputes from the stored config
+        cfgp = write_config(tmp_path, {"problem": AFFINE})
+        assert main(argv[:1] + ["--config", cfgp] + argv[1:]) == 1
+        assert argv[1] in capsys.readouterr().err
+
+    def test_config_echo_of_defaults(self):
+        assert parse_config({"problem": AFFINE}, "vi").to_dict() == {
+            "command": "vi", "problem": AFFINE, "seed": 0, "n_samples": 2000,
+            "heuristic": False, "tolerances": DEFAULT_TOLERANCES, "uniqueness_starts": 16}
+        assert parse_config({"problem": AFFINE}, "small-radius").to_dict() == {
+            "command": "small-radius", "problem": AFFINE, "seed": 0, "n_samples": 2000,
+            "heuristic": False, "tolerances": DEFAULT_TOLERANCES, "application": "vi",
+            "epsilon": 0.5}
+
+    def test_config_echo_parses_back(self):
+        for command, doc in ROUND_TRIPS.values():
+            echo = parse_config(doc, command).to_dict()
+            assert echo.pop("command") == command
+            assert set(echo) <= set(_FIELDS[command]["required"] + _FIELDS[command]["optional"])
+            assert parse_config(echo, command).to_dict() == dict(echo, command=command)
 
 
 class TestCertificates:
@@ -219,6 +264,21 @@ class TestVerify:
         assert out["format"] == "ballsaddle-verification/1"
         assert out["verified"] is True
         assert out["failures"] == []
+
+    @pytest.mark.parametrize("case", sorted(ROUND_TRIPS))
+    def test_round_trip_checks_have_samples(self, tmp_path, case):
+        # guard: no sampled check of a certificate ran on zero samples
+        command, doc = ROUND_TRIPS[case]
+        body = json.loads(self.make_cert(tmp_path, command, doc).read_text())["certificate"]
+        reports, stack = [], [body]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, dict) and "n_samples" in node:
+                reports.append(node)
+            elif isinstance(node, (dict, list)):
+                stack.extend(node.values() if isinstance(node, dict) else node)
+        assert bool(reports) == (command not in ("constants", "small-radius"))
+        assert all(rep["n_samples"] >= 1 for rep in reports), reports
 
     def test_verify_does_not_solve(self, tmp_path, capsys, monkeypatch):
         import ballsaddle.ba as ba_mod
@@ -346,6 +406,24 @@ class TestVerify:
         cfgp = write_config(tmp_path, {"problem": dict(AFFINE, b=[0.0, 0.0])})
         assert main(["vi", "--config", cfgp]) == 2
         assert "sigma = 0" in capsys.readouterr().err
+
+    def test_gate_that_stops_recomputation_is_the_only_failure(self, tmp_path, capsys):
+        # with sigma = 0 and no r nothing is recomputed, so no stored field is named
+        def tamper(doc):
+            doc["config"]["problem"]["b"] = [0.0, 0.0]
+        assert self.verify_tampered(tmp_path, capsys, self.make_cert(tmp_path),
+                                    tamper) == ["positivity"]
+        command, doc = ROUND_TRIPS["small-radius"]
+        cert = self.make_cert(tmp_path, command, doc, name="small.json")
+        assert self.verify_tampered(tmp_path, capsys, cert, tamper) == ["origin-nonzero"]
+
+    def test_small_radius_constant_changed_is_named(self, tmp_path, capsys):
+        command, doc = ROUND_TRIPS["small-radius"]
+        cert = self.make_cert(tmp_path, command, doc)
+
+        def tamper(doc):
+            doc["certificate"]["small_radius"]["constants"]["theta"]["value"] = 7.0
+        assert self.verify_tampered(tmp_path, capsys, cert, tamper) == ["constants:theta"]
 
     def test_passed_inconsistent_with_uniqueness_record(self, tmp_path, capsys):
         def tamper(doc):

@@ -1,5 +1,7 @@
 """Extragradient solver and sampled saddle certification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -143,6 +145,26 @@ class TestChecks:
         assert not rep.passed
         assert rep.witness is not None
         assert not checks.passed
+
+    def test_x_samples_evaluated_once(self):
+        # strict minimality and the minimax gap share one batch of J(., y*)
+        p, cfg, pt = self.make_solved()
+        calls = []
+
+        def counting(X, y, batch=p.value_xbatch):
+            calls.append(len(X))
+            return batch(X, y)
+        checks = check_saddle(dataclasses.replace(p, value_xbatch=counting), pt, cfg,
+                              n_samples=300, seed=0)
+        assert checks.to_dict() == check_saddle(p, pt, cfg, n_samples=300, seed=0).to_dict()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("factor", [0.0, 1.0, 3.0])
+    def test_exclusion_factor_outside_unit_interval_rejected(self, factor):
+        p, cfg, pt = self.make_solved()
+        with pytest.raises(InvalidInput, match="exclusion_factor"):
+            check_saddle(p, pt, dataclasses.replace(cfg, exclusion_factor=factor),
+                         n_samples=50)
 
     def test_reports_serialize(self):
         p, cfg, pt = self.make_solved()

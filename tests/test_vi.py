@@ -100,6 +100,21 @@ class TestCheckVI:
         assert not rep.passed
 
 
+    @pytest.mark.parametrize("factor", [0.0, 1.0, 3.0])
+    def test_exclusion_factor_outside_unit_interval_rejected(self, factor):
+        with pytest.raises(InvalidInput, match="exclusion_factor"):
+            check_vi(affine_instance(), np.array([-0.25, 0.0]), 0.25, n_samples=50,
+                     exclusion_factor=factor)
+
+    @pytest.mark.parametrize("x_star", [[0.0, 0.0], [-0.25, 0.0], [0.1, -0.2]])
+    def test_wide_exclusion_keeps_samples(self, x_star):
+        # with a factor just below 1 only points about r from x* survive;
+        # an axis point +-r e_1 always does
+        rep = check_vi(affine_instance(), np.array(x_star), 0.25, n_samples=10, seed=1,
+                       exclusion_factor=0.999)
+        assert rep.n_samples >= 1
+
+
 class TestShifted:
     def test_accepts_above_threshold(self):
         # M1 = 8, threshold 16; w = (16, 0) meets it exactly
