@@ -30,8 +30,9 @@ payoff = vi_payoff(mapping)
 rep = vi_report(mapping)
 
 # T = ball(r): the maximizer then collapses onto x* itself
-cfg = SaddleConfig(r=rep.r_max, T=Ball(rep.r_max, 2),
-                   L=payoff.grad_lipschitz, tol=1e-12, r_max=rep.r_max)
+M, theta = rep.M.value, rep.theta.value
+cfg = SaddleConfig(r=rep.r_max, T=Ball(rep.r_max, 2), L=M, smoothness=2.0 * M + theta,
+                   tol=1e-12, r_max=rep.r_max)
 print("== problem ==")
 print("  J(x, y) = <F(x), x - y>,  F(x) = x + (2, 0)")
 print(f"  ball radius r = {cfg.r},  T = ball(r),  regularization L = {cfg.L}")

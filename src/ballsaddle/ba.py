@@ -81,17 +81,17 @@ def _containment_check(T: ConvexSet, Y: ConvexSet, seed: int, fail, n: int = 128
 
 def ba_problem(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None, r: float | None,
                report: ConstantsReport, mode: str = "certified", *, seed: int = 0,
-               fail=raise_failure, **knobs) -> SaddleConfig:
+               fail=raise_failure, **settings) -> SaddleConfig:
     """The gated saddle problem of an approximation run: ``gate`` on the
-    report, T (ball(r) when None) contained in Y, and the regularization
-    weight L.  ``knobs`` are the solver and check tolerances of
-    SaddleConfig."""
+    report, T (ball(r) when None) contained in Y, the regularization weight
+    L and the smoothness 2 L + theta.  ``settings`` are the solver and
+    check settings of SaddleConfig."""
     r = gate(report, r, mode, m.domain_radius, fail)
     T = Ball(r, m.dimension) if T is None else T
     _containment_check(T, Y, seed + 7, fail)
     L = report.L.value
     return SaddleConfig(r=r, T=T, L=L, smoothness=2.0 * L + report.theta.value,
-                        r_max=report.r_max, **knobs)
+                        r_max=report.r_max, **settings)
 
 
 def certify_ba(m: SmoothMap, Y: ConvexSet, point: SaddlePoint, cfg: SaddleConfig,
@@ -136,22 +136,20 @@ def certify_ba(m: SmoothMap, Y: ConvexSet, point: SaddlePoint, cfg: SaddleConfig
 def solve_prox_pair(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None,
                     r: float | None = None, report: ConstantsReport | None = None,
                     *, mode: str = "certified", n_samples: int = 2000, seed: int = 0,
-                    uniqueness_starts: int = 16, tol: float = 1e-8,
-                    max_iters: int = 10**6, check_tol: float = 1e-8,
-                    strict_margin: float = 1e-9, exclusion_factor: float = 1e-4,
-                    theorem: str = "5") -> BACertificate:
+                    uniqueness_starts: int = 16, theorem: str = "5",
+                    **settings) -> BACertificate:
     """Solve and certify the saddle pair of the approximation payoff on
     ball(r) x T, with y* the projection of f(x*) onto T.
 
     ``r`` defaults to the admissible radius sigma / L and ``T`` (None) to
     ball(r).  Certified mode requires certification-grade constants and r
-    within the admissible radius.
+    within the admissible radius.  ``settings`` (``tol``, ``max_iters``,
+    ``check_tol``, ``strict_margin``, ``exclusion_factor``) go to
+    SaddleConfig, which holds their defaults.
     """
     if report is None:
         report = ba_report(m, Y, seed=seed)
-    cfg = ba_problem(m, Y, T, r, report, mode, seed=seed, tol=tol,
-                     max_iters=max_iters, check_tol=check_tol,
-                     strict_margin=strict_margin, exclusion_factor=exclusion_factor)
+    cfg = ba_problem(m, Y, T, r, report, mode, seed=seed, fail=raise_failure, **settings)
     payoff = ba_payoff(m, Y)
     point = solve_saddle(payoff, cfg)
     uniq = probe_uniqueness(payoff, cfg, uniqueness_starts, seed + 3)
@@ -175,20 +173,13 @@ def check_nearest_point(m: SmoothMap, x_star, r: float, n_samples: int = 2000,
 
 
 def solve_best_approx(m: SmoothMap, r: float | None = None,
-                      report: ConstantsReport | None = None, *,
-                      mode: str = "certified", n_samples: int = 2000, seed: int = 0,
-                      uniqueness_starts: int = 16, tol: float = 1e-8,
-                      max_iters: int = 10**6, check_tol: float = 1e-8,
-                      strict_margin: float = 1e-9,
-                      exclusion_factor: float = 1e-4) -> BACertificate:
+                      report: ConstantsReport | None = None, **kw) -> BACertificate:
     """Certify the unique best-approximation point: Y = ball(rho) and
     T = ball(r), where the saddle pair collapses onto x* = P_ball(r)(f(x*)).
+    ``kw`` are the keywords of ``solve_prox_pair``.
     """
-    return solve_prox_pair(
-        m, Ball(m.domain_radius, m.dimension), None, r, report, mode=mode,
-        n_samples=n_samples, seed=seed, uniqueness_starts=uniqueness_starts,
-        tol=tol, max_iters=max_iters, check_tol=check_tol,
-        strict_margin=strict_margin, exclusion_factor=exclusion_factor, theorem="6")
+    return solve_prox_pair(m, Ball(m.domain_radius, m.dimension), None, r, report,
+                           theorem="6", **kw)
 
 
 def ba_small_radius(m: SmoothMap, epsilon: float = 0.5) -> SmallRadiusResult:

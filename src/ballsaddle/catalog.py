@@ -213,11 +213,9 @@ def shift_map(m: SmoothMap, w) -> SmoothMap:
 class Payoff:
     """Scalar payoff J(x, y) on ball(rho) x Y with gradient oracles.
 
-    ``grad_y`` is analytic for catalog payoffs.  ``grad_lipschitz`` bounds
-    the Lipschitz constant of grad_x(., y) uniformly over Y, ``cross_bound``
-    bounds the mixed sensitivity of grad_x in y; both feed the saddle solver
-    step size.  ``grad0_affine = (b, A)`` encodes
-    ||grad_x(0, y)|| = ||b - A^T y|| for the exact delta computation.
+    ``grad_y`` is analytic for catalog payoffs.  ``grad0_affine = (b, A)``
+    encodes ||grad_x(0, y)|| = ||b - A^T y|| for the exact delta
+    computation.
     """
 
     dimension: int
@@ -226,12 +224,9 @@ class Payoff:
     value: Callable[[np.ndarray, np.ndarray], float]
     grad_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_y: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    grad_lipschitz: float | None = None
-    cross_bound: float | None = None
     grad0_affine: tuple[np.ndarray, np.ndarray] | None = None
     value_xbatch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     value_ybatch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    kind: str = "oracle"
 
     def values_x(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """J(x, y) for each row x of X."""
@@ -249,9 +244,7 @@ class Payoff:
 def vi_payoff(m: SmoothMap, y_set: ConvexSet | None = None) -> Payoff:
     """J(x, y) = <m(x), x - y> on ball(rho) x Y (Y defaults to ball(rho)).
 
-    grad_x = jac(x)^T (x - y) + m(x), grad_y = -m(x).  With analytic map
-    constants, grad_lipschitz = M = 2 (theta + rho gamma) holds uniformly
-    over ||y|| <= rho.
+    grad_x = jac(x)^T (x - y) + m(x), grad_y = -m(x).
     """
     if y_set is None:
         y_set = Ball(m.domain_radius, m.dimension)
@@ -273,16 +266,10 @@ def vi_payoff(m: SmoothMap, y_set: ConvexSet | None = None) -> Payoff:
         v = m.val(x)
         return (x - np.asarray(Y)) @ v
 
-    lip = cross = None
-    if m.analytic is not None:
-        a = m.analytic
-        lip = 2.0 * (a.theta + m.domain_radius * a.gamma)
-        cross = a.theta
     return Payoff(
         m.dimension, m.domain_radius, y_set, value, grad_x, grad_y,
-        grad_lipschitz=lip, cross_bound=cross,
         grad0_affine=(m.val(np.zeros(m.dimension)), m.jac(np.zeros(m.dimension))),
-        value_xbatch=value_xbatch, value_ybatch=value_ybatch, kind="vi",
+        value_xbatch=value_xbatch, value_ybatch=value_ybatch,
     )
 
 
@@ -290,8 +277,6 @@ def ba_payoff(m: SmoothMap, y_set: ConvexSet) -> Payoff:
     """J(x, y) = ||m(x) - x||^2 - ||m(x) - y||^2 on ball(rho) x Y.
 
     grad_x = 2 (x - m(x)) - 2 jac(x)^T (x - y), grad_y = 2 (m(x) - y).
-    With analytic constants (eta required) and bounded Y,
-    grad_lipschitz = L = 2 (eta + theta + gamma (rho + sup_Y ||y||)).
     """
 
     def value(x, y, m=m):
@@ -316,17 +301,11 @@ def ba_payoff(m: SmoothMap, y_set: ConvexSet) -> Payoff:
         d = fx - np.asarray(Y)
         return float(np.dot(fx - x, fx - x)) - np.einsum("mi,mi->m", d, d)
 
-    lip = cross = None
-    if m.analytic is not None and m.analytic.eta is not None:
-        a = m.analytic
-        lip = 2.0 * (a.eta + a.theta + a.gamma * (m.domain_radius + y_set.sup_norm()))
-        cross = a.theta
     zero = np.zeros(m.dimension)
     return Payoff(
         m.dimension, m.domain_radius, y_set, value, grad_x, grad_y,
-        grad_lipschitz=lip, cross_bound=cross,
         grad0_affine=(2.0 * m.val(zero), 2.0 * m.jac(zero)),
-        value_xbatch=value_xbatch, value_ybatch=value_ybatch, kind="ba",
+        value_xbatch=value_xbatch, value_ybatch=value_ybatch,
     )
 
 

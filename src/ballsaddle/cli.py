@@ -32,7 +32,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -55,8 +55,11 @@ VERIFY_REL_TOL = 1e-9
 VERIFY_ABS_TOL = 1e-14
 COMMANDS = ("constants", "saddle", "vi", "vi-shifted", "prox-pair",
             "best-approx", "small-radius", "verify")
-DEFAULT_TOLERANCES = {"solve": 1e-8, "check": 1e-8,
-                      "strict_margin": 1e-9, "exclusion_factor": 1e-4}
+# config tolerance -> SaddleConfig field, whose default it takes
+_TOLERANCE_FIELDS = {"solve": "tol", "check": "check_tol",
+                     "strict_margin": "strict_margin", "exclusion_factor": "exclusion_factor"}
+_SADDLE_DEFAULTS = {f.name: f.default for f in fields(SaddleConfig)}
+DEFAULT_TOLERANCES = {key: _SADDLE_DEFAULTS[name] for key, name in _TOLERANCE_FIELDS.items()}
 
 _COMMON = ("seed", "n_samples", "tolerances", "heuristic")
 _FIELDS = {
@@ -110,14 +113,19 @@ class RunConfig:
         return d
 
 
-def _as_number(doc, key, path, kind=float, positive=False):
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{key} must be a number", path=f"{path}.{key}")
-    v = kind(v)
-    if positive and v <= 0:
-        raise ConfigError(f"{key} must be positive", path=f"{path}.{key}")
-    return v
+def _as_number(doc, key, path="", least=None):
+    """``doc[key]``: a finite number > 0, or with ``least`` an integer >= least."""
+    v, where = doc[key], f"{path}.{key}" if path else key
+    # NaN, the infinities and integers beyond the float range all fail the bound
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"{key} must be a finite number", path=where)
+    if least is None:
+        if v <= 0:
+            raise ConfigError(f"{key} must be positive", path=where)
+        return float(v)
+    if v != int(v) or v < least:
+        raise ConfigError(f"{key} must be an integer >= {least}", path=where)
+    return int(v)
 
 
 def parse_config(doc: dict, command: str) -> RunConfig:
@@ -140,20 +148,14 @@ def parse_config(doc: dict, command: str) -> RunConfig:
 
     cfg = RunConfig(command=command, problem=doc["problem"])
     map_from_dict(cfg.problem)  # validate early so errors carry config paths
-    if "r" in doc:
-        cfg.r = _as_number(doc, "r", "", positive=True)
-    if "seed" in doc:
-        cfg.seed = _as_number(doc, "seed", "", kind=int)
-    if "n_samples" in doc:
-        cfg.n_samples = _as_number(doc, "n_samples", "", kind=int, positive=True)
+    for key, least in (("r", None), ("seed", 0), ("n_samples", 1),
+                       ("uniqueness_starts", 0), ("epsilon", None)):
+        if key in doc:
+            setattr(cfg, key, _as_number(doc, key, least=least))
     if "heuristic" in doc:
         if not isinstance(doc["heuristic"], bool):
             raise ConfigError("heuristic must be a boolean", path="heuristic")
         cfg.heuristic = doc["heuristic"]
-    if "uniqueness_starts" in doc:
-        cfg.uniqueness_starts = _as_number(doc, "uniqueness_starts", "", kind=int)
-    if "epsilon" in doc:
-        cfg.epsilon = _as_number(doc, "epsilon", "", positive=True)
     if "application" in doc:
         if doc["application"] not in ("vi", "ba"):
             raise ConfigError("application must be 'vi' or 'ba'", path="application")
@@ -173,7 +175,10 @@ def parse_config(doc: dict, command: str) -> RunConfig:
         for key in tols:
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance {key!r}", path=f"tolerances.{key}")
-            cfg.tolerances[key] = _as_number(tols, key, "tolerances", positive=True)
+            cfg.tolerances[key] = _as_number(tols, key, "tolerances")
+        if not cfg.tolerances["exclusion_factor"] < 1.0:
+            raise ConfigError(f"must lie in (0, 1), got {cfg.tolerances['exclusion_factor']}",
+                              path="tolerances.exclusion_factor")
     for name in ("y_set", "t_set"):
         if name in doc:
             setattr(cfg, name, doc[name])
@@ -188,7 +193,7 @@ def set_from_dict(doc: dict, dim: int, path: str) -> ConvexSet:
     kind = doc["kind"]
     if kind == "ball":
         require_fields(doc, path, ("kind", "radius"))
-        return Ball(_as_number(doc, "radius", path, positive=True), dim)
+        return Ball(_as_number(doc, "radius", path), dim)
     if kind == "box":
         require_fields(doc, path, ("kind", "lower", "upper"))
         try:
@@ -205,10 +210,7 @@ def set_from_dict(doc: dict, dim: int, path: str) -> ConvexSet:
 
 
 def _tol_kwargs(cfg: RunConfig) -> dict:
-    t = cfg.tolerances
-    return {"tol": t["solve"], "check_tol": t["check"],
-            "strict_margin": t["strict_margin"],
-            "exclusion_factor": t["exclusion_factor"]}
+    return {name: cfg.tolerances[key] for key, name in _TOLERANCE_FIELDS.items()}
 
 
 def _y_set(cfg: RunConfig, m: SmoothMap) -> ConvexSet:
@@ -494,10 +496,10 @@ def main(argv=None) -> int:
             out_doc = verify(doc)
             passed = out_doc["verified"]
         else:
-            cfg = parse_config(doc, args.command)
-            for key in _OVERRIDES:
-                if getattr(args, key, None) is not None:
-                    setattr(cfg, key, getattr(args, key))
+            overrides = {key: getattr(args, key) for key in _OVERRIDES
+                         if getattr(args, key, None) is not None}
+            cfg = parse_config({**doc, **overrides} if isinstance(doc, dict) else doc,
+                               args.command)
             body = run(cfg)
             passed = bool(body.get("passed", False))
             out_doc = {"format": CERT_FORMAT, "command": cfg.command,

@@ -176,21 +176,16 @@ def estimate_theta(smooth_map, samples: int = 1000, seed: int = 0) -> CertValue:
     return CertValue(max(op_norm(smooth_map.jac(x)) for x in pts), CertFlag.SAMPLED)
 
 
-def estimate_lipschitz(oracle, rho: float, pairs: int = 1000, seed: int = 0,
-                       dim: int | None = None,
-                       declared: CertValue | None = None) -> CertValue:
+def estimate_lipschitz(oracle, rho: float, pairs: int = 1000, seed: int = 0, *,
+                       dim: int) -> CertValue:
     """Best sampled lower bound on the Lipschitz constant of ``oracle`` on the
-    ball of radius ``rho``.
+    ball of radius ``rho`` in dimension ``dim``.
 
     ``oracle`` maps points to vectors or matrices; matrix differences are
-    measured in operator norm.  ``declared`` analytic values pass through.
+    measured in operator norm.
     """
-    if declared is not None:
-        return declared
     if pairs < 1:
         raise InvalidInput("pairs must be >= 1")
-    if dim is None:
-        raise InvalidInput("dim is required when no declared constant is given")
     rng = np.random.default_rng(seed)
     pts = _ball_point_stream(rng, 2 * pairs, dim, rho)
     best = 0.0

@@ -2,9 +2,9 @@
 
 The working objective is phi(x, y) = (L/2) ||x||^2 + J(x, y), minimized in x
 over the closed ball of radius r and maximized in y over a closed convex
-T.  The solver is the extragradient iteration with a fixed step below
-1/(2 * smoothness); each iteration takes one probing half-step and one full
-step, both through the projections.
+T.  The solver is the extragradient iteration with the fixed step
+``SaddleConfig.step`` = 1/(2 * smoothness); each iteration takes one
+probing half-step and one full step, both through the projections.
 
 ``check_saddle`` certifies a candidate pair by sampling: the maximizing
 property of y* within tolerance, the strictly-minimizing property of x*
@@ -37,18 +37,19 @@ UNIQUENESS_TOL = 1e-5
 
 @dataclass
 class SaddleConfig:
-    """Problem geometry, regularization weight and solver knobs.
+    """Problem geometry, regularization weight and the solver policy: the
+    one place where the solver and check settings get their defaults.
 
-    ``step`` defaults to 1/(2 * smoothness) where ``smoothness`` defaults to
-    L + grad_lipschitz + cross_bound of the payoff.  ``r_max`` is the
-    admissible radius when known; it gates the sphere-membership check.
+    ``smoothness`` bounds the Lipschitz constant of the saddle operator and
+    fixes the extragradient step 1/(2 * smoothness); the problem builders
+    set it to 2 * weight + theta from the constants report.  ``r_max`` is
+    the admissible radius when known; it gates the sphere-membership check.
     """
 
     r: float
     T: ConvexSet
     L: float
-    step: float | None = None
-    smoothness: float | None = None
+    smoothness: float
     tol: float = 1e-8
     max_iters: int = 10**6
     check_tol: float = 1e-8
@@ -61,10 +62,16 @@ class SaddleConfig:
             raise InvalidInput("r must be positive")
         if not (np.isfinite(self.L) and self.L >= 0):
             raise InvalidInput("L must be finite and >= 0")
-        if self.step is not None and self.step <= 0:
-            raise InvalidInput("step must be positive")
+        if not (np.isfinite(self.smoothness) and self.smoothness >= 0):
+            raise InvalidInput("smoothness must be finite and >= 0")
         if self.tol <= 0 or self.max_iters < 1:
             raise InvalidInput("tol must be positive and max_iters >= 1")
+        require_exclusion_factor(self.exclusion_factor)
+
+    @property
+    def step(self) -> float:
+        # a constant payoff gradient has zero smoothness; any fixed step converges
+        return 1.0 if self.smoothness <= 1e-12 else 1.0 / (2.0 * self.smoothness)
 
 
 @dataclass(frozen=True)
@@ -189,20 +196,6 @@ def phi_value_grad(payoff, L: float, x, y):
     return val, gx, gy
 
 
-def _default_step(payoff, cfg: SaddleConfig) -> float:
-    if cfg.step is not None:
-        return cfg.step
-    ell = cfg.smoothness
-    if ell is None:
-        ell = cfg.L
-        if payoff.grad_lipschitz is not None:
-            ell += payoff.grad_lipschitz
-        if payoff.cross_bound is not None:
-            ell += payoff.cross_bound
-    # a constant payoff gradient has zero smoothness; any fixed step converges
-    return 1.0 if ell <= 1e-12 else 1.0 / (2.0 * ell)
-
-
 def solve_saddle(payoff, cfg: SaddleConfig, x0=None, y0=None) -> SaddlePoint:
     """Extragradient iteration for the regularized saddle problem.
 
@@ -221,7 +214,7 @@ def solve_saddle(payoff, cfg: SaddleConfig, x0=None, y0=None) -> SaddlePoint:
                      else np.zeros(payoff.dimension), r)
     y = T.project(as_point(y0, dim=payoff.dimension) if y0 is not None
                   else np.zeros(payoff.dimension))
-    tau = _default_step(payoff, cfg)
+    tau = cfg.step
     best_res = np.inf
     best_x, best_y = x, y
     halvings = 0
@@ -340,15 +333,17 @@ def ball_check_samples(rng, n: int, dim: int, r: float,
     return np.vstack(extras)
 
 
-def exclusion_mask(xs: np.ndarray, x_star: np.ndarray, r: float, factor: float) -> np.ndarray:
-    """Rows of ``xs`` outside the exclusion ball of radius factor * r about x*.
-
-    factor must lie in (0, 1): then one of the axis points +-r e_1 of
-    ``ball_check_samples`` lies at least r from x* and survives, so no check
-    of ball(r) runs on zero samples.
-    """
+def require_exclusion_factor(factor: float):
+    """An exclusion factor must lie in (0, 1): then one of the axis points
+    +-r e_1 of ``ball_check_samples`` lies at least r from x* and survives
+    the exclusion, so no check of ball(r) runs on zero samples."""
     if not 0.0 < factor < 1.0:
         raise InvalidInput(f"exclusion_factor must lie in (0, 1), got {factor}")
+
+
+def exclusion_mask(xs: np.ndarray, x_star: np.ndarray, r: float, factor: float) -> np.ndarray:
+    """Rows of ``xs`` outside the exclusion ball of radius factor * r about x*."""
+    require_exclusion_factor(factor)
     return np.linalg.norm(xs - x_star, axis=1) > factor * r
 
 

@@ -87,15 +87,16 @@ def check_vi(m: SmoothMap, x_star, r: float, n_samples: int = 2000, seed: int = 
 
 
 def vi_problem(m: SmoothMap, r: float | None, report: ConstantsReport,
-               mode: str = "certified", *, fail=raise_failure, **knobs) -> SaddleConfig:
+               mode: str = "certified", *, fail=raise_failure, **settings) -> SaddleConfig:
     """The gated saddle problem of a VI run: ``gate`` on the report, then
-    T = ball(r) and the regularization weight L = M.  ``knobs`` are the
-    solver and check tolerances of SaddleConfig."""
+    T = ball(r), the regularization weight L = M and the smoothness
+    2 M + theta.  ``settings`` are the solver and check settings of
+    SaddleConfig."""
     r = gate(report, r, mode, m.domain_radius, fail)
     M = report.M.value
     return SaddleConfig(r=r, T=Ball(r, m.dimension), L=M,
                         smoothness=2.0 * M + report.theta.value,
-                        r_max=report.r_max, **knobs)
+                        r_max=report.r_max, **settings)
 
 
 def certify_vi(m: SmoothMap, point: SaddlePoint, cfg: SaddleConfig,
@@ -137,20 +138,18 @@ def certify_vi(m: SmoothMap, point: SaddlePoint, cfg: SaddleConfig,
 def solve_vi(m: SmoothMap, r: float | None = None,
              report: ConstantsReport | None = None, *, mode: str = "certified",
              n_samples: int = 2000, seed: int = 0, uniqueness_starts: int = 16,
-             tol: float = 1e-8, max_iters: int = 10**6, check_tol: float = 1e-8,
-             strict_margin: float = 1e-9, exclusion_factor: float = 1e-4,
-             theorem: str = "2") -> VICertificate:
+             theorem: str = "2", **settings) -> VICertificate:
     """Solve and certify the variational inequality on ball(r).
 
     ``r`` defaults to the admissible radius.  In certified mode the
     constants must be certification grade and r must respect the admissible
     radius; heuristic mode skips both gates and watermarks the certificate.
+    ``settings`` (``tol``, ``max_iters``, ``check_tol``, ``strict_margin``,
+    ``exclusion_factor``) go to SaddleConfig, which holds their defaults.
     """
     if report is None:
         report = vi_report(m, seed=seed)
-    cfg = vi_problem(m, r, report, mode, tol=tol, max_iters=max_iters,
-                     check_tol=check_tol, strict_margin=strict_margin,
-                     exclusion_factor=exclusion_factor)
+    cfg = vi_problem(m, r, report, mode, fail=raise_failure, **settings)
     payoff = vi_payoff(m)
     point = solve_saddle(payoff, cfg)
     uniq = probe_uniqueness(payoff, cfg, uniqueness_starts, seed + 3)
@@ -189,22 +188,15 @@ def shift_problem(m: SmoothMap, w, *, seed: int = 0, fail=raise_failure):
     return shifted, report, record
 
 
-def solve_vi_shifted(m: SmoothMap, w, r: float | None = None, *,
-                     mode: str = "certified", n_samples: int = 2000, seed: int = 0,
-                     uniqueness_starts: int = 16, tol: float = 1e-8,
-                     max_iters: int = 10**6, check_tol: float = 1e-8,
-                     strict_margin: float = 1e-9,
-                     exclusion_factor: float = 1e-4) -> VICertificate:
+def solve_vi_shifted(m: SmoothMap, w, r: float | None = None, *, seed: int = 0,
+                     **kw) -> VICertificate:
     """Variational inequality for x -> m(x) - w when the Jacobian of ``m``
     vanishes at the origin (see ``shift_problem`` for the gate).  Every
-    radius up to rho is then admissible for the shifted map.
+    radius up to rho is then admissible for the shifted map.  ``kw`` are
+    the keywords of ``solve_vi``.
     """
     shifted, report, record = shift_problem(m, w, seed=seed)
-    cert = solve_vi(shifted, r, report, mode=mode, n_samples=n_samples, seed=seed,
-                    uniqueness_starts=uniqueness_starts, tol=tol,
-                    max_iters=max_iters, check_tol=check_tol,
-                    strict_margin=strict_margin, exclusion_factor=exclusion_factor,
-                    theorem="4")
+    cert = solve_vi(shifted, r, report, seed=seed, theorem="4", **kw)
     cert.gate = record
     return cert
 

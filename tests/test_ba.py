@@ -55,6 +55,11 @@ class TestBestApprox:
         with pytest.raises(HypothesisViolation):
             solve_best_approx(m)
 
+    @pytest.mark.parametrize("keyword", ["tolerance", "step", "fail", "theorem"])
+    def test_unknown_setting_is_a_type_error(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            solve_best_approx(shifted_identity(), **{keyword: 1e-8})
+
 
 class TestProxPair:
     def test_box_dual_set(self):

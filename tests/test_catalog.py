@@ -120,8 +120,6 @@ def test_vi_payoff_structure():
     x, y = np.array([0.2, 0.1]), np.array([-0.3, 0.4])
     assert_allclose(p.value(x, y), float(m.val(x) @ (x - y)))
     assert_allclose(p.grad_y(x, y), -m.val(x))
-    # M = 2 (theta + rho gamma)
-    assert_allclose(p.grad_lipschitz, 2.0 * m.analytic.theta)
     b, A = p.grad0_affine
     for yy in Ball(1.0, 2).sample(np.random.default_rng(2), 50):
         direct = np.linalg.norm(p.grad_x(np.zeros(2), yy))
@@ -137,8 +135,6 @@ def test_ba_payoff_structure():
     assert_allclose(p.value(x, y),
                     float((fx - x) @ (fx - x) - (fx - y) @ (fx - y)))
     assert_allclose(p.grad_y(x, y), 2.0 * (fx - y))
-    # L = 2 (eta + theta + gamma (rho + sup_Y))
-    assert_allclose(p.grad_lipschitz, 2.0 * (0.0 + 1.0 + 0.0))
     b, A = p.grad0_affine
     yy = np.array([0.3, 0.3])
     assert_allclose(np.linalg.norm(b - A.T @ yy),

@@ -43,6 +43,30 @@ class TestParseConfig:
         assert cfg.tolerances["solve"] == 1e-10
         assert cfg.tolerances["check"] == DEFAULT_TOLERANCES["check"]
 
+    def test_exclusion_factor_has_its_path(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config({"problem": AFFINE, "tolerances": {"exclusion_factor": 1.0}}, "vi")
+        assert exc.value.path == "tolerances.exclusion_factor"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", -5, "integer >= 0"), ("seed", 1.7, "integer >= 0"),
+        ("seed", "7", "finite number"), ("uniqueness_starts", -1, "integer >= 0"),
+        ("uniqueness_starts", 2.5, "integer >= 0"), ("n_samples", 0, "integer >= 1"),
+        ("n_samples", 0.5, "integer >= 1"), ("r", float("nan"), "finite number"),
+        ("r", float("inf"), "finite number"), ("r", 0.0, "positive"),
+        pytest.param("r", 10**400, "finite number", id="r-beyond-float"),
+        pytest.param("seed", 10**400, "finite number", id="seed-beyond-float")])
+    def test_bad_number_has_its_path(self, key, value, message):
+        with pytest.raises(ConfigError, match=message) as exc:
+            parse_config({"problem": AFFINE, key: value}, "vi")
+        assert exc.value.path == key  # no leading dot
+
+    def test_whole_numbers_keep_their_echo(self):
+        cfg = parse_config({"problem": AFFINE, "seed": 3.0, "n_samples": 50,
+                            "uniqueness_starts": 0}, "vi")
+        assert (cfg.seed, cfg.n_samples, cfg.uniqueness_starts) == (3, 50, 0)
+        assert isinstance(cfg.seed, int)
+
     def test_heuristic_must_be_bool(self):
         with pytest.raises(ConfigError, match="heuristic"):
             parse_config({"problem": AFFINE, "heuristic": "yes"}, "vi")
@@ -120,6 +144,30 @@ class TestExitCodes:
                                        "tolerances": {"exclusion_factor": 3}})
         assert main(["vi", "--config", cfgp]) == 1
         assert "exclusion_factor" in capsys.readouterr().err
+
+    def test_exclusion_factor_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        import ballsaddle.saddle as saddle_mod
+        import ballsaddle.vi as vi_mod
+        calls, solve = [], saddle_mod.solve_saddle
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+        for mod in (saddle_mod, vi_mod):
+            monkeypatch.setattr(mod, "solve_saddle", counting)
+        cfgp = write_config(tmp_path, {"problem": AFFINE,
+                                       "tolerances": {"exclusion_factor": 3}})
+        assert main(["vi", "--config", cfgp]) == 1
+        assert "tolerances.exclusion_factor" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("doc, argv", [({}, ["--seed", "-5"]), ({"seed": -5}, []),
+                                           ({"seed": 1.7}, []), ({"n_samples": 0.5}, [])])
+    def test_bad_whole_number_is_one(self, tmp_path, capsys, doc, argv):
+        cfgp = write_config(tmp_path, {"problem": AFFINE, **doc})
+        assert main(["vi", "--config", cfgp] + argv) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {next(iter(doc), 'seed')}:" in err
 
     def test_nonconvergence_is_four(self, tmp_path, capsys, monkeypatch):
         import ballsaddle.cli as cli_mod

@@ -156,13 +156,9 @@ class TestEstimates:
                   for a, b in zip(pts[0::2], pts[1::2]))
         assert estimate_lipschitz(m.jac, 1.0, pairs=40, seed=5, dim=3).value == ref
 
-    def test_lipschitz_passthrough_and_sampled(self):
+    def test_lipschitz_sampled(self):
         A = np.array([[1.0, 2.0], [0.0, 1.0]])
         m = make_affine(A, np.zeros(2), 1.0)
-        v = estimate_lipschitz(m.val, 1.0, pairs=50, seed=0, dim=2,
-                               declared=CertValue(m.analytic.theta,
-                                                  m.analytic.theta_flag))
-        assert v.flag is CertFlag.ANALYTIC
         sampled = estimate_lipschitz(m.val, 1.0, pairs=300, seed=0, dim=2)
         assert sampled.flag is CertFlag.SAMPLED
         assert sampled.value <= np.linalg.norm(A, 2) + 1e-9

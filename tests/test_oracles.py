@@ -59,7 +59,7 @@ class TestSaddleOracle:
         from ballsaddle import SaddleConfig, solve_saddle, vi_payoff
         m = make_affine(np.eye(2), [2.0, 0.0], 1.0)
         p = vi_payoff(m)
-        cfg = SaddleConfig(r=0.25, T=Ball(0.25, 2), L=2.0, tol=1e-10)
+        cfg = SaddleConfig(r=0.25, T=Ball(0.25, 2), L=2.0, smoothness=5.0, tol=1e-10)
         pt = solve_saddle(p, cfg)
         x_hat, _, _ = grid_saddle_oracle(p, 0.25, Ball(0.25, 2),
                                          GridSpec(points_per_axis=81),

@@ -7,8 +7,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ballsaddle import (Ball, Box, InvalidInput, NonConvergence, Payoff,
-                        SaddleConfig, SaddlePoint, check_saddle, make_constant,
-                        phi_value_grad, solve_saddle, vi_payoff)
+                        SaddleConfig, SaddlePoint, ba_report, check_saddle, make_constant,
+                        map_from_dict, phi_value_grad, solve_saddle, vi_payoff, vi_report)
+from ballsaddle.ba import ba_problem
+from ballsaddle.cli import _saddle_problem, parse_config
+from ballsaddle.vi import vi_problem
 
 
 def linear_payoff(c, rho, y_set):
@@ -18,8 +21,7 @@ def linear_payoff(c, rho, y_set):
         dimension=c.size, x_radius=rho, y_set=y_set,
         value=lambda x, y: float(c @ x),
         grad_x=lambda x, y: c.copy(),
-        grad_y=lambda x, y: np.zeros_like(c),
-        grad_lipschitz=0.0, cross_bound=0.0)
+        grad_y=lambda x, y: np.zeros_like(c))
 
 
 def bilinear_1d():
@@ -28,8 +30,53 @@ def bilinear_1d():
         dimension=1, x_radius=0.3, y_set=Box([1.0], [2.0]),
         value=lambda x, y: float(x[0] * y[0]),
         grad_x=lambda x, y: np.array([y[0]]),
-        grad_y=lambda x, y: np.array([x[0]]),
-        grad_lipschitz=0.0, cross_bound=1.0)
+        grad_y=lambda x, y: np.array([x[0]]))
+
+
+class TestConfig:
+    @pytest.mark.parametrize("smoothness, step", [(2.5, 0.2), (0.0, 1.0)])
+    def test_step_from_smoothness(self, smoothness, step):
+        # zero smoothness takes the unit step
+        assert SaddleConfig(r=0.5, T=Ball(1.0, 2), L=0.0, smoothness=smoothness).step == step
+
+    def test_step_is_not_a_setting(self):
+        with pytest.raises(TypeError):
+            SaddleConfig(r=0.5, T=Ball(1.0, 2), L=0.0, smoothness=1.0, step=0.1)
+        with pytest.raises(TypeError):
+            SaddleConfig(r=0.5, T=Ball(1.0, 2), L=0.0)  # smoothness is required
+        cfg = SaddleConfig(r=0.5, T=Ball(1.0, 2), L=0.0, smoothness=1.0)
+        with pytest.raises(AttributeError):
+            cfg.step = 0.1
+
+    @pytest.mark.parametrize("smoothness", [-1.0, np.inf, np.nan])
+    def test_bad_smoothness_rejected(self, smoothness):
+        with pytest.raises(InvalidInput, match="smoothness"):
+            SaddleConfig(r=0.5, T=Ball(1.0, 2), L=0.0, smoothness=smoothness)
+
+    @pytest.mark.parametrize("kind", ["affine", "quadratic"])
+    def test_builders_take_the_step_from_the_report(self, kind):
+        # every builder's step is 1 / (2 (2 weight + theta)), the weight being
+        # the report's M (VI payoff) or L (approximation payoff)
+        rng = np.random.default_rng(3)
+        problem = {"kind": kind, "A": (np.eye(3) + 0.3 * rng.normal(size=(3, 3))).tolist(),
+                   "b": [2.0, 0.5, 0.0], "rho": 1.0}
+        if kind == "quadratic":
+            Q = 0.05 * rng.normal(size=(3, 3, 3))
+            problem["Q"] = (Q + Q.transpose(0, 2, 1)).tolist()
+        m = map_from_dict(problem)
+
+        def step(weight, report):
+            return 1.0 / (2.0 * (2.0 * weight.value + report.theta.value))
+
+        rep = vi_report(m)
+        assert vi_problem(m, None, rep).step == step(rep.M, rep)
+        Y = Ball(1.0, 3)
+        rep = ba_report(m, Y)
+        assert ba_problem(m, Y, None, None, rep).step == step(rep.L, rep)
+        for payoff in ("vi", "ba"):
+            cfg = parse_config({"problem": problem, "payoff": payoff}, "saddle")
+            _, scfg, rep = _saddle_problem(cfg, m)
+            assert scfg.step == step(rep.L, rep)
 
 
 class TestSolve:
@@ -37,14 +84,14 @@ class TestSolve:
         # J(x, y) = <c, x - y> with c = (3, 4): min over ball(0.5) sits at
         # -0.5 c / |c|
         p = vi_payoff(make_constant([3.0, 4.0], 1.0))
-        cfg = SaddleConfig(r=0.5, T=Ball(1.0, 2), L=0.0, tol=1e-10)
+        cfg = SaddleConfig(r=0.5, T=Ball(1.0, 2), L=0.0, smoothness=0.0, tol=1e-10)
         pt = solve_saddle(p, cfg)
         assert_allclose(pt.x_star, [-0.3, -0.4], atol=1e-8)
         assert pt.residual <= 1e-10
 
     def test_bilinear_corner(self):
         p = bilinear_1d()
-        cfg = SaddleConfig(r=0.3, T=p.y_set, L=0.0, tol=1e-10)
+        cfg = SaddleConfig(r=0.3, T=p.y_set, L=0.0, smoothness=1.0, tol=1e-10)
         pt = solve_saddle(p, cfg)
         assert_allclose(pt.x_star, [-0.3], atol=1e-8)
         assert_allclose(pt.y_star, [1.0], atol=1e-8)
@@ -53,28 +100,28 @@ class TestSolve:
         # phi = 0.5 |x|^2 + <b, x>: unconstrained minimum -b, interior here
         b = np.array([0.4, -0.2])
         p = linear_payoff(b, 1.0, Ball(1.0, 2))
-        cfg = SaddleConfig(r=1.0, T=Ball(1.0, 2), L=1.0, tol=1e-10)
+        cfg = SaddleConfig(r=1.0, T=Ball(1.0, 2), L=1.0, smoothness=1.0, tol=1e-10)
         pt = solve_saddle(p, cfg)
         assert_allclose(pt.x_star, -b, atol=1e-8)
 
     def test_constant_gradient_unit_step(self):
         # zero smoothness: the default step is the unit fallback
         p = linear_payoff([1.0, 0.0], 1.0, Ball(1.0, 2))
-        cfg = SaddleConfig(r=0.5, T=Ball(1.0, 2), L=0.0)
+        cfg = SaddleConfig(r=0.5, T=Ball(1.0, 2), L=0.0, smoothness=0.0)
         pt = solve_saddle(p, cfg)
         assert pt.step == 1.0
         assert_allclose(pt.x_star, [-0.5, 0.0], atol=1e-7)
 
     def test_custom_start_same_answer(self):
         p = vi_payoff(make_constant([3.0, 4.0], 1.0))
-        cfg = SaddleConfig(r=0.5, T=Ball(1.0, 2), L=0.0, tol=1e-10)
+        cfg = SaddleConfig(r=0.5, T=Ball(1.0, 2), L=0.0, smoothness=0.0, tol=1e-10)
         a = solve_saddle(p, cfg)
         b = solve_saddle(p, cfg, x0=[0.2, -0.1], y0=[0.5, 0.5])
         assert_allclose(a.x_star, b.x_star, atol=1e-8)
 
     def test_determinism(self):
         p = bilinear_1d()
-        cfg = SaddleConfig(r=0.3, T=p.y_set, L=0.0, tol=1e-10)
+        cfg = SaddleConfig(r=0.3, T=p.y_set, L=0.0, smoothness=1.0, tol=1e-10)
         a = solve_saddle(p, cfg)
         b = solve_saddle(p, cfg)
         assert a.x_star.tobytes() == b.x_star.tobytes()
@@ -83,7 +130,8 @@ class TestSolve:
     def test_nonconvergence_carries_residual(self):
         # geometric convergence cannot reach 1e-14 in three iterations
         p = linear_payoff([0.4, -0.2], 1.0, Ball(1.0, 2))
-        cfg = SaddleConfig(r=1.0, T=Ball(1.0, 2), L=1.0, tol=1e-14, max_iters=3)
+        cfg = SaddleConfig(r=1.0, T=Ball(1.0, 2), L=1.0, smoothness=1.0, tol=1e-14,
+                           max_iters=3)
         with pytest.raises(NonConvergence) as exc:
             solve_saddle(p, cfg)
         assert exc.value.iterations == 3
@@ -91,7 +139,7 @@ class TestSolve:
 
     def test_radius_exceeding_domain_rejected(self):
         p = vi_payoff(make_constant([1.0, 0.0], 1.0))
-        cfg = SaddleConfig(r=2.0, T=Ball(1.0, 2), L=0.0)
+        cfg = SaddleConfig(r=2.0, T=Ball(1.0, 2), L=0.0, smoothness=0.0)
         with pytest.raises(InvalidInput):
             solve_saddle(p, cfg)
 
@@ -115,7 +163,8 @@ class TestPhi:
 class TestChecks:
     def make_solved(self):
         p = vi_payoff(make_constant([3.0, 4.0], 1.0))
-        cfg = SaddleConfig(r=0.5, T=Ball(1.0, 2), L=0.0, tol=1e-10, r_max=1.0)
+        cfg = SaddleConfig(r=0.5, T=Ball(1.0, 2), L=0.0, smoothness=0.0, tol=1e-10,
+                           r_max=1.0)
         return p, cfg, solve_saddle(p, cfg)
 
     def test_pass_on_solution(self):
@@ -130,7 +179,7 @@ class TestChecks:
         p, cfg, pt = self.make_solved()
         names = [rep.name for rep in check_saddle(p, pt, cfg, n_samples=200).reports]
         assert "sphere-membership" not in names  # L = 0 here
-        cfg2 = SaddleConfig(r=0.5, T=Ball(1.0, 2), L=1.0, r_max=1.0)
+        cfg2 = SaddleConfig(r=0.5, T=Ball(1.0, 2), L=1.0, smoothness=1.0, r_max=1.0)
         pt2 = solve_saddle(vi_payoff(make_constant([3.0, 4.0], 1.0)), cfg2)
         names2 = [rep.name
                   for rep in check_saddle(p, pt2, cfg2, n_samples=200).reports]

@@ -71,6 +71,29 @@ class TestSolveVI:
         with pytest.raises(InvalidInput):
             solve_vi(affine_instance(), mode="party")
 
+    @pytest.mark.parametrize("keyword", ["tolerance", "step", "fail", "smoothness"])
+    def test_unknown_setting_is_a_type_error(self, keyword):
+        # the settings go to SaddleConfig, which knows only its own fields;
+        # the step follows from the report and the failure sink is the solver's
+        with pytest.raises(TypeError, match=keyword):
+            solve_vi(affine_instance(), **{keyword: 1e-8})
+        with pytest.raises(TypeError, match=keyword):
+            solve_vi_shifted(quartic_gate_map(), [16.0, 0.0], 1.0, **{keyword: 1e-8})
+
+    def test_bad_exclusion_factor_stops_before_any_solve(self, monkeypatch):
+        import ballsaddle.saddle as saddle_mod
+        import ballsaddle.vi as vi_mod
+        calls, solve = [], saddle_mod.solve_saddle
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+        for mod in (saddle_mod, vi_mod):
+            monkeypatch.setattr(mod, "solve_saddle", counting)
+        with pytest.raises(InvalidInput, match="exclusion_factor"):
+            solve_vi(affine_instance(), exclusion_factor=1.0)
+        assert calls == []
+
     def test_certificate_dict_shape(self):
         d = solve_vi(affine_instance(), tol=1e-10).to_dict()
         assert d["theorem"] == "2"
