@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from ballsaddle import check_vi, make_affine, solve_vi
-from ballsaddle.oracles import GridSpec, fixedpoint_vi_oracle, grid_vi_oracle
+from ballsaddle.oracles import fixedpoint_vi_oracle, grid_vi_oracle
 
 failures = []
 
@@ -68,7 +68,7 @@ check("every sampled point satisfies both strict inequality forms",
 # Brute force agreement
 # ======================================================================
 print("\n== brute force ==")
-grid_x = grid_vi_oracle(mapping, 0.25, GridSpec(161))
+grid_x = grid_vi_oracle(mapping, 0.25, ppa=161)
 fp_x = fixedpoint_vi_oracle(mapping, 0.25, step=0.4, tol=1e-12, max_iters=5000)
 spacing = 2 * 0.25 / 160
 print(f"  grid winner    = {np.array2string(grid_x, precision=6)}")

@@ -84,8 +84,8 @@ def ba_problem(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None, r: float | None,
                fail=raise_failure, **settings) -> SaddleConfig:
     """The gated saddle problem of an approximation run: ``gate`` on the
     report, T (ball(r) when None) contained in Y, the regularization weight
-    L and the smoothness 2 L + theta.  ``settings`` are the solver and
-    check settings of SaddleConfig."""
+    L and the smoothness 2 L + theta.  ``settings`` are the run settings of
+    SaddleConfig."""
     r = gate(report, r, mode, m.domain_radius, fail)
     T = Ball(r, m.dimension) if T is None else T
     _containment_check(T, Y, seed + 7, fail)
@@ -96,7 +96,7 @@ def ba_problem(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None, r: float | None,
 
 def certify_ba(m: SmoothMap, Y: ConvexSet, point: SaddlePoint, cfg: SaddleConfig,
                report: ConstantsReport, *, mode: str = "certified",
-               uniqueness: dict | None = None, n_samples: int = 2000, seed: int = 0,
+               uniqueness: dict | None = None, seed: int = 0,
                theorem: str = "5", fail=raise_failure) -> BACertificate:
     """The certify step of an approximation run on the problem ``cfg`` from
     ``ba_problem``.
@@ -113,7 +113,7 @@ def certify_ba(m: SmoothMap, Y: ConvexSet, point: SaddlePoint, cfg: SaddleConfig
         fail("projection", CheckFailure(
             f"y* is {projection_gap:.2e} from the projection of f(x*) onto T",
             witness=y_star))
-    schecks = check_saddle(ba_payoff(m, Y), point, cfg, n_samples=n_samples, seed=seed + 1)
+    schecks = check_saddle(ba_payoff(m, Y), point, cfg, seed=seed + 1)
     cert = BACertificate(
         theorem=theorem, mode=mode, r=r, x_star=x_star, y_star=y_star,
         residual=point.residual, iterations=point.iterations,
@@ -128,15 +128,14 @@ def certify_ba(m: SmoothMap, Y: ConvexSet, point: SaddlePoint, cfg: SaddleConfig
         fx = m.val(x_star)
         cert.distance_gap = float(abs(norm(fx - x_star) - dist_ball(fx, r)))
         cert.nearest_check = check_nearest_point(
-            m, x_star, r, n_samples=n_samples, seed=seed + 4,
+            m, x_star, r, cfg.n_samples, seed + 4,
             strict_margin=cfg.strict_margin, exclusion_factor=cfg.exclusion_factor)
     return cert
 
 
 def solve_prox_pair(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None,
                     r: float | None = None, report: ConstantsReport | None = None,
-                    *, mode: str = "certified", n_samples: int = 2000, seed: int = 0,
-                    uniqueness_starts: int = 16, theorem: str = "5",
+                    *, mode: str = "certified", seed: int = 0, theorem: str = "5",
                     **settings) -> BACertificate:
     """Solve and certify the saddle pair of the approximation payoff on
     ball(r) x T, with y* the projection of f(x*) onto T.
@@ -144,24 +143,26 @@ def solve_prox_pair(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None,
     ``r`` defaults to the admissible radius sigma / L and ``T`` (None) to
     ball(r).  Certified mode requires certification-grade constants and r
     within the admissible radius.  ``settings`` (``tol``, ``max_iters``,
-    ``check_tol``, ``strict_margin``, ``exclusion_factor``) go to
-    SaddleConfig, which holds their defaults.
+    ``check_tol``, ``strict_margin``, ``exclusion_factor``, ``n_samples``,
+    ``uniqueness_starts``) go to SaddleConfig, which holds their defaults.
     """
     if report is None:
         report = ba_report(m, Y, seed=seed)
     cfg = ba_problem(m, Y, T, r, report, mode, seed=seed, fail=raise_failure, **settings)
     payoff = ba_payoff(m, Y)
     point = solve_saddle(payoff, cfg)
-    uniq = probe_uniqueness(payoff, cfg, uniqueness_starts, seed + 3)
-    return certify_ba(m, Y, point, cfg, report, mode=mode, uniqueness=uniq,
-                      n_samples=n_samples, seed=seed, theorem=theorem)
+    uniq = probe_uniqueness(payoff, cfg, seed + 3)
+    return certify_ba(m, Y, point, cfg, report, mode=mode, uniqueness=uniq, seed=seed,
+                      theorem=theorem)
 
 
-def check_nearest_point(m: SmoothMap, x_star, r: float, n_samples: int = 2000,
-                        seed: int = 0, strict_margin: float = 1e-9,
-                        exclusion_factor: float = 1e-4) -> CheckReport:
+def check_nearest_point(m: SmoothMap, x_star, r: float,
+                        n_samples: int = SaddleConfig.n_samples, seed: int = 0,
+                        strict_margin: float = SaddleConfig.strict_margin,
+                        exclusion_factor: float = SaddleConfig.exclusion_factor) -> CheckReport:
     """Sampled check that x* is strictly closer to every image f(x) than x
-    itself is, over ball(r) outside the exclusion ball."""
+    itself is, over ball(r) outside the exclusion ball.  The defaults are
+    SaddleConfig's."""
     x_star = np.asarray(x_star, dtype=float)
     rng = np.random.default_rng(seed)
     xs = ball_check_samples(rng, n_samples, m.dimension, r, x_star)

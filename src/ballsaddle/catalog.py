@@ -64,7 +64,6 @@ class SmoothMap:
     analytic: AnalyticConstants | None = None
     value_batch: Callable[[np.ndarray], np.ndarray] | None = None
     restricted: Callable[[float], "SmoothMap"] | None = None
-    kind: str = "oracle"
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -101,8 +100,7 @@ class SmoothMap:
         if self.restricted is not None:
             return self.restricted(new_rho)
         return SmoothMap(self.dimension, new_rho, self.value, self.jacobian,
-                         analytic=self.analytic, value_batch=self.value_batch,
-                         kind=self.kind)
+                         analytic=self.analytic, value_batch=self.value_batch)
 
 
 def make_constant(c, rho: float) -> SmoothMap:
@@ -116,7 +114,6 @@ def make_constant(c, rho: float) -> SmoothMap:
         jacobian=lambda x, zj=zero_jac: zj.copy(),
         analytic=AnalyticConstants(theta=0.0, gamma=0.0, eta=1.0),
         value_batch=lambda X, c=c: np.broadcast_to(c, (np.asarray(X).shape[0], c.size)).copy(),
-        kind="constant",
     )
     m.restricted = lambda r, c=c: make_constant(c, r)
     return m
@@ -141,7 +138,6 @@ def make_affine(A, b, rho: float) -> SmoothMap:
         jacobian=lambda x, A=A: A.copy(),
         analytic=AnalyticConstants(theta=theta, gamma=0.0, eta=eta),
         value_batch=lambda X, A=A, b=b: np.asarray(X) @ A.T + b,
-        kind="affine",
     )
     m.restricted = lambda r, A=A, b=b: make_affine(A, b, r)
     return m
@@ -187,7 +183,6 @@ def make_quadratic(A, b, Q, rho: float) -> SmoothMap:
             eta_flag=CertFlag.CONSERVATIVE),
         value_batch=lambda X, A=A, b=b, Q=Q: (
             np.asarray(X) @ A.T + b + np.einsum("mi,kij,mj->mk", np.asarray(X), Q, np.asarray(X))),
-        kind="quadratic",
     )
     m.restricted = lambda r, A=A, b=b, Q=Q: make_quadratic(A, b, Q, r)
     return m
@@ -203,7 +198,6 @@ def shift_map(m: SmoothMap, w) -> SmoothMap:
         analytic=m.analytic,
         value_batch=(None if m.value_batch is None
                      else (lambda X, m=m, w=w: m.vals(X) - w)),
-        kind="shifted-" + m.kind,
     )
     out.restricted = lambda r, m=m, w=w: shift_map(m.restrict(r), w)
     return out
@@ -241,13 +235,11 @@ class Payoff:
         return np.array([self.value(x, y) for y in Y], dtype=float)
 
 
-def vi_payoff(m: SmoothMap, y_set: ConvexSet | None = None) -> Payoff:
-    """J(x, y) = <m(x), x - y> on ball(rho) x Y (Y defaults to ball(rho)).
+def vi_payoff(m: SmoothMap) -> Payoff:
+    """J(x, y) = <m(x), x - y> on ball(rho) x ball(rho).
 
     grad_x = jac(x)^T (x - y) + m(x), grad_y = -m(x).
     """
-    if y_set is None:
-        y_set = Ball(m.domain_radius, m.dimension)
 
     def value(x, y, m=m):
         return float(np.dot(m.val(x), x - y))
@@ -267,7 +259,7 @@ def vi_payoff(m: SmoothMap, y_set: ConvexSet | None = None) -> Payoff:
         return (x - np.asarray(Y)) @ v
 
     return Payoff(
-        m.dimension, m.domain_radius, y_set, value, grad_x, grad_y,
+        m.dimension, m.domain_radius, Ball(m.domain_radius, m.dimension), value, grad_x, grad_y,
         grad0_affine=(m.val(np.zeros(m.dimension)), m.jac(np.zeros(m.dimension))),
         value_xbatch=value_xbatch, value_ybatch=value_ybatch,
     )

@@ -32,7 +32,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,8 +58,7 @@ COMMANDS = ("constants", "saddle", "vi", "vi-shifted", "prox-pair",
 # config tolerance -> SaddleConfig field, whose default it takes
 _TOLERANCE_FIELDS = {"solve": "tol", "check": "check_tol",
                      "strict_margin": "strict_margin", "exclusion_factor": "exclusion_factor"}
-_SADDLE_DEFAULTS = {f.name: f.default for f in fields(SaddleConfig)}
-DEFAULT_TOLERANCES = {key: _SADDLE_DEFAULTS[name] for key, name in _TOLERANCE_FIELDS.items()}
+DEFAULT_TOLERANCES = {key: getattr(SaddleConfig, name) for key, name in _TOLERANCE_FIELDS.items()}
 
 _COMMON = ("seed", "n_samples", "tolerances", "heuristic")
 _FIELDS = {
@@ -83,15 +82,15 @@ _FIELDS = {
 @dataclass
 class RunConfig:
     """A fully-resolved run request; ``to_dict`` is the echo embedded in
-    certificates."""
+    certificates.  The run settings default to SaddleConfig's."""
 
     command: str
     problem: dict
     r: float | None = None
     seed: int = 0
-    n_samples: int = 2000
+    n_samples: int = SaddleConfig.n_samples
     heuristic: bool = False
-    uniqueness_starts: int = 16
+    uniqueness_starts: int = SaddleConfig.uniqueness_starts
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     application: str = "vi"
     payoff: str = "vi"
@@ -113,11 +112,15 @@ class RunConfig:
         return d
 
 
+def _is_finite_number(v) -> bool:
+    # NaN, the infinities and integers beyond the float range all fail the bound
+    return not isinstance(v, bool) and isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+
+
 def _as_number(doc, key, path="", least=None):
     """``doc[key]``: a finite number > 0, or with ``least`` an integer >= least."""
     v, where = doc[key], f"{path}.{key}" if path else key
-    # NaN, the infinities and integers beyond the float range all fail the bound
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+    if not _is_finite_number(v):
         raise ConfigError(f"{key} must be a finite number", path=where)
     if least is None:
         if v <= 0:
@@ -165,9 +168,10 @@ def parse_config(doc: dict, command: str) -> RunConfig:
             raise ConfigError("payoff must be 'vi' or 'ba'", path="payoff")
         cfg.payoff = doc["payoff"]
     if "w" in doc:
-        if not isinstance(doc["w"], list) or not doc["w"]:
-            raise ConfigError("w must be a non-empty array", path="w")
-        cfg.w = [float(v) for v in doc["w"]]
+        w = doc["w"]
+        if not (isinstance(w, list) and w and all(map(_is_finite_number, w))):
+            raise ConfigError("w must be a non-empty array of finite numbers", path="w")
+        cfg.w = [float(v) for v in w]
     if "tolerances" in doc:
         tols = doc["tolerances"]
         if not isinstance(tols, dict):
@@ -209,8 +213,10 @@ def set_from_dict(doc: dict, dim: int, path: str) -> ConvexSet:
     raise ConfigError(f"unknown set kind {kind!r}", path=f"{path}.kind")
 
 
-def _tol_kwargs(cfg: RunConfig) -> dict:
-    return {name: cfg.tolerances[key] for key, name in _TOLERANCE_FIELDS.items()}
+def _settings(cfg: RunConfig) -> dict:
+    """The SaddleConfig run settings of a run request."""
+    return {"n_samples": cfg.n_samples, "uniqueness_starts": cfg.uniqueness_starts,
+            **{name: cfg.tolerances[key] for key, name in _TOLERANCE_FIELDS.items()}}
 
 
 def _y_set(cfg: RunConfig, m: SmoothMap) -> ConvexSet:
@@ -246,14 +252,14 @@ def _saddle_problem(cfg: RunConfig, m: SmoothMap, fail=raise_failure):
         report = replace(report, r_max=admissible_radius("saddle", report, rho))
     gate(report, r, cfg.mode, rho, fail)
     scfg = SaddleConfig(r=r, T=T, L=L.value, smoothness=2.0 * L.value + rep.theta.value,
-                        r_max=report.r_max, **_tol_kwargs(cfg))
+                        r_max=report.r_max, **_settings(cfg))
     return payoff, scfg, report
 
 
 def _certify_saddle(cfg: RunConfig, payoff, scfg: SaddleConfig,
                     report: ConstantsReport, point: SaddlePoint) -> dict:
     """The certify step of the saddle command: the sampled saddle checks."""
-    checks = check_saddle(payoff, point, scfg, n_samples=cfg.n_samples, seed=cfg.seed + 1)
+    checks = check_saddle(payoff, point, scfg, seed=cfg.seed + 1)
     return {
         "theorem": "1", "mode": cfg.mode, "r": float(scfg.r),
         "solution": {"x_star": [float(v) for v in point.x_star],
@@ -296,8 +302,7 @@ def run(cfg: RunConfig) -> dict:
     if cfg.command == "saddle":
         payoff, scfg, report = _saddle_problem(cfg, m)
         return _certify_saddle(cfg, payoff, scfg, report, solve_saddle(payoff, scfg))
-    kw = {"mode": cfg.mode, "n_samples": cfg.n_samples, "seed": cfg.seed,
-          "uniqueness_starts": cfg.uniqueness_starts, **_tol_kwargs(cfg)}
+    kw = {"mode": cfg.mode, "seed": cfg.seed, **_settings(cfg)}
     if cfg.command == "vi":
         return solve_vi(m, cfg.r, **kw).to_dict()
     if cfg.command == "vi-shifted":
@@ -331,22 +336,21 @@ def _recertify(cfg: RunConfig, body: dict, fail) -> tuple[dict, list[str]]:
         payoff, scfg, report = _saddle_problem(cfg, m, fail)
         doc = _certify_saddle(cfg, payoff, scfg, report, point)
         return doc, [] if doc["passed"] else ["saddle-checks"]
-    kw = {"mode": cfg.mode, "uniqueness": uniq, "n_samples": cfg.n_samples,
-          "seed": cfg.seed, "fail": fail}
+    kw = {"mode": cfg.mode, "uniqueness": uniq, "seed": cfg.seed, "fail": fail}
     if cfg.command in ("vi", "vi-shifted"):
         if cfg.command == "vi":
-            target, rep, record = m, vi_report(m, seed=cfg.seed), {}
+            target, rep = m, vi_report(m, seed=cfg.seed)
         else:
             target, rep, record = shift_problem(m, cfg.w, seed=cfg.seed, fail=fail)
-        scfg = vi_problem(target, cfg.r, rep, cfg.mode, fail=fail, **_tol_kwargs(cfg))
-        cert = certify_vi(target, point, scfg, rep,
-                          theorem="2" if cfg.command == "vi" else "4", **kw)
-        cert.gate = record
+        scfg = vi_problem(target, cfg.r, rep, cfg.mode, fail=fail, **_settings(cfg))
+        cert = certify_vi(target, point, scfg, rep, **kw)
+        if cfg.command == "vi-shifted":
+            cert.theorem, cert.gate = "4", record
     else:
         Y = _y_set(cfg, m)
         rep = ba_report(m, Y, seed=cfg.seed)
         scfg = ba_problem(m, Y, _t_set(cfg, m), cfg.r, rep, cfg.mode, seed=cfg.seed,
-                          fail=fail, **_tol_kwargs(cfg))
+                          fail=fail, **_settings(cfg))
         cert = certify_ba(m, Y, point, scfg, rep,
                           theorem="5" if cfg.command == "prox-pair" else "6", **kw)
     return cert.to_dict(), cert.failed_checks()

@@ -4,15 +4,13 @@ Everything here is deliberately dumb: dense axis-aligned grids, exhaustive
 scans, plain fixed-point iterations.  The oracles share no code path with
 the solvers, so agreement between the two is meaningful evidence.
 
-Grids are limited to low dimensions (the point count grows as
-points_per_axis ** dim and is capped).  Ball grids are enriched with the
+Grids are limited to low dimensions (the point count grows as ppa ** dim
+for ``ppa`` points per axis, and is capped).  Ball grids are enriched with the
 grid points lying within one spacing of the sphere, pushed out radially
 onto it; without those the boundary error of a plain grid would dominate.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,18 +20,10 @@ from .geometry import Ball, Box, ConvexSet, norm, project_ball, sample_ball
 MAX_GRID_POINTS = 10**7
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Resolution of the brute-force grids."""
-
-    points_per_axis: int = 201
-
-    def __post_init__(self):
-        if self.points_per_axis < 2:
-            raise InvalidInput("points_per_axis must be >= 2")
-
-
 def _full_grid(lower: np.ndarray, upper: np.ndarray, ppa: int) -> np.ndarray:
+    """Every grid of the oracles comes from here, so ``ppa`` is checked once."""
+    if ppa < 2:
+        raise InvalidInput(f"ppa (points per axis) must be >= 2, got {ppa}")
     dim = lower.size
     if float(ppa) ** dim > MAX_GRID_POINTS:
         raise InvalidInput(
@@ -65,7 +55,7 @@ def set_grid(C: ConvexSet, ppa: int) -> np.ndarray:
     raise InvalidInput("grid oracles need a ball or box set")
 
 
-def grid_saddle_oracle(payoff, r: float, T: ConvexSet, grid: GridSpec = GridSpec(),
+def grid_saddle_oracle(payoff, r: float, T: ConvexSet, ppa: int = 201,
                        reg_weight: float = 0.0):
     """Brute-force minimax of phi(x, y) = (reg_weight/2)||x||^2 + J(x, y)
     over grids of ball(r) x T.
@@ -73,7 +63,6 @@ def grid_saddle_oracle(payoff, r: float, T: ConvexSet, grid: GridSpec = GridSpec
     Returns (x_hat, y_hat, value) where x_hat minimizes the grid inner max
     and y_hat attains that max; ties fall to the smallest row index.
     """
-    ppa = grid.points_per_axis
     inside, boundary = ball_grid(payoff.dimension, r, ppa)
     xs = np.vstack([inside, boundary])
     ys = set_grid(T, ppa)
@@ -122,14 +111,14 @@ def vi_violation_score(m, candidate: np.ndarray, xs: np.ndarray,
     return float(np.max(score))
 
 
-def grid_vi_oracle(m, r: float, grid: GridSpec = GridSpec()) -> np.ndarray:
+def grid_vi_oracle(m, r: float, ppa: int = 201) -> np.ndarray:
     """Brute-force search for the inequality point on sphere(r).
 
     Candidates are the boundary-normalized grid points; each is scored by
     its worst inequality value against every grid point of the ball, and
     the best-scoring candidate wins (ties to the smallest index).
     """
-    inside, boundary = ball_grid(m.dimension, r, grid.points_per_axis)
+    inside, boundary = ball_grid(m.dimension, r, ppa)
     if boundary.shape[0] == 0:
         raise InvalidInput("no boundary candidates at this resolution")
     xs = np.vstack([inside, boundary])
@@ -178,20 +167,17 @@ def fixedpoint_vi_oracle(m, r: float, step: float, tol: float = 1e-10,
         residual=float(norm(x_next - x)), iterations=max_iters)
 
 
-def uniqueness_probe(solve_from, starts: int = 16, seed: int = 0, *,
-                     dim: int, radius: float,
-                     start_seeds: list[int] | None = None) -> float:
+def uniqueness_probe(solve_from, starts: int, seed: int = 0, *, dim: int,
+                     radius: float) -> float:
     """Max pairwise distance between solutions from scattered starts.
 
-    Each start draws its own seeded point of ball(radius) and is handed to
-    ``solve_from``; identical start seeds give identical results exactly.
+    Start i draws its point of ball(radius) from seed + i and hands it to
+    ``solve_from``.
     """
-    if start_seeds is None:
-        if starts < 2:
-            raise InvalidInput("starts must be >= 2")
-        start_seeds = [seed + i for i in range(starts)]
+    if starts < 2:
+        raise InvalidInput("starts must be >= 2")
     sols = []
-    for s in start_seeds:
+    for s in range(seed, seed + starts):
         rng = np.random.default_rng(s)
         x0 = sample_ball(rng, 1, dim, radius)[0]
         sols.append(np.asarray(solve_from(x0), dtype=float))
@@ -202,9 +188,9 @@ def uniqueness_probe(solve_from, starts: int = 16, seed: int = 0, *,
     return spread
 
 
-def grid_sigma_oracle(b, A, C: ConvexSet, ppa: int = 201, refine: int = 1) -> float:
-    """Dense-grid minimum of ||b - A^T y|| over y in C, with local window
-    refinement around the coarse argmin.
+def grid_sigma_oracle(b, A, C: ConvexSet, ppa: int = 201) -> float:
+    """Dense-grid minimum of ||b - A^T y|| over y in C, refined once on a
+    window of the same resolution around the coarse argmin.
 
     Independent of the SVD and projected-gradient routes: pure enumeration.
     """
@@ -222,23 +208,15 @@ def grid_sigma_oracle(b, A, C: ConvexSet, ppa: int = 201, refine: int = 1) -> fl
         spacing = 2.0 * C.radius / (ppa - 1)
     else:
         spacing = float(np.max(C.upper - C.lower)) / (ppa - 1)
-    for _ in range(refine):
-        w = 3.0 * spacing
-        lo, hi = center - w, center + w
-        if isinstance(C, Box):
-            lo, hi = np.maximum(lo, C.lower), np.minimum(hi, C.upper)
-        win = _full_grid(lo, hi, ppa)
-        if isinstance(C, Ball):
-            norms = np.linalg.norm(win, axis=1)
-            keep = win[norms <= C.radius + 1e-12]
-            near = (np.abs(norms - C.radius) <= 2.0 * w / (ppa - 1)) & (norms > 0)
-            onto = win[near] * (C.radius / norms[near])[:, None]
-            win = np.vstack([keep, onto]) if onto.size else keep
-        if win.shape[0] == 0:
-            break
-        vals = residuals(win)
-        k = int(np.argmin(vals))
-        if float(vals[k]) < best:
-            best, center = float(vals[k]), win[k]
-        spacing = 2.0 * w / (ppa - 1)
-    return best
+    w = 3.0 * spacing
+    lo, hi = center - w, center + w
+    if isinstance(C, Box):
+        lo, hi = np.maximum(lo, C.lower), np.minimum(hi, C.upper)
+    win = _full_grid(lo, hi, ppa)
+    if isinstance(C, Ball):
+        norms = np.linalg.norm(win, axis=1)
+        keep = win[norms <= C.radius + 1e-12]
+        near = (np.abs(norms - C.radius) <= 2.0 * w / (ppa - 1)) & (norms > 0)
+        onto = win[near] * (C.radius / norms[near])[:, None]
+        win = np.vstack([keep, onto]) if onto.size else keep
+    return min(best, float(np.min(residuals(win)))) if win.size else best

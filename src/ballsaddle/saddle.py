@@ -37,9 +37,12 @@ UNIQUENESS_TOL = 1e-5
 
 @dataclass
 class SaddleConfig:
-    """Problem geometry, regularization weight and the solver policy: the
-    one place where the solver and check settings get their defaults.
+    """Problem geometry, regularization weight and the run settings: the one
+    place where the solver and check settings get their defaults and their
+    validation.
 
+    ``n_samples`` sizes each sampled check and ``uniqueness_starts`` is the
+    start count of the uniqueness probe (none runs below two starts).
     ``smoothness`` bounds the Lipschitz constant of the saddle operator and
     fixes the extragradient step 1/(2 * smoothness); the problem builders
     set it to 2 * weight + theta from the constants report.  ``r_max`` is
@@ -55,6 +58,8 @@ class SaddleConfig:
     check_tol: float = 1e-8
     strict_margin: float = 1e-9
     exclusion_factor: float = 1e-4
+    n_samples: int = 2000
+    uniqueness_starts: int = 16
     r_max: float | None = None
 
     def __post_init__(self):
@@ -67,6 +72,10 @@ class SaddleConfig:
         if self.tol <= 0 or self.max_iters < 1:
             raise InvalidInput("tol must be positive and max_iters >= 1")
         require_exclusion_factor(self.exclusion_factor)
+        for name, least in (("n_samples", 1), ("uniqueness_starts", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+                raise InvalidInput(f"{name} must be an integer >= {least}, got {v!r}")
 
     @property
     def step(self) -> float:
@@ -289,9 +298,11 @@ def gate(report, r, mode: str, rho: float, fail=raise_failure) -> float:
     return float(r)
 
 
-def probe_uniqueness(payoff, cfg: SaddleConfig, starts: int, seed: int) -> dict | None:
+def probe_uniqueness(payoff, cfg: SaddleConfig, seed: int) -> dict | None:
     """The uniqueness record of a solve: the spread of the solutions from
-    ``starts`` scattered starting points, or None below two starts."""
+    ``cfg.uniqueness_starts`` scattered starting points, or None below two
+    starts."""
+    starts = cfg.uniqueness_starts
     if starts < 2:
         return None
     spread = uniqueness_probe(
@@ -358,9 +369,9 @@ def slack_report(name: str, slack: np.ndarray, points: np.ndarray, details: dict
                        witness=None if passed else points[i], details=details)
 
 
-def check_saddle(payoff, point: SaddlePoint, cfg: SaddleConfig, n_samples: int = 2000,
-                 seed: int = 0) -> SaddleChecks:
-    """Sampled certification of a saddle candidate (solved or stored).
+def check_saddle(payoff, point: SaddlePoint, cfg: SaddleConfig, seed: int = 0) -> SaddleChecks:
+    """Sampled certification of a saddle candidate (solved or stored), with
+    ``cfg.n_samples`` samples per sampled set.
 
     Checks, in order: J(x*, y) <= J(x*, y*) + check_tol over sampled y in T;
     J(x, y*) >= J(x*, y*) + strict_margin over sampled x in ball(r) outside
@@ -372,8 +383,7 @@ def check_saddle(payoff, point: SaddlePoint, cfg: SaddleConfig, n_samples: int =
     y_star = as_point(point.y_star, dim=payoff.dimension)
     rng = np.random.default_rng(seed)
     dim = payoff.dimension
-    r = cfg.r
-    T = cfg.T
+    r, T, n_samples = cfg.r, cfg.T, cfg.n_samples
     ys = (ball_check_samples(rng, n_samples, dim, T.radius) if isinstance(T, Ball)
           else T.sample(rng, n_samples))
     xs = ball_check_samples(rng, n_samples, dim, r, x_star)

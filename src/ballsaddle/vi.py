@@ -64,13 +64,15 @@ class VICertificate(Certificate):
         return d
 
 
-def check_vi(m: SmoothMap, x_star, r: float, n_samples: int = 2000, seed: int = 0,
-             strict_margin: float = 1e-9, exclusion_factor: float = 1e-4) -> CheckReport:
+def check_vi(m: SmoothMap, x_star, r: float, n_samples: int = SaddleConfig.n_samples,
+             seed: int = 0, strict_margin: float = SaddleConfig.strict_margin,
+             exclusion_factor: float = SaddleConfig.exclusion_factor) -> CheckReport:
     """Sampled check of the double strict inequality at x*.
 
     Samples ball(r) (enriched with sphere points, axis points and the
     antipode of x*), excludes a ball of radius exclusion_factor * r around
     x*, and requires both inner products below -strict_margin everywhere.
+    The defaults are SaddleConfig's.
     """
     x_star = np.asarray(x_star, dtype=float)
     rng = np.random.default_rng(seed)
@@ -90,8 +92,7 @@ def vi_problem(m: SmoothMap, r: float | None, report: ConstantsReport,
                mode: str = "certified", *, fail=raise_failure, **settings) -> SaddleConfig:
     """The gated saddle problem of a VI run: ``gate`` on the report, then
     T = ball(r), the regularization weight L = M and the smoothness
-    2 M + theta.  ``settings`` are the solver and check settings of
-    SaddleConfig."""
+    2 M + theta.  ``settings`` are the run settings of SaddleConfig."""
     r = gate(report, r, mode, m.domain_radius, fail)
     M = report.M.value
     return SaddleConfig(r=r, T=Ball(r, m.dimension), L=M,
@@ -101,9 +102,10 @@ def vi_problem(m: SmoothMap, r: float | None, report: ConstantsReport,
 
 def certify_vi(m: SmoothMap, point: SaddlePoint, cfg: SaddleConfig,
                report: ConstantsReport, *, mode: str = "certified",
-               uniqueness: dict | None = None, n_samples: int = 2000, seed: int = 0,
-               theorem: str = "2", fail=raise_failure) -> VICertificate:
-    """The certify step of a VI run on the problem ``cfg`` from ``vi_problem``.
+               uniqueness: dict | None = None, seed: int = 0,
+               fail=raise_failure) -> VICertificate:
+    """The certify step of a VI run on the problem ``cfg`` from ``vi_problem``;
+    the certificate is labeled statement 2 (``solve_vi_shifted`` relabels it).
 
     Checks the structural identities of ``point`` (a fresh solve or a
     stored solution): x* = y*, F(x*) != 0 and x* antiparallel to F(x*) on
@@ -123,12 +125,11 @@ def certify_vi(m: SmoothMap, point: SaddlePoint, cfg: SaddleConfig,
         fail("map-nonzero", CheckFailure("the map vanishes at the solution",
                                          witness=x_star))
     direction_gap = norm(x_star + (r / map_norm) * fx) if map_norm > 0.0 else np.inf
-    schecks = check_saddle(vi_payoff(m), point, cfg, n_samples=n_samples, seed=seed + 1)
-    vcheck = check_vi(m, x_star, r, n_samples=n_samples, seed=seed + 2,
-                      strict_margin=cfg.strict_margin,
-                      exclusion_factor=cfg.exclusion_factor)
+    schecks = check_saddle(vi_payoff(m), point, cfg, seed=seed + 1)
+    vcheck = check_vi(m, x_star, r, cfg.n_samples, seed + 2,
+                      strict_margin=cfg.strict_margin, exclusion_factor=cfg.exclusion_factor)
     return VICertificate(
-        theorem=theorem, mode=mode, r=r, x_star=x_star, y_star=point.y_star,
+        theorem="2", mode=mode, r=r, x_star=x_star, y_star=point.y_star,
         residual=point.residual, iterations=point.iterations,
         collapse_gap=float(collapse_gap), map_norm=float(map_norm),
         direction_gap=float(direction_gap), constants=report,
@@ -137,24 +138,23 @@ def certify_vi(m: SmoothMap, point: SaddlePoint, cfg: SaddleConfig,
 
 def solve_vi(m: SmoothMap, r: float | None = None,
              report: ConstantsReport | None = None, *, mode: str = "certified",
-             n_samples: int = 2000, seed: int = 0, uniqueness_starts: int = 16,
-             theorem: str = "2", **settings) -> VICertificate:
+             seed: int = 0, **settings) -> VICertificate:
     """Solve and certify the variational inequality on ball(r).
 
     ``r`` defaults to the admissible radius.  In certified mode the
     constants must be certification grade and r must respect the admissible
     radius; heuristic mode skips both gates and watermarks the certificate.
     ``settings`` (``tol``, ``max_iters``, ``check_tol``, ``strict_margin``,
-    ``exclusion_factor``) go to SaddleConfig, which holds their defaults.
+    ``exclusion_factor``, ``n_samples``, ``uniqueness_starts``) go to
+    SaddleConfig, which holds their defaults.
     """
     if report is None:
         report = vi_report(m, seed=seed)
     cfg = vi_problem(m, r, report, mode, fail=raise_failure, **settings)
     payoff = vi_payoff(m)
     point = solve_saddle(payoff, cfg)
-    uniq = probe_uniqueness(payoff, cfg, uniqueness_starts, seed + 3)
-    return certify_vi(m, point, cfg, report, mode=mode, uniqueness=uniq,
-                      n_samples=n_samples, seed=seed, theorem=theorem)
+    uniq = probe_uniqueness(payoff, cfg, seed + 3)
+    return certify_vi(m, point, cfg, report, mode=mode, uniqueness=uniq, seed=seed)
 
 
 def shift_problem(m: SmoothMap, w, *, seed: int = 0, fail=raise_failure):
@@ -196,8 +196,8 @@ def solve_vi_shifted(m: SmoothMap, w, r: float | None = None, *, seed: int = 0,
     the keywords of ``solve_vi``.
     """
     shifted, report, record = shift_problem(m, w, seed=seed)
-    cert = solve_vi(shifted, r, report, seed=seed, theorem="4", **kw)
-    cert.gate = record
+    cert = solve_vi(shifted, r, report, seed=seed, **kw)
+    cert.theorem, cert.gate = "4", record
     return cert
 
 

@@ -15,7 +15,7 @@ from ballsaddle import (Ball, Box, ba_payoff, make_affine, make_constant,
                         solve_vi_shifted, validate_map, validate_payoff,
                         vi_payoff)
 from ballsaddle.cli import main
-from ballsaddle.oracles import GridSpec, grid_sigma_oracle, grid_vi_oracle
+from ballsaddle.oracles import grid_sigma_oracle, grid_vi_oracle
 
 N_SAMPLES = 10**4
 SOLVE_TOL = 1e-10
@@ -117,7 +117,7 @@ def test_criterion_02_affine_constants_and_oracle(named):
         ("x* closed form", np.linalg.norm(cert.x_star - [-0.25, 0.0]) <= 1e-6),
     ]
     cand = grid_vi_oracle(make_affine(np.eye(2), [2.0, 0.0], 1.0), cert.r,
-                          GridSpec(points_per_axis=201))
+                          ppa=201)
     spacing = 2.0 * cert.r / 200
     checks.append(("grid oracle within 2 spacings",
                    np.linalg.norm(cand - cert.x_star) <= 2.0 * spacing))

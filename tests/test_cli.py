@@ -169,6 +169,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"config error: {next(iter(doc), 'seed')}:" in err
 
+    @pytest.mark.parametrize("w", ['["a", 3]', '[[1], 3]', '[true, 3]', '[1e400, 0]'])
+    def test_bad_shift_target_is_one(self, tmp_path, capsys, w):
+        # every entry of w must be a finite number, and a bool is not one
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(f'{{"problem": {json.dumps(QUARTIC)}, "r": 1.0, "w": {w}}}')
+        assert main(["vi-shifted", "--config", str(cfgp)]) == 1
+        assert "config error: w: w must be a non-empty array of finite numbers" \
+            in capsys.readouterr().err
+
     def test_nonconvergence_is_four(self, tmp_path, capsys, monkeypatch):
         import ballsaddle.cli as cli_mod
 
@@ -494,6 +503,16 @@ class TestVerify:
         def tamper(doc):
             doc["config"]["problem"]["b"] = [0.0, 0.0]
         assert "origin-nonzero" in self.verify_tampered(tmp_path, capsys, cert, tamper)
+
+    def test_bad_shift_target_is_config_error(self, tmp_path, capsys):
+        command, doc = ROUND_TRIPS["vi-shifted"]
+        cert = self.make_cert(tmp_path, command, doc)
+        stored = json.loads(cert.read_text())
+        stored["config"]["w"] = [True, 0.0]
+        cert.write_text(json.dumps(stored))
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cert)]) == 1
+        assert "config error: w:" in capsys.readouterr().err
 
     def test_wrong_format_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, {"format": "something-else"})

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from ballsaddle import (Ball, Box, InvalidInput, NonConvergence, Payoff,
                         make_affine, make_constant, sigma_vi, solve_vi)
-from ballsaddle.oracles import (GridSpec, ball_grid, fixedpoint_vi_oracle,
+from ballsaddle.oracles import (ball_grid, fixedpoint_vi_oracle,
                                 grid_saddle_oracle, grid_sigma_oracle,
                                 grid_vi_oracle, set_grid, uniqueness_probe,
                                 vi_violation_score)
@@ -38,8 +38,11 @@ class TestGrids:
             set_grid(Ball(1.0, 5), 201)
 
     def test_grid_spec_validation(self):
-        with pytest.raises(InvalidInput):
-            GridSpec(points_per_axis=1)
+        # every grid checks its resolution before dividing by ppa - 1
+        with pytest.raises(InvalidInput, match="ppa"):
+            grid_vi_oracle(make_constant([1.0, 0.0], 1.0), 0.5, ppa=1)
+        with pytest.raises(InvalidInput, match="ppa"):
+            grid_sigma_oracle(np.array([2.0, 0.0]), np.eye(2), Ball(1.0, 2), ppa=1)
 
 
 class TestSaddleOracle:
@@ -50,7 +53,7 @@ class TestSaddleOracle:
                    grad_x=lambda x, y: np.array([y[0]]),
                    grad_y=lambda x, y: np.array([x[0]]))
         x_hat, y_hat, val = grid_saddle_oracle(p, 0.3, p.y_set,
-                                               GridSpec(points_per_axis=61))
+                                               ppa=61)
         assert_allclose(x_hat, [-0.3], atol=1e-12)
         assert_allclose(y_hat, [1.0], atol=1e-12)
         assert_allclose(val, -0.3, atol=1e-12)
@@ -62,7 +65,7 @@ class TestSaddleOracle:
         cfg = SaddleConfig(r=0.25, T=Ball(0.25, 2), L=2.0, smoothness=5.0, tol=1e-10)
         pt = solve_saddle(p, cfg)
         x_hat, _, _ = grid_saddle_oracle(p, 0.25, Ball(0.25, 2),
-                                         GridSpec(points_per_axis=81),
+                                         ppa=81,
                                          reg_weight=2.0)
         spacing = 0.5 / 80
         assert np.linalg.norm(x_hat - pt.x_star) <= 2.0 * spacing
@@ -72,13 +75,13 @@ class TestVIOracle:
     def test_affine_agrees_with_solver(self):
         m = make_affine(np.eye(2), [2.0, 0.0], 1.0)
         cert = solve_vi(m, tol=1e-10)
-        cand = grid_vi_oracle(m, cert.r, GridSpec(points_per_axis=201))
+        cand = grid_vi_oracle(m, cert.r, ppa=201)
         spacing = 2.0 * cert.r / 200
         assert np.linalg.norm(cand - cert.x_star) <= 2.0 * spacing
 
     def test_constant_map_antipode(self):
         m = make_constant([3.0, 4.0], 1.0)
-        cand = grid_vi_oracle(m, 0.5, GridSpec(points_per_axis=201))
+        cand = grid_vi_oracle(m, 0.5, ppa=201)
         assert np.linalg.norm(cand - [-0.3, -0.4]) <= 2.0 * (1.0 / 200)
 
     def test_violation_score_sign(self):
@@ -111,15 +114,14 @@ class TestFixedPoint:
 
 
 class TestUniquenessProbe:
-    def test_identical_seeds_give_zero_exactly(self):
+    def test_constant_solver_gives_zero_exactly(self):
         calls = []
 
         def solve_from(x0):
             calls.append(x0)
-            return x0 * 0.5
+            return np.array([0.5, -0.25])
 
-        spread = uniqueness_probe(solve_from, seed=0, dim=2, radius=1.0,
-                                  start_seeds=[7, 7, 7])
+        spread = uniqueness_probe(solve_from, starts=3, seed=0, dim=2, radius=1.0)
         assert spread == 0.0
         assert len(calls) == 3
 

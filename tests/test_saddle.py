@@ -1,16 +1,19 @@
 """Extragradient solver and sampled saddle certification."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from ballsaddle import (Ball, Box, InvalidInput, NonConvergence, Payoff,
-                        SaddleConfig, SaddlePoint, ba_report, check_saddle, make_constant,
-                        map_from_dict, phi_value_grad, solve_saddle, vi_payoff, vi_report)
+                        SaddleConfig, SaddlePoint, ba_report, check_nearest_point,
+                        check_saddle, check_vi, make_constant, map_from_dict,
+                        phi_value_grad, solve_saddle, vi_payoff, vi_report)
 from ballsaddle.ba import ba_problem
-from ballsaddle.cli import _saddle_problem, parse_config
+from ballsaddle.cli import DEFAULT_TOLERANCES, RunConfig, _saddle_problem, parse_config
+from ballsaddle.saddle import probe_uniqueness
 from ballsaddle.vi import vi_problem
 
 
@@ -52,6 +55,20 @@ class TestConfig:
     def test_bad_smoothness_rejected(self, smoothness):
         with pytest.raises(InvalidInput, match="smoothness"):
             SaddleConfig(r=0.5, T=Ball(1.0, 2), L=0.0, smoothness=smoothness)
+
+    def test_settings_are_declared_once(self):
+        # the standalone audits and the command line take SaddleConfig's defaults
+        for audit in (check_vi, check_nearest_point):
+            params = inspect.signature(audit).parameters
+            for name in ("n_samples", "strict_margin", "exclusion_factor"):
+                assert params[name].default == getattr(SaddleConfig, name)
+        run = RunConfig(command="vi", problem={})
+        assert (run.n_samples, run.uniqueness_starts) == (SaddleConfig.n_samples,
+                                                          SaddleConfig.uniqueness_starts)
+        assert DEFAULT_TOLERANCES == {
+            "solve": SaddleConfig.tol, "check": SaddleConfig.check_tol,
+            "strict_margin": SaddleConfig.strict_margin,
+            "exclusion_factor": SaddleConfig.exclusion_factor}
 
     @pytest.mark.parametrize("kind", ["affine", "quadratic"])
     def test_builders_take_the_step_from_the_report(self, kind):
@@ -169,7 +186,7 @@ class TestChecks:
 
     def test_pass_on_solution(self):
         p, cfg, pt = self.make_solved()
-        checks = check_saddle(p, pt, cfg, n_samples=1500, seed=0)
+        checks = check_saddle(p, pt, dataclasses.replace(cfg, n_samples=1500), seed=0)
         assert checks.passed
         assert checks.report("y-maximal").passed
         assert checks.report("x-strictly-minimal").margin > 0
@@ -177,19 +194,21 @@ class TestChecks:
 
     def test_sphere_check_applies_only_with_regularizer(self):
         p, cfg, pt = self.make_solved()
-        names = [rep.name for rep in check_saddle(p, pt, cfg, n_samples=200).reports]
+        names = [rep.name for rep in
+                 check_saddle(p, pt, dataclasses.replace(cfg, n_samples=200)).reports]
         assert "sphere-membership" not in names  # L = 0 here
         cfg2 = SaddleConfig(r=0.5, T=Ball(1.0, 2), L=1.0, smoothness=1.0, r_max=1.0)
         pt2 = solve_saddle(vi_payoff(make_constant([3.0, 4.0], 1.0)), cfg2)
         names2 = [rep.name
-                  for rep in check_saddle(p, pt2, cfg2, n_samples=200).reports]
+                  for rep in check_saddle(p, pt2,
+                                          dataclasses.replace(cfg2, n_samples=200)).reports]
         assert "sphere-membership" in names2
 
     def test_tampered_point_fails_with_witness(self):
         p, cfg, pt = self.make_solved()
         bad = SaddlePoint(np.array([0.3, 0.4]), pt.y_star, pt.residual,
                           pt.iterations, pt.step)
-        checks = check_saddle(p, bad, cfg, n_samples=1500, seed=0)
+        checks = check_saddle(p, bad, dataclasses.replace(cfg, n_samples=1500), seed=0)
         rep = checks.report("x-strictly-minimal")
         assert not rep.passed
         assert rep.witness is not None
@@ -203,21 +222,26 @@ class TestChecks:
         def counting(X, y, batch=p.value_xbatch):
             calls.append(len(X))
             return batch(X, y)
-        checks = check_saddle(dataclasses.replace(p, value_xbatch=counting), pt, cfg,
-                              n_samples=300, seed=0)
-        assert checks.to_dict() == check_saddle(p, pt, cfg, n_samples=300, seed=0).to_dict()
+        cfg = dataclasses.replace(cfg, n_samples=300)
+        checks = check_saddle(dataclasses.replace(p, value_xbatch=counting), pt, cfg, seed=0)
+        assert checks.to_dict() == check_saddle(p, pt, cfg, seed=0).to_dict()
         assert len(calls) == 1
 
     @pytest.mark.parametrize("factor", [0.0, 1.0, 3.0])
     def test_exclusion_factor_outside_unit_interval_rejected(self, factor):
         p, cfg, pt = self.make_solved()
         with pytest.raises(InvalidInput, match="exclusion_factor"):
-            check_saddle(p, pt, dataclasses.replace(cfg, exclusion_factor=factor),
-                         n_samples=50)
+            check_saddle(p, pt, dataclasses.replace(cfg, exclusion_factor=factor,
+                                                    n_samples=50))
+
+    @pytest.mark.parametrize("starts", [0, 1])
+    def test_probe_needs_two_starts(self, starts):
+        p, cfg, _ = self.make_solved()
+        assert probe_uniqueness(p, dataclasses.replace(cfg, uniqueness_starts=starts), 3) is None
 
     def test_reports_serialize(self):
         p, cfg, pt = self.make_solved()
-        d = check_saddle(p, pt, cfg, n_samples=300).to_dict()
+        d = check_saddle(p, pt, dataclasses.replace(cfg, n_samples=300)).to_dict()
         assert d["passed"] is True
         assert {rep["name"] for rep in d["reports"]} >= {"y-maximal",
                                                          "x-strictly-minimal"}

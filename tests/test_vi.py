@@ -18,6 +18,21 @@ def affine_instance():
     return make_affine(np.eye(2), [2.0, 0.0], 1.0)
 
 
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Calls of solve_saddle, counted where the solve paths look it up."""
+    import ballsaddle.saddle as saddle_mod
+    import ballsaddle.vi as vi_mod
+    calls, solve = [], saddle_mod.solve_saddle
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+    for mod in (saddle_mod, vi_mod):
+        monkeypatch.setattr(mod, "solve_saddle", counting)
+    return calls
+
+
 def quartic_gate_map(scale=1.0):
     # F(x) = (x^T x) e_1 pattern via Q1 = I: theta1 = 2, gamma1 = 2, M1 = 8
     Q = np.zeros((2, 2, 2))
@@ -80,19 +95,32 @@ class TestSolveVI:
         with pytest.raises(TypeError, match=keyword):
             solve_vi_shifted(quartic_gate_map(), [16.0, 0.0], 1.0, **{keyword: 1e-8})
 
-    def test_bad_exclusion_factor_stops_before_any_solve(self, monkeypatch):
-        import ballsaddle.saddle as saddle_mod
-        import ballsaddle.vi as vi_mod
-        calls, solve = [], saddle_mod.solve_saddle
+    def test_theorem_is_not_a_keyword(self):
+        # statement 4 needs the shift gate, so only solve_vi_shifted labels it
+        with pytest.raises(TypeError, match="theorem"):
+            solve_vi(affine_instance(), theorem="4")
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
-        for mod in (saddle_mod, vi_mod):
-            monkeypatch.setattr(mod, "solve_saddle", counting)
+    def test_bad_exclusion_factor_stops_before_any_solve(self, solve_calls):
         with pytest.raises(InvalidInput, match="exclusion_factor"):
             solve_vi(affine_instance(), exclusion_factor=1.0)
-        assert calls == []
+        assert solve_calls == []
+
+    @pytest.mark.parametrize("name, value", [("n_samples", 0), ("n_samples", -5),
+                                             ("n_samples", 100.0),
+                                             ("uniqueness_starts", 2.5),
+                                             ("uniqueness_starts", -3),
+                                             ("uniqueness_starts", True)])
+    def test_bad_count_stops_before_any_solve(self, solve_calls, name, value):
+        with pytest.raises(InvalidInput, match=f"{name} must be an integer"):
+            solve_vi(affine_instance(), **{name: value})
+        assert solve_calls == []
+
+    def test_counts_reach_the_checks_and_the_probe(self):
+        cert = solve_vi(affine_instance(), n_samples=40, uniqueness_starts=3)
+        # 40 ball samples, 40 // 4 sphere samples and the 4 axis points of ball(r) in 2-d
+        assert cert.saddle_checks.report("y-maximal").n_samples == 54
+        assert cert.uniqueness["starts"] == 3
+        assert solve_vi(affine_instance(), uniqueness_starts=1).uniqueness is None
 
     def test_certificate_dict_shape(self):
         d = solve_vi(affine_instance(), tol=1e-10).to_dict()
