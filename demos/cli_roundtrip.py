@@ -5,7 +5,9 @@ Runs the real `python -m ballsaddle` process on a JSON config, confirms the
 certificate is byte-stable across reruns (minus wall time), re-verifies it
 from the file alone, then corrupts one coordinate and watches verification
 fail with a named check and exit code 3. Also exercises the hypothesis
-exit code 2 by asking for an inadmissible radius.
+exit code 2 by asking for an inadmissible radius, and shows that the same
+radius in heuristic mode writes a watermarked certificate that names its
+failed checks (exit code 3).
 """
 
 import json
@@ -99,6 +101,20 @@ proc = run("vi", "--config", str(cfg), "--r", "0.3")
 print(f"  exit = {proc.returncode}   stderr: {proc.stderr.strip()}")
 check("radius beyond the admissible bound exits 2", proc.returncode == 2)
 check("stderr quantifies the shortfall", "deficit" in proc.stderr)
+
+# ======================================================================
+# Heuristic mode skips the gate and writes a watermarked failing certificate
+# ======================================================================
+print("\n== heuristic run beyond the admissible radius ==")
+heuristic_path = tmp / "heuristic.json"
+proc = run("vi", "--config", str(cfg), "--r", "1.0", "--heuristic", "--out", str(heuristic_path))
+print(f"  exit = {proc.returncode}   stderr: {proc.stderr.strip()}")
+check("a failed check exits 3", proc.returncode == 3)
+written = json.loads(heuristic_path.read_text()) if heuristic_path.exists() else {}
+body = written.get("certificate", {})
+check("the certificate is written, watermarked heuristic and not passed",
+      body.get("mode") == "heuristic" and body.get("passed") is False)
+check("stderr names the collapse check", "collapse" in proc.stderr)
 
 print(f"\n{'OK: CLI round trip holds' if not failures else 'FAILED: ' + ', '.join(failures)}")
 sys.exit(1 if failures else 0)

@@ -22,9 +22,8 @@ from .catalog import (AnalyticConstants, Payoff, SmoothMap, ba_payoff,
 from .constants import (CertFlag, CertValue, ConstantsReport, admissible_radius,
                         ba_report, combine_flags, delta_const, estimate_lipschitz,
                         estimate_theta, op_norm, sigma_ba, sigma_vi, vi_report)
-from .errors import (BallSaddleError, CertificationError, CheckFailure,
-                     ConfigError, DimensionMismatch, HypothesisViolation,
-                     InvalidInput, NonConvergence)
+from .errors import (BallSaddleError, CertificationError, ConfigError, DimensionMismatch,
+                     HypothesisViolation, InvalidInput, NonConvergence)
 from .geometry import (Ball, Box, ConvexSet, ProjectionOracle, dist_ball, inner,
                        norm, project_ball, project_set, sample_ball, sample_sphere)
 from .saddle import (CheckReport, SaddleChecks, SaddleConfig, SaddlePoint,
@@ -36,7 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticConstants", "BACertificate", "Ball", "BallSaddleError", "Box",
-    "CertFlag", "CertValue", "CertificationError", "CheckFailure", "CheckReport",
+    "CertFlag", "CertValue", "CertificationError", "CheckReport",
     "ConfigError", "ConstantsReport", "ConvexSet", "DimensionMismatch",
     "HypothesisViolation", "InvalidInput", "NonConvergence", "Payoff",
     "ProjectionOracle", "SaddleChecks", "SaddleConfig", "SaddlePoint",

@@ -27,10 +27,10 @@ import numpy as np
 
 from .catalog import SmoothMap, ba_payoff
 from .constants import ConstantsReport, ba_report
-from .errors import CheckFailure, HypothesisViolation
+from .errors import HypothesisViolation
 from .geometry import Ball, ConvexSet, dist_ball, norm
 from .saddle import (Certificate, CheckReport, SaddleConfig, SaddlePoint,
-                     ball_check_samples, check_saddle, exclusion_mask, gate,
+                     ball_check_samples, check_saddle, exclusion_mask, failed_names, gate,
                      probe_uniqueness, raise_failure, slack_report, solve_saddle)
 from .vi import COLLAPSE_TOL, SmallRadiusResult, radius_from_origin
 
@@ -50,12 +50,12 @@ class BACertificate(Certificate):
     nearest_check: CheckReport | None = None
 
     def failed_checks(self) -> list[str]:
-        failed = super().failed_checks()
-        if self.nearest_check is not None:
-            failed += [name for name, ok in (
-                ("nearest-point", self.nearest_check.passed),
-                ("distance-identity", self.distance_gap <= IDENTITY_TOL)) if not ok]
-        return failed
+        identities, own = [("projection", self.projection_gap <= IDENTITY_TOL)], []
+        if self.nearest_check is not None:  # statement 6
+            identities.append(("collapse", self.collapse_gap <= COLLAPSE_TOL))
+            own = [("nearest-point", self.nearest_check.passed),
+                   ("distance-identity", self.distance_gap <= IDENTITY_TOL)]
+        return failed_names(*identities) + super().failed_checks() + failed_names(*own)
 
     def to_dict(self):
         d = super().to_dict()
@@ -97,22 +97,20 @@ def ba_problem(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None, r: float | None,
 def certify_ba(m: SmoothMap, Y: ConvexSet, point: SaddlePoint, cfg: SaddleConfig,
                report: ConstantsReport, *, mode: str = "certified",
                uniqueness: dict | None = None, seed: int = 0,
-               theorem: str = "5", fail=raise_failure) -> BACertificate:
+               theorem: str = "5") -> BACertificate:
     """The certify step of an approximation run on the problem ``cfg`` from
     ``ba_problem``.
 
-    Checks y* = P_T(f(x*)) and runs the sampled saddle checks of ``point``
-    (a fresh solve or a stored solution).  Statement 6 adds the collapse
-    x* = y*, the distance identity and the sampled nearest-point check.  A
-    failed identity goes to ``fail``; ``uniqueness`` is the solver's record
-    and is only carried into the verdict.
+    Measures y* = P_T(f(x*)) and runs the sampled saddle checks of
+    ``point`` (a fresh solve or a stored solution).  Statement 6 adds the
+    collapse x* = y*, the distance identity and the sampled nearest-point
+    check.  It never raises on a failed check: the gates ran in
+    ``ba_problem``, and a failed identity or check is a name in
+    ``failed_checks``.  ``uniqueness`` is the solver's record and is only
+    carried into the verdict.
     """
     x_star, y_star, r = point.x_star, point.y_star, cfg.r
     projection_gap = norm(y_star - cfg.T.project(m.val(x_star)))
-    if projection_gap > IDENTITY_TOL:
-        fail("projection", CheckFailure(
-            f"y* is {projection_gap:.2e} from the projection of f(x*) onto T",
-            witness=y_star))
     schecks = check_saddle(ba_payoff(m, Y), point, cfg, seed=seed + 1)
     cert = BACertificate(
         theorem=theorem, mode=mode, r=r, x_star=x_star, y_star=y_star,
@@ -121,10 +119,6 @@ def certify_ba(m: SmoothMap, Y: ConvexSet, point: SaddlePoint, cfg: SaddleConfig
         saddle_checks=schecks, uniqueness=uniqueness)
     if theorem == "6":
         cert.collapse_gap = float(norm(x_star - y_star))
-        if cert.collapse_gap > COLLAPSE_TOL:
-            fail("collapse", CheckFailure(
-                f"saddle components did not collapse (gap {cert.collapse_gap:.2e})",
-                witness=x_star))
         fx = m.val(x_star)
         cert.distance_gap = float(abs(norm(fx - x_star) - dist_ball(fx, r)))
         cert.nearest_check = check_nearest_point(

@@ -41,8 +41,8 @@ from .ba import (ba_problem, ba_small_radius, certify_ba, solve_best_approx,
 from .catalog import SmoothMap, ba_payoff, map_from_dict, require_fields, vi_payoff
 from .constants import (CertFlag, ConstantsReport, admissible_radius, ba_report,
                         delta_const, vi_report)
-from .errors import (BallSaddleError, CertificationError, CheckFailure, ConfigError,
-                     HypothesisViolation, InvalidInput, NonConvergence)
+from .errors import (BallSaddleError, CertificationError, ConfigError, HypothesisViolation,
+                     InvalidInput, NonConvergence)
 from .geometry import Ball, Box, ConvexSet, as_point
 from .saddle import (SaddleConfig, SaddlePoint, check_saddle, gate, payoff_depends_on_y,
                      raise_failure, solve_saddle, uniqueness_consistent)
@@ -62,8 +62,7 @@ DEFAULT_TOLERANCES = {key: getattr(SaddleConfig, name) for key, name in _TOLERAN
 
 _COMMON = ("seed", "n_samples", "tolerances", "heuristic")
 _FIELDS = {
-    "constants": {"required": ("problem",),
-                  "optional": ("application", "y_set") + _COMMON},
+    "constants": {"required": ("problem",), "optional": ("application", "y_set")},
     "saddle": {"required": ("problem",),
                "optional": ("payoff", "r", "t_set", "y_set") + _COMMON},
     "vi": {"required": ("problem",),
@@ -74,8 +73,7 @@ _FIELDS = {
                   "optional": ("r", "y_set", "t_set", "uniqueness_starts") + _COMMON},
     "best-approx": {"required": ("problem",),
                     "optional": ("r", "uniqueness_starts") + _COMMON},
-    "small-radius": {"required": ("problem",),
-                     "optional": ("application", "epsilon") + _COMMON},
+    "small-radius": {"required": ("problem",), "optional": ("application", "epsilon")},
 }
 
 
@@ -249,7 +247,7 @@ def _saddle_problem(cfg: RunConfig, m: SmoothMap, fail=raise_failure):
         rho=rho, theta=rep.theta, gamma=rep.gamma, eta=rep.eta, delta=delta,
         M=rep.M, L=L, sigma=rep.sigma, radius_rule="saddle")
     if delta.value > 0.0:
-        report = replace(report, r_max=admissible_radius("saddle", report, rho))
+        report = replace(report, r_max=admissible_radius(report))
     gate(report, r, cfg.mode, rho, fail)
     scfg = SaddleConfig(r=r, T=T, L=L.value, smoothness=2.0 * L.value + rep.theta.value,
                         r_max=report.r_max, **_settings(cfg))
@@ -257,10 +255,11 @@ def _saddle_problem(cfg: RunConfig, m: SmoothMap, fail=raise_failure):
 
 
 def _certify_saddle(cfg: RunConfig, payoff, scfg: SaddleConfig,
-                    report: ConstantsReport, point: SaddlePoint) -> dict:
-    """The certify step of the saddle command: the sampled saddle checks."""
+                    report: ConstantsReport, point: SaddlePoint) -> tuple[dict, list[str]]:
+    """The certify step of the saddle command, the sampled saddle checks:
+    (certificate body, names of its failed checks)."""
     checks = check_saddle(payoff, point, scfg, seed=cfg.seed + 1)
-    return {
+    doc = {
         "theorem": "1", "mode": cfg.mode, "r": float(scfg.r),
         "solution": {"x_star": [float(v) for v in point.x_star],
                      "y_star": [float(v) for v in point.y_star],
@@ -272,22 +271,21 @@ def _certify_saddle(cfg: RunConfig, payoff, scfg: SaddleConfig,
         "checks": {"saddle": checks.to_dict()},
         "passed": bool(checks.passed),
     }
+    return doc, [] if checks.passed else ["saddle-checks"]
 
 
-def run(cfg: RunConfig) -> dict:
-    """Execute a parsed config and return the certificate document
-    (without envelope fields)."""
+def run(cfg: RunConfig) -> tuple[dict, list[str]]:
+    """Execute a parsed config: (certificate document without envelope
+    fields, names of its failed checks)."""
     m = map_from_dict(cfg.problem)
     if cfg.command == "constants":
         if cfg.application == "vi":
-            rep = vi_report(m, seed=cfg.seed, samples=cfg.n_samples)
-            theorem = "2"
+            rep, theorem = vi_report(m), "2"
         else:
-            rep = ba_report(m, _y_set(cfg, m), seed=cfg.seed, samples=cfg.n_samples)
-            theorem = "5"
+            rep, theorem = ba_report(m, _y_set(cfg, m)), "5"
         return {"theorem": theorem,
                 "mode": "certified" if rep.certified else "heuristic",
-                "constants": rep.to_dict(), "passed": True}
+                "constants": rep.to_dict(), "passed": True}, []
     if cfg.command == "small-radius":
         res = (small_radius(m, cfg.epsilon) if cfg.application == "vi"
                else ba_small_radius(m, cfg.epsilon))
@@ -298,29 +296,32 @@ def run(cfg: RunConfig) -> dict:
                 "checks": {"sigma-floor": {"passed": bool(ok),
                                            "floor": float(res.sigma_floor),
                                            "sigma": float(res.report.sigma.value)}},
-                "passed": bool(ok)}
+                "passed": bool(ok)}, [] if ok else ["sigma-floor"]
     if cfg.command == "saddle":
         payoff, scfg, report = _saddle_problem(cfg, m)
         return _certify_saddle(cfg, payoff, scfg, report, solve_saddle(payoff, scfg))
     kw = {"mode": cfg.mode, "seed": cfg.seed, **_settings(cfg)}
     if cfg.command == "vi":
-        return solve_vi(m, cfg.r, **kw).to_dict()
-    if cfg.command == "vi-shifted":
-        return solve_vi_shifted(m, cfg.w, cfg.r, **kw).to_dict()
-    if cfg.command == "prox-pair":
-        return solve_prox_pair(m, _y_set(cfg, m), _t_set(cfg, m), cfg.r, **kw).to_dict()
-    if cfg.command == "best-approx":
-        return solve_best_approx(m, cfg.r, **kw).to_dict()
-    raise ConfigError(f"unknown command {cfg.command!r}")
+        cert = solve_vi(m, cfg.r, **kw)
+    elif cfg.command == "vi-shifted":
+        cert = solve_vi_shifted(m, cfg.w, cfg.r, **kw)
+    elif cfg.command == "prox-pair":
+        cert = solve_prox_pair(m, _y_set(cfg, m), _t_set(cfg, m), cfg.r, **kw)
+    elif cfg.command == "best-approx":
+        cert = solve_best_approx(m, cfg.r, **kw)
+    else:
+        raise ConfigError(f"unknown command {cfg.command!r}")
+    return cert.to_dict(), cert.failed_checks()
 
 
 def _recertify(cfg: RunConfig, body: dict, fail) -> tuple[dict, list[str]]:
     """(recomputed body, names of its failed checks) for the solution stored
     in ``body``: the problem is rebuilt as ``run`` builds it and goes
-    through the same gates and certify step, with ``fail`` recording.  The
-    solver-owned fields (residual, iterations, step, uniqueness record) are
-    carried over from ``body``; the uniqueness record is only checked for
-    consistency."""
+    through the same gates and certify step.  ``fail`` records the failed
+    hypothesis gates and an inconsistent uniqueness record, and only those;
+    a failed check is named by the certify step.  The solver-owned fields
+    (residual, iterations, step, uniqueness record) are carried over from
+    ``body``; the uniqueness record is only checked for consistency."""
     m = map_from_dict(cfg.problem)
     try:
         sol, uniq = body["solution"], body["checks"].get("uniqueness")
@@ -328,15 +329,16 @@ def _recertify(cfg: RunConfig, body: dict, fail) -> tuple[dict, list[str]]:
                             as_point(sol["y_star"], dim=m.dimension),
                             float(body["residuals"]["saddle_residual"]),
                             int(body["iterations"]), float(body.get("step", 0.0)))
+        if uniq is not None and not isinstance(uniq.get("passed"), bool):
+            raise TypeError("the uniqueness record needs a boolean 'passed'")
         if cfg.command != "saddle" and not uniqueness_consistent(uniq, cfg.uniqueness_starts):
             fail("uniqueness-record", None)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"malformed certificate body: {exc!r}")
     if cfg.command == "saddle":
         payoff, scfg, report = _saddle_problem(cfg, m, fail)
-        doc = _certify_saddle(cfg, payoff, scfg, report, point)
-        return doc, [] if doc["passed"] else ["saddle-checks"]
-    kw = {"mode": cfg.mode, "uniqueness": uniq, "seed": cfg.seed, "fail": fail}
+        return _certify_saddle(cfg, payoff, scfg, report, point)
+    kw = {"mode": cfg.mode, "uniqueness": uniq, "seed": cfg.seed}
     if cfg.command in ("vi", "vi-shifted"):
         if cfg.command == "vi":
             target, rep = m, vi_report(m, seed=cfg.seed)
@@ -380,8 +382,7 @@ def verify(cert: dict) -> dict:
     failures, fresh = [], None
     if command in ("constants", "small-radius"):  # nothing solved: rerun
         try:
-            fresh = run(cfg)
-            failures = [name for name, c in fresh.get("checks", {}).items() if not c["passed"]]
+            fresh, failures = run(cfg)
         except HypothesisViolation:  # small-radius: the map vanishes at the origin
             failures = ["origin-nonzero"]
     else:
@@ -498,17 +499,17 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         if args.command == "verify":
             out_doc = verify(doc)
-            passed = out_doc["verified"]
+            failures = out_doc["failures"]
         else:
             overrides = {key: getattr(args, key) for key in _OVERRIDES
                          if getattr(args, key, None) is not None}
             cfg = parse_config({**doc, **overrides} if isinstance(doc, dict) else doc,
                                args.command)
-            body = run(cfg)
-            passed = bool(body.get("passed", False))
+            body, failures = run(cfg)
             out_doc = {"format": CERT_FORMAT, "command": cfg.command,
                        "seed": cfg.seed, "config": cfg.to_dict(),
-                       "certificate": body, "passed": passed}
+                       "certificate": body, "passed": not failures}
+        passed = not failures
         out_doc["wall_time"] = time.perf_counter() - t0
         text = json.dumps(_to_jsonable(out_doc), sort_keys=True, indent=2) + "\n"
         if args.out:
@@ -517,6 +518,8 @@ def main(argv=None) -> int:
             print(f"{status} {args.command}: certificate written to {args.out}")
         else:
             sys.stdout.write(text)
+        if not passed:
+            print(f"check failure: {', '.join(failures)}", file=sys.stderr)
         return 0 if passed else 3
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -527,9 +530,6 @@ def main(argv=None) -> int:
             msg += f" (deficit {exc.deficit:.6g})"
         print(msg, file=sys.stderr)
         return 2
-    except CheckFailure as exc:
-        print(f"check failure: {exc}", file=sys.stderr)
-        return 3
     except NonConvergence as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 4

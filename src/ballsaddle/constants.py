@@ -313,7 +313,7 @@ def vi_report(m, samples: int = 1000, seed: int = 0) -> ConstantsReport:
     sig = CertValue(sigma_vi(m.val(zero), m.jac(zero), rho), CertFlag.ANALYTIC)
     report = ConstantsReport(rho=rho, theta=theta, gamma=gamma, M=M, sigma=sig,
                              radius_rule="vi")
-    return replace(report, r_max=admissible_radius("vi", report, rho) if sig.value > 0 else 0.0)
+    return replace(report, r_max=admissible_radius(report) if sig.value > 0 else 0.0)
 
 
 def ba_report(m, Y: ConvexSet, samples: int = 1000, seed: int = 0) -> ConstantsReport:
@@ -338,31 +338,30 @@ def ba_report(m, Y: ConvexSet, samples: int = 1000, seed: int = 0) -> ConstantsR
     delta = CertValue(2.0 * sig.value, CertFlag.ANALYTIC)
     report = ConstantsReport(rho=rho, theta=theta, gamma=gamma, eta=eta, delta=delta,
                              L=L, sigma=sig, radius_rule="ba")
-    return replace(report, r_max=admissible_radius("ba", report, rho) if sig.value > 0 else 0.0)
+    return replace(report, r_max=admissible_radius(report) if sig.value > 0 else 0.0)
 
 
-def admissible_radius(mode: str, report: ConstantsReport, rho: float) -> float:
-    """Largest certified ball radius for the given rule, capped at ``rho``.
+def admissible_radius(report: ConstantsReport) -> float:
+    """Largest certified ball radius under the report's radius rule, capped
+    at the report's ``rho``.
 
     Rules: ``saddle`` uses delta/(2 L), ``vi`` uses sigma/(2 M), ``ba`` uses
     sigma/L.  A zero denominator with a positive numerator makes the bound
     vacuous (returns ``rho``); a zero numerator is a hypothesis violation.
     """
+    rule, rho = report.radius_rule, report.rho
     if rho <= 0:
         raise InvalidInput("rho must be positive")
-    if mode == "saddle":
-        num, den, what = report.delta, report.L, "delta"
-        scale = 2.0
-    elif mode == "vi":
-        num, den, what = report.sigma, report.M, "sigma"
-        scale = 2.0
-    elif mode == "ba":
-        num, den, what = report.sigma, report.L, "sigma"
-        scale = 1.0
+    if rule == "saddle":
+        num, den, what, scale = report.delta, report.L, "delta", 2.0
+    elif rule == "vi":
+        num, den, what, scale = report.sigma, report.M, "sigma", 2.0
+    elif rule == "ba":
+        num, den, what, scale = report.sigma, report.L, "sigma", 1.0
     else:
-        raise InvalidInput(f"unknown radius rule {mode!r}")
+        raise InvalidInput(f"unknown radius rule {rule!r}")
     if num is None or den is None:
-        raise InvalidInput(f"radius rule {mode!r} needs both its constants in the report")
+        raise InvalidInput(f"radius rule {rule!r} needs both its constants in the report")
     if num.value <= 0.0:
         raise HypothesisViolation(f"positivity hypothesis violated: {what} = 0")
     if den.value <= 0.0:

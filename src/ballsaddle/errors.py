@@ -35,17 +35,6 @@ class NonConvergence(BallSaddleError):
         self.iterations = iterations
 
 
-class CheckFailure(BallSaddleError):
-    """A computed solution fails one of its sampled verification checks.
-
-    ``witness`` holds the sample point at which the check is violated.
-    """
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class CertificationError(BallSaddleError):
     """Certified mode met constants that are not certification grade, or a
     user-supplied oracle broke its contract (a non-idempotent projection)."""

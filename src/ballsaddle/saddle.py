@@ -135,6 +135,11 @@ class SaddleChecks:
                 "reports": [rep.to_dict() for rep in self.reports]}
 
 
+def failed_names(*checks: tuple[str, bool]) -> list[str]:
+    """The names of the (name, held) pairs that did not hold, in order."""
+    return [name for name, ok in checks if not ok]
+
+
 @dataclass
 class Certificate:
     """Solution, constants and check outcomes of one certified run; the VI
@@ -143,8 +148,8 @@ class Certificate:
     ``theorem`` is the wire label of the certified statement template (see
     the certificate format notes in the README).  ``mode`` is "certified"
     only when every constant used is certification grade and r respects the
-    admissible radius.  ``passed`` holds when no check failed and the
-    uniqueness record, if any, passed.
+    admissible radius.  ``failed_checks`` names every failed check and is
+    the only verdict: ``passed`` holds when it is empty.
     """
 
     theorem: str
@@ -159,12 +164,15 @@ class Certificate:
     uniqueness: dict | None
 
     def failed_checks(self) -> list[str]:
-        return [] if self.saddle_checks.passed else ["saddle-checks"]
+        """The sampled saddle checks, then the uniqueness record; the
+        subclasses put their identities first and their own checks last."""
+        return failed_names(
+            ("saddle-checks", self.saddle_checks.passed),
+            ("uniqueness", self.uniqueness is None or bool(self.uniqueness["passed"])))
 
     @property
     def passed(self) -> bool:
-        return not self.failed_checks() and (self.uniqueness is None
-                                             or bool(self.uniqueness["passed"]))
+        return not self.failed_checks()
 
     def to_dict(self):
         return {
@@ -257,8 +265,9 @@ def solve_saddle(payoff, cfg: SaddleConfig, x0=None, y0=None) -> SaddlePoint:
 
 
 def raise_failure(name: str, error: Exception):
-    """Failure sink of the solve paths: a failed gate or identity raises.
-    ``verify`` passes a sink that records ``name`` and goes on."""
+    """Failure sink of the solve paths: a failed hypothesis gate raises.
+    ``verify`` passes a sink that records ``name`` and goes on.  Only the
+    gates use a sink; a failed check is a name in ``failed_checks``."""
     raise error
 
 

@@ -26,10 +26,10 @@ import numpy as np
 
 from .catalog import SmoothMap, shift_map, vi_payoff
 from .constants import ConstantsReport, op_norm, vi_report
-from .errors import CheckFailure, HypothesisViolation, InvalidInput
+from .errors import HypothesisViolation, InvalidInput
 from .geometry import Ball, norm
 from .saddle import (Certificate, CheckReport, SaddleConfig, SaddlePoint,
-                     ball_check_samples, check_saddle, exclusion_mask, gate,
+                     ball_check_samples, check_saddle, exclusion_mask, failed_names, gate,
                      probe_uniqueness, raise_failure, slack_report, solve_saddle)
 
 COLLAPSE_TOL = 1e-6
@@ -49,10 +49,11 @@ class VICertificate(Certificate):
     gate: dict = field(default_factory=dict)
 
     def failed_checks(self) -> list[str]:
-        return super().failed_checks() + [
-            name for name, ok in (("vi-inequality", self.vi_check.passed),
-                                  ("direction", self.direction_gap <= DIRECTION_TOL))
-            if not ok]
+        return (failed_names(("collapse", self.collapse_gap <= COLLAPSE_TOL),
+                             ("map-nonzero", self.map_norm > MAP_ZERO_TOL))
+                + super().failed_checks()
+                + failed_names(("vi-inequality", self.vi_check.passed),
+                               ("direction", self.direction_gap <= DIRECTION_TOL)))
 
     def to_dict(self):
         d = super().to_dict()
@@ -102,28 +103,22 @@ def vi_problem(m: SmoothMap, r: float | None, report: ConstantsReport,
 
 def certify_vi(m: SmoothMap, point: SaddlePoint, cfg: SaddleConfig,
                report: ConstantsReport, *, mode: str = "certified",
-               uniqueness: dict | None = None, seed: int = 0,
-               fail=raise_failure) -> VICertificate:
+               uniqueness: dict | None = None, seed: int = 0) -> VICertificate:
     """The certify step of a VI run on the problem ``cfg`` from ``vi_problem``;
     the certificate is labeled statement 2 (``solve_vi_shifted`` relabels it).
 
-    Checks the structural identities of ``point`` (a fresh solve or a
+    Measures the structural identities of ``point`` (a fresh solve or a
     stored solution): x* = y*, F(x*) != 0 and x* antiparallel to F(x*) on
     the sphere; then runs the sampled saddle and double-inequality checks.
-    A failed identity goes to ``fail``; ``uniqueness`` is the solver's
-    record and is only carried into the verdict.
+    It never raises on a failed check: the gates ran in ``vi_problem``, and
+    a failed identity or check is a name in ``failed_checks``.
+    ``uniqueness`` is the solver's record and is only carried into the
+    verdict.
     """
     x_star, r = point.x_star, cfg.r
     collapse_gap = norm(x_star - point.y_star)
-    if collapse_gap > COLLAPSE_TOL:
-        fail("collapse", CheckFailure(
-            f"saddle components did not collapse (gap {collapse_gap:.2e}); "
-            "the solver failed or the constants are invalid", witness=x_star))
     fx = m.val(x_star)
     map_norm = norm(fx)
-    if map_norm <= MAP_ZERO_TOL:
-        fail("map-nonzero", CheckFailure("the map vanishes at the solution",
-                                         witness=x_star))
     direction_gap = norm(x_star + (r / map_norm) * fx) if map_norm > 0.0 else np.inf
     schecks = check_saddle(vi_payoff(m), point, cfg, seed=seed + 1)
     vcheck = check_vi(m, x_star, r, cfg.n_samples, seed + 2,

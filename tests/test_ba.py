@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ballsaddle import (Ball, Box, CheckFailure, HypothesisViolation, InvalidInput,
+from ballsaddle import (Ball, Box, HypothesisViolation, InvalidInput,
                         ba_small_radius, check_nearest_point, dist_ball,
                         make_affine, make_constant, solve_best_approx,
                         solve_prox_pair)

@@ -225,10 +225,14 @@ class TestOverrides:
                     _build_parser().parse_args(argv)
 
     @pytest.mark.parametrize("argv", [["constants", "--r", "0.3"], ["small-radius", "--r", "0.3"],
-                                      ["verify", "--seed", "9"], ["verify", "--heuristic"]])
+                                      ["verify", "--seed", "9"], ["verify", "--heuristic"],
+                                      ["constants", "--seed", "9"], ["constants", "--heuristic"],
+                                      ["small-radius", "--seed", "9"],
+                                      ["small-radius", "--heuristic"]])
     def test_override_outside_the_schema_is_one(self, tmp_path, capsys, argv):
         # constants and small-radius have no r: their certificate would hold a
-        # field that verify rejects; verify recomputes from the stored config
+        # field that verify rejects; they sample nothing and gate nothing, so
+        # they have no seed or mode either; verify recomputes from the stored config
         cfgp = write_config(tmp_path, {"problem": AFFINE})
         assert main(argv[:1] + ["--config", cfgp] + argv[1:]) == 1
         assert argv[1] in capsys.readouterr().err
@@ -237,9 +241,9 @@ class TestOverrides:
         assert parse_config({"problem": AFFINE}, "vi").to_dict() == {
             "command": "vi", "problem": AFFINE, "seed": 0, "n_samples": 2000,
             "heuristic": False, "tolerances": DEFAULT_TOLERANCES, "uniqueness_starts": 16}
+        # small-radius reads no seed, sample count, tolerance or mode
         assert parse_config({"problem": AFFINE}, "small-radius").to_dict() == {
-            "command": "small-radius", "problem": AFFINE, "seed": 0, "n_samples": 2000,
-            "heuristic": False, "tolerances": DEFAULT_TOLERANCES, "application": "vi",
+            "command": "small-radius", "problem": AFFINE, "application": "vi",
             "epsilon": 0.5}
 
     def test_config_echo_parses_back(self):
@@ -397,6 +401,26 @@ class TestVerify:
             doc["certificate"]["mode"] = "certified"
         assert self.verify_tampered(tmp_path, capsys, cert, tamper) == ["radius-admissible"]
 
+    def test_heuristic_failure_is_written_and_verified(self, tmp_path, capsys):
+        # r = 1 is beyond r_max = 1/4: the pair does not collapse, and the run
+        # writes its watermarked failing certificate instead of raising
+        cfgp = write_config(tmp_path, {"problem": AFFINE})
+        out = tmp_path / "cert.json"
+        assert main(["vi", "--config", cfgp, "--r", "1.0", "--heuristic",
+                     "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.startswith("FAIL vi:")
+        doc = json.loads(out.read_text())
+        assert doc["certificate"]["mode"] == "heuristic"
+        assert doc["passed"] is False and doc["certificate"]["passed"] is False
+        names = captured.err.strip().removeprefix("check failure: ").split(", ")
+        assert names[0] == "collapse"
+        assert main(["verify", "--config", str(out)]) == 3
+        captured_verify = capsys.readouterr()
+        ver = json.loads(captured_verify.out)
+        assert ver["failures"] == names and ver["certificate_passed"] is False
+        assert captured_verify.err == captured.err
+
     def test_theorem_changed(self, tmp_path, capsys):
         def tamper(doc):
             doc["certificate"]["theorem"] = "3"
@@ -486,7 +510,42 @@ class TestVerify:
         def tamper(doc):
             doc["certificate"]["checks"]["uniqueness"]["passed"] = False
         failures = self.verify_tampered(tmp_path, capsys, self.make_cert(tmp_path), tamper)
-        assert failures == ["uniqueness-record", "recorded:passed"]
+        assert failures == ["uniqueness-record", "uniqueness", "recorded:passed"]
+
+    def test_failed_uniqueness_record_is_named(self, tmp_path, capsys):
+        # a self-consistent failed record on a certificate that says it failed:
+        # every stored field matches, and the verdict is still a failure
+        def tamper(doc):
+            doc["certificate"]["checks"]["uniqueness"].update(max_pairwise=0.5, passed=False)
+            doc["certificate"]["passed"] = doc["passed"] = False
+        failures = self.verify_tampered(tmp_path, capsys, self.make_cert(tmp_path), tamper)
+        assert failures == ["uniqueness"]
+
+    @pytest.mark.parametrize("record", [{"starts": 16, "max_pairwise": 0.0}, "junk", [1]])
+    def test_malformed_uniqueness_record_is_config_error(self, tmp_path, capsys, record):
+        cert = self.make_cert(tmp_path)
+        doc = json.loads(cert.read_text())
+        doc["certificate"]["checks"]["uniqueness"] = record
+        cert.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cert)]) == 1
+        assert "malformed certificate body" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case, key, value, name", [
+        ("vi", "y_star", [-0.25, 0.001], "collapse"),  # every sampled check still passes
+        ("prox-pair-box", "y_star", [0.5, 0.001], "projection"),
+        ("vi", "x_star", [-2.0, 0.0], "map-nonzero")])
+    def test_broken_identity_is_named(self, tmp_path, capsys, case, key, value, name):
+        command, doc = ROUND_TRIPS[case]
+        cert = self.make_cert(tmp_path, command, doc)
+
+        def tamper(doc):
+            doc["certificate"]["solution"][key] = value
+            if name == "map-nonzero":  # F(-2, 0) = 0; keep the pair collapsed
+                doc["certificate"]["solution"]["y_star"] = value
+        failures = self.verify_tampered(tmp_path, capsys, cert, tamper)
+        # the stored verdict is true, so recorded:passed means the recomputed one is false
+        assert failures[0] == name and "recorded:passed" in failures
 
     def test_containment_broken_is_named(self, tmp_path, capsys):
         command, doc = ROUND_TRIPS["prox-pair-box"]

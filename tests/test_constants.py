@@ -281,7 +281,7 @@ class TestReports:
         rep = vi_report(m)
         assert rep.r_max == 0.0
         with pytest.raises(HypothesisViolation):
-            admissible_radius("vi", rep, 1.0)
+            admissible_radius(rep)
 
     def test_vacuous_denominator(self):
         # M = 0 (constant map): the radius bound degenerates to rho itself

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ballsaddle import (CertificationError, CheckFailure, HypothesisViolation,
+from ballsaddle import (CertificationError, HypothesisViolation,
                         InvalidInput, check_vi, make_affine, make_constant,
                         make_quadratic, small_radius, solve_vi, solve_vi_shifted,
                         vi_report)
@@ -81,6 +81,15 @@ class TestSolveVI:
         assert cert.mode == "heuristic"
         assert not cert.constants.certified
         assert cert.passed  # checks still run and still pass
+
+    def test_heuristic_beyond_admissible_returns_failing_certificate(self):
+        # r = 1 is four times r_max: the saddle pair does not collapse, and
+        # the run names that check instead of raising
+        cert = solve_vi(affine_instance(), r=1.0, mode="heuristic")
+        assert cert.mode == "heuristic" and not cert.passed
+        assert cert.failed_checks()[0] == "collapse"
+        assert cert.collapse_gap == pytest.approx(0.25, abs=1e-6)
+        assert cert.to_dict()["passed"] is False
 
     def test_bad_mode_rejected(self):
         with pytest.raises(InvalidInput):
