@@ -12,8 +12,9 @@ unique nearest point of ball(r) to its own image:
     ||f(x*) - x*|| = dist(f(x*), ball(r)),
     ||f(x) - x*||  < ||f(x) - x||   for every other x in ball(r).
 
-``solve_prox_pair`` certifies the general pair; ``solve_best_approx`` adds
-the collapse and nearest-point conclusions; ``ba_small_radius`` picks a
+``solve_prox_pair`` certifies the general pair and probes its uniqueness;
+``solve_best_approx`` adds the collapse and nearest-point conclusions and
+proves uniqueness; ``ba_small_radius`` picks a
 radius that makes the hypotheses automatic when f(0) != 0.  Both solves
 gate the problem (``ba_problem``), solve, and hand the solution to
 ``certify_ba``, the same certify step ``verify`` runs on a stored solution.
@@ -28,10 +29,11 @@ import numpy as np
 from .catalog import SmoothMap, ba_payoff
 from .constants import ConstantsReport, ba_report
 from .errors import HypothesisViolation
-from .geometry import Ball, ConvexSet, dist_ball, norm
-from .saddle import (Certificate, CheckReport, SaddleConfig, SaddlePoint,
-                     ball_check_samples, check_saddle, exclusion_mask, failed_names, gate,
-                     probe_uniqueness, raise_failure, slack_report, solve_saddle)
+from .geometry import Ball, ConvexSet, dist_ball, norm, project_ball
+from .saddle import (UNIQUENESS_STARTS, Certificate, CheckReport, SaddleConfig, SaddlePoint,
+                     ball_check_samples, check_saddle, contraction_record, exclusion_mask,
+                     failed_names, gate, probe_uniqueness, raise_failure, require_count,
+                     slack_report, solve_saddle)
 from .vi import COLLAPSE_TOL, SmallRadiusResult, radius_from_origin
 
 IDENTITY_TOL = 1e-6
@@ -103,11 +105,12 @@ def certify_ba(m: SmoothMap, Y: ConvexSet, point: SaddlePoint, cfg: SaddleConfig
 
     Measures y* = P_T(f(x*)) and runs the sampled saddle checks of
     ``point`` (a fresh solve or a stored solution).  Statement 6 adds the
-    collapse x* = y*, the distance identity and the sampled nearest-point
-    check.  It never raises on a failed check: the gates ran in
+    collapse x* = y*, the distance identity, the sampled nearest-point
+    check and the ``contraction_record`` of x -> P_ball(r)(f(x)), with the
+    floor max(r, ||f(0)|| - r theta) (the projection is 1-Lipschitz, and
+    radial beyond r).  It never raises on a failed check: the gates ran in
     ``ba_problem``, and a failed identity or check is a name in
-    ``failed_checks``.  ``uniqueness`` is the solver's record and is only
-    carried into the verdict.
+    ``failed_checks``.  ``uniqueness`` is the probe record of statement 5.
     """
     x_star, y_star, r = point.x_star, point.y_star, cfg.r
     projection_gap = norm(y_star - cfg.T.project(m.val(x_star)))
@@ -124,30 +127,34 @@ def certify_ba(m: SmoothMap, Y: ConvexSet, point: SaddlePoint, cfg: SaddleConfig
         cert.nearest_check = check_nearest_point(
             m, x_star, r, cfg.n_samples, seed + 4,
             strict_margin=cfg.strict_margin, exclusion_factor=cfg.exclusion_factor)
+        reach = norm(m.val(np.zeros(m.dimension))) - r * report.theta.value
+        cert.uniqueness = contraction_record(r, report.theta.value, max(r, reach),
+                                             norm(x_star - project_ball(fx, r)))
     return cert
 
 
 def solve_prox_pair(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None,
                     r: float | None = None, report: ConstantsReport | None = None,
-                    *, mode: str = "certified", seed: int = 0, theorem: str = "5",
-                    **settings) -> BACertificate:
-    """Solve and certify the saddle pair of the approximation payoff on
-    ball(r) x T, with y* the projection of f(x*) onto T.
+                    *, mode: str = "certified", seed: int = 0,
+                    uniqueness_starts: int = UNIQUENESS_STARTS, **settings) -> BACertificate:
+    """Solve and certify the saddle pair of statement 5: the approximation
+    payoff on ball(r) x T, with y* the projection of f(x*) onto T.
 
     ``r`` defaults to the admissible radius sigma / L and ``T`` (None) to
     ball(r).  Certified mode requires certification-grade constants and r
-    within the admissible radius.  ``settings`` (``tol``, ``max_iters``,
-    ``check_tol``, ``strict_margin``, ``exclusion_factor``, ``n_samples``,
-    ``uniqueness_starts``) go to SaddleConfig, which holds their defaults.
+    within the admissible radius.  ``uniqueness_starts`` counts the starts
+    of the uniqueness probe (none runs below two).  ``settings`` (``tol``,
+    ``max_iters``, ``check_tol``, ``strict_margin``, ``exclusion_factor``,
+    ``n_samples``) go to SaddleConfig, which holds their defaults.
     """
+    require_count("uniqueness_starts", uniqueness_starts, 0)
     if report is None:
         report = ba_report(m, Y, seed=seed)
     cfg = ba_problem(m, Y, T, r, report, mode, seed=seed, fail=raise_failure, **settings)
     payoff = ba_payoff(m, Y)
     point = solve_saddle(payoff, cfg)
-    uniq = probe_uniqueness(payoff, cfg, seed + 3)
-    return certify_ba(m, Y, point, cfg, report, mode=mode, uniqueness=uniq, seed=seed,
-                      theorem=theorem)
+    uniq = probe_uniqueness(payoff, cfg, uniqueness_starts, seed + 3)
+    return certify_ba(m, Y, point, cfg, report, mode=mode, uniqueness=uniq, seed=seed)
 
 
 def check_nearest_point(m: SmoothMap, x_star, r: float,
@@ -168,13 +175,20 @@ def check_nearest_point(m: SmoothMap, x_star, r: float,
 
 
 def solve_best_approx(m: SmoothMap, r: float | None = None,
-                      report: ConstantsReport | None = None, **kw) -> BACertificate:
-    """Certify the unique best-approximation point: Y = ball(rho) and
-    T = ball(r), where the saddle pair collapses onto x* = P_ball(r)(f(x*)).
-    ``kw`` are the keywords of ``solve_prox_pair``.
+                      report: ConstantsReport | None = None, *, mode: str = "certified",
+                      seed: int = 0, **settings) -> BACertificate:
+    """Certify the unique best-approximation point of statement 6:
+    Y = ball(rho) and T = ball(r), where the saddle pair collapses onto
+    x* = P_ball(r)(f(x*)).  The keywords are those of ``solve_prox_pair``
+    but the start count: uniqueness is proved, not probed.
     """
-    return solve_prox_pair(m, Ball(m.domain_radius, m.dimension), None, r, report,
-                           theorem="6", **kw)
+    Y = Ball(m.domain_radius, m.dimension)
+    if report is None:
+        report = ba_report(m, Y, seed=seed)
+    cfg = ba_problem(m, Y, None, r, report, mode, seed=seed, fail=raise_failure,
+                     **settings)
+    point = solve_saddle(ba_payoff(m, Y), cfg)
+    return certify_ba(m, Y, point, cfg, report, mode=mode, seed=seed, theorem="6")
 
 
 def ba_small_radius(m: SmoothMap, epsilon: float = 0.5) -> SmallRadiusResult:

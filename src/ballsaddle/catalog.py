@@ -26,7 +26,11 @@ import numpy as np
 
 from .constants import CertFlag, op_norm
 from .errors import DimensionMismatch, InvalidInput
-from .geometry import Ball, ConvexSet, as_point, sample_ball
+from .geometry import Ball, ConvexSet, as_point, axis_points, sample_ball
+
+# a declared constant below its axis-point lower bound by more than this
+# share of the bound is refuted; the share absorbs last-bit rounding
+REFUTE_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -454,5 +458,41 @@ def map_from_dict(doc: dict, path: str = "problem") -> SmoothMap:
                 raise ConfigError(f"{name} must be a finite number >= 0",
                                   path=f"{declared_path}.{name}")
             values.update({name: float(v), name + "_flag": CertFlag.ANALYTIC})
-        m.analytic = replace(m.analytic, **values)
+        for name, (bound, witness) in axis_lower_bounds(m, declared).items():
+            if bound - declared[name] > REFUTE_REL_TOL * bound:
+                raise ConfigError(
+                    f"declared {name} = {declared[name]} is refuted: the Jacobian at "
+                    f"x = {witness} gives {name} >= {bound:.12g} "
+                    f"(deficit {bound - declared[name]:.6g})",
+                    path=f"{declared_path}.{name}")
+        declare(m, values)
+    return m
+
+
+def axis_lower_bounds(m: SmoothMap, names) -> dict:
+    """{name: (lower bound, witness point)} for each of ``names`` among
+    theta, gamma and eta, from the Jacobians at the origin and at the 2n
+    axis points +-rho e_i: theta >= ||J(x)||, eta >= ||I - J(x)|| and
+    gamma >= ||J(x) - J(0)|| / rho."""
+    n, rho = m.dimension, m.domain_radius
+    jac0 = m.jac(np.zeros(n))
+    labels = ["0"] + [f"{'+-'[k % 2]}{rho:g} e_{k // 2 + 1}" for k in range(2 * n)]
+    best = {}
+    for label, x in zip(labels, np.vstack([np.zeros((1, n)), axis_points(n, rho)])):
+        J = jac0 if label == "0" else m.jac(x)
+        bounded = {"theta": J, "eta": np.eye(n) - J, "gamma": (J - jac0) / rho}
+        for name in names:
+            v = op_norm(bounded[name])
+            if name not in best or v > best[name][0]:
+                best[name] = (v, label)
+    return best
+
+
+def declare(m: SmoothMap, values: dict) -> SmoothMap:
+    """Put the declared constants ``values`` (with their flags) on ``m`` and
+    on every restriction of it: a bound declared on ball(rho) still holds
+    on each smaller ball, where the catalog rebuilds the map."""
+    m.analytic = replace(m.analytic, **values)
+    rebuild = m.restricted
+    m.restricted = lambda r: declare(rebuild(r), values)
     return m

@@ -44,12 +44,12 @@ from .constants import (CertFlag, ConstantsReport, admissible_radius, ba_report,
 from .errors import (BallSaddleError, CertificationError, ConfigError, HypothesisViolation,
                      InvalidInput, NonConvergence)
 from .geometry import Ball, Box, ConvexSet, as_point
-from .saddle import (SaddleConfig, SaddlePoint, check_saddle, gate, payoff_depends_on_y,
-                     raise_failure, solve_saddle, uniqueness_consistent)
+from .saddle import (UNIQUENESS_STARTS, SaddleConfig, SaddlePoint, check_saddle, gate,
+                     payoff_depends_on_y, raise_failure, solve_saddle, uniqueness_consistent)
 from .vi import (certify_vi, shift_problem, small_radius, solve_vi, solve_vi_shifted,
                  vi_problem)
 
-CERT_FORMAT = "ballsaddle-certificate/1"
+CERT_FORMAT = "ballsaddle-certificate/2"
 VERIFY_FORMAT = "ballsaddle-verification/1"
 VERIFY_REL_TOL = 1e-9
 VERIFY_ABS_TOL = 1e-14
@@ -65,14 +65,11 @@ _FIELDS = {
     "constants": {"required": ("problem",), "optional": ("application", "y_set")},
     "saddle": {"required": ("problem",),
                "optional": ("payoff", "r", "t_set", "y_set") + _COMMON},
-    "vi": {"required": ("problem",),
-           "optional": ("r", "uniqueness_starts") + _COMMON},
-    "vi-shifted": {"required": ("problem", "w"),
-                   "optional": ("r", "uniqueness_starts") + _COMMON},
+    "vi": {"required": ("problem",), "optional": ("r",) + _COMMON},
+    "vi-shifted": {"required": ("problem", "w"), "optional": ("r",) + _COMMON},
     "prox-pair": {"required": ("problem",),
                   "optional": ("r", "y_set", "t_set", "uniqueness_starts") + _COMMON},
-    "best-approx": {"required": ("problem",),
-                    "optional": ("r", "uniqueness_starts") + _COMMON},
+    "best-approx": {"required": ("problem",), "optional": ("r",) + _COMMON},
     "small-radius": {"required": ("problem",), "optional": ("application", "epsilon")},
 }
 
@@ -80,7 +77,8 @@ _FIELDS = {
 @dataclass
 class RunConfig:
     """A fully-resolved run request; ``to_dict`` is the echo embedded in
-    certificates.  The run settings default to SaddleConfig's."""
+    certificates.  The run settings default to SaddleConfig's, the start
+    count of the prox-pair probe to ``solve_prox_pair``'s."""
 
     command: str
     problem: dict
@@ -88,7 +86,7 @@ class RunConfig:
     seed: int = 0
     n_samples: int = SaddleConfig.n_samples
     heuristic: bool = False
-    uniqueness_starts: int = SaddleConfig.uniqueness_starts
+    uniqueness_starts: int = UNIQUENESS_STARTS
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     application: str = "vi"
     payoff: str = "vi"
@@ -213,7 +211,7 @@ def set_from_dict(doc: dict, dim: int, path: str) -> ConvexSet:
 
 def _settings(cfg: RunConfig) -> dict:
     """The SaddleConfig run settings of a run request."""
-    return {"n_samples": cfg.n_samples, "uniqueness_starts": cfg.uniqueness_starts,
+    return {"n_samples": cfg.n_samples,
             **{name: cfg.tolerances[key] for key, name in _TOLERANCE_FIELDS.items()}}
 
 
@@ -306,7 +304,8 @@ def run(cfg: RunConfig) -> tuple[dict, list[str]]:
     elif cfg.command == "vi-shifted":
         cert = solve_vi_shifted(m, cfg.w, cfg.r, **kw)
     elif cfg.command == "prox-pair":
-        cert = solve_prox_pair(m, _y_set(cfg, m), _t_set(cfg, m), cfg.r, **kw)
+        cert = solve_prox_pair(m, _y_set(cfg, m), _t_set(cfg, m), cfg.r,
+                               uniqueness_starts=cfg.uniqueness_starts, **kw)
     elif cfg.command == "best-approx":
         cert = solve_best_approx(m, cfg.r, **kw)
     else:
@@ -318,27 +317,29 @@ def _recertify(cfg: RunConfig, body: dict, fail) -> tuple[dict, list[str]]:
     """(recomputed body, names of its failed checks) for the solution stored
     in ``body``: the problem is rebuilt as ``run`` builds it and goes
     through the same gates and certify step.  ``fail`` records the failed
-    hypothesis gates and an inconsistent uniqueness record, and only those;
-    a failed check is named by the certify step.  The solver-owned fields
-    (residual, iterations, step, uniqueness record) are carried over from
-    ``body``; the uniqueness record is only checked for consistency."""
+    hypothesis gates and an inconsistent probe record, and only those; a
+    failed check is named by the certify step.  The solver-owned fields
+    (residual, iterations, step, the probe record of ``prox-pair``) are
+    carried over from ``body``; the probe record is only checked for
+    consistency, and a contraction record is recomputed."""
     m = map_from_dict(cfg.problem)
+    probed = cfg.command == "prox-pair"
     try:
-        sol, uniq = body["solution"], body["checks"].get("uniqueness")
+        sol, uniq = body["solution"], body["checks"].get("uniqueness") if probed else None
         point = SaddlePoint(as_point(sol["x_star"], dim=m.dimension),
                             as_point(sol["y_star"], dim=m.dimension),
                             float(body["residuals"]["saddle_residual"]),
                             int(body["iterations"]), float(body.get("step", 0.0)))
         if uniq is not None and not isinstance(uniq.get("passed"), bool):
             raise TypeError("the uniqueness record needs a boolean 'passed'")
-        if cfg.command != "saddle" and not uniqueness_consistent(uniq, cfg.uniqueness_starts):
+        if probed and not uniqueness_consistent(uniq, cfg.uniqueness_starts):
             fail("uniqueness-record", None)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"malformed certificate body: {exc!r}")
     if cfg.command == "saddle":
         payoff, scfg, report = _saddle_problem(cfg, m, fail)
         return _certify_saddle(cfg, payoff, scfg, report, point)
-    kw = {"mode": cfg.mode, "uniqueness": uniq, "seed": cfg.seed}
+    kw = {"mode": cfg.mode, "seed": cfg.seed}
     if cfg.command in ("vi", "vi-shifted"):
         if cfg.command == "vi":
             target, rep = m, vi_report(m, seed=cfg.seed)
@@ -353,7 +354,7 @@ def _recertify(cfg: RunConfig, body: dict, fail) -> tuple[dict, list[str]]:
         rep = ba_report(m, Y, seed=cfg.seed)
         scfg = ba_problem(m, Y, _t_set(cfg, m), cfg.r, rep, cfg.mode, seed=cfg.seed,
                           fail=fail, **_settings(cfg))
-        cert = certify_ba(m, Y, point, scfg, rep,
+        cert = certify_ba(m, Y, point, scfg, rep, uniqueness=uniq,
                           theorem="5" if cfg.command == "prox-pair" else "6", **kw)
     return cert.to_dict(), cert.failed_checks()
 
@@ -362,7 +363,7 @@ def verify(cert: dict) -> dict:
     """Recompute the deterministic body of a certificate and compare it,
     field by field, with the stored one.
 
-    The solver and the uniqueness probe are not re-run (see
+    The solver and the prox-pair uniqueness probe are not re-run (see
     ``_recertify``).  Returns a verification document whose ``verified``
     field is the overall verdict; ``failures`` names every failed gate or
     check and every stored field that disagrees with its recomputation
@@ -507,8 +508,9 @@ def main(argv=None) -> int:
                                args.command)
             body, failures = run(cfg)
             out_doc = {"format": CERT_FORMAT, "command": cfg.command,
-                       "seed": cfg.seed, "config": cfg.to_dict(),
-                       "certificate": body, "passed": not failures}
+                       "config": cfg.to_dict(), "certificate": body, "passed": not failures}
+            if "seed" in _FIELDS[cfg.command]["optional"]:
+                out_doc["seed"] = cfg.seed
         passed = not failures
         out_doc["wall_time"] = time.perf_counter() - t0
         text = json.dumps(_to_jsonable(out_doc), sort_keys=True, indent=2) + "\n"

@@ -11,10 +11,11 @@ property of y* within tolerance, the strictly-minimizing property of x*
 with a margin outside a small exclusion ball, sphere membership of x* when
 the radius is admissible, and the minimax gap of phi.
 
-Every solve is a solver step (``solve_saddle`` plus ``probe_uniqueness``)
-and a certify step.  ``gate`` is the radius/mode gate both share: the
-solve paths run it before solving, ``verify`` runs it with a failure sink
-that records instead of raising.
+Every solve is a solver step (``solve_saddle``; statement 5 adds
+``probe_uniqueness``) and a certify step (statements 2, 4 and 6 prove
+uniqueness there with ``contraction_record``).  ``gate`` is the radius/mode
+gate both share: the solve paths run it before solving, ``verify`` runs it
+with a failure sink that records instead of raising.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ EVAL_DOMAIN_TOL = 1e-9
 SPHERE_TOL = 1e-6
 MAX_STEP_HALVINGS = 60
 UNIQUENESS_TOL = 1e-5
+UNIQUENESS_STARTS = 16
 
 
 @dataclass
@@ -41,8 +43,7 @@ class SaddleConfig:
     place where the solver and check settings get their defaults and their
     validation.
 
-    ``n_samples`` sizes each sampled check and ``uniqueness_starts`` is the
-    start count of the uniqueness probe (none runs below two starts).
+    ``n_samples`` sizes each sampled check.
     ``smoothness`` bounds the Lipschitz constant of the saddle operator and
     fixes the extragradient step 1/(2 * smoothness); the problem builders
     set it to 2 * weight + theta from the constants report.  ``r_max`` is
@@ -59,7 +60,6 @@ class SaddleConfig:
     strict_margin: float = 1e-9
     exclusion_factor: float = 1e-4
     n_samples: int = 2000
-    uniqueness_starts: int = 16
     r_max: float | None = None
 
     def __post_init__(self):
@@ -72,10 +72,7 @@ class SaddleConfig:
         if self.tol <= 0 or self.max_iters < 1:
             raise InvalidInput("tol must be positive and max_iters >= 1")
         require_exclusion_factor(self.exclusion_factor)
-        for name, least in (("n_samples", 1), ("uniqueness_starts", 0)):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
-                raise InvalidInput(f"{name} must be an integer >= {least}, got {v!r}")
+        require_count("n_samples", self.n_samples, 1)
 
     @property
     def step(self) -> float:
@@ -307,11 +304,16 @@ def gate(report, r, mode: str, rho: float, fail=raise_failure) -> float:
     return float(r)
 
 
-def probe_uniqueness(payoff, cfg: SaddleConfig, seed: int) -> dict | None:
-    """The uniqueness record of a solve: the spread of the solutions from
-    ``cfg.uniqueness_starts`` scattered starting points, or None below two
+def require_count(name: str, value, least: int):
+    """A count setting must be an integer >= ``least`` (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise InvalidInput(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def probe_uniqueness(payoff, cfg: SaddleConfig, starts: int, seed: int) -> dict | None:
+    """The uniqueness record of a prox-pair solve: the spread of the
+    solutions from ``starts`` scattered starting points, or None below two
     starts."""
-    starts = cfg.uniqueness_starts
     if starts < 2:
         return None
     spread = uniqueness_probe(
@@ -329,6 +331,19 @@ def uniqueness_consistent(record, starts: int) -> bool:
         return starts < 2
     return (isinstance(record, dict) and record.get("starts") == starts
             and record.get("passed") == (float(record["max_pairwise"]) <= UNIQUENESS_TOL))
+
+
+def contraction_record(r: float, theta: float, floor: float, gap: float) -> dict:
+    """The proved uniqueness record of statements 2, 4 and 6, whose solutions
+    are the fixed points of a map G of ball(r) into itself: a theta-Lipschitz
+    map, then a normalization that is r/floor-Lipschitz on its image.  G
+    contracts with q = r theta / floor; for q < 1 Banach's theorem gives one
+    solution, within gap / (1 - q) of a point of ball(r) that G moves by
+    gap.  A floor <= 0 proves nothing: q is inf and the record fails."""
+    q = r * theta / floor if floor > 0.0 else np.inf
+    proved = q < 1.0
+    return {"method": "contraction", "q": float(q), "passed": bool(proved),
+            "error_bound": float(gap / (1.0 - q)) if proved else np.inf}
 
 
 def payoff_depends_on_y(payoff, x_star, T: ConvexSet, seed: int = 0) -> bool:

@@ -9,9 +9,10 @@ sphere of radius r satisfying the double strict inequality
 The point is computed as the collapsed saddle point of the payoff
 J(x, y) = <F(x), x - y> regularized with weight L = M, and certified by
 sampled checks plus structural identities: x* = y*, F(x*) != 0 and x*
-antiparallel to F(x*) on the sphere.  ``solve_vi`` gates the problem
-(``vi_problem``), solves, and hands the solution to ``certify_vi``, the
-same certify step ``verify`` runs on a stored solution.
+antiparallel to F(x*) on the sphere, and by the contraction that makes it
+unique.  ``solve_vi`` gates the problem (``vi_problem``), solves, and hands
+the solution to ``certify_vi``, the same certify step ``verify`` runs on a
+stored solution.
 
 ``solve_vi_shifted`` handles maps with vanishing Jacobian at the origin
 shifted by a far-enough target w, and ``small_radius`` picks a radius that
@@ -29,8 +30,8 @@ from .constants import ConstantsReport, op_norm, vi_report
 from .errors import HypothesisViolation, InvalidInput
 from .geometry import Ball, norm
 from .saddle import (Certificate, CheckReport, SaddleConfig, SaddlePoint,
-                     ball_check_samples, check_saddle, exclusion_mask, failed_names, gate,
-                     probe_uniqueness, raise_failure, slack_report, solve_saddle)
+                     ball_check_samples, check_saddle, contraction_record, exclusion_mask,
+                     failed_names, gate, raise_failure, slack_report, solve_saddle)
 
 COLLAPSE_TOL = 1e-6
 DIRECTION_TOL = 1e-6
@@ -103,7 +104,7 @@ def vi_problem(m: SmoothMap, r: float | None, report: ConstantsReport,
 
 def certify_vi(m: SmoothMap, point: SaddlePoint, cfg: SaddleConfig,
                report: ConstantsReport, *, mode: str = "certified",
-               uniqueness: dict | None = None, seed: int = 0) -> VICertificate:
+               seed: int = 0) -> VICertificate:
     """The certify step of a VI run on the problem ``cfg`` from ``vi_problem``;
     the certificate is labeled statement 2 (``solve_vi_shifted`` relabels it).
 
@@ -111,15 +112,16 @@ def certify_vi(m: SmoothMap, point: SaddlePoint, cfg: SaddleConfig,
     stored solution): x* = y*, F(x*) != 0 and x* antiparallel to F(x*) on
     the sphere; then runs the sampled saddle and double-inequality checks.
     It never raises on a failed check: the gates ran in ``vi_problem``, and
-    a failed identity or check is a name in ``failed_checks``.
-    ``uniqueness`` is the solver's record and is only carried into the
-    verdict.
+    a failed identity or check is a name in ``failed_checks``.  Uniqueness
+    is the ``contraction_record`` of x -> -r F(x)/||F(x)||, with the floor
+    ||F(0)|| - r theta of ||F|| on ball(r).
     """
     x_star, r = point.x_star, cfg.r
     collapse_gap = norm(x_star - point.y_star)
     fx = m.val(x_star)
     map_norm = norm(fx)
     direction_gap = norm(x_star + (r / map_norm) * fx) if map_norm > 0.0 else np.inf
+    floor = norm(m.val(np.zeros(m.dimension))) - r * report.theta.value
     schecks = check_saddle(vi_payoff(m), point, cfg, seed=seed + 1)
     vcheck = check_vi(m, x_star, r, cfg.n_samples, seed + 2,
                       strict_margin=cfg.strict_margin, exclusion_factor=cfg.exclusion_factor)
@@ -128,7 +130,8 @@ def certify_vi(m: SmoothMap, point: SaddlePoint, cfg: SaddleConfig,
         residual=point.residual, iterations=point.iterations,
         collapse_gap=float(collapse_gap), map_norm=float(map_norm),
         direction_gap=float(direction_gap), constants=report,
-        saddle_checks=schecks, vi_check=vcheck, uniqueness=uniqueness)
+        saddle_checks=schecks, vi_check=vcheck,
+        uniqueness=contraction_record(r, report.theta.value, floor, direction_gap))
 
 
 def solve_vi(m: SmoothMap, r: float | None = None,
@@ -140,16 +143,14 @@ def solve_vi(m: SmoothMap, r: float | None = None,
     constants must be certification grade and r must respect the admissible
     radius; heuristic mode skips both gates and watermarks the certificate.
     ``settings`` (``tol``, ``max_iters``, ``check_tol``, ``strict_margin``,
-    ``exclusion_factor``, ``n_samples``, ``uniqueness_starts``) go to
-    SaddleConfig, which holds their defaults.
+    ``exclusion_factor``, ``n_samples``) go to SaddleConfig, which holds
+    their defaults.
     """
     if report is None:
         report = vi_report(m, seed=seed)
     cfg = vi_problem(m, r, report, mode, fail=raise_failure, **settings)
-    payoff = vi_payoff(m)
-    point = solve_saddle(payoff, cfg)
-    uniq = probe_uniqueness(payoff, cfg, seed + 3)
-    return certify_vi(m, point, cfg, report, mode=mode, uniqueness=uniq, seed=seed)
+    point = solve_saddle(vi_payoff(m), cfg)
+    return certify_vi(m, point, cfg, report, mode=mode, seed=seed)
 
 
 def shift_problem(m: SmoothMap, w, *, seed: int = 0, fail=raise_failure):

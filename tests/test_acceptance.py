@@ -11,11 +11,13 @@ import pytest
 
 from ballsaddle import (Ball, Box, ba_payoff, make_affine, make_constant,
                         make_quadratic, shift_map, sigma_ba, sigma_vi,
-                        solve_best_approx, solve_prox_pair, solve_vi,
+                        solve_best_approx, solve_prox_pair, solve_saddle, solve_vi,
                         solve_vi_shifted, validate_map, validate_payoff,
                         vi_payoff)
+from ballsaddle.ba import ba_problem
 from ballsaddle.cli import main
-from ballsaddle.oracles import grid_sigma_oracle, grid_vi_oracle
+from ballsaddle.oracles import grid_sigma_oracle, grid_vi_oracle, uniqueness_probe
+from ballsaddle.vi import vi_problem
 
 N_SAMPLES = 10**4
 SOLVE_TOL = 1e-10
@@ -77,8 +79,8 @@ def generator_map(i):
 @pytest.fixture(scope="module")
 def generated():
     """20 seeded catalog problems solved in certified mode at r = r_max."""
-    return [solve_vi(generator_map(i), tol=SOLVE_TOL, n_samples=N_SAMPLES,
-                     uniqueness_starts=0, seed=i) for i in range(20)]
+    return [solve_vi(generator_map(i), tol=SOLVE_TOL, n_samples=N_SAMPLES, seed=i)
+            for i in range(20)]
 
 
 def test_criterion_01_constant_map_closed_form():
@@ -220,13 +222,40 @@ def test_criterion_08_sigma_grid_agreement():
     _line(8, "sigma solvers match dense grid minimization within 1e-4", checks)
 
 
+def _distance_from_starts(m, cert, payoff, cfg):
+    """Largest distance from x* of the extragradient solutions started at
+    the 16 scattered points of ``uniqueness_probe``."""
+    sols = []
+
+    def solve_from(x0):
+        sols.append(solve_saddle(payoff, cfg, x0=x0, y0=x0).x_star)
+        return sols[-1]
+    uniqueness_probe(solve_from, starts=16, seed=3, dim=m.dimension, radius=cert.r)
+    return max(np.linalg.norm(x - cert.x_star) for x in sols)
+
+
 def test_criterion_09_uniqueness(named):
+    # the contraction proves uniqueness; 16 scattered starts audit the proof
+    maps = {"vi-constant": make_constant([3.0, 4.0], 1.0),
+            "vi-affine": make_affine(np.eye(2), [2.0, 0.0], 1.0),
+            "vi-shifted": shift_map(quartic_map(), [16.0, 0.0]),
+            "ba-constant": make_constant([2.0, 0.0], 1.0),
+            "ba-identity": make_affine(np.eye(2), [2.0, 0.0], 1.0)}
     checks = []
-    for name in ("vi-constant", "vi-affine", "ba-constant", "ba-identity"):
-        uniq = named[name].uniqueness
-        checks.append((name, uniq is not None and uniq["starts"] == 16
-                       and uniq["max_pairwise"] <= 1e-5))
-    _line(9, "16-start probes agree to 1e-5 on every certified instance",
+    for name, m in maps.items():
+        cert = named[name]
+        uniq = cert.uniqueness
+        checks.append((f"{name} contraction", uniq["method"] == "contraction"
+                       and uniq["q"] < 1.0 and uniq["passed"]))
+        if name.startswith("vi"):
+            payoff, cfg = vi_payoff(m), vi_problem(m, cert.r, cert.constants, tol=SOLVE_TOL)
+        else:
+            Y = Ball(1.0, m.dimension)
+            payoff = ba_payoff(m, Y)
+            cfg = ba_problem(m, Y, None, cert.r, cert.constants, tol=SOLVE_TOL)
+        checks.append((f"{name} 16 starts reach x*",
+                       _distance_from_starts(m, cert, payoff, cfg) <= 1e-5))
+    _line(9, "q < 1 on every certified instance, and 16 starts agree with x* to 1e-5",
           checks)
 
 
@@ -245,8 +274,7 @@ def test_criterion_11_determinism(named, generated, tmp_path):
                      tol=SOLVE_TOL, n_samples=N_SAMPLES)
     checks.append(("library rerun identical",
                    again.to_dict() == named["vi-affine"].to_dict()))
-    g5 = solve_vi(generator_map(5), tol=SOLVE_TOL, n_samples=N_SAMPLES,
-                  uniqueness_starts=0, seed=5)
+    g5 = solve_vi(generator_map(5), tol=SOLVE_TOL, n_samples=N_SAMPLES, seed=5)
     checks.append(("generator rerun identical",
                    g5.to_dict() == generated[5].to_dict()))
     cfg = tmp_path / "cfg.json"

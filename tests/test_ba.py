@@ -55,6 +55,25 @@ class TestBestApprox:
         with pytest.raises(HypothesisViolation):
             solve_best_approx(m)
 
+    def test_contraction_record(self):
+        # q = r theta / max(r, ||f(0)|| - r theta) = 0.5 / 1.5 for f(x) = x + (2, 0)
+        cert = solve_best_approx(shifted_identity(), tol=1e-6)
+        uniq = cert.uniqueness
+        assert uniq["method"] == "contraction" and uniq["passed"]
+        assert uniq["q"] == pytest.approx(1 / 3, rel=1e-12)
+        gap = np.linalg.norm(cert.x_star - cert.r * (cert.x_star + [2.0, 0.0])
+                             / np.linalg.norm(cert.x_star + [2.0, 0.0]))
+        assert uniq["error_bound"] == pytest.approx(1.5 * gap)
+        assert np.linalg.norm(cert.x_star - [0.5, 0.0]) <= uniq["error_bound"]
+        # a constant map is a contraction with q = 0
+        assert solve_best_approx(constant_two()).uniqueness["q"] == 0.0
+
+    def test_heuristic_without_contraction_names_uniqueness(self):
+        # r = 1: q = 1 / max(1, 2 - 1) = 1, the projection no longer contracts
+        cert = solve_best_approx(shifted_identity(), r=1.0, mode="heuristic")
+        assert (cert.uniqueness["q"], cert.uniqueness["passed"]) == (1.0, False)
+        assert cert.failed_checks() == ["uniqueness"]
+
     @pytest.mark.parametrize("keyword", ["tolerance", "step", "fail", "theorem"])
     def test_unknown_setting_is_a_type_error(self, keyword):
         with pytest.raises(TypeError, match=keyword):

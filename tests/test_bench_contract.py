@@ -68,5 +68,10 @@ def test_request_runs_traced():
         problems.certify(ballsaddle, _instance("vi"))
     assert ballsaddle.vi.solve_saddle is solve
     names = {s.name for s in tr.spans}
-    assert {"constants.report", "saddle.solve", "oracles.uniqueness", "saddle.check",
-            "vi.solve_vi", "vi.check"} <= names
+    assert {"constants.report", "saddle.solve", "saddle.check", "vi.solve_vi",
+            "vi.check"} <= names
+    # vi proves uniqueness by contraction; only the prox pair runs the probe
+    assert "oracles.uniqueness" not in names
+    with tracer.Tracer() as tr:
+        problems.certify(ballsaddle, _instance("prox-pair"))
+    assert "oracles.uniqueness" in {s.name for s in tr.spans}

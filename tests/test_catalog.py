@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from ballsaddle import (Ball, Box, CertFlag, ConfigError, DimensionMismatch,
                         InvalidInput, SmoothMap, ba_payoff, make_affine,
                         make_constant, make_quadratic, map_from_dict, shift_map,
-                        validate_map, validate_payoff, vi_payoff)
+                        small_radius, validate_map, validate_payoff, vi_payoff)
 
 
 def rand_quadratic(rng, n, rho=1.0, scale=0.2):
@@ -231,6 +231,39 @@ class TestMapFromDict:
         assert (a.eta, a.eta_flag) == (5.0, CertFlag.ANALYTIC)
         assert (a.theta, a.theta_flag) == (catalog.theta, CertFlag.CONSERVATIVE)
         assert (a.gamma, a.gamma_flag) == (catalog.gamma, CertFlag.CONSERVATIVE)
+
+    # F(x) = x + (2, 0) + (x^T x, 0): ||jac(e_1)|| = ||diag(3, 1)|| = 3,
+    # ||I - jac(e_1)|| = 2 and ||jac(e_1) - jac(0)|| = 2
+    REFUTED = {"kind": "quadratic", "A": [[1.0, 0.0], [0.0, 1.0]], "b": [2.0, 0.0],
+               "Q": [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]], "rho": 1.0}
+
+    @pytest.mark.parametrize("name, value, bound", [("theta", 0.01, 3.0), ("eta", 1.5, 2.0),
+                                                    ("gamma", 1.0, 2.0)])
+    def test_refuted_declaration_has_path_witness_and_deficit(self, name, value, bound):
+        # the declaration theta = 0.01 used to certify with r_max = 0.124
+        doc = dict(self.REFUTED, analytic_constants={name: value})
+        with pytest.raises(ConfigError) as exc:
+            map_from_dict(doc)
+        assert exc.value.path == f"problem.analytic_constants.{name}"
+        assert f"x = +1 e_1 gives {name} >= {bound:g}" in str(exc.value)
+        assert f"deficit {bound - value:g}" in str(exc.value)
+
+    def test_declaration_at_the_bound_is_kept(self):
+        # the catalog's own exact values survive their re-derivation at the axis points
+        m = map_from_dict(dict(self.REFUTED, analytic_constants={"theta": 3.0, "eta": 2.0,
+                                                                 "gamma": 2.0}))
+        assert (m.analytic.theta, m.analytic.eta, m.analytic.gamma) == (3.0, 2.0, 2.0)
+
+    def test_restriction_keeps_the_declaration(self):
+        # small_radius reports the restricted map's constants; a bound
+        # declared on ball(rho) still holds on the smaller ball
+        doc = {"kind": "quadratic", "A": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 0.0],
+               "Q": [[[0.1, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.1]]], "rho": 1.0,
+               "analytic_constants": {"theta": 50}}
+        res = small_radius(map_from_dict(doc))
+        assert res.report.theta.to_dict() == {"value": 50.0, "flag": "analytic"}
+        # the undeclared constants are still recomputed for the smaller ball
+        assert res.map.restrict(0.25).analytic.gamma_flag is CertFlag.CONSERVATIVE
 
     @pytest.mark.parametrize("value", ["abc", -1.0, None, True, float("inf"), [1.0]])
     def test_bad_declared_constant_has_path(self, value):

@@ -57,13 +57,14 @@ class TestParseConfig:
         pytest.param("r", 10**400, "finite number", id="r-beyond-float"),
         pytest.param("seed", 10**400, "finite number", id="seed-beyond-float")])
     def test_bad_number_has_its_path(self, key, value, message):
+        # prox-pair is the one command that takes every one of these fields
         with pytest.raises(ConfigError, match=message) as exc:
-            parse_config({"problem": AFFINE, key: value}, "vi")
+            parse_config({"problem": AFFINE, key: value}, "prox-pair")
         assert exc.value.path == key  # no leading dot
 
     def test_whole_numbers_keep_their_echo(self):
         cfg = parse_config({"problem": AFFINE, "seed": 3.0, "n_samples": 50,
-                            "uniqueness_starts": 0}, "vi")
+                            "uniqueness_starts": 0}, "prox-pair")
         assert (cfg.seed, cfg.n_samples, cfg.uniqueness_starts) == (3, 50, 0)
         assert isinstance(cfg.seed, int)
 
@@ -101,7 +102,7 @@ class TestExitCodes:
         cfgp = write_config(tmp_path, {"problem": AFFINE})
         assert main(["vi", "--config", cfgp]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["format"] == "ballsaddle-certificate/1"
+        assert doc["format"] == "ballsaddle-certificate/2"
         assert doc["passed"] is True
         assert doc["certificate"]["theorem"] == "2"
 
@@ -118,6 +119,21 @@ class TestExitCodes:
         cfgp = write_config(tmp_path, {"problem": AFFINE, "wat": 1})
         assert main(["vi", "--config", cfgp]) == 1
         assert "wat" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["vi", "vi-shifted", "best-approx"])
+    def test_start_count_outside_prox_pair_is_unknown(self, tmp_path, capsys, command):
+        doc = dict(ROUND_TRIPS[command][1], uniqueness_starts=16)
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 1
+        assert "unknown field 'uniqueness_starts'" in capsys.readouterr().err
+
+    def test_refuted_declaration_is_one(self, tmp_path, capsys):
+        # the quadratic declares theta = 0.01, but its Jacobian at e_1 has norm 3
+        cfgp = write_config(tmp_path, {"problem": dict(REFUTED, analytic_constants={
+            "theta": 0.01})})
+        assert main(["vi", "--config", cfgp]) == 1
+        err = capsys.readouterr().err
+        assert "problem.analytic_constants.theta: declared theta = 0.01 is refuted" in err
+        assert "x = +1 e_1" in err and "deficit 2.99" in err
 
     def test_missing_cli_argument(self, capsys):
         assert main(["vi"]) == 1
@@ -240,7 +256,7 @@ class TestOverrides:
     def test_config_echo_of_defaults(self):
         assert parse_config({"problem": AFFINE}, "vi").to_dict() == {
             "command": "vi", "problem": AFFINE, "seed": 0, "n_samples": 2000,
-            "heuristic": False, "tolerances": DEFAULT_TOLERANCES, "uniqueness_starts": 16}
+            "heuristic": False, "tolerances": DEFAULT_TOLERANCES}
         # small-radius reads no seed, sample count, tolerance or mode
         assert parse_config({"problem": AFFINE}, "small-radius").to_dict() == {
             "command": "small-radius", "problem": AFFINE, "application": "vi",
@@ -284,6 +300,9 @@ class TestCertificates:
 QUARTIC = {"kind": "quadratic", "A": [[0, 0], [0, 0]], "b": [0, 0], "rho": 1.0,
            "Q": [[[1, 0], [0, 1]], [[0, 0], [0, 0]]]}
 CONSTANT = {"kind": "constant", "c": [2.0, 0.0], "rho": 1.0}
+# F(x) = x + (2, 0) + (x^T x, 0): ||jac(e_1)|| = 3
+REFUTED = {"kind": "quadratic", "A": [[1, 0], [0, 1]], "b": [2, 0], "rho": 1.0,
+           "Q": [[[1, 0], [0, 1]], [[0, 0], [0, 0]]]}
 BOX = {"kind": "box", "lower": [-0.5, -0.5], "upper": [0.5, 0.5]}
 ROUND_TRIPS = {
     "vi": ("vi", {"problem": AFFINE}),
@@ -325,6 +344,12 @@ class TestVerify:
         assert out["format"] == "ballsaddle-verification/1"
         assert out["verified"] is True
         assert out["failures"] == []
+
+    @pytest.mark.parametrize("case", sorted(ROUND_TRIPS))
+    def test_envelope_seed_follows_the_schema(self, tmp_path, case):
+        # constants and small-radius draw no random numbers and have no seed
+        envelope = json.loads(self.make_cert(tmp_path, *ROUND_TRIPS[case]).read_text())
+        assert ("seed" in envelope) == (case not in ("constants", "small-radius"))
 
     @pytest.mark.parametrize("case", sorted(ROUND_TRIPS))
     def test_round_trip_checks_have_samples(self, tmp_path, case):
@@ -506,10 +531,13 @@ class TestVerify:
             doc["certificate"]["small_radius"]["constants"]["theta"]["value"] = 7.0
         assert self.verify_tampered(tmp_path, capsys, cert, tamper) == ["constants:theta"]
 
+    # the probe record of the prox pair is carried over and checked for consistency
     def test_passed_inconsistent_with_uniqueness_record(self, tmp_path, capsys):
         def tamper(doc):
             doc["certificate"]["checks"]["uniqueness"]["passed"] = False
-        failures = self.verify_tampered(tmp_path, capsys, self.make_cert(tmp_path), tamper)
+        failures = self.verify_tampered(tmp_path, capsys,
+                                        self.make_cert(tmp_path, *ROUND_TRIPS["prox-pair-box"]),
+                                        tamper)
         assert failures == ["uniqueness-record", "uniqueness", "recorded:passed"]
 
     def test_failed_uniqueness_record_is_named(self, tmp_path, capsys):
@@ -518,18 +546,56 @@ class TestVerify:
         def tamper(doc):
             doc["certificate"]["checks"]["uniqueness"].update(max_pairwise=0.5, passed=False)
             doc["certificate"]["passed"] = doc["passed"] = False
-        failures = self.verify_tampered(tmp_path, capsys, self.make_cert(tmp_path), tamper)
+        failures = self.verify_tampered(tmp_path, capsys,
+                                        self.make_cert(tmp_path, *ROUND_TRIPS["prox-pair-box"]),
+                                        tamper)
         assert failures == ["uniqueness"]
 
     @pytest.mark.parametrize("record", [{"starts": 16, "max_pairwise": 0.0}, "junk", [1]])
     def test_malformed_uniqueness_record_is_config_error(self, tmp_path, capsys, record):
-        cert = self.make_cert(tmp_path)
+        cert = self.make_cert(tmp_path, *ROUND_TRIPS["prox-pair-box"])
         doc = json.loads(cert.read_text())
         doc["certificate"]["checks"]["uniqueness"] = record
         cert.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["verify", "--config", str(cert)]) == 1
         assert "malformed certificate body" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["vi", "vi-shifted", "best-approx"])
+    @pytest.mark.parametrize("key, value", [("q", 0.5), ("error_bound", 1e-3)])
+    def test_contraction_record_changed(self, tmp_path, capsys, case, key, value):
+        # the contraction record is recomputed, not carried over
+        cert = self.make_cert(tmp_path, *ROUND_TRIPS[case])
+
+        def tamper(doc):
+            doc["certificate"]["checks"]["uniqueness"][key] = value
+        failures = self.verify_tampered(tmp_path, capsys, cert, tamper)
+        assert failures == [f"recorded:checks.uniqueness.{key}"]
+
+    def test_contraction_record_failing_is_recomputed(self, tmp_path, capsys):
+        # a stored record that claims no contraction is refuted by the recomputed one
+        def tamper(doc):
+            doc["certificate"]["checks"]["uniqueness"].update(q=2.0, passed=False)
+            doc["certificate"]["passed"] = doc["passed"] = False
+        failures = self.verify_tampered(tmp_path, capsys, self.make_cert(tmp_path), tamper)
+        assert failures == ["recorded:checks.uniqueness.passed", "recorded:checks.uniqueness.q",
+                            "recorded:passed"]
+
+    def test_moved_solution_changes_the_error_bound(self, tmp_path, capsys):
+        # x* moved by 1e-3, as the benchmark's tamper does
+        def tamper(doc):
+            doc["certificate"]["solution"]["x_star"][0] += 1e-3
+        failures = self.verify_tampered(tmp_path, capsys, self.make_cert(tmp_path), tamper)
+        assert "recorded:checks.uniqueness.error_bound" in failures
+
+    def test_format_1_certificate_is_config_error(self, tmp_path, capsys):
+        cert = self.make_cert(tmp_path)
+        doc = json.loads(cert.read_text())
+        doc["format"] = "ballsaddle-certificate/1"
+        cert.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cert)]) == 1
+        assert "not a ballsaddle-certificate/2 document" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case, key, value, name", [
         ("vi", "y_star", [-0.25, 0.001], "collapse"),  # every sampled check still passes
@@ -572,6 +638,16 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", "--config", str(cert)]) == 1
         assert "config error: w:" in capsys.readouterr().err
+
+    def test_refuted_declaration_is_config_error(self, tmp_path, capsys):
+        cert = self.make_cert(tmp_path, doc={"problem": REFUTED})
+        doc = json.loads(cert.read_text())
+        doc["config"]["problem"]["analytic_constants"] = {"theta": 0.01}
+        cert.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cert)]) == 1
+        assert "analytic_constants.theta: declared theta = 0.01 is refuted" \
+            in capsys.readouterr().err
 
     def test_wrong_format_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, {"format": "something-else"})

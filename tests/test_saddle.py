@@ -11,9 +11,9 @@ from ballsaddle import (Ball, Box, InvalidInput, NonConvergence, Payoff,
                         SaddleConfig, SaddlePoint, ba_report, check_nearest_point,
                         check_saddle, check_vi, make_constant, map_from_dict,
                         phi_value_grad, solve_saddle, vi_payoff, vi_report)
-from ballsaddle.ba import ba_problem
+from ballsaddle.ba import ba_problem, solve_prox_pair
 from ballsaddle.cli import DEFAULT_TOLERANCES, RunConfig, _saddle_problem, parse_config
-from ballsaddle.saddle import probe_uniqueness
+from ballsaddle.saddle import UNIQUENESS_STARTS, probe_uniqueness
 from ballsaddle.vi import vi_problem
 
 
@@ -63,8 +63,10 @@ class TestConfig:
             for name in ("n_samples", "strict_margin", "exclusion_factor"):
                 assert params[name].default == getattr(SaddleConfig, name)
         run = RunConfig(command="vi", problem={})
-        assert (run.n_samples, run.uniqueness_starts) == (SaddleConfig.n_samples,
-                                                          SaddleConfig.uniqueness_starts)
+        assert run.n_samples == SaddleConfig.n_samples
+        # the start count is a setting of the prox-pair probe only
+        starts = inspect.signature(solve_prox_pair).parameters["uniqueness_starts"].default
+        assert run.uniqueness_starts == starts == UNIQUENESS_STARTS
         assert DEFAULT_TOLERANCES == {
             "solve": SaddleConfig.tol, "check": SaddleConfig.check_tol,
             "strict_margin": SaddleConfig.strict_margin,
@@ -237,7 +239,7 @@ class TestChecks:
     @pytest.mark.parametrize("starts", [0, 1])
     def test_probe_needs_two_starts(self, starts):
         p, cfg, _ = self.make_solved()
-        assert probe_uniqueness(p, dataclasses.replace(cfg, uniqueness_starts=starts), 3) is None
+        assert probe_uniqueness(p, cfg, starts, 3) is None
 
     def test_reports_serialize(self):
         p, cfg, pt = self.make_solved()

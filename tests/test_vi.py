@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ballsaddle import (CertificationError, HypothesisViolation,
+from ballsaddle import (Ball, Box, CertificationError, HypothesisViolation,
                         InvalidInput, check_vi, make_affine, make_constant,
-                        make_quadratic, small_radius, solve_vi, solve_vi_shifted,
-                        vi_report)
+                        make_quadratic, small_radius, solve_best_approx, solve_prox_pair,
+                        solve_vi, solve_vi_shifted, vi_report)
 
 
 def affine_instance():
@@ -21,6 +21,7 @@ def affine_instance():
 @pytest.fixture
 def solve_calls(monkeypatch):
     """Calls of solve_saddle, counted where the solve paths look it up."""
+    import ballsaddle.ba as ba_mod
     import ballsaddle.saddle as saddle_mod
     import ballsaddle.vi as vi_mod
     calls, solve = [], saddle_mod.solve_saddle
@@ -28,9 +29,28 @@ def solve_calls(monkeypatch):
     def counting(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
-    for mod in (saddle_mod, vi_mod):
+    for mod in (saddle_mod, vi_mod, ba_mod):
         monkeypatch.setattr(mod, "solve_saddle", counting)
     return calls
+
+
+@pytest.fixture
+def probe_calls(monkeypatch):
+    """Calls of uniqueness_probe, counted where probe_uniqueness looks it up."""
+    import ballsaddle.saddle as saddle_mod
+    calls, probe = [], saddle_mod.uniqueness_probe
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return probe(*args, **kwargs)
+    monkeypatch.setattr(saddle_mod, "uniqueness_probe", counting)
+    return calls
+
+
+def box_pair(**settings):
+    # f = (2, 0) with the box T = [-1/2, 1/2]^2 inside Y = ball(1): statement 5
+    return solve_prox_pair(make_constant([2.0, 0.0], 1.0), Ball(1.0, 2),
+                           Box([-0.5, -0.5], [0.5, 0.5]), r=0.5, **settings)
 
 
 def quartic_gate_map(scale=1.0):
@@ -120,16 +140,72 @@ class TestSolveVI:
                                              ("uniqueness_starts", -3),
                                              ("uniqueness_starts", True)])
     def test_bad_count_stops_before_any_solve(self, solve_calls, name, value):
-        with pytest.raises(InvalidInput, match=f"{name} must be an integer"):
+        # the start count belongs to the prox-pair probe: solve_vi has none
+        error, match = ((TypeError, name) if name == "uniqueness_starts"
+                        else (InvalidInput, f"{name} must be an integer"))
+        with pytest.raises(error, match=match):
             solve_vi(affine_instance(), **{name: value})
         assert solve_calls == []
 
     def test_counts_reach_the_checks_and_the_probe(self):
-        cert = solve_vi(affine_instance(), n_samples=40, uniqueness_starts=3)
+        cert = solve_vi(affine_instance(), n_samples=40)
         # 40 ball samples, 40 // 4 sphere samples and the 4 axis points of ball(r) in 2-d
         assert cert.saddle_checks.report("y-maximal").n_samples == 54
-        assert cert.uniqueness["starts"] == 3
-        assert solve_vi(affine_instance(), uniqueness_starts=1).uniqueness is None
+        # only the prox pair of statement 5 still runs the probe
+        assert box_pair(uniqueness_starts=3).uniqueness["starts"] == 3
+        assert box_pair(uniqueness_starts=1).uniqueness is None
+
+    @pytest.mark.parametrize("value", [2.5, -3, True])
+    def test_bad_start_count_stops_the_prox_pair_before_any_solve(self, solve_calls, value):
+        with pytest.raises(InvalidInput, match="uniqueness_starts must be an integer"):
+            box_pair(uniqueness_starts=value)
+        assert solve_calls == []
+
+    @pytest.mark.parametrize("solve", [
+        lambda **kw: solve_vi(affine_instance(), **kw),
+        lambda **kw: solve_vi_shifted(quartic_gate_map(), [16.0, 0.0], 1.0, **kw),
+        lambda **kw: solve_best_approx(affine_instance(), **kw)],
+        ids=["vi", "vi-shifted", "best-approx"])
+    def test_start_count_is_a_type_error(self, solve_calls, solve):
+        with pytest.raises(TypeError, match="uniqueness_starts"):
+            solve(uniqueness_starts=16)
+        assert solve_calls == []
+
+    @pytest.mark.parametrize("solve", [
+        lambda: solve_vi(affine_instance()),
+        lambda: solve_vi_shifted(quartic_gate_map(), [16.0, 0.0], 1.0),
+        lambda: solve_best_approx(affine_instance())],
+        ids=["vi", "vi-shifted", "best-approx"])
+    def test_one_solve_and_no_probe(self, solve_calls, probe_calls, solve):
+        cert = solve()
+        assert (len(solve_calls), len(probe_calls)) == (1, 0)
+        assert cert.uniqueness["method"] == "contraction" and cert.passed
+
+    def test_contraction_record(self):
+        # q = r theta / (||F(0)|| - r theta) = 0.2 / 1.8, and the solver's
+        # direction gap bounds the distance to the unique solution
+        cert = solve_vi(affine_instance(), r=0.2, tol=1e-6)
+        uniq = cert.uniqueness
+        assert uniq["method"] == "contraction" and uniq["passed"]
+        assert uniq["q"] == pytest.approx(0.2 / 1.8, rel=1e-12)
+        assert uniq["error_bound"] == pytest.approx(cert.direction_gap / (1 - 0.2 / 1.8))
+        assert np.linalg.norm(cert.x_star - [-0.2, 0.0]) <= uniq["error_bound"]
+
+    def test_heuristic_without_contraction_names_uniqueness(self):
+        # r = 1 is beyond r_max: q = 1 / (2 - 1) = 1 proves nothing
+        cert = solve_vi(affine_instance(), r=1.0, mode="heuristic")
+        assert (cert.uniqueness["q"], cert.uniqueness["passed"]) == (1.0, False)
+        assert "uniqueness" in cert.failed_checks()
+        # ||F(0)|| = 2 is below r theta = 3: no floor keeps F away from 0
+        cert = solve_vi(make_affine(np.diag([3.0, 0.0]), [0.0, 2.0], 1.0), r=1.0,
+                        mode="heuristic")
+        assert cert.uniqueness == {"method": "contraction", "q": np.inf,
+                                   "error_bound": np.inf, "passed": False}
+        assert "uniqueness" in cert.failed_checks()
+
+    def test_prox_pair_still_probes(self, solve_calls, probe_calls):
+        assert box_pair().uniqueness["starts"] == 16
+        assert (len(solve_calls), len(probe_calls)) == (17, 1)
 
     def test_certificate_dict_shape(self):
         d = solve_vi(affine_instance(), tol=1e-10).to_dict()
