@@ -28,6 +28,8 @@ from .constants import CertFlag, op_norm
 from .errors import DimensionMismatch, InvalidInput
 from .geometry import Ball, ConvexSet, as_point, axis_points, sample_ball
 
+# value_batch may differ from the row-wise value by this share of the values
+BATCH_REL_TOL = 1e-10
 # a declared constant below its axis-point lower bound by more than this
 # share of the bound is refuted; the share absorbs last-bit rounding
 REFUTE_REL_TOL = 1e-9
@@ -92,9 +94,13 @@ class SmoothMap:
     def vals(self, X: np.ndarray) -> np.ndarray:
         """Value at each row of X, vectorized when the map supports it."""
         X = np.asarray(X, dtype=float)
-        if self.value_batch is not None:
-            return np.asarray(self.value_batch(X), dtype=float)
-        return np.stack([self.val(x) for x in X])
+        if self.value_batch is None:
+            return np.stack([self.val(x) for x in X])
+        out = np.asarray(self.value_batch(X), dtype=float)
+        if out.shape != (X.shape[0], self.dimension):
+            raise DimensionMismatch(
+                f"batch value has shape {out.shape}, expected ({X.shape[0]}, {self.dimension})")
+        return out
 
     def restrict(self, new_rho: float) -> "SmoothMap":
         """The same map viewed on a smaller ball, constants recomputed."""
@@ -178,18 +184,26 @@ def make_quadratic(A, b, Q, rho: float) -> SmoothMap:
     eta = float(norms[1]) + 2.0 * float(rho) * s
     m = SmoothMap(
         n, float(rho),
-        value=lambda x, A=A, b=b, Q=Q: A @ x + b + np.einsum("i,kij,j->k", x, Q, x),
-        jacobian=lambda x, A=A, Q=Q: A + 2.0 * np.einsum("kij,j->ki", Q, x),
+        value=lambda x, A=A, b=b, Q=Q: A @ x + b + (Q @ x) @ x,
+        jacobian=lambda x, A=A, Q=Q: A + 2.0 * (Q @ x),
         analytic=AnalyticConstants(
             theta=theta, gamma=2.0 * s, eta=eta,
             theta_flag=CertFlag.CONSERVATIVE,
             gamma_flag=CertFlag.CONSERVATIVE,
             eta_flag=CertFlag.CONSERVATIVE),
-        value_batch=lambda X, A=A, b=b, Q=Q: (
-            np.asarray(X) @ A.T + b + np.einsum("mi,kij,mj->mk", np.asarray(X), Q, np.asarray(X))),
+        value_batch=lambda X, A=A, b=b, Q=Q: X @ A.T + b + _quadratic_forms(X, Q),
     )
     m.restricted = lambda r, A=A, b=b, Q=Q: make_quadratic(A, b, Q, r)
     return m
+
+
+def _quadratic_forms(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Entry (m, k) is x_m^T Q_k x_m: one (rows, n) x (n, n) BLAS product per
+    component, so the extra memory stays O(rows n), never O(rows n^2)."""
+    out = np.empty((X.shape[0], Q.shape[0]))
+    for k, q in enumerate(Q):
+        out[:, k] = np.einsum("mi,mi->m", X @ q, X)
+    return out
 
 
 def shift_map(m: SmoothMap, w) -> SmoothMap:
@@ -316,25 +330,33 @@ def _fd_error(f, x, h: float, exact) -> float:
 
 def validate_map(m: SmoothMap, n_points: int = 100, seed: int = 0,
                  rel_tol: float = 1e-5) -> float:
-    """Check the Jacobian against central finite differences of the value.
+    """Check the Jacobian against central finite differences of the value,
+    and the batch value against the row-wise one.
 
-    Returns the worst relative error over random interior points; raises
-    InvalidInput when it exceeds ``rel_tol`` or an oracle output is not
-    finite.
+    Returns the worst relative Jacobian error over random interior points;
+    raises InvalidInput when it exceeds ``rel_tol``, when the batch value
+    differs by more than BATCH_REL_TOL relative, or when an oracle output is
+    not finite.
     """
     rng = np.random.default_rng(seed)
     h = 1e-5 * m.domain_radius
     pts = sample_ball(rng, n_points, m.dimension, max(m.domain_radius - 2 * h, 1e-12))
-    worst = 0.0
+    worst, rows = 0.0, []
     for x in pts:
         J = m.jac(x)
         v = m.val(x)
         if not (np.all(np.isfinite(J)) and np.all(np.isfinite(v))):
             raise InvalidInput("map oracle returned non-finite values")
         worst = max(worst, _fd_error(m.val, x, h, J))
+        rows.append(v)
     if worst > rel_tol:
         raise InvalidInput(
             f"jacobian disagrees with finite differences (relative error {worst:.2e})")
+    rows = np.stack(rows)
+    batch_err = float(np.linalg.norm(m.vals(pts) - rows) / max(1.0, float(np.linalg.norm(rows))))
+    if not batch_err <= BATCH_REL_TOL:
+        raise InvalidInput(
+            f"batch value disagrees with the row-wise value (relative error {batch_err:.2e})")
     return worst
 
 

@@ -78,7 +78,8 @@ _FIELDS = {
 class RunConfig:
     """A fully-resolved run request; ``to_dict`` is the echo embedded in
     certificates.  The run settings default to SaddleConfig's, the start
-    count of the prox-pair probe to ``solve_prox_pair``'s."""
+    count of the prox-pair probe to ``solve_prox_pair``'s.  ``smooth_map``
+    is the map ``parse_config`` built from ``problem``, outside the schema."""
 
     command: str
     problem: dict
@@ -94,6 +95,7 @@ class RunConfig:
     w: list | None = None
     y_set: dict | None = None
     t_set: dict | None = None
+    smooth_map: SmoothMap | None = field(default=None, repr=False, compare=False)
 
     @property
     def mode(self) -> str:
@@ -146,7 +148,7 @@ def parse_config(doc: dict, command: str) -> RunConfig:
             raise ConfigError(f"missing required field {key!r}", path=key)
 
     cfg = RunConfig(command=command, problem=doc["problem"])
-    map_from_dict(cfg.problem)  # validate early so errors carry config paths
+    cfg.smooth_map = map_from_dict(cfg.problem)  # built once; errors carry config paths
     for key, least in (("r", None), ("seed", 0), ("n_samples", 1),
                        ("uniqueness_starts", 0), ("epsilon", None)):
         if key in doc:
@@ -275,7 +277,7 @@ def _certify_saddle(cfg: RunConfig, payoff, scfg: SaddleConfig,
 def run(cfg: RunConfig) -> tuple[dict, list[str]]:
     """Execute a parsed config: (certificate document without envelope
     fields, names of its failed checks)."""
-    m = map_from_dict(cfg.problem)
+    m = cfg.smooth_map
     if cfg.command == "constants":
         if cfg.application == "vi":
             rep, theorem = vi_report(m), "2"
@@ -322,7 +324,7 @@ def _recertify(cfg: RunConfig, body: dict, fail) -> tuple[dict, list[str]]:
     (residual, iterations, step, the probe record of ``prox-pair``) are
     carried over from ``body``; the probe record is only checked for
     consistency, and a contraction record is recomputed."""
-    m = map_from_dict(cfg.problem)
+    m = cfg.smooth_map
     probed = cfg.command == "prox-pair"
     try:
         sol, uniq = body["solution"], body["checks"].get("uniqueness") if probed else None

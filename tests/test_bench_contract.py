@@ -61,6 +61,18 @@ def test_request_certifies_and_checks(request_type):
     assert cert.passed and why is None
 
 
+@pytest.mark.parametrize("request_type", ("vi", "best-approx"))
+def test_wide_quadratic_request_certifies_and_checks(request_type):
+    # check-wide's own size: the sampled checks run on 32-wide quadratic batches
+    wide = spec.WORKLOADS_BY_NAME["check-wide"]
+    slot = ("quadratic", 32, request_type)
+    inst = problems.draw_instance(1, wide.name, wide.slots.index(slot), slot)
+    cert = problems.certify(ballsaddle, inst)
+    wrong, why = problems.check_certificate(ballsaddle, inst, cert)
+    assert not wrong, why
+    assert cert.passed and why is None
+
+
 def test_request_runs_traced():
     solve = ballsaddle.saddle.solve_saddle
     with tracer.Tracer() as tr:

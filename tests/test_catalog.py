@@ -1,5 +1,7 @@
 """Catalog maps, payoffs and the JSON problem schema."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,7 +9,8 @@ from numpy.testing import assert_allclose
 from ballsaddle import (Ball, Box, CertFlag, ConfigError, DimensionMismatch,
                         InvalidInput, SmoothMap, ba_payoff, make_affine,
                         make_constant, make_quadratic, map_from_dict, shift_map,
-                        small_radius, validate_map, validate_payoff, vi_payoff)
+                        sample_ball, small_radius, validate_map, validate_payoff,
+                        vi_payoff)
 
 
 def rand_quadratic(rng, n, rho=1.0, scale=0.2):
@@ -181,6 +184,63 @@ def test_validate_map_catches_wrong_jacobian():
                   jacobian=lambda x: np.eye(2))  # true jacobian is diag(2x)
     with pytest.raises(InvalidInput):
         validate_map(m, n_points=20, seed=0)
+
+
+@pytest.mark.parametrize("n", [1, 3, 32])
+def test_quadratic_batch_matches_rowwise_value(n):
+    rng = np.random.default_rng(n)
+    m = rand_quadratic(rng, n)
+    X = sample_ball(rng, 500, n, 1.0)
+    rows = np.stack([m.val(x) for x in X])
+    assert np.linalg.norm(m.vals(X) - rows) <= 1e-12 * np.linalg.norm(rows)
+
+
+def test_quadratic_oracles_match_explicit_forms():
+    rng = np.random.default_rng(21)
+    A, b = rng.normal(size=(5, 5)), rng.normal(size=5)
+    Q = rng.normal(size=(5, 5, 5))
+    Q = Q + Q.transpose(0, 2, 1)
+    m = make_quadratic(A, b, Q, 1.0)
+    x = sample_ball(rng, 1, 5, 1.0)[0]
+    assert_allclose(m.val(x), A @ x + b + [x @ Q[k] @ x for k in range(5)], rtol=1e-13)
+    assert_allclose(m.jac(x), A + 2.0 * np.stack([Q[k] @ x for k in range(5)]), rtol=1e-13)
+
+
+def test_quadratic_batch_memory_stays_linear_in_rows():
+    # an (m, n, n) temporary of 2000 rows at n = 64 would take about 65 MB
+    rng = np.random.default_rng(2)
+    m = rand_quadratic(rng, 64)
+    X = sample_ball(rng, 2000, 64, 1.0)
+    tracemalloc.start()
+    try:
+        m.vals(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+
+
+def affine_with_batch(batch, n=3):
+    A = np.arange(n * n, dtype=float).reshape(n, n) / n ** 2
+    b = np.ones(n)
+    return SmoothMap(n, 1.0, value=lambda x: A @ x + b, jacobian=lambda x: A,
+                     value_batch=lambda X: batch(X @ A.T + b))
+
+
+def test_batch_of_the_wrong_shape_is_rejected():
+    m = affine_with_batch(lambda V: V.T)
+    with pytest.raises(DimensionMismatch, match="batch value"):
+        m.vals(np.zeros((4, 3)))
+    with pytest.raises(DimensionMismatch):
+        validate_map(m, n_points=20, seed=0)
+
+
+@pytest.mark.parametrize("batch", [lambda V: V.T, lambda V: V + 1e-3],
+                         ids=["transposed", "offset"])
+def test_validate_map_catches_batch_disagreeing_with_value(batch):
+    # three rows of three: a transposed batch has the right shape
+    with pytest.raises(InvalidInput, match="batch value disagrees"):
+        validate_map(affine_with_batch(batch), n_points=3, seed=0)
 
 
 class TestMapFromDict:

@@ -392,6 +392,26 @@ class TestVerify:
             # one constants report and no solve per verify
             assert calls in (["vi_report"], ["ba_report"]), (cert.name, calls)
 
+    def test_map_is_built_once_per_command(self, tmp_path, capsys, monkeypatch):
+        # parse_config builds the map and run or verify reuse it, so the
+        # declared-constant gate runs once per command
+        import ballsaddle.catalog as catalog_mod
+
+        calls, bounds = [], catalog_mod.axis_lower_bounds
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return bounds(*args, **kwargs)
+
+        monkeypatch.setattr(catalog_mod, "axis_lower_bounds", counting)
+        # theta = 4 holds: the largest axis-point Jacobian norm is 3
+        doc = {"problem": dict(REFUTED, analytic_constants={"theta": 4.0})}
+        cert = self.make_cert(tmp_path, "vi", doc)
+        assert len(calls) == 1
+        calls.clear()
+        assert main(["verify", "--config", str(cert)]) == 0
+        assert len(calls) == 1
+
     def test_tampered_solution_detected(self, tmp_path, capsys):
         def tamper(doc):
             doc["certificate"]["solution"]["x_star"] = [0.25, 0.0]
