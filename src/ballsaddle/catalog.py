@@ -225,9 +225,10 @@ def shift_map(m: SmoothMap, w) -> SmoothMap:
 class Payoff:
     """Scalar payoff J(x, y) on ball(rho) x Y with gradient oracles.
 
-    ``grad_y`` is analytic for catalog payoffs.  ``grad0_affine = (b, A)``
-    encodes ||grad_x(0, y)|| = ||b - A^T y|| for the exact delta
-    computation.
+    ``grad_y`` is analytic for catalog payoffs.  ``grads`` is an optional
+    fused oracle returning (grad_x, grad_y) from one evaluation of the map;
+    the solver uses it when present.  ``grad0_affine = (b, A)`` encodes
+    ||grad_x(0, y)|| = ||b - A^T y|| for the exact delta computation.
     """
 
     dimension: int
@@ -239,6 +240,7 @@ class Payoff:
     grad0_affine: tuple[np.ndarray, np.ndarray] | None = None
     value_xbatch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     value_ybatch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    grads: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def values_x(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """J(x, y) for each row x of X."""
@@ -268,6 +270,10 @@ def vi_payoff(m: SmoothMap) -> Payoff:
     def grad_y(x, y, m=m):
         return -m.val(x)
 
+    def grads(x, y, m=m):
+        v = m.val(x)
+        return m.jac(x).T @ (x - y) + v, -v
+
     def value_xbatch(X, y, m=m):
         V = m.vals(X)
         return np.einsum("mi,mi->m", V, np.asarray(X) - y)
@@ -279,7 +285,7 @@ def vi_payoff(m: SmoothMap) -> Payoff:
     return Payoff(
         m.dimension, m.domain_radius, Ball(m.domain_radius, m.dimension), value, grad_x, grad_y,
         grad0_affine=(m.val(np.zeros(m.dimension)), m.jac(np.zeros(m.dimension))),
-        value_xbatch=value_xbatch, value_ybatch=value_ybatch,
+        value_xbatch=value_xbatch, value_ybatch=value_ybatch, grads=grads,
     )
 
 
@@ -300,6 +306,10 @@ def ba_payoff(m: SmoothMap, y_set: ConvexSet) -> Payoff:
     def grad_y(x, y, m=m):
         return 2.0 * (m.val(x) - y)
 
+    def grads(x, y, m=m):
+        fx = m.val(x)
+        return 2.0 * (x - fx) - 2.0 * (m.jac(x).T @ (x - y)), 2.0 * (fx - y)
+
     def value_xbatch(X, y, m=m):
         X = np.asarray(X)
         F = m.vals(X)
@@ -315,7 +325,7 @@ def ba_payoff(m: SmoothMap, y_set: ConvexSet) -> Payoff:
     return Payoff(
         m.dimension, m.domain_radius, y_set, value, grad_x, grad_y,
         grad0_affine=(2.0 * m.val(zero), 2.0 * m.jac(zero)),
-        value_xbatch=value_xbatch, value_ybatch=value_ybatch,
+        value_xbatch=value_xbatch, value_ybatch=value_ybatch, grads=grads,
     )
 
 
@@ -352,30 +362,46 @@ def validate_map(m: SmoothMap, n_points: int = 100, seed: int = 0,
     if worst > rel_tol:
         raise InvalidInput(
             f"jacobian disagrees with finite differences (relative error {worst:.2e})")
-    rows = np.stack(rows)
-    batch_err = float(np.linalg.norm(m.vals(pts) - rows) / max(1.0, float(np.linalg.norm(rows))))
-    if not batch_err <= BATCH_REL_TOL:
-        raise InvalidInput(
-            f"batch value disagrees with the row-wise value (relative error {batch_err:.2e})")
+    _require_agreement(m.vals(pts), np.stack(rows), "batch value", "the row-wise value")
     return worst
+
+
+def _require_agreement(got: np.ndarray, want: np.ndarray, what: str, reference: str):
+    """A fast oracle path must agree with its reference within BATCH_REL_TOL
+    of the reference's norm."""
+    err = float(np.linalg.norm(got - want) / max(1.0, float(np.linalg.norm(want))))
+    if not err <= BATCH_REL_TOL:
+        raise InvalidInput(f"{what} disagrees with {reference} (relative error {err:.2e})")
 
 
 def validate_payoff(p: Payoff, n_points: int = 100, seed: int = 0,
                     rel_tol: float = 1e-5) -> float:
     """Check grad_x (and grad_y when present) against central differences,
+    the fused ``grads`` (when present) against them within BATCH_REL_TOL,
     and concavity of J(x, .) at sampled midpoints.  Returns the worst
     relative gradient error."""
     rng = np.random.default_rng(seed)
     h = 1e-6 * max(p.x_radius, 1.0)
     xs = sample_ball(rng, n_points, p.dimension, p.x_radius * 0.98)
     ys = p.y_set.sample(rng, n_points)
-    worst = 0.0
+    worst, fused, separate = 0.0, [], []
     for x, y in zip(xs, ys):
-        worst = max(worst, _fd_error(lambda v: p.value(v, y), x, h,
-                                     np.asarray(p.grad_x(x, y), dtype=float)))
-        if p.grad_y is not None:
-            worst = max(worst, _fd_error(lambda v: p.value(x, v), y, h,
-                                         np.asarray(p.grad_y(x, y), dtype=float)))
+        gx = np.asarray(p.grad_x(x, y), dtype=float)
+        worst = max(worst, _fd_error(lambda v: p.value(v, y), x, h, gx))
+        gy = None if p.grad_y is None else np.asarray(p.grad_y(x, y), dtype=float)
+        if p.grads is not None:
+            fx, fy = (np.asarray(g, dtype=float) for g in p.grads(x, y))
+            if fx.shape != gx.shape or fy.shape != y.shape:
+                raise InvalidInput(f"fused gradients have shapes {fx.shape} and {fy.shape}, "
+                                   f"expected {gx.shape} and {y.shape}")
+            gy = fy if gy is None else gy  # a fused grad_y alone meets the finite differences
+            fused.append(np.concatenate([fx, fy]))
+            separate.append(np.concatenate([gx, gy]))
+        if gy is not None:
+            worst = max(worst, _fd_error(lambda v: p.value(x, v), y, h, gy))
+    if fused:
+        _require_agreement(np.stack(fused), np.stack(separate), "fused gradients",
+                           "grad_x and grad_y")
     # midpoint concavity in y on fresh triples
     for _ in range(n_points):
         x = sample_ball(rng, 1, p.dimension, p.x_radius)[0]

@@ -52,8 +52,15 @@ def project_ball(z, r: float) -> np.ndarray:
     """
     if r <= 0:
         raise InvalidInput("ball radius must be positive")
-    z = as_point(z)
-    nz = np.linalg.norm(z)
+    return ball_projection(as_point(z), r)
+
+
+def ball_projection(z: np.ndarray, r: float) -> np.ndarray:
+    """``project_ball`` without validation, for inner loops whose inputs
+    are already checked: ``z`` a finite 1-D float vector and r > 0.
+    ||z|| = sqrt(z . z) is what ``np.linalg.norm`` computes for a vector,
+    so both give the same bits."""
+    nz = np.sqrt(z @ z)
     if nz <= r:
         return z.copy()
     return (r / nz) * z
@@ -71,6 +78,12 @@ class ConvexSet:
 
     def project(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def project_unchecked(self, z: np.ndarray) -> np.ndarray:
+        """``project`` for a point already known to be a finite float vector
+        of the set's dimension: balls and boxes skip the validation, a
+        projection oracle keeps it."""
+        return self.project(z)
 
     def contains(self, z, tol: float = 1e-9) -> bool:
         z = as_point(z)
@@ -103,7 +116,10 @@ class Ball(ConvexSet):
             raise InvalidInput("ball dimension must be >= 1")
 
     def project(self, z):
-        return project_ball(as_point(z, dim=self.dim), self.radius)
+        return ball_projection(as_point(z, dim=self.dim), self.radius)
+
+    def project_unchecked(self, z):
+        return ball_projection(z, self.radius)
 
     def contains(self, z, tol: float = 1e-9) -> bool:
         return norm(as_point(z, dim=self.dim)) <= self.radius + tol
@@ -135,8 +151,10 @@ class Box(ConvexSet):
         return self.lower.size
 
     def project(self, z):
-        z = as_point(z, dim=self.dim)
-        return np.clip(z, self.lower, self.upper)
+        return self.project_unchecked(as_point(z, dim=self.dim))
+
+    def project_unchecked(self, z):
+        return np.minimum(np.maximum(z, self.lower), self.upper)
 
     def contains(self, z, tol: float = 1e-9) -> bool:
         z = as_point(z, dim=self.dim)

@@ -20,14 +20,15 @@ with a failure sink that records instead of raising.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import ConstantsReport
 from .errors import CertificationError, HypothesisViolation, InvalidInput, NonConvergence
-from .geometry import (Ball, ConvexSet, as_point, axis_points, norm, project_ball, sample_ball,
-                       sample_sphere)
+from .geometry import (Ball, ConvexSet, as_point, axis_points, ball_projection, norm,
+                       project_ball, sample_ball, sample_sphere)
 from .oracles import uniqueness_probe
 
 EVAL_DOMAIN_TOL = 1e-9
@@ -69,8 +70,11 @@ class SaddleConfig:
             raise InvalidInput("L must be finite and >= 0")
         if not (np.isfinite(self.smoothness) and self.smoothness >= 0):
             raise InvalidInput("smoothness must be finite and >= 0")
-        if self.tol <= 0 or self.max_iters < 1:
-            raise InvalidInput("tol must be positive and max_iters >= 1")
+        for name in ("tol", "check_tol", "strict_margin"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise InvalidInput(f"{name} must be finite and positive, got {value!r}")
+        require_count("max_iters", self.max_iters, 1)
         require_exclusion_factor(self.exclusion_factor)
         require_count("n_samples", self.n_samples, 1)
 
@@ -197,6 +201,15 @@ def _grad_y(payoff, x, y):
     return g
 
 
+def _grads(payoff, x, y):
+    """(grad_x J, grad_y J) at (x, y): one call of the fused oracle when the
+    payoff has one, else grad_x and ``_grad_y``."""
+    if payoff.grads is not None:
+        gx, gy = payoff.grads(x, y)
+        return np.asarray(gx, dtype=float), np.asarray(gy, dtype=float)
+    return np.asarray(payoff.grad_x(x, y), dtype=float), _grad_y(payoff, x, y)
+
+
 def phi_value_grad(payoff, L: float, x, y):
     """(phi, grad_x phi, grad_y phi) at (x, y); x must lie in the domain ball."""
     x = as_point(x, dim=payoff.dimension)
@@ -205,9 +218,8 @@ def phi_value_grad(payoff, L: float, x, y):
         raise InvalidInput(
             f"x lies outside the domain ball of radius {payoff.x_radius}")
     val = 0.5 * L * float(x @ x) + payoff.value(x, y)
-    gx = L * x + np.asarray(payoff.grad_x(x, y), dtype=float)
-    gy = _grad_y(payoff, x, y)
-    return val, gx, gy
+    gx, gy = _grads(payoff, x, y)
+    return val, L * x + gx, gy
 
 
 def solve_saddle(payoff, cfg: SaddleConfig, x0=None, y0=None) -> SaddlePoint:
@@ -218,28 +230,36 @@ def solve_saddle(payoff, cfg: SaddleConfig, x0=None, y0=None) -> SaddlePoint:
     ``cfg.tol``; raises NonConvergence at the iteration cap.  A sustained
     residual blow-up (10x the best seen) halves the step and restarts from
     the best iterate, which keeps the run deterministic.
+
+    ``x0``, ``y0`` and the radius are validated once, on entry (``cfg``
+    validated itself when it was built).  The loop then projects with the
+    unchecked ``ball_projection`` and ``T.project_unchecked`` (a projection
+    oracle T keeps its checks) and takes both gradients of each point from
+    one payoff call when the payoff has the fused ``grads``.  Its one check
+    per iteration is the residual: a non-finite iterate makes it non-finite
+    and raises InvalidInput.
     """
-    r = cfg.r
+    r, n = cfg.r, payoff.dimension
     if r > payoff.x_radius + EVAL_DOMAIN_TOL:
         raise InvalidInput(
             f"ball radius {r} exceeds the payoff domain radius {payoff.x_radius}")
-    T = cfg.T
-    x = project_ball(as_point(x0, dim=payoff.dimension) if x0 is not None
-                     else np.zeros(payoff.dimension), r)
-    y = T.project(as_point(y0, dim=payoff.dimension) if y0 is not None
-                  else np.zeros(payoff.dimension))
+    T, L, tol = cfg.T, cfg.L, cfg.tol
+    x = project_ball(as_point(x0, dim=n) if x0 is not None else np.zeros(n), r)
+    y = T.project(as_point(y0, dim=n) if y0 is not None else np.zeros(n))
     tau = cfg.step
     best_res = np.inf
     best_x, best_y = x, y
     halvings = 0
     res = np.inf
     for it in range(1, cfg.max_iters + 1):
-        gx = cfg.L * x + np.asarray(payoff.grad_x(x, y), dtype=float)
-        gy = _grad_y(payoff, x, y)
-        xh = project_ball(x - tau * gx, r)
-        yh = T.project(y + tau * gy)
-        res = float(np.hypot(norm(x - xh), norm(y - yh)))
-        if res <= cfg.tol:
+        gx, gy = _grads(payoff, x, y)
+        xh = ball_projection(x - tau * (L * x + gx), r)
+        yh = T.project_unchecked(y + tau * gy)
+        dx, dy = x - xh, y - yh
+        res = float(np.hypot(math.sqrt(dx @ dx), math.sqrt(dy @ dy)))
+        if not math.isfinite(res):
+            raise InvalidInput(f"extragradient iterate is not finite at iteration {it}")
+        if res <= tol:
             return SaddlePoint(x, y, res, it, tau)
         if res < best_res:
             best_res, best_x, best_y = res, x, y
@@ -252,12 +272,11 @@ def solve_saddle(payoff, cfg: SaddleConfig, x0=None, y0=None) -> SaddlePoint:
             x, y = best_x, best_y
             best_res = np.inf
             continue
-        gxh = cfg.L * xh + np.asarray(payoff.grad_x(xh, yh), dtype=float)
-        gyh = _grad_y(payoff, xh, yh)
-        x = project_ball(x - tau * gxh, r)
-        y = T.project(y + tau * gyh)
+        gxh, gyh = _grads(payoff, xh, yh)
+        x = ball_projection(x - tau * (L * xh + gxh), r)
+        y = T.project_unchecked(y + tau * gyh)
     raise NonConvergence(
-        f"extragradient did not reach tolerance {cfg.tol} in {cfg.max_iters} iterations",
+        f"extragradient did not reach tolerance {tol} in {cfg.max_iters} iterations",
         residual=res, iterations=cfg.max_iters)
 
 

@@ -167,6 +167,57 @@ def test_payoff_gradients_against_finite_differences():
         validate_payoff(ba_payoff(m, Ball(1.0, 2)), n_points=25, seed=3)
 
 
+def catalog_maps(n):
+    rng = np.random.default_rng(37 + n)
+    affine = make_affine(rng.normal(size=(n, n)), rng.normal(size=n), 1.0)
+    return {"constant": make_constant(rng.normal(size=n), 1.0), "affine": affine,
+            "quadratic": rand_quadratic(rng, n), "shift": shift_map(affine, rng.normal(size=n))}
+
+
+@pytest.mark.parametrize("kind", ["constant", "affine", "quadratic", "shift"])
+@pytest.mark.parametrize("family", ["vi", "ba"])
+def test_fused_gradients_match_the_separate_ones_bit_for_bit(kind, family):
+    n = 4
+    m = catalog_maps(n)[kind]
+    p = vi_payoff(m) if family == "vi" else ba_payoff(m, Ball(1.0, n))
+    rng = np.random.default_rng(41)
+    for x, y in zip(sample_ball(rng, 30, n, 1.0), sample_ball(rng, 30, n, 1.0)):
+        gx, gy = p.grads(x, y)
+        assert gx.tobytes() == np.asarray(p.grad_x(x, y), dtype=float).tobytes()
+        assert gy.tobytes() == np.asarray(p.grad_y(x, y), dtype=float).tobytes()
+    validate_payoff(p, n_points=10, seed=1)
+
+
+def test_fused_gradients_evaluate_the_map_once():
+    m = catalog_maps(3)["affine"]
+    calls = []
+    counted = SmoothMap(3, 1.0, value=lambda x: calls.append(1) or m.val(x),
+                        jacobian=m.jacobian)
+    x, y = np.full(3, 0.1), np.full(3, -0.2)
+    for p in (vi_payoff(counted), ba_payoff(counted, Ball(1.0, 3))):
+        calls.clear()
+        p.grads(x, y)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_validate_payoff_rejects_a_disagreeing_fused_oracle(which):
+    p = vi_payoff(catalog_maps(3)["quadratic"])
+    fused = p.grads
+
+    def wrong(x, y):
+        out = list(fused(x, y))
+        out[which] = out[which] + 1e-6
+        return tuple(out)
+
+    p.grads = wrong
+    with pytest.raises(InvalidInput, match="fused gradients disagree"):
+        validate_payoff(p, n_points=5, seed=0)
+    p.grads = lambda x, y: (fused(x, y)[0], fused(x, y)[1][:2])
+    with pytest.raises(InvalidInput, match="fused gradients have shapes"):
+        validate_payoff(p, n_points=5, seed=0)
+
+
 def test_payoff_batch_paths_match_scalar():
     rng = np.random.default_rng(31)
     m = rand_quadratic(rng, 3)

@@ -92,6 +92,37 @@ def test_box_set():
     assert np.all(pts[:, 0] >= -1.0) and np.all(pts[:, 1] <= 3.0)
 
 
+@pytest.mark.parametrize("n", [1, 3, 8, 32, 128])
+def test_unchecked_projections_match_the_checked_ones(n):
+    # the solver's inner loop projects without validation; the bits must
+    # equal the validated projections and the formulas they replaced
+    rng = np.random.default_rng(n)
+    ball, box = Ball(0.7, n), Box(-0.2 * np.ones(n), 0.3 * np.ones(n))
+    Z = np.vstack([rng.normal(size=(200, n)), 0.1 * rng.normal(size=(200, n)),
+                   np.zeros((1, n)), -np.zeros((1, n)), ball.sample(rng, 20)])
+    for z in Z:
+        fast = ball.project_unchecked(z)
+        nz = np.linalg.norm(z)
+        assert fast.tobytes() == project_ball(z, 0.7).tobytes() == ball.project(z).tobytes()
+        assert fast.tobytes() == (z if nz <= 0.7 else (0.7 / nz) * z).tobytes()
+        fast = box.project_unchecked(z)
+        assert fast.tobytes() == box.project(z).tobytes()
+        assert fast.tobytes() == np.clip(z, box.lower, box.upper).tobytes()
+
+
+def test_only_the_validated_projection_checks_its_input():
+    ball, box = Ball(1.0, 2), Box([-1.0, -1.0], [1.0, 1.0])
+    oracle = ProjectionOracle(lambda z: z, norm_bound=1.0, dim=2)
+    for C in (ball, box, oracle):
+        with pytest.raises(InvalidInput):
+            C.project(np.array([np.nan, 0.0]))
+    # a projection oracle keeps its checks on the unchecked path
+    with pytest.raises(InvalidInput):
+        oracle.project_unchecked(np.array([np.nan, 0.0]))
+    assert np.isnan(ball.project_unchecked(np.array([np.nan, 0.0]))).all()
+    assert np.isnan(box.project_unchecked(np.array([np.nan, 0.0]))[0])
+
+
 def test_box_rejects_crossed_bounds():
     with pytest.raises(InvalidInput):
         Box([1.0, 0.0], [0.0, 1.0])

@@ -12,6 +12,7 @@ from ballsaddle import (Ball, Box, InvalidInput, NonConvergence, Payoff,
                         check_saddle, check_vi, make_constant, map_from_dict,
                         phi_value_grad, solve_saddle, vi_payoff, vi_report)
 from ballsaddle.ba import ba_problem, solve_prox_pair
+from ballsaddle import saddle as saddle_module
 from ballsaddle.cli import DEFAULT_TOLERANCES, RunConfig, _saddle_problem, parse_config
 from ballsaddle.saddle import UNIQUENESS_STARTS, probe_uniqueness
 from ballsaddle.vi import vi_problem
@@ -55,6 +56,17 @@ class TestConfig:
     def test_bad_smoothness_rejected(self, smoothness):
         with pytest.raises(InvalidInput, match="smoothness"):
             SaddleConfig(r=0.5, T=Ball(1.0, 2), L=0.0, smoothness=smoothness)
+
+    @pytest.mark.parametrize("setting, value", [
+        ("tol", np.nan), ("tol", np.inf), ("check_tol", np.nan), ("check_tol", np.inf),
+        ("check_tol", -1e-8), ("strict_margin", -1e-3), ("strict_margin", np.nan),
+        ("strict_margin", 0.0), ("max_iters", 50.0), ("max_iters", True)])
+    def test_bad_solver_setting_rejected(self, setting, value):
+        # tol = nan ran to the iteration cap, tol = inf returned the unsolved
+        # start, max_iters = 50.0 failed inside range() and a negative
+        # strict_margin passed a non-minimal x*
+        with pytest.raises(InvalidInput, match=setting):
+            SaddleConfig(r=0.5, T=Ball(1.0, 2), L=0.0, smoothness=1.0, **{setting: value})
 
     def test_settings_are_declared_once(self):
         # the standalone audits and the command line take SaddleConfig's defaults
@@ -155,6 +167,52 @@ class TestSolve:
             solve_saddle(p, cfg)
         assert exc.value.iterations == 3
         assert exc.value.residual > 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_stops_the_solve(self, bad):
+        calls = []
+
+        def grad_x(x, y):
+            calls.append(1)
+            return np.array([bad, 0.0])
+
+        p = dataclasses.replace(linear_payoff([0.4, -0.2], 1.0, Ball(1.0, 2)), grad_x=grad_x)
+        cfg = SaddleConfig(r=1.0, T=Ball(1.0, 2), L=1.0, smoothness=1.0)
+        with pytest.raises(InvalidInput, match="not finite at iteration 1"), \
+                np.errstate(invalid="ignore"):  # 0 * inf in the ball projection
+            solve_saddle(p, cfg)
+        assert len(calls) == 1
+
+    def test_non_finite_map_stops_the_prox_pair_probe(self, monkeypatch):
+        # the map turns NaN once the probe starts its first solve; the
+        # probe resolves solve_saddle in the saddle module, the main solve
+        # in the ba module
+        rng = np.random.default_rng(5)
+        m = map_from_dict({"kind": "affine", "A": (0.3 * rng.normal(size=(3, 3))).tolist(),
+                           "b": [1.5, 0.5, -0.5], "rho": 1.0})
+        state = {"poisoned": False, "calls": 0}
+        value, jacobian = m.value, m.jacobian
+
+        def poisoned(oracle):
+            def call(x):
+                if not state["poisoned"]:
+                    return oracle(x)
+                state["calls"] += 1
+                return np.full_like(oracle(x), np.nan)
+            return call
+
+        m = dataclasses.replace(m, value=poisoned(value), jacobian=poisoned(jacobian))
+        solve = saddle_module.solve_saddle
+
+        def probe_solve(*args, **kwargs):
+            state["poisoned"] = True
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(saddle_module, "solve_saddle", probe_solve)
+        with pytest.raises(InvalidInput, match="not finite at iteration 1"):
+            solve_prox_pair(m, Ball(1.0, 3), Box(-0.05 * np.ones(3), 0.05 * np.ones(3)),
+                            mode="heuristic")
+        assert state["poisoned"] and state["calls"] == 2  # one value, one Jacobian
 
     def test_radius_exceeding_domain_rejected(self):
         p = vi_payoff(make_constant([1.0, 0.0], 1.0))
