@@ -12,12 +12,12 @@ unique nearest point of ball(r) to its own image:
     ||f(x*) - x*|| = dist(f(x*), ball(r)),
     ||f(x) - x*||  < ||f(x) - x||   for every other x in ball(r).
 
-``solve_prox_pair`` certifies the general pair and probes its uniqueness;
-``solve_best_approx`` adds the collapse and nearest-point conclusions and
-proves uniqueness; ``ba_small_radius`` picks a
-radius that makes the hypotheses automatic when f(0) != 0.  Both solves
-gate the problem (``ba_problem``), solve, and hand the solution to
-``certify_ba``, the same certify step ``verify`` runs on a stored solution.
+``solve_prox_pair`` certifies the general pair and probes its uniqueness
+(proves it with the sets above); ``solve_best_approx`` adds the collapse
+and nearest-point conclusions; ``ba_small_radius`` picks a radius that
+makes the hypotheses automatic when f(0) != 0.  Both solves gate the
+problem (``ba_problem``), solve, and hand the solution to ``certify_ba``,
+the same certify step ``verify`` runs on a stored solution.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from .catalog import SmoothMap, ba_payoff
 from .constants import ConstantsReport, ba_report
 from .errors import HypothesisViolation
 from .geometry import Ball, ConvexSet, dist_ball, norm, project_ball
-from .saddle import (UNIQUENESS_STARTS, Certificate, CheckReport, SaddleConfig, SaddlePoint,
-                     ball_check_samples, check_saddle, contraction_record, exclusion_mask,
-                     failed_names, gate, probe_uniqueness, raise_failure, require_count,
-                     slack_report, solve_saddle)
+from .saddle import (SPHERE_TOL, UNIQUENESS_STARTS, Certificate, CheckReport, SaddleChecks,
+                     SaddleConfig, SaddlePoint, ball_check_samples, check_saddle,
+                     contraction_record, exclusion_mask, failed_names, gate, probe_uniqueness,
+                     raise_failure, require_count, slack_report, solve_saddle)
 from .vi import COLLAPSE_TOL, SmallRadiusResult, radius_from_origin
 
 IDENTITY_TOL = 1e-6
@@ -42,27 +42,35 @@ CONTAINMENT_TOL = 1e-9
 
 @dataclass
 class BACertificate(Certificate):
-    """Certificate of statement 5 or 6: the projection identity and, for
-    statement 6 only, the collapse, the distance identity and the
-    nearest-point check."""
+    """Certificate of statement 5 or 6: the projection identity, then the
+    saddle checks (5), or the collapse, sphere membership (gated as in
+    ``check_saddle``), the distance identity and the nearest-point check (6)."""
 
     projection_gap: float
+    saddle_checks: SaddleChecks | None = None
     collapse_gap: float | None = None
     distance_gap: float | None = None
     nearest_check: CheckReport | None = None
 
     def failed_checks(self) -> list[str]:
-        identities, own = [("projection", self.projection_gap <= IDENTITY_TOL)], []
-        if self.nearest_check is not None:  # statement 6
-            identities.append(("collapse", self.collapse_gap <= COLLAPSE_TOL))
+        first, own = [("projection", self.projection_gap <= IDENTITY_TOL)], []
+        if self.saddle_checks is not None:  # statement 5
+            first.append(("saddle-checks", self.saddle_checks.passed))
+        else:  # statement 6
+            rep, gap = self.constants, abs(norm(self.x_star) - self.r)
+            first += [("collapse", self.collapse_gap <= COLLAPSE_TOL),
+                      ("sphere-membership", gap <= SPHERE_TOL or rep.L.value <= 0
+                       or self.r > rep.r_max + 1e-12)]
             own = [("nearest-point", self.nearest_check.passed),
                    ("distance-identity", self.distance_gap <= IDENTITY_TOL)]
-        return failed_names(*identities) + super().failed_checks() + failed_names(*own)
+        return failed_names(*first) + super().failed_checks() + failed_names(*own)
 
     def to_dict(self):
         d = super().to_dict()
         d["residuals"]["projection_gap"] = float(self.projection_gap)
-        if self.nearest_check is not None:
+        if self.saddle_checks is not None:
+            d["checks"]["saddle"] = self.saddle_checks.to_dict()
+        else:
             d["residuals"].update(collapse_gap=float(self.collapse_gap),
                                   distance_gap=float(self.distance_gap))
             d["checks"]["nearest-point"] = self.nearest_check.to_dict()
@@ -96,6 +104,13 @@ def ba_problem(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None, r: float | None,
                         r_max=report.r_max, **settings)
 
 
+def collapses(m: SmoothMap, Y: ConvexSet, cfg: SaddleConfig) -> bool:
+    """Whether the problem ``cfg`` with dual set Y is statement 6's,
+    Y = ball(rho) and T = ball(r), whose contraction proves uniqueness."""
+    return (isinstance(Y, Ball) and Y.radius == m.domain_radius
+            and isinstance(cfg.T, Ball) and cfg.T.radius == cfg.r)
+
+
 def certify_ba(m: SmoothMap, Y: ConvexSet, point: SaddlePoint, cfg: SaddleConfig,
                report: ConstantsReport, *, mode: str = "certified",
                uniqueness: dict | None = None, seed: int = 0,
@@ -103,33 +118,36 @@ def certify_ba(m: SmoothMap, Y: ConvexSet, point: SaddlePoint, cfg: SaddleConfig
     """The certify step of an approximation run on the problem ``cfg`` from
     ``ba_problem``.
 
-    Measures y* = P_T(f(x*)) and runs the sampled saddle checks of
-    ``point`` (a fresh solve or a stored solution).  Statement 6 adds the
-    collapse x* = y*, the distance identity, the sampled nearest-point
-    check and the ``contraction_record`` of x -> P_ball(r)(f(x)), with the
-    floor max(r, ||f(0)|| - r theta) (the projection is 1-Lipschitz, and
-    radial beyond r).  It never raises on a failed check: the gates ran in
-    ``ba_problem``, and a failed identity or check is a name in
-    ``failed_checks``.  ``uniqueness`` is the probe record of statement 5.
+    Measures y* = P_T(f(x*)) of ``point`` (a fresh solve or a stored
+    solution).  Statement 5 adds the sampled saddle checks; statement 6 the
+    collapse x* = y*, the distance identity, y-maximal in closed form and
+    the sampled nearest-point check.  Uniqueness is the probe record
+    ``uniqueness``, or when the problem ``collapses`` the
+    ``contraction_record`` of x -> P_ball(r)(f(x)), with the floor
+    max(r, ||f(0)|| - r theta) (the projection is 1-Lipschitz, and radial
+    beyond r).  A failed identity or check is a name in ``failed_checks``.
     """
     x_star, y_star, r = point.x_star, point.y_star, cfg.r
-    projection_gap = norm(y_star - cfg.T.project(m.val(x_star)))
-    schecks = check_saddle(ba_payoff(m, Y), point, cfg, seed=seed + 1)
+    fx = m.val(x_star)
+    if collapses(m, Y, cfg):
+        reach = norm(m.val(np.zeros(m.dimension))) - r * report.theta.value
+        uniqueness = contraction_record(r, report.theta.value, max(r, reach),
+                                        norm(x_star - project_ball(fx, r)))
     cert = BACertificate(
         theorem=theorem, mode=mode, r=r, x_star=x_star, y_star=y_star,
         residual=point.residual, iterations=point.iterations,
-        projection_gap=float(projection_gap), constants=report,
-        saddle_checks=schecks, uniqueness=uniqueness)
+        projection_gap=norm(y_star - cfg.T.project(fx)), constants=report,
+        uniqueness=uniqueness, y_maximal_slack=None)
     if theorem == "6":
-        cert.collapse_gap = float(norm(x_star - y_star))
-        fx = m.val(x_star)
-        cert.distance_gap = float(abs(norm(fx - x_star) - dist_ball(fx, r)))
+        dist = dist_ball(fx, r)
+        cert.collapse_gap, cert.distance_gap = norm(x_star - y_star), abs(norm(fx - x_star) - dist)
+        # sup over y in ball(r) of J(x*, y) = ||f - x*||^2 - ||f - y||^2 less J(x*, y*)
+        cert.y_maximal_slack = cfg.check_tol - (norm(fx - y_star) ** 2 - dist ** 2)
         cert.nearest_check = check_nearest_point(
             m, x_star, r, cfg.n_samples, seed + 4,
             strict_margin=cfg.strict_margin, exclusion_factor=cfg.exclusion_factor)
-        reach = norm(m.val(np.zeros(m.dimension))) - r * report.theta.value
-        cert.uniqueness = contraction_record(r, report.theta.value, max(r, reach),
-                                             norm(x_star - project_ball(fx, r)))
+    else:
+        cert.saddle_checks = check_saddle(ba_payoff(m, Y), point, cfg, seed=seed + 1)
     return cert
 
 
@@ -143,9 +161,9 @@ def solve_prox_pair(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None,
     ``r`` defaults to the admissible radius sigma / L and ``T`` (None) to
     ball(r).  Certified mode requires certification-grade constants and r
     within the admissible radius.  ``uniqueness_starts`` counts the starts
-    of the uniqueness probe (none runs below two).  ``settings`` (``tol``,
-    ``max_iters``, ``check_tol``, ``strict_margin``, ``exclusion_factor``,
-    ``n_samples``) go to SaddleConfig, which holds their defaults.
+    of the uniqueness probe (none runs below two, nor when the problem
+    ``collapses``: a contraction proves it).  ``settings`` are the run
+    settings of SaddleConfig, as for ``solve_vi``.
     """
     require_count("uniqueness_starts", uniqueness_starts, 0)
     if report is None:
@@ -153,7 +171,8 @@ def solve_prox_pair(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None,
     cfg = ba_problem(m, Y, T, r, report, mode, seed=seed, fail=raise_failure, **settings)
     payoff = ba_payoff(m, Y)
     point = solve_saddle(payoff, cfg)
-    uniq = probe_uniqueness(payoff, cfg, uniqueness_starts, seed + 3)
+    uniq = (None if collapses(m, Y, cfg)
+            else probe_uniqueness(payoff, cfg, uniqueness_starts, seed + 3))
     return certify_ba(m, Y, point, cfg, report, mode=mode, uniqueness=uniq, seed=seed)
 
 

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .constants import CertFlag, op_norm
-from .errors import DimensionMismatch, InvalidInput
+from .errors import ConfigError, DimensionMismatch, InvalidInput
 from .geometry import Ball, ConvexSet, as_point, axis_points, sample_ball
 
 # value_batch may differ from the row-wise value by this share of the values
@@ -417,14 +417,17 @@ def validate_payoff(p: Payoff, n_points: int = 100, seed: int = 0,
 
 def require_fields(doc: dict, path: str, required: tuple, optional: tuple = ()):
     """Reject unknown and missing fields of a config object at ``path``."""
-    from .errors import ConfigError
-
     for key in doc:
         if key not in required and key not in optional:
             raise ConfigError(f"unknown field {key!r}", path=path)
     for key in required:
         if key not in doc:
             raise ConfigError(f"missing required field {key!r}", path=path)
+
+
+# map kind -> (coefficient fields, constructor taking them and rho)
+_BUILDERS = {"constant": (("c",), make_constant), "affine": (("A", "b"), make_affine),
+             "quadratic": (("A", "b", "Q"), make_quadratic)}
 
 
 def map_from_dict(doc: dict, path: str = "problem") -> SmoothMap:
@@ -436,29 +439,18 @@ def map_from_dict(doc: dict, path: str = "problem") -> SmoothMap:
     ``{"kind": ..., "rho": r, ...coefficients...}``.  Unknown fields are
     rejected with the offending path.
     """
-    from .errors import ConfigError
-
     if not isinstance(doc, dict):
         raise ConfigError("problem must be an object", path=path)
-    declared = None
+    coefficients = ("kind", "c", "A", "b", "Q", "shift")
     if "map" in doc:
         require_fields(doc, path, required=("map", "rho"),
                         optional=("dimension", "analytic_constants"))
-        inner = doc["map"]
-        inner_path = path + ".map"
-        rho = doc["rho"]
-        declared = doc.get("analytic_constants")
-        want_dim = doc.get("dimension")
+        inner, inner_path = doc["map"], path + ".map"
     else:
         require_fields(doc, path, required=("kind", "rho"),
-                        optional=("c", "A", "b", "Q", "shift", "analytic_constants",
-                                  "dimension"))
-        inner = {k: v for k, v in doc.items()
-                 if k in ("kind", "c", "A", "b", "Q", "shift")}
-        inner_path = path
-        rho = doc["rho"]
-        declared = doc.get("analytic_constants")
-        want_dim = doc.get("dimension")
+                        optional=coefficients[1:] + ("analytic_constants", "dimension"))
+        inner, inner_path = {k: v for k, v in doc.items() if k in coefficients}, path
+    rho, declared, want_dim = doc["rho"], doc.get("analytic_constants"), doc.get("dimension")
     if not isinstance(inner, dict) or "kind" not in inner:
         raise ConfigError("map needs a 'kind'", path=inner_path)
     try:
@@ -468,24 +460,12 @@ def map_from_dict(doc: dict, path: str = "problem") -> SmoothMap:
     if not (np.isfinite(rho) and rho > 0):
         raise ConfigError("rho must be positive", path=path + ".rho")
     kind = inner["kind"]
+    if kind not in _BUILDERS:
+        raise ConfigError(f"unknown map kind {kind!r}", path=inner_path + ".kind")
+    fields, build = _BUILDERS[kind]
+    require_fields(inner, inner_path, required=("kind",) + fields, optional=("shift",))
     try:
-        if kind == "constant":
-            require_fields(inner, inner_path, required=("kind", "c"),
-                            optional=("shift",))
-            m = make_constant(np.asarray(inner["c"], dtype=float), rho)
-        elif kind == "affine":
-            require_fields(inner, inner_path, required=("kind", "A", "b"),
-                            optional=("shift",))
-            m = make_affine(np.asarray(inner["A"], dtype=float),
-                            np.asarray(inner["b"], dtype=float), rho)
-        elif kind == "quadratic":
-            require_fields(inner, inner_path, required=("kind", "A", "b", "Q"),
-                            optional=("shift",))
-            m = make_quadratic(np.asarray(inner["A"], dtype=float),
-                               np.asarray(inner["b"], dtype=float),
-                               np.asarray(inner["Q"], dtype=float), rho)
-        else:
-            raise ConfigError(f"unknown map kind {kind!r}", path=inner_path + ".kind")
+        m = build(*(np.asarray(inner[key], dtype=float) for key in fields), rho)
     except (InvalidInput, DimensionMismatch) as exc:
         raise ConfigError(str(exc), path=inner_path)
     if "shift" in inner:

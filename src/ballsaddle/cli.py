@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ba import (ba_problem, ba_small_radius, certify_ba, solve_best_approx,
+from .ba import (ba_problem, ba_small_radius, certify_ba, collapses, solve_best_approx,
                  solve_prox_pair)
 from .catalog import SmoothMap, ba_payoff, map_from_dict, require_fields, vi_payoff
 from .constants import (CertFlag, ConstantsReport, admissible_radius, ba_report,
@@ -49,7 +49,7 @@ from .saddle import (UNIQUENESS_STARTS, SaddleConfig, SaddlePoint, check_saddle,
 from .vi import (certify_vi, shift_problem, small_radius, solve_vi, solve_vi_shifted,
                  vi_problem)
 
-CERT_FORMAT = "ballsaddle-certificate/2"
+CERT_FORMAT = "ballsaddle-certificate/3"
 VERIFY_FORMAT = "ballsaddle-verification/1"
 VERIFY_REL_TOL = 1e-9
 VERIFY_ABS_TOL = 1e-14
@@ -157,14 +157,11 @@ def parse_config(doc: dict, command: str) -> RunConfig:
         if not isinstance(doc["heuristic"], bool):
             raise ConfigError("heuristic must be a boolean", path="heuristic")
         cfg.heuristic = doc["heuristic"]
-    if "application" in doc:
-        if doc["application"] not in ("vi", "ba"):
-            raise ConfigError("application must be 'vi' or 'ba'", path="application")
-        cfg.application = doc["application"]
-    if "payoff" in doc:
-        if doc["payoff"] not in ("vi", "ba"):
-            raise ConfigError("payoff must be 'vi' or 'ba'", path="payoff")
-        cfg.payoff = doc["payoff"]
+    for key in ("application", "payoff"):
+        if key in doc:
+            if doc[key] not in ("vi", "ba"):
+                raise ConfigError(f"{key} must be 'vi' or 'ba'", path=key)
+            setattr(cfg, key, doc[key])
     if "w" in doc:
         w = doc["w"]
         if not (isinstance(w, list) and w and all(map(_is_finite_number, w))):
@@ -321,11 +318,10 @@ def _recertify(cfg: RunConfig, body: dict, fail) -> tuple[dict, list[str]]:
     through the same gates and certify step.  ``fail`` records the failed
     hypothesis gates and an inconsistent probe record, and only those; a
     failed check is named by the certify step.  The solver-owned fields
-    (residual, iterations, step, the probe record of ``prox-pair``) are
+    (residual, iterations, step, a probe record of ``prox-pair``) are
     carried over from ``body``; the probe record is only checked for
     consistency, and a contraction record is recomputed."""
-    m = cfg.smooth_map
-    probed = cfg.command == "prox-pair"
+    m, probed = cfg.smooth_map, cfg.command == "prox-pair"
     try:
         sol, uniq = body["solution"], body["checks"].get("uniqueness") if probed else None
         point = SaddlePoint(as_point(sol["x_star"], dim=m.dimension),
@@ -334,8 +330,6 @@ def _recertify(cfg: RunConfig, body: dict, fail) -> tuple[dict, list[str]]:
                             int(body["iterations"]), float(body.get("step", 0.0)))
         if uniq is not None and not isinstance(uniq.get("passed"), bool):
             raise TypeError("the uniqueness record needs a boolean 'passed'")
-        if probed and not uniqueness_consistent(uniq, cfg.uniqueness_starts):
-            fail("uniqueness-record", None)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"malformed certificate body: {exc!r}")
     if cfg.command == "saddle":
@@ -356,6 +350,9 @@ def _recertify(cfg: RunConfig, body: dict, fail) -> tuple[dict, list[str]]:
         rep = ba_report(m, Y, seed=cfg.seed)
         scfg = ba_problem(m, Y, _t_set(cfg, m), cfg.r, rep, cfg.mode, seed=cfg.seed,
                           fail=fail, **_settings(cfg))
+        if (probed and not collapses(m, Y, scfg)
+                and not uniqueness_consistent(uniq, cfg.uniqueness_starts)):
+            fail("uniqueness-record", None)
         cert = certify_ba(m, Y, point, scfg, rep, uniqueness=uniq,
                           theorem="5" if cfg.command == "prox-pair" else "6", **kw)
     return cert.to_dict(), cert.failed_checks()
@@ -372,7 +369,7 @@ def verify(cert: dict) -> dict:
     (``constants:<name>``, ``recorded:<dotted.path>``).
     """
     if not isinstance(cert, dict) or cert.get("format") != CERT_FORMAT:
-        raise ConfigError(f"not a {CERT_FORMAT} document")
+        raise ConfigError(f"not a {CERT_FORMAT} document; re-run the solve that wrote it")
     for key in ("command", "config", "certificate"):
         if key not in cert:
             raise ConfigError(f"certificate is missing {key!r}")
@@ -435,12 +432,10 @@ def _compare_dicts(stored, fresh, prefix: str = "") -> list[str]:
 def _to_jsonable(obj):
     if isinstance(obj, dict):
         return {k: _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, np.ndarray)):
         return [_to_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_to_jsonable(v) for v in obj]
     if isinstance(obj, CertFlag):
         return obj.value
     if isinstance(obj, float) and not np.isfinite(obj):

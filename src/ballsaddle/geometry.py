@@ -59,10 +59,12 @@ def ball_projection(z: np.ndarray, r: float) -> np.ndarray:
     """``project_ball`` without validation, for inner loops whose inputs
     are already checked: ``z`` a finite 1-D float vector and r > 0.
     ||z|| = sqrt(z . z) is what ``np.linalg.norm`` computes for a vector,
-    so both give the same bits."""
+    so both give the same bits.  An infinite ||z|| returns z, not 0 * inf."""
     nz = np.sqrt(z @ z)
     if nz <= r:
         return z.copy()
+    if nz == np.inf:
+        return z
     return (r / nz) * z
 
 

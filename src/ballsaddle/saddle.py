@@ -9,13 +9,14 @@ probing half-step and one full step, both through the projections.
 ``check_saddle`` certifies a candidate pair by sampling: the maximizing
 property of y* within tolerance, the strictly-minimizing property of x*
 with a margin outside a small exclusion ball, sphere membership of x* when
-the radius is admissible, and the minimax gap of phi.
+the radius is admissible, and the minimax gap of phi; statements 1 and 5
+run it (see ``Certificate`` for the collapsed pairs of 2, 4 and 6).
 
 Every solve is a solver step (``solve_saddle``; statement 5 adds
-``probe_uniqueness``) and a certify step (statements 2, 4 and 6 prove
-uniqueness there with ``contraction_record``).  ``gate`` is the radius/mode
-gate both share: the solve paths run it before solving, ``verify`` runs it
-with a failure sink that records instead of raising.
+``probe_uniqueness``) and a certify step (statements 2, 4 and 6, and 5 on
+their sets, prove uniqueness there with ``contraction_record``).  ``gate``
+is the radius/mode gate both share: the solve paths run it before solving,
+``verify`` runs it with a failure sink that records instead of raising.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ class SaddleConfig:
     ``smoothness`` bounds the Lipschitz constant of the saddle operator and
     fixes the extragradient step 1/(2 * smoothness); the problem builders
     set it to 2 * weight + theta from the constants report.  ``r_max`` is
-    the admissible radius when known; it gates the sphere-membership check.
+    the admissible radius when known; it gates the sphere-membership check
+    (statement 6's certificate gates its own with its report's r_max).
     """
 
     r: float
@@ -143,8 +145,12 @@ def failed_names(*checks: tuple[str, bool]) -> list[str]:
 
 @dataclass
 class Certificate:
-    """Solution, constants and check outcomes of one certified run; the VI
-    and approximation certificates add their own identities and checks.
+    """Solution, constants and uniqueness record of one certified run; the
+    VI and approximation certificates add their own identities and checks,
+    and statement 5 the sampled saddle checks.  The collapsed pairs of
+    statements 2, 4 and 6 sample x-strictly-minimal in their own check, and
+    ``y_maximal_slack`` is check_tol less sup_y J(x*, y) - J(x*, y*) in
+    closed form over T = ball(r); the body leaves it out.
 
     ``theorem`` is the wire label of the certified statement template (see
     the certificate format notes in the README).  ``mode`` is "certified"
@@ -161,14 +167,14 @@ class Certificate:
     residual: float
     iterations: int
     constants: ConstantsReport
-    saddle_checks: SaddleChecks
     uniqueness: dict | None
+    y_maximal_slack: float | None
 
     def failed_checks(self) -> list[str]:
-        """The sampled saddle checks, then the uniqueness record; the
-        subclasses put their identities first and their own checks last."""
+        """Closed-form y-maximal, then uniqueness; the subclasses put their
+        identities first and their own checks last."""
         return failed_names(
-            ("saddle-checks", self.saddle_checks.passed),
+            ("y-maximal", self.y_maximal_slack is None or self.y_maximal_slack >= 0.0),
             ("uniqueness", self.uniqueness is None or bool(self.uniqueness["passed"])))
 
     @property
@@ -183,8 +189,7 @@ class Certificate:
             "residuals": {"saddle_residual": float(self.residual)},
             "iterations": int(self.iterations),
             "constants": self.constants.to_dict(),
-            "checks": {"saddle": self.saddle_checks.to_dict(),
-                       "uniqueness": self.uniqueness},
+            "checks": {"uniqueness": self.uniqueness},
             "passed": bool(self.passed),
         }
 

@@ -8,11 +8,12 @@ sphere of radius r satisfying the double strict inequality
 
 The point is computed as the collapsed saddle point of the payoff
 J(x, y) = <F(x), x - y> regularized with weight L = M, and certified by
-sampled checks plus structural identities: x* = y*, F(x*) != 0 and x*
-antiparallel to F(x*) on the sphere, and by the contraction that makes it
-unique.  ``solve_vi`` gates the problem (``vi_problem``), solves, and hands
-the solution to ``certify_vi``, the same certify step ``verify`` runs on a
-stored solution.
+the sampled double inequality (with y* = x*, the x-strictly-minimal
+saddle inequality), y-maximal in closed form, the structural identities
+x* = y*, F(x*) != 0 and x* antiparallel to F(x*) on the sphere, and the
+contraction that makes it unique.  ``solve_vi`` gates the problem
+(``vi_problem``), solves, and hands the solution to ``certify_vi``, the
+same certify step ``verify`` runs on a stored solution.
 
 ``solve_vi_shifted`` handles maps with vanishing Jacobian at the origin
 shifted by a far-enough target w, and ``small_radius`` picks a radius that
@@ -30,7 +31,7 @@ from .constants import ConstantsReport, op_norm, vi_report
 from .errors import HypothesisViolation, InvalidInput
 from .geometry import Ball, norm
 from .saddle import (Certificate, CheckReport, SaddleConfig, SaddlePoint,
-                     ball_check_samples, check_saddle, contraction_record, exclusion_mask,
+                     ball_check_samples, contraction_record, exclusion_mask,
                      failed_names, gate, raise_failure, slack_report, solve_saddle)
 
 COLLAPSE_TOL = 1e-6
@@ -109,28 +110,27 @@ def certify_vi(m: SmoothMap, point: SaddlePoint, cfg: SaddleConfig,
     the certificate is labeled statement 2 (``solve_vi_shifted`` relabels it).
 
     Measures the structural identities of ``point`` (a fresh solve or a
-    stored solution): x* = y*, F(x*) != 0 and x* antiparallel to F(x*) on
-    the sphere; then runs the sampled saddle and double-inequality checks.
+    stored solution): x* = y*, F(x*) != 0, x* antiparallel to F(x*) on the
+    sphere and y-maximal in closed form; then samples the double inequality.
     It never raises on a failed check: the gates ran in ``vi_problem``, and
     a failed identity or check is a name in ``failed_checks``.  Uniqueness
     is the ``contraction_record`` of x -> -r F(x)/||F(x)||, with the floor
     ||F(0)|| - r theta of ||F|| on ball(r).
     """
     x_star, r = point.x_star, cfg.r
-    collapse_gap = norm(x_star - point.y_star)
     fx = m.val(x_star)
     map_norm = norm(fx)
     direction_gap = norm(x_star + (r / map_norm) * fx) if map_norm > 0.0 else np.inf
     floor = norm(m.val(np.zeros(m.dimension))) - r * report.theta.value
-    schecks = check_saddle(vi_payoff(m), point, cfg, seed=seed + 1)
-    vcheck = check_vi(m, x_star, r, cfg.n_samples, seed + 2,
-                      strict_margin=cfg.strict_margin, exclusion_factor=cfg.exclusion_factor)
     return VICertificate(
         theorem="2", mode=mode, r=r, x_star=x_star, y_star=point.y_star,
         residual=point.residual, iterations=point.iterations,
-        collapse_gap=float(collapse_gap), map_norm=float(map_norm),
-        direction_gap=float(direction_gap), constants=report,
-        saddle_checks=schecks, vi_check=vcheck,
+        collapse_gap=norm(x_star - point.y_star), map_norm=map_norm,
+        direction_gap=direction_gap, constants=report,
+        vi_check=check_vi(m, x_star, r, cfg.n_samples, seed + 2, strict_margin=cfg.strict_margin,
+                          exclusion_factor=cfg.exclusion_factor),
+        # sup of J(x*, .) over ball(r) less J(x*, y*) is <F(x*), y*> + r ||F(x*)||
+        y_maximal_slack=cfg.check_tol - float(fx @ point.y_star) - r * map_norm,
         uniqueness=contraction_record(r, report.theta.value, floor, direction_gap))
 
 
@@ -142,9 +142,8 @@ def solve_vi(m: SmoothMap, r: float | None = None,
     ``r`` defaults to the admissible radius.  In certified mode the
     constants must be certification grade and r must respect the admissible
     radius; heuristic mode skips both gates and watermarks the certificate.
-    ``settings`` (``tol``, ``max_iters``, ``check_tol``, ``strict_margin``,
-    ``exclusion_factor``, ``n_samples``) go to SaddleConfig, which holds
-    their defaults.
+    ``settings`` are the run settings of SaddleConfig (``tol``,
+    ``n_samples``, ...), which holds their defaults.
     """
     if report is None:
         report = vi_report(m, seed=seed)

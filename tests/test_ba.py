@@ -1,5 +1,7 @@
 """Best-approximation certificates: prox pairs, collapse, nearest point."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,6 +10,7 @@ from ballsaddle import (Ball, Box, HypothesisViolation, InvalidInput,
                         ba_small_radius, check_nearest_point, dist_ball,
                         make_affine, make_constant, solve_best_approx,
                         solve_prox_pair)
+from ballsaddle import ba as ba_module
 
 
 def constant_two():
@@ -74,6 +77,16 @@ class TestBestApprox:
         assert (cert.uniqueness["q"], cert.uniqueness["passed"]) == (1.0, False)
         assert cert.failed_checks() == ["uniqueness"]
 
+    def test_sphere_membership_is_an_identity(self):
+        # statement 6 runs no saddle check; its certificate gates | ||x*|| - r |
+        # as check_saddle did: L > 0 and r within the admissible radius
+        cert = solve_best_approx(shifted_identity())
+        off = dataclasses.replace(cert, x_star=cert.x_star * (1.0 - 2e-6 / cert.r))
+        assert off.failed_checks() == ["sphere-membership"]
+        beyond = dataclasses.replace(
+            off, constants=dataclasses.replace(cert.constants, r_max=0.5 * cert.r))
+        assert beyond.failed_checks() == []
+
     @pytest.mark.parametrize("keyword", ["tolerance", "step", "fail", "theorem"])
     def test_unknown_setting_is_a_type_error(self, keyword):
         with pytest.raises(TypeError, match=keyword):
@@ -92,6 +105,23 @@ class TestProxPair:
         assert cert.projection_gap <= 1e-6
         assert cert.passed
 
+    def test_default_sets_prove_uniqueness(self, monkeypatch):
+        # Y = ball(rho) and T = ball(r) is statement 6's problem: the
+        # contraction record replaces the probe, the saddle checks stay
+        def no_probe(*args, **kwargs):
+            raise AssertionError("the probe ran")
+        monkeypatch.setattr(ba_module, "probe_uniqueness", no_probe)
+        cert = solve_prox_pair(shifted_identity(), Ball(1.0, 2), None)
+        assert cert.theorem == "5" and cert.passed
+        assert cert.uniqueness == solve_best_approx(shifted_identity()).uniqueness
+        assert cert.uniqueness["method"] == "contraction"
+        assert "saddle" in cert.to_dict()["checks"]
+
+    def test_other_ball_T_is_probed(self):
+        cert = solve_prox_pair(shifted_identity(), Ball(1.0, 2), Ball(0.4, 2), r=0.5,
+                               uniqueness_starts=3)
+        assert cert.uniqueness["starts"] == 3 and cert.passed
+
     def test_containment_enforced(self):
         # T sticks out of Y
         m = constant_two()
@@ -109,7 +139,7 @@ class TestProxPair:
     def test_certificate_dict_shape(self):
         d = solve_best_approx(constant_two(), tol=1e-10).to_dict()
         assert d["theorem"] == "6"
-        assert "nearest-point" in d["checks"]
+        assert "nearest-point" in d["checks"] and "saddle" not in d["checks"]
         assert d["residuals"]["collapse_gap"] <= 1e-6
 
 

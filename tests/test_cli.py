@@ -102,7 +102,7 @@ class TestExitCodes:
         cfgp = write_config(tmp_path, {"problem": AFFINE})
         assert main(["vi", "--config", cfgp]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["format"] == "ballsaddle-certificate/2"
+        assert doc["format"] == "ballsaddle-certificate/3"
         assert doc["passed"] is True
         assert doc["certificate"]["theorem"] == "2"
 
@@ -560,6 +560,18 @@ class TestVerify:
                                         tamper)
         assert failures == ["uniqueness-record", "uniqueness", "recorded:passed"]
 
+    def test_default_set_prox_pair_verifies_its_contraction_record(self, tmp_path, capsys):
+        cert = self.make_cert(tmp_path, "prox-pair", {"problem": AFFINE})
+        doc = json.loads(cert.read_text())
+        assert doc["certificate"]["checks"]["uniqueness"]["method"] == "contraction"
+        assert doc["certificate"]["checks"]["saddle"]["passed"]
+        assert main(["verify", "--config", str(cert)]) == 0
+
+        def tamper(doc):
+            doc["certificate"]["checks"]["uniqueness"]["q"] = 0.5
+        assert (self.verify_tampered(tmp_path, capsys, cert, tamper)
+                == ["recorded:checks.uniqueness.q"])
+
     def test_failed_uniqueness_record_is_named(self, tmp_path, capsys):
         # a self-consistent failed record on a certificate that says it failed:
         # every stored field matches, and the verdict is still a failure
@@ -615,7 +627,18 @@ class TestVerify:
         cert.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["verify", "--config", str(cert)]) == 1
-        assert "not a ballsaddle-certificate/2 document" in capsys.readouterr().err
+        assert "not a ballsaddle-certificate/3 document" in capsys.readouterr().err
+
+    def test_format_2_certificate_asks_for_a_new_solve(self, tmp_path, capsys):
+        # format 2 carried the saddle checks of statements 2, 4 and 6
+        cert = self.make_cert(tmp_path)
+        doc = json.loads(cert.read_text())
+        doc["format"] = "ballsaddle-certificate/2"
+        cert.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cert)]) == 1
+        assert ("not a ballsaddle-certificate/3 document; re-run the solve"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("case, key, value, name", [
         ("vi", "y_star", [-0.25, 0.001], "collapse"),  # every sampled check still passes

@@ -2,20 +2,24 @@
 
 import dataclasses
 import inspect
+import json
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from ballsaddle import (Ball, Box, InvalidInput, NonConvergence, Payoff,
-                        SaddleConfig, SaddlePoint, ba_report, check_nearest_point,
-                        check_saddle, check_vi, make_constant, map_from_dict,
-                        phi_value_grad, solve_saddle, vi_payoff, vi_report)
-from ballsaddle.ba import ba_problem, solve_prox_pair
+                        SaddleConfig, SaddlePoint, ba_payoff, ba_report,
+                        check_nearest_point, check_saddle, check_vi, make_affine,
+                        make_constant, make_quadratic, map_from_dict, phi_value_grad,
+                        shift_map, solve_best_approx, solve_saddle, solve_vi,
+                        solve_vi_shifted, vi_payoff, vi_report)
+from ballsaddle.ba import ba_problem, certify_ba, solve_prox_pair
 from ballsaddle import saddle as saddle_module
-from ballsaddle.cli import DEFAULT_TOLERANCES, RunConfig, _saddle_problem, parse_config
+from ballsaddle.cli import (DEFAULT_TOLERANCES, RunConfig, _saddle_problem, parse_config,
+                            main as cli_main)
 from ballsaddle.saddle import UNIQUENESS_STARTS, probe_uniqueness
-from ballsaddle.vi import vi_problem
+from ballsaddle.vi import certify_vi, vi_problem
 
 
 def linear_payoff(c, rho, y_set):
@@ -178,10 +182,15 @@ class TestSolve:
 
         p = dataclasses.replace(linear_payoff([0.4, -0.2], 1.0, Ball(1.0, 2)), grad_x=grad_x)
         cfg = SaddleConfig(r=1.0, T=Ball(1.0, 2), L=1.0, smoothness=1.0)
-        with pytest.raises(InvalidInput, match="not finite at iteration 1"), \
-                np.errstate(invalid="ignore"):  # 0 * inf in the ball projection
+        with pytest.raises(InvalidInput, match="not finite at iteration 1"):
             solve_saddle(p, cfg)
         assert len(calls) == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_gradient_stops_the_solve_without_a_warning(self):
+        # the ball projection must not scale an infinite point by r / inf = 0:
+        # numpy warns about 0 * inf before the residual check can raise
+        self.test_non_finite_gradient_stops_the_solve(np.inf)
 
     def test_non_finite_map_stops_the_prox_pair_probe(self, monkeypatch):
         # the map turns NaN once the probe starts its first solve; the
@@ -305,3 +314,110 @@ class TestChecks:
         assert d["passed"] is True
         assert {rep["name"] for rep in d["reports"]} >= {"y-maximal",
                                                          "x-strictly-minimal"}
+
+
+def family_map(kind, n, seed):
+    """A map of the benchmark family: A = I + 0.3 G / sqrt(n), ||b|| = 2,
+    rho = 1, and for quadratic maps symmetric Q_i with
+    sqrt(sum ||Q_i||^2) = 0.1."""
+    rng = np.random.default_rng(seed)
+    A = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    b = rng.standard_normal(n)
+    b *= 2.0 / np.linalg.norm(b)
+    if kind == "affine":
+        return make_affine(A, b, 1.0)
+    Q = rng.standard_normal((n, n, n))
+    Q = 0.5 * (Q + Q.transpose(0, 2, 1))
+    Q *= 0.1 / np.sqrt(sum(np.linalg.norm(q, 2) ** 2 for q in Q))
+    return make_quadratic(A, b, Q, 1.0)
+
+
+def quartic_map():
+    """F(x) = (x^T x, 0): its Jacobian vanishes at the origin."""
+    Q = np.zeros((2, 2, 2))
+    Q[0] = np.eye(2)
+    return make_quadratic(np.zeros((2, 2)), np.zeros(2), Q, 1.0)
+
+
+def collapsed_instance(request, m):
+    """(certificate, saddle payoff, saddle config, certify step of a point)
+    of a solved statement 2, 4 or 6 instance of ``m``."""
+    if request == "best-approx":
+        cert = solve_best_approx(m)
+        Y = Ball(1.0, m.dimension)
+        cfg = ba_problem(m, Y, None, cert.r, cert.constants)
+        return (cert, ba_payoff(m, Y), cfg,
+                lambda p: certify_ba(m, Y, p, cfg, cert.constants, theorem="6"))
+    if request == "vi-shifted":
+        cert = solve_vi_shifted(m, [16.0, 0.0], r=1.0)
+        m = shift_map(m, [16.0, 0.0])
+    else:
+        cert = solve_vi(m)
+    cfg = vi_problem(m, cert.r, cert.constants)
+    return cert, vi_payoff(m), cfg, lambda p: certify_vi(m, p, cfg, cert.constants)
+
+
+def moved_points(x, r):
+    """(label, x') candidates: radial shrinks and rotations on the sphere
+    from the collapse-gap size (the solver tolerance leaves ||y* - x*|| near
+    5e-9) up to 1e-3, and the benchmark's tamper x[0] += 1e-3."""
+    u = np.zeros_like(x)
+    u[np.argmin(np.abs(x))] = 1.0
+    u -= (u @ x) / (x @ x) * x
+    u /= np.linalg.norm(u)
+    out = []
+    for size in (5e-9, 1e-7, 1e-6, 1e-4, 1e-3):
+        out.append((f"radial {size:g}", x * (1.0 - size / r)))
+        out.append((f"rotation {size:g}",
+                    np.cos(size / r) * x + np.sin(size / r) * np.linalg.norm(x) * u))
+    tampered = x.copy()
+    tampered[0] += 1e-3
+    return out + [("tamper", tampered)]
+
+
+@pytest.mark.parametrize("request_type, kind, n, seed", [
+    ("vi", "axis", 2, 0), ("vi", "quadratic", 8, 1), ("vi", "affine", 32, 2),
+    ("vi-shifted", "quartic", 2, 0),
+    ("best-approx", "axis", 2, 0), ("best-approx", "quadratic", 4, 3),
+    ("best-approx", "quadratic", 32, 4)])
+def test_dropped_saddle_check_rejects_nothing_new(request_type, kind, n, seed):
+    # statements 2, 4 and 6 no longer run check_saddle; it stays the
+    # reference here, with the seed their certify step gave it.  On the
+    # "axis" map x + (2, 0) and the quartic map, F(x*) points along an axis,
+    # so the sampled y-maximal check meets its exact maximizer
+    if kind == "axis":
+        m = make_affine(np.eye(2), [2.0, 0.0], 1.0)
+    elif kind == "quartic":
+        m = quartic_map()
+    else:
+        m = family_map(kind, n, seed)
+    cert, payoff, cfg, certify = collapsed_instance(request_type, m)
+    assert cert.passed and "saddle" not in cert.to_dict()["checks"]
+    rejected = []
+    for label, x in moved_points(cert.x_star, cert.r):
+        for y in (cert.y_star, x):  # y* left in place, or moved along with x*
+            point = SaddlePoint(x, y, cert.residual, cert.iterations, 0.0)
+            if not check_saddle(payoff, point, cfg, seed=1).passed:
+                rejected.append(label)
+                assert certify(point).failed_checks(), (label, y is x)
+    assert "tamper" in rejected
+
+
+@pytest.mark.parametrize("tamper", ["moved-off-sphere", "vi-margin"])
+def test_verify_rejects_a_tampered_vi_certificate(tmp_path, capsys, tamper):
+    config, out = tmp_path / "cfg.json", tmp_path / "cert.json"
+    config.write_text(json.dumps({"problem": {"kind": "affine", "A": [[1, 0], [0, 1]],
+                                              "b": [2, 0], "rho": 1.0}}))
+    assert cli_main(["vi", "--config", str(config), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    body = doc["certificate"]
+    if tamper == "moved-off-sphere":
+        body["solution"]["x_star"] = [0.99 * v for v in body["solution"]["x_star"]]
+    else:
+        body["checks"]["vi"]["margin"] *= 2.0
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main(["verify", "--config", str(out)]) == 3
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert ("direction" in failures if tamper == "moved-off-sphere"
+            else failures == ["recorded:checks.vi.margin"])

@@ -149,8 +149,9 @@ class TestSolveVI:
 
     def test_counts_reach_the_checks_and_the_probe(self):
         cert = solve_vi(affine_instance(), n_samples=40)
-        # 40 ball samples, 40 // 4 sphere samples and the 4 axis points of ball(r) in 2-d
-        assert cert.saddle_checks.report("y-maximal").n_samples == 54
+        # 40 ball samples, 40 // 4 sphere samples, the 4 axis points of ball(r) in 2-d
+        # and the antipode of x*, less the axis point x* = (-r, 0) itself
+        assert cert.vi_check.n_samples == 54
         # only the prox pair of statement 5 still runs the probe
         assert box_pair(uniqueness_starts=3).uniqueness["starts"] == 3
         assert box_pair(uniqueness_starts=1).uniqueness is None
