@@ -4,8 +4,9 @@
 The map F(x) = x + (2, 0) never vanishes near the origin, so on any ball
 of radius r <= r_max the problem  <F(x*), x* - x> <= 0 for all |x| <= r
 has a unique solution sitting exactly on the sphere, aligned against F.
-The script solves it, checks the certified claims by sampling, and then
-confronts the solution with two independent brute-force oracles.
+The script solves it, reads the closed-form proof of the strict
+inequality from the certificate, checks the certified claims by sampling,
+and then confronts the solution with two independent brute-force oracles.
 """
 
 import sys
@@ -36,8 +37,14 @@ print("== certificate ==")
 print(f"  x*          = {np.array2string(x, precision=8)}")
 print(f"  |x*|        = {np.linalg.norm(x):.12f}  (radius {cert.r})")
 print(f"  residual    = {cert.residual:.3e}  after {cert.iterations} iterations")
-print(f"  vi check    = {cert.vi_check.name}, margin {cert.vi_check.margin:.3e}")
+print(f"  proof       = phi_lower {cert.proof['phi_lower']:.6f}"
+      f" (a lower bound of |F(x*)|), margin {cert.proof['margin']:.6f}")
+print(f"  vi audit    = {cert.vi_check.name}, margin {cert.vi_check.margin:.3e}"
+      f" over {cert.vi_check.n_samples} samples")
 print(f"  passed      = {cert.passed}   mode = {cert.mode}")
+
+check("double inequality proved: both forms <= -(phi/2r - theta) |x - x*|^2",
+      cert.proof["passed"] and cert.proof["margin"] > 0)
 
 check("solution is on the sphere of radius r",
       abs(np.linalg.norm(x) - cert.r) <= 1e-9)

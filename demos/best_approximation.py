@@ -36,6 +36,12 @@ def report(title, mapping, r, expect):
     print(f"  |f(x*) - x*|  = {dist:.10f}")
     print(f"  collapse gap  = {cert.collapse_gap:.3e}"
           f"   distance gap = {cert.distance_gap:.3e}")
+    proof = cert.proof
+    print(f"  proof         = phi_lower {proof['phi_lower']:.6f}, margin {proof['margin']:.6f}"
+          f"   (audit margin {cert.nearest_check.margin:.3e}"
+          f" over {cert.nearest_check.n_samples} samples)")
+    check("nearest-point inequality proved: |f(x)-x|^2 - |f(x)-x*|^2 >= margin |x-x*|^2",
+          proof["passed"] and proof["phi_lower"] >= r)
     check("minimizer sits on the sphere", abs(np.linalg.norm(x) - r) <= 1e-7)
     check(f"closed form x* = {expect}",
           np.linalg.norm(x - np.asarray(expect)) <= 1e-7)

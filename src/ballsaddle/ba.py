@@ -28,12 +28,13 @@ import numpy as np
 
 from .catalog import SmoothMap, ba_payoff
 from .constants import ConstantsReport, ba_report
-from .errors import HypothesisViolation
+from .errors import HypothesisViolation, InvalidInput
 from .geometry import Ball, ConvexSet, dist_ball, norm, project_ball
-from .saddle import (SPHERE_TOL, UNIQUENESS_STARTS, Certificate, CheckReport, SaddleChecks,
-                     SaddleConfig, SaddlePoint, ball_check_samples, check_saddle,
-                     contraction_record, exclusion_mask, failed_names, gate, probe_uniqueness,
-                     raise_failure, require_count, slack_report, solve_saddle)
+from .saddle import (AUDIT_SAMPLES, SPHERE_TOL, UNIQUENESS_STARTS, Certificate, CheckReport,
+                     SaddleChecks, SaddleConfig, SaddlePoint, ball_check_samples, by_blocks,
+                     check_saddle, contraction_record, exclusion_mask, failed_names, gate,
+                     probe_uniqueness, proof_record, proved_norm_floor, raise_failure,
+                     refuse_sample_count, require_count, slack_report, solve_saddle)
 from .vi import COLLAPSE_TOL, SmallRadiusResult, radius_from_origin
 
 IDENTITY_TOL = 1e-6
@@ -44,13 +45,15 @@ CONTAINMENT_TOL = 1e-9
 class BACertificate(Certificate):
     """Certificate of statement 5 or 6: the projection identity, then the
     saddle checks (5), or the collapse, sphere membership (gated as in
-    ``check_saddle``), the distance identity and the nearest-point check (6)."""
+    ``check_saddle``), the proved nearest-point inequality, its sampled
+    audit and the distance identity (6)."""
 
     projection_gap: float
     saddle_checks: SaddleChecks | None = None
     collapse_gap: float | None = None
     distance_gap: float | None = None
     nearest_check: CheckReport | None = None
+    proof_check = "nearest-point-proof"
 
     def failed_checks(self) -> list[str]:
         first, own = [("projection", self.projection_gap <= IDENTITY_TOL)], []
@@ -120,31 +123,44 @@ def certify_ba(m: SmoothMap, Y: ConvexSet, point: SaddlePoint, cfg: SaddleConfig
 
     Measures y* = P_T(f(x*)) of ``point`` (a fresh solve or a stored
     solution).  Statement 5 adds the sampled saddle checks; statement 6 the
-    collapse x* = y*, the distance identity, y-maximal in closed form and
-    the sampled nearest-point check.  Uniqueness is the probe record
-    ``uniqueness``, or when the problem ``collapses`` the
-    ``contraction_record`` of x -> P_ball(r)(f(x)), with the floor
-    max(r, ||f(0)|| - r theta) (the projection is 1-Lipschitz, and radial
-    beyond r).  A failed identity or check is a name in ``failed_checks``.
+    collapse x* = y*, the distance identity, y-maximal in closed form, the
+    proved nearest-point inequality and its audit on AUDIT_SAMPLES samples.
+    Uniqueness is the probe record ``uniqueness``, or when the problem
+    ``collapses`` the ``contraction_record`` of x -> P_ball(r)(f(x)), with
+    the floor max(r, reach), reach = ||f(0)|| - r theta (the projection is
+    1-Lipschitz, and radial beyond r).  A failed identity or check is a
+    name in ``failed_checks``.
+
+    The proof of statement 6: for a lower bound phi >= r of ||f(x*)||
+    (``proved_norm_floor`` from reach), x* = r f(x*)/||f(x*)|| and f is
+    theta-Lipschitz, so ||f(x) - x||^2 - ||f(x) - x*||^2 >=
+    (phi/r - 2 theta) ||x - x*||^2 on ball(r).  The proof's coefficient is
+    phi/r - max(1, 2 theta), which covers both conditions.
     """
-    x_star, y_star, r = point.x_star, point.y_star, cfg.r
+    x_star, y_star, r, theta = point.x_star, point.y_star, cfg.r, report.theta.value
+    collapsed = collapses(m, Y, cfg)
+    if theorem == "6" and not collapsed:
+        raise InvalidInput("statement 6 needs Y = ball(rho) and T = ball(r)")
     fx = m.val(x_star)
-    if collapses(m, Y, cfg):
-        reach = norm(m.val(np.zeros(m.dimension))) - r * report.theta.value
-        uniqueness = contraction_record(r, report.theta.value, max(r, reach),
+    if collapsed:
+        reach = norm(m.val(np.zeros(m.dimension))) - r * theta
+        uniqueness = contraction_record(r, theta, max(r, reach),
                                         norm(x_star - project_ball(fx, r)))
     cert = BACertificate(
         theorem=theorem, mode=mode, r=r, x_star=x_star, y_star=y_star,
         residual=point.residual, iterations=point.iterations,
         projection_gap=norm(y_star - cfg.T.project(fx)), constants=report,
-        uniqueness=uniqueness, y_maximal_slack=None)
+        uniqueness=uniqueness, y_maximal_slack=None, proof=None)
     if theorem == "6":
         dist = dist_ball(fx, r)
         cert.collapse_gap, cert.distance_gap = norm(x_star - y_star), abs(norm(fx - x_star) - dist)
         # sup over y in ball(r) of J(x*, y) = ||f - x*||^2 - ||f - y||^2 less J(x*, y*)
         cert.y_maximal_slack = cfg.check_tol - (norm(fx - y_star) ** 2 - dist ** 2)
+        phi = proved_norm_floor(uniqueness, theta, reach, norm(fx))
+        least = max(1.0, 2.0 * theta)
+        cert.proof = proof_record(uniqueness, phi, phi / r - least, phi / r + least, m.dimension)
         cert.nearest_check = check_nearest_point(
-            m, x_star, r, cfg.n_samples, seed + 4,
+            m, x_star, r, AUDIT_SAMPLES, seed + 4,
             strict_margin=cfg.strict_margin, exclusion_factor=cfg.exclusion_factor)
     else:
         cert.saddle_checks = check_saddle(ba_payoff(m, Y), point, cfg, seed=seed + 1)
@@ -187,8 +203,11 @@ def check_nearest_point(m: SmoothMap, x_star, r: float,
     rng = np.random.default_rng(seed)
     xs = ball_check_samples(rng, n_samples, m.dimension, r, x_star)
     xs = xs[exclusion_mask(xs, x_star, r, exclusion_factor)]
-    F = m.vals(xs)
-    slack = np.linalg.norm(F - xs, axis=1) - np.linalg.norm(F - x_star, axis=1) - strict_margin
+
+    def gain(block):
+        F = m.vals(block)
+        return np.linalg.norm(F - block, axis=1) - np.linalg.norm(F - x_star, axis=1)
+    slack = by_blocks(gain, xs) - strict_margin
     return slack_report("nearest-point", slack, xs, {"strict_margin": strict_margin,
                                                      "exclusion_radius": exclusion_factor * r})
 
@@ -199,8 +218,10 @@ def solve_best_approx(m: SmoothMap, r: float | None = None,
     """Certify the unique best-approximation point of statement 6:
     Y = ball(rho) and T = ball(r), where the saddle pair collapses onto
     x* = P_ball(r)(f(x*)).  The keywords are those of ``solve_prox_pair``
-    but the start count: uniqueness is proved, not probed.
+    but the start count and ``n_samples``: uniqueness and the nearest-point
+    inequality are proved, and the audit has a fixed size.
     """
+    refuse_sample_count(settings)
     Y = Ball(m.domain_radius, m.dimension)
     if report is None:
         report = ba_report(m, Y, seed=seed)

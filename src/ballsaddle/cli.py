@@ -49,7 +49,7 @@ from .saddle import (UNIQUENESS_STARTS, SaddleConfig, SaddlePoint, check_saddle,
 from .vi import (certify_vi, shift_problem, small_radius, solve_vi, solve_vi_shifted,
                  vi_problem)
 
-CERT_FORMAT = "ballsaddle-certificate/3"
+CERT_FORMAT = "ballsaddle-certificate/4"
 VERIFY_FORMAT = "ballsaddle-verification/1"
 VERIFY_REL_TOL = 1e-9
 VERIFY_ABS_TOL = 1e-14
@@ -60,15 +60,17 @@ _TOLERANCE_FIELDS = {"solve": "tol", "check": "check_tol",
                      "strict_margin": "strict_margin", "exclusion_factor": "exclusion_factor"}
 DEFAULT_TOLERANCES = {key: getattr(SaddleConfig, name) for key, name in _TOLERANCE_FIELDS.items()}
 
-_COMMON = ("seed", "n_samples", "tolerances", "heuristic")
+_COMMON = ("seed", "tolerances", "heuristic")
+# n_samples sizes check_saddle, which only statements 1 and 5 run
 _FIELDS = {
     "constants": {"required": ("problem",), "optional": ("application", "y_set")},
     "saddle": {"required": ("problem",),
-               "optional": ("payoff", "r", "t_set", "y_set") + _COMMON},
+               "optional": ("payoff", "r", "t_set", "y_set", "n_samples") + _COMMON},
     "vi": {"required": ("problem",), "optional": ("r",) + _COMMON},
     "vi-shifted": {"required": ("problem", "w"), "optional": ("r",) + _COMMON},
     "prox-pair": {"required": ("problem",),
-                  "optional": ("r", "y_set", "t_set", "uniqueness_starts") + _COMMON},
+                  "optional": ("r", "y_set", "t_set", "uniqueness_starts", "n_samples")
+                  + _COMMON},
     "best-approx": {"required": ("problem",), "optional": ("r",) + _COMMON},
     "small-radius": {"required": ("problem",), "optional": ("application", "epsilon")},
 }
@@ -78,8 +80,9 @@ _FIELDS = {
 class RunConfig:
     """A fully-resolved run request; ``to_dict`` is the echo embedded in
     certificates.  The run settings default to SaddleConfig's, the start
-    count of the prox-pair probe to ``solve_prox_pair``'s.  ``smooth_map``
-    is the map ``parse_config`` built from ``problem``, outside the schema."""
+    count of the prox-pair probe to ``solve_prox_pair``'s (not echoed when
+    the request ``collapses``).  ``smooth_map`` is the map ``parse_config``
+    built from ``problem``, outside the schema."""
 
     command: str
     problem: dict
@@ -101,12 +104,25 @@ class RunConfig:
     def mode(self) -> str:
         return "heuristic" if self.heuristic else "certified"
 
+    @property
+    def collapses(self) -> bool:
+        """Whether a prox-pair request has statement 6's sets, Y = ball(rho)
+        and T = ball(r) (``ba.collapses``, decided from the config alone): a
+        contraction proves uniqueness there and no probe runs."""
+        def ball_of(doc, radius):
+            return doc is None or (isinstance(doc, dict) and doc.get("kind") == "ball"
+                                   and radius is not None and doc.get("radius") == radius)
+        return (self.command == "prox-pair" and ball_of(self.y_set, self.smooth_map.domain_radius)
+                and ball_of(self.t_set, self.r))
+
     def to_dict(self):
         spec = _FIELDS[self.command]
         d = {"command": self.command}
         for key in spec["required"] + spec["optional"]:
             if getattr(self, key) is not None:
                 d[key] = getattr(self, key)
+        if self.collapses:
+            del d["uniqueness_starts"]
         return d
 
 
@@ -181,6 +197,10 @@ def parse_config(doc: dict, command: str) -> RunConfig:
     for name in ("y_set", "t_set"):
         if name in doc:
             setattr(cfg, name, doc[name])
+    if "uniqueness_starts" in doc and cfg.collapses:
+        raise ConfigError("uniqueness_starts has no use with Y = ball(rho) and T = ball(r): "
+                          "a contraction proves uniqueness and no probe runs",
+                          path="uniqueness_starts")
     return cfg
 
 
@@ -209,9 +229,12 @@ def set_from_dict(doc: dict, dim: int, path: str) -> ConvexSet:
 
 
 def _settings(cfg: RunConfig) -> dict:
-    """The SaddleConfig run settings of a run request."""
-    return {"n_samples": cfg.n_samples,
-            **{name: cfg.tolerances[key] for key, name in _TOLERANCE_FIELDS.items()}}
+    """The SaddleConfig run settings of a run request: the tolerances, and
+    ``n_samples`` where the command's schema has it."""
+    settings = {name: cfg.tolerances[key] for key, name in _TOLERANCE_FIELDS.items()}
+    if "n_samples" in _FIELDS[cfg.command]["optional"]:
+        settings["n_samples"] = cfg.n_samples
+    return settings
 
 
 def _y_set(cfg: RunConfig, m: SmoothMap) -> ConvexSet:
@@ -504,13 +527,15 @@ def main(argv=None) -> int:
             cfg = parse_config({**doc, **overrides} if isinstance(doc, dict) else doc,
                                args.command)
             body, failures = run(cfg)
+            # the config echo is plain JSON already; only the body needs the walk
             out_doc = {"format": CERT_FORMAT, "command": cfg.command,
-                       "config": cfg.to_dict(), "certificate": body, "passed": not failures}
+                       "config": cfg.to_dict(), "certificate": _to_jsonable(body),
+                       "passed": not failures}
             if "seed" in _FIELDS[cfg.command]["optional"]:
                 out_doc["seed"] = cfg.seed
         passed = not failures
         out_doc["wall_time"] = time.perf_counter() - t0
-        text = json.dumps(_to_jsonable(out_doc), sort_keys=True, indent=2) + "\n"
+        text = json.dumps(out_doc, sort_keys=True, indent=2) + "\n"
         if args.out:
             _write_atomic(args.out, text)
             status = "PASS" if passed else "FAIL"

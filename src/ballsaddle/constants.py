@@ -49,7 +49,7 @@ def combine_flags(*flags: CertFlag) -> CertFlag:
     return max(flags, key=lambda f: _SEVERITY[f])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertValue:
     """A nonnegative constant together with its certification flag."""
 
@@ -68,7 +68,7 @@ class CertValue:
         return CertValue(float(d["value"]), CertFlag(d["flag"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstantsReport:
     """All constants used by a run, the radius rule, and the admissible radius."""
 

@@ -225,8 +225,9 @@ def sample_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> np
     g = rng.standard_normal(size=(n, dim))
     lengths = np.linalg.norm(g, axis=1, keepdims=True)
     lengths[lengths == 0] = 1.0
-    radii = radius * rng.uniform(size=(n, 1)) ** (1.0 / dim)
-    return radii * (g / lengths)
+    g /= lengths  # in place: a check batch is some MB at dim 128
+    g *= radius * rng.uniform(size=(n, 1)) ** (1.0 / dim)
+    return g
 
 
 def axis_points(dim: int, radius: float) -> np.ndarray:
@@ -243,4 +244,6 @@ def sample_sphere(rng: np.random.Generator, n: int, dim: int, radius: float) -> 
     g = rng.standard_normal(size=(n, dim))
     lengths = np.linalg.norm(g, axis=1, keepdims=True)
     lengths[lengths == 0] = 1.0
-    return radius * g / lengths
+    g *= radius
+    g /= lengths
+    return g

@@ -14,7 +14,9 @@ run it (see ``Certificate`` for the collapsed pairs of 2, 4 and 6).
 
 Every solve is a solver step (``solve_saddle``; statement 5 adds
 ``probe_uniqueness``) and a certify step (statements 2, 4 and 6, and 5 on
-their sets, prove uniqueness there with ``contraction_record``).  ``gate``
+their sets, prove uniqueness there with ``contraction_record``; 2, 4 and 6
+prove their strict inequality with ``proof_record`` and audit it on
+AUDIT_SAMPLES samples).  ``gate``
 is the radius/mode gate both share: the solve paths run it before solving,
 ``verify`` runs it with a failure sink that records instead of raising.
 """
@@ -34,9 +36,12 @@ from .oracles import uniqueness_probe
 
 EVAL_DOMAIN_TOL = 1e-9
 SPHERE_TOL = 1e-6
+SOLUTION_TOL = 1e-6
 MAX_STEP_HALVINGS = 60
 UNIQUENESS_TOL = 1e-5
 UNIQUENESS_STARTS = 16
+AUDIT_SAMPLES = 256
+CHECK_BLOCK = 512
 
 
 @dataclass
@@ -45,7 +50,8 @@ class SaddleConfig:
     place where the solver and check settings get their defaults and their
     validation.
 
-    ``n_samples`` sizes each sampled check.
+    ``n_samples`` sizes the sampled sets of ``check_saddle`` (statements 1
+    and 5); statements 2, 4 and 6 refuse it (``refuse_sample_count``).
     ``smoothness`` bounds the Lipschitz constant of the saddle operator and
     fixes the extragradient step 1/(2 * smoothness); the problem builders
     set it to 2 * weight + theta from the constants report.  ``r_max`` is
@@ -95,7 +101,7 @@ class SaddlePoint:
     step: float
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckReport:
     """Outcome of one sampled check.
 
@@ -148,9 +154,11 @@ class Certificate:
     """Solution, constants and uniqueness record of one certified run; the
     VI and approximation certificates add their own identities and checks,
     and statement 5 the sampled saddle checks.  The collapsed pairs of
-    statements 2, 4 and 6 sample x-strictly-minimal in their own check, and
-    ``y_maximal_slack`` is check_tol less sup_y J(x*, y) - J(x*, y*) in
-    closed form over T = ball(r); the body leaves it out.
+    statements 2, 4 and 6 prove x-strictly-minimal in closed form
+    (``proof``, a ``proof_record`` named ``proof_check``) and audit it in
+    their own sampled check, and ``y_maximal_slack`` is check_tol less
+    sup_y J(x*, y) - J(x*, y*) in closed form over T = ball(r); the body
+    leaves it out.
 
     ``theorem`` is the wire label of the certified statement template (see
     the certificate format notes in the README).  ``mode`` is "certified"
@@ -169,13 +177,16 @@ class Certificate:
     constants: ConstantsReport
     uniqueness: dict | None
     y_maximal_slack: float | None
+    proof: dict | None
+    proof_check = "proof"
 
     def failed_checks(self) -> list[str]:
-        """Closed-form y-maximal, then uniqueness; the subclasses put their
-        identities first and their own checks last."""
+        """Closed-form y-maximal, uniqueness and the proof; the subclasses
+        put their identities first and their own checks last."""
         return failed_names(
             ("y-maximal", self.y_maximal_slack is None or self.y_maximal_slack >= 0.0),
-            ("uniqueness", self.uniqueness is None or bool(self.uniqueness["passed"])))
+            ("uniqueness", self.uniqueness is None or bool(self.uniqueness["passed"])),
+            (self.proof_check, self.proof is None or bool(self.proof["passed"])))
 
     @property
     def passed(self) -> bool:
@@ -189,7 +200,8 @@ class Certificate:
             "residuals": {"saddle_residual": float(self.residual)},
             "iterations": int(self.iterations),
             "constants": self.constants.to_dict(),
-            "checks": {"uniqueness": self.uniqueness},
+            "checks": {"uniqueness": self.uniqueness,
+                       **({} if self.proof is None else {"proof": self.proof})},
             "passed": bool(self.passed),
         }
 
@@ -370,6 +382,42 @@ def contraction_record(r: float, theta: float, floor: float, gap: float) -> dict
             "error_bound": float(gap / (1.0 - q)) if proved else np.inf}
 
 
+def proved_norm_floor(uniqueness: dict, theta: float, floor: float, point_norm: float) -> float:
+    """phi_lower, a lower bound on the map norm at the exact solution x*:
+    the floor over ball(r) or, when the contraction ``uniqueness`` proves x*
+    within its error bound e of the point, the norm there less theta e."""
+    if not uniqueness["passed"]:
+        return float(floor)
+    return float(max(floor, point_norm - theta * uniqueness["error_bound"]))
+
+
+def proof_record(uniqueness: dict, phi: float, coefficient: float, scale: float,
+                 dim: int) -> dict:
+    """The record of a strict inequality proved in closed form for every
+    x != x* in ball(r), with a quadratic slack coefficient * ||x - x*||^2.
+    It proves something when the contraction ``uniqueness`` proves x*
+    (q < 1) within SOLUTION_TOL of the reported point, so that the proof is
+    about that point, and the coefficient, a difference of terms of size
+    ``scale``, clears the rounding pad (dim + 1) eps scale: the error bound
+    of a norm of a map value, an inner product of length dim plus an
+    offset (Higham, ch. 3), and of the final subtraction.  The margin is
+    the coefficient less the pad."""
+    margin = coefficient - (dim + 1) * np.finfo(float).eps * scale
+    located = uniqueness["passed"] and uniqueness["error_bound"] <= SOLUTION_TOL
+    return {"phi_lower": float(phi), "margin": float(margin),
+            "passed": bool(located and margin > 0.0)}
+
+
+def refuse_sample_count(settings: dict):
+    """Statements 2, 4 and 6 prove their strict inequality and audit it on
+    AUDIT_SAMPLES samples: ``n_samples`` sizes only ``check_saddle``, and a
+    setting that nothing would read is refused."""
+    if "n_samples" in settings:
+        raise TypeError("n_samples sizes the sampled saddle checks of statements 1 and 5; "
+                        "statements 2, 4 and 6 prove their inequality and audit it on "
+                        f"{AUDIT_SAMPLES} samples")
+
+
 def payoff_depends_on_y(payoff, x_star, T: ConvexSet, seed: int = 0) -> bool:
     """False when the payoff is y-independent near the solution (then the
     reported y* is just one valid choice among many)."""
@@ -403,7 +451,14 @@ def require_exclusion_factor(factor: float):
 def exclusion_mask(xs: np.ndarray, x_star: np.ndarray, r: float, factor: float) -> np.ndarray:
     """Rows of ``xs`` outside the exclusion ball of radius factor * r about x*."""
     require_exclusion_factor(factor)
-    return np.linalg.norm(xs - x_star, axis=1) > factor * r
+    return by_blocks(lambda block: np.linalg.norm(block - x_star, axis=1), xs) > factor * r
+
+
+def by_blocks(fn, xs: np.ndarray) -> np.ndarray:
+    """``fn`` over blocks of CHECK_BLOCK rows of ``xs``, concatenated: a wide
+    sampled check holds its map values and differences for one block at a
+    time, not for all its samples at once."""
+    return np.concatenate([fn(xs[i:i + CHECK_BLOCK]) for i in range(0, len(xs), CHECK_BLOCK)])
 
 
 def slack_report(name: str, slack: np.ndarray, points: np.ndarray, details: dict) -> CheckReport:

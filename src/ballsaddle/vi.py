@@ -8,12 +8,13 @@ sphere of radius r satisfying the double strict inequality
 
 The point is computed as the collapsed saddle point of the payoff
 J(x, y) = <F(x), x - y> regularized with weight L = M, and certified by
-the sampled double inequality (with y* = x*, the x-strictly-minimal
-saddle inequality), y-maximal in closed form, the structural identities
-x* = y*, F(x*) != 0 and x* antiparallel to F(x*) on the sphere, and the
-contraction that makes it unique.  ``solve_vi`` gates the problem
-(``vi_problem``), solves, and hands the solution to ``certify_vi``, the
-same certify step ``verify`` runs on a stored solution.
+the structural identities x* = y*, F(x*) != 0 and x* antiparallel to
+F(x*) on the sphere, y-maximal in closed form, the contraction that makes
+it unique, the double inequality (with y* = x*, the x-strictly-minimal
+saddle inequality) proved in closed form, and a sampled audit of it.
+``solve_vi`` gates the problem (``vi_problem``), solves, and hands the
+solution to ``certify_vi``, the same certify step ``verify`` runs on a
+stored solution.
 
 ``solve_vi_shifted`` handles maps with vanishing Jacobian at the origin
 shifted by a far-enough target w, and ``small_radius`` picks a radius that
@@ -30,9 +31,10 @@ from .catalog import SmoothMap, shift_map, vi_payoff
 from .constants import ConstantsReport, op_norm, vi_report
 from .errors import HypothesisViolation, InvalidInput
 from .geometry import Ball, norm
-from .saddle import (Certificate, CheckReport, SaddleConfig, SaddlePoint,
-                     ball_check_samples, contraction_record, exclusion_mask,
-                     failed_names, gate, raise_failure, slack_report, solve_saddle)
+from .saddle import (AUDIT_SAMPLES, Certificate, CheckReport, SaddleConfig, SaddlePoint,
+                     ball_check_samples, by_blocks, contraction_record, exclusion_mask,
+                     failed_names, gate, proof_record, proved_norm_floor, raise_failure,
+                     refuse_sample_count, slack_report, solve_saddle)
 
 COLLAPSE_TOL = 1e-6
 DIRECTION_TOL = 1e-6
@@ -42,13 +44,15 @@ MAP_ZERO_TOL = 1e-9
 @dataclass
 class VICertificate(Certificate):
     """Certificate of statement 2 or 4: the structural identities, the
-    double-inequality check and, for statement 4, the shift gate record."""
+    proved double inequality and its sampled audit and, for statement 4,
+    the shift gate record."""
 
     collapse_gap: float
     map_norm: float
     direction_gap: float
     vi_check: CheckReport
     gate: dict = field(default_factory=dict)
+    proof_check = "vi-inequality-proof"
 
     def failed_checks(self) -> list[str]:
         return (failed_names(("collapse", self.collapse_gap <= COLLAPSE_TOL),
@@ -81,9 +85,12 @@ def check_vi(m: SmoothMap, x_star, r: float, n_samples: int = SaddleConfig.n_sam
     rng = np.random.default_rng(seed)
     xs = ball_check_samples(rng, n_samples, m.dimension, r, x_star)
     xs = xs[exclusion_mask(xs, x_star, r, exclusion_factor)]
-    d = x_star - xs
-    first = d @ m.val(x_star)
-    second = np.einsum("mi,mi->m", m.vals(xs), d)
+    fx = m.val(x_star)
+
+    def forms(block):
+        d = x_star - block
+        return np.stack([d @ fx, np.einsum("mi,mi->m", m.vals(block), d)], axis=1)
+    first, second = by_blocks(forms, xs).T
     return slack_report("vi-double-inequality", -np.maximum(first, second) - strict_margin, xs,
                         {"strict_margin": strict_margin,
                          "exclusion_radius": exclusion_factor * r,
@@ -95,7 +102,9 @@ def vi_problem(m: SmoothMap, r: float | None, report: ConstantsReport,
                mode: str = "certified", *, fail=raise_failure, **settings) -> SaddleConfig:
     """The gated saddle problem of a VI run: ``gate`` on the report, then
     T = ball(r), the regularization weight L = M and the smoothness
-    2 M + theta.  ``settings`` are the run settings of SaddleConfig."""
+    2 M + theta.  ``settings`` are the run settings of SaddleConfig but
+    ``n_samples`` (see ``refuse_sample_count``)."""
+    refuse_sample_count(settings)
     r = gate(report, r, mode, m.domain_radius, fail)
     M = report.M.value
     return SaddleConfig(r=r, T=Ball(r, m.dimension), L=M,
@@ -111,27 +120,38 @@ def certify_vi(m: SmoothMap, point: SaddlePoint, cfg: SaddleConfig,
 
     Measures the structural identities of ``point`` (a fresh solve or a
     stored solution): x* = y*, F(x*) != 0, x* antiparallel to F(x*) on the
-    sphere and y-maximal in closed form; then samples the double inequality.
-    It never raises on a failed check: the gates ran in ``vi_problem``, and
-    a failed identity or check is a name in ``failed_checks``.  Uniqueness
-    is the ``contraction_record`` of x -> -r F(x)/||F(x)||, with the floor
+    sphere and y-maximal in closed form; then proves the double inequality
+    and audits it on AUDIT_SAMPLES samples.  It never raises on a failed
+    check: the gates ran in ``vi_problem``, and a failed identity or check
+    is a name in ``failed_checks``.  Uniqueness is the
+    ``contraction_record`` of x -> -r F(x)/||F(x)||, with the floor
     ||F(0)|| - r theta of ||F|| on ball(r).
+
+    The proof: x* = -r F(x*)/||F(x*)|| gives <F(x*), x* - x> <=
+    -(||F(x*)||/2r) ||x - x*||^2 on ball(r), and F is theta-Lipschitz, so
+    both forms are at most -(phi/2r - theta) ||x - x*||^2 for any lower
+    bound phi of ||F(x*)|| (``proved_norm_floor``).
     """
-    x_star, r = point.x_star, cfg.r
+    x_star, r, theta = point.x_star, cfg.r, report.theta.value
     fx = m.val(x_star)
     map_norm = norm(fx)
     direction_gap = norm(x_star + (r / map_norm) * fx) if map_norm > 0.0 else np.inf
-    floor = norm(m.val(np.zeros(m.dimension))) - r * report.theta.value
+    floor = norm(m.val(np.zeros(m.dimension))) - r * theta
+    uniqueness = contraction_record(r, theta, floor, direction_gap)
+    phi = proved_norm_floor(uniqueness, theta, floor, map_norm)
     return VICertificate(
         theorem="2", mode=mode, r=r, x_star=x_star, y_star=point.y_star,
         residual=point.residual, iterations=point.iterations,
         collapse_gap=norm(x_star - point.y_star), map_norm=map_norm,
         direction_gap=direction_gap, constants=report,
-        vi_check=check_vi(m, x_star, r, cfg.n_samples, seed + 2, strict_margin=cfg.strict_margin,
+        vi_check=check_vi(m, x_star, r, AUDIT_SAMPLES, seed + 2,
+                          strict_margin=cfg.strict_margin,
                           exclusion_factor=cfg.exclusion_factor),
         # sup of J(x*, .) over ball(r) less J(x*, y*) is <F(x*), y*> + r ||F(x*)||
         y_maximal_slack=cfg.check_tol - float(fx @ point.y_star) - r * map_norm,
-        uniqueness=contraction_record(r, report.theta.value, floor, direction_gap))
+        uniqueness=uniqueness,
+        proof=proof_record(uniqueness, phi, phi / (2.0 * r) - theta, phi / (2.0 * r) + theta,
+                           m.dimension))
 
 
 def solve_vi(m: SmoothMap, r: float | None = None,
@@ -143,7 +163,8 @@ def solve_vi(m: SmoothMap, r: float | None = None,
     constants must be certification grade and r must respect the admissible
     radius; heuristic mode skips both gates and watermarks the certificate.
     ``settings`` are the run settings of SaddleConfig (``tol``,
-    ``n_samples``, ...), which holds their defaults.
+    ``strict_margin``, ...), which holds their defaults; ``n_samples`` is
+    refused, since the inequality is proved and the audit has a fixed size.
     """
     if report is None:
         report = vi_report(m, seed=seed)

@@ -11,6 +11,7 @@ from ballsaddle import (Ball, Box, HypothesisViolation, InvalidInput,
                         make_affine, make_constant, solve_best_approx,
                         solve_prox_pair)
 from ballsaddle import ba as ba_module
+from ballsaddle.saddle import SaddlePoint
 
 
 def constant_two():
@@ -75,7 +76,8 @@ class TestBestApprox:
         # r = 1: q = 1 / max(1, 2 - 1) = 1, the projection no longer contracts
         cert = solve_best_approx(shifted_identity(), r=1.0, mode="heuristic")
         assert (cert.uniqueness["q"], cert.uniqueness["passed"]) == (1.0, False)
-        assert cert.failed_checks() == ["uniqueness"]
+        # nor does the nearest-point proof hold without a proved x*
+        assert cert.failed_checks() == ["uniqueness", "nearest-point-proof"]
 
     def test_sphere_membership_is_an_identity(self):
         # statement 6 runs no saddle check; its certificate gates | ||x*|| - r |
@@ -141,6 +143,16 @@ class TestProxPair:
         assert d["theorem"] == "6"
         assert "nearest-point" in d["checks"] and "saddle" not in d["checks"]
         assert d["residuals"]["collapse_gap"] <= 1e-6
+
+
+def test_statement_6_needs_its_sets():
+    # the proof and the contraction are statement 6's only on Y = ball(rho), T = ball(r)
+    m, Y = constant_two(), Ball(1.0, 2)
+    report = ba_module.ba_report(m, Y)
+    cfg = ba_module.ba_problem(m, Y, Box([-0.5, -0.5], [0.5, 0.5]), 0.5, report)
+    point = SaddlePoint(np.array([0.5, 0.0]), np.array([0.5, 0.0]), 0.0, 1, 0.0)
+    with pytest.raises(InvalidInput, match="statement 6"):
+        ba_module.certify_ba(m, Y, point, cfg, report, theorem="6")
 
 
 class TestNearestCheck:

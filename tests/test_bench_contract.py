@@ -61,12 +61,20 @@ def test_request_certifies_and_checks(request_type):
     assert cert.passed and why is None
 
 
-@pytest.mark.parametrize("request_type", ("vi", "best-approx"))
-def test_wide_quadratic_request_certifies_and_checks(request_type):
-    # check-wide's own size: the sampled checks run on 32-wide quadratic batches
-    wide = spec.WORKLOADS_BY_NAME["check-wide"]
-    slot = ("quadratic", 32, request_type)
-    inst = problems.draw_instance(1, wide.name, wide.slots.index(slot), slot)
+WIDE = spec.WORKLOADS_BY_NAME["check-wide"]
+
+
+def _wide_id(slot):
+    # the request type alone for the quadratic n = 32 slots, the test's namesake
+    kind, n, request = slot
+    return request if (kind, n) == ("quadratic", 32) else f"{kind}-{n}-{request}"
+
+
+@pytest.mark.parametrize("slot", list(dict.fromkeys(WIDE.slots)), ids=_wide_id)
+def test_wide_quadratic_request_certifies_and_checks(slot):
+    # every check-wide slot at its own size: 32-wide quadratic and 128-wide
+    # affine batches
+    inst = problems.draw_instance(1, WIDE.name, WIDE.slots.index(slot), slot)
     cert = problems.certify(ballsaddle, inst)
     wrong, why = problems.check_certificate(ballsaddle, inst, cert)
     assert not wrong, why

@@ -6,11 +6,27 @@ import numpy as np
 import pytest
 
 from ballsaddle import ConfigError, NonConvergence
-from ballsaddle.cli import (_FIELDS, COMMANDS, DEFAULT_TOLERANCES, _build_parser, main,
-                            parse_config, set_from_dict)
+from ballsaddle.cli import (_FIELDS, CERT_FORMAT, COMMANDS, DEFAULT_TOLERANCES, _build_parser,
+                            _to_jsonable, main, parse_config, run, set_from_dict)
 
 AFFINE = {"kind": "affine", "A": [[1.0, 0.0], [0.0, 1.0]],
           "b": [2.0, 0.0], "rho": 1.0}
+
+
+def quadratic_problem(n, seed):
+    """A quadratic problem document of the benchmark family at dimension n:
+    33k coefficients at n = 32."""
+    rng = np.random.default_rng(seed)
+    A = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    b = rng.standard_normal(n)
+    Q = rng.standard_normal((n, n, n))
+    Q = 0.5 * (Q + Q.transpose(0, 2, 1))
+    Q *= 0.1 / np.sqrt(sum(np.linalg.norm(q, 2) ** 2 for q in Q))
+    return {"kind": "quadratic", "A": A.tolist(), "b": (2.0 * b / np.linalg.norm(b)).tolist(),
+            "Q": Q.tolist(), "rho": 1.0}
+
+
+QUADRATIC_32 = quadratic_problem(32, 0)
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -63,10 +79,27 @@ class TestParseConfig:
         assert exc.value.path == key  # no leading dot
 
     def test_whole_numbers_keep_their_echo(self):
+        # a box T: with the default sets no probe runs and the start count is refused
         cfg = parse_config({"problem": AFFINE, "seed": 3.0, "n_samples": 50,
-                            "uniqueness_starts": 0}, "prox-pair")
+                            "uniqueness_starts": 0, "t_set": BOX}, "prox-pair")
         assert (cfg.seed, cfg.n_samples, cfg.uniqueness_starts) == (3, 50, 0)
         assert isinstance(cfg.seed, int)
+
+    @pytest.mark.parametrize("sets", [{}, {"y_set": {"kind": "ball", "radius": 1.0}},
+                                      {"r": 0.2, "t_set": {"kind": "ball", "radius": 0.2}}])
+    def test_start_count_without_a_probe_is_refused(self, sets):
+        # with Y = ball(rho) and T = ball(r) the contraction proves uniqueness
+        # and no probe runs, so a start count would be accepted and ignored
+        with pytest.raises(ConfigError, match="no use") as exc:
+            parse_config({"problem": AFFINE, "uniqueness_starts": 5, **sets}, "prox-pair")
+        assert exc.value.path == "uniqueness_starts"
+        echo = parse_config({"problem": AFFINE, **sets}, "prox-pair").to_dict()
+        assert "uniqueness_starts" not in echo
+        # a box T, or a ball T other than ball(r), is probed: its count is echoed
+        for t_set in (BOX, {"kind": "ball", "radius": 0.1}):
+            cfg = parse_config({"problem": AFFINE, "uniqueness_starts": 5, "r": 0.2,
+                                "t_set": t_set}, "prox-pair")
+            assert cfg.to_dict()["uniqueness_starts"] == 5
 
     def test_heuristic_must_be_bool(self):
         with pytest.raises(ConfigError, match="heuristic"):
@@ -102,7 +135,7 @@ class TestExitCodes:
         cfgp = write_config(tmp_path, {"problem": AFFINE})
         assert main(["vi", "--config", cfgp]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["format"] == "ballsaddle-certificate/3"
+        assert doc["format"] == "ballsaddle-certificate/4"
         assert doc["passed"] is True
         assert doc["certificate"]["theorem"] == "2"
 
@@ -125,6 +158,13 @@ class TestExitCodes:
         doc = dict(ROUND_TRIPS[command][1], uniqueness_starts=16)
         assert main([command, "--config", write_config(tmp_path, doc)]) == 1
         assert "unknown field 'uniqueness_starts'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["vi", "vi-shifted", "best-approx"])
+    def test_sample_count_of_a_proved_statement_is_unknown(self, tmp_path, capsys, command):
+        # statements 2, 4 and 6 prove their inequality; only the saddle checks sample
+        doc = dict(ROUND_TRIPS[command][1], n_samples=2000)
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 1
+        assert "unknown field 'n_samples'" in capsys.readouterr().err
 
     def test_refuted_declaration_is_one(self, tmp_path, capsys):
         # the quadratic declares theta = 0.01, but its Jacobian at e_1 has norm 3
@@ -180,8 +220,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("doc, argv", [({}, ["--seed", "-5"]), ({"seed": -5}, []),
                                            ({"seed": 1.7}, []), ({"n_samples": 0.5}, [])])
     def test_bad_whole_number_is_one(self, tmp_path, capsys, doc, argv):
+        # saddle has both counts: n_samples sizes only the saddle checks
         cfgp = write_config(tmp_path, {"problem": AFFINE, **doc})
-        assert main(["vi", "--config", cfgp] + argv) == 1
+        assert main(["saddle", "--config", cfgp] + argv) == 1
         err = capsys.readouterr().err
         assert f"config error: {next(iter(doc), 'seed')}:" in err
 
@@ -255,7 +296,7 @@ class TestOverrides:
 
     def test_config_echo_of_defaults(self):
         assert parse_config({"problem": AFFINE}, "vi").to_dict() == {
-            "command": "vi", "problem": AFFINE, "seed": 0, "n_samples": 2000,
+            "command": "vi", "problem": AFFINE, "seed": 0,
             "heuristic": False, "tolerances": DEFAULT_TOLERANCES}
         # small-radius reads no seed, sample count, tolerance or mode
         assert parse_config({"problem": AFFINE}, "small-radius").to_dict() == {
@@ -289,6 +330,24 @@ class TestCertificates:
         da.pop("wall_time"), db.pop("wall_time")
         assert da == db
 
+    @pytest.mark.parametrize("command, doc", [
+        ("vi", {"problem": QUADRATIC_32}),
+        ("vi", {"problem": AFFINE, "r": 1.0, "heuristic": True}),  # q = 1: inf in the body
+        ("prox-pair", {"problem": {"kind": "constant", "c": [2.0, 0.0], "rho": 1.0}, "r": 0.5,
+                       "t_set": {"kind": "box", "lower": [-0.5, -0.5], "upper": [0.5, 0.5]}})])
+    def test_envelope_bytes_match_a_full_walk(self, tmp_path, command, doc):
+        # only the body goes through _to_jsonable; the config echo is plain JSON
+        out = tmp_path / "cert.json"
+        main([command, "--config", write_config(tmp_path, doc), "--out", str(out)])
+        written = out.read_text()
+        cfg = parse_config(doc, command)
+        body, failures = run(cfg)
+        wall_time = json.loads(written)["wall_time"]
+        full = {"format": CERT_FORMAT, "command": command, "config": cfg.to_dict(),
+                "certificate": body, "passed": not failures, "seed": cfg.seed,
+                "wall_time": wall_time}
+        assert written == json.dumps(_to_jsonable(full), sort_keys=True, indent=2) + "\n"
+
     def test_sorted_keys(self, tmp_path):
         cfgp = write_config(tmp_path, {"problem": AFFINE})
         out = tmp_path / "cert.json"
@@ -300,6 +359,7 @@ class TestCertificates:
 QUARTIC = {"kind": "quadratic", "A": [[0, 0], [0, 0]], "b": [0, 0], "rho": 1.0,
            "Q": [[[1, 0], [0, 1]], [[0, 0], [0, 0]]]}
 CONSTANT = {"kind": "constant", "c": [2.0, 0.0], "rho": 1.0}
+
 # F(x) = x + (2, 0) + (x^T x, 0): ||jac(e_1)|| = 3
 REFUTED = {"kind": "quadratic", "A": [[1, 0], [0, 1]], "b": [2, 0], "rho": 1.0,
            "Q": [[[1, 0], [0, 1]], [[0, 0], [0, 0]]]}
@@ -627,7 +687,28 @@ class TestVerify:
         cert.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["verify", "--config", str(cert)]) == 1
-        assert "not a ballsaddle-certificate/3 document" in capsys.readouterr().err
+        assert "not a ballsaddle-certificate/4 document" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["vi", "vi-shifted", "best-approx"])
+    def test_tampered_proof_margin_detected(self, tmp_path, capsys, case):
+        def tamper(doc):
+            doc["certificate"]["checks"]["proof"]["margin"] *= 2.0
+        cert = self.make_cert(tmp_path, *ROUND_TRIPS[case])
+        assert (self.verify_tampered(tmp_path, capsys, cert, tamper)
+                == ["recorded:checks.proof.margin"])
+
+    def test_format_3_certificate_asks_for_a_new_solve(self, tmp_path, capsys):
+        # format 3 sampled the strict inequalities of statements 2, 4 and 6
+        # 2,000 times and carried no proof record
+        cert = self.make_cert(tmp_path)
+        doc = json.loads(cert.read_text())
+        doc["format"] = "ballsaddle-certificate/3"
+        del doc["certificate"]["checks"]["proof"]
+        cert.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cert)]) == 1
+        assert ("not a ballsaddle-certificate/4 document; re-run the solve"
+                in capsys.readouterr().err)
 
     def test_format_2_certificate_asks_for_a_new_solve(self, tmp_path, capsys):
         # format 2 carried the saddle checks of statements 2, 4 and 6
@@ -637,7 +718,7 @@ class TestVerify:
         cert.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["verify", "--config", str(cert)]) == 1
-        assert ("not a ballsaddle-certificate/3 document; re-run the solve"
+        assert ("not a ballsaddle-certificate/4 document; re-run the solve"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("case, key, value, name", [

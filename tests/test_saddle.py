@@ -12,12 +12,14 @@ from ballsaddle import (Ball, Box, InvalidInput, NonConvergence, Payoff,
                         SaddleConfig, SaddlePoint, ba_payoff, ba_report,
                         check_nearest_point, check_saddle, check_vi, make_affine,
                         make_constant, make_quadratic, map_from_dict, phi_value_grad,
-                        shift_map, solve_best_approx, solve_saddle, solve_vi,
-                        solve_vi_shifted, vi_payoff, vi_report)
+                        project_ball, sample_ball, sample_sphere, shift_map,
+                        solve_best_approx, solve_saddle, solve_vi, solve_vi_shifted,
+                        vi_payoff, vi_report)
 from ballsaddle.ba import ba_problem, certify_ba, solve_prox_pair
 from ballsaddle import saddle as saddle_module
 from ballsaddle.cli import (DEFAULT_TOLERANCES, RunConfig, _saddle_problem, parse_config,
                             main as cli_main)
+from ballsaddle.oracles import fixedpoint_vi_oracle
 from ballsaddle.saddle import UNIQUENESS_STARTS, probe_uniqueness
 from ballsaddle.vi import certify_vi, vi_problem
 
@@ -421,3 +423,90 @@ def test_verify_rejects_a_tampered_vi_certificate(tmp_path, capsys, tamper):
     failures = json.loads(capsys.readouterr().out)["failures"]
     assert ("direction" in failures if tamper == "moved-off-sphere"
             else failures == ["recorded:checks.vi.margin"])
+
+
+PROOF_SAMPLES = 10**4
+# x* comes from an iteration stopped at a 1e-13 step, so it lies within about
+# 1e-12 of the exact solution; the forms are Lipschitz in x* with constant
+# about 3 ||F|| < 20 on these maps, and their rounding is about n eps ||F|| r,
+# so the sampled forms may exceed the exact bound by this much
+PROOF_ALLOWANCE = 1e-10
+
+
+def tight_fixed_point(g, x, tol=1e-13, max_iters=10**4):
+    """The fixed point of the contraction ``g`` from ``x``, to a step of tol."""
+    for _ in range(max_iters):
+        x, last = g(x), x
+        if np.linalg.norm(x - last) <= tol:
+            return x
+    raise AssertionError("the fixed-point iteration did not settle")
+
+
+@pytest.mark.parametrize("kind", ["affine", "quadratic"])
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+def test_sampled_forms_obey_the_proved_bounds(kind, n):
+    # statements 2 and 4: max of both forms <= -(phi/2r - theta) ||x - x*||^2;
+    # statement 6: ||f(x) - x||^2 - ||f(x) - x*||^2 >= (phi/r - 2 theta) ||x - x*||^2
+    m = family_map(kind, n, 10 + n)
+    rng = np.random.default_rng(n)
+    unit = np.vstack([sample_ball(rng, PROOF_SAMPLES // 2, n, 1.0),
+                      sample_sphere(rng, PROOF_SAMPLES // 2, n, 1.0)])
+    cert = solve_vi(m)
+    proof, theta, r = cert.proof, cert.constants.theta.value, cert.r
+    coefficient = proof["phi_lower"] / (2.0 * r) - theta
+    assert proof["passed"] and coefficient > proof["margin"] > 0.0
+    x_star = fixedpoint_vi_oracle(m, r, 1.0 / (2.0 * cert.constants.M.value), tol=1e-13)
+    assert np.linalg.norm(m.val(x_star)) >= proof["phi_lower"]
+    xs = r * unit
+    d = x_star - xs
+    dist2 = np.einsum("mi,mi->m", d, d)
+    forms = np.maximum(d @ m.val(x_star), np.einsum("mi,mi->m", m.vals(xs), d))
+    assert np.all(forms <= -coefficient * dist2 + PROOF_ALLOWANCE)
+
+    cert = solve_best_approx(m)
+    proof, theta, r = cert.proof, cert.constants.theta.value, cert.r
+    coefficient = proof["phi_lower"] / r - 2.0 * theta
+    assert proof["passed"] and proof["phi_lower"] > r and coefficient > proof["margin"] > 0.0
+    x_star = tight_fixed_point(lambda x: project_ball(m.val(x), r), np.zeros(n))
+    assert np.linalg.norm(m.val(x_star)) >= proof["phi_lower"]
+    xs = r * unit
+    F = m.vals(xs)
+    gain = (np.einsum("mi,mi->m", F - xs, F - xs)
+            - np.einsum("mi,mi->m", F - x_star, F - x_star))
+    d = xs - x_star
+    assert np.all(gain >= coefficient * np.einsum("mi,mi->m", d, d) - PROOF_ALLOWANCE)
+
+
+def test_a_rounding_sized_coefficient_proves_nothing():
+    # q = 1/3 and x* located exactly; phi/2r - theta = 1e-15 lies within the
+    # rounding pad (n + 1) eps (phi/2r + theta) = 1.3e-15 at n = 2
+    uniqueness = saddle_module.contraction_record(0.5, 1.0, 1.5, 0.0)
+    r, theta = 0.5, 1.0
+    for coefficient, proved in ((1e-15, False), (1e-13, True)):
+        phi = 2.0 * r * (theta + coefficient)
+        record = saddle_module.proof_record(uniqueness, phi, phi / (2.0 * r) - theta,
+                                            phi / (2.0 * r) + theta, 2)
+        assert record["passed"] is proved and (record["margin"] > 0.0) is proved
+
+
+def test_proof_needs_the_reported_point_located():
+    # a contraction that places x* only within 2e-6 of the reported point
+    # proves the inequality about a point the certificate does not report
+    located = saddle_module.contraction_record(0.5, 1.0, 1.5, 1e-9)
+    loose = saddle_module.contraction_record(0.5, 1.0, 1.5, 2e-6 * (2.0 / 3.0))
+    assert located["passed"] and loose["passed"]
+    assert saddle_module.proof_record(located, 3.0, 2.0, 4.0, 2)["passed"]
+    assert not saddle_module.proof_record(loose, 3.0, 2.0, 4.0, 2)["passed"]
+
+
+def test_heuristic_run_beyond_the_proof_names_it():
+    # F(x) = x + (2, 0) at r = 0.68, beyond r_max = 1/4: q = 0.68 / 1.32 < 1
+    # proves a unique x*, but phi = 2 - r <= 2 r theta, so the closed form
+    # proves no strict inequality, and the proof check is named
+    r = 0.68
+    cert = solve_vi(make_affine(np.eye(2), [2.0, 0.0], 1.0), r=r, mode="heuristic")
+    assert cert.uniqueness["passed"] and cert.uniqueness["q"] < 1.0
+    assert cert.proof["phi_lower"] == pytest.approx(2.0 - r)
+    assert cert.proof["phi_lower"] <= 2.0 * r * cert.constants.theta.value
+    assert "vi-inequality-proof" in cert.failed_checks()
+    assert cert.to_dict()["checks"]["proof"]["passed"] is False

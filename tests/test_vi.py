@@ -10,6 +10,7 @@ from ballsaddle import (Ball, Box, CertificationError, HypothesisViolation,
                         InvalidInput, check_vi, make_affine, make_constant,
                         make_quadratic, small_radius, solve_best_approx, solve_prox_pair,
                         solve_vi, solve_vi_shifted, vi_report)
+from ballsaddle.saddle import AUDIT_SAMPLES
 
 
 def affine_instance():
@@ -140,18 +141,22 @@ class TestSolveVI:
                                              ("uniqueness_starts", -3),
                                              ("uniqueness_starts", True)])
     def test_bad_count_stops_before_any_solve(self, solve_calls, name, value):
-        # the start count belongs to the prox-pair probe: solve_vi has none
-        error, match = ((TypeError, name) if name == "uniqueness_starts"
-                        else (InvalidInput, f"{name} must be an integer"))
-        with pytest.raises(error, match=match):
+        # the start count belongs to the prox-pair probe and the sample count to
+        # its saddle checks: solve_vi has neither, and the prox pair validates both
+        with pytest.raises(TypeError, match=name):
             solve_vi(affine_instance(), **{name: value})
+        with pytest.raises(InvalidInput, match=f"{name} must be an integer"):
+            box_pair(**{name: value})
         assert solve_calls == []
 
     def test_counts_reach_the_checks_and_the_probe(self):
-        cert = solve_vi(affine_instance(), n_samples=40)
-        # 40 ball samples, 40 // 4 sphere samples, the 4 axis points of ball(r) in 2-d
+        # the proved inequality is audited on AUDIT_SAMPLES ball samples, a
+        # quarter as many sphere samples, the 4 axis points of ball(r) in 2-d
         # and the antipode of x*, less the axis point x* = (-r, 0) itself
-        assert cert.vi_check.n_samples == 54
+        cert = solve_vi(affine_instance())
+        assert cert.vi_check.n_samples == AUDIT_SAMPLES + AUDIT_SAMPLES // 4 + 4
+        # n_samples sizes the saddle checks of the prox pair: 40 points of the box
+        assert box_pair(n_samples=40).saddle_checks.report("y-maximal").n_samples == 40
         # only the prox pair of statement 5 still runs the probe
         assert box_pair(uniqueness_starts=3).uniqueness["starts"] == 3
         assert box_pair(uniqueness_starts=1).uniqueness is None
@@ -170,6 +175,17 @@ class TestSolveVI:
     def test_start_count_is_a_type_error(self, solve_calls, solve):
         with pytest.raises(TypeError, match="uniqueness_starts"):
             solve(uniqueness_starts=16)
+        assert solve_calls == []
+
+    @pytest.mark.parametrize("solve", [
+        lambda **kw: solve_vi(affine_instance(), **kw),
+        lambda **kw: solve_vi_shifted(quartic_gate_map(), [16.0, 0.0], 1.0, **kw),
+        lambda **kw: solve_best_approx(affine_instance(), **kw)],
+        ids=["vi", "vi-shifted", "best-approx"])
+    def test_sample_count_is_a_type_error(self, solve_calls, solve):
+        # statements 2, 4 and 6 prove their inequality: no count would be read
+        with pytest.raises(TypeError, match="n_samples"):
+            solve(n_samples=2000)
         assert solve_calls == []
 
     @pytest.mark.parametrize("solve", [
