@@ -36,7 +36,8 @@ x = cert.x_star
 print("== certificate ==")
 print(f"  x*          = {np.array2string(x, precision=8)}")
 print(f"  |x*|        = {np.linalg.norm(x):.12f}  (radius {cert.r})")
-print(f"  residual    = {cert.residual:.3e}  after {cert.iterations} iterations")
+print(f"  last step   = {cert.residual:.3e}  after {cert.iterations} map values"
+      f" (fixed-point iteration, q = {cert.uniqueness['q']:.4f})")
 print(f"  proof       = phi_lower {cert.proof['phi_lower']:.6f}"
       f" (a lower bound of |F(x*)|), margin {cert.proof['margin']:.6f}")
 print(f"  vi audit    = {cert.vi_check.name}, margin {cert.vi_check.margin:.3e}"

@@ -16,8 +16,8 @@ unique nearest point of ball(r) to its own image:
 (proves it with the sets above); ``solve_best_approx`` adds the collapse
 and nearest-point conclusions; ``ba_small_radius`` picks a radius that
 makes the hypotheses automatic when f(0) != 0.  Both solves gate the
-problem (``ba_problem``), solve, and hand the solution to ``certify_ba``,
-the same certify step ``verify`` runs on a stored solution.
+problem (``ba_problem``), solve (``solve_ba``), and hand the solution to
+``certify_ba``, the same certify step ``verify`` runs on a stored solution.
 """
 
 from __future__ import annotations
@@ -29,12 +29,13 @@ import numpy as np
 from .catalog import SmoothMap, ba_payoff
 from .constants import ConstantsReport, ba_report
 from .errors import HypothesisViolation, InvalidInput
-from .geometry import Ball, ConvexSet, dist_ball, norm, project_ball
+from .geometry import Ball, ConvexSet, ball_projection, dist_ball, norm, project_ball
 from .saddle import (AUDIT_SAMPLES, SPHERE_TOL, UNIQUENESS_STARTS, Certificate, CheckReport,
                      SaddleChecks, SaddleConfig, SaddlePoint, ball_check_samples, by_blocks,
-                     check_saddle, contraction_record, exclusion_mask, failed_names, gate,
-                     probe_uniqueness, proof_record, proved_norm_floor, raise_failure,
-                     refuse_sample_count, require_count, slack_report, solve_saddle)
+                     check_saddle, contraction, contraction_record, exclusion_mask,
+                     failed_names, gate, probe_uniqueness, proof_record, proved_norm_floor,
+                     raise_failure, refuse_sample_count, require_count, slack_report,
+                     solve_saddle, sphere_fixed_point)
 from .vi import COLLAPSE_TOL, SmallRadiusResult, radius_from_origin
 
 IDENTITY_TOL = 1e-6
@@ -114,6 +115,19 @@ def collapses(m: SmoothMap, Y: ConvexSet, cfg: SaddleConfig) -> bool:
             and isinstance(cfg.T, Ball) and cfg.T.radius == cfg.r)
 
 
+def solve_ba(m: SmoothMap, Y: ConvexSet, cfg: SaddleConfig,
+             report: ConstantsReport) -> SaddlePoint:
+    """``sphere_fixed_point`` of x -> P_ball(r)(f(x)) when the problem
+    ``collapses`` and its contraction is proved (certification-grade
+    constants, q < 1); else the extragradient on the saddle payoff."""
+    if collapses(m, Y, cfg):
+        _, q = contraction(m, cfg.r, report.theta.value, cfg.r)
+        if report.certified and q < 1.0:
+            return sphere_fixed_point(lambda x: ball_projection(m.val(x), cfg.r), q,
+                                      m.dimension, cfg)
+    return solve_saddle(ba_payoff(m, Y), cfg)
+
+
 def certify_ba(m: SmoothMap, Y: ConvexSet, point: SaddlePoint, cfg: SaddleConfig,
                report: ConstantsReport, *, mode: str = "certified",
                uniqueness: dict | None = None, seed: int = 0,
@@ -143,9 +157,8 @@ def certify_ba(m: SmoothMap, Y: ConvexSet, point: SaddlePoint, cfg: SaddleConfig
         raise InvalidInput("statement 6 needs Y = ball(rho) and T = ball(r)")
     fx = m.val(x_star)
     if collapsed:
-        reach = norm(m.val(np.zeros(m.dimension))) - r * theta
-        uniqueness = contraction_record(r, theta, max(r, reach),
-                                        norm(x_star - project_ball(fx, r)))
+        reach, q = contraction(m, r, theta, r)
+        uniqueness = contraction_record(q, norm(x_star - project_ball(fx, r)))
     cert = BACertificate(
         theorem=theorem, mode=mode, r=r, x_star=x_star, y_star=y_star,
         residual=point.residual, iterations=point.iterations,
@@ -185,10 +198,9 @@ def solve_prox_pair(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None,
     if report is None:
         report = ba_report(m, Y, seed=seed)
     cfg = ba_problem(m, Y, T, r, report, mode, seed=seed, fail=raise_failure, **settings)
-    payoff = ba_payoff(m, Y)
-    point = solve_saddle(payoff, cfg)
+    point = solve_ba(m, Y, cfg, report)
     uniq = (None if collapses(m, Y, cfg)
-            else probe_uniqueness(payoff, cfg, uniqueness_starts, seed + 3))
+            else probe_uniqueness(ba_payoff(m, Y), cfg, uniqueness_starts, seed + 3))
     return certify_ba(m, Y, point, cfg, report, mode=mode, uniqueness=uniq, seed=seed)
 
 
@@ -227,7 +239,7 @@ def solve_best_approx(m: SmoothMap, r: float | None = None,
         report = ba_report(m, Y, seed=seed)
     cfg = ba_problem(m, Y, None, r, report, mode, seed=seed, fail=raise_failure,
                      **settings)
-    point = solve_saddle(ba_payoff(m, Y), cfg)
+    point = solve_ba(m, Y, cfg, report)
     return certify_ba(m, Y, point, cfg, report, mode=mode, seed=seed, theorem="6")
 
 

@@ -33,6 +33,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -80,9 +81,9 @@ _FIELDS = {
 class RunConfig:
     """A fully-resolved run request; ``to_dict`` is the echo embedded in
     certificates.  The run settings default to SaddleConfig's, the start
-    count of the prox-pair probe to ``solve_prox_pair``'s (not echoed when
-    the request ``collapses``).  ``smooth_map`` is the map ``parse_config``
-    built from ``problem``, outside the schema."""
+    count of the prox-pair probe to ``solve_prox_pair``'s (echoed only when
+    the probe runs: not when the request ``collapses``).  ``smooth_map`` is
+    the map ``parse_config`` built from ``problem``, outside the schema."""
 
     command: str
     problem: dict
@@ -107,13 +108,20 @@ class RunConfig:
     @property
     def collapses(self) -> bool:
         """Whether a prox-pair request has statement 6's sets, Y = ball(rho)
-        and T = ball(r) (``ba.collapses``, decided from the config alone): a
-        contraction proves uniqueness there and no probe runs."""
+        and T = ball(r) (``ba.collapses``): a contraction proves uniqueness
+        there and no probe runs.  A ball T given without r is compared with
+        the r the solve will take, ``default_r``."""
         def ball_of(doc, radius):
             return doc is None or (isinstance(doc, dict) and doc.get("kind") == "ball"
-                                   and radius is not None and doc.get("radius") == radius)
-        return (self.command == "prox-pair" and ball_of(self.y_set, self.smooth_map.domain_radius)
-                and ball_of(self.t_set, self.r))
+                                   and doc.get("radius") == radius())
+        return (self.command == "prox-pair"
+                and ball_of(self.y_set, lambda: self.smooth_map.domain_radius)
+                and ball_of(self.t_set, lambda: self.default_r if self.r is None else self.r))
+
+    @cached_property
+    def default_r(self) -> float:
+        """The r of a prox-pair request without one, as ``gate`` resolves it."""
+        return ba_report(self.smooth_map, _y_set(self, self.smooth_map), seed=self.seed).r_max
 
     def to_dict(self):
         spec = _FIELDS[self.command]

@@ -4,7 +4,9 @@ The working objective is phi(x, y) = (L/2) ||x||^2 + J(x, y), minimized in x
 over the closed ball of radius r and maximized in y over a closed convex
 T.  The solver is the extragradient iteration with the fixed step
 ``SaddleConfig.step`` = 1/(2 * smoothness); each iteration takes one
-probing half-step and one full step, both through the projections.
+probing half-step and one full step, both through the projections.  Where
+statements 2, 4 and 6 prove that their collapsed pair is the fixed point of
+a contraction (``contraction``), ``sphere_fixed_point`` iterates it instead.
 
 ``check_saddle`` certifies a candidate pair by sampling: the maximizing
 property of y* within tolerance, the strictly-minimizing property of x*
@@ -12,8 +14,8 @@ with a margin outside a small exclusion ball, sphere membership of x* when
 the radius is admissible, and the minimax gap of phi; statements 1 and 5
 run it (see ``Certificate`` for the collapsed pairs of 2, 4 and 6).
 
-Every solve is a solver step (``solve_saddle``; statement 5 adds
-``probe_uniqueness``) and a certify step (statements 2, 4 and 6, and 5 on
+Every solve is a solver step (``solve_saddle`` or ``sphere_fixed_point``;
+statement 5 adds ``probe_uniqueness``) and a certify step (statements 2, 4 and 6, and 5 on
 their sets, prove uniqueness there with ``contraction_record``; 2, 4 and 6
 prove their strict inequality with ``proof_record`` and audit it on
 AUDIT_SAMPLES samples).  ``gate``
@@ -297,6 +299,29 @@ def solve_saddle(payoff, cfg: SaddleConfig, x0=None, y0=None) -> SaddlePoint:
         residual=res, iterations=cfg.max_iters)
 
 
+def sphere_fixed_point(G, q: float, dim: int, cfg: SaddleConfig) -> SaddlePoint:
+    """Banach iteration x <- G(x) from G(0) for a G that contracts with q < 1
+    (``contraction``).  Stops when q/(1 - q) times the step, the proved
+    distance to the fixed point x*, is at most ``cfg.tol``; returns (x*, x*)
+    with the last step as residual and the map values as iterations.  A
+    non-finite step raises InvalidInput, the iteration cap NonConvergence."""
+    if not 0.0 <= q < 1.0:
+        raise InvalidInput(f"the fixed-point map must contract with 0 <= q < 1, got {q}")
+    factor, x, step = q / (1.0 - q), np.zeros(dim), np.inf
+    for it in range(1, cfg.max_iters + 1):
+        x_next = G(x)
+        d = x_next - x
+        step = math.sqrt(d @ d)
+        if not math.isfinite(step):
+            raise InvalidInput(f"fixed-point step is not finite at iteration {it}")
+        x = x_next
+        if factor * step <= cfg.tol:
+            return SaddlePoint(x, x, step, it, 1.0)
+    raise NonConvergence(
+        f"fixed-point iteration did not reach tolerance {cfg.tol} in {cfg.max_iters} map values",
+        residual=step, iterations=cfg.max_iters)
+
+
 def raise_failure(name: str, error: Exception):
     """Failure sink of the solve paths: a failed hypothesis gate raises.
     ``verify`` passes a sink that records ``name`` and goes on.  Only the
@@ -369,14 +394,22 @@ def uniqueness_consistent(record, starts: int) -> bool:
             and record.get("passed") == (float(record["max_pairwise"]) <= UNIQUENESS_TOL))
 
 
-def contraction_record(r: float, theta: float, floor: float, gap: float) -> dict:
-    """The proved uniqueness record of statements 2, 4 and 6, whose solutions
-    are the fixed points of a map G of ball(r) into itself: a theta-Lipschitz
-    map, then a normalization that is r/floor-Lipschitz on its image.  G
-    contracts with q = r theta / floor; for q < 1 Banach's theorem gives one
-    solution, within gap / (1 - q) of a point of ball(r) that G moves by
-    gap.  A floor <= 0 proves nothing: q is inf and the record fails."""
-    q = r * theta / floor if floor > 0.0 else np.inf
+def contraction(m, r: float, theta: float, least: float = -np.inf) -> tuple[float, float]:
+    """(reach, q): reach = ||m(0)|| - r theta bounds the theta-Lipschitz m
+    below on ball(r), and the map G of statements 2, 4 and 6, m then a
+    normalization that is r/floor-Lipschitz on its image (floor = max(least,
+    reach); statement 6 projects, so its least is r), contracts with q =
+    r theta / floor, inf for floor <= 0.  Their solve and certify step both
+    take q from here."""
+    reach = norm(m.val(np.zeros(m.dimension))) - r * theta
+    floor = max(least, reach)
+    return reach, (r * theta / floor if floor > 0.0 else np.inf)
+
+
+def contraction_record(q: float, gap: float) -> dict:
+    """The uniqueness record of a map G of ball(r) into itself that contracts
+    with q: for q < 1 Banach's theorem gives one solution, within gap / (1 -
+    q) of a point that G moves by gap; q >= 1 proves nothing."""
     proved = q < 1.0
     return {"method": "contraction", "q": float(q), "passed": bool(proved),
             "error_bound": float(gap / (1.0 - q)) if proved else np.inf}

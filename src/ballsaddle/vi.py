@@ -6,12 +6,14 @@ sphere of radius r satisfying the double strict inequality
 
     max{ <F(x*), x* - x>, <F(x), x* - x> } < 0   for all x in ball(r), x != x*.
 
-The point is computed as the collapsed saddle point of the payoff
-J(x, y) = <F(x), x - y> regularized with weight L = M, and certified by
-the structural identities x* = y*, F(x*) != 0 and x* antiparallel to
-F(x*) on the sphere, y-maximal in closed form, the contraction that makes
-it unique, the double inequality (with y* = x*, the x-strictly-minimal
-saddle inequality) proved in closed form, and a sampled audit of it.
+The point is the fixed point of x -> -r F(x)/||F(x)||, computed by its
+Banach iteration when the constants prove it a contraction, else as the
+collapsed saddle point of the payoff J(x, y) = <F(x), x - y> regularized
+with weight L = M.  It is certified by the structural identities x* = y*,
+F(x*) != 0 and x* antiparallel to F(x*) on the sphere, y-maximal in closed
+form, the contraction that makes it unique, the double inequality (with
+y* = x*, the x-strictly-minimal saddle inequality) proved in closed form,
+and a sampled audit of it.
 ``solve_vi`` gates the problem (``vi_problem``), solves, and hands the
 solution to ``certify_vi``, the same certify step ``verify`` runs on a
 stored solution.
@@ -23,6 +25,7 @@ makes the positivity hypothesis automatic when F(0) != 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,9 +35,10 @@ from .constants import ConstantsReport, op_norm, vi_report
 from .errors import HypothesisViolation, InvalidInput
 from .geometry import Ball, norm
 from .saddle import (AUDIT_SAMPLES, Certificate, CheckReport, SaddleConfig, SaddlePoint,
-                     ball_check_samples, by_blocks, contraction_record, exclusion_mask,
-                     failed_names, gate, proof_record, proved_norm_floor, raise_failure,
-                     refuse_sample_count, slack_report, solve_saddle)
+                     ball_check_samples, by_blocks, contraction, contraction_record,
+                     exclusion_mask, failed_names, gate, proof_record, proved_norm_floor,
+                     raise_failure, refuse_sample_count, slack_report, solve_saddle,
+                     sphere_fixed_point)
 
 COLLAPSE_TOL = 1e-6
 DIRECTION_TOL = 1e-6
@@ -136,8 +140,8 @@ def certify_vi(m: SmoothMap, point: SaddlePoint, cfg: SaddleConfig,
     fx = m.val(x_star)
     map_norm = norm(fx)
     direction_gap = norm(x_star + (r / map_norm) * fx) if map_norm > 0.0 else np.inf
-    floor = norm(m.val(np.zeros(m.dimension))) - r * theta
-    uniqueness = contraction_record(r, theta, floor, direction_gap)
+    floor, q = contraction(m, r, theta)
+    uniqueness = contraction_record(q, direction_gap)
     phi = proved_norm_floor(uniqueness, theta, floor, map_norm)
     return VICertificate(
         theorem="2", mode=mode, r=r, x_star=x_star, y_star=point.y_star,
@@ -165,11 +169,21 @@ def solve_vi(m: SmoothMap, r: float | None = None,
     ``settings`` are the run settings of SaddleConfig (``tol``,
     ``strict_margin``, ...), which holds their defaults; ``n_samples`` is
     refused, since the inequality is proved and the audit has a fixed size.
+    The solve is ``sphere_fixed_point`` when the constants are certification
+    grade and ``contraction`` gives q < 1, else the extragradient.
     """
     if report is None:
         report = vi_report(m, seed=seed)
     cfg = vi_problem(m, r, report, mode, fail=raise_failure, **settings)
-    point = solve_saddle(vi_payoff(m), cfg)
+    _, q = contraction(m, cfg.r, report.theta.value)
+    if report.certified and q < 1.0:
+        def toward_sphere(x):  # -r F(x)/||F(x)||, NaN where undefined: the step check names it
+            fx = m.val(x)
+            nf = math.sqrt(fx @ fx)
+            return fx * (-cfg.r / nf) if 0.0 < nf < math.inf else fx * math.nan
+        point = sphere_fixed_point(toward_sphere, q, m.dimension, cfg)
+    else:
+        point = solve_saddle(vi_payoff(m), cfg)
     return certify_vi(m, point, cfg, report, mode=mode, seed=seed)
 
 

@@ -88,10 +88,11 @@ def test_request_runs_traced():
         problems.certify(ballsaddle, _instance("vi"))
     assert ballsaddle.vi.solve_saddle is solve
     names = {s.name for s in tr.spans}
-    assert {"constants.report", "saddle.solve", "vi.solve_vi", "vi.check"} <= names
-    # vi proves uniqueness by contraction and samples its inequalities once;
-    # only the prox pair runs the probe and the saddle checks
-    assert not {"oracles.uniqueness", "saddle.check"} & names
+    assert {"constants.report", "vi.solve_vi", "vi.check"} <= names
+    # vi solves by the proved contraction's fixed-point iteration, proves
+    # uniqueness by it and samples its inequalities once; only the box prox
+    # pair runs the extragradient, the probe and the saddle checks
+    assert not {"saddle.solve", "oracles.uniqueness", "saddle.check"} & names
     with tracer.Tracer() as tr:
         problems.certify(ballsaddle, _instance("prox-pair"))
-    assert {"oracles.uniqueness", "saddle.check"} <= {s.name for s in tr.spans}
+    assert {"saddle.solve", "oracles.uniqueness", "saddle.check"} <= {s.name for s in tr.spans}

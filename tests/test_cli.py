@@ -1,6 +1,7 @@
 """Command line interface: config parsing, exit codes, certificates, verify."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -86,7 +87,9 @@ class TestParseConfig:
         assert isinstance(cfg.seed, int)
 
     @pytest.mark.parametrize("sets", [{}, {"y_set": {"kind": "ball", "radius": 1.0}},
-                                      {"r": 0.2, "t_set": {"kind": "ball", "radius": 0.2}}])
+                                      {"r": 0.2, "t_set": {"kind": "ball", "radius": 0.2}},
+                                      # without r the solve takes r_max = 1/2 of the report
+                                      {"t_set": {"kind": "ball", "radius": 0.5}}])
     def test_start_count_without_a_probe_is_refused(self, sets):
         # with Y = ball(rho) and T = ball(r) the contraction proves uniqueness
         # and no probe runs, so a start count would be accepted and ignored
@@ -720,6 +723,18 @@ class TestVerify:
         assert main(["verify", "--config", str(cert)]) == 1
         assert ("not a ballsaddle-certificate/4 document; re-run the solve"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["vi", "best-approx"])
+    def test_extragradient_certificate_verifies(self, capsys, command):
+        # format-4 certificates stored before statements 2 and 6 solved by the
+        # fixed-point iteration: their points, residuals and iteration counts
+        # are the extragradient's, and their y* differs from x* by about 1e-8
+        path = pathlib.Path(__file__).parent / "fixtures" / f"extragradient-{command}.json"
+        body = json.loads(path.read_text())["certificate"]
+        assert body["solution"]["x_star"] != body["solution"]["y_star"]
+        capsys.readouterr()
+        assert main(["verify", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["failures"] == []
 
     @pytest.mark.parametrize("case, key, value, name", [
         ("vi", "y_star", [-0.25, 0.001], "collapse"),  # every sampled check still passes

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import json
+import math
 
 import numpy as np
 import pytest
@@ -456,6 +457,7 @@ def test_sampled_forms_obey_the_proved_bounds(kind, n):
     coefficient = proof["phi_lower"] / (2.0 * r) - theta
     assert proof["passed"] and coefficient > proof["margin"] > 0.0
     x_star = fixedpoint_vi_oracle(m, r, 1.0 / (2.0 * cert.constants.M.value), tol=1e-13)
+    assert np.linalg.norm(cert.x_star - x_star) <= 1e-7  # the solve's fixed point
     assert np.linalg.norm(m.val(x_star)) >= proof["phi_lower"]
     xs = r * unit
     d = x_star - xs
@@ -468,6 +470,7 @@ def test_sampled_forms_obey_the_proved_bounds(kind, n):
     coefficient = proof["phi_lower"] / r - 2.0 * theta
     assert proof["passed"] and proof["phi_lower"] > r and coefficient > proof["margin"] > 0.0
     x_star = tight_fixed_point(lambda x: project_ball(m.val(x), r), np.zeros(n))
+    assert np.linalg.norm(cert.x_star - x_star) <= 1e-7
     assert np.linalg.norm(m.val(x_star)) >= proof["phi_lower"]
     xs = r * unit
     F = m.vals(xs)
@@ -480,7 +483,7 @@ def test_sampled_forms_obey_the_proved_bounds(kind, n):
 def test_a_rounding_sized_coefficient_proves_nothing():
     # q = 1/3 and x* located exactly; phi/2r - theta = 1e-15 lies within the
     # rounding pad (n + 1) eps (phi/2r + theta) = 1.3e-15 at n = 2
-    uniqueness = saddle_module.contraction_record(0.5, 1.0, 1.5, 0.0)
+    uniqueness = saddle_module.contraction_record(1.0 / 3.0, 0.0)
     r, theta = 0.5, 1.0
     for coefficient, proved in ((1e-15, False), (1e-13, True)):
         phi = 2.0 * r * (theta + coefficient)
@@ -492,8 +495,8 @@ def test_a_rounding_sized_coefficient_proves_nothing():
 def test_proof_needs_the_reported_point_located():
     # a contraction that places x* only within 2e-6 of the reported point
     # proves the inequality about a point the certificate does not report
-    located = saddle_module.contraction_record(0.5, 1.0, 1.5, 1e-9)
-    loose = saddle_module.contraction_record(0.5, 1.0, 1.5, 2e-6 * (2.0 / 3.0))
+    located = saddle_module.contraction_record(1.0 / 3.0, 1e-9)
+    loose = saddle_module.contraction_record(1.0 / 3.0, 2e-6 * (2.0 / 3.0))
     assert located["passed"] and loose["passed"]
     assert saddle_module.proof_record(located, 3.0, 2.0, 4.0, 2)["passed"]
     assert not saddle_module.proof_record(loose, 3.0, 2.0, 4.0, 2)["passed"]
@@ -510,3 +513,74 @@ def test_heuristic_run_beyond_the_proof_names_it():
     assert cert.proof["phi_lower"] <= 2.0 * r * cert.constants.theta.value
     assert "vi-inequality-proof" in cert.failed_checks()
     assert cert.to_dict()["checks"]["proof"]["passed"] is False
+
+
+def sphere_map(request, m):
+    """(G, q, r) of statement 2 or 6 for ``m`` at its admissible radius,
+    with G written out as the statement gives it."""
+    if request == "vi":
+        report = vi_report(m)
+        r = report.r_max
+        _, q = saddle_module.contraction(m, r, report.theta.value)
+        return (lambda x: -r * m.val(x) / np.linalg.norm(m.val(x))), q, r
+    report = ba_report(m, Ball(1.0, m.dimension))
+    r = report.r_max
+    _, q = saddle_module.contraction(m, r, report.theta.value, r)
+    return (lambda x: project_ball(m.val(x), r)), q, r
+
+
+@pytest.mark.parametrize("request_type", ["vi", "best-approx"])
+@pytest.mark.parametrize("kind, n", [("affine", 2), ("quadratic", 8), ("affine", 32),
+                                     ("quadratic", 32)])
+@pytest.mark.parametrize("tol", [1e-8, 1e-13])
+def test_fixed_point_map_values_within_the_banach_bound(request_type, kind, n, tol):
+    # from x0 = G(0), x1 = G(x0): ||x_{k+1} - x_k|| <= q^k ||x1 - x0||, so the
+    # stop q/(1 - q) ||x_{k+1} - x_k|| <= tol comes within this many map values
+    G, q, r = sphere_map(request_type, family_map(kind, n, 30 + n))
+    assert 0.0 < q < 1.0
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return G(x)
+    cfg = SaddleConfig(r=r, T=Ball(r, n), L=0.0, smoothness=0.0, tol=tol)
+    point = saddle_module.sphere_fixed_point(counted, q, n, cfg)
+    x0 = G(np.zeros(n))
+    x1 = G(x0)
+    bound = math.ceil(math.log(tol * (1.0 - q) / np.linalg.norm(x1 - x0)) / math.log(q)) + 1
+    assert point.iterations == len(calls) <= bound
+    assert q / (1.0 - q) * point.residual <= tol
+    assert point.x_star is point.y_star
+    assert np.linalg.norm(G(point.x_star) - point.x_star) <= point.residual
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("solve", [solve_vi, solve_best_approx], ids=["vi", "best-approx"])
+def test_non_finite_map_stops_the_fixed_point(solve, bad):
+    # the map turns non-finite at the third map value of the iteration: the
+    # solve names that iteration, and numpy warns about nothing on the way
+    m = family_map("affine", 4, 3)
+    report = (vi_report(m) if solve is solve_vi else ba_report(m, Ball(1.0, 4)))
+    state = {"calls": 0}
+    value = m.value
+
+    def poisoned(x):
+        state["calls"] += 1
+        return value(x) if state["calls"] < 4 else np.full(4, bad)  # call 1 is F(0) for q
+    with pytest.raises(InvalidInput, match="not finite at iteration 3"):
+        solve(dataclasses.replace(m, value=poisoned), report=report)
+
+
+@pytest.mark.parametrize("solve", [solve_vi, solve_best_approx], ids=["vi", "best-approx"])
+def test_fixed_point_cap_carries_the_residual(solve):
+    with pytest.raises(NonConvergence, match="2 map values") as exc:
+        solve(family_map("quadratic", 8, 5), max_iters=2)
+    assert exc.value.iterations == 2 and exc.value.residual > 0.0
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, np.inf, np.nan, -0.1])
+def test_fixed_point_needs_a_contraction(q):
+    cfg = SaddleConfig(r=0.5, T=Ball(0.5, 2), L=0.0, smoothness=0.0)
+    with pytest.raises(InvalidInput, match="contract"):
+        saddle_module.sphere_fixed_point(lambda x: x, q, 2, cfg)

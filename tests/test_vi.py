@@ -36,6 +36,22 @@ def solve_calls(monkeypatch):
 
 
 @pytest.fixture
+def fixed_point_calls(monkeypatch):
+    """Calls of sphere_fixed_point, counted where the solve paths look it up."""
+    import ballsaddle.ba as ba_mod
+    import ballsaddle.saddle as saddle_mod
+    import ballsaddle.vi as vi_mod
+    calls, solve = [], saddle_mod.sphere_fixed_point
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+    for mod in (vi_mod, ba_mod):
+        monkeypatch.setattr(mod, "sphere_fixed_point", counting)
+    return calls
+
+
+@pytest.fixture
 def probe_calls(monkeypatch):
     """Calls of uniqueness_probe, counted where probe_uniqueness looks it up."""
     import ballsaddle.saddle as saddle_mod
@@ -191,12 +207,28 @@ class TestSolveVI:
     @pytest.mark.parametrize("solve", [
         lambda: solve_vi(affine_instance()),
         lambda: solve_vi_shifted(quartic_gate_map(), [16.0, 0.0], 1.0),
-        lambda: solve_best_approx(affine_instance())],
-        ids=["vi", "vi-shifted", "best-approx"])
-    def test_one_solve_and_no_probe(self, solve_calls, probe_calls, solve):
+        lambda: solve_best_approx(affine_instance()),
+        lambda: solve_prox_pair(affine_instance(), Ball(1.0, 2), None)],
+        ids=["vi", "vi-shifted", "best-approx", "prox-pair-default-sets"])
+    def test_one_solve_and_no_probe(self, solve_calls, fixed_point_calls, probe_calls, solve):
+        # the proved contraction solves: one fixed-point iteration, no extragradient
         cert = solve()
-        assert (len(solve_calls), len(probe_calls)) == (1, 0)
+        assert (len(solve_calls), len(fixed_point_calls), len(probe_calls)) == (0, 1, 0)
         assert cert.uniqueness["method"] == "contraction" and cert.passed
+
+    @pytest.mark.parametrize("solve", [
+        # q = 1 / (2 - 1) = 1 at r = 1 proves no contraction
+        lambda: solve_vi(affine_instance(), r=1.0, mode="heuristic"),
+        # sampled constants: theta is a lower bound, so q proves nothing
+        lambda: solve_vi(dataclasses.replace(affine_instance(), analytic=None, restricted=None),
+                         r=0.2, mode="heuristic"),
+        lambda: solve_best_approx(dataclasses.replace(affine_instance(), analytic=None,
+                                                      restricted=None), mode="heuristic")],
+        ids=["vi-q-one", "vi-sampled", "best-approx-sampled"])
+    def test_unproved_contraction_runs_the_extragradient(self, solve_calls, fixed_point_calls,
+                                                         solve):
+        solve()
+        assert (len(solve_calls), len(fixed_point_calls)) == (1, 0)
 
     def test_contraction_record(self):
         # q = r theta / (||F(0)|| - r theta) = 0.2 / 1.8, and the solver's
