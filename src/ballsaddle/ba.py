@@ -29,7 +29,7 @@ import numpy as np
 from .catalog import SmoothMap, ba_payoff
 from .constants import ConstantsReport, ba_report
 from .errors import HypothesisViolation, InvalidInput
-from .geometry import Ball, ConvexSet, ball_projection, dist_ball, norm, project_ball
+from .geometry import Ball, Box, ConvexSet, ball_projection, dist_ball, norm, project_ball
 from .saddle import (AUDIT_SAMPLES, SPHERE_TOL, UNIQUENESS_STARTS, Certificate, CheckReport,
                      SaddleChecks, SaddleConfig, SaddlePoint, ball_check_samples, by_blocks,
                      check_saddle, contraction, contraction_record, exclusion_mask,
@@ -82,14 +82,19 @@ class BACertificate(Certificate):
 
 
 def _containment_check(T: ConvexSet, Y: ConvexSet, seed: int, fail, n: int = 128):
-    if isinstance(T, Ball) and isinstance(Y, Ball) and T.radius <= Y.radius:
-        return
-    rng = np.random.default_rng(seed)
-    for t in T.sample(rng, n):
-        gap = norm(Y.project(t) - t)
+    """T within CONTAINMENT_TOL of Y: exact for a ball or box T in a ball Y
+    (``T.sup_norm()`` is the norm of its farthest point) and for a box in a
+    box (each coordinate's overhang), else on n sampled points of T."""
+    if isinstance(Y, Ball) and isinstance(T, (Ball, Box)):
+        gaps = [T.sup_norm() - Y.radius]
+    elif isinstance(Y, Box) and isinstance(T, Box):
+        gaps = [norm(np.maximum(Y.project(T.lower) - T.lower, T.upper - Y.project(T.upper)))]
+    else:
+        gaps = (norm(Y.project(t) - t) for t in T.sample(np.random.default_rng(seed), n))
+    for gap in gaps:
         if gap > CONTAINMENT_TOL:
             fail("containment", HypothesisViolation(
-                f"T must be contained in Y; a sampled point of T projects {gap:.2e} away"))
+                f"T must be contained in Y; a point of T projects {gap:.2e} away", deficit=gap))
             return
 
 

@@ -7,6 +7,7 @@ user-supplied projection oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,7 @@ def ball_projection(z: np.ndarray, r: float) -> np.ndarray:
     are already checked: ``z`` a finite 1-D float vector and r > 0.
     ||z|| = sqrt(z . z) is what ``np.linalg.norm`` computes for a vector,
     so both give the same bits.  An infinite ||z|| returns z, not 0 * inf."""
-    nz = np.sqrt(z @ z)
+    nz = math.sqrt(z @ z)
     if nz <= r:
         return z.copy()
     if nz == np.inf:

@@ -220,13 +220,12 @@ def _grad_y(payoff, x, y):
     return g
 
 
-def _grads(payoff, x, y):
-    """(grad_x J, grad_y J) at (x, y): one call of the fused oracle when the
-    payoff has one, else grad_x and ``_grad_y``."""
+def _grads(payoff):
+    """(x, y) -> (grad_x J, grad_y J): the payoff's fused ``grads`` as it is,
+    one map value and Jacobian per point, else grad_x and ``_grad_y``."""
     if payoff.grads is not None:
-        gx, gy = payoff.grads(x, y)
-        return np.asarray(gx, dtype=float), np.asarray(gy, dtype=float)
-    return np.asarray(payoff.grad_x(x, y), dtype=float), _grad_y(payoff, x, y)
+        return payoff.grads
+    return lambda x, y: (np.asarray(payoff.grad_x(x, y), dtype=float), _grad_y(payoff, x, y))
 
 
 def phi_value_grad(payoff, L: float, x, y):
@@ -237,8 +236,8 @@ def phi_value_grad(payoff, L: float, x, y):
         raise InvalidInput(
             f"x lies outside the domain ball of radius {payoff.x_radius}")
     val = 0.5 * L * float(x @ x) + payoff.value(x, y)
-    gx, gy = _grads(payoff, x, y)
-    return val, L * x + gx, gy
+    gx, gy = _grads(payoff)(x, y)
+    return val, L * x + gx, np.asarray(gy, dtype=float)
 
 
 def solve_saddle(payoff, cfg: SaddleConfig, x0=None, y0=None) -> SaddlePoint:
@@ -254,9 +253,10 @@ def solve_saddle(payoff, cfg: SaddleConfig, x0=None, y0=None) -> SaddlePoint:
     validated itself when it was built).  The loop then projects with the
     unchecked ``ball_projection`` and ``T.project_unchecked`` (a projection
     oracle T keeps its checks) and takes both gradients of each point from
-    one payoff call when the payoff has the fused ``grads``.  Its one check
-    per iteration is the residual: a non-finite iterate makes it non-finite
-    and raises InvalidInput.
+    one call of the fused ``grads`` when the payoff has it.  A non-finite
+    iterate makes the residual non-finite, and each half-step checks its
+    y-gradient when T is not a ball (a box clips an infinite step); both
+    raise InvalidInput naming the iteration.
     """
     r, n = cfg.r, payoff.dimension
     if r > payoff.x_radius + EVAL_DOMAIN_TOL:
@@ -265,13 +265,15 @@ def solve_saddle(payoff, cfg: SaddleConfig, x0=None, y0=None) -> SaddlePoint:
     T, L, tol = cfg.T, cfg.L, cfg.tol
     x = project_ball(as_point(x0, dim=n) if x0 is not None else np.zeros(n), r)
     y = T.project(as_point(y0, dim=n) if y0 is not None else np.zeros(n))
-    tau = cfg.step
+    tau, grads, clips = cfg.step, _grads(payoff), not isinstance(T, Ball)
     best_res = np.inf
     best_x, best_y = x, y
     halvings = 0
     res = np.inf
     for it in range(1, cfg.max_iters + 1):
-        gx, gy = _grads(payoff, x, y)
+        gx, gy = grads(x, y)
+        if clips and np.count_nonzero(np.isfinite(gy)) < n:
+            raise InvalidInput(f"extragradient y-gradient is not finite at iteration {it}")
         xh = ball_projection(x - tau * (L * x + gx), r)
         yh = T.project_unchecked(y + tau * gy)
         dx, dy = x - xh, y - yh
@@ -291,7 +293,9 @@ def solve_saddle(payoff, cfg: SaddleConfig, x0=None, y0=None) -> SaddlePoint:
             x, y = best_x, best_y
             best_res = np.inf
             continue
-        gxh, gyh = _grads(payoff, xh, yh)
+        gxh, gyh = grads(xh, yh)
+        if clips and np.count_nonzero(np.isfinite(gyh)) < n:
+            raise InvalidInput(f"extragradient y-gradient is not finite at iteration {it}")
         x = ball_projection(x - tau * (L * xh + gxh), r)
         y = T.project_unchecked(y + tau * gyh)
     raise NonConvergence(

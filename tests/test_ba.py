@@ -130,6 +130,29 @@ class TestProxPair:
         with pytest.raises(HypothesisViolation):
             solve_prox_pair(m, Ball(0.3, 2), Box([-1.0, -1.0], [1.0, 1.0]), r=0.2)
 
+    def test_containment_is_exact_for_a_box_in_a_ball(self):
+        # the corners of this box have norm 1.05 > 1, but 128 uniform points
+        # of it in n = 8 all lie well inside the unit ball
+        n = 8
+        m = make_affine(np.eye(n), np.eye(n)[0] * 2.0, 1.0)
+        c = 1.05 / np.sqrt(n)
+        with pytest.raises(HypothesisViolation, match="contained"):
+            solve_prox_pair(m, Ball(1.0, n), Box(-c * np.ones(n), c * np.ones(n)), r=0.5)
+        points = Box(-c * np.ones(n), c * np.ones(n)).sample(np.random.default_rng(7), 128)
+        assert np.linalg.norm(points, axis=1).max() < 1.0
+
+    @pytest.mark.parametrize("T, Y, held", [
+        (Box([-0.5, -0.5], [0.5, 0.5]), Ball(np.sqrt(0.5), 2), True),
+        (Box([-0.5, -0.5], [0.5, 0.5 + 1e-6]), Ball(np.sqrt(0.5), 2), False),
+        (Ball(0.5, 2), Ball(0.5 + 1e-12, 2), True),
+        (Ball(0.5 + 1e-6, 2), Ball(0.5, 2), False),
+        (Box([-0.5, 0.0], [0.5, 0.2]), Box([-0.5, -1.0], [0.5, 0.2]), True),
+        (Box([-0.5, 0.0], [0.5, 0.2]), Box([-0.4, -1.0], [0.5, 0.2]), False)])
+    def test_containment_decided_exactly(self, T, Y, held):
+        failed = []
+        ba_module._containment_check(T, Y, 0, lambda name, error: failed.append(name))
+        assert failed == ([] if held else ["containment"])
+
     def test_heuristic_mode_watermark(self):
         import dataclasses
         m = dataclasses.replace(constant_two(), analytic=None, restricted=None)

@@ -1,5 +1,6 @@
 """Catalog maps, payoffs and the JSON problem schema."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from ballsaddle import (Ball, Box, CertFlag, ConfigError, DimensionMismatch,
                         make_constant, make_quadratic, map_from_dict, shift_map,
                         sample_ball, small_radius, validate_map, validate_payoff,
                         vi_payoff)
+from ballsaddle.catalog import declare
 
 
 def rand_quadratic(rng, n, rho=1.0, scale=0.2):
@@ -218,6 +220,55 @@ def test_validate_payoff_rejects_a_disagreeing_fused_oracle(which):
         validate_payoff(p, n_points=5, seed=0)
 
 
+def fused_oracle_maps(n):
+    """Catalog maps with a fused value_jacobian, one of each way to make one."""
+    maps = catalog_maps(n)
+    maps["restricted"] = maps["quadratic"].restrict(0.5)
+    maps["rebuilt-free restriction"] = dataclasses.replace(maps["shift"],
+                                                           restricted=None).restrict(0.5)
+    maps["declared"] = declare(maps["quadratic"], {"theta": 50.0})
+    maps["declared restriction"] = maps["declared"].restrict(0.5)
+    return maps
+
+
+@pytest.mark.parametrize("kind", ["constant", "affine", "quadratic", "shift", "restricted",
+                                  "rebuilt-free restriction", "declared",
+                                  "declared restriction"])
+def test_value_jacobian_matches_value_and_jacobian_bit_for_bit(kind):
+    n = 4
+    m = fused_oracle_maps(n)[kind]
+    assert m.value_jacobian is not None
+    for x in sample_ball(np.random.default_rng(43), 30, n, m.domain_radius):
+        v, J = m.value_jacobian(x)
+        assert v.tobytes() == m.val(x).tobytes()
+        assert J.tobytes() == m.jac(x).tobytes()
+    validate_map(m, n_points=10, seed=2)
+
+
+@pytest.mark.parametrize("kind", ["constant", "affine"])
+def test_shared_fused_jacobian_is_read_only(kind):
+    m = catalog_maps(3)[kind]
+    _, J = m.value_jacobian(np.zeros(3))
+    with pytest.raises(ValueError):
+        J[0, 0] = 1.0
+    m.jac(np.zeros(3))[0, 0] = 1.0  # the single-point oracle still hands out a copy
+
+
+def test_validate_map_rejects_a_disagreeing_value_jacobian():
+    m = catalog_maps(3)["quadratic"]
+    fused = m.value_jacobian
+    for which in (0, 1):
+        def wrong(x, which=which):
+            out = list(fused(x))
+            out[which] = out[which] + 1e-6
+            return tuple(out)
+        with pytest.raises(InvalidInput, match="fused value and Jacobian disagree"):
+            validate_map(dataclasses.replace(m, value_jacobian=wrong), n_points=5, seed=0)
+    flat = dataclasses.replace(m, value_jacobian=lambda x: (fused(x)[0], fused(x)[1].ravel()))
+    with pytest.raises(DimensionMismatch, match="fused value and Jacobian have shapes"):
+        validate_map(flat, n_points=5, seed=0)
+
+
 def test_payoff_batch_paths_match_scalar():
     rng = np.random.default_rng(31)
     m = rand_quadratic(rng, 3)
@@ -255,6 +306,37 @@ def test_quadratic_oracles_match_explicit_forms():
     x = sample_ball(rng, 1, 5, 1.0)[0]
     assert_allclose(m.val(x), A @ x + b + [x @ Q[k] @ x for k in range(5)], rtol=1e-13)
     assert_allclose(m.jac(x), A + 2.0 * np.stack([Q[k] @ x for k in range(5)]), rtol=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32])
+def test_quadratic_norms_from_eigenvalues_match_the_singular_values(n):
+    rng = np.random.default_rng(100 + n)
+    A, b = rng.normal(size=(n, n)), rng.normal(size=n)
+    Q = rng.normal(size=(n, n, n))
+    Q = 0.5 * (Q + Q.transpose(0, 2, 1))
+    m = make_quadratic(A, b, Q, 1.0)
+    svd = np.linalg.norm(Q, 2, axis=(1, 2))
+    assert np.all(np.abs(np.max(np.abs(np.linalg.eigvalsh(Q)), axis=1) - svd) <= 1e-14 * svd)
+    s = np.sqrt(np.sum(svd ** 2))
+    assert abs(m.analytic.gamma - 2.0 * s) <= 1e-14 * 2.0 * s
+    assert abs(m.analytic.theta - (np.linalg.norm(A, 2) + 2.0 * s)) <= 1e-14 * m.analytic.theta
+
+
+def test_slightly_asymmetric_quadratic_keeps_a_true_gamma():
+    # the upper triangle of Q_1 carries the asymmetry: the lower triangle
+    # alone is the identity, of norm 1, but ||Q_1|| = 1 + 5e-14
+    Q = np.zeros((2, 2, 2))
+    Q[0] = [[1.0, 1e-13], [0.0, 1.0]]
+    m = make_quadratic(np.eye(2), [1.0, 0.0], Q, 1.0)
+    rng = np.random.default_rng(3)
+    top = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    pairs = [(0.5 * top, -0.5 * top)] + list(zip(sample_ball(rng, 200, 2, 1.0),
+                                               sample_ball(rng, 200, 2, 1.0)))
+    lipschitz = max(np.linalg.norm(m.jac(x) - m.jac(z), 2) / np.linalg.norm(x - z)
+                    for x, z in pairs)
+    assert lipschitz > 2.0 + 9e-14  # what the lower triangle alone would miss
+    # a few ulps of rounding in the sampled quotient, far below the 1e-13 at stake
+    assert m.analytic.gamma >= lipschitz * (1.0 - 1e-15)
 
 
 def test_quadratic_batch_memory_stays_linear_in_rows():

@@ -760,6 +760,23 @@ class TestVerify:
             doc["config"]["y_set"] = {"kind": "ball", "radius": 0.6}
         assert "containment" in self.verify_tampered(tmp_path, capsys, cert, tamper)
 
+    def test_box_corner_outside_y_is_named(self, tmp_path, capsys):
+        # 128 sampled points of this box all lie inside ball(1); its corners
+        # have norm 1.05
+        n = 8
+        problem = {"kind": "affine", "A": np.eye(n).tolist(), "b": [2.0] + [0.0] * (n - 1),
+                   "rho": 1.0}
+
+        def box(c):
+            return {"kind": "box", "lower": [-c] * n, "upper": [c] * n}
+        cert = self.make_cert(tmp_path, "prox-pair",
+                              {"problem": problem, "r": 0.5, "t_set": box(0.9 / np.sqrt(n)),
+                               "uniqueness_starts": 0})
+
+        def tamper(doc):
+            doc["config"]["t_set"] = box(1.05 / np.sqrt(n))
+        assert "containment" in self.verify_tampered(tmp_path, capsys, cert, tamper)
+
     def test_small_radius_vanishing_origin_is_named(self, tmp_path, capsys):
         command, doc = ROUND_TRIPS["small-radius"]
         cert = self.make_cert(tmp_path, command, doc)

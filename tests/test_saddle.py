@@ -195,6 +195,28 @@ class TestSolve:
         # numpy warns about 0 * inf before the residual check can raise
         self.test_non_finite_gradient_stops_the_solve(np.inf)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("half", ["probing", "full"])
+    def test_non_finite_y_gradient_stops_a_box_solve(self, bad, half):
+        # a box clips y + tau * inf to its bound, so the residual stays finite;
+        # from the origin the probing half-step moves x below 0
+        def grad_y(x, y):
+            return np.array([bad if half == "probing" or x[0] < 0.0 else 0.0])
+
+        p = dataclasses.replace(bilinear_1d(), grad_y=grad_y)
+        cfg = SaddleConfig(r=0.3, T=p.y_set, L=0.0, smoothness=1.0)
+        with pytest.raises(InvalidInput, match="y-gradient is not finite at iteration 1"):
+            solve_saddle(p, cfg)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_finite_y_gradient_clips_to_the_box(self):
+        # 1e200 squared overflows; the check must not mistake it for infinity
+        p = dataclasses.replace(bilinear_1d(), grad_y=lambda x, y: np.array([1e200]))
+        pt = solve_saddle(p, SaddleConfig(r=0.3, T=p.y_set, L=0.0, smoothness=1.0))
+        assert pt.y_star.tolist() == [2.0]
+        assert_allclose(pt.x_star, [-0.3], atol=1e-7)
+
     def test_non_finite_map_stops_the_prox_pair_probe(self, monkeypatch):
         # the map turns NaN once the probe starts its first solve; the
         # probe resolves solve_saddle in the saddle module, the main solve
@@ -203,17 +225,23 @@ class TestSolve:
         m = map_from_dict({"kind": "affine", "A": (0.3 * rng.normal(size=(3, 3))).tolist(),
                            "b": [1.5, 0.5, -0.5], "rho": 1.0})
         state = {"poisoned": False, "calls": 0}
-        value, jacobian = m.value, m.jacobian
+        value, jacobian, value_jacobian = m.value, m.jacobian, m.value_jacobian
+
+        def nan_like(out):
+            if isinstance(out, tuple):
+                return tuple(nan_like(part) for part in out)
+            return np.full_like(out, np.nan)
 
         def poisoned(oracle):
             def call(x):
                 if not state["poisoned"]:
                     return oracle(x)
                 state["calls"] += 1
-                return np.full_like(oracle(x), np.nan)
+                return nan_like(oracle(x))
             return call
 
-        m = dataclasses.replace(m, value=poisoned(value), jacobian=poisoned(jacobian))
+        m = dataclasses.replace(m, value=poisoned(value), jacobian=poisoned(jacobian),
+                                value_jacobian=poisoned(value_jacobian))
         solve = saddle_module.solve_saddle
 
         def probe_solve(*args, **kwargs):
@@ -224,7 +252,7 @@ class TestSolve:
         with pytest.raises(InvalidInput, match="not finite at iteration 1"):
             solve_prox_pair(m, Ball(1.0, 3), Box(-0.05 * np.ones(3), 0.05 * np.ones(3)),
                             mode="heuristic")
-        assert state["poisoned"] and state["calls"] == 2  # one value, one Jacobian
+        assert state["poisoned"] and state["calls"] == 1  # one fused value and Jacobian
 
     def test_radius_exceeding_domain_rejected(self):
         p = vi_payoff(make_constant([1.0, 0.0], 1.0))
