@@ -59,8 +59,6 @@ class SmoothMap:
 
     ``value`` and ``jacobian`` are single-point oracles; ``value_batch``
     (rows-in, rows-out) is optional and only used to speed up sampled checks.
-    ``value_jacobian``, optional and unvalidated, is x -> (value, Jacobian)
-    from shared work; callers must not write to its Jacobian.
     ``restricted`` rebuilds the map on a smaller ball so conservative
     constants tighten with the radius.
     """
@@ -71,7 +69,6 @@ class SmoothMap:
     jacobian: Callable[[np.ndarray], np.ndarray]
     analytic: AnalyticConstants | None = None
     value_batch: Callable[[np.ndarray], np.ndarray] | None = None
-    value_jacobian: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     restricted: Callable[[float], "SmoothMap"] | None = None
 
     def __post_init__(self):
@@ -113,27 +110,20 @@ class SmoothMap:
         if self.restricted is not None:
             return self.restricted(new_rho)
         return SmoothMap(self.dimension, new_rho, self.value, self.jacobian,
-                         analytic=self.analytic, value_batch=self.value_batch,
-                         value_jacobian=self.value_jacobian)
-
-
-def fused_value_jacobian(m: SmoothMap):
-    """x -> (m(x), jac(x)): the map's fused oracle, or ``val`` then ``jac``."""
-    return m.value_jacobian or (lambda x: (m.val(x), m.jac(x)))
+                         analytic=self.analytic, value_batch=self.value_batch)
 
 
 def make_constant(c, rho: float) -> SmoothMap:
     """The map x -> c.  theta = gamma = 0 and eta = 1, all exact."""
     c = as_point(c)
     n = c.size
-    zero_jac = np.broadcast_to(0.0, (n, n))  # read-only: the fused oracle shares it
+    zero_jac = np.zeros((n, n))
     m = SmoothMap(
         n, float(rho),
         value=lambda x, c=c: c.copy(),
         jacobian=lambda x, zj=zero_jac: zj.copy(),
         analytic=AnalyticConstants(theta=0.0, gamma=0.0, eta=1.0),
         value_batch=lambda X, c=c: np.broadcast_to(c, (np.asarray(X).shape[0], c.size)).copy(),
-        value_jacobian=lambda x, c=c, zj=zero_jac: (c.copy(), zj),
     )
     m.restricted = lambda r, c=c: make_constant(c, r)
     return m
@@ -154,11 +144,12 @@ def make_affine(A, b, rho: float) -> SmoothMap:
     theta, eta = (float(v) for v in op_norm(np.stack([A, np.eye(n) - A])))
     m = SmoothMap(
         n, float(rho),
-        value=lambda x, A=A, b=b: A @ x + b,
+        # single points use ndarray.dot: the BLAS call of @, dispatched in
+        # half the time on a small vector
+        value=lambda x, A=A, b=b: A.dot(x) + b,
         jacobian=lambda x, A=A: A.copy(),
         analytic=AnalyticConstants(theta=theta, gamma=0.0, eta=eta),
         value_batch=lambda X, A=A, b=b: np.asarray(X) @ A.T + b,
-        value_jacobian=lambda x, A=A, J=np.broadcast_to(A, A.shape), b=b: (A @ x + b, J),
     )
     m.restricted = lambda r, A=A, b=b: make_affine(A, b, r)
     return m
@@ -197,7 +188,7 @@ def make_quadratic(A, b, Q, rho: float) -> SmoothMap:
     eta = float(norms[1]) + 2.0 * float(rho) * s
     m = SmoothMap(
         n, float(rho),
-        value=lambda x, A=A, b=b, Q=Q: A @ x + b + (Q @ x) @ x,
+        value=lambda x, A=A, b=b, Q=Q: A.dot(x) + b + (Q @ x).dot(x),
         jacobian=lambda x, A=A, Q=Q: A + 2.0 * (Q @ x),
         analytic=AnalyticConstants(
             theta=theta, gamma=2.0 * s, eta=eta,
@@ -205,8 +196,6 @@ def make_quadratic(A, b, Q, rho: float) -> SmoothMap:
             gamma_flag=CertFlag.CONSERVATIVE,
             eta_flag=CertFlag.CONSERVATIVE),
         value_batch=lambda X, A=A, b=b, Q=Q: X @ A.T + b + _quadratic_forms(X, Q),
-        # value and jacobian with the same operations, from one Q x
-        value_jacobian=lambda x, A=A, b=b, Q=Q: (A @ x + b + (qx := Q @ x) @ x, A + 2.0 * qx),
     )
     m.restricted = lambda r, A=A, b=b, Q=Q: make_quadratic(A, b, Q, r)
     return m
@@ -224,10 +213,6 @@ def _quadratic_forms(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
 def shift_map(m: SmoothMap, w) -> SmoothMap:
     """The map x -> m(x) - w.  Jacobian and all Lipschitz data unchanged."""
     w = as_point(w, dim=m.dimension)
-
-    def value_jacobian(x, vj=m.value_jacobian, w=w):
-        v, J = vj(x)
-        return v - w, J
     out = SmoothMap(
         m.dimension, m.domain_radius,
         value=lambda x, m=m, w=w: m.val(x) - w,
@@ -235,7 +220,6 @@ def shift_map(m: SmoothMap, w) -> SmoothMap:
         analytic=m.analytic,
         value_batch=(None if m.value_batch is None
                      else (lambda X, m=m, w=w: m.vals(X) - w)),
-        value_jacobian=None if m.value_jacobian is None else value_jacobian,
     )
     out.restricted = lambda r, m=m, w=w: shift_map(m.restrict(r), w)
     return out
@@ -246,8 +230,8 @@ class Payoff:
     """Scalar payoff J(x, y) on ball(rho) x Y with gradient oracles.
 
     ``grad_y`` is analytic for catalog payoffs.  ``grads`` is an optional
-    fused oracle returning float arrays (grad_x, grad_y) from one map value;
-    the solver calls it unconverted.  ``grad0_affine = (b, A)`` encodes
+    fused oracle returning (grad_x, grad_y) from one evaluation of the map;
+    the solver uses it when present.  ``grad0_affine = (b, A)`` encodes
     ||grad_x(0, y)|| = ||b - A^T y|| for the exact delta computation.
     """
 
@@ -290,9 +274,9 @@ def vi_payoff(m: SmoothMap) -> Payoff:
     def grad_y(x, y, m=m):
         return -m.val(x)
 
-    def grads(x, y, vj=fused_value_jacobian(m)):
-        v, J = vj(x)
-        return J.T @ (x - y) + v, -v
+    def grads(x, y, f=m.value, jac=m.jacobian):
+        v = np.asarray(f(x), dtype=float)
+        return np.asarray(jac(x), dtype=float).T.dot(x - y) + v, -v
 
     def value_xbatch(X, y, m=m):
         V = m.vals(X)
@@ -312,7 +296,7 @@ def vi_payoff(m: SmoothMap) -> Payoff:
 def ba_payoff(m: SmoothMap, y_set: ConvexSet) -> Payoff:
     """J(x, y) = ||m(x) - x||^2 - ||m(x) - y||^2 on ball(rho) x Y.
 
-    grad_x = 2 (x - m(x)) - 2 jac(x)^T (x - y), grad_y = 2 (m(x) - y).
+    grad_x = 2 (x - m(x) - jac(x)^T (x - y)), grad_y = 2 (m(x) - y).
     """
 
     def value(x, y, m=m):
@@ -320,15 +304,14 @@ def ba_payoff(m: SmoothMap, y_set: ConvexSet) -> Payoff:
         return float(np.dot(fx - x, fx - x) - np.dot(fx - y, fx - y))
 
     def grad_x(x, y, m=m):
-        fx = m.val(x)
-        return 2.0 * (x - fx) - 2.0 * (m.jac(x).T @ (x - y))
+        return 2.0 * (x - m.val(x) - m.jac(x).T @ (x - y))
 
     def grad_y(x, y, m=m):
         return 2.0 * (m.val(x) - y)
 
-    def grads(x, y, vj=fused_value_jacobian(m)):
-        fx, J = vj(x)
-        return 2.0 * (x - fx) - 2.0 * (J.T @ (x - y)), 2.0 * (fx - y)
+    def grads(x, y, f=m.value, jac=m.jacobian):
+        fx = np.asarray(f(x), dtype=float)
+        return 2.0 * (x - fx - np.asarray(jac(x), dtype=float).T.dot(x - y)), 2.0 * (fx - y)
 
     def value_xbatch(X, y, m=m):
         X = np.asarray(X)
@@ -361,38 +344,28 @@ def _fd_error(f, x, h: float, exact) -> float:
 def validate_map(m: SmoothMap, n_points: int = 100, seed: int = 0,
                  rel_tol: float = 1e-5) -> float:
     """Check the Jacobian against central finite differences of the value,
-    and the batch value and the fused ``value_jacobian`` against the rows.
+    and the batch value against the row-wise one.
 
     Returns the worst relative Jacobian error over random interior points;
-    raises InvalidInput when it exceeds ``rel_tol``, when a fast oracle
+    raises InvalidInput when it exceeds ``rel_tol``, when the batch value
     differs by more than BATCH_REL_TOL relative, or when an oracle output is
     not finite.
     """
     rng = np.random.default_rng(seed)
     h = 1e-5 * m.domain_radius
     pts = sample_ball(rng, n_points, m.dimension, max(m.domain_radius - 2 * h, 1e-12))
-    worst, rows, fused = 0.0, [], []
+    worst, rows = 0.0, []
     for x in pts:
         J = m.jac(x)
         v = m.val(x)
         if not (np.all(np.isfinite(J)) and np.all(np.isfinite(v))):
             raise InvalidInput("map oracle returned non-finite values")
         worst = max(worst, _fd_error(m.val, x, h, J))
-        rows.append(np.concatenate([v, J.ravel()]))
-        if m.value_jacobian is not None:
-            fv, fJ = (np.asarray(a, dtype=float) for a in m.value_jacobian(x))
-            if (fv.shape, fJ.shape) != (v.shape, J.shape):
-                raise DimensionMismatch(f"fused value and Jacobian have shapes {fv.shape}, "
-                                        f"{fJ.shape}")
-            fused.append(np.concatenate([fv, fJ.ravel()]))
+        rows.append(v)
     if worst > rel_tol:
         raise InvalidInput(
             f"jacobian disagrees with finite differences (relative error {worst:.2e})")
-    rows = np.stack(rows)
-    _require_agreement(m.vals(pts), rows[:, :m.dimension], "batch value", "the row-wise value")
-    if fused:
-        _require_agreement(np.stack(fused), rows, "fused value and Jacobian",
-                           "the value and the jacobian")
+    _require_agreement(m.vals(pts), np.stack(rows), "batch value", "the row-wise value")
     return worst
 
 

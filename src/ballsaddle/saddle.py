@@ -221,11 +221,15 @@ def _grad_y(payoff, x, y):
 
 
 def _grads(payoff):
-    """(x, y) -> (grad_x J, grad_y J): the payoff's fused ``grads`` as it is,
-    one map value and Jacobian per point, else grad_x and ``_grad_y``."""
-    if payoff.grads is not None:
-        return payoff.grads
-    return lambda x, y: (np.asarray(payoff.grad_x(x, y), dtype=float), _grad_y(payoff, x, y))
+    """(x, y) -> (grad_x J, grad_y J) as float arrays: one call of the
+    payoff's fused ``grads`` when it has one, else grad_x and ``_grad_y``."""
+    if payoff.grads is None:
+        return lambda x, y: (np.asarray(payoff.grad_x(x, y), dtype=float), _grad_y(payoff, x, y))
+
+    def grads(x, y, fused=payoff.grads):
+        gx, gy = fused(x, y)
+        return np.asarray(gx, dtype=float), np.asarray(gy, dtype=float)
+    return grads
 
 
 def phi_value_grad(payoff, L: float, x, y):
@@ -237,7 +241,7 @@ def phi_value_grad(payoff, L: float, x, y):
             f"x lies outside the domain ball of radius {payoff.x_radius}")
     val = 0.5 * L * float(x @ x) + payoff.value(x, y)
     gx, gy = _grads(payoff)(x, y)
-    return val, L * x + gx, np.asarray(gy, dtype=float)
+    return val, L * x + gx, gy
 
 
 def solve_saddle(payoff, cfg: SaddleConfig, x0=None, y0=None) -> SaddlePoint:
@@ -254,9 +258,9 @@ def solve_saddle(payoff, cfg: SaddleConfig, x0=None, y0=None) -> SaddlePoint:
     unchecked ``ball_projection`` and ``T.project_unchecked`` (a projection
     oracle T keeps its checks) and takes both gradients of each point from
     one call of the fused ``grads`` when the payoff has it.  A non-finite
-    iterate makes the residual non-finite, and each half-step checks its
-    y-gradient when T is not a ball (a box clips an infinite step); both
-    raise InvalidInput naming the iteration.
+    iterate makes the residual non-finite; when T is not a ball, which
+    clips an infinite step to its bound, each y-gradient is checked too.
+    Both raise InvalidInput naming the iteration.
     """
     r, n = cfg.r, payoff.dimension
     if r > payoff.x_radius + EVAL_DOMAIN_TOL:
@@ -265,19 +269,23 @@ def solve_saddle(payoff, cfg: SaddleConfig, x0=None, y0=None) -> SaddlePoint:
     T, L, tol = cfg.T, cfg.L, cfg.tol
     x = project_ball(as_point(x0, dim=n) if x0 is not None else np.zeros(n), r)
     y = T.project(as_point(y0, dim=n) if y0 is not None else np.zeros(n))
-    tau, grads, clips = cfg.step, _grads(payoff), not isinstance(T, Ball)
+    tau, grads = cfg.step, _grads(payoff)
+    if not isinstance(T, Ball):  # ``it`` is read when the loop calls it
+        def grads(x, y, unchecked=grads):
+            gx, gy = unchecked(x, y)
+            if np.count_nonzero(np.isfinite(gy)) < n:  # half the cost of .all()
+                raise InvalidInput(f"extragradient y-gradient is not finite at iteration {it}")
+            return gx, gy
     best_res = np.inf
     best_x, best_y = x, y
     halvings = 0
     res = np.inf
     for it in range(1, cfg.max_iters + 1):
         gx, gy = grads(x, y)
-        if clips and np.count_nonzero(np.isfinite(gy)) < n:
-            raise InvalidInput(f"extragradient y-gradient is not finite at iteration {it}")
         xh = ball_projection(x - tau * (L * x + gx), r)
         yh = T.project_unchecked(y + tau * gy)
         dx, dy = x - xh, y - yh
-        res = float(np.hypot(math.sqrt(dx @ dx), math.sqrt(dy @ dy)))
+        res = float(np.hypot(math.sqrt(dx.dot(dx)), math.sqrt(dy.dot(dy))))
         if not math.isfinite(res):
             raise InvalidInput(f"extragradient iterate is not finite at iteration {it}")
         if res <= tol:
@@ -294,8 +302,6 @@ def solve_saddle(payoff, cfg: SaddleConfig, x0=None, y0=None) -> SaddlePoint:
             best_res = np.inf
             continue
         gxh, gyh = grads(xh, yh)
-        if clips and np.count_nonzero(np.isfinite(gyh)) < n:
-            raise InvalidInput(f"extragradient y-gradient is not finite at iteration {it}")
         x = ball_projection(x - tau * (L * xh + gxh), r)
         y = T.project_unchecked(y + tau * gyh)
     raise NonConvergence(

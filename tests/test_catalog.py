@@ -12,7 +12,6 @@ from ballsaddle import (Ball, Box, CertFlag, ConfigError, DimensionMismatch,
                         make_constant, make_quadratic, map_from_dict, shift_map,
                         sample_ball, small_radius, validate_map, validate_payoff,
                         vi_payoff)
-from ballsaddle.catalog import declare
 
 
 def rand_quadratic(rng, n, rho=1.0, scale=0.2):
@@ -220,53 +219,23 @@ def test_validate_payoff_rejects_a_disagreeing_fused_oracle(which):
         validate_payoff(p, n_points=5, seed=0)
 
 
-def fused_oracle_maps(n):
-    """Catalog maps with a fused value_jacobian, one of each way to make one."""
-    maps = catalog_maps(n)
-    maps["restricted"] = maps["quadratic"].restrict(0.5)
-    maps["rebuilt-free restriction"] = dataclasses.replace(maps["shift"],
-                                                           restricted=None).restrict(0.5)
-    maps["declared"] = declare(maps["quadratic"], {"theta": 50.0})
-    maps["declared restriction"] = maps["declared"].restrict(0.5)
-    return maps
-
-
-@pytest.mark.parametrize("kind", ["constant", "affine", "quadratic", "shift", "restricted",
-                                  "rebuilt-free restriction", "declared",
-                                  "declared restriction"])
-def test_value_jacobian_matches_value_and_jacobian_bit_for_bit(kind):
-    n = 4
-    m = fused_oracle_maps(n)[kind]
-    assert m.value_jacobian is not None
-    for x in sample_ball(np.random.default_rng(43), 30, n, m.domain_radius):
-        v, J = m.value_jacobian(x)
-        assert v.tobytes() == m.val(x).tobytes()
-        assert J.tobytes() == m.jac(x).tobytes()
-    validate_map(m, n_points=10, seed=2)
-
-
-@pytest.mark.parametrize("kind", ["constant", "affine"])
-def test_shared_fused_jacobian_is_read_only(kind):
-    m = catalog_maps(3)[kind]
-    _, J = m.value_jacobian(np.zeros(3))
-    with pytest.raises(ValueError):
-        J[0, 0] = 1.0
-    m.jac(np.zeros(3))[0, 0] = 1.0  # the single-point oracle still hands out a copy
-
-
-def test_validate_map_rejects_a_disagreeing_value_jacobian():
-    m = catalog_maps(3)["quadratic"]
-    fused = m.value_jacobian
-    for which in (0, 1):
-        def wrong(x, which=which):
-            out = list(fused(x))
-            out[which] = out[which] + 1e-6
-            return tuple(out)
-        with pytest.raises(InvalidInput, match="fused value and Jacobian disagree"):
-            validate_map(dataclasses.replace(m, value_jacobian=wrong), n_points=5, seed=0)
-    flat = dataclasses.replace(m, value_jacobian=lambda x: (fused(x)[0], fused(x)[1].ravel()))
-    with pytest.raises(DimensionMismatch, match="fused value and Jacobian have shapes"):
-        validate_map(flat, n_points=5, seed=0)
+@pytest.mark.parametrize("make", [vi_payoff, lambda m: ba_payoff(m, Ball(1.0, 3))])
+def test_payoff_gradients_follow_a_replaced_map(make):
+    # the fused gradients call the map's own oracles: a copy with new ones
+    # is the map they differentiate, and lists are converted as val converts
+    rng = np.random.default_rng(44)
+    m = rand_quadratic(rng, 3)
+    flipped = make(dataclasses.replace(m, value=lambda x: -m.value(x),
+                                       jacobian=lambda x: -m.jacobian(x)))
+    listed = make(dataclasses.replace(m, value=lambda x: m.value(x).tolist(),
+                                      jacobian=lambda x: m.jacobian(x).tolist()))
+    p = make(m)
+    for x, y in zip(sample_ball(rng, 5, 3, 1.0), sample_ball(rng, 5, 3, 1.0)):
+        gx, gy = flipped.grads(x, y)
+        assert gx.tobytes() == np.asarray(flipped.grad_x(x, y)).tobytes()
+        assert gy.tobytes() == np.asarray(flipped.grad_y(x, y)).tobytes()
+        assert not np.allclose(gy, p.grads(x, y)[1])
+        assert [g.tobytes() for g in listed.grads(x, y)] == [g.tobytes() for g in p.grads(x, y)]
 
 
 def test_payoff_batch_paths_match_scalar():

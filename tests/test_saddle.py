@@ -217,6 +217,15 @@ class TestSolve:
         assert pt.y_star.tolist() == [2.0]
         assert_allclose(pt.x_star, [-0.3], atol=1e-7)
 
+    @pytest.mark.parametrize("T", [Box([1.0], [2.0]), Ball(2.0, 1)])
+    def test_fused_gradients_given_as_lists_are_converted(self, T):
+        p = dataclasses.replace(bilinear_1d(), y_set=T)
+        listed = dataclasses.replace(p, grads=lambda x, y: ([float(y[0])], [float(x[0])]))
+        cfg = SaddleConfig(r=0.3, T=T, L=0.1, smoothness=1.0)
+        want, got = solve_saddle(p, cfg), solve_saddle(listed, cfg)
+        assert (got.x_star.tolist(), got.y_star.tolist()) == (want.x_star.tolist(),
+                                                              want.y_star.tolist())
+
     def test_non_finite_map_stops_the_prox_pair_probe(self, monkeypatch):
         # the map turns NaN once the probe starts its first solve; the
         # probe resolves solve_saddle in the saddle module, the main solve
@@ -225,23 +234,17 @@ class TestSolve:
         m = map_from_dict({"kind": "affine", "A": (0.3 * rng.normal(size=(3, 3))).tolist(),
                            "b": [1.5, 0.5, -0.5], "rho": 1.0})
         state = {"poisoned": False, "calls": 0}
-        value, jacobian, value_jacobian = m.value, m.jacobian, m.value_jacobian
-
-        def nan_like(out):
-            if isinstance(out, tuple):
-                return tuple(nan_like(part) for part in out)
-            return np.full_like(out, np.nan)
+        value, jacobian = m.value, m.jacobian
 
         def poisoned(oracle):
             def call(x):
                 if not state["poisoned"]:
                     return oracle(x)
                 state["calls"] += 1
-                return nan_like(oracle(x))
+                return np.full_like(oracle(x), np.nan)
             return call
 
-        m = dataclasses.replace(m, value=poisoned(value), jacobian=poisoned(jacobian),
-                                value_jacobian=poisoned(value_jacobian))
+        m = dataclasses.replace(m, value=poisoned(value), jacobian=poisoned(jacobian))
         solve = saddle_module.solve_saddle
 
         def probe_solve(*args, **kwargs):
@@ -252,7 +255,7 @@ class TestSolve:
         with pytest.raises(InvalidInput, match="not finite at iteration 1"):
             solve_prox_pair(m, Ball(1.0, 3), Box(-0.05 * np.ones(3), 0.05 * np.ones(3)),
                             mode="heuristic")
-        assert state["poisoned"] and state["calls"] == 1  # one fused value and Jacobian
+        assert state["poisoned"] and state["calls"] == 2  # one value, one Jacobian
 
     def test_radius_exceeding_domain_rejected(self):
         p = vi_payoff(make_constant([1.0, 0.0], 1.0))
