@@ -25,7 +25,7 @@ from .constants import (CertFlag, CertValue, ConstantsReport, admissible_radius,
 from .errors import (BallSaddleError, CertificationError, ConfigError, DimensionMismatch,
                      HypothesisViolation, InvalidInput, NonConvergence)
 from .geometry import (Ball, Box, ConvexSet, ProjectionOracle, dist_ball, inner,
-                       norm, project_ball, project_set, sample_ball, sample_sphere)
+                       norm, project_ball, sample_ball, sample_sphere)
 from .saddle import (CheckReport, SaddleChecks, SaddleConfig, SaddlePoint,
                      check_saddle, phi_value_grad, solve_saddle)
 from .vi import (SmallRadiusResult, VICertificate, certify_vi, check_vi,
@@ -45,7 +45,7 @@ __all__ = [
     "delta_const", "dist_ball", "estimate_lipschitz",
     "estimate_theta", "inner", "make_affine", "make_constant", "make_quadratic",
     "map_from_dict", "norm", "op_norm", "phi_value_grad", "project_ball",
-    "project_set", "sample_ball", "sample_sphere", "shift_map", "sigma_ba",
+    "sample_ball", "sample_sphere", "shift_map", "sigma_ba",
     "sigma_vi", "small_radius", "solve_best_approx", "solve_prox_pair",
     "solve_saddle", "solve_vi", "solve_vi_shifted", "validate_map",
     "validate_payoff", "vi_payoff", "vi_report",

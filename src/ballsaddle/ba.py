@@ -15,9 +15,10 @@ unique nearest point of ball(r) to its own image:
 ``solve_prox_pair`` certifies the general pair and probes its uniqueness
 (proves it with the sets above); ``solve_best_approx`` adds the collapse
 and nearest-point conclusions; ``ba_small_radius`` picks a radius that
-makes the hypotheses automatic when f(0) != 0.  Both solves gate the
-problem (``ba_problem``), solve (``solve_ba``), and hand the solution to
-``certify_ba``, the same certify step ``verify`` runs on a stored solution.
+makes the hypotheses automatic when f(0) != 0.  ``run_ba`` is the one path
+of statements 5 and 6, which both solves and the CLI's run and ``verify``
+take: it gates the problem (``ba_problem``), solves and probes uniqueness
+unless a stored solution is given, and certifies (``certify_ba``).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .saddle import (AUDIT_SAMPLES, SPHERE_TOL, UNIQUENESS_STARTS, Certificate, 
                      check_saddle, contraction, contraction_record, exclusion_mask,
                      failed_names, gate, probe_uniqueness, proof_record, proved_norm_floor,
                      raise_failure, refuse_sample_count, require_count, slack_report,
-                     solve_saddle, sphere_fixed_point)
+                     solve_saddle, sphere_fixed_point, uniqueness_consistent)
 from .vi import COLLAPSE_TOL, SmallRadiusResult, radius_from_origin
 
 IDENTITY_TOL = 1e-6
@@ -120,19 +121,6 @@ def collapses(m: SmoothMap, Y: ConvexSet, cfg: SaddleConfig) -> bool:
             and isinstance(cfg.T, Ball) and cfg.T.radius == cfg.r)
 
 
-def solve_ba(m: SmoothMap, Y: ConvexSet, cfg: SaddleConfig,
-             report: ConstantsReport) -> SaddlePoint:
-    """``sphere_fixed_point`` of x -> P_ball(r)(f(x)) when the problem
-    ``collapses`` and its contraction is proved (certification-grade
-    constants, q < 1); else the extragradient on the saddle payoff."""
-    if collapses(m, Y, cfg):
-        _, q = contraction(m, cfg.r, report.theta.value, cfg.r)
-        if report.certified and q < 1.0:
-            return sphere_fixed_point(lambda x: ball_projection(m.val(x), cfg.r), q,
-                                      m.dimension, cfg)
-    return solve_saddle(ba_payoff(m, Y), cfg)
-
-
 def certify_ba(m: SmoothMap, Y: ConvexSet, point: SaddlePoint, cfg: SaddleConfig,
                report: ConstantsReport, *, mode: str = "certified",
                uniqueness: dict | None = None, seed: int = 0,
@@ -185,12 +173,47 @@ def certify_ba(m: SmoothMap, Y: ConvexSet, point: SaddlePoint, cfg: SaddleConfig
     return cert
 
 
+def run_ba(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None, r: float | None,
+           report: ConstantsReport, settings: dict, point: SaddlePoint | None = None, *,
+           mode: str, seed: int, fail, starts: int = UNIQUENESS_STARTS,
+           uniqueness: dict | None = None, theorem: str = "5") -> BACertificate:
+    """The one path of statements 5 and 6, which ``solve_prox_pair``,
+    ``solve_best_approx`` and the CLI's run and ``verify`` all take: gate
+    the problem (``ba_problem``, failures to ``fail``), solve unless
+    ``point`` (a stored solution) is given, then ``certify_ba``.
+
+    The solve is ``sphere_fixed_point`` of x -> P_ball(r)(f(x)) when the
+    problem ``collapses`` and its contraction is proved (certification-grade
+    constants, q < 1), else the extragradient on the saddle payoff.  Unless
+    the problem ``collapses`` (a contraction proves uniqueness there), a
+    solve probes uniqueness from ``starts`` points, and a stored probe
+    record ``uniqueness`` must be consistent with ``starts``, else
+    ``fail("uniqueness-record")``.
+    """
+    cfg = ba_problem(m, Y, T, r, report, mode, seed=seed, fail=fail, **settings)
+    collapsed = collapses(m, Y, cfg)
+    if point is None:
+        q = contraction(m, cfg.r, report.theta.value, cfg.r)[1] if collapsed else np.inf
+        if report.certified and q < 1.0:
+            point = sphere_fixed_point(lambda x: ball_projection(m.val(x), cfg.r), q,
+                                       m.dimension, cfg)
+        else:
+            point = solve_saddle(ba_payoff(m, Y), cfg)
+        if not collapsed:
+            uniqueness = probe_uniqueness(ba_payoff(m, Y), cfg, starts, seed + 3)
+    elif not collapsed and not uniqueness_consistent(uniqueness, starts):
+        fail("uniqueness-record", None)
+    return certify_ba(m, Y, point, cfg, report, mode=mode, uniqueness=uniqueness, seed=seed,
+                      theorem=theorem)
+
+
 def solve_prox_pair(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None,
                     r: float | None = None, report: ConstantsReport | None = None,
                     *, mode: str = "certified", seed: int = 0,
                     uniqueness_starts: int = UNIQUENESS_STARTS, **settings) -> BACertificate:
-    """Solve and certify the saddle pair of statement 5: the approximation
-    payoff on ball(r) x T, with y* the projection of f(x*) onto T.
+    """Solve and certify the saddle pair of statement 5 (``run_ba``): the
+    approximation payoff on ball(r) x T, with y* the projection of f(x*)
+    onto T.
 
     ``r`` defaults to the admissible radius sigma / L and ``T`` (None) to
     ball(r).  Certified mode requires certification-grade constants and r
@@ -202,11 +225,8 @@ def solve_prox_pair(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None,
     require_count("uniqueness_starts", uniqueness_starts, 0)
     if report is None:
         report = ba_report(m, Y, seed=seed)
-    cfg = ba_problem(m, Y, T, r, report, mode, seed=seed, fail=raise_failure, **settings)
-    point = solve_ba(m, Y, cfg, report)
-    uniq = (None if collapses(m, Y, cfg)
-            else probe_uniqueness(ba_payoff(m, Y), cfg, uniqueness_starts, seed + 3))
-    return certify_ba(m, Y, point, cfg, report, mode=mode, uniqueness=uniq, seed=seed)
+    return run_ba(m, Y, T, r, report, settings, mode=mode, seed=seed, fail=raise_failure,
+                  starts=uniqueness_starts)
 
 
 def check_nearest_point(m: SmoothMap, x_star, r: float,
@@ -242,10 +262,8 @@ def solve_best_approx(m: SmoothMap, r: float | None = None,
     Y = Ball(m.domain_radius, m.dimension)
     if report is None:
         report = ba_report(m, Y, seed=seed)
-    cfg = ba_problem(m, Y, None, r, report, mode, seed=seed, fail=raise_failure,
-                     **settings)
-    point = solve_ba(m, Y, cfg, report)
-    return certify_ba(m, Y, point, cfg, report, mode=mode, seed=seed, theorem="6")
+    return run_ba(m, Y, None, r, report, settings, mode=mode, seed=seed, fail=raise_failure,
+                  theorem="6")
 
 
 def ba_small_radius(m: SmoothMap, epsilon: float = 0.5) -> SmallRadiusResult:

@@ -17,11 +17,12 @@ codes: 0 all checks pass, 1 bad config or I/O, 2 hypothesis or
 certification violation (stderr carries the deficit), 3 a check failed,
 4 the solver did not converge.
 
-Certificates embed the fully-resolved config, so ``verify`` can rebuild
-the problem with the code ``run`` uses and put the stored solution through
-the same gates and certify step, without re-solving.  Output is
-deterministic for a fixed config and seed except for the ``wall_time``
-field.
+Certificates embed the fully-resolved config.  ``run`` and ``verify`` of
+a solving command take one path, ``_certify``: gate, solve unless a stored
+solution is given, certify.  So ``verify`` rebuilds the problem with the
+code ``run`` uses and puts the stored solution through the same gates and
+certify step, without re-solving.  Output is deterministic for a fixed
+config and seed except for the ``wall_time`` field.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ba import (ba_problem, ba_small_radius, certify_ba, collapses, solve_best_approx,
-                 solve_prox_pair)
+from .ba import ba_small_radius, run_ba
 from .catalog import SmoothMap, ba_payoff, map_from_dict, require_fields, vi_payoff
 from .constants import (CertFlag, ConstantsReport, admissible_radius, ba_report,
                         delta_const, vi_report)
@@ -46,9 +46,8 @@ from .errors import (BallSaddleError, CertificationError, ConfigError, Hypothesi
                      InvalidInput, NonConvergence)
 from .geometry import Ball, Box, ConvexSet, as_point
 from .saddle import (UNIQUENESS_STARTS, SaddleConfig, SaddlePoint, check_saddle, gate,
-                     payoff_depends_on_y, raise_failure, solve_saddle, uniqueness_consistent)
-from .vi import (certify_vi, shift_problem, small_radius, solve_vi, solve_vi_shifted,
-                 vi_problem)
+                     payoff_depends_on_y, raise_failure, solve_saddle)
+from .vi import run_vi, shift_problem, small_radius
 
 CERT_FORMAT = "ballsaddle-certificate/4"
 VERIFY_FORMAT = "ballsaddle-verification/1"
@@ -325,19 +324,35 @@ def run(cfg: RunConfig) -> tuple[dict, list[str]]:
                                            "floor": float(res.sigma_floor),
                                            "sigma": float(res.report.sigma.value)}},
                 "passed": bool(ok)}, [] if ok else ["sigma-floor"]
+    return _certify(cfg, raise_failure)
+
+
+def _certify(cfg: RunConfig, fail, point: SaddlePoint | None = None,
+             uniqueness: dict | None = None) -> tuple[dict, list[str]]:
+    """(certificate body, names of its failed checks) of a solving command:
+    the one path of ``run`` and ``verify``.  It gates the problem, with
+    failed hypothesis gates (and an inconsistent probe record) going to
+    ``fail``; solves unless ``point``, a stored solution, is given; and
+    certifies.  A stored ``prox-pair`` comes with its probe record
+    ``uniqueness``."""
+    m = cfg.smooth_map
     if cfg.command == "saddle":
-        payoff, scfg, report = _saddle_problem(cfg, m)
-        return _certify_saddle(cfg, payoff, scfg, report, solve_saddle(payoff, scfg))
-    kw = {"mode": cfg.mode, "seed": cfg.seed, **_settings(cfg)}
+        payoff, scfg, report = _saddle_problem(cfg, m, fail)
+        if point is None:
+            point = solve_saddle(payoff, scfg)
+        return _certify_saddle(cfg, payoff, scfg, report, point)
+    kw = {"mode": cfg.mode, "seed": cfg.seed, "fail": fail}
     if cfg.command == "vi":
-        cert = solve_vi(m, cfg.r, **kw)
+        cert = run_vi(m, cfg.r, vi_report(m, seed=cfg.seed), _settings(cfg), point, **kw)
     elif cfg.command == "vi-shifted":
-        cert = solve_vi_shifted(m, cfg.w, cfg.r, **kw)
-    elif cfg.command == "prox-pair":
-        cert = solve_prox_pair(m, _y_set(cfg, m), _t_set(cfg, m), cfg.r,
-                               uniqueness_starts=cfg.uniqueness_starts, **kw)
-    elif cfg.command == "best-approx":
-        cert = solve_best_approx(m, cfg.r, **kw)
+        shifted, report, record = shift_problem(m, cfg.w, seed=cfg.seed, fail=fail)
+        cert = run_vi(shifted, cfg.r, report, _settings(cfg), point, gate=record, **kw)
+    elif cfg.command in ("prox-pair", "best-approx"):
+        Y = _y_set(cfg, m)
+        cert = run_ba(m, Y, _t_set(cfg, m), cfg.r, ba_report(m, Y, seed=cfg.seed),
+                      _settings(cfg), point, starts=cfg.uniqueness_starts,
+                      uniqueness=uniqueness,
+                      theorem="5" if cfg.command == "prox-pair" else "6", **kw)
     else:
         raise ConfigError(f"unknown command {cfg.command!r}")
     return cert.to_dict(), cert.failed_checks()
@@ -345,16 +360,15 @@ def run(cfg: RunConfig) -> tuple[dict, list[str]]:
 
 def _recertify(cfg: RunConfig, body: dict, fail) -> tuple[dict, list[str]]:
     """(recomputed body, names of its failed checks) for the solution stored
-    in ``body``: the problem is rebuilt as ``run`` builds it and goes
-    through the same gates and certify step.  ``fail`` records the failed
-    hypothesis gates and an inconsistent probe record, and only those; a
-    failed check is named by the certify step.  The solver-owned fields
-    (residual, iterations, step, a probe record of ``prox-pair``) are
-    carried over from ``body``; the probe record is only checked for
-    consistency, and a contraction record is recomputed."""
-    m, probed = cfg.smooth_map, cfg.command == "prox-pair"
+    in ``body``, through ``_certify`` as ``run`` takes it but without the
+    solve.  The solver-owned fields (residual, iterations, step, a probe
+    record of ``prox-pair``) are carried over from ``body``; the probe
+    record is only checked for consistency, and a contraction record is
+    recomputed."""
+    m = cfg.smooth_map
     try:
-        sol, uniq = body["solution"], body["checks"].get("uniqueness") if probed else None
+        sol = body["solution"]
+        uniq = body["checks"].get("uniqueness") if cfg.command == "prox-pair" else None
         point = SaddlePoint(as_point(sol["x_star"], dim=m.dimension),
                             as_point(sol["y_star"], dim=m.dimension),
                             float(body["residuals"]["saddle_residual"]),
@@ -363,30 +377,7 @@ def _recertify(cfg: RunConfig, body: dict, fail) -> tuple[dict, list[str]]:
             raise TypeError("the uniqueness record needs a boolean 'passed'")
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"malformed certificate body: {exc!r}")
-    if cfg.command == "saddle":
-        payoff, scfg, report = _saddle_problem(cfg, m, fail)
-        return _certify_saddle(cfg, payoff, scfg, report, point)
-    kw = {"mode": cfg.mode, "seed": cfg.seed}
-    if cfg.command in ("vi", "vi-shifted"):
-        if cfg.command == "vi":
-            target, rep = m, vi_report(m, seed=cfg.seed)
-        else:
-            target, rep, record = shift_problem(m, cfg.w, seed=cfg.seed, fail=fail)
-        scfg = vi_problem(target, cfg.r, rep, cfg.mode, fail=fail, **_settings(cfg))
-        cert = certify_vi(target, point, scfg, rep, **kw)
-        if cfg.command == "vi-shifted":
-            cert.theorem, cert.gate = "4", record
-    else:
-        Y = _y_set(cfg, m)
-        rep = ba_report(m, Y, seed=cfg.seed)
-        scfg = ba_problem(m, Y, _t_set(cfg, m), cfg.r, rep, cfg.mode, seed=cfg.seed,
-                          fail=fail, **_settings(cfg))
-        if (probed and not collapses(m, Y, scfg)
-                and not uniqueness_consistent(uniq, cfg.uniqueness_starts)):
-            fail("uniqueness-record", None)
-        cert = certify_ba(m, Y, point, scfg, rep, uniqueness=uniq,
-                          theorem="5" if cfg.command == "prox-pair" else "6", **kw)
-    return cert.to_dict(), cert.failed_checks()
+    return _certify(cfg, fail, point, uniq)
 
 
 def verify(cert: dict) -> dict:

@@ -63,10 +63,6 @@ class CertValue:
     def to_dict(self):
         return {"value": self.value, "flag": self.flag.value}
 
-    @staticmethod
-    def from_dict(d) -> "CertValue":
-        return CertValue(float(d["value"]), CertFlag(d["flag"]))
-
 
 @dataclass(frozen=True, slots=True)
 class ConstantsReport:
@@ -96,15 +92,6 @@ class ConstantsReport:
             v = getattr(self, name)
             d[name] = None if v is None else v.to_dict()
         return d
-
-    @staticmethod
-    def from_dict(d) -> "ConstantsReport":
-        kw = {"rho": float(d["rho"]), "r_max": float(d["r_max"]),
-              "radius_rule": str(d["radius_rule"])}
-        for name in ("theta", "gamma", "eta", "delta", "M", "L", "sigma"):
-            v = d.get(name)
-            kw[name] = None if v is None else CertValue.from_dict(v)
-        return ConstantsReport(**kw)
 
 
 def op_norm(A):

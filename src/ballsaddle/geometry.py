@@ -89,16 +89,9 @@ class ConvexSet:
         projection oracle keeps it."""
         return self.project(z)
 
-    def contains(self, z, tol: float = 1e-9) -> bool:
-        z = as_point(z)
-        return float(np.linalg.norm(self.project(z) - z)) <= tol
-
     def sup_norm(self) -> float:
         """Upper bound on sup {||y|| : y in the set}."""
         raise NotImplementedError
-
-    def diameter(self) -> float:
-        return 2.0 * self.sup_norm()
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n points of the set, shape (n, dim). Uniform for balls and boxes;
@@ -124,9 +117,6 @@ class Ball(ConvexSet):
 
     def project_unchecked(self, z):
         return ball_projection(z, self.radius)
-
-    def contains(self, z, tol: float = 1e-9) -> bool:
-        return norm(as_point(z, dim=self.dim)) <= self.radius + tol
 
     def sup_norm(self) -> float:
         return self.radius
@@ -160,16 +150,9 @@ class Box(ConvexSet):
     def project_unchecked(self, z):
         return np.minimum(np.maximum(z, self.lower), self.upper)
 
-    def contains(self, z, tol: float = 1e-9) -> bool:
-        z = as_point(z, dim=self.dim)
-        return bool(np.all(z >= self.lower - tol) and np.all(z <= self.upper + tol))
-
     def sup_norm(self) -> float:
         # sup ||y|| over the box is attained at the componentwise max-|.| corner
         return float(np.linalg.norm(np.maximum(np.abs(self.lower), np.abs(self.upper))))
-
-    def diameter(self) -> float:
-        return float(np.linalg.norm(self.upper - self.lower))
 
     def sample(self, rng, n):
         u = rng.uniform(size=(n, self.dim))
@@ -213,11 +196,6 @@ class ProjectionOracle(ConvexSet):
             raise InvalidInput("projection-oracle set needs dim to be sampled")
         raw = sample_ball(rng, n, self.dim, self.sup_norm())
         return np.stack([self.project(z) for z in raw])
-
-
-def project_set(z, C: ConvexSet) -> np.ndarray:
-    """Nearest point of ``C`` to ``z`` (delegates to the set's projection)."""
-    return C.project(z)
 
 
 def sample_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:

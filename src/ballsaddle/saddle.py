@@ -14,13 +14,15 @@ with a margin outside a small exclusion ball, sphere membership of x* when
 the radius is admissible, and the minimax gap of phi; statements 1 and 5
 run it (see ``Certificate`` for the collapsed pairs of 2, 4 and 6).
 
-Every solve is a solver step (``solve_saddle`` or ``sphere_fixed_point``;
-statement 5 adds ``probe_uniqueness``) and a certify step (statements 2, 4 and 6, and 5 on
+Each statement family has one path, which a solve and ``verify`` share
+(``vi.run_vi``, ``ba.run_ba``, and ``cli._certify`` for statement 1):
+``gate``, the radius/mode gate; then a solver step unless a stored solution
+is given (``solve_saddle`` or ``sphere_fixed_point``; statement 5 adds
+``probe_uniqueness``); then a certify step (statements 2, 4 and 6, and 5 on
 their sets, prove uniqueness there with ``contraction_record``; 2, 4 and 6
 prove their strict inequality with ``proof_record`` and audit it on
-AUDIT_SAMPLES samples).  ``gate``
-is the radius/mode gate both share: the solve paths run it before solving,
-``verify`` runs it with a failure sink that records instead of raising.
+AUDIT_SAMPLES samples).  A solve runs the gate with a failure sink that
+raises, ``verify`` with one that records instead.
 """
 
 from __future__ import annotations

@@ -14,9 +14,10 @@ F(x*) != 0 and x* antiparallel to F(x*) on the sphere, y-maximal in closed
 form, the contraction that makes it unique, the double inequality (with
 y* = x*, the x-strictly-minimal saddle inequality) proved in closed form,
 and a sampled audit of it.
-``solve_vi`` gates the problem (``vi_problem``), solves, and hands the
-solution to ``certify_vi``, the same certify step ``verify`` runs on a
-stored solution.
+``run_vi`` is the one path of statements 2 and 4: it gates the problem
+(``vi_problem``), solves unless a stored solution is given, and certifies
+(``certify_vi``).  ``solve_vi`` and the CLI's run and ``verify`` all take
+it.
 
 ``solve_vi_shifted`` handles maps with vanishing Jacobian at the origin
 shifted by a far-enough target w, and ``small_radius`` picks a radius that
@@ -120,7 +121,7 @@ def certify_vi(m: SmoothMap, point: SaddlePoint, cfg: SaddleConfig,
                report: ConstantsReport, *, mode: str = "certified",
                seed: int = 0) -> VICertificate:
     """The certify step of a VI run on the problem ``cfg`` from ``vi_problem``;
-    the certificate is labeled statement 2 (``solve_vi_shifted`` relabels it).
+    the certificate is labeled statement 2 (``run_vi`` relabels it 4).
 
     Measures the structural identities of ``point`` (a fresh solve or a
     stored solution): x* = y*, F(x*) != 0, x* antiparallel to F(x*) on the
@@ -158,10 +159,38 @@ def certify_vi(m: SmoothMap, point: SaddlePoint, cfg: SaddleConfig,
                            m.dimension))
 
 
+def run_vi(m: SmoothMap, r: float | None, report: ConstantsReport, settings: dict,
+           point: SaddlePoint | None = None, *, mode: str, seed: int, fail,
+           gate: dict | None = None) -> VICertificate:
+    """The one path of statements 2 and 4, which ``solve_vi``,
+    ``solve_vi_shifted`` and the CLI's run and ``verify`` all take: gate the
+    problem (``vi_problem``, failures to ``fail``), solve unless ``point``
+    (a stored solution) is given, then ``certify_vi``.  The solve is
+    ``sphere_fixed_point`` when the constants are certification grade and
+    ``contraction`` gives q < 1, else the extragradient.  A shift ``gate``
+    record from ``shift_problem`` labels the certificate statement 4.
+    """
+    cfg = vi_problem(m, r, report, mode, fail=fail, **settings)
+    if point is None:
+        _, q = contraction(m, cfg.r, report.theta.value)
+        if report.certified and q < 1.0:
+            def toward_sphere(x):  # -r F(x)/||F(x)||, NaN where undefined: the step check names it
+                fx = m.val(x)
+                nf = math.sqrt(fx @ fx)
+                return fx * (-cfg.r / nf) if 0.0 < nf < math.inf else fx * math.nan
+            point = sphere_fixed_point(toward_sphere, q, m.dimension, cfg)
+        else:
+            point = solve_saddle(vi_payoff(m), cfg)
+    cert = certify_vi(m, point, cfg, report, mode=mode, seed=seed)
+    if gate is not None:
+        cert.theorem, cert.gate = "4", gate
+    return cert
+
+
 def solve_vi(m: SmoothMap, r: float | None = None,
              report: ConstantsReport | None = None, *, mode: str = "certified",
              seed: int = 0, **settings) -> VICertificate:
-    """Solve and certify the variational inequality on ball(r).
+    """Solve and certify the variational inequality on ball(r) (``run_vi``).
 
     ``r`` defaults to the admissible radius.  In certified mode the
     constants must be certification grade and r must respect the admissible
@@ -169,22 +198,10 @@ def solve_vi(m: SmoothMap, r: float | None = None,
     ``settings`` are the run settings of SaddleConfig (``tol``,
     ``strict_margin``, ...), which holds their defaults; ``n_samples`` is
     refused, since the inequality is proved and the audit has a fixed size.
-    The solve is ``sphere_fixed_point`` when the constants are certification
-    grade and ``contraction`` gives q < 1, else the extragradient.
     """
     if report is None:
         report = vi_report(m, seed=seed)
-    cfg = vi_problem(m, r, report, mode, fail=raise_failure, **settings)
-    _, q = contraction(m, cfg.r, report.theta.value)
-    if report.certified and q < 1.0:
-        def toward_sphere(x):  # -r F(x)/||F(x)||, NaN where undefined: the step check names it
-            fx = m.val(x)
-            nf = math.sqrt(fx @ fx)
-            return fx * (-cfg.r / nf) if 0.0 < nf < math.inf else fx * math.nan
-        point = sphere_fixed_point(toward_sphere, q, m.dimension, cfg)
-    else:
-        point = solve_saddle(vi_payoff(m), cfg)
-    return certify_vi(m, point, cfg, report, mode=mode, seed=seed)
+    return run_vi(m, r, report, settings, mode=mode, seed=seed, fail=raise_failure)
 
 
 def shift_problem(m: SmoothMap, w, *, seed: int = 0, fail=raise_failure):
@@ -219,16 +236,15 @@ def shift_problem(m: SmoothMap, w, *, seed: int = 0, fail=raise_failure):
 
 
 def solve_vi_shifted(m: SmoothMap, w, r: float | None = None, *, seed: int = 0,
-                     **kw) -> VICertificate:
+                     mode: str = "certified", **settings) -> VICertificate:
     """Variational inequality for x -> m(x) - w when the Jacobian of ``m``
     vanishes at the origin (see ``shift_problem`` for the gate).  Every
-    radius up to rho is then admissible for the shifted map.  ``kw`` are
-    the keywords of ``solve_vi``.
+    radius up to rho is then admissible for the shifted map.  ``mode`` and
+    ``settings`` are those of ``solve_vi``.
     """
     shifted, report, record = shift_problem(m, w, seed=seed)
-    cert = solve_vi(shifted, r, report, seed=seed, **kw)
-    cert.theorem, cert.gate = "4", record
-    return cert
+    return run_vi(shifted, r, report, settings, mode=mode, seed=seed, fail=raise_failure,
+                  gate=record)
 
 
 @dataclass(frozen=True)

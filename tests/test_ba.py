@@ -89,10 +89,16 @@ class TestBestApprox:
             off, constants=dataclasses.replace(cert.constants, r_max=0.5 * cert.r))
         assert beyond.failed_checks() == []
 
-    @pytest.mark.parametrize("keyword", ["tolerance", "step", "fail", "theorem"])
+    @pytest.mark.parametrize("keyword", ["tolerance", "step", "fail", "theorem", "point",
+                                         "gate", "uniqueness", "starts"])
     def test_unknown_setting_is_a_type_error(self, keyword):
+        # the failure sink, the statement label, a stored point and probe
+        # record and the start count are arguments of the internal run_ba
+        m = shifted_identity()
         with pytest.raises(TypeError, match=keyword):
-            solve_best_approx(shifted_identity(), **{keyword: 1e-8})
+            solve_best_approx(m, **{keyword: 1e-8})
+        with pytest.raises(TypeError, match=keyword):
+            solve_prox_pair(m, Ball(m.domain_radius, m.dimension), None, **{keyword: 1e-8})
 
 
 class TestProxPair:

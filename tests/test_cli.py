@@ -239,12 +239,13 @@ class TestExitCodes:
             in capsys.readouterr().err
 
     def test_nonconvergence_is_four(self, tmp_path, capsys, monkeypatch):
-        import ballsaddle.cli as cli_mod
+        import ballsaddle.vi as vi_mod
 
         def explode(*a, **kw):
             raise NonConvergence("probe", residual=1.0, iterations=5)
 
-        monkeypatch.setattr(cli_mod, "solve_vi", explode)
+        # the certified affine vi takes the sphere fixed-point solve
+        monkeypatch.setattr(vi_mod, "sphere_fixed_point", explode)
         cfgp = write_config(tmp_path, {"problem": AFFINE})
         assert main(["vi", "--config", cfgp]) == 4
         assert "non-convergence" in capsys.readouterr().err
@@ -371,6 +372,8 @@ ROUND_TRIPS = {
     "vi": ("vi", {"problem": AFFINE}),
     "vi-shifted": ("vi-shifted", {"problem": QUARTIC, "w": [16.0, 0.0], "r": 1.0}),
     "prox-pair-box": ("prox-pair", {"problem": CONSTANT, "r": 0.5, "t_set": BOX}),
+    # the default sets collapse: the fixed-point solve and the contraction record
+    "prox-pair": ("prox-pair", {"problem": AFFINE}),
     "best-approx": ("best-approx", {"problem": AFFINE}),
     "saddle-vi": ("saddle", {"problem": AFFINE}),
     "saddle-ba": ("saddle", {"problem": AFFINE, "payoff": "ba"}),
@@ -407,6 +410,8 @@ class TestVerify:
         assert out["format"] == "ballsaddle-verification/1"
         assert out["verified"] is True
         assert out["failures"] == []
+        # run and verify take one certify path: the recomputed body is the stored one
+        assert out["recomputed"] == json.loads(cert.read_text())["certificate"]
 
     @pytest.mark.parametrize("case", sorted(ROUND_TRIPS))
     def test_envelope_seed_follows_the_schema(self, tmp_path, case):
@@ -446,7 +451,8 @@ class TestVerify:
             return wrapper
 
         for mod in (cli_mod, saddle_mod, vi_mod, ba_mod):
-            for name in ("solve_saddle", "uniqueness_probe", "vi_report", "ba_report"):
+            for name in ("solve_saddle", "sphere_fixed_point", "probe_uniqueness",
+                         "uniqueness_probe", "vi_report", "ba_report"):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counting(getattr(mod, name)))
         for cert in certs:

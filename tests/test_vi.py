@@ -132,10 +132,12 @@ class TestSolveVI:
         with pytest.raises(InvalidInput):
             solve_vi(affine_instance(), mode="party")
 
-    @pytest.mark.parametrize("keyword", ["tolerance", "step", "fail", "smoothness"])
+    @pytest.mark.parametrize("keyword", ["tolerance", "step", "fail", "smoothness", "point",
+                                         "gate", "uniqueness"])
     def test_unknown_setting_is_a_type_error(self, keyword):
         # the settings go to SaddleConfig, which knows only its own fields;
-        # the step follows from the report and the failure sink is the solver's
+        # the step follows from the report, and the failure sink, a stored
+        # point and the shift gate record belong to the internal run_vi
         with pytest.raises(TypeError, match=keyword):
             solve_vi(affine_instance(), **{keyword: 1e-8})
         with pytest.raises(TypeError, match=keyword):
