@@ -9,7 +9,6 @@ the sphere, and a minimax gap at solver precision.
 """
 
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -58,7 +57,7 @@ check("saddle collapse: y* lands on x*",
 # Sampled certification
 # ======================================================================
 print("\n== sampled checks ==")
-out = check_saddle(payoff, pt, replace(cfg, n_samples=20000), seed=3)
+out = check_saddle(payoff, pt, cfg, seed=3, n_samples=20000)
 for repc in out.reports:
     print(f"  {repc.name:22s} passed = {str(repc.passed):5s}"
           f"  margin = {repc.margin:.3e}  samples = {repc.n_samples}")

@@ -31,12 +31,12 @@ from .catalog import SmoothMap, ba_payoff
 from .constants import ConstantsReport, ba_report
 from .errors import HypothesisViolation, InvalidInput
 from .geometry import Ball, Box, ConvexSet, ball_projection, dist_ball, norm, project_ball
-from .saddle import (AUDIT_SAMPLES, SPHERE_TOL, UNIQUENESS_STARTS, Certificate, CheckReport,
+from .saddle import (AUDIT_SAMPLES, CHECK_SAMPLES, SPHERE_TOL, Certificate, CheckReport,
                      SaddleChecks, SaddleConfig, SaddlePoint, ball_check_samples, by_blocks,
                      check_saddle, contraction, contraction_record, exclusion_mask,
                      failed_names, gate, probe_uniqueness, proof_record, proved_norm_floor,
-                     raise_failure, refuse_sample_count, require_count, slack_report,
-                     solve_saddle, sphere_fixed_point, uniqueness_consistent)
+                     raise_failure, require_count, slack_report, solve_saddle,
+                     sphere_fixed_point, uniqueness_consistent)
 from .vi import COLLAPSE_TOL, SmallRadiusResult, radius_from_origin
 
 IDENTITY_TOL = 1e-6
@@ -175,8 +175,8 @@ def certify_ba(m: SmoothMap, Y: ConvexSet, point: SaddlePoint, cfg: SaddleConfig
 
 def run_ba(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None, r: float | None,
            report: ConstantsReport, settings: dict, point: SaddlePoint | None = None, *,
-           mode: str, seed: int, fail, starts: int = UNIQUENESS_STARTS,
-           uniqueness: dict | None = None, theorem: str = "5") -> BACertificate:
+           mode: str, seed: int, fail, uniqueness: dict | None = None,
+           theorem: str = "5") -> BACertificate:
     """The one path of statements 5 and 6, which ``solve_prox_pair``,
     ``solve_best_approx`` and the CLI's run and ``verify`` all take: gate
     the problem (``ba_problem``, failures to ``fail``), solve unless
@@ -186,8 +186,8 @@ def run_ba(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None, r: float | None,
     problem ``collapses`` and its contraction is proved (certification-grade
     constants, q < 1), else the extragradient on the saddle payoff.  Unless
     the problem ``collapses`` (a contraction proves uniqueness there), a
-    solve probes uniqueness from ``starts`` points, and a stored probe
-    record ``uniqueness`` must be consistent with ``starts``, else
+    solve probes uniqueness (``probe_uniqueness``), and a stored probe
+    record ``uniqueness`` must be ``uniqueness_consistent``, else
     ``fail("uniqueness-record")``.
     """
     cfg = ba_problem(m, Y, T, r, report, mode, seed=seed, fail=fail, **settings)
@@ -200,8 +200,8 @@ def run_ba(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None, r: float | None,
         else:
             point = solve_saddle(ba_payoff(m, Y), cfg)
         if not collapsed:
-            uniqueness = probe_uniqueness(ba_payoff(m, Y), cfg, starts, seed + 3)
-    elif not collapsed and not uniqueness_consistent(uniqueness, starts):
+            uniqueness = probe_uniqueness(ba_payoff(m, Y), cfg, seed + 3)
+    elif not collapsed and not uniqueness_consistent(uniqueness):
         fail("uniqueness-record", None)
     return certify_ba(m, Y, point, cfg, report, mode=mode, uniqueness=uniqueness, seed=seed,
                       theorem=theorem)
@@ -209,33 +209,31 @@ def run_ba(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None, r: float | None,
 
 def solve_prox_pair(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None,
                     r: float | None = None, report: ConstantsReport | None = None,
-                    *, mode: str = "certified", seed: int = 0,
-                    uniqueness_starts: int = UNIQUENESS_STARTS, **settings) -> BACertificate:
+                    *, mode: str = "certified", seed: int = 0, **settings) -> BACertificate:
     """Solve and certify the saddle pair of statement 5 (``run_ba``): the
     approximation payoff on ball(r) x T, with y* the projection of f(x*)
     onto T.
 
     ``r`` defaults to the admissible radius sigma / L and ``T`` (None) to
     ball(r).  Certified mode requires certification-grade constants and r
-    within the admissible radius.  ``uniqueness_starts`` counts the starts
-    of the uniqueness probe (none runs below two, nor when the problem
-    ``collapses``: a contraction proves it).  ``settings`` are the run
-    settings of SaddleConfig, as for ``solve_vi``.
+    within the admissible radius.  Uniqueness is probed from
+    UNIQUENESS_STARTS starts unless the problem ``collapses`` (a
+    contraction proves it).  ``settings`` are the run settings of
+    SaddleConfig, as for ``solve_vi``.
     """
-    require_count("uniqueness_starts", uniqueness_starts, 0)
     if report is None:
         report = ba_report(m, Y, seed=seed)
-    return run_ba(m, Y, T, r, report, settings, mode=mode, seed=seed, fail=raise_failure,
-                  starts=uniqueness_starts)
+    return run_ba(m, Y, T, r, report, settings, mode=mode, seed=seed, fail=raise_failure)
 
 
 def check_nearest_point(m: SmoothMap, x_star, r: float,
-                        n_samples: int = SaddleConfig.n_samples, seed: int = 0,
+                        n_samples: int = CHECK_SAMPLES, seed: int = 0,
                         strict_margin: float = SaddleConfig.strict_margin,
                         exclusion_factor: float = SaddleConfig.exclusion_factor) -> CheckReport:
     """Sampled check that x* is strictly closer to every image f(x) than x
-    itself is, over ball(r) outside the exclusion ball.  The defaults are
-    SaddleConfig's."""
+    itself is, over ball(r) outside the exclusion ball.  The margin and the
+    factor default to SaddleConfig's."""
+    require_count("n_samples", n_samples, 1)
     x_star = np.asarray(x_star, dtype=float)
     rng = np.random.default_rng(seed)
     xs = ball_check_samples(rng, n_samples, m.dimension, r, x_star)
@@ -254,11 +252,8 @@ def solve_best_approx(m: SmoothMap, r: float | None = None,
                       seed: int = 0, **settings) -> BACertificate:
     """Certify the unique best-approximation point of statement 6:
     Y = ball(rho) and T = ball(r), where the saddle pair collapses onto
-    x* = P_ball(r)(f(x*)).  The keywords are those of ``solve_prox_pair``
-    but the start count and ``n_samples``: uniqueness and the nearest-point
-    inequality are proved, and the audit has a fixed size.
+    x* = P_ball(r)(f(x*)).  The keywords are those of ``solve_prox_pair``.
     """
-    refuse_sample_count(settings)
     Y = Ball(m.domain_radius, m.dimension)
     if report is None:
         report = ba_report(m, Y, seed=seed)

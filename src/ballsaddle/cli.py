@@ -34,7 +34,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -45,8 +44,8 @@ from .constants import (CertFlag, ConstantsReport, admissible_radius, ba_report,
 from .errors import (BallSaddleError, CertificationError, ConfigError, HypothesisViolation,
                      InvalidInput, NonConvergence)
 from .geometry import Ball, Box, ConvexSet, as_point
-from .saddle import (UNIQUENESS_STARTS, SaddleConfig, SaddlePoint, check_saddle, gate,
-                     payoff_depends_on_y, raise_failure, solve_saddle)
+from .saddle import (SaddleConfig, SaddlePoint, check_saddle, gate, payoff_depends_on_y,
+                     raise_failure, solve_saddle)
 from .vi import run_vi, shift_problem, small_radius
 
 CERT_FORMAT = "ballsaddle-certificate/4"
@@ -61,16 +60,12 @@ _TOLERANCE_FIELDS = {"solve": "tol", "check": "check_tol",
 DEFAULT_TOLERANCES = {key: getattr(SaddleConfig, name) for key, name in _TOLERANCE_FIELDS.items()}
 
 _COMMON = ("seed", "tolerances", "heuristic")
-# n_samples sizes check_saddle, which only statements 1 and 5 run
 _FIELDS = {
     "constants": {"required": ("problem",), "optional": ("application", "y_set")},
-    "saddle": {"required": ("problem",),
-               "optional": ("payoff", "r", "t_set", "y_set", "n_samples") + _COMMON},
+    "saddle": {"required": ("problem",), "optional": ("payoff", "r", "t_set", "y_set") + _COMMON},
     "vi": {"required": ("problem",), "optional": ("r",) + _COMMON},
     "vi-shifted": {"required": ("problem", "w"), "optional": ("r",) + _COMMON},
-    "prox-pair": {"required": ("problem",),
-                  "optional": ("r", "y_set", "t_set", "uniqueness_starts", "n_samples")
-                  + _COMMON},
+    "prox-pair": {"required": ("problem",), "optional": ("r", "y_set", "t_set") + _COMMON},
     "best-approx": {"required": ("problem",), "optional": ("r",) + _COMMON},
     "small-radius": {"required": ("problem",), "optional": ("application", "epsilon")},
 }
@@ -79,18 +74,15 @@ _FIELDS = {
 @dataclass
 class RunConfig:
     """A fully-resolved run request; ``to_dict`` is the echo embedded in
-    certificates.  The run settings default to SaddleConfig's, the start
-    count of the prox-pair probe to ``solve_prox_pair``'s (echoed only when
-    the probe runs: not when the request ``collapses``).  ``smooth_map`` is
-    the map ``parse_config`` built from ``problem``, outside the schema."""
+    certificates.  The tolerances default to SaddleConfig's.
+    ``smooth_map`` is the map ``parse_config`` built from ``problem``,
+    outside the schema."""
 
     command: str
     problem: dict
     r: float | None = None
     seed: int = 0
-    n_samples: int = SaddleConfig.n_samples
     heuristic: bool = False
-    uniqueness_starts: int = UNIQUENESS_STARTS
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     application: str = "vi"
     payoff: str = "vi"
@@ -104,32 +96,12 @@ class RunConfig:
     def mode(self) -> str:
         return "heuristic" if self.heuristic else "certified"
 
-    @property
-    def collapses(self) -> bool:
-        """Whether a prox-pair request has statement 6's sets, Y = ball(rho)
-        and T = ball(r) (``ba.collapses``): a contraction proves uniqueness
-        there and no probe runs.  A ball T given without r is compared with
-        the r the solve will take, ``default_r``."""
-        def ball_of(doc, radius):
-            return doc is None or (isinstance(doc, dict) and doc.get("kind") == "ball"
-                                   and doc.get("radius") == radius())
-        return (self.command == "prox-pair"
-                and ball_of(self.y_set, lambda: self.smooth_map.domain_radius)
-                and ball_of(self.t_set, lambda: self.default_r if self.r is None else self.r))
-
-    @cached_property
-    def default_r(self) -> float:
-        """The r of a prox-pair request without one, as ``gate`` resolves it."""
-        return ba_report(self.smooth_map, _y_set(self, self.smooth_map), seed=self.seed).r_max
-
     def to_dict(self):
         spec = _FIELDS[self.command]
         d = {"command": self.command}
         for key in spec["required"] + spec["optional"]:
             if getattr(self, key) is not None:
                 d[key] = getattr(self, key)
-        if self.collapses:
-            del d["uniqueness_starts"]
         return d
 
 
@@ -172,8 +144,7 @@ def parse_config(doc: dict, command: str) -> RunConfig:
 
     cfg = RunConfig(command=command, problem=doc["problem"])
     cfg.smooth_map = map_from_dict(cfg.problem)  # built once; errors carry config paths
-    for key, least in (("r", None), ("seed", 0), ("n_samples", 1),
-                       ("uniqueness_starts", 0), ("epsilon", None)):
+    for key, least in (("r", None), ("seed", 0), ("epsilon", None)):
         if key in doc:
             setattr(cfg, key, _as_number(doc, key, least=least))
     if "heuristic" in doc:
@@ -204,10 +175,6 @@ def parse_config(doc: dict, command: str) -> RunConfig:
     for name in ("y_set", "t_set"):
         if name in doc:
             setattr(cfg, name, doc[name])
-    if "uniqueness_starts" in doc and cfg.collapses:
-        raise ConfigError("uniqueness_starts has no use with Y = ball(rho) and T = ball(r): "
-                          "a contraction proves uniqueness and no probe runs",
-                          path="uniqueness_starts")
     return cfg
 
 
@@ -236,12 +203,8 @@ def set_from_dict(doc: dict, dim: int, path: str) -> ConvexSet:
 
 
 def _settings(cfg: RunConfig) -> dict:
-    """The SaddleConfig run settings of a run request: the tolerances, and
-    ``n_samples`` where the command's schema has it."""
-    settings = {name: cfg.tolerances[key] for key, name in _TOLERANCE_FIELDS.items()}
-    if "n_samples" in _FIELDS[cfg.command]["optional"]:
-        settings["n_samples"] = cfg.n_samples
-    return settings
+    """The SaddleConfig run settings of a run request: its tolerances."""
+    return {name: cfg.tolerances[key] for key, name in _TOLERANCE_FIELDS.items()}
 
 
 def _y_set(cfg: RunConfig, m: SmoothMap) -> ConvexSet:
@@ -350,8 +313,7 @@ def _certify(cfg: RunConfig, fail, point: SaddlePoint | None = None,
     elif cfg.command in ("prox-pair", "best-approx"):
         Y = _y_set(cfg, m)
         cert = run_ba(m, Y, _t_set(cfg, m), cfg.r, ba_report(m, Y, seed=cfg.seed),
-                      _settings(cfg), point, starts=cfg.uniqueness_starts,
-                      uniqueness=uniqueness,
+                      _settings(cfg), point, uniqueness=uniqueness,
                       theorem="5" if cfg.command == "prox-pair" else "6", **kw)
     else:
         raise ConfigError(f"unknown command {cfg.command!r}")
@@ -373,11 +335,22 @@ def _recertify(cfg: RunConfig, body: dict, fail) -> tuple[dict, list[str]]:
                             as_point(sol["y_star"], dim=m.dimension),
                             float(body["residuals"]["saddle_residual"]),
                             int(body["iterations"]), float(body.get("step", 0.0)))
-        if uniq is not None and not isinstance(uniq.get("passed"), bool):
-            raise TypeError("the uniqueness record needs a boolean 'passed'")
+        if uniq is not None and not _is_uniqueness_record(uniq):
+            raise TypeError("the uniqueness record is neither a contraction nor a probe record")
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"malformed certificate body: {exc!r}")
     return _certify(cfg, fail, point, uniq)
+
+
+def _is_uniqueness_record(record) -> bool:
+    """Whether a stored ``prox-pair`` uniqueness record has the shape of a
+    contraction record (recomputed, so only its verdict is read) or of a
+    ``probe_uniqueness`` record: an integer ``starts`` and a number
+    ``max_pairwise``, neither a bool.  Both have a boolean ``passed``."""
+    if not (isinstance(record, dict) and isinstance(record.get("passed"), bool)):
+        return False
+    return record.get("method") == "contraction" or (
+        type(record.get("starts")) is int and type(record.get("max_pairwise")) in (int, float))
 
 
 def verify(cert: dict) -> dict:

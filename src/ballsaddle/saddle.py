@@ -45,6 +45,7 @@ MAX_STEP_HALVINGS = 60
 UNIQUENESS_TOL = 1e-5
 UNIQUENESS_STARTS = 16
 AUDIT_SAMPLES = 256
+CHECK_SAMPLES = 2000
 CHECK_BLOCK = 512
 
 
@@ -54,8 +55,6 @@ class SaddleConfig:
     place where the solver and check settings get their defaults and their
     validation.
 
-    ``n_samples`` sizes the sampled sets of ``check_saddle`` (statements 1
-    and 5); statements 2, 4 and 6 refuse it (``refuse_sample_count``).
     ``smoothness`` bounds the Lipschitz constant of the saddle operator and
     fixes the extragradient step 1/(2 * smoothness); the problem builders
     set it to 2 * weight + theta from the constants report.  ``r_max`` is
@@ -72,7 +71,6 @@ class SaddleConfig:
     check_tol: float = 1e-8
     strict_margin: float = 1e-9
     exclusion_factor: float = 1e-4
-    n_samples: int = 2000
     r_max: float | None = None
 
     def __post_init__(self):
@@ -88,7 +86,6 @@ class SaddleConfig:
                 raise InvalidInput(f"{name} must be finite and positive, got {value!r}")
         require_count("max_iters", self.max_iters, 1)
         require_exclusion_factor(self.exclusion_factor)
-        require_count("n_samples", self.n_samples, 1)
 
     @property
     def step(self) -> float:
@@ -383,26 +380,21 @@ def require_count(name: str, value, least: int):
         raise InvalidInput(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def probe_uniqueness(payoff, cfg: SaddleConfig, starts: int, seed: int) -> dict | None:
+def probe_uniqueness(payoff, cfg: SaddleConfig, seed: int) -> dict:
     """The uniqueness record of a prox-pair solve: the spread of the
-    solutions from ``starts`` scattered starting points, or None below two
-    starts."""
-    if starts < 2:
-        return None
+    solutions from UNIQUENESS_STARTS scattered starting points."""
     spread = uniqueness_probe(
         lambda x0: solve_saddle(payoff, cfg, x0=x0, y0=x0).x_star,
-        starts=starts, seed=seed, dim=payoff.dimension, radius=cfg.r)
-    return {"starts": starts, "max_pairwise": float(spread),
+        starts=UNIQUENESS_STARTS, seed=seed, dim=payoff.dimension, radius=cfg.r)
+    return {"starts": UNIQUENESS_STARTS, "max_pairwise": float(spread),
             "passed": bool(spread <= UNIQUENESS_TOL)}
 
 
-def uniqueness_consistent(record, starts: int) -> bool:
+def uniqueness_consistent(record) -> bool:
     """Whether a stored uniqueness record could come from
-    ``probe_uniqueness`` with ``starts``: the same start count and a verdict
-    that matches its own spread."""
-    if record is None:
-        return starts < 2
-    return (isinstance(record, dict) and record.get("starts") == starts
+    ``probe_uniqueness``: UNIQUENESS_STARTS starts and a verdict that
+    matches its own spread."""
+    return (isinstance(record, dict) and record.get("starts") == UNIQUENESS_STARTS
             and record.get("passed") == (float(record["max_pairwise"]) <= UNIQUENESS_TOL))
 
 
@@ -451,16 +443,6 @@ def proof_record(uniqueness: dict, phi: float, coefficient: float, scale: float,
     located = uniqueness["passed"] and uniqueness["error_bound"] <= SOLUTION_TOL
     return {"phi_lower": float(phi), "margin": float(margin),
             "passed": bool(located and margin > 0.0)}
-
-
-def refuse_sample_count(settings: dict):
-    """Statements 2, 4 and 6 prove their strict inequality and audit it on
-    AUDIT_SAMPLES samples: ``n_samples`` sizes only ``check_saddle``, and a
-    setting that nothing would read is refused."""
-    if "n_samples" in settings:
-        raise TypeError("n_samples sizes the sampled saddle checks of statements 1 and 5; "
-                        "statements 2, 4 and 6 prove their inequality and audit it on "
-                        f"{AUDIT_SAMPLES} samples")
 
 
 def payoff_depends_on_y(payoff, x_star, T: ConvexSet, seed: int = 0) -> bool:
@@ -517,9 +499,10 @@ def slack_report(name: str, slack: np.ndarray, points: np.ndarray, details: dict
                        witness=None if passed else points[i], details=details)
 
 
-def check_saddle(payoff, point: SaddlePoint, cfg: SaddleConfig, seed: int = 0) -> SaddleChecks:
+def check_saddle(payoff, point: SaddlePoint, cfg: SaddleConfig, seed: int = 0,
+                 n_samples: int = CHECK_SAMPLES) -> SaddleChecks:
     """Sampled certification of a saddle candidate (solved or stored), with
-    ``cfg.n_samples`` samples per sampled set.
+    ``n_samples`` samples per sampled set.
 
     Checks, in order: J(x*, y) <= J(x*, y*) + check_tol over sampled y in T;
     J(x, y*) >= J(x*, y*) + strict_margin over sampled x in ball(r) outside
@@ -527,11 +510,12 @@ def check_saddle(payoff, point: SaddlePoint, cfg: SaddleConfig, seed: int = 0) -
     1e-6 when L > 0 and r is within the admissible radius.  Also reports the
     sampled minimax gap of phi.
     """
+    require_count("n_samples", n_samples, 1)
     x_star = as_point(point.x_star, dim=payoff.dimension)
     y_star = as_point(point.y_star, dim=payoff.dimension)
     rng = np.random.default_rng(seed)
     dim = payoff.dimension
-    r, T, n_samples = cfg.r, cfg.T, cfg.n_samples
+    r, T = cfg.r, cfg.T
     ys = (ball_check_samples(rng, n_samples, dim, T.radius) if isinstance(T, Ball)
           else T.sample(rng, n_samples))
     xs = ball_check_samples(rng, n_samples, dim, r, x_star)

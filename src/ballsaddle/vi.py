@@ -35,11 +35,11 @@ from .catalog import SmoothMap, shift_map, vi_payoff
 from .constants import ConstantsReport, op_norm, vi_report
 from .errors import HypothesisViolation, InvalidInput
 from .geometry import Ball, norm
-from .saddle import (AUDIT_SAMPLES, Certificate, CheckReport, SaddleConfig, SaddlePoint,
-                     ball_check_samples, by_blocks, contraction, contraction_record,
-                     exclusion_mask, failed_names, gate, proof_record, proved_norm_floor,
-                     raise_failure, refuse_sample_count, slack_report, solve_saddle,
-                     sphere_fixed_point)
+from .saddle import (AUDIT_SAMPLES, CHECK_SAMPLES, Certificate, CheckReport, SaddleConfig,
+                     SaddlePoint, ball_check_samples, by_blocks, contraction,
+                     contraction_record, exclusion_mask, failed_names, gate, proof_record,
+                     proved_norm_floor, raise_failure, require_count, slack_report,
+                     solve_saddle, sphere_fixed_point)
 
 COLLAPSE_TOL = 1e-6
 DIRECTION_TOL = 1e-6
@@ -76,7 +76,7 @@ class VICertificate(Certificate):
         return d
 
 
-def check_vi(m: SmoothMap, x_star, r: float, n_samples: int = SaddleConfig.n_samples,
+def check_vi(m: SmoothMap, x_star, r: float, n_samples: int = CHECK_SAMPLES,
              seed: int = 0, strict_margin: float = SaddleConfig.strict_margin,
              exclusion_factor: float = SaddleConfig.exclusion_factor) -> CheckReport:
     """Sampled check of the double strict inequality at x*.
@@ -84,8 +84,9 @@ def check_vi(m: SmoothMap, x_star, r: float, n_samples: int = SaddleConfig.n_sam
     Samples ball(r) (enriched with sphere points, axis points and the
     antipode of x*), excludes a ball of radius exclusion_factor * r around
     x*, and requires both inner products below -strict_margin everywhere.
-    The defaults are SaddleConfig's.
+    The margin and the factor default to SaddleConfig's.
     """
+    require_count("n_samples", n_samples, 1)
     x_star = np.asarray(x_star, dtype=float)
     rng = np.random.default_rng(seed)
     xs = ball_check_samples(rng, n_samples, m.dimension, r, x_star)
@@ -107,9 +108,7 @@ def vi_problem(m: SmoothMap, r: float | None, report: ConstantsReport,
                mode: str = "certified", *, fail=raise_failure, **settings) -> SaddleConfig:
     """The gated saddle problem of a VI run: ``gate`` on the report, then
     T = ball(r), the regularization weight L = M and the smoothness
-    2 M + theta.  ``settings`` are the run settings of SaddleConfig but
-    ``n_samples`` (see ``refuse_sample_count``)."""
-    refuse_sample_count(settings)
+    2 M + theta.  ``settings`` are the run settings of SaddleConfig."""
     r = gate(report, r, mode, m.domain_radius, fail)
     M = report.M.value
     return SaddleConfig(r=r, T=Ball(r, m.dimension), L=M,
@@ -196,8 +195,7 @@ def solve_vi(m: SmoothMap, r: float | None = None,
     constants must be certification grade and r must respect the admissible
     radius; heuristic mode skips both gates and watermarks the certificate.
     ``settings`` are the run settings of SaddleConfig (``tol``,
-    ``strict_margin``, ...), which holds their defaults; ``n_samples`` is
-    refused, since the inequality is proved and the audit has a fixed size.
+    ``strict_margin``, ...), which holds their defaults.
     """
     if report is None:
         report = vi_report(m, seed=seed)

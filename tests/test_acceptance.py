@@ -4,7 +4,6 @@ Every test prints one PASS/FAIL line.  Solver runs use tol 1e-10 so the
 certified identities are measured well inside the acceptance tolerances.
 """
 
-import dataclasses
 import json
 
 import numpy as np
@@ -23,6 +22,7 @@ from ballsaddle.vi import vi_problem
 
 N_SAMPLES = 10**4
 SOLVE_TOL = 1e-10
+PROX_BOX = Box([-0.5, -0.5], [0.5, 0.5])
 
 
 def _line(num, desc, checks):
@@ -41,8 +41,7 @@ def quartic_map():
 
 @pytest.fixture(scope="module")
 def named():
-    """The named instances, solved once at acceptance settings.  Statements
-    2, 4 and 6 prove their inequality and take no sample count; their
+    """The named instances, solved once at acceptance settings.  Their
     N_SAMPLES checks run in the criteria."""
     out = {}
     out["vi-constant"] = solve_vi(make_constant([3.0, 4.0], 1.0), r=0.5, tol=SOLVE_TOL)
@@ -51,9 +50,8 @@ def named():
     out["ba-constant"] = solve_best_approx(make_constant([2.0, 0.0], 1.0), tol=SOLVE_TOL)
     out["ba-identity"] = solve_best_approx(make_affine(np.eye(2), [2.0, 0.0], 1.0),
                                            tol=SOLVE_TOL)
-    out["prox-box"] = solve_prox_pair(make_constant([2.0, 0.0], 1.0),
-                                      Ball(1.0, 2), Box([-0.5, -0.5], [0.5, 0.5]),
-                                      r=0.5, tol=SOLVE_TOL, n_samples=N_SAMPLES)
+    out["prox-box"] = solve_prox_pair(make_constant([2.0, 0.0], 1.0), Ball(1.0, 2), PROX_BOX,
+                                      r=0.5, tol=SOLVE_TOL)
     return out
 
 
@@ -102,20 +100,20 @@ def collapsed_problem(m, cert):
 
 @pytest.fixture(scope="module")
 def saddle_checks(named, generated):
-    """The sampled saddle checks of every acceptance instance, by name.  The
-    certificate of statement 5 carries them; on the collapsed pairs of
-    statements 2, 4 and 6 they run here, on the solved point, with
-    N_SAMPLES samples and the solve's seed + 1."""
-    def run(m, cert, seed):
-        payoff, cfg = collapsed_problem(m, cert)
-        cfg = dataclasses.replace(cfg, n_samples=N_SAMPLES)
+    """The sampled saddle checks of every acceptance instance, by name, run
+    here on the solved point with N_SAMPLES samples and the solve's
+    seed + 1 (the certificate of statement 5 carries them at CHECK_SAMPLES)."""
+    def run(payoff, cfg, cert, seed):
         point = SaddlePoint(cert.x_star, cert.y_star, cert.residual, cert.iterations, 0.0)
-        return check_saddle(payoff, point, cfg, seed=seed + 1)
-    maps = collapsed_maps()
-    out = {name: cert.saddle_checks if cert.theorem == "5" else run(maps[name], cert, 0)
-           for name, cert in named.items()}
+        return check_saddle(payoff, point, cfg, seed=seed + 1, n_samples=N_SAMPLES)
+    out = {name: run(*collapsed_problem(m, named[name]), named[name], 0)
+           for name, m in collapsed_maps().items()}
+    prox, m, Y = named["prox-box"], make_constant([2.0, 0.0], 1.0), Ball(1.0, 2)
+    out["prox-box"] = run(ba_payoff(m, Y),
+                          ba_problem(m, Y, PROX_BOX, prox.r, prox.constants, tol=SOLVE_TOL),
+                          prox, 0)
     for i, cert in enumerate(generated):
-        out[f"gen-{i}"] = run(generator_map(i), cert, i)
+        out[f"gen-{i}"] = run(*collapsed_problem(generator_map(i), cert), cert, i)
     return out
 
 

@@ -11,7 +11,7 @@ from ballsaddle import (Ball, Box, HypothesisViolation, InvalidInput,
                         make_affine, make_constant, solve_best_approx,
                         solve_prox_pair)
 from ballsaddle import ba as ba_module
-from ballsaddle.saddle import SaddlePoint
+from ballsaddle.saddle import UNIQUENESS_STARTS, SaddlePoint
 
 
 def constant_two():
@@ -126,9 +126,19 @@ class TestProxPair:
         assert "saddle" in cert.to_dict()["checks"]
 
     def test_other_ball_T_is_probed(self):
-        cert = solve_prox_pair(shifted_identity(), Ball(1.0, 2), Ball(0.4, 2), r=0.5,
-                               uniqueness_starts=3)
-        assert cert.uniqueness["starts"] == 3 and cert.passed
+        cert = solve_prox_pair(shifted_identity(), Ball(1.0, 2), Ball(0.4, 2), r=0.5)
+        assert cert.uniqueness["starts"] == UNIQUENESS_STARTS and cert.passed
+
+    def test_certified_probe_is_never_empty(self):
+        # a start count of 0 or 1 once gave a certified, passing box pair with
+        # no uniqueness record at all; the probe size is now a constant
+        cert = solve_prox_pair(constant_two(), Ball(1.0, 2), Box([-0.5, -0.5], [0.5, 0.5]),
+                               r=0.5)
+        assert cert.mode == "certified" and cert.passed
+        assert cert.uniqueness["starts"] == UNIQUENESS_STARTS
+        with pytest.raises(TypeError, match="uniqueness_starts"):
+            solve_prox_pair(constant_two(), Ball(1.0, 2), Box([-0.5, -0.5], [0.5, 0.5]),
+                            r=0.5, uniqueness_starts=0)
 
     def test_containment_enforced(self):
         # T sticks out of Y

@@ -9,6 +9,7 @@ import pytest
 from ballsaddle import ConfigError, NonConvergence
 from ballsaddle.cli import (_FIELDS, CERT_FORMAT, COMMANDS, DEFAULT_TOLERANCES, _build_parser,
                             _to_jsonable, main, parse_config, run, set_from_dict)
+from ballsaddle.saddle import UNIQUENESS_STARTS
 
 AFFINE = {"kind": "affine", "A": [[1.0, 0.0], [0.0, 1.0]],
           "b": [2.0, 0.0], "rho": 1.0}
@@ -67,24 +68,19 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("key, value, message", [
         ("seed", -5, "integer >= 0"), ("seed", 1.7, "integer >= 0"),
-        ("seed", "7", "finite number"), ("uniqueness_starts", -1, "integer >= 0"),
-        ("uniqueness_starts", 2.5, "integer >= 0"), ("n_samples", 0, "integer >= 1"),
-        ("n_samples", 0.5, "integer >= 1"), ("r", float("nan"), "finite number"),
+        ("seed", "7", "finite number"), ("r", float("nan"), "finite number"),
         ("r", float("inf"), "finite number"), ("r", 0.0, "positive"),
         pytest.param("r", 10**400, "finite number", id="r-beyond-float"),
         pytest.param("seed", 10**400, "finite number", id="seed-beyond-float")])
     def test_bad_number_has_its_path(self, key, value, message):
-        # prox-pair is the one command that takes every one of these fields
         with pytest.raises(ConfigError, match=message) as exc:
             parse_config({"problem": AFFINE, key: value}, "prox-pair")
         assert exc.value.path == key  # no leading dot
 
     def test_whole_numbers_keep_their_echo(self):
-        # a box T: with the default sets no probe runs and the start count is refused
-        cfg = parse_config({"problem": AFFINE, "seed": 3.0, "n_samples": 50,
-                            "uniqueness_starts": 0, "t_set": BOX}, "prox-pair")
-        assert (cfg.seed, cfg.n_samples, cfg.uniqueness_starts) == (3, 50, 0)
-        assert isinstance(cfg.seed, int)
+        cfg = parse_config({"problem": AFFINE, "seed": 3.0, "t_set": BOX}, "prox-pair")
+        assert cfg.seed == 3 and isinstance(cfg.seed, int)
+        assert cfg.to_dict()["seed"] == 3
 
     @pytest.mark.parametrize("sets", [{}, {"y_set": {"kind": "ball", "radius": 1.0}},
                                       {"r": 0.2, "t_set": {"kind": "ball", "radius": 0.2}},
@@ -92,17 +88,13 @@ class TestParseConfig:
                                       {"t_set": {"kind": "ball", "radius": 0.5}}])
     def test_start_count_without_a_probe_is_refused(self, sets):
         # with Y = ball(rho) and T = ball(r) the contraction proves uniqueness
-        # and no probe runs, so a start count would be accepted and ignored
-        with pytest.raises(ConfigError, match="no use") as exc:
+        # and no probe runs; elsewhere the probe has UNIQUENESS_STARTS starts.
+        # The start count is no field with any sets, and no echo carries it
+        with pytest.raises(ConfigError, match="unknown field") as exc:
             parse_config({"problem": AFFINE, "uniqueness_starts": 5, **sets}, "prox-pair")
         assert exc.value.path == "uniqueness_starts"
         echo = parse_config({"problem": AFFINE, **sets}, "prox-pair").to_dict()
         assert "uniqueness_starts" not in echo
-        # a box T, or a ball T other than ball(r), is probed: its count is echoed
-        for t_set in (BOX, {"kind": "ball", "radius": 0.1}):
-            cfg = parse_config({"problem": AFFINE, "uniqueness_starts": 5, "r": 0.2,
-                                "t_set": t_set}, "prox-pair")
-            assert cfg.to_dict()["uniqueness_starts"] == 5
 
     def test_heuristic_must_be_bool(self):
         with pytest.raises(ConfigError, match="heuristic"):
@@ -221,9 +213,8 @@ class TestExitCodes:
         assert calls == []
 
     @pytest.mark.parametrize("doc, argv", [({}, ["--seed", "-5"]), ({"seed": -5}, []),
-                                           ({"seed": 1.7}, []), ({"n_samples": 0.5}, [])])
+                                           ({"seed": 1.7}, []), ({"seed": True}, [])])
     def test_bad_whole_number_is_one(self, tmp_path, capsys, doc, argv):
-        # saddle has both counts: n_samples sizes only the saddle checks
         cfgp = write_config(tmp_path, {"problem": AFFINE, **doc})
         assert main(["saddle", "--config", cfgp] + argv) == 1
         err = capsys.readouterr().err
@@ -652,7 +643,12 @@ class TestVerify:
                                         tamper)
         assert failures == ["uniqueness"]
 
-    @pytest.mark.parametrize("record", [{"starts": 16, "max_pairwise": 0.0}, "junk", [1]])
+    @pytest.mark.parametrize("record", [
+        {"starts": 16, "max_pairwise": 0.0}, "junk", [1],
+        # these two once ended in a KeyError and a ValueError traceback
+        {"starts": 16, "passed": True}, {"starts": 16, "max_pairwise": "x", "passed": True},
+        {"starts": 16.5, "max_pairwise": 0.0, "passed": True},
+        {"starts": 16, "max_pairwise": True, "passed": True}])
     def test_malformed_uniqueness_record_is_config_error(self, tmp_path, capsys, record):
         cert = self.make_cert(tmp_path, *ROUND_TRIPS["prox-pair-box"])
         doc = json.loads(cert.read_text())
@@ -661,6 +657,28 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", "--config", str(cert)]) == 1
         assert "malformed certificate body" in capsys.readouterr().err
+
+    def test_box_prox_pair_claims_uniqueness_only_with_a_probe(self, tmp_path, capsys):
+        # a start count below 2 once wrote a certified, passing box prox-pair
+        # with no uniqueness record at all
+        command, doc = ROUND_TRIPS["prox-pair-box"]
+        for key, value in (("uniqueness_starts", 0), ("n_samples", 2000)):
+            cfgp = write_config(tmp_path, dict(doc, **{key: value}), name=f"{key}.json")
+            assert main([command, "--config", cfgp]) == 1
+            assert f"unknown field {key!r}" in capsys.readouterr().err
+        cert = self.make_cert(tmp_path, command, doc)
+        stored = json.loads(cert.read_text())
+        assert stored["certificate"]["checks"]["uniqueness"]["starts"] == UNIQUENESS_STARTS
+
+        def tamper(doc):
+            doc["certificate"]["checks"]["uniqueness"] = None
+        assert self.verify_tampered(tmp_path, capsys, cert, tamper) == ["uniqueness-record"]
+        # a certificate written while the counts were fields echoes them
+        stored["config"].update(uniqueness_starts=16, n_samples=2000)
+        cert.write_text(json.dumps(stored))
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cert)]) == 1
+        assert "unknown field" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["vi", "vi-shifted", "best-approx"])
     @pytest.mark.parametrize("key, value", [("q", 0.5), ("error_bound", 1e-3)])
@@ -776,8 +794,7 @@ class TestVerify:
         def box(c):
             return {"kind": "box", "lower": [-c] * n, "upper": [c] * n}
         cert = self.make_cert(tmp_path, "prox-pair",
-                              {"problem": problem, "r": 0.5, "t_set": box(0.9 / np.sqrt(n)),
-                               "uniqueness_starts": 0})
+                              {"problem": problem, "r": 0.5, "t_set": box(0.9 / np.sqrt(n))})
 
         def tamper(doc):
             doc["config"]["t_set"] = box(1.05 / np.sqrt(n))

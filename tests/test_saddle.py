@@ -4,6 +4,8 @@ import dataclasses
 import inspect
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -18,10 +20,10 @@ from ballsaddle import (Ball, Box, InvalidInput, NonConvergence, Payoff,
                         vi_payoff, vi_report)
 from ballsaddle.ba import ba_problem, certify_ba, solve_prox_pair
 from ballsaddle import saddle as saddle_module
-from ballsaddle.cli import (DEFAULT_TOLERANCES, RunConfig, _saddle_problem, parse_config,
+from ballsaddle.cli import (DEFAULT_TOLERANCES, _saddle_problem, parse_config,
                             main as cli_main)
 from ballsaddle.oracles import fixedpoint_vi_oracle
-from ballsaddle.saddle import UNIQUENESS_STARTS, probe_uniqueness
+from ballsaddle.saddle import CHECK_SAMPLES
 from ballsaddle.vi import certify_vi, vi_problem
 
 
@@ -76,20 +78,36 @@ class TestConfig:
             SaddleConfig(r=0.5, T=Ball(1.0, 2), L=0.0, smoothness=1.0, **{setting: value})
 
     def test_settings_are_declared_once(self):
-        # the standalone audits and the command line take SaddleConfig's defaults
+        # the standalone audits and the command line take SaddleConfig's
+        # defaults, and the sampled checks CHECK_SAMPLES samples
         for audit in (check_vi, check_nearest_point):
             params = inspect.signature(audit).parameters
-            for name in ("n_samples", "strict_margin", "exclusion_factor"):
+            for name in ("strict_margin", "exclusion_factor"):
                 assert params[name].default == getattr(SaddleConfig, name)
-        run = RunConfig(command="vi", problem={})
-        assert run.n_samples == SaddleConfig.n_samples
-        # the start count is a setting of the prox-pair probe only
-        starts = inspect.signature(solve_prox_pair).parameters["uniqueness_starts"].default
-        assert run.uniqueness_starts == starts == UNIQUENESS_STARTS
+        for check in (check_vi, check_nearest_point, check_saddle):
+            assert inspect.signature(check).parameters["n_samples"].default == CHECK_SAMPLES
+        # the sample and start counts are no settings of any solve
+        assert not {"n_samples", "uniqueness_starts"} & (
+            {f.name for f in dataclasses.fields(SaddleConfig)}
+            | set(inspect.signature(solve_prox_pair).parameters))
         assert DEFAULT_TOLERANCES == {
             "solve": SaddleConfig.tol, "check": SaddleConfig.check_tol,
             "strict_margin": SaddleConfig.strict_margin,
             "exclusion_factor": SaddleConfig.exclusion_factor}
+
+    def test_readme_settings_table_matches_the_config(self):
+        # the "Solver settings" table lists exactly the run settings of
+        # SaddleConfig, each with its default
+        readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+        section = readme.split("## Solver settings", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \| `([^`]+)` \|", section, flags=re.M)
+        problem = {"r", "T", "L", "smoothness", "r_max"}
+        fields = {f.name: f.default for f in dataclasses.fields(SaddleConfig)
+                  if f.name not in problem}
+        assert "| setting | default | meaning |" in section
+        assert sorted(name for name, _ in rows) == sorted(fields)
+        for name, default in rows:
+            assert eval(default, {"__builtins__": {}}) == fields[name], name
 
     @pytest.mark.parametrize("kind", ["affine", "quadratic"])
     def test_builders_take_the_step_from_the_report(self, kind):
@@ -289,7 +307,7 @@ class TestChecks:
 
     def test_pass_on_solution(self):
         p, cfg, pt = self.make_solved()
-        checks = check_saddle(p, pt, dataclasses.replace(cfg, n_samples=1500), seed=0)
+        checks = check_saddle(p, pt, cfg, seed=0, n_samples=1500)
         assert checks.passed
         assert checks.report("y-maximal").passed
         assert checks.report("x-strictly-minimal").margin > 0
@@ -298,20 +316,19 @@ class TestChecks:
     def test_sphere_check_applies_only_with_regularizer(self):
         p, cfg, pt = self.make_solved()
         names = [rep.name for rep in
-                 check_saddle(p, pt, dataclasses.replace(cfg, n_samples=200)).reports]
+                 check_saddle(p, pt, cfg, n_samples=200).reports]
         assert "sphere-membership" not in names  # L = 0 here
         cfg2 = SaddleConfig(r=0.5, T=Ball(1.0, 2), L=1.0, smoothness=1.0, r_max=1.0)
         pt2 = solve_saddle(vi_payoff(make_constant([3.0, 4.0], 1.0)), cfg2)
         names2 = [rep.name
-                  for rep in check_saddle(p, pt2,
-                                          dataclasses.replace(cfg2, n_samples=200)).reports]
+                  for rep in check_saddle(p, pt2, cfg2, n_samples=200).reports]
         assert "sphere-membership" in names2
 
     def test_tampered_point_fails_with_witness(self):
         p, cfg, pt = self.make_solved()
         bad = SaddlePoint(np.array([0.3, 0.4]), pt.y_star, pt.residual,
                           pt.iterations, pt.step)
-        checks = check_saddle(p, bad, dataclasses.replace(cfg, n_samples=1500), seed=0)
+        checks = check_saddle(p, bad, cfg, seed=0, n_samples=1500)
         rep = checks.report("x-strictly-minimal")
         assert not rep.passed
         assert rep.witness is not None
@@ -325,26 +342,34 @@ class TestChecks:
         def counting(X, y, batch=p.value_xbatch):
             calls.append(len(X))
             return batch(X, y)
-        cfg = dataclasses.replace(cfg, n_samples=300)
-        checks = check_saddle(dataclasses.replace(p, value_xbatch=counting), pt, cfg, seed=0)
-        assert checks.to_dict() == check_saddle(p, pt, cfg, seed=0).to_dict()
+        checks = check_saddle(dataclasses.replace(p, value_xbatch=counting), pt, cfg, seed=0,
+                              n_samples=300)
+        assert checks.to_dict() == check_saddle(p, pt, cfg, seed=0, n_samples=300).to_dict()
         assert len(calls) == 1
 
     @pytest.mark.parametrize("factor", [0.0, 1.0, 3.0])
     def test_exclusion_factor_outside_unit_interval_rejected(self, factor):
         p, cfg, pt = self.make_solved()
         with pytest.raises(InvalidInput, match="exclusion_factor"):
-            check_saddle(p, pt, dataclasses.replace(cfg, exclusion_factor=factor,
-                                                    n_samples=50))
+            check_saddle(p, pt, dataclasses.replace(cfg, exclusion_factor=factor), n_samples=50)
 
-    @pytest.mark.parametrize("starts", [0, 1])
-    def test_probe_needs_two_starts(self, starts):
-        p, cfg, _ = self.make_solved()
-        assert probe_uniqueness(p, cfg, starts, 3) is None
+    @pytest.mark.parametrize("check", ["saddle", "vi", "nearest_point"])
+    def test_sample_count_is_validated(self, check):
+        # a negative count once died in numpy, 2.5 and True in a TypeError, and
+        # 0 ran the check on the structured points alone
+        p, cfg, pt = self.make_solved()
+        m, x_star = make_constant([3.0, 4.0], 1.0), np.array([-0.3, -0.4])
+        run = {"saddle": lambda n: check_saddle(p, pt, cfg, n_samples=n),
+               "vi": lambda n: check_vi(m, x_star, 0.5, n_samples=n),
+               "nearest_point": lambda n: check_nearest_point(m, x_star, 0.5, n_samples=n)}
+        for value in (0, -5, 2.5, True):
+            with pytest.raises(InvalidInput, match="n_samples must be an integer >= 1"):
+                run[check](value)
+        run[check](1)
 
     def test_reports_serialize(self):
         p, cfg, pt = self.make_solved()
-        d = check_saddle(p, pt, dataclasses.replace(cfg, n_samples=300)).to_dict()
+        d = check_saddle(p, pt, cfg, n_samples=300).to_dict()
         assert d["passed"] is True
         assert {rep["name"] for rep in d["reports"]} >= {"y-maximal",
                                                          "x-strictly-minimal"}

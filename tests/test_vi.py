@@ -10,7 +10,7 @@ from ballsaddle import (Ball, Box, CertificationError, HypothesisViolation,
                         InvalidInput, check_vi, make_affine, make_constant,
                         make_quadratic, small_radius, solve_best_approx, solve_prox_pair,
                         solve_vi, solve_vi_shifted, vi_report)
-from ballsaddle.saddle import AUDIT_SAMPLES
+from ballsaddle.saddle import AUDIT_SAMPLES, CHECK_SAMPLES, UNIQUENESS_STARTS
 
 
 def affine_instance():
@@ -159,11 +159,11 @@ class TestSolveVI:
                                              ("uniqueness_starts", -3),
                                              ("uniqueness_starts", True)])
     def test_bad_count_stops_before_any_solve(self, solve_calls, name, value):
-        # the start count belongs to the prox-pair probe and the sample count to
-        # its saddle checks: solve_vi has neither, and the prox pair validates both
+        # the counts of the sampled checks and of the probe are constants: no
+        # solve has them as a setting, whatever their value
         with pytest.raises(TypeError, match=name):
             solve_vi(affine_instance(), **{name: value})
-        with pytest.raises(InvalidInput, match=f"{name} must be an integer"):
+        with pytest.raises(TypeError, match=name):
             box_pair(**{name: value})
         assert solve_calls == []
 
@@ -173,17 +173,11 @@ class TestSolveVI:
         # and the antipode of x*, less the axis point x* = (-r, 0) itself
         cert = solve_vi(affine_instance())
         assert cert.vi_check.n_samples == AUDIT_SAMPLES + AUDIT_SAMPLES // 4 + 4
-        # n_samples sizes the saddle checks of the prox pair: 40 points of the box
-        assert box_pair(n_samples=40).saddle_checks.report("y-maximal").n_samples == 40
+        # the saddle checks of the prox pair sample CHECK_SAMPLES points of the box
+        cert = box_pair()
+        assert cert.saddle_checks.report("y-maximal").n_samples == CHECK_SAMPLES
         # only the prox pair of statement 5 still runs the probe
-        assert box_pair(uniqueness_starts=3).uniqueness["starts"] == 3
-        assert box_pair(uniqueness_starts=1).uniqueness is None
-
-    @pytest.mark.parametrize("value", [2.5, -3, True])
-    def test_bad_start_count_stops_the_prox_pair_before_any_solve(self, solve_calls, value):
-        with pytest.raises(InvalidInput, match="uniqueness_starts must be an integer"):
-            box_pair(uniqueness_starts=value)
-        assert solve_calls == []
+        assert cert.uniqueness["starts"] == UNIQUENESS_STARTS
 
     @pytest.mark.parametrize("solve", [
         lambda **kw: solve_vi(affine_instance(), **kw),
