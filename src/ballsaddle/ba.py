@@ -28,15 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import SmoothMap, ba_payoff
-from .constants import ConstantsReport, ba_report
+from .constants import ConstantsReport, ba_report, require_count
 from .errors import HypothesisViolation, InvalidInput
 from .geometry import Ball, Box, ConvexSet, ball_projection, dist_ball, norm, project_ball
 from .saddle import (AUDIT_SAMPLES, CHECK_SAMPLES, SPHERE_TOL, Certificate, CheckReport,
                      SaddleChecks, SaddleConfig, SaddlePoint, ball_check_samples, by_blocks,
                      check_saddle, contraction, contraction_record, exclusion_mask,
                      failed_names, gate, probe_uniqueness, proof_record, proved_norm_floor,
-                     raise_failure, require_count, slack_report, solve_saddle,
-                     sphere_fixed_point, uniqueness_consistent)
+                     raise_failure, slack_report, solve_saddle, sphere_fixed_point,
+                     uniqueness_consistent)
 from .vi import COLLAPSE_TOL, SmallRadiusResult, radius_from_origin
 
 IDENTITY_TOL = 1e-6

@@ -6,14 +6,14 @@ constant, affine and quadratic maps and compute their constants with honest
 flags: exact where the formula is exact, conservative where only an upper
 bound is proved.
 
-Payoffs are scalar functions J(x, y) with an x-gradient oracle.  Two
-families matter here:
+Payoffs are scalar functions J(x, y) with one gradient oracle, ``grads``,
+that returns both partial gradients.  Two families matter here:
 
 * ``vi_payoff``:   J(x, y) = <F(x), x - y>,
 * ``ba_payoff``:   J(x, y) = ||f(x) - x||^2 - ||f(x) - y||^2,
 
 both concave (indeed affine or quadratic-concave) in y, with analytic
-y-gradients and with the affine structure of grad_x(0, .) exposed so the
+gradients and with the affine structure of grad_x J(0, .) exposed so the
 delta constant can be solved exactly.
 """
 
@@ -227,24 +227,24 @@ def shift_map(m: SmoothMap, w) -> SmoothMap:
 
 @dataclass
 class Payoff:
-    """Scalar payoff J(x, y) on ball(rho) x Y with gradient oracles.
+    """Scalar payoff J(x, y) on ball(rho) x Y with its gradient oracle.
 
-    ``grad_y`` is analytic for catalog payoffs.  ``grads`` is an optional
-    fused oracle returning (grad_x, grad_y) from one evaluation of the map;
-    the solver uses it when present.  ``grad0_affine = (b, A)`` encodes
-    ||grad_x(0, y)|| = ||b - A^T y|| for the exact delta computation.
+    ``grads(x, y)`` returns the pair (grad_x J, grad_y J); the catalog
+    payoffs compute it from one evaluation of the map.  A payoff with
+    separate oracles ``gx`` and ``gy`` passes
+    ``grads=lambda x, y: (gx(x, y), gy(x, y))``.  ``grad0_affine = (b, A)``
+    encodes ||grad_x J(0, y)|| = ||b - A^T y|| for the exact delta
+    computation.
     """
 
     dimension: int
     x_radius: float
     y_set: ConvexSet
     value: Callable[[np.ndarray, np.ndarray], float]
-    grad_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    grad_y: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    grads: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     grad0_affine: tuple[np.ndarray, np.ndarray] | None = None
     value_xbatch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     value_ybatch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    grads: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def values_x(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """J(x, y) for each row x of X."""
@@ -268,12 +268,6 @@ def vi_payoff(m: SmoothMap) -> Payoff:
     def value(x, y, m=m):
         return float(np.dot(m.val(x), x - y))
 
-    def grad_x(x, y, m=m):
-        return m.jac(x).T @ (x - y) + m.val(x)
-
-    def grad_y(x, y, m=m):
-        return -m.val(x)
-
     def grads(x, y, f=m.value, jac=m.jacobian):
         v = np.asarray(f(x), dtype=float)
         return np.asarray(jac(x), dtype=float).T.dot(x - y) + v, -v
@@ -287,9 +281,9 @@ def vi_payoff(m: SmoothMap) -> Payoff:
         return (x - np.asarray(Y)) @ v
 
     return Payoff(
-        m.dimension, m.domain_radius, Ball(m.domain_radius, m.dimension), value, grad_x, grad_y,
+        m.dimension, m.domain_radius, Ball(m.domain_radius, m.dimension), value, grads,
         grad0_affine=(m.val(np.zeros(m.dimension)), m.jac(np.zeros(m.dimension))),
-        value_xbatch=value_xbatch, value_ybatch=value_ybatch, grads=grads,
+        value_xbatch=value_xbatch, value_ybatch=value_ybatch,
     )
 
 
@@ -302,12 +296,6 @@ def ba_payoff(m: SmoothMap, y_set: ConvexSet) -> Payoff:
     def value(x, y, m=m):
         fx = m.val(x)
         return float(np.dot(fx - x, fx - x) - np.dot(fx - y, fx - y))
-
-    def grad_x(x, y, m=m):
-        return 2.0 * (x - m.val(x) - m.jac(x).T @ (x - y))
-
-    def grad_y(x, y, m=m):
-        return 2.0 * (m.val(x) - y)
 
     def grads(x, y, f=m.value, jac=m.jacobian):
         fx = np.asarray(f(x), dtype=float)
@@ -326,9 +314,9 @@ def ba_payoff(m: SmoothMap, y_set: ConvexSet) -> Payoff:
 
     zero = np.zeros(m.dimension)
     return Payoff(
-        m.dimension, m.domain_radius, y_set, value, grad_x, grad_y,
+        m.dimension, m.domain_radius, y_set, value, grads,
         grad0_affine=(2.0 * m.val(zero), 2.0 * m.jac(zero)),
-        value_xbatch=value_xbatch, value_ybatch=value_ybatch, grads=grads,
+        value_xbatch=value_xbatch, value_ybatch=value_ybatch,
     )
 
 
@@ -379,32 +367,21 @@ def _require_agreement(got: np.ndarray, want: np.ndarray, what: str, reference: 
 
 def validate_payoff(p: Payoff, n_points: int = 100, seed: int = 0,
                     rel_tol: float = 1e-5) -> float:
-    """Check grad_x (and grad_y when present) against central differences,
-    the fused ``grads`` (when present) against them within BATCH_REL_TOL,
-    and concavity of J(x, .) at sampled midpoints.  Returns the worst
-    relative gradient error."""
+    """Check the shapes of both outputs of ``grads`` and their values
+    against central differences of J, and concavity of J(x, .) at sampled
+    midpoints.  Returns the worst relative gradient error."""
     rng = np.random.default_rng(seed)
     h = 1e-6 * max(p.x_radius, 1.0)
     xs = sample_ball(rng, n_points, p.dimension, p.x_radius * 0.98)
     ys = p.y_set.sample(rng, n_points)
-    worst, fused, separate = 0.0, [], []
+    worst = 0.0
     for x, y in zip(xs, ys):
-        gx = np.asarray(p.grad_x(x, y), dtype=float)
-        worst = max(worst, _fd_error(lambda v: p.value(v, y), x, h, gx))
-        gy = None if p.grad_y is None else np.asarray(p.grad_y(x, y), dtype=float)
-        if p.grads is not None:
-            fx, fy = (np.asarray(g, dtype=float) for g in p.grads(x, y))
-            if fx.shape != gx.shape or fy.shape != y.shape:
-                raise InvalidInput(f"fused gradients have shapes {fx.shape} and {fy.shape}, "
-                                   f"expected {gx.shape} and {y.shape}")
-            gy = fy if gy is None else gy  # a fused grad_y alone meets the finite differences
-            fused.append(np.concatenate([fx, fy]))
-            separate.append(np.concatenate([gx, gy]))
-        if gy is not None:
-            worst = max(worst, _fd_error(lambda v: p.value(x, v), y, h, gy))
-    if fused:
-        _require_agreement(np.stack(fused), np.stack(separate), "fused gradients",
-                           "grad_x and grad_y")
+        gx, gy = (np.asarray(g, dtype=float) for g in p.grads(x, y))
+        if gx.shape != x.shape or gy.shape != y.shape:
+            raise InvalidInput(f"grads returned shapes {gx.shape} and {gy.shape}, "
+                               f"expected {x.shape} and {y.shape}")
+        worst = max(worst, _fd_error(lambda v: p.value(v, y), x, h, gx),
+                    _fd_error(lambda v: p.value(x, v), y, h, gy))
     # midpoint concavity in y on fresh triples
     for _ in range(n_points):
         x = sample_ball(rng, 1, p.dimension, p.x_radius)[0]
@@ -419,7 +396,10 @@ def validate_payoff(p: Payoff, n_points: int = 100, seed: int = 0,
 
 
 def require_fields(doc: dict, path: str, required: tuple, optional: tuple = ()):
-    """Reject unknown and missing fields of a config object at ``path``."""
+    """Reject a non-object, and unknown and missing fields of a config
+    object at ``path``."""
+    if not isinstance(doc, dict):
+        raise ConfigError("must be an object", path=path)
     for key in doc:
         if key not in required and key not in optional:
             raise ConfigError(f"unknown field {key!r}", path=path)
@@ -456,6 +436,10 @@ def map_from_dict(doc: dict, path: str = "problem") -> SmoothMap:
     rho, declared, want_dim = doc["rho"], doc.get("analytic_constants"), doc.get("dimension")
     if not isinstance(inner, dict) or "kind" not in inner:
         raise ConfigError("map needs a 'kind'", path=inner_path)
+    if want_dim is not None and (isinstance(want_dim, bool) or not isinstance(want_dim, int)
+                                 or want_dim < 1):
+        raise ConfigError(f"dimension must be an integer >= 1, got {want_dim!r}",
+                          path=path + ".dimension")
     try:
         rho = float(rho)
     except (TypeError, ValueError):
@@ -476,7 +460,7 @@ def map_from_dict(doc: dict, path: str = "problem") -> SmoothMap:
             m = shift_map(m, np.asarray(inner["shift"], dtype=float))
         except (InvalidInput, DimensionMismatch) as exc:
             raise ConfigError(str(exc), path=inner_path + ".shift")
-    if want_dim is not None and int(want_dim) != m.dimension:
+    if want_dim is not None and want_dim != m.dimension:
         raise ConfigError(
             f"declared dimension {want_dim} does not match coefficients ({m.dimension})",
             path=path + ".dimension")

@@ -41,8 +41,8 @@ from .ba import ba_small_radius, run_ba
 from .catalog import SmoothMap, ba_payoff, map_from_dict, require_fields, vi_payoff
 from .constants import (CertFlag, ConstantsReport, admissible_radius, ba_report,
                         delta_const, vi_report)
-from .errors import (BallSaddleError, CertificationError, ConfigError, HypothesisViolation,
-                     InvalidInput, NonConvergence)
+from .errors import (BallSaddleError, CertificationError, ConfigError, DimensionMismatch,
+                     HypothesisViolation, InvalidInput, NonConvergence)
 from .geometry import Ball, Box, ConvexSet, as_point
 from .saddle import (SaddleConfig, SaddlePoint, check_saddle, gate, payoff_depends_on_y,
                      raise_failure, solve_saddle)
@@ -192,7 +192,7 @@ def set_from_dict(doc: dict, dim: int, path: str) -> ConvexSet:
         try:
             box = Box(np.asarray(doc["lower"], dtype=float),
                       np.asarray(doc["upper"], dtype=float))
-        except (KeyError, TypeError, ValueError, InvalidInput) as exc:
+        except (KeyError, TypeError, ValueError, InvalidInput, DimensionMismatch) as exc:
             raise ConfigError(f"bad box bounds: {exc}", path=path)
         if box.dim != dim:
             raise ConfigError(
@@ -368,9 +368,13 @@ def verify(cert: dict) -> dict:
     for key in ("command", "config", "certificate"):
         if key not in cert:
             raise ConfigError(f"certificate is missing {key!r}")
-    command = cert["command"]
-    body = cert["certificate"]
-    conf = dict(cert["config"])
+    command, conf, body = cert["command"], cert["config"], cert["certificate"]
+    if not isinstance(command, str):
+        raise ConfigError("must be a string", path="command")
+    for key, value in (("config", conf), ("certificate", body)):
+        if not isinstance(value, dict):
+            raise ConfigError("must be an object", path=key)
+    conf = dict(conf)
     if conf.pop("command", command) != command:
         raise ConfigError("config command does not match the certificate command")
     cfg = parse_config(conf, command)

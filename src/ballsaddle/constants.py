@@ -33,6 +33,12 @@ SIGMA_TOL = 1e-10
 SIGMA_MAX_ITERS = 10**5
 
 
+def require_count(name: str, value, least: int):
+    """A count setting must be an integer >= ``least`` (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise InvalidInput(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 class CertFlag(str, Enum):
     """How a reported constant was obtained."""
 
@@ -157,8 +163,7 @@ def estimate_theta(smooth_map, samples: int = 1000, seed: int = 0) -> CertValue:
     if smooth_map.analytic is not None:
         a = smooth_map.analytic
         return CertValue(a.theta, a.theta_flag)
-    if samples < 1:
-        raise InvalidInput("samples must be >= 1")
+    require_count("samples", samples, 1)
     pts = quasi_ball_points(smooth_map.dimension, smooth_map.domain_radius, samples, seed)
     return CertValue(max(op_norm(smooth_map.jac(x)) for x in pts), CertFlag.SAMPLED)
 
@@ -171,8 +176,7 @@ def estimate_lipschitz(oracle, rho: float, pairs: int = 1000, seed: int = 0, *,
     ``oracle`` maps points to vectors or matrices; matrix differences are
     measured in operator norm.
     """
-    if pairs < 1:
-        raise InvalidInput("pairs must be >= 1")
+    require_count("pairs", pairs, 1)
     rng = np.random.default_rng(seed)
     pts = _ball_point_stream(rng, 2 * pairs, dim, rho)
     best = 0.0
@@ -260,7 +264,7 @@ def sigma_ba(f0, jac0, Y: ConvexSet) -> float:
 
 
 def delta_const(payoff, Y: ConvexSet, n_samples: int = 2000, seed: int = 0) -> CertValue:
-    """min over y in Y of ||grad_x(0, y)||.
+    """min over y in Y of ||grad_x J(0, y)||.
 
     Catalog payoffs expose the affine structure of the gradient at the
     origin, so the minimum is solved exactly; black-box payoffs fall back to
@@ -269,10 +273,11 @@ def delta_const(payoff, Y: ConvexSet, n_samples: int = 2000, seed: int = 0) -> C
     if payoff.grad0_affine is not None:
         b, A = payoff.grad0_affine
         return CertValue(_min_residual_over_set(b, A, Y), CertFlag.ANALYTIC)
+    require_count("n_samples", n_samples, 1)
     rng = np.random.default_rng(seed)
     ys = Y.sample(rng, n_samples)
     x0 = np.zeros(payoff.dimension)
-    best = min(float(np.linalg.norm(payoff.grad_x(x0, y))) for y in ys)
+    best = min(float(np.linalg.norm(payoff.grads(x0, y)[0])) for y in ys)
     return CertValue(best, CertFlag.SAMPLED)
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import ConstantsReport
+from .constants import ConstantsReport, require_count
 from .errors import CertificationError, HypothesisViolation, InvalidInput, NonConvergence
 from .geometry import (Ball, ConvexSet, as_point, axis_points, ball_projection, norm,
                        project_ball, sample_ball, sample_sphere)
@@ -207,26 +207,11 @@ class Certificate:
         }
 
 
-def _grad_y(payoff, x, y):
-    if payoff.grad_y is not None:
-        return np.asarray(payoff.grad_y(x, y), dtype=float)
-    h = 1e-6 * max(1.0, norm(y))
-    g = np.empty_like(y)
-    for j in range(y.size):
-        e = np.zeros_like(y)
-        e[j] = h
-        g[j] = (payoff.value(x, y + e) - payoff.value(x, y - e)) / (2.0 * h)
-    return g
-
-
 def _grads(payoff):
-    """(x, y) -> (grad_x J, grad_y J) as float arrays: one call of the
-    payoff's fused ``grads`` when it has one, else grad_x and ``_grad_y``."""
-    if payoff.grads is None:
-        return lambda x, y: (np.asarray(payoff.grad_x(x, y), dtype=float), _grad_y(payoff, x, y))
-
-    def grads(x, y, fused=payoff.grads):
-        gx, gy = fused(x, y)
+    """(x, y) -> (grad_x J, grad_y J) of the payoff's ``grads`` as float
+    arrays."""
+    def grads(x, y, oracle=payoff.grads):
+        gx, gy = oracle(x, y)
         return np.asarray(gx, dtype=float), np.asarray(gy, dtype=float)
     return grads
 
@@ -256,10 +241,10 @@ def solve_saddle(payoff, cfg: SaddleConfig, x0=None, y0=None) -> SaddlePoint:
     validated itself when it was built).  The loop then projects with the
     unchecked ``ball_projection`` and ``T.project_unchecked`` (a projection
     oracle T keeps its checks) and takes both gradients of each point from
-    one call of the fused ``grads`` when the payoff has it.  A non-finite
-    iterate makes the residual non-finite; when T is not a ball, which
-    clips an infinite step to its bound, each y-gradient is checked too.
-    Both raise InvalidInput naming the iteration.
+    one call of the payoff's ``grads``.  A non-finite iterate makes the
+    residual non-finite; when T is not a ball, which clips an infinite step
+    to its bound, each y-gradient is checked too.  Both raise InvalidInput
+    naming the iteration.
     """
     r, n = cfg.r, payoff.dimension
     if r > payoff.x_radius + EVAL_DOMAIN_TOL:
@@ -374,12 +359,6 @@ def gate(report, r, mode: str, rho: float, fail=raise_failure) -> float:
     return float(r)
 
 
-def require_count(name: str, value, least: int):
-    """A count setting must be an integer >= ``least`` (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise InvalidInput(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def probe_uniqueness(payoff, cfg: SaddleConfig, seed: int) -> dict:
     """The uniqueness record of a prox-pair solve: the spread of the
     solutions from UNIQUENESS_STARTS scattered starting points."""
@@ -449,9 +428,9 @@ def payoff_depends_on_y(payoff, x_star, T: ConvexSet, seed: int = 0) -> bool:
     """False when the payoff is y-independent near the solution (then the
     reported y* is just one valid choice among many)."""
     rng = np.random.default_rng(seed)
-    probes = list(T.sample(rng, 3)) + [T.project(np.asarray(x_star, dtype=float))]
-    return any(norm(_grad_y(payoff, np.asarray(x_star, dtype=float), y)) > 1e-12
-               for y in probes)
+    x_star, grads = np.asarray(x_star, dtype=float), _grads(payoff)
+    probes = list(T.sample(rng, 3)) + [T.project(x_star)]
+    return any(norm(grads(x_star, y)[1]) > 1e-12 for y in probes)
 
 
 def ball_check_samples(rng, n: int, dim: int, r: float,

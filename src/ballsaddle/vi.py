@@ -32,14 +32,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import SmoothMap, shift_map, vi_payoff
-from .constants import ConstantsReport, op_norm, vi_report
+from .constants import ConstantsReport, op_norm, require_count, vi_report
 from .errors import HypothesisViolation, InvalidInput
 from .geometry import Ball, norm
 from .saddle import (AUDIT_SAMPLES, CHECK_SAMPLES, Certificate, CheckReport, SaddleConfig,
                      SaddlePoint, ball_check_samples, by_blocks, contraction,
                      contraction_record, exclusion_mask, failed_names, gate, proof_record,
-                     proved_norm_floor, raise_failure, require_count, slack_report,
-                     solve_saddle, sphere_fixed_point)
+                     proved_norm_floor, raise_failure, slack_report, solve_saddle,
+                     sphere_fixed_point)
 
 COLLAPSE_TOL = 1e-6
 DIRECTION_TOL = 1e-6

@@ -22,6 +22,15 @@ def rand_quadratic(rng, n, rho=1.0, scale=0.2):
     return make_quadratic(A, b, Q, rho)
 
 
+def closed_form_grads(family, m, x, y):
+    """(grad_x J, grad_y J) of vi_payoff(m) or ba_payoff(m, .) from separate
+    calls of the map's value and Jacobian."""
+    f, J = m.val(x), m.jac(x)
+    if family == "vi":
+        return J.T @ (x - y) + f, -f
+    return 2.0 * (x - f - J.T @ (x - y)), 2.0 * (f - y)
+
+
 def test_constant_map():
     m = make_constant([1.0, -2.0], 1.0)
     assert_allclose(m.val(np.array([0.3, 0.3])), [1.0, -2.0])
@@ -122,10 +131,14 @@ def test_vi_payoff_structure():
     p = vi_payoff(m)
     x, y = np.array([0.2, 0.1]), np.array([-0.3, 0.4])
     assert_allclose(p.value(x, y), float(m.val(x) @ (x - y)))
-    assert_allclose(p.grad_y(x, y), -m.val(x))
+    rng = np.random.default_rng(2)
+    for x, y in zip(sample_ball(rng, 20, 2, 1.0), sample_ball(rng, 20, 2, 1.0)):
+        gx, gy = p.grads(x, y)
+        assert_allclose(gx, m.jac(x).T @ (x - y) + m.val(x), rtol=0, atol=1e-12)
+        assert_allclose(gy, -m.val(x), rtol=0, atol=1e-12)
     b, A = p.grad0_affine
-    for yy in Ball(1.0, 2).sample(np.random.default_rng(2), 50):
-        direct = np.linalg.norm(p.grad_x(np.zeros(2), yy))
+    for yy in Ball(1.0, 2).sample(rng, 50):
+        direct = np.linalg.norm(p.grads(np.zeros(2), yy)[0])
         assert_allclose(np.linalg.norm(b - A.T @ yy), direct, atol=1e-12)
 
 
@@ -137,11 +150,16 @@ def test_ba_payoff_structure():
     fx = m.val(x)
     assert_allclose(p.value(x, y),
                     float((fx - x) @ (fx - x) - (fx - y) @ (fx - y)))
-    assert_allclose(p.grad_y(x, y), 2.0 * (fx - y))
+    rng = np.random.default_rng(3)
+    for x, y in zip(sample_ball(rng, 20, 2, 1.0), Y.sample(rng, 20)):
+        gx, gy = p.grads(x, y)
+        f = m.val(x)
+        assert_allclose(gx, 2.0 * (x - f - m.jac(x).T @ (x - y)), rtol=0, atol=1e-12)
+        assert_allclose(gy, 2.0 * (f - y), rtol=0, atol=1e-12)
     b, A = p.grad0_affine
     yy = np.array([0.3, 0.3])
     assert_allclose(np.linalg.norm(b - A.T @ yy),
-                    np.linalg.norm(p.grad_x(np.zeros(2), yy)), atol=1e-12)
+                    np.linalg.norm(p.grads(np.zeros(2), yy)[0]), atol=1e-12)
 
 
 def test_payoff_y_difference_identity():
@@ -183,9 +201,8 @@ def test_fused_gradients_match_the_separate_ones_bit_for_bit(kind, family):
     p = vi_payoff(m) if family == "vi" else ba_payoff(m, Ball(1.0, n))
     rng = np.random.default_rng(41)
     for x, y in zip(sample_ball(rng, 30, n, 1.0), sample_ball(rng, 30, n, 1.0)):
-        gx, gy = p.grads(x, y)
-        assert gx.tobytes() == np.asarray(p.grad_x(x, y), dtype=float).tobytes()
-        assert gy.tobytes() == np.asarray(p.grad_y(x, y), dtype=float).tobytes()
+        got, want = p.grads(x, y), closed_form_grads(family, m, x, y)
+        assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
     validate_payoff(p, n_points=10, seed=1)
 
 
@@ -208,14 +225,14 @@ def test_validate_payoff_rejects_a_disagreeing_fused_oracle(which):
 
     def wrong(x, y):
         out = list(fused(x, y))
-        out[which] = out[which] + 1e-6
+        out[which] = out[which] + 1e-3  # beyond the 1e-5 finite-difference tolerance
         return tuple(out)
 
     p.grads = wrong
-    with pytest.raises(InvalidInput, match="fused gradients disagree"):
+    with pytest.raises(InvalidInput, match="payoff gradients disagree with finite differences"):
         validate_payoff(p, n_points=5, seed=0)
     p.grads = lambda x, y: (fused(x, y)[0], fused(x, y)[1][:2])
-    with pytest.raises(InvalidInput, match="fused gradients have shapes"):
+    with pytest.raises(InvalidInput, match="grads returned shapes"):
         validate_payoff(p, n_points=5, seed=0)
 
 
@@ -225,15 +242,16 @@ def test_payoff_gradients_follow_a_replaced_map(make):
     # is the map they differentiate, and lists are converted as val converts
     rng = np.random.default_rng(44)
     m = rand_quadratic(rng, 3)
-    flipped = make(dataclasses.replace(m, value=lambda x: -m.value(x),
-                                       jacobian=lambda x: -m.jacobian(x)))
+    negated = dataclasses.replace(m, value=lambda x: -m.value(x),
+                                  jacobian=lambda x: -m.jacobian(x))
+    flipped = make(negated)
     listed = make(dataclasses.replace(m, value=lambda x: m.value(x).tolist(),
                                       jacobian=lambda x: m.jacobian(x).tolist()))
-    p = make(m)
+    p, family = make(m), "vi" if make is vi_payoff else "ba"
     for x, y in zip(sample_ball(rng, 5, 3, 1.0), sample_ball(rng, 5, 3, 1.0)):
         gx, gy = flipped.grads(x, y)
-        assert gx.tobytes() == np.asarray(flipped.grad_x(x, y)).tobytes()
-        assert gy.tobytes() == np.asarray(flipped.grad_y(x, y)).tobytes()
+        assert [gx.tobytes(), gy.tobytes()] == [
+            g.tobytes() for g in closed_form_grads(family, negated, x, y)]
         assert not np.allclose(gy, p.grads(x, y)[1])
         assert [g.tobytes() for g in listed.grads(x, y)] == [g.tobytes() for g in p.grads(x, y)]
 
@@ -378,6 +396,20 @@ class TestMapFromDict:
         doc = {"dimension": 3, "rho": 1.0, "map": {"kind": "constant", "c": [1.0, 2.0]}}
         with pytest.raises(ConfigError, match="dimension"):
             map_from_dict(doc)
+
+    @pytest.mark.parametrize("key, value, path", [
+        # these were a ValueError and a TypeError traceback, and 2.5 was read as 2
+        ("dimension", "abc", "problem.dimension"), ("dimension", [2], "problem.dimension"),
+        ("dimension", 2.5, "problem.dimension"), ("dimension", True, "problem.dimension"),
+        ("dimension", 0, "problem.dimension"),
+        # these were a TypeError and an AttributeError traceback
+        ("analytic_constants", 5, "problem.analytic_constants"),
+        ("analytic_constants", ["theta"], "problem.analytic_constants")])
+    def test_malformed_problem_field_has_path(self, key, value, path):
+        doc = {"rho": 1.0, "map": {"kind": "constant", "c": [1.0, 2.0]}, key: value}
+        with pytest.raises(ConfigError) as exc:
+            map_from_dict(doc)
+        assert exc.value.path == path
 
     def test_declared_constants_override(self):
         doc = {"kind": "affine", "A": [[1.0]], "b": [2.0], "rho": 1.0,

@@ -120,6 +120,15 @@ class TestSetFromDict:
         with pytest.raises(ConfigError, match="t_set"):
             set_from_dict({"kind": "box", "lower": [0], "upper": [1]}, 2, "t_set")
 
+    def test_box_bounds_of_different_lengths_have_the_path(self, tmp_path, capsys):
+        # this was "error: expected dimension 2, got 1" with no config path
+        with pytest.raises(ConfigError) as exc:
+            set_from_dict({"kind": "box", "lower": [0, 0], "upper": [1]}, 2, "t_set")
+        assert exc.value.path == "t_set"
+        doc = {"problem": AFFINE, "t_set": {"kind": "box", "lower": [0, 0], "upper": [1]}}
+        assert main(["saddle", "--config", write_config(tmp_path, doc)]) == 1
+        assert "config error: t_set: bad box bounds" in capsys.readouterr().err
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="kind"):
             set_from_dict({"kind": "simplex"}, 2, "y_set")
@@ -827,6 +836,29 @@ class TestVerify:
         assert main(["verify", "--config", str(cert)]) == 1
         assert "analytic_constants.theta: declared theta = 0.01 is refuted" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, value", [
+        # each of these was a TypeError or AttributeError traceback
+        ("vi", "config", [1, 2]), ("vi", "config", 5),
+        ("constants", "certificate", [1]), ("constants", "certificate", 7),
+        ("vi", "command", ["vi"])])
+    def test_wrong_typed_top_level_field_is_config_error(self, tmp_path, capsys,
+                                                         command, key, value):
+        doc = {"problem": AFFINE, "application": "vi"} if command == "constants" else None
+        cert = self.make_cert(tmp_path, command, doc)
+        stored = json.loads(cert.read_text())
+        stored[key] = value
+        if key == "command":
+            del stored["config"]["command"]
+        cert.write_text(json.dumps(stored))
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cert)]) == 1
+        assert f"config error: {key}: must be a" in capsys.readouterr().err
+
+    def test_saddle_certificate_records_a_unique_y_star(self, tmp_path):
+        for case in ("saddle-vi", "saddle-ba"):
+            doc = json.loads(self.make_cert(tmp_path, *ROUND_TRIPS[case]).read_text())
+            assert doc["certificate"]["solution"]["y_star_unique"] is True
 
     def test_wrong_format_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, {"format": "something-else"})

@@ -7,7 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ballsaddle import (Ball, Box, CertFlag, CertValue,
-                        DimensionMismatch, HypothesisViolation, admissible_radius, ba_report,
+                        DimensionMismatch, HypothesisViolation, InvalidInput,
+                        admissible_radius, ba_report,
                         combine_flags, delta_const, estimate_lipschitz,
                         estimate_theta, make_affine, make_constant,
                         make_quadratic, op_norm, sigma_ba, sigma_vi, vi_payoff,
@@ -151,6 +152,19 @@ class TestEstimates:
         ref = max(np.linalg.norm(m.jac(a) - m.jac(b), 2) / np.linalg.norm(a - b)
                   for a, b in zip(pts[0::2], pts[1::2]))
         assert estimate_lipschitz(m.jac, 1.0, pairs=40, seed=5, dim=3).value == ref
+
+    @pytest.mark.parametrize("count", [0, -1, 2.5, True])
+    def test_sample_counts_must_be_integers_of_at_least_one(self, count):
+        # delta's sampled minimum raised on an empty min() for 0 and on a
+        # negative dimension for -1; the estimates raised a TypeError on 2.5
+        m = make_affine(np.eye(2), [2.0, 0.0], 1.0)
+        p = dataclasses.replace(vi_payoff(m), grad0_affine=None)
+        with pytest.raises(InvalidInput, match="n_samples must be an integer >= 1"):
+            delta_const(p, Ball(1.0, 2), n_samples=count)
+        with pytest.raises(InvalidInput, match="samples must be an integer >= 1"):
+            estimate_theta(bare(m), samples=count)
+        with pytest.raises(InvalidInput, match="pairs must be an integer >= 1"):
+            estimate_lipschitz(m.val, 1.0, pairs=count, dim=2)
 
     def test_lipschitz_sampled(self):
         A = np.array([[1.0, 2.0], [0.0, 1.0]])

@@ -50,8 +50,7 @@ class TestSaddleOracle:
         # J = x y on [-0.3, 0.3] x [1, 2]: minimax at (-0.3, 1)
         p = Payoff(dimension=1, x_radius=0.3, y_set=Box([1.0], [2.0]),
                    value=lambda x, y: float(x[0] * y[0]),
-                   grad_x=lambda x, y: np.array([y[0]]),
-                   grad_y=lambda x, y: np.array([x[0]]))
+                   grads=lambda x, y: (np.array([y[0]]), np.array([x[0]])))
         x_hat, y_hat, val = grid_saddle_oracle(p, 0.3, p.y_set,
                                                ppa=61)
         assert_allclose(x_hat, [-0.3], atol=1e-12)

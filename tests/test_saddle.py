@@ -23,7 +23,7 @@ from ballsaddle import saddle as saddle_module
 from ballsaddle.cli import (DEFAULT_TOLERANCES, _saddle_problem, parse_config,
                             main as cli_main)
 from ballsaddle.oracles import fixedpoint_vi_oracle
-from ballsaddle.saddle import CHECK_SAMPLES
+from ballsaddle.saddle import CHECK_SAMPLES, payoff_depends_on_y
 from ballsaddle.vi import certify_vi, vi_problem
 
 
@@ -33,8 +33,7 @@ def linear_payoff(c, rho, y_set):
     return Payoff(
         dimension=c.size, x_radius=rho, y_set=y_set,
         value=lambda x, y: float(c @ x),
-        grad_x=lambda x, y: c.copy(),
-        grad_y=lambda x, y: np.zeros_like(c))
+        grads=lambda x, y: (c.copy(), np.zeros_like(c)))
 
 
 def bilinear_1d():
@@ -42,8 +41,7 @@ def bilinear_1d():
     return Payoff(
         dimension=1, x_radius=0.3, y_set=Box([1.0], [2.0]),
         value=lambda x, y: float(x[0] * y[0]),
-        grad_x=lambda x, y: np.array([y[0]]),
-        grad_y=lambda x, y: np.array([x[0]]))
+        grads=lambda x, y: (np.array([y[0]]), np.array([x[0]])))
 
 
 class TestConfig:
@@ -197,11 +195,11 @@ class TestSolve:
     def test_non_finite_gradient_stops_the_solve(self, bad):
         calls = []
 
-        def grad_x(x, y):
+        def grads(x, y):
             calls.append(1)
-            return np.array([bad, 0.0])
+            return np.array([bad, 0.0]), np.zeros(2)
 
-        p = dataclasses.replace(linear_payoff([0.4, -0.2], 1.0, Ball(1.0, 2)), grad_x=grad_x)
+        p = dataclasses.replace(linear_payoff([0.4, -0.2], 1.0, Ball(1.0, 2)), grads=grads)
         cfg = SaddleConfig(r=1.0, T=Ball(1.0, 2), L=1.0, smoothness=1.0)
         with pytest.raises(InvalidInput, match="not finite at iteration 1"):
             solve_saddle(p, cfg)
@@ -219,10 +217,10 @@ class TestSolve:
     def test_non_finite_y_gradient_stops_a_box_solve(self, bad, half):
         # a box clips y + tau * inf to its bound, so the residual stays finite;
         # from the origin the probing half-step moves x below 0
-        def grad_y(x, y):
-            return np.array([bad if half == "probing" or x[0] < 0.0 else 0.0])
+        def grads(x, y):
+            return np.array([y[0]]), np.array([bad if half == "probing" or x[0] < 0.0 else 0.0])
 
-        p = dataclasses.replace(bilinear_1d(), grad_y=grad_y)
+        p = dataclasses.replace(bilinear_1d(), grads=grads)
         cfg = SaddleConfig(r=0.3, T=p.y_set, L=0.0, smoothness=1.0)
         with pytest.raises(InvalidInput, match="y-gradient is not finite at iteration 1"):
             solve_saddle(p, cfg)
@@ -230,7 +228,8 @@ class TestSolve:
     @pytest.mark.filterwarnings("error")
     def test_huge_finite_y_gradient_clips_to_the_box(self):
         # 1e200 squared overflows; the check must not mistake it for infinity
-        p = dataclasses.replace(bilinear_1d(), grad_y=lambda x, y: np.array([1e200]))
+        p = dataclasses.replace(bilinear_1d(),
+                                grads=lambda x, y: (np.array([y[0]]), np.array([1e200])))
         pt = solve_saddle(p, SaddleConfig(r=0.3, T=p.y_set, L=0.0, smoothness=1.0))
         assert pt.y_star.tolist() == [2.0]
         assert_allclose(pt.x_star, [-0.3], atol=1e-7)
@@ -296,6 +295,17 @@ class TestPhi:
         p = vi_payoff(make_constant([3.0, 4.0], 1.0))
         with pytest.raises(InvalidInput):
             phi_value_grad(p, 1.0, np.array([2.0, 0.0]), np.zeros(2))
+
+
+def test_y_star_unique_reads_the_y_gradient():
+    # payoff_depends_on_y writes y_star_unique of the statement-1 certificate
+    T = Ball(0.5, 2)
+    x = np.array([-0.4, 0.1])
+    assert not payoff_depends_on_y(linear_payoff([0.4, -0.2], 1.0, T), x, T)
+    assert payoff_depends_on_y(bilinear_1d(), [-0.3], Box([1.0], [2.0]))
+    m = make_affine(np.eye(2), [2.0, 0.0], 1.0)
+    assert payoff_depends_on_y(vi_payoff(m), x, T)
+    assert payoff_depends_on_y(ba_payoff(m, Ball(1.0, 2)), x, T)
 
 
 class TestChecks:
