@@ -31,12 +31,12 @@ from .catalog import SmoothMap, ba_payoff
 from .constants import ConstantsReport, ba_report, require_count
 from .errors import HypothesisViolation, InvalidInput
 from .geometry import Ball, Box, ConvexSet, ball_projection, dist_ball, norm, project_ball
-from .saddle import (AUDIT_SAMPLES, CHECK_SAMPLES, SPHERE_TOL, Certificate, CheckReport,
-                     SaddleChecks, SaddleConfig, SaddlePoint, ball_check_samples, by_blocks,
-                     check_saddle, contraction, contraction_record, exclusion_mask,
-                     failed_names, gate, probe_uniqueness, proof_record, proved_norm_floor,
-                     raise_failure, slack_report, solve_saddle, sphere_fixed_point,
-                     uniqueness_consistent)
+from .saddle import (AUDIT_SAMPLES, CHECK_SAMPLES, CHECK_TOL, EXCLUSION_FACTOR, SPHERE_TOL,
+                     STRICT_MARGIN, Certificate, CheckReport, SaddleChecks, SaddleConfig,
+                     SaddlePoint, ball_check_samples, by_blocks, check_saddle, claims_sphere,
+                     contraction, contraction_record, exclusion_mask, failed_names, gate,
+                     probe_uniqueness, proof_record, proved_norm_floor, raise_failure,
+                     slack_report, solve_saddle, sphere_fixed_point, uniqueness_consistent)
 from .vi import COLLAPSE_TOL, SmallRadiusResult, radius_from_origin
 
 IDENTITY_TOL = 1e-6
@@ -64,8 +64,8 @@ class BACertificate(Certificate):
         else:  # statement 6
             rep, gap = self.constants, abs(norm(self.x_star) - self.r)
             first += [("collapse", self.collapse_gap <= COLLAPSE_TOL),
-                      ("sphere-membership", gap <= SPHERE_TOL or rep.L.value <= 0
-                       or self.r > rep.r_max + 1e-12)]
+                      ("sphere-membership", gap <= SPHERE_TOL
+                       or not claims_sphere(rep.L.value, self.r, rep.r_max))]
             own = [("nearest-point", self.nearest_check.passed),
                    ("distance-identity", self.distance_gap <= IDENTITY_TOL)]
         return failed_names(*first) + super().failed_checks() + failed_names(*own)
@@ -161,13 +161,11 @@ def certify_ba(m: SmoothMap, Y: ConvexSet, point: SaddlePoint, cfg: SaddleConfig
         dist = dist_ball(fx, r)
         cert.collapse_gap, cert.distance_gap = norm(x_star - y_star), abs(norm(fx - x_star) - dist)
         # sup over y in ball(r) of J(x*, y) = ||f - x*||^2 - ||f - y||^2 less J(x*, y*)
-        cert.y_maximal_slack = cfg.check_tol - (norm(fx - y_star) ** 2 - dist ** 2)
+        cert.y_maximal_slack = CHECK_TOL - (norm(fx - y_star) ** 2 - dist ** 2)
         phi = proved_norm_floor(uniqueness, theta, reach, norm(fx))
         least = max(1.0, 2.0 * theta)
         cert.proof = proof_record(uniqueness, phi, phi / r - least, phi / r + least, m.dimension)
-        cert.nearest_check = check_nearest_point(
-            m, x_star, r, AUDIT_SAMPLES, seed + 4,
-            strict_margin=cfg.strict_margin, exclusion_factor=cfg.exclusion_factor)
+        cert.nearest_check = check_nearest_point(m, x_star, r, AUDIT_SAMPLES, seed + 4)
     else:
         cert.saddle_checks = check_saddle(ba_payoff(m, Y), point, cfg, seed=seed + 1)
     return cert
@@ -228,23 +226,22 @@ def solve_prox_pair(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None,
 
 def check_nearest_point(m: SmoothMap, x_star, r: float,
                         n_samples: int = CHECK_SAMPLES, seed: int = 0,
-                        strict_margin: float = SaddleConfig.strict_margin,
-                        exclusion_factor: float = SaddleConfig.exclusion_factor) -> CheckReport:
-    """Sampled check that x* is strictly closer to every image f(x) than x
-    itself is, over ball(r) outside the exclusion ball.  The margin and the
-    factor default to SaddleConfig's."""
+                        strict_margin: float = STRICT_MARGIN) -> CheckReport:
+    """Sampled check that x* is closer to every image f(x) than x itself is,
+    by more than strict_margin (the certify step keeps STRICT_MARGIN), over
+    ball(r) outside the exclusion ball of radius EXCLUSION_FACTOR * r."""
     require_count("n_samples", n_samples, 1)
     x_star = np.asarray(x_star, dtype=float)
     rng = np.random.default_rng(seed)
     xs = ball_check_samples(rng, n_samples, m.dimension, r, x_star)
-    xs = xs[exclusion_mask(xs, x_star, r, exclusion_factor)]
+    xs = xs[exclusion_mask(xs, x_star, r)]
 
     def gain(block):
         F = m.vals(block)
         return np.linalg.norm(F - block, axis=1) - np.linalg.norm(F - x_star, axis=1)
     slack = by_blocks(gain, xs) - strict_margin
     return slack_report("nearest-point", slack, xs, {"strict_margin": strict_margin,
-                                                     "exclusion_radius": exclusion_factor * r})
+                                                     "exclusion_radius": EXCLUSION_FACTOR * r})
 
 
 def solve_best_approx(m: SmoothMap, r: float | None = None,

@@ -19,6 +19,7 @@ delta constant can be solved exactly.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -396,16 +397,60 @@ def validate_payoff(p: Payoff, n_points: int = 100, seed: int = 0,
 
 
 def require_fields(doc: dict, path: str, required: tuple, optional: tuple = ()):
-    """Reject a non-object, and unknown and missing fields of a config
-    object at ``path``."""
+    """Reject a non-object, and unknown and missing fields of a config object
+    at ``path`` ("" at the top level); a field's error carries its own path."""
     if not isinstance(doc, dict):
         raise ConfigError("must be an object", path=path)
     for key in doc:
         if key not in required and key not in optional:
-            raise ConfigError(f"unknown field {key!r}", path=path)
+            raise ConfigError(f"unknown field {key!r}", path=_field_path(path, key))
     for key in required:
         if key not in doc:
-            raise ConfigError(f"missing required field {key!r}", path=path)
+            raise ConfigError(f"missing required field {key!r}", path=_field_path(path, key))
+
+
+def _field_path(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _is_number(v) -> bool:
+    # a bool is none; NaN, the infinities and integers beyond the float range fail the bound
+    return not isinstance(v, bool) and isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+
+
+def read_number(doc: dict, key: str, path: str = "", least: int | None = None,
+                nonnegative: bool = False):
+    """``doc[key]``, a finite JSON number: a float > 0, a float >= 0 with
+    ``nonnegative``, or with ``least`` an integer >= least.  Anything else
+    (a bool or a numeric string too) is a ConfigError at the field's path."""
+    v, where = doc[key], _field_path(path, key)
+    if not _is_number(v):
+        raise ConfigError(f"{key} must be a finite number", path=where)
+    if least is not None:
+        if v != int(v) or v < least:
+            raise ConfigError(f"{key} must be an integer >= {least}", path=where)
+        return int(v)
+    if v < 0 or not (nonnegative or v > 0):
+        raise ConfigError(f"{key} must be {'>= 0' if nonnegative else 'positive'}", path=where)
+    return float(v)
+
+
+def read_array(doc: dict, key: str, path: str = "") -> np.ndarray:
+    """``doc[key]`` as a float array: a non-empty rectangular nested list of
+    finite JSON numbers.  Anything else (a ragged row, a bool, a numeric
+    string, an integer beyond the float range) is a ConfigError at the
+    field's path."""
+    # a ragged row leaves a list as a cell of the object array
+    cells = np.array(doc[key], dtype=object) if isinstance(doc[key], list) else np.array(None)
+    try:
+        if cells.size and set(map(type, cells.flat)) <= {int, float}:
+            out = cells.astype(float)  # OverflowError beyond the float range
+            if np.isfinite(out).all():
+                return out
+    except OverflowError:
+        pass
+    raise ConfigError(f"{key} must be a non-empty array of finite numbers",
+                      path=_field_path(path, key))
 
 
 # map kind -> (coefficient fields, constructor taking them and rho)
@@ -414,73 +459,46 @@ _BUILDERS = {"constant": (("c",), make_constant), "affine": (("A", "b"), make_af
 
 
 def map_from_dict(doc: dict, path: str = "problem") -> SmoothMap:
-    """Build a catalog map from its JSON document.
-
-    Two equivalent layouts are accepted: nested
-    ``{"dimension": n, "rho": r, "map": {"kind": ..., ...},
-    "analytic_constants": {...}?}`` and flat
-    ``{"kind": ..., "rho": r, ...coefficients...}``.  Unknown fields are
-    rejected with the offending path.
+    """Build a catalog map from its JSON document
+    ``{"kind": ..., "rho": r, ...coefficients..., "shift"?, "dimension"?,
+    "analytic_constants"?}``.  Every field is read strictly (``read_number``,
+    ``read_array``), and an error carries the offending path.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError("problem must be an object", path=path)
-    coefficients = ("kind", "c", "A", "b", "Q", "shift")
-    if "map" in doc:
-        require_fields(doc, path, required=("map", "rho"),
-                        optional=("dimension", "analytic_constants"))
-        inner, inner_path = doc["map"], path + ".map"
-    else:
-        require_fields(doc, path, required=("kind", "rho"),
-                        optional=coefficients[1:] + ("analytic_constants", "dimension"))
-        inner, inner_path = {k: v for k, v in doc.items() if k in coefficients}, path
-    rho, declared, want_dim = doc["rho"], doc.get("analytic_constants"), doc.get("dimension")
-    if not isinstance(inner, dict) or "kind" not in inner:
-        raise ConfigError("map needs a 'kind'", path=inner_path)
-    if want_dim is not None and (isinstance(want_dim, bool) or not isinstance(want_dim, int)
-                                 or want_dim < 1):
-        raise ConfigError(f"dimension must be an integer >= 1, got {want_dim!r}",
-                          path=path + ".dimension")
-    try:
-        rho = float(rho)
-    except (TypeError, ValueError):
-        raise ConfigError("rho must be a number", path=path + ".rho")
-    if not (np.isfinite(rho) and rho > 0):
-        raise ConfigError("rho must be positive", path=path + ".rho")
-    kind = inner["kind"]
-    if kind not in _BUILDERS:
-        raise ConfigError(f"unknown map kind {kind!r}", path=inner_path + ".kind")
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise ConfigError("problem must be an object with a 'kind'", path=path)
+    kind = doc["kind"]
+    if not isinstance(kind, str) or kind not in _BUILDERS:
+        raise ConfigError(f"unknown map kind {kind!r}", path=path + ".kind")
     fields, build = _BUILDERS[kind]
-    require_fields(inner, inner_path, required=("kind",) + fields, optional=("shift",))
+    require_fields(doc, path, required=("kind", "rho") + fields,
+                   optional=("shift", "analytic_constants", "dimension"))
+    rho = read_number(doc, "rho", path)
     try:
-        m = build(*(np.asarray(inner[key], dtype=float) for key in fields), rho)
+        m = build(*(read_array(doc, key, path) for key in fields), rho)
     except (InvalidInput, DimensionMismatch) as exc:
-        raise ConfigError(str(exc), path=inner_path)
-    if "shift" in inner:
+        raise ConfigError(str(exc), path=path)
+    if "shift" in doc:
         try:
-            m = shift_map(m, np.asarray(inner["shift"], dtype=float))
+            m = shift_map(m, read_array(doc, "shift", path))
         except (InvalidInput, DimensionMismatch) as exc:
-            raise ConfigError(str(exc), path=inner_path + ".shift")
-    if want_dim is not None and want_dim != m.dimension:
+            raise ConfigError(str(exc), path=path + ".shift")
+    if "dimension" in doc and read_number(doc, "dimension", path, least=1) != m.dimension:
         raise ConfigError(
-            f"declared dimension {want_dim} does not match coefficients ({m.dimension})",
+            f"declared dimension {doc['dimension']} does not match coefficients ({m.dimension})",
             path=path + ".dimension")
-    if declared is not None:  # declared values are tagged analytic, the rest keep their flags
-        declared_path = path + ".analytic_constants"
+    if "analytic_constants" in doc:  # declared values are tagged analytic, the rest keep theirs
+        declared, declared_path = doc["analytic_constants"], path + ".analytic_constants"
         require_fields(declared, declared_path, required=(), optional=("theta", "gamma", "eta"))
-        values = {}
-        for name, v in declared.items():
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 <= v < np.inf:
-                raise ConfigError(f"{name} must be a finite number >= 0",
-                                  path=f"{declared_path}.{name}")
-            values.update({name: float(v), name + "_flag": CertFlag.ANALYTIC})
-        for name, (bound, witness) in axis_lower_bounds(m, declared).items():
-            if bound - declared[name] > REFUTE_REL_TOL * bound:
+        values = {name: read_number(declared, name, declared_path, nonnegative=True)
+                  for name in declared}
+        for name, (bound, witness) in axis_lower_bounds(m, values).items():
+            if bound - values[name] > REFUTE_REL_TOL * bound:
                 raise ConfigError(
                     f"declared {name} = {declared[name]} is refuted: the Jacobian at "
                     f"x = {witness} gives {name} >= {bound:.12g} "
-                    f"(deficit {bound - declared[name]:.6g})",
+                    f"(deficit {bound - values[name]:.6g})",
                     path=f"{declared_path}.{name}")
-        declare(m, values)
+        declare(m, {**values, **{name + "_flag": CertFlag.ANALYTIC for name in values}})
     return m
 
 

@@ -38,7 +38,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .ba import ba_small_radius, run_ba
-from .catalog import SmoothMap, ba_payoff, map_from_dict, require_fields, vi_payoff
+from .catalog import (SmoothMap, ba_payoff, map_from_dict, read_array, read_number,
+                      require_fields, vi_payoff)
 from .constants import (CertFlag, ConstantsReport, admissible_radius, ba_report,
                         delta_const, vi_report)
 from .errors import (BallSaddleError, CertificationError, ConfigError, DimensionMismatch,
@@ -54,12 +55,7 @@ VERIFY_REL_TOL = 1e-9
 VERIFY_ABS_TOL = 1e-14
 COMMANDS = ("constants", "saddle", "vi", "vi-shifted", "prox-pair",
             "best-approx", "small-radius", "verify")
-# config tolerance -> SaddleConfig field, whose default it takes
-_TOLERANCE_FIELDS = {"solve": "tol", "check": "check_tol",
-                     "strict_margin": "strict_margin", "exclusion_factor": "exclusion_factor"}
-DEFAULT_TOLERANCES = {key: getattr(SaddleConfig, name) for key, name in _TOLERANCE_FIELDS.items()}
-
-_COMMON = ("seed", "tolerances", "heuristic")
+_COMMON = ("seed", "heuristic")
 _FIELDS = {
     "constants": {"required": ("problem",), "optional": ("application", "y_set")},
     "saddle": {"required": ("problem",), "optional": ("payoff", "r", "t_set", "y_set") + _COMMON},
@@ -74,7 +70,7 @@ _FIELDS = {
 @dataclass
 class RunConfig:
     """A fully-resolved run request; ``to_dict`` is the echo embedded in
-    certificates.  The tolerances default to SaddleConfig's.
+    certificates.  No field sets a solver setting or a check threshold.
     ``smooth_map`` is the map ``parse_config`` built from ``problem``,
     outside the schema."""
 
@@ -83,7 +79,6 @@ class RunConfig:
     r: float | None = None
     seed: int = 0
     heuristic: bool = False
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     application: str = "vi"
     payoff: str = "vi"
     epsilon: float = 0.5
@@ -105,25 +100,6 @@ class RunConfig:
         return d
 
 
-def _is_finite_number(v) -> bool:
-    # NaN, the infinities and integers beyond the float range all fail the bound
-    return not isinstance(v, bool) and isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
-
-
-def _as_number(doc, key, path="", least=None):
-    """``doc[key]``: a finite number > 0, or with ``least`` an integer >= least."""
-    v, where = doc[key], f"{path}.{key}" if path else key
-    if not _is_finite_number(v):
-        raise ConfigError(f"{key} must be a finite number", path=where)
-    if least is None:
-        if v <= 0:
-            raise ConfigError(f"{key} must be positive", path=where)
-        return float(v)
-    if v != int(v) or v < least:
-        raise ConfigError(f"{key} must be an integer >= {least}", path=where)
-    return int(v)
-
-
 def parse_config(doc: dict, command: str) -> RunConfig:
     """Validate a config document against the schema of ``command``.
 
@@ -131,22 +107,12 @@ def parse_config(doc: dict, command: str) -> RunConfig:
     """
     if command not in _FIELDS:
         raise ConfigError(f"unknown command {command!r}")
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    spec = _FIELDS[command]
-    allowed = set(spec["required"]) | set(spec["optional"])
-    for key in doc:
-        if key not in allowed:
-            raise ConfigError(f"unknown field {key!r} for command {command!r}", path=key)
-    for key in spec["required"]:
-        if key not in doc:
-            raise ConfigError(f"missing required field {key!r}", path=key)
-
+    require_fields(doc, "", _FIELDS[command]["required"], _FIELDS[command]["optional"])
     cfg = RunConfig(command=command, problem=doc["problem"])
     cfg.smooth_map = map_from_dict(cfg.problem)  # built once; errors carry config paths
     for key, least in (("r", None), ("seed", 0), ("epsilon", None)):
         if key in doc:
-            setattr(cfg, key, _as_number(doc, key, least=least))
+            setattr(cfg, key, read_number(doc, key, least=least))
     if "heuristic" in doc:
         if not isinstance(doc["heuristic"], bool):
             raise ConfigError("heuristic must be a boolean", path="heuristic")
@@ -157,21 +123,10 @@ def parse_config(doc: dict, command: str) -> RunConfig:
                 raise ConfigError(f"{key} must be 'vi' or 'ba'", path=key)
             setattr(cfg, key, doc[key])
     if "w" in doc:
-        w = doc["w"]
-        if not (isinstance(w, list) and w and all(map(_is_finite_number, w))):
+        w = read_array(doc, "w")
+        if w.ndim != 1:
             raise ConfigError("w must be a non-empty array of finite numbers", path="w")
-        cfg.w = [float(v) for v in w]
-    if "tolerances" in doc:
-        tols = doc["tolerances"]
-        if not isinstance(tols, dict):
-            raise ConfigError("tolerances must be an object", path="tolerances")
-        for key in tols:
-            if key not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"unknown tolerance {key!r}", path=f"tolerances.{key}")
-            cfg.tolerances[key] = _as_number(tols, key, "tolerances")
-        if not cfg.tolerances["exclusion_factor"] < 1.0:
-            raise ConfigError(f"must lie in (0, 1), got {cfg.tolerances['exclusion_factor']}",
-                              path="tolerances.exclusion_factor")
+        cfg.w = w.tolist()
     for name in ("y_set", "t_set"):
         if name in doc:
             setattr(cfg, name, doc[name])
@@ -186,13 +141,12 @@ def set_from_dict(doc: dict, dim: int, path: str) -> ConvexSet:
     kind = doc["kind"]
     if kind == "ball":
         require_fields(doc, path, ("kind", "radius"))
-        return Ball(_as_number(doc, "radius", path), dim)
+        return Ball(read_number(doc, "radius", path), dim)
     if kind == "box":
         require_fields(doc, path, ("kind", "lower", "upper"))
         try:
-            box = Box(np.asarray(doc["lower"], dtype=float),
-                      np.asarray(doc["upper"], dtype=float))
-        except (KeyError, TypeError, ValueError, InvalidInput, DimensionMismatch) as exc:
+            box = Box(read_array(doc, "lower", path), read_array(doc, "upper", path))
+        except (InvalidInput, DimensionMismatch) as exc:
             raise ConfigError(f"bad box bounds: {exc}", path=path)
         if box.dim != dim:
             raise ConfigError(
@@ -200,11 +154,6 @@ def set_from_dict(doc: dict, dim: int, path: str) -> ConvexSet:
                 path=path)
         return box
     raise ConfigError(f"unknown set kind {kind!r}", path=f"{path}.kind")
-
-
-def _settings(cfg: RunConfig) -> dict:
-    """The SaddleConfig run settings of a run request: its tolerances."""
-    return {name: cfg.tolerances[key] for key, name in _TOLERANCE_FIELDS.items()}
 
 
 def _y_set(cfg: RunConfig, m: SmoothMap) -> ConvexSet:
@@ -240,7 +189,7 @@ def _saddle_problem(cfg: RunConfig, m: SmoothMap, fail=raise_failure):
         report = replace(report, r_max=admissible_radius(report))
     gate(report, r, cfg.mode, rho, fail)
     scfg = SaddleConfig(r=r, T=T, L=L.value, smoothness=2.0 * L.value + rep.theta.value,
-                        r_max=report.r_max, **_settings(cfg))
+                        r_max=report.r_max)
     return payoff, scfg, report
 
 
@@ -306,14 +255,14 @@ def _certify(cfg: RunConfig, fail, point: SaddlePoint | None = None,
         return _certify_saddle(cfg, payoff, scfg, report, point)
     kw = {"mode": cfg.mode, "seed": cfg.seed, "fail": fail}
     if cfg.command == "vi":
-        cert = run_vi(m, cfg.r, vi_report(m, seed=cfg.seed), _settings(cfg), point, **kw)
+        cert = run_vi(m, cfg.r, vi_report(m, seed=cfg.seed), {}, point, **kw)
     elif cfg.command == "vi-shifted":
         shifted, report, record = shift_problem(m, cfg.w, seed=cfg.seed, fail=fail)
-        cert = run_vi(shifted, cfg.r, report, _settings(cfg), point, gate=record, **kw)
+        cert = run_vi(shifted, cfg.r, report, {}, point, gate=record, **kw)
     elif cfg.command in ("prox-pair", "best-approx"):
         Y = _y_set(cfg, m)
         cert = run_ba(m, Y, _t_set(cfg, m), cfg.r, ba_report(m, Y, seed=cfg.seed),
-                      _settings(cfg), point, uniqueness=uniqueness,
+                      {}, point, uniqueness=uniqueness,
                       theorem="5" if cfg.command == "prox-pair" else "6", **kw)
     else:
         raise ConfigError(f"unknown command {cfg.command!r}")

@@ -47,13 +47,19 @@ UNIQUENESS_STARTS = 16
 AUDIT_SAMPLES = 256
 CHECK_SAMPLES = 2000
 CHECK_BLOCK = 512
+# check thresholds, fixed: a passed certificate means the same checks whatever its config
+CHECK_TOL = 1e-8  # slack of y-maximal
+STRICT_MARGIN = 1e-9  # margin of the strict inequalities
+EXCLUSION_FACTOR = 1e-4  # radius of the exclusion ball about x*, a share of r
+RADIUS_SLACK = 1e-12  # rounding allowance of r <= r_max
 
 
 @dataclass
 class SaddleConfig:
-    """Problem geometry, regularization weight and the run settings: the one
-    place where the solver and check settings get their defaults and their
-    validation.
+    """Problem geometry, regularization weight and the run settings ``tol``
+    and ``max_iters``, which set how accurately a solve runs: the one place
+    where they get their defaults and their validation.  The thresholds of
+    the checks are fixed constants (CHECK_TOL, STRICT_MARGIN, ...).
 
     ``smoothness`` bounds the Lipschitz constant of the saddle operator and
     fixes the extragradient step 1/(2 * smoothness); the problem builders
@@ -68,9 +74,6 @@ class SaddleConfig:
     smoothness: float
     tol: float = 1e-8
     max_iters: int = 10**6
-    check_tol: float = 1e-8
-    strict_margin: float = 1e-9
-    exclusion_factor: float = 1e-4
     r_max: float | None = None
 
     def __post_init__(self):
@@ -80,12 +83,9 @@ class SaddleConfig:
             raise InvalidInput("L must be finite and >= 0")
         if not (np.isfinite(self.smoothness) and self.smoothness >= 0):
             raise InvalidInput("smoothness must be finite and >= 0")
-        for name in ("tol", "check_tol", "strict_margin"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise InvalidInput(f"{name} must be finite and positive, got {value!r}")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise InvalidInput(f"tol must be finite and positive, got {self.tol!r}")
         require_count("max_iters", self.max_iters, 1)
-        require_exclusion_factor(self.exclusion_factor)
 
     @property
     def step(self) -> float:
@@ -157,7 +157,7 @@ class Certificate:
     and statement 5 the sampled saddle checks.  The collapsed pairs of
     statements 2, 4 and 6 prove x-strictly-minimal in closed form
     (``proof``, a ``proof_record`` named ``proof_check``) and audit it in
-    their own sampled check, and ``y_maximal_slack`` is check_tol less
+    their own sampled check, and ``y_maximal_slack`` is CHECK_TOL less
     sup_y J(x*, y) - J(x*, y*) in closed form over T = ball(r); the body
     leaves it out.
 
@@ -352,11 +352,21 @@ def gate(report, r, mode: str, rho: float, fail=raise_failure) -> float:
             fail("constants-certified", CertificationError(
                 "constants are sampled lower bounds, not certification grade; "
                 "rerun in heuristic mode or declare analytic constants"))
-        if r > report.r_max + 1e-12:
+        if not admissible(r, report.r_max):
             fail("radius-admissible", HypothesisViolation(
                 f"r = {r} exceeds the admissible radius {report.r_max}",
                 deficit=r - report.r_max))
     return float(r)
+
+
+def admissible(r: float, r_max: float | None) -> bool:
+    """Whether r <= r_max (None: unknown) up to RADIUS_SLACK."""
+    return r_max is not None and r <= r_max + RADIUS_SLACK
+
+
+def claims_sphere(L: float, r: float, r_max: float | None) -> bool:
+    """Whether x* must lie on the sphere: L > 0 and r ``admissible``."""
+    return L > 0 and admissible(r, r_max)
 
 
 def probe_uniqueness(payoff, cfg: SaddleConfig, seed: int) -> dict:
@@ -446,18 +456,12 @@ def ball_check_samples(rng, n: int, dim: int, r: float,
     return np.vstack(extras)
 
 
-def require_exclusion_factor(factor: float):
-    """An exclusion factor must lie in (0, 1): then one of the axis points
-    +-r e_1 of ``ball_check_samples`` lies at least r from x* and survives
-    the exclusion, so no check of ball(r) runs on zero samples."""
-    if not 0.0 < factor < 1.0:
-        raise InvalidInput(f"exclusion_factor must lie in (0, 1), got {factor}")
-
-
-def exclusion_mask(xs: np.ndarray, x_star: np.ndarray, r: float, factor: float) -> np.ndarray:
-    """Rows of ``xs`` outside the exclusion ball of radius factor * r about x*."""
-    require_exclusion_factor(factor)
-    return by_blocks(lambda block: np.linalg.norm(block - x_star, axis=1), xs) > factor * r
+def exclusion_mask(xs: np.ndarray, x_star: np.ndarray, r: float) -> np.ndarray:
+    """Rows of ``xs`` outside the ball of radius EXCLUSION_FACTOR * r about x*.
+    The factor lies in (0, 1), so an axis point +-r e_1 of
+    ``ball_check_samples`` survives: no check runs on zero samples."""
+    return (by_blocks(lambda block: np.linalg.norm(block - x_star, axis=1), xs)
+            > EXCLUSION_FACTOR * r)
 
 
 def by_blocks(fn, xs: np.ndarray) -> np.ndarray:
@@ -483,11 +487,11 @@ def check_saddle(payoff, point: SaddlePoint, cfg: SaddleConfig, seed: int = 0,
     """Sampled certification of a saddle candidate (solved or stored), with
     ``n_samples`` samples per sampled set.
 
-    Checks, in order: J(x*, y) <= J(x*, y*) + check_tol over sampled y in T;
-    J(x, y*) >= J(x*, y*) + strict_margin over sampled x in ball(r) outside
-    the exclusion ball of radius exclusion_factor * r; |...||x*|| - r| below
-    1e-6 when L > 0 and r is within the admissible radius.  Also reports the
-    sampled minimax gap of phi.
+    Checks, in order: J(x*, y) <= J(x*, y*) + CHECK_TOL over sampled y in T;
+    J(x, y*) >= J(x*, y*) + STRICT_MARGIN over sampled x in ball(r) outside
+    the exclusion ball of radius EXCLUSION_FACTOR * r; | ||x*|| - r | below
+    SPHERE_TOL when ``claims_sphere``.  Also reports the sampled minimax gap
+    of phi.
     """
     require_count("n_samples", n_samples, 1)
     x_star = as_point(point.x_star, dim=payoff.dimension)
@@ -498,18 +502,16 @@ def check_saddle(payoff, point: SaddlePoint, cfg: SaddleConfig, seed: int = 0,
     ys = (ball_check_samples(rng, n_samples, dim, T.radius) if isinstance(T, Ball)
           else T.sample(rng, n_samples))
     xs = ball_check_samples(rng, n_samples, dim, r, x_star)
-    far = exclusion_mask(xs, x_star, r, cfg.exclusion_factor)
+    far = exclusion_mask(xs, x_star, r)
 
     j_star = payoff.value(x_star, y_star)
     j_up = payoff.values_y(x_star, ys)
     j_at_xs = payoff.values_x(xs, y_star)
     reports = [
-        slack_report("y-maximal", (j_star + cfg.check_tol) - j_up, ys,
-                     {"tolerance": cfg.check_tol}),
-        slack_report("x-strictly-minimal", j_at_xs[far] - (j_star + cfg.strict_margin), xs[far],
-                     {"exclusion_radius": cfg.exclusion_factor * r,
-                      "strict_margin": cfg.strict_margin})]
-    if cfg.L > 0 and cfg.r_max is not None and r <= cfg.r_max + 1e-12:
+        slack_report("y-maximal", (j_star + CHECK_TOL) - j_up, ys, {"tolerance": CHECK_TOL}),
+        slack_report("x-strictly-minimal", j_at_xs[far] - (j_star + STRICT_MARGIN), xs[far],
+                     {"exclusion_radius": EXCLUSION_FACTOR * r, "strict_margin": STRICT_MARGIN})]
+    if claims_sphere(cfg.L, r, cfg.r_max):
         gap = abs(norm(x_star) - r)
         reports.append(slack_report("sphere-membership", np.array([SPHERE_TOL - gap]),
                                     x_star[None, :], {"norm_gap": gap}))

@@ -35,11 +35,11 @@ from .catalog import SmoothMap, shift_map, vi_payoff
 from .constants import ConstantsReport, op_norm, require_count, vi_report
 from .errors import HypothesisViolation, InvalidInput
 from .geometry import Ball, norm
-from .saddle import (AUDIT_SAMPLES, CHECK_SAMPLES, Certificate, CheckReport, SaddleConfig,
-                     SaddlePoint, ball_check_samples, by_blocks, contraction,
-                     contraction_record, exclusion_mask, failed_names, gate, proof_record,
-                     proved_norm_floor, raise_failure, slack_report, solve_saddle,
-                     sphere_fixed_point)
+from .saddle import (AUDIT_SAMPLES, CHECK_SAMPLES, CHECK_TOL, EXCLUSION_FACTOR, STRICT_MARGIN,
+                     Certificate, CheckReport, SaddleConfig, SaddlePoint, ball_check_samples,
+                     by_blocks, contraction, contraction_record, exclusion_mask, failed_names,
+                     gate, proof_record, proved_norm_floor, raise_failure, slack_report,
+                     solve_saddle, sphere_fixed_point)
 
 COLLAPSE_TOL = 1e-6
 DIRECTION_TOL = 1e-6
@@ -77,20 +77,19 @@ class VICertificate(Certificate):
 
 
 def check_vi(m: SmoothMap, x_star, r: float, n_samples: int = CHECK_SAMPLES,
-             seed: int = 0, strict_margin: float = SaddleConfig.strict_margin,
-             exclusion_factor: float = SaddleConfig.exclusion_factor) -> CheckReport:
+             seed: int = 0, strict_margin: float = STRICT_MARGIN) -> CheckReport:
     """Sampled check of the double strict inequality at x*.
 
     Samples ball(r) (enriched with sphere points, axis points and the
-    antipode of x*), excludes a ball of radius exclusion_factor * r around
+    antipode of x*), excludes a ball of radius EXCLUSION_FACTOR * r around
     x*, and requires both inner products below -strict_margin everywhere.
-    The margin and the factor default to SaddleConfig's.
+    The certify step keeps the default margin STRICT_MARGIN.
     """
     require_count("n_samples", n_samples, 1)
     x_star = np.asarray(x_star, dtype=float)
     rng = np.random.default_rng(seed)
     xs = ball_check_samples(rng, n_samples, m.dimension, r, x_star)
-    xs = xs[exclusion_mask(xs, x_star, r, exclusion_factor)]
+    xs = xs[exclusion_mask(xs, x_star, r)]
     fx = m.val(x_star)
 
     def forms(block):
@@ -99,7 +98,7 @@ def check_vi(m: SmoothMap, x_star, r: float, n_samples: int = CHECK_SAMPLES,
     first, second = by_blocks(forms, xs).T
     return slack_report("vi-double-inequality", -np.maximum(first, second) - strict_margin, xs,
                         {"strict_margin": strict_margin,
-                         "exclusion_radius": exclusion_factor * r,
+                         "exclusion_radius": EXCLUSION_FACTOR * r,
                          "worst_first_form": float(np.max(first)),
                          "worst_second_form": float(np.max(second))})
 
@@ -148,11 +147,9 @@ def certify_vi(m: SmoothMap, point: SaddlePoint, cfg: SaddleConfig,
         residual=point.residual, iterations=point.iterations,
         collapse_gap=norm(x_star - point.y_star), map_norm=map_norm,
         direction_gap=direction_gap, constants=report,
-        vi_check=check_vi(m, x_star, r, AUDIT_SAMPLES, seed + 2,
-                          strict_margin=cfg.strict_margin,
-                          exclusion_factor=cfg.exclusion_factor),
+        vi_check=check_vi(m, x_star, r, AUDIT_SAMPLES, seed + 2),
         # sup of J(x*, .) over ball(r) less J(x*, y*) is <F(x*), y*> + r ||F(x*)||
-        y_maximal_slack=cfg.check_tol - float(fx @ point.y_star) - r * map_norm,
+        y_maximal_slack=CHECK_TOL - float(fx @ point.y_star) - r * map_norm,
         uniqueness=uniqueness,
         proof=proof_record(uniqueness, phi, phi / (2.0 * r) - theta, phi / (2.0 * r) + theta,
                            m.dimension))
@@ -194,8 +191,8 @@ def solve_vi(m: SmoothMap, r: float | None = None,
     ``r`` defaults to the admissible radius.  In certified mode the
     constants must be certification grade and r must respect the admissible
     radius; heuristic mode skips both gates and watermarks the certificate.
-    ``settings`` are the run settings of SaddleConfig (``tol``,
-    ``strict_margin``, ...), which holds their defaults.
+    ``settings`` are the run settings of SaddleConfig (``tol`` and
+    ``max_iters``), which holds their defaults.
     """
     if report is None:
         report = vi_report(m, seed=seed)

@@ -209,7 +209,8 @@ class TestNearestCheck:
 
     @pytest.mark.parametrize("factor", [0.0, 1.0, 3.0])
     def test_exclusion_factor_outside_unit_interval_rejected(self, factor):
-        with pytest.raises(InvalidInput, match="exclusion_factor"):
+        # the factor is the fixed EXCLUSION_FACTOR; no caller can pass one
+        with pytest.raises(TypeError, match="exclusion_factor"):
             check_nearest_point(constant_two(), np.array([1.0, 0.0]), 1.0, n_samples=50,
                                 exclusion_factor=factor)
 

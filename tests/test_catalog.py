@@ -370,12 +370,6 @@ class TestMapFromDict:
         assert m.domain_radius == 1.0
         assert_allclose(m.val(np.zeros(2)), [2.0, 0.0])
 
-    def test_nested_form(self):
-        doc = {"dimension": 2, "rho": 0.5,
-               "map": {"kind": "constant", "c": [1.0, 1.0]}}
-        m = map_from_dict(doc)
-        assert m.dimension == 2 and m.domain_radius == 0.5
-
     def test_quadratic_and_shift(self):
         doc = {"kind": "quadratic", "A": [[0, 0], [0, 0]], "b": [0, 0],
                "Q": [[[1, 0], [0, 1]], [[0, 0], [0, 0]]], "rho": 1.0,
@@ -393,7 +387,7 @@ class TestMapFromDict:
             map_from_dict({"kind": "constant", "c": [1.0], "rho": -2.0})
 
     def test_dimension_mismatch(self):
-        doc = {"dimension": 3, "rho": 1.0, "map": {"kind": "constant", "c": [1.0, 2.0]}}
+        doc = {"dimension": 3, "rho": 1.0, "kind": "constant", "c": [1.0, 2.0]}
         with pytest.raises(ConfigError, match="dimension"):
             map_from_dict(doc)
 
@@ -404,9 +398,11 @@ class TestMapFromDict:
         ("dimension", 0, "problem.dimension"),
         # these were a TypeError and an AttributeError traceback
         ("analytic_constants", 5, "problem.analytic_constants"),
-        ("analytic_constants", ["theta"], "problem.analytic_constants")])
+        ("analytic_constants", ["theta"], "problem.analytic_constants"),
+        # an unhashable kind was a TypeError traceback
+        ("kind", ["constant"], "problem.kind")])
     def test_malformed_problem_field_has_path(self, key, value, path):
-        doc = {"rho": 1.0, "map": {"kind": "constant", "c": [1.0, 2.0]}, key: value}
+        doc = {"rho": 1.0, "kind": "constant", "c": [1.0, 2.0], key: value}
         with pytest.raises(ConfigError) as exc:
             map_from_dict(doc)
         assert exc.value.path == path
@@ -459,7 +455,9 @@ class TestMapFromDict:
         # the undeclared constants are still recomputed for the smaller ball
         assert res.map.restrict(0.25).analytic.gamma_flag is CertFlag.CONSERVATIVE
 
-    @pytest.mark.parametrize("value", ["abc", -1.0, None, True, float("inf"), [1.0]])
+    @pytest.mark.parametrize("value", ["abc", -1.0, None, True, float("inf"), [1.0],
+                                       # an OverflowError traceback
+                                       pytest.param(10**400, id="beyond-float")])
     def test_bad_declared_constant_has_path(self, value):
         doc = {"kind": "affine", "A": [[1.0]], "b": [2.0], "rho": 1.0,
                "analytic_constants": {"gamma": 0.0, "theta": value}}

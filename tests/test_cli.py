@@ -2,12 +2,13 @@
 
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from ballsaddle import ConfigError, NonConvergence
-from ballsaddle.cli import (_FIELDS, CERT_FORMAT, COMMANDS, DEFAULT_TOLERANCES, _build_parser,
+from ballsaddle.cli import (_FIELDS, CERT_FORMAT, COMMANDS, _build_parser,
                             _to_jsonable, main, parse_config, run, set_from_dict)
 from ballsaddle.saddle import UNIQUENESS_STARTS
 
@@ -40,8 +41,7 @@ def write_config(tmp_path, doc, name="cfg.json"):
 class TestParseConfig:
     def test_minimal_vi(self):
         cfg = parse_config({"problem": AFFINE}, "vi")
-        assert cfg.command == "vi" and cfg.seed == 0
-        assert cfg.tolerances == DEFAULT_TOLERANCES
+        assert cfg.command == "vi" and cfg.seed == 0 and not cfg.heuristic
 
     def test_unknown_field_path(self):
         with pytest.raises(ConfigError, match="surprise"):
@@ -55,16 +55,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="tolerances"):
             parse_config({"problem": AFFINE, "tolerances": {"wat": 1e-8}}, "vi")
 
-    def test_tolerance_merge(self):
-        cfg = parse_config({"problem": AFFINE,
-                            "tolerances": {"solve": 1e-10}}, "vi")
-        assert cfg.tolerances["solve"] == 1e-10
-        assert cfg.tolerances["check"] == DEFAULT_TOLERANCES["check"]
+    @pytest.mark.parametrize("command, doc, path", [
+        # each of these was read as a number and wrote an exit-0 certificate
+        ("vi", {"problem": dict(AFFINE, rho=True)}, "problem.rho"),
+        ("vi", {"problem": dict(AFFINE, rho="0.5")}, "problem.rho"),
+        ("vi", {"problem": dict(AFFINE, b=["2", 0])}, "problem.b"),
+        # this box was read as [-0.5, 1] x [-0.5, 0.5]
+        ("prox-pair", {"problem": AFFINE, "t_set": {"kind": "box", "lower": ["-0.5", -0.5],
+                                                    "upper": [True, 0.5]}}, "t_set.lower"),
+        # these were a ValueError, an OverflowError and a TypeError traceback
+        ("vi", {"problem": dict(AFFINE, A=[[1.0, 0.0], [0.0]])}, "problem.A"),
+        ("vi", {"problem": dict(AFFINE, b=[10**400, 0])}, "problem.b"),
+        ("vi", {"problem": dict(AFFINE, b={"x": 1})}, "problem.b")])
+    def test_malformed_document_is_a_config_error(self, tmp_path, capsys, command, doc, path):
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 1
+        assert f"config error: {path}:" in capsys.readouterr().err
 
-    def test_exclusion_factor_has_its_path(self):
-        with pytest.raises(ConfigError) as exc:
-            parse_config({"problem": AFFINE, "tolerances": {"exclusion_factor": 1.0}}, "vi")
-        assert exc.value.path == "tolerances.exclusion_factor"
+    def test_readme_config_example_parses(self):
+        # the jsonc example of README "Config", its comments stripped, is a
+        # valid vi config: a removed field cannot linger in the docs
+        readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+        example = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config(json.loads(re.sub(r"//[^\n]*", "", example)), "vi")
+        assert cfg.command == "vi" and cfg.r == 0.25
 
     @pytest.mark.parametrize("key, value, message", [
         ("seed", -5, "integer >= 0"), ("seed", 1.7, "integer >= 0"),
@@ -199,11 +212,12 @@ class TestExitCodes:
         assert "deficit 0.1" in capsys.readouterr().err
 
     def test_exclusion_factor_outside_unit_interval_is_one(self, tmp_path, capsys):
-        # a factor of 3 excludes the whole ball, so the checks would see no sample
+        # a factor of 3 would exclude the whole ball; no config field sets
+        # the factor, so the tolerances object that carried it is unknown
         cfgp = write_config(tmp_path, {"problem": AFFINE,
                                        "tolerances": {"exclusion_factor": 3}})
         assert main(["vi", "--config", cfgp]) == 1
-        assert "exclusion_factor" in capsys.readouterr().err
+        assert "config error: tolerances: unknown field 'tolerances'" in capsys.readouterr().err
 
     def test_exclusion_factor_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch):
         import ballsaddle.saddle as saddle_mod
@@ -218,7 +232,7 @@ class TestExitCodes:
         cfgp = write_config(tmp_path, {"problem": AFFINE,
                                        "tolerances": {"exclusion_factor": 3}})
         assert main(["vi", "--config", cfgp]) == 1
-        assert "tolerances.exclusion_factor" in capsys.readouterr().err
+        assert "unknown field 'tolerances'" in capsys.readouterr().err
         assert calls == []
 
     @pytest.mark.parametrize("doc, argv", [({}, ["--seed", "-5"]), ({"seed": -5}, []),
@@ -300,8 +314,7 @@ class TestOverrides:
 
     def test_config_echo_of_defaults(self):
         assert parse_config({"problem": AFFINE}, "vi").to_dict() == {
-            "command": "vi", "problem": AFFINE, "seed": 0,
-            "heuristic": False, "tolerances": DEFAULT_TOLERANCES}
+            "command": "vi", "problem": AFFINE, "seed": 0, "heuristic": False}
         # small-radius reads no seed, sample count, tolerance or mode
         assert parse_config({"problem": AFFINE}, "small-radius").to_dict() == {
             "command": "small-radius", "problem": AFFINE, "application": "vi",
@@ -768,6 +781,32 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", "--config", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["failures"] == []
+
+    def test_config_cannot_loosen_a_tampered_certificate(self, tmp_path, capsys):
+        # y* of the saddle certificate of x + (2, 0) moved from (-0.25, 0) to
+        # (0, 0), then verify's own recomputed body pasted back in, as a
+        # tamperer would.  At the fixed thresholds y-maximal fails (exit 3);
+        # a config echo with loose tolerances once made it verify (exit 0)
+        cert = self.make_cert(tmp_path, "saddle")
+        doc = json.loads(cert.read_text())
+        doc["certificate"]["solution"]["y_star"] = [0.0, 0.0]
+
+        def verify_pasted(doc):
+            for _ in range(2):
+                cert.write_text(json.dumps(doc))
+                capsys.readouterr()
+                code = main(["verify", "--config", str(cert)])
+                out, err = capsys.readouterr()
+                if code != 3:
+                    break
+                doc["certificate"] = json.loads(out)["recomputed"]
+            return code, err
+        assert verify_pasted(doc) == (3, "check failure: saddle-checks\n")
+        saddle = doc["certificate"]["checks"]["saddle"]
+        assert [rep["name"] for rep in saddle["reports"] if not rep["passed"]] == ["y-maximal"]
+        doc["config"]["tolerances"] = {"check": 1e6, "exclusion_factor": 0.999}
+        code, err = verify_pasted(doc)
+        assert code == 1 and "unknown field 'tolerances'" in err
 
     @pytest.mark.parametrize("case, key, value, name", [
         ("vi", "y_star", [-0.25, 0.001], "collapse"),  # every sampled check still passes

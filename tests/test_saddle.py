@@ -20,8 +20,7 @@ from ballsaddle import (Ball, Box, InvalidInput, NonConvergence, Payoff,
                         vi_payoff, vi_report)
 from ballsaddle.ba import ba_problem, certify_ba, solve_prox_pair
 from ballsaddle import saddle as saddle_module
-from ballsaddle.cli import (DEFAULT_TOLERANCES, _saddle_problem, parse_config,
-                            main as cli_main)
+from ballsaddle.cli import _saddle_problem, parse_config, main as cli_main
 from ballsaddle.oracles import fixedpoint_vi_oracle
 from ballsaddle.saddle import CHECK_SAMPLES, payoff_depends_on_y
 from ballsaddle.vi import certify_vi, vi_problem
@@ -65,33 +64,31 @@ class TestConfig:
             SaddleConfig(r=0.5, T=Ball(1.0, 2), L=0.0, smoothness=smoothness)
 
     @pytest.mark.parametrize("setting, value", [
-        ("tol", np.nan), ("tol", np.inf), ("check_tol", np.nan), ("check_tol", np.inf),
-        ("check_tol", -1e-8), ("strict_margin", -1e-3), ("strict_margin", np.nan),
-        ("strict_margin", 0.0), ("max_iters", 50.0), ("max_iters", True)])
+        ("tol", np.nan), ("tol", np.inf), ("max_iters", 50.0), ("max_iters", True)])
     def test_bad_solver_setting_rejected(self, setting, value):
         # tol = nan ran to the iteration cap, tol = inf returned the unsolved
-        # start, max_iters = 50.0 failed inside range() and a negative
-        # strict_margin passed a non-minimal x*
+        # start and max_iters = 50.0 failed inside range()
         with pytest.raises(InvalidInput, match=setting):
             SaddleConfig(r=0.5, T=Ball(1.0, 2), L=0.0, smoothness=1.0, **{setting: value})
 
     def test_settings_are_declared_once(self):
-        # the standalone audits and the command line take SaddleConfig's
-        # defaults, and the sampled checks CHECK_SAMPLES samples
+        # the two run settings are SaddleConfig's; the check thresholds are
+        # module constants that no caller of the certify path can set, the
+        # standalone audits keep only a strict margin defaulting to the constant,
+        # and the sampled checks draw CHECK_SAMPLES samples
+        assert [f.name for f in dataclasses.fields(SaddleConfig)] == [
+            "r", "T", "L", "smoothness", "tol", "max_iters", "r_max"]
         for audit in (check_vi, check_nearest_point):
             params = inspect.signature(audit).parameters
-            for name in ("strict_margin", "exclusion_factor"):
-                assert params[name].default == getattr(SaddleConfig, name)
+            assert params["strict_margin"].default == saddle_module.STRICT_MARGIN
+            assert "exclusion_factor" not in params
         for check in (check_vi, check_nearest_point, check_saddle):
             assert inspect.signature(check).parameters["n_samples"].default == CHECK_SAMPLES
         # the sample and start counts are no settings of any solve
         assert not {"n_samples", "uniqueness_starts"} & (
             {f.name for f in dataclasses.fields(SaddleConfig)}
             | set(inspect.signature(solve_prox_pair).parameters))
-        assert DEFAULT_TOLERANCES == {
-            "solve": SaddleConfig.tol, "check": SaddleConfig.check_tol,
-            "strict_margin": SaddleConfig.strict_margin,
-            "exclusion_factor": SaddleConfig.exclusion_factor}
+        assert not hasattr(saddle_module, "require_exclusion_factor")
 
     def test_readme_settings_table_matches_the_config(self):
         # the "Solver settings" table lists exactly the run settings of
@@ -359,8 +356,9 @@ class TestChecks:
 
     @pytest.mark.parametrize("factor", [0.0, 1.0, 3.0])
     def test_exclusion_factor_outside_unit_interval_rejected(self, factor):
+        # the factor is the fixed EXCLUSION_FACTOR, no field of the config
         p, cfg, pt = self.make_solved()
-        with pytest.raises(InvalidInput, match="exclusion_factor"):
+        with pytest.raises(TypeError, match="exclusion_factor"):
             check_saddle(p, pt, dataclasses.replace(cfg, exclusion_factor=factor), n_samples=50)
 
     @pytest.mark.parametrize("check", ["saddle", "vi", "nearest_point"])

@@ -10,6 +10,7 @@ from ballsaddle import (Ball, Box, CertificationError, HypothesisViolation,
                         InvalidInput, check_vi, make_affine, make_constant,
                         make_quadratic, small_radius, solve_best_approx, solve_prox_pair,
                         solve_vi, solve_vi_shifted, vi_report)
+from ballsaddle import saddle as saddle_module
 from ballsaddle.saddle import AUDIT_SAMPLES, CHECK_SAMPLES, UNIQUENESS_STARTS
 
 
@@ -133,25 +134,27 @@ class TestSolveVI:
             solve_vi(affine_instance(), mode="party")
 
     @pytest.mark.parametrize("keyword", ["tolerance", "step", "fail", "smoothness", "point",
-                                         "gate", "uniqueness"])
+                                         "gate", "uniqueness", "check_tol", "strict_margin"])
     def test_unknown_setting_is_a_type_error(self, keyword):
         # the settings go to SaddleConfig, which knows only its own fields;
-        # the step follows from the report, and the failure sink, a stored
-        # point and the shift gate record belong to the internal run_vi
+        # the step follows from the report, the check thresholds are fixed,
+        # and the failure sink, a stored point and the shift gate record
+        # belong to the internal run_vi
         with pytest.raises(TypeError, match=keyword):
             solve_vi(affine_instance(), **{keyword: 1e-8})
         with pytest.raises(TypeError, match=keyword):
             solve_vi_shifted(quartic_gate_map(), [16.0, 0.0], 1.0, **{keyword: 1e-8})
 
+    def test_bad_exclusion_factor_stops_before_any_solve(self, solve_calls):
+        # the factor is the fixed EXCLUSION_FACTOR, no setting of a solve
+        with pytest.raises(TypeError, match="exclusion_factor"):
+            solve_vi(affine_instance(), exclusion_factor=1.0)
+        assert solve_calls == []
+
     def test_theorem_is_not_a_keyword(self):
         # statement 4 needs the shift gate, so only solve_vi_shifted labels it
         with pytest.raises(TypeError, match="theorem"):
             solve_vi(affine_instance(), theorem="4")
-
-    def test_bad_exclusion_factor_stops_before_any_solve(self, solve_calls):
-        with pytest.raises(InvalidInput, match="exclusion_factor"):
-            solve_vi(affine_instance(), exclusion_factor=1.0)
-        assert solve_calls == []
 
     @pytest.mark.parametrize("name, value", [("n_samples", 0), ("n_samples", -5),
                                              ("n_samples", 100.0),
@@ -280,19 +283,20 @@ class TestCheckVI:
         rep = check_vi(m, np.array([-0.1, 0.0]), 0.25, n_samples=2000, seed=0)
         assert not rep.passed
 
-
     @pytest.mark.parametrize("factor", [0.0, 1.0, 3.0])
     def test_exclusion_factor_outside_unit_interval_rejected(self, factor):
-        with pytest.raises(InvalidInput, match="exclusion_factor"):
+        # a factor of 1 or more could exclude every sample; the factor is
+        # now the fixed EXCLUSION_FACTOR, and no caller can pass one
+        with pytest.raises(TypeError, match="exclusion_factor"):
             check_vi(affine_instance(), np.array([-0.25, 0.0]), 0.25, n_samples=50,
                      exclusion_factor=factor)
 
     @pytest.mark.parametrize("x_star", [[0.0, 0.0], [-0.25, 0.0], [0.1, -0.2]])
-    def test_wide_exclusion_keeps_samples(self, x_star):
-        # with a factor just below 1 only points about r from x* survive;
-        # an axis point +-r e_1 always does
-        rep = check_vi(affine_instance(), np.array(x_star), 0.25, n_samples=10, seed=1,
-                       exclusion_factor=0.999)
+    def test_wide_exclusion_keeps_samples(self, x_star, monkeypatch):
+        # any factor in (0, 1) keeps a sample: with one just below 1 only
+        # points about r from x* survive, and an axis point +-r e_1 always does
+        monkeypatch.setattr(saddle_module, "EXCLUSION_FACTOR", 0.999)
+        rep = check_vi(affine_instance(), np.array(x_star), 0.25, n_samples=10, seed=1)
         assert rep.n_samples >= 1
 
 
