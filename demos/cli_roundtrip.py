@@ -56,7 +56,7 @@ doc = json.loads(cert_path.read_text())
 x = doc["certificate"]["solution"]["x_star"]
 print(f"  x* from file = {x}")
 check("certificate envelope has the expected format tag",
-      doc["format"] == "ballsaddle-certificate/4")
+      doc["format"] == "ballsaddle-certificate/5")
 check("solution in the file is (-1/4, 0)",
       abs(x[0] + 0.25) <= 1e-8 and abs(x[1]) <= 1e-8)
 

@@ -19,6 +19,7 @@ delta constant can be solved exactly.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -159,12 +160,15 @@ def make_affine(A, b, rho: float) -> SmoothMap:
 def make_quadratic(A, b, Q, rho: float) -> SmoothMap:
     """Component i of the map is (A x + b)_i + x^T Q_i x with symmetric Q_i.
 
-    Row i of the Jacobian is A_i + 2 (Q_i x)^T.  With
-    s = sqrt(sum_i ||Q_i||^2) the constants used are the proved bounds
-    gamma = 2 s, theta = ||A|| + 2 rho s and eta = ||I - A|| + 2 rho s;
-    gamma is tight, theta and eta are conservative.  All-zero Q collapses to
-    the affine constructor.  Q is symmetrized once, (Q_i + Q_i^T)/2, which
-    leaves a symmetric Q_i bit for bit, so ||Q_i|| is the largest |eigenvalue|.
+    Row i of the Jacobian is A_i + 2 (Q_i x)^T, so row i of J(x) - J(x') is
+    2 (Q_i d)^T with d = x - x', and ||J(x) - J(x')|| <= 2 (d^T sum_i Q_i^2 d)^(1/2).
+    With s = ||sum_i Q_i^2||^(1/2) the constants used are the proved bounds
+    gamma = 2 s, theta = ||A|| + 2 rho s and eta = ||I - A|| + 2 rho s, all
+    conservative.  s is never above sqrt(sum_i ||Q_i||^2), and equals it when
+    every Q_i is a multiple of one matrix.  All-zero Q collapses to the affine
+    constructor.  Q is symmetrized once, (Q_i + Q_i^T)/2, which leaves a
+    symmetric Q_i bit for bit, so sum_i Q_i^2 = R^T R for the (n^2, n) stack R
+    of the Q_i, and s^2 is the largest eigenvalue of that n x n matrix.
     """
     b = as_point(b)
     A = np.asarray(A, dtype=float)
@@ -184,7 +188,8 @@ def make_quadratic(A, b, Q, rho: float) -> SmoothMap:
     if not Q.any():
         return make_affine(A, b, rho)
     norms = op_norm(np.stack([A, np.eye(n) - A]))
-    s = float(np.sqrt(np.sum(np.max(np.abs(np.linalg.eigvalsh(Q)), axis=1) ** 2)))
+    R = Q.reshape(n * n, n)
+    s = math.sqrt(max(0.0, float(np.linalg.eigvalsh(R.T @ R)[-1])))
     theta = float(norms[0]) + 2.0 * float(rho) * s
     eta = float(norms[1]) + 2.0 * float(rho) * s
     m = SmoothMap(

@@ -49,7 +49,7 @@ from .saddle import (SaddleConfig, SaddlePoint, check_saddle, gate, payoff_depen
                      raise_failure, solve_saddle)
 from .vi import run_vi, shift_problem, small_radius
 
-CERT_FORMAT = "ballsaddle-certificate/4"
+CERT_FORMAT = "ballsaddle-certificate/5"
 VERIFY_FORMAT = "ballsaddle-verification/1"
 VERIFY_REL_TOL = 1e-9
 VERIFY_ABS_TOL = 1e-14
@@ -71,8 +71,8 @@ _FIELDS = {
 class RunConfig:
     """A fully-resolved run request; ``to_dict`` is the echo embedded in
     certificates.  No field sets a solver setting or a check threshold.
-    ``smooth_map`` is the map ``parse_config`` built from ``problem``,
-    outside the schema."""
+    ``smooth_map``, ``Y`` and ``T`` are the map and the sets ``parse_config``
+    built from ``problem``, ``y_set`` and ``t_set``, outside the schema."""
 
     command: str
     problem: dict
@@ -86,6 +86,8 @@ class RunConfig:
     y_set: dict | None = None
     t_set: dict | None = None
     smooth_map: SmoothMap | None = field(default=None, repr=False, compare=False)
+    Y: ConvexSet | None = field(default=None, repr=False, compare=False)
+    T: ConvexSet | None = field(default=None, repr=False, compare=False)
 
     @property
     def mode(self) -> str:
@@ -103,7 +105,9 @@ class RunConfig:
 def parse_config(doc: dict, command: str) -> RunConfig:
     """Validate a config document against the schema of ``command``.
 
-    Unknown fields anywhere are rejected with their dotted path.
+    Unknown fields anywhere are rejected with their dotted path, and so is
+    a set the command will not read: ``y_set`` of ``constants`` or
+    ``saddle`` with the "vi" application or payoff.
     """
     if command not in _FIELDS:
         raise ConfigError(f"unknown command {command!r}")
@@ -113,6 +117,8 @@ def parse_config(doc: dict, command: str) -> RunConfig:
     for key, least in (("r", None), ("seed", 0), ("epsilon", None)):
         if key in doc:
             setattr(cfg, key, read_number(doc, key, least=least))
+    if not cfg.epsilon < 1.0:
+        raise ConfigError(f"epsilon must lie in (0, 1), got {cfg.epsilon}", path="epsilon")
     if "heuristic" in doc:
         if not isinstance(doc["heuristic"], bool):
             raise ConfigError("heuristic must be a boolean", path="heuristic")
@@ -127,9 +133,14 @@ def parse_config(doc: dict, command: str) -> RunConfig:
         if w.ndim != 1:
             raise ConfigError("w must be a non-empty array of finite numbers", path="w")
         cfg.w = w.tolist()
-    for name in ("y_set", "t_set"):
+    selector = {"constants": "application", "saddle": "payoff"}.get(command)
+    if "y_set" in doc and selector and getattr(cfg, selector) == "vi":
+        raise ConfigError(f"{command} with {selector} 'vi' reads no y_set", path="y_set")
+    m = cfg.smooth_map
+    for name, attr in (("y_set", "Y"), ("t_set", "T")):
         if name in doc:
             setattr(cfg, name, doc[name])
+            setattr(cfg, attr, set_from_dict(doc[name], m.dimension, name))
     return cfg
 
 
@@ -157,13 +168,8 @@ def set_from_dict(doc: dict, dim: int, path: str) -> ConvexSet:
 
 
 def _y_set(cfg: RunConfig, m: SmoothMap) -> ConvexSet:
-    y_doc = cfg.y_set or {"kind": "ball", "radius": m.domain_radius}
-    return set_from_dict(y_doc, m.dimension, "y_set")
-
-
-def _t_set(cfg: RunConfig, m: SmoothMap) -> ConvexSet | None:
-    """The configured T, or None for the default ball(r)."""
-    return None if cfg.t_set is None else set_from_dict(cfg.t_set, m.dimension, "t_set")
+    """The configured Y, else ball(rho)."""
+    return cfg.Y or Ball(m.domain_radius, m.dimension)
 
 
 def _saddle_problem(cfg: RunConfig, m: SmoothMap, fail=raise_failure):
@@ -180,7 +186,7 @@ def _saddle_problem(cfg: RunConfig, m: SmoothMap, fail=raise_failure):
     # sigma > 0 and the default r come from the payoff's own report; the
     # certified-mode checks need the saddle report, which depends on T
     r = gate(rep, cfg.r, "heuristic", rho, fail)
-    T = _t_set(cfg, m) or Ball(r, m.dimension)
+    T = cfg.T or Ball(r, m.dimension)
     delta = delta_const(payoff, T)
     report = ConstantsReport(
         rho=rho, theta=rep.theta, gamma=rep.gamma, eta=rep.eta, delta=delta,
@@ -261,7 +267,7 @@ def _certify(cfg: RunConfig, fail, point: SaddlePoint | None = None,
         cert = run_vi(shifted, cfg.r, report, {}, point, gate=record, **kw)
     elif cfg.command in ("prox-pair", "best-approx"):
         Y = _y_set(cfg, m)
-        cert = run_ba(m, Y, _t_set(cfg, m), cfg.r, ba_report(m, Y, seed=cfg.seed),
+        cert = run_ba(m, Y, cfg.T, cfg.r, ba_report(m, Y, seed=cfg.seed),
                       {}, point, uniqueness=uniqueness,
                       theorem="5" if cfg.command == "prox-pair" else "6", **kw)
     else:

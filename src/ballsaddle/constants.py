@@ -14,7 +14,9 @@ Every certified run needs a handful of scalar constants of the problem map:
 * ``delta`` -- min over the dual set of the payoff x-gradient norm at 0.
 
 Each constant carries a certification flag: exact analytic value, a proved
-conservative upper bound, or a sampled lower bound (not certification grade).
+conservative bound (an upper bound of theta, gamma, eta, M and L, the
+denominators of the admissible radius; a lower bound of sigma and delta, its
+numerators), or a sampled lower bound (not certification grade).
 The admissible radius caps the ball radius ``r`` at which the sphere-located
 solution is guaranteed.
 """
@@ -26,8 +28,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import HypothesisViolation, InvalidInput, NonConvergence
-from .geometry import Ball, ConvexSet, as_point, axis_points
+from .errors import HypothesisViolation, InvalidInput
+from .geometry import Ball, Box, ConvexSet, as_point, axis_points
 
 SIGMA_TOL = 1e-10
 SIGMA_MAX_ITERS = 10**5
@@ -219,35 +221,54 @@ def _min_residual_over_ball(b: np.ndarray, A: np.ndarray, rho: float) -> float:
     return float(np.sqrt(max(0.0, float(np.sum(c2 * weights)) - lam * rho * rho)))
 
 
-def _min_residual_over_set(b: np.ndarray, A: np.ndarray, C: ConvexSet) -> float:
-    """min over y in C of ||b - A^T y||: in closed form on balls, by
-    projected gradient descent on boxes and projection-oracle sets.
+def _support(C: ConvexSet):
+    """An upper bound on the support function h_C(v) = sup over y in C of
+    <v, y>: exact on a box, sup_norm * ||v|| on any other set."""
+    if isinstance(C, Box):
+        return lambda v: float(np.sum(np.maximum(C.lower * v, C.upper * v)))
+    radius = C.sup_norm()
+    return lambda v: radius * float(np.linalg.norm(v))
 
-    The objective is the convex quadratic ||b - A^T y||^2; the fixed step
-    1/(2 ||A||^2) guarantees descent and the loop stops once the gradient
-    mapping norm falls below SIGMA_TOL.
+
+def _min_residual_over_set(b: np.ndarray, A: np.ndarray, C: ConvexSet) -> CertValue:
+    """A proved lower bound on min over y in C of ||b - A^T y||: in closed
+    form on balls (analytic), by weak duality on boxes and
+    projection-oracle sets.
+
+    For a unit u, ||b - A^T y|| >= <u, b> - <A u, y> >= <u, b> - h_C(A u)
+    (``_support``).  Projected gradient descent on the convex quadratic
+    ||b - A^T y||^2, with the fixed step 1/(2 ||A||^2), supplies
+    u = (b - A^T y)/||b - A^T y|| at each iterate y; the best of these
+    bounds is returned.  It is flagged analytic once the gap to the
+    objective at an iterate is at most SIGMA_TOL, else conservative-bound:
+    when the iterates stall (the gradient mapping norm falls below
+    SIGMA_TOL), when ||A|| <= 1e-9, or at SIGMA_MAX_ITERS.
     """
     b = as_point(b)
     A = np.asarray(A, dtype=float)
     if A.shape != (b.size, b.size):
         raise InvalidInput(f"matrix shape {A.shape} does not match dimension {b.size}")
     if isinstance(C, Ball):
-        return _min_residual_over_ball(as_point(b, dim=C.dim), A, C.radius)
+        return CertValue(_min_residual_over_ball(as_point(b, dim=C.dim), A, C.radius),
+                         CertFlag.ANALYTIC)
+    support = _support(C)
     na = op_norm(A)
-    if na <= 1e-9:
-        # The y-term is negligible; return the sound lower bound.
-        return max(0.0, float(np.linalg.norm(b)) - na * C.sup_norm())
-    step = 1.0 / (2.0 * na * na)
-    y = C.project(np.zeros_like(b))
+    y, bound = C.project(np.zeros_like(b)), 0.0
     for _ in range(SIGMA_MAX_ITERS):
-        grad = 2.0 * (A @ (A.T @ y - b))
-        y_next = C.project(y - step * grad)
-        if float(np.linalg.norm(y - y_next)) / step <= SIGMA_TOL:
-            return float(np.linalg.norm(b - A.T @ y_next))
+        res = b - A.T @ y
+        value = float(np.linalg.norm(res))
+        g = A @ res  # h_C is positively homogeneous: h_C(A u) = h_C(g) / value
+        if value > 0.0:
+            bound = max(bound, (float(res @ b) - support(g)) / value)
+        if value - bound <= SIGMA_TOL:
+            return CertValue(bound, CertFlag.ANALYTIC)
+        if na <= 1e-9:  # the y-term moves the residual by at most na sup_norm
+            break
+        y_next = C.project_unchecked(y + g / (na * na))  # step 1/(2 ||A||^2) on the gradient -2 g
+        if float(np.linalg.norm(y - y_next)) * 2.0 * na * na <= SIGMA_TOL:
+            break
         y = y_next
-    raise NonConvergence(
-        f"projected gradient on the dual set did not reach tolerance in {SIGMA_MAX_ITERS} "
-        "iterations")
+    return CertValue(bound, CertFlag.CONSERVATIVE)
 
 
 def sigma_vi(phi0, jac0, rho: float) -> float:
@@ -255,24 +276,26 @@ def sigma_vi(phi0, jac0, rho: float) -> float:
 
     ``phi0`` and ``jac0`` are the map value and Jacobian at the origin.
     """
-    return _min_residual_over_set(phi0, jac0, Ball(rho, np.size(phi0)))
+    return _min_residual_over_set(phi0, jac0, Ball(rho, np.size(phi0))).value
 
 
 def sigma_ba(f0, jac0, Y: ConvexSet) -> float:
-    """min over y in Y of ||jac0^T y - f0|| (the approximation-mode sigma)."""
-    return _min_residual_over_set(f0, jac0, Y)
+    """A proved lower bound on min over y in Y of ||jac0^T y - f0|| (the
+    approximation-mode sigma), the minimum itself on a ball; ``ba_report``
+    carries its flag."""
+    return _min_residual_over_set(f0, jac0, Y).value
 
 
 def delta_const(payoff, Y: ConvexSet, n_samples: int = 2000, seed: int = 0) -> CertValue:
     """min over y in Y of ||grad_x J(0, y)||.
 
     Catalog payoffs expose the affine structure of the gradient at the
-    origin, so the minimum is solved exactly; black-box payoffs fall back to
+    origin, so the minimum is bounded from below by ``_min_residual_over_set``
+    (analytic when its duality gap closed); black-box payoffs fall back to
     a sampled minimum flagged as not certification grade.
     """
     if payoff.grad0_affine is not None:
-        b, A = payoff.grad0_affine
-        return CertValue(_min_residual_over_set(b, A, Y), CertFlag.ANALYTIC)
+        return _min_residual_over_set(*payoff.grad0_affine, Y)
     require_count("n_samples", n_samples, 1)
     rng = np.random.default_rng(seed)
     ys = Y.sample(rng, n_samples)
@@ -326,8 +349,8 @@ def ba_report(m, Y: ConvexSet, samples: int = 1000, seed: int = 0) -> ConstantsR
     L = CertValue(2.0 * (eta.value + theta.value + gamma.value * (rho + Y.sup_norm())),
                   combine_flags(theta.flag, gamma.flag, eta.flag))
     zero = np.zeros(m.dimension)
-    sig = CertValue(sigma_ba(m.val(zero), m.jac(zero), Y), CertFlag.ANALYTIC)
-    delta = CertValue(2.0 * sig.value, CertFlag.ANALYTIC)
+    sig = _min_residual_over_set(m.val(zero), m.jac(zero), Y)
+    delta = CertValue(2.0 * sig.value, sig.flag)
     report = ConstantsReport(rho=rho, theta=theta, gamma=gamma, eta=eta, delta=delta,
                              L=L, sigma=sig, radius_rule="ba")
     return replace(report, r_max=admissible_radius(report) if sig.value > 0 else 0.0)

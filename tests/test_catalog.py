@@ -297,16 +297,71 @@ def test_quadratic_oracles_match_explicit_forms():
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32])
 def test_quadratic_norms_from_eigenvalues_match_the_singular_values(n):
+    # s^2, the top eigenvalue of sum_i Q_i^2, is the squared top singular
+    # value of the (n^2, n) stack of the Q_i, and s never exceeds the
+    # per-Q_i sum sqrt(sum_i ||Q_i||^2) that an SVD stack gives
     rng = np.random.default_rng(100 + n)
     A, b = rng.normal(size=(n, n)), rng.normal(size=n)
     Q = rng.normal(size=(n, n, n))
     Q = 0.5 * (Q + Q.transpose(0, 2, 1))
     m = make_quadratic(A, b, Q, 1.0)
-    svd = np.linalg.norm(Q, 2, axis=(1, 2))
-    assert np.all(np.abs(np.max(np.abs(np.linalg.eigvalsh(Q)), axis=1) - svd) <= 1e-14 * svd)
-    s = np.sqrt(np.sum(svd ** 2))
+    s = np.linalg.norm(Q.reshape(n * n, n), 2)
     assert abs(m.analytic.gamma - 2.0 * s) <= 1e-14 * 2.0 * s
     assert abs(m.analytic.theta - (np.linalg.norm(A, 2) + 2.0 * s)) <= 1e-14 * m.analytic.theta
+    assert s <= np.sqrt(np.sum(np.linalg.norm(Q, 2, axis=(1, 2)) ** 2))
+
+
+def _quadratic_family(rng, n, family):
+    """Symmetric Q of one of three shapes: independent random Q_i, rank-one
+    Q_i = c_i v v^T aligned on one v, or multiples c_i M of one matrix M."""
+    if family == "random":
+        Q = rng.normal(size=(n, n, n))
+        return 0.5 * (Q + Q.transpose(0, 2, 1))
+    c = rng.normal(size=n)
+    if family == "aligned":
+        v = rng.normal(size=n)
+        return c[:, None, None] * np.outer(v, v)
+    M = rng.normal(size=(n, n))
+    return c[:, None, None] * (M + M.T)
+
+
+@pytest.mark.parametrize("family", ["random", "aligned", "shared"])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32])
+def test_quadratic_constants_bound_the_jacobian(n, family):
+    # gamma >= 2 ||Q(d)|| for unit d, where row i of Q(d) is (Q_i d)^T and
+    # J(x) - J(x') = 2 Q(x - x'); theta >= ||J(x)|| on the ball; and s lies
+    # at or below the per-Q_i sum, on it when the Q_i share one matrix
+    rng = np.random.default_rng(1000 * n + len(family))
+    A, b, rho = rng.normal(size=(n, n)), rng.normal(size=n), 0.7
+    Q = _quadratic_family(rng, n, family)
+    m = make_quadratic(A, b, Q, rho)
+    s = m.analytic.gamma / 2.0
+    top = np.linalg.eigh(sum(q @ q for q in Q))[1][:, -1]
+    dirs = np.vstack([top, sample_ball(rng, 60, n, 1.0)])
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    ratios = [2.0 * np.linalg.norm(Q @ d, 2) / m.analytic.gamma for d in dirs]
+    assert max(ratios) <= 1.0 + 1e-12
+    if family != "random":  # rank one in d: the bound is attained at the top direction
+        assert ratios[0] >= 1.0 - 1e-9
+    xs = np.vstack([sample_ball(rng, 30, n, rho), rho * dirs])
+    assert max(np.linalg.norm(m.jac(x), 2) for x in xs) <= m.analytic.theta * (1.0 + 1e-12)
+    per_q = np.sqrt(np.sum(np.linalg.norm(Q, 2, axis=(1, 2)) ** 2))
+    assert s <= per_q * (1.0 + 1e-12)
+    if family != "random":
+        assert abs(s - per_q) <= 1e-12 * per_q
+
+
+def test_quadratic_constants_take_one_small_eigenproblem(monkeypatch):
+    # one eigvalsh of the n x n matrix sum_i Q_i^2, not one per Q_i
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    rand_quadratic(np.random.default_rng(5), 8)
+    assert shapes == [(8, 8)]
 
 
 def test_slightly_asymmetric_quadratic_keeps_a_true_gamma():

@@ -109,6 +109,42 @@ class TestParseConfig:
         echo = parse_config({"problem": AFFINE, **sets}, "prox-pair").to_dict()
         assert "uniqueness_starts" not in echo
 
+    @pytest.mark.parametrize("command, doc", [
+        # each exited 0: constants echoed the garbage, saddle then verified
+        ("constants", {"problem": AFFINE, "application": "vi", "y_set": "garbage"}),
+        ("saddle", {"problem": AFFINE, "payoff": "vi", "y_set": {"kind": "box"}}),
+        ("saddle", {"problem": AFFINE, "y_set": {"kind": "ball", "radius": 1.0}})])
+    def test_unread_y_set_is_a_config_error(self, tmp_path, capsys, command, doc):
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 1
+        assert "config error: y_set:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, doc, path", [
+        ("constants", {"problem": AFFINE, "application": "ba", "y_set": "garbage"}, "y_set"),
+        ("saddle", {"problem": AFFINE, "payoff": "ba", "y_set": {"kind": "box"}},
+         "y_set.lower"),
+        ("saddle", {"problem": AFFINE, "t_set": {"kind": "ball", "radius": -1}},
+         "t_set.radius"),
+        ("prox-pair", {"problem": AFFINE, "y_set": {"kind": "ball", "radius": 1.0, "x": 0}},
+         "y_set.x")])
+    def test_bad_set_is_refused_when_parsed(self, command, doc, path):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc, command)
+        assert exc.value.path == path
+
+    def test_read_sets_are_built_once(self):
+        cfg = parse_config({"problem": AFFINE, "payoff": "ba", "y_set": BOX, "t_set": BOX},
+                           "saddle")
+        assert cfg.Y.dim == cfg.T.dim == 2 and cfg.to_dict()["y_set"] == BOX
+
+    @pytest.mark.parametrize("epsilon", [1, 2])
+    def test_epsilon_outside_the_unit_interval_is_a_config_error(self, tmp_path, capsys,
+                                                                 epsilon):
+        # epsilon 2 passed the parse and failed later as "error: epsilon must lie ..."
+        doc = {"problem": AFFINE, "epsilon": epsilon}
+        assert main(["small-radius", "--config", write_config(tmp_path, doc)]) == 1
+        assert ("config error: epsilon: epsilon must lie in (0, 1)"
+                in capsys.readouterr().err)
+
     def test_heuristic_must_be_bool(self):
         with pytest.raises(ConfigError, match="heuristic"):
             parse_config({"problem": AFFINE, "heuristic": "yes"}, "vi")
@@ -152,7 +188,7 @@ class TestExitCodes:
         cfgp = write_config(tmp_path, {"problem": AFFINE})
         assert main(["vi", "--config", cfgp]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["format"] == "ballsaddle-certificate/4"
+        assert doc["format"] == "ballsaddle-certificate/5"
         assert doc["passed"] is True
         assert doc["certificate"]["theorem"] == "2"
 
@@ -736,7 +772,7 @@ class TestVerify:
         cert.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["verify", "--config", str(cert)]) == 1
-        assert "not a ballsaddle-certificate/4 document" in capsys.readouterr().err
+        assert "not a ballsaddle-certificate/5 document" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["vi", "vi-shifted", "best-approx"])
     def test_tampered_proof_margin_detected(self, tmp_path, capsys, case):
@@ -756,7 +792,7 @@ class TestVerify:
         cert.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["verify", "--config", str(cert)]) == 1
-        assert ("not a ballsaddle-certificate/4 document; re-run the solve"
+        assert ("not a ballsaddle-certificate/5 document; re-run the solve"
                 in capsys.readouterr().err)
 
     def test_format_2_certificate_asks_for_a_new_solve(self, tmp_path, capsys):
@@ -767,14 +803,28 @@ class TestVerify:
         cert.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["verify", "--config", str(cert)]) == 1
-        assert ("not a ballsaddle-certificate/4 document; re-run the solve"
+        assert ("not a ballsaddle-certificate/5 document; re-run the solve"
+                in capsys.readouterr().err)
+
+    def test_format_4_quadratic_certificate_asks_for_a_new_solve(self, tmp_path, capsys):
+        # format 4 bounded a quadratic map's gamma by sqrt(sum ||Q_i||^2); its
+        # body would fail constants:gamma against today's ||sum Q_i^2||^(1/2)
+        cert = self.make_cert(tmp_path, "vi", {"problem": quadratic_problem(4, 1)})
+        doc = json.loads(cert.read_text())
+        doc["format"] = "ballsaddle-certificate/4"
+        cert.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cert)]) == 1
+        assert ("not a ballsaddle-certificate/5 document; re-run the solve"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["vi", "best-approx"])
     def test_extragradient_certificate_verifies(self, capsys, command):
-        # format-4 certificates stored before statements 2 and 6 solved by the
+        # certificates stored before statements 2 and 6 solved by the
         # fixed-point iteration: their points, residuals and iteration counts
-        # are the extragradient's, and their y* differs from x* by about 1e-8
+        # are the extragradient's, and their y* differs from x* by about 1e-8.
+        # Written as format 4; format 5 changed only quadratic-map constants,
+        # so these affine bodies carry the /5 label unchanged
         path = pathlib.Path(__file__).parent / "fixtures" / f"extragradient-{command}.json"
         body = json.loads(path.read_text())["certificate"]
         assert body["solution"]["x_star"] != body["solution"]["y_star"]

@@ -8,11 +8,13 @@ from numpy.testing import assert_allclose
 
 from ballsaddle import (Ball, Box, CertFlag, CertValue,
                         DimensionMismatch, HypothesisViolation, InvalidInput,
+                        ProjectionOracle,
                         admissible_radius, ba_report,
                         combine_flags, delta_const, estimate_lipschitz,
                         estimate_theta, make_affine, make_constant,
                         make_quadratic, op_norm, sigma_ba, sigma_vi, vi_payoff,
                         vi_report)
+from ballsaddle import constants
 from ballsaddle.oracles import grid_sigma_oracle
 
 
@@ -90,7 +92,8 @@ class TestOpNorm:
 
     def test_quadratic_gamma_is_the_exact_norm_sum(self):
         # the benchmark family at n = 32: A = I + 0.3 G / sqrt(n) and
-        # symmetric Q_i scaled to sqrt(sum ||Q_i||^2) = 0.1
+        # symmetric Q_i scaled to sqrt(sum ||Q_i||^2) = 0.1.  gamma / 2 is
+        # the exact norm ||sum_i Q_i^2||^(1/2), well below that sum here
         n = 32
         rng = np.random.default_rng(32)
         A = np.eye(n) + 0.3 * rng.normal(size=(n, n)) / np.sqrt(n)
@@ -98,8 +101,9 @@ class TestOpNorm:
         Q = 0.5 * (Q + Q.transpose(0, 2, 1))
         Q *= 0.1 / np.sqrt(sum(np.linalg.norm(q, 2) ** 2 for q in Q))
         m = make_quadratic(A, np.ones(n), Q, 1.0)
-        s = np.sqrt(sum(np.linalg.norm(q, 2) ** 2 for q in Q))
+        s = np.sqrt(np.linalg.norm(sum(q @ q for q in Q), 2))
         assert abs(m.analytic.gamma / 2.0 - s) <= 1e-14 * s
+        assert s <= 0.1 * 0.9
         assert m.analytic.theta >= np.linalg.norm(A, 2) + 2.0 * s * (1.0 - 1e-14)
 
 
@@ -232,6 +236,72 @@ class TestSigma:
         Y = Box([0.0, 0.0], [1.0, 1.0])
         s = sigma_ba(np.array([3.0, 0.0]), np.zeros((2, 2)), Y)
         assert abs(s - 3.0) <= 1e-8
+
+    @staticmethod
+    def _diagonal_instance(rng, n):
+        # A = diag(d): the minimum over the box is separable, y_i = clip(b_i / d_i)
+        d = rng.choice([-1.0, 1.0], n) * rng.uniform(0.05, 2.0, n)
+        b = 2.0 * rng.normal(size=n)
+        lo, hi = -rng.uniform(0.05, 1.0, n), rng.uniform(0.05, 1.0, n)
+        exact = float(np.linalg.norm(b - d * np.clip(b / d, lo, hi)))
+        return b, np.diag(d), Box(lo, hi), exact
+
+    def test_box_sigma_never_exceeds_the_exact_minimum(self):
+        # sigma is a numerator of r_max: a value above the minimum, such as
+        # the objective at an iterate, would overstate the radius
+        rng = np.random.default_rng(40)
+        for n in (2, 3, 5, 8, 16):
+            for _ in range(10):
+                b, A, Y, exact = self._diagonal_instance(rng, n)
+                assert sigma_ba(b, A, Y) <= exact + 1e-13
+                v = constants._min_residual_over_set(b, A, Y)
+                assert v.flag is CertFlag.CONSERVATIVE or exact - v.value <= 1e-10
+
+    @pytest.mark.parametrize("n, ppa", [(2, 201), (3, 41)])
+    def test_box_sigma_stays_below_the_grid(self, n, ppa):
+        rng = np.random.default_rng(50 + n)
+        for _ in range(6):
+            A, b = rng.normal(size=(n, n)), 2.0 * rng.normal(size=n)
+            Y = Box(-rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, n))
+            mine = sigma_ba(b, A, Y)
+            grid = grid_sigma_oracle(b, A, Y, ppa=ppa)
+            assert mine <= grid + 1e-12
+            # the coarser 3-d grid localizes an interior zero only to a cell
+            assert grid - mine <= (5e-3 if n == 3 else 1e-6)
+
+    def test_one_iteration_cap_returns_a_lower_bound(self, monkeypatch):
+        # at the cap the bound so far comes back, flagged conservative,
+        # and no NonConvergence is raised
+        monkeypatch.setattr(constants, "SIGMA_MAX_ITERS", 1)
+        rng = np.random.default_rng(41)
+        for n in (2, 4, 8):
+            b, A, Y, exact = self._diagonal_instance(rng, n)
+            v = constants._min_residual_over_set(b, A, Y)
+            assert v.flag is CertFlag.CONSERVATIVE
+            assert 0.0 <= v.value <= exact + 1e-13
+
+    def test_oracle_set_bound(self):
+        # an oracle ball is bounded by sup_norm ||v||, exact for a ball, so
+        # the gap closes on the closed-form value; an oracle box, bounded the
+        # same way, stays at or below the box value
+        b, A = np.array([2.0, 0.5]), np.array([[1.0, 0.3], [0.0, 0.8]])
+        ball = ProjectionOracle(lambda z: z / max(1.0, np.linalg.norm(z)), 1.0, 2)
+        v = constants._min_residual_over_set(b, A, ball)
+        assert v.flag is CertFlag.ANALYTIC
+        assert abs(v.value - sigma_ba(b, A, Ball(1.0, 2))) <= 1e-9
+        box = Box([-0.5, -0.5], [0.5, 0.5])
+        oracle = ProjectionOracle(box.project, box.sup_norm(), 2)
+        assert constants._min_residual_over_set(b, A, oracle).value <= sigma_ba(b, A, box)
+
+    def test_box_bound_keeps_its_flag(self):
+        # the same bound, with its flag, is the sigma and delta of a ba
+        # report and the delta of a vi payoff on a box
+        m = make_affine(np.array([[1.0, 0.3], [0.0, 0.8]]), [2.0, 0.5], 1.0)
+        Y = Box([-0.5, -0.5], [0.5, 0.5])
+        rep = ba_report(m, Y)
+        v = constants._min_residual_over_set(m.val(np.zeros(2)), m.jac(np.zeros(2)), Y)
+        assert rep.sigma == v and rep.delta == CertValue(2.0 * v.value, v.flag)
+        assert delta_const(vi_payoff(m), Y) == v
 
 
 class TestDelta:
