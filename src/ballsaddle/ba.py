@@ -34,9 +34,9 @@ from .geometry import Ball, Box, ConvexSet, ball_projection, dist_ball, norm, pr
 from .saddle import (AUDIT_SAMPLES, CHECK_SAMPLES, CHECK_TOL, EXCLUSION_FACTOR, SPHERE_TOL,
                      STRICT_MARGIN, Certificate, CheckReport, SaddleChecks, SaddleConfig,
                      SaddlePoint, ball_check_samples, by_blocks, check_saddle, claims_sphere,
-                     contraction, contraction_record, exclusion_mask, failed_names, gate,
-                     probe_uniqueness, proof_record, proved_norm_floor, raise_failure,
-                     slack_report, solve_saddle, sphere_fixed_point, uniqueness_consistent)
+                     contraction, exclusion_mask, failed_names, gate, probe_uniqueness,
+                     raise_failure, slack_report, solve_saddle, sphere_fixed_point,
+                     sphere_records, uniqueness_consistent)
 from .vi import COLLAPSE_TOL, SmallRadiusResult, radius_from_origin
 
 IDENTITY_TOL = 1e-6
@@ -133,13 +133,14 @@ def certify_ba(m: SmoothMap, Y: ConvexSet, point: SaddlePoint, cfg: SaddleConfig
     collapse x* = y*, the distance identity, y-maximal in closed form, the
     proved nearest-point inequality and its audit on AUDIT_SAMPLES samples.
     Uniqueness is the probe record ``uniqueness``, or when the problem
-    ``collapses`` the ``contraction_record`` of x -> P_ball(r)(f(x)), with
-    the floor max(r, reach), reach = ||f(0)|| - r theta (the projection is
-    1-Lipschitz, and radial beyond r).  A failed identity or check is a
-    name in ``failed_checks``.
+    ``collapses`` the uniqueness record of the ``sphere_records`` of
+    x -> P_ball(r)(f(x)), with the floor max(r, reach), reach = ||f(0)|| -
+    r theta (the projection is 1-Lipschitz, and radial beyond r), and the
+    proof terms (r, max(1, 2 theta)); statement 6 also keeps their proof
+    record.  A failed identity or check is a name in ``failed_checks``.
 
     The proof of statement 6: for a lower bound phi >= r of ||f(x*)||
-    (``proved_norm_floor`` from reach), x* = r f(x*)/||f(x*)|| and f is
+    (the records' phi_lower, from reach), x* = r f(x*)/||f(x*)|| and f is
     theta-Lipschitz, so ||f(x) - x||^2 - ||f(x) - x*||^2 >=
     (phi/r - 2 theta) ||x - x*||^2 on ball(r).  The proof's coefficient is
     phi/r - max(1, 2 theta), which covers both conditions.
@@ -150,21 +151,19 @@ def certify_ba(m: SmoothMap, Y: ConvexSet, point: SaddlePoint, cfg: SaddleConfig
         raise InvalidInput("statement 6 needs Y = ball(rho) and T = ball(r)")
     fx = m.val(x_star)
     if collapsed:
-        reach, q = contraction(m, r, theta, r)
-        uniqueness = contraction_record(q, norm(x_star - project_ball(fx, r)))
+        uniqueness, proof = sphere_records(contraction(m, r, theta, r), theta,
+                                           norm(x_star - project_ball(fx, r)), norm(fx),
+                                           (r, max(1.0, 2.0 * theta)), m.dimension)
     cert = BACertificate(
         theorem=theorem, mode=mode, r=r, x_star=x_star, y_star=y_star,
         residual=point.residual, iterations=point.iterations,
         projection_gap=norm(y_star - cfg.T.project(fx)), constants=report,
-        uniqueness=uniqueness, y_maximal_slack=None, proof=None)
+        uniqueness=uniqueness, y_maximal_slack=None, proof=proof if theorem == "6" else None)
     if theorem == "6":
         dist = dist_ball(fx, r)
         cert.collapse_gap, cert.distance_gap = norm(x_star - y_star), abs(norm(fx - x_star) - dist)
         # sup over y in ball(r) of J(x*, y) = ||f - x*||^2 - ||f - y||^2 less J(x*, y*)
         cert.y_maximal_slack = CHECK_TOL - (norm(fx - y_star) ** 2 - dist ** 2)
-        phi = proved_norm_floor(uniqueness, theta, reach, norm(fx))
-        least = max(1.0, 2.0 * theta)
-        cert.proof = proof_record(uniqueness, phi, phi / r - least, phi / r + least, m.dimension)
         cert.nearest_check = check_nearest_point(m, x_star, r, AUDIT_SAMPLES, seed + 4)
     else:
         cert.saddle_checks = check_saddle(ba_payoff(m, Y), point, cfg, seed=seed + 1)

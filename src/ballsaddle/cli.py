@@ -398,10 +398,17 @@ def _to_jsonable(obj):
 
 
 def _write_atomic(path: str, text: str):
+    """Write ``text`` to ``path`` through ``path.tmp``; a failure leaves no
+    ``.tmp`` behind and raises InvalidInput naming ``path``."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise InvalidInput(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 # command-line overrides of config fields; a command takes those in its schema

@@ -119,55 +119,33 @@ def op_norm(A):
     return float(norms) if A.ndim == 2 else norms
 
 
-def _ball_point_stream(rng: np.random.Generator, n: int, dim: int, rho: float) -> np.ndarray:
-    # One point per (dim normals + 1 uniform) draw so that a longer stream is a
-    # prefix-extension of a shorter one with the same seed.
-    pts = np.empty((n, dim))
-    for i in range(n):
-        g = rng.standard_normal(dim)
-        ng = np.linalg.norm(g)
-        if ng == 0:
-            g[0], ng = 1.0, 1.0
-        pts[i] = (rho * rng.uniform() ** (1.0 / dim)) * g / ng
-    return pts
-
-
-def quasi_ball_points(dim: int, rho: float, samples: int, seed: int) -> np.ndarray:
-    """Deterministic low-discrepancy points of the ball of radius ``rho``,
-    prefixed by the structured points {0, +-rho e_i}."""
-    import warnings
-
-    from scipy.special import ndtri
-    from scipy.stats import qmc
-
-    structured = np.vstack([np.zeros((1, dim)), axis_points(dim, rho)])
-    n_free = max(0, samples - structured.shape[0])
-    if n_free == 0:
-        return structured[:samples]
-    with warnings.catch_warnings():
-        # non-power-of-2 draws are fine here, the points only seed a sup
-        warnings.simplefilter("ignore", UserWarning)
-        sob = qmc.Sobol(d=dim + 1, scramble=True, seed=seed).random(n_free)
-    dirs = ndtri(np.clip(sob[:, :dim], 1e-12, 1 - 1e-12))
-    lens = np.linalg.norm(dirs, axis=1, keepdims=True)
-    lens[lens == 0] = 1.0
-    radii = rho * np.clip(sob[:, dim:], 0.0, 1.0) ** (1.0 / dim)
-    return np.vstack([structured, radii * dirs / lens])
+def ball_points(dim: int, rho: float, n: int, seed: int) -> np.ndarray:
+    """n points uniform in the ball of radius ``rho``: rho times the first
+    dim coordinates of the unit vector along each row of an (n, dim + 2)
+    normal draw, a uniform point of the sphere in dimension dim + 2
+    (Voelker, Gosmann and Stewart, 2017).  A longer draw with the same seed
+    extends a shorter one."""
+    g = np.random.default_rng(seed).standard_normal((n, dim + 2))
+    lens = np.linalg.norm(g, axis=1, keepdims=True)
+    lens[lens == 0.0] = 1.0
+    return (rho / lens) * g[:, :dim]
 
 
 def estimate_theta(smooth_map, samples: int = 1000, seed: int = 0) -> CertValue:
     """Sup of ||jacobian(x)|| over the domain ball.
 
     Declared analytic constants pass through with their own flag; otherwise
-    the max over quasi-random points (including 0 and the 2n axis boundary
-    points) is returned as a sampled lower bound.
+    the max over ``samples`` points, 0 and the 2n axis boundary points
+    first and then ``ball_points``, is returned as a sampled lower bound.
     """
     if smooth_map.analytic is not None:
         a = smooth_map.analytic
         return CertValue(a.theta, a.theta_flag)
     require_count("samples", samples, 1)
-    pts = quasi_ball_points(smooth_map.dimension, smooth_map.domain_radius, samples, seed)
-    return CertValue(max(op_norm(smooth_map.jac(x)) for x in pts), CertFlag.SAMPLED)
+    dim, rho = smooth_map.dimension, smooth_map.domain_radius
+    structured = np.vstack([np.zeros((1, dim)), axis_points(dim, rho)])
+    pts = np.vstack([structured, ball_points(dim, rho, max(0, samples - len(structured)), seed)])
+    return CertValue(max(op_norm(smooth_map.jac(x)) for x in pts[:samples]), CertFlag.SAMPLED)
 
 
 def estimate_lipschitz(oracle, rho: float, pairs: int = 1000, seed: int = 0, *,
@@ -179,8 +157,7 @@ def estimate_lipschitz(oracle, rho: float, pairs: int = 1000, seed: int = 0, *,
     measured in operator norm.
     """
     require_count("pairs", pairs, 1)
-    rng = np.random.default_rng(seed)
-    pts = _ball_point_stream(rng, 2 * pairs, dim, rho)
+    pts = ball_points(dim, rho, 2 * pairs, seed)
     best = 0.0
     for a, b in zip(pts[0::2], pts[1::2]):
         gap = float(np.linalg.norm(a - b))

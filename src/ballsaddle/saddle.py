@@ -18,11 +18,11 @@ Each statement family has one path, which a solve and ``verify`` share
 (``vi.run_vi``, ``ba.run_ba``, and ``cli._certify`` for statement 1):
 ``gate``, the radius/mode gate; then a solver step unless a stored solution
 is given (``solve_saddle`` or ``sphere_fixed_point``; statement 5 adds
-``probe_uniqueness``); then a certify step (statements 2, 4 and 6, and 5 on
-their sets, prove uniqueness there with ``contraction_record``; 2, 4 and 6
-prove their strict inequality with ``proof_record`` and audit it on
-AUDIT_SAMPLES samples).  A solve runs the gate with a failure sink that
-raises, ``verify`` with one that records instead.
+``probe_uniqueness``); then a certify step (one ``sphere_records`` call
+proves uniqueness for statements 2, 4 and 6, and 5 on their sets, and the
+strict inequality of 2, 4 and 6, which they audit on AUDIT_SAMPLES
+samples).  A solve runs the gate with a failure sink that raises,
+``verify`` with one that records instead.
 """
 
 from __future__ import annotations
@@ -156,10 +156,10 @@ class Certificate:
     VI and approximation certificates add their own identities and checks,
     and statement 5 the sampled saddle checks.  The collapsed pairs of
     statements 2, 4 and 6 prove x-strictly-minimal in closed form
-    (``proof``, a ``proof_record`` named ``proof_check``) and audit it in
-    their own sampled check, and ``y_maximal_slack`` is CHECK_TOL less
-    sup_y J(x*, y) - J(x*, y*) in closed form over T = ball(r); the body
-    leaves it out.
+    (``proof``, the proof record of ``sphere_records``, named
+    ``proof_check``) and audit it in their own sampled check, and
+    ``y_maximal_slack`` is CHECK_TOL less sup_y J(x*, y) - J(x*, y*) in
+    closed form over T = ball(r); the body leaves it out.
 
     ``theorem`` is the wire label of the certified statement template (see
     the certificate format notes in the README).  ``mode`` is "certified"
@@ -399,39 +399,38 @@ def contraction(m, r: float, theta: float, least: float = -np.inf) -> tuple[floa
     return reach, (r * theta / floor if floor > 0.0 else np.inf)
 
 
-def contraction_record(q: float, gap: float) -> dict:
-    """The uniqueness record of a map G of ball(r) into itself that contracts
-    with q: for q < 1 Banach's theorem gives one solution, within gap / (1 -
-    q) of a point that G moves by gap; q >= 1 proves nothing."""
+def sphere_records(contracted: tuple[float, float], theta: float, gap: float,
+                   map_norm: float, terms: tuple[float, float], dim: int) -> tuple[dict, dict]:
+    """(uniqueness record, proof record) of a sphere statement, 2, 4 or 6.
+
+    ``contracted`` is ``contraction``'s (reach, q) of the statement's map G
+    of ball(r), which moves the reported point by ``gap``.  For q < 1
+    Banach's theorem gives one solution x*, within the error bound
+    gap / (1 - q) of the point; q >= 1 proves nothing.  phi_lower bounds
+    the map norm at x* below: reach or, when x* is located, ``map_norm`` at
+    the point less theta times the error bound.
+
+    The proof terms (d, t), (2r, theta) for statements 2 and 4 and
+    (r, max(1, 2 theta)) for 6, give the coefficient phi_lower/d - t of the
+    quadratic slack coefficient * ||x - x*||^2 of the strict inequality,
+    proved in closed form for every x != x* in ball(r).  The proof holds
+    when x* is located within SOLUTION_TOL of the reported point, so that it
+    is about that point, and the coefficient, a difference of terms of size
+    phi_lower/d + t, clears the rounding pad (dim + 1) eps (phi_lower/d + t):
+    the error bound of a norm of a map value, an inner product of length dim
+    plus an offset (Higham, ch. 3), and of the final subtraction.  The
+    margin is the coefficient less the pad."""
+    reach, q = contracted
     proved = q < 1.0
-    return {"method": "contraction", "q": float(q), "passed": bool(proved),
-            "error_bound": float(gap / (1.0 - q)) if proved else np.inf}
-
-
-def proved_norm_floor(uniqueness: dict, theta: float, floor: float, point_norm: float) -> float:
-    """phi_lower, a lower bound on the map norm at the exact solution x*:
-    the floor over ball(r) or, when the contraction ``uniqueness`` proves x*
-    within its error bound e of the point, the norm there less theta e."""
-    if not uniqueness["passed"]:
-        return float(floor)
-    return float(max(floor, point_norm - theta * uniqueness["error_bound"]))
-
-
-def proof_record(uniqueness: dict, phi: float, coefficient: float, scale: float,
-                 dim: int) -> dict:
-    """The record of a strict inequality proved in closed form for every
-    x != x* in ball(r), with a quadratic slack coefficient * ||x - x*||^2.
-    It proves something when the contraction ``uniqueness`` proves x*
-    (q < 1) within SOLUTION_TOL of the reported point, so that the proof is
-    about that point, and the coefficient, a difference of terms of size
-    ``scale``, clears the rounding pad (dim + 1) eps scale: the error bound
-    of a norm of a map value, an inner product of length dim plus an
-    offset (Higham, ch. 3), and of the final subtraction.  The margin is
-    the coefficient less the pad."""
-    margin = coefficient - (dim + 1) * np.finfo(float).eps * scale
-    located = uniqueness["passed"] and uniqueness["error_bound"] <= SOLUTION_TOL
-    return {"phi_lower": float(phi), "margin": float(margin),
-            "passed": bool(located and margin > 0.0)}
+    error_bound = gap / (1.0 - q) if proved else np.inf
+    phi = max(reach, map_norm - theta * error_bound) if proved else reach
+    d, t = terms
+    margin = phi / d - t - (dim + 1) * np.finfo(float).eps * (phi / d + t)
+    uniqueness = {"method": "contraction", "q": float(q), "passed": bool(proved),
+                  "error_bound": float(error_bound)}
+    proof = {"phi_lower": float(phi), "margin": float(margin),
+             "passed": bool(proved and error_bound <= SOLUTION_TOL and margin > 0.0)}
+    return uniqueness, proof
 
 
 def payoff_depends_on_y(payoff, x_star, T: ConvexSet, seed: int = 0) -> bool:

@@ -37,9 +37,8 @@ from .errors import HypothesisViolation, InvalidInput
 from .geometry import Ball, norm
 from .saddle import (AUDIT_SAMPLES, CHECK_SAMPLES, CHECK_TOL, EXCLUSION_FACTOR, STRICT_MARGIN,
                      Certificate, CheckReport, SaddleConfig, SaddlePoint, ball_check_samples,
-                     by_blocks, contraction, contraction_record, exclusion_mask, failed_names,
-                     gate, proof_record, proved_norm_floor, raise_failure, slack_report,
-                     solve_saddle, sphere_fixed_point)
+                     by_blocks, contraction, exclusion_mask, failed_names, gate, raise_failure,
+                     slack_report, solve_saddle, sphere_fixed_point, sphere_records)
 
 COLLAPSE_TOL = 1e-6
 DIRECTION_TOL = 1e-6
@@ -126,22 +125,21 @@ def certify_vi(m: SmoothMap, point: SaddlePoint, cfg: SaddleConfig,
     sphere and y-maximal in closed form; then proves the double inequality
     and audits it on AUDIT_SAMPLES samples.  It never raises on a failed
     check: the gates ran in ``vi_problem``, and a failed identity or check
-    is a name in ``failed_checks``.  Uniqueness is the
-    ``contraction_record`` of x -> -r F(x)/||F(x)||, with the floor
-    ||F(0)|| - r theta of ||F|| on ball(r).
+    is a name in ``failed_checks``.  The uniqueness and proof records are
+    the ``sphere_records`` of x -> -r F(x)/||F(x)||, with the floor
+    ||F(0)|| - r theta of ||F|| on ball(r) and the proof terms (2r, theta).
 
     The proof: x* = -r F(x*)/||F(x*)|| gives <F(x*), x* - x> <=
     -(||F(x*)||/2r) ||x - x*||^2 on ball(r), and F is theta-Lipschitz, so
     both forms are at most -(phi/2r - theta) ||x - x*||^2 for any lower
-    bound phi of ||F(x*)|| (``proved_norm_floor``).
+    bound phi of ||F(x*)||, such as the records' phi_lower.
     """
     x_star, r, theta = point.x_star, cfg.r, report.theta.value
     fx = m.val(x_star)
     map_norm = norm(fx)
     direction_gap = norm(x_star + (r / map_norm) * fx) if map_norm > 0.0 else np.inf
-    floor, q = contraction(m, r, theta)
-    uniqueness = contraction_record(q, direction_gap)
-    phi = proved_norm_floor(uniqueness, theta, floor, map_norm)
+    uniqueness, proof = sphere_records(contraction(m, r, theta), theta, direction_gap, map_norm,
+                                       (2.0 * r, theta), m.dimension)
     return VICertificate(
         theorem="2", mode=mode, r=r, x_star=x_star, y_star=point.y_star,
         residual=point.residual, iterations=point.iterations,
@@ -150,9 +148,7 @@ def certify_vi(m: SmoothMap, point: SaddlePoint, cfg: SaddleConfig,
         vi_check=check_vi(m, x_star, r, AUDIT_SAMPLES, seed + 2),
         # sup of J(x*, .) over ball(r) less J(x*, y*) is <F(x*), y*> + r ||F(x*)||
         y_maximal_slack=CHECK_TOL - float(fx @ point.y_star) - r * map_norm,
-        uniqueness=uniqueness,
-        proof=proof_record(uniqueness, phi, phi / (2.0 * r) - theta, phi / (2.0 * r) + theta,
-                           m.dimension))
+        uniqueness=uniqueness, proof=proof)
 
 
 def run_vi(m: SmoothMap, r: float | None, report: ConstantsReport, settings: dict,

@@ -374,6 +374,22 @@ class TestCertificates:
         doc = json.loads(out.read_text())
         assert doc["certificate"]["passed"] is True
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_is_one_error_line(self, tmp_path, capsys, where):
+        # these were a FileNotFoundError and an IsADirectoryError traceback,
+        # the second leaving <dir>.tmp behind
+        cfgp = write_config(tmp_path, {"problem": AFFINE})
+        out = tmp_path / "nonexistent" / "c.json" if where == "missing-dir" else tmp_path / "d"
+        if where == "directory":
+            out.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["vi", "--config", cfgp, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_deterministic_bytes(self, tmp_path):
         cfgp = write_config(tmp_path, {"problem": AFFINE})
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -738,7 +754,7 @@ class TestVerify:
         assert main(["verify", "--config", str(cert)]) == 1
         assert "unknown field" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case", ["vi", "vi-shifted", "best-approx"])
+    @pytest.mark.parametrize("case", ["vi", "vi-shifted", "best-approx", "prox-pair"])
     @pytest.mark.parametrize("key, value", [("q", 0.5), ("error_bound", 1e-3)])
     def test_contraction_record_changed(self, tmp_path, capsys, case, key, value):
         # the contraction record is recomputed, not carried over
@@ -775,12 +791,13 @@ class TestVerify:
         assert "not a ballsaddle-certificate/5 document" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["vi", "vi-shifted", "best-approx"])
-    def test_tampered_proof_margin_detected(self, tmp_path, capsys, case):
+    @pytest.mark.parametrize("key", ["margin", "phi_lower"])
+    def test_tampered_proof_margin_detected(self, tmp_path, capsys, case, key):
         def tamper(doc):
-            doc["certificate"]["checks"]["proof"]["margin"] *= 2.0
+            doc["certificate"]["checks"]["proof"][key] *= 2.0
         cert = self.make_cert(tmp_path, *ROUND_TRIPS[case])
         assert (self.verify_tampered(tmp_path, capsys, cert, tamper)
-                == ["recorded:checks.proof.margin"])
+                == [f"recorded:checks.proof.{key}"])
 
     def test_format_3_certificate_asks_for_a_new_solve(self, tmp_path, capsys):
         # format 3 sampled the strict inequalities of statements 2, 4 and 6
@@ -831,6 +848,22 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", "--config", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["failures"] == []
+
+    @pytest.mark.parametrize("case", ["vi-shifted", "prox-pair", "prox-pair-box", "saddle-vi",
+                                      "saddle-ba"])
+    def test_format_5_certificate_verifies(self, capsys, case):
+        # certificates of the other solving commands, stored before the
+        # uniqueness and proof records of statements 2, 4 and 6 came from
+        # one builder: their bodies are recomputed exactly
+        path = pathlib.Path(__file__).parent / "fixtures" / f"format5-{case}.json"
+        stored = json.loads(path.read_text())
+        command, doc = ROUND_TRIPS[case]
+        assert stored["format"] == CERT_FORMAT and stored["command"] == command
+        assert stored["config"]["problem"] == doc["problem"]
+        capsys.readouterr()
+        assert main(["verify", "--config", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["failures"] == [] and out["recomputed"] == stored["certificate"]
 
     def test_config_cannot_loosen_a_tampered_certificate(self, tmp_path, capsys):
         # y* of the saddle certificate of x + (2, 0) moved from (-0.25, 0) to
@@ -954,8 +987,20 @@ class TestVerify:
         assert main(["verify", "--config", str(path)]) == 1
 
 
-def test_cli_run_leaves_scipy_optimize_unimported(tmp_path):
-    # importing scipy.optimize costs several times the whole CLI start-up
+# F(x) = A x + b on ball(1) without its declared constants: the sampled
+# constants once drew their points with scipy
+SAMPLED_REPORTS = (
+    "import dataclasses\n"
+    "from ballsaddle import Ball, ba_report, make_affine, vi_report\n"
+    "m = dataclasses.replace(make_affine([[1.0, 0.2], [0.0, 0.9]], [2.0, 0.0], 1.0),\n"
+    "                        analytic=None, restricted=None)\n"
+    "assert not vi_report(m, samples=20).certified\n"
+    "assert not ba_report(m, Ball(1.0, 2), samples=20).certified\n")
+
+
+@pytest.mark.parametrize("case", ["cli-vi", "sampled-reports"])
+def test_library_leaves_scipy_unimported(tmp_path, case):
+    # importing scipy costs several times the whole CLI start-up
     import os
     import subprocess
     import sys
@@ -965,10 +1010,11 @@ def test_cli_run_leaves_scipy_optimize_unimported(tmp_path):
     cfgp = write_config(tmp_path, {"problem": {
         "kind": "affine", "A": [[1.0, 0.2, 0.0], [0.0, 0.9, 0.1], [0.1, 0.0, 1.1]],
         "b": [2.0, 0.0, 1.0], "rho": 1.0}})
-    script = ("import sys, ballsaddle\n"
-              "from ballsaddle.cli import main\n"
-              f"assert main(['vi', '--config', {cfgp!r}, '--out', {str(tmp_path / 'c.json')!r}]) == 0\n"
-              "print('scipy.optimize' in sys.modules)\n")
+    run_case = {"cli-vi": "from ballsaddle.cli import main\n"
+                          f"assert main(['vi', '--config', {cfgp!r}, "
+                          f"'--out', {str(tmp_path / 'c.json')!r}]) == 0\n",
+                "sampled-reports": SAMPLED_REPORTS}[case]
+    script = "import sys, ballsaddle\n" + run_case + "print('scipy' in sys.modules)\n"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)

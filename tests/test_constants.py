@@ -144,15 +144,17 @@ class TestEstimates:
         assert big >= small - 1e-12
 
     def test_sampled_estimates_use_exact_norms(self):
-        from ballsaddle.constants import _ball_point_stream, quasi_ball_points
+        from ballsaddle.constants import ball_points
+        from ballsaddle.geometry import axis_points
         rng = np.random.default_rng(4)
         Q = rng.normal(size=(3, 3, 3))
         Q = 0.5 * (Q + np.transpose(Q, (0, 2, 1)))
         m = bare(make_quadratic(rng.normal(size=(3, 3)), np.zeros(3), Q, 1.0))
-        pts = quasi_ball_points(3, 1.0, 60, seed=2)
+        # 0 and the six axis points, then 53 ball points
+        pts = np.vstack([np.zeros((1, 3)), axis_points(3, 1.0), ball_points(3, 1.0, 53, seed=2)])
         assert estimate_theta(m, samples=60, seed=2).value == max(
             np.linalg.norm(m.jac(x), 2) for x in pts)
-        pts = _ball_point_stream(np.random.default_rng(5), 80, 3, 1.0)
+        pts = ball_points(3, 1.0, 80, seed=5)
         ref = max(np.linalg.norm(m.jac(a) - m.jac(b), 2) / np.linalg.norm(a - b)
                   for a, b in zip(pts[0::2], pts[1::2]))
         assert estimate_lipschitz(m.jac, 1.0, pairs=40, seed=5, dim=3).value == ref

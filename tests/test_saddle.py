@@ -547,23 +547,28 @@ def test_sampled_forms_obey_the_proved_bounds(kind, n):
 def test_a_rounding_sized_coefficient_proves_nothing():
     # q = 1/3 and x* located exactly; phi/2r - theta = 1e-15 lies within the
     # rounding pad (n + 1) eps (phi/2r + theta) = 1.3e-15 at n = 2
-    uniqueness = saddle_module.contraction_record(1.0 / 3.0, 0.0)
     r, theta = 0.5, 1.0
     for coefficient, proved in ((1e-15, False), (1e-13, True)):
         phi = 2.0 * r * (theta + coefficient)
-        record = saddle_module.proof_record(uniqueness, phi, phi / (2.0 * r) - theta,
-                                            phi / (2.0 * r) + theta, 2)
+        uniqueness, record = saddle_module.sphere_records((0.0, 1.0 / 3.0), theta, 0.0, phi,
+                                                          (2.0 * r, theta), 2)
+        assert uniqueness["passed"] and uniqueness["error_bound"] == 0.0
+        assert record["phi_lower"] == phi
         assert record["passed"] is proved and (record["margin"] > 0.0) is proved
 
 
 def test_proof_needs_the_reported_point_located():
     # a contraction that places x* only within 2e-6 of the reported point
-    # proves the inequality about a point the certificate does not report
-    located = saddle_module.contraction_record(1.0 / 3.0, 1e-9)
-    loose = saddle_module.contraction_record(1.0 / 3.0, 2e-6 * (2.0 / 3.0))
+    # proves the inequality about a point the certificate does not report;
+    # phi_lower = 3 and the terms (1, 1) give the coefficient 2 either way
+    def records(gap):
+        return saddle_module.sphere_records((3.0, 1.0 / 3.0), 1.0, gap, 3.0, (1.0, 1.0), 2)
+    located, located_proof = records(1e-9)
+    loose, loose_proof = records(2e-6 * (2.0 / 3.0))
     assert located["passed"] and loose["passed"]
-    assert saddle_module.proof_record(located, 3.0, 2.0, 4.0, 2)["passed"]
-    assert not saddle_module.proof_record(loose, 3.0, 2.0, 4.0, 2)["passed"]
+    assert located_proof["phi_lower"] == loose_proof["phi_lower"] == 3.0
+    assert located_proof["passed"] and located_proof["margin"] > 0.0
+    assert not loose_proof["passed"] and loose_proof["margin"] > 0.0
 
 
 def test_heuristic_run_beyond_the_proof_names_it():
