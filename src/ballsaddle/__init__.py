@@ -21,11 +21,11 @@ from .catalog import (AnalyticConstants, Payoff, SmoothMap, ba_payoff,
                       shift_map, validate_map, validate_payoff, vi_payoff)
 from .constants import (CertFlag, CertValue, ConstantsReport, admissible_radius,
                         ba_report, combine_flags, delta_const, estimate_lipschitz,
-                        estimate_theta, op_norm, sigma_ba, sigma_vi, vi_report)
+                        estimate_theta, min_residual, op_norm, vi_report)
 from .errors import (BallSaddleError, CertificationError, ConfigError, DimensionMismatch,
                      HypothesisViolation, InvalidInput, NonConvergence)
-from .geometry import (Ball, Box, ConvexSet, ProjectionOracle, dist_ball, inner,
-                       norm, project_ball, sample_ball, sample_sphere)
+from .geometry import (Ball, Box, ConvexSet, ProjectionOracle, dist_ball, norm,
+                       project_ball, sample_ball, sample_sphere)
 from .saddle import (CheckReport, SaddleChecks, SaddleConfig, SaddlePoint,
                      check_saddle, phi_value_grad, solve_saddle)
 from .vi import (SmallRadiusResult, VICertificate, certify_vi, check_vi,
@@ -42,11 +42,11 @@ __all__ = [
     "SmallRadiusResult", "SmoothMap", "VICertificate", "admissible_radius",
     "ba_payoff", "ba_report", "ba_small_radius", "certify_ba", "certify_vi",
     "check_nearest_point", "check_saddle", "check_vi", "combine_flags",
-    "delta_const", "dist_ball", "estimate_lipschitz",
-    "estimate_theta", "inner", "make_affine", "make_constant", "make_quadratic",
-    "map_from_dict", "norm", "op_norm", "phi_value_grad", "project_ball",
-    "sample_ball", "sample_sphere", "shift_map", "sigma_ba",
-    "sigma_vi", "small_radius", "solve_best_approx", "solve_prox_pair",
-    "solve_saddle", "solve_vi", "solve_vi_shifted", "validate_map",
-    "validate_payoff", "vi_payoff", "vi_report",
+    "delta_const", "dist_ball", "estimate_lipschitz", "estimate_theta",
+    "make_affine", "make_constant", "make_quadratic", "map_from_dict",
+    "min_residual", "norm", "op_norm", "phi_value_grad", "project_ball",
+    "sample_ball", "sample_sphere", "shift_map", "small_radius",
+    "solve_best_approx", "solve_prox_pair", "solve_saddle", "solve_vi",
+    "solve_vi_shifted", "validate_map", "validate_payoff", "vi_payoff",
+    "vi_report",
 ]

@@ -32,6 +32,8 @@ from .geometry import Ball, ConvexSet, as_point, axis_points, sample_ball
 
 # value_batch may differ from the row-wise value by this share of the values
 BATCH_REL_TOL = 1e-10
+# validate_*: oracle derivatives may differ from central differences by this share
+FD_REL_TOL = 1e-5
 # a declared constant below its axis-point lower bound by more than this
 # share of the bound is refuted; the share absorbs last-bit rounding
 REFUTE_REL_TOL = 1e-9
@@ -55,9 +57,10 @@ class AnalyticConstants:
                 raise InvalidInput(f"{name} must be finite and >= 0, got {v}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SmoothMap:
-    """A C^1 map R^n -> R^n queried on the ball of radius ``rho``.
+    """A C^1 map R^n -> R^n queried on the ball of radius ``rho``, built
+    complete and never changed.
 
     ``value`` and ``jacobian`` are single-point oracles; ``value_batch``
     (rows-in, rows-out) is optional and only used to speed up sampled checks.
@@ -120,15 +123,14 @@ def make_constant(c, rho: float) -> SmoothMap:
     c = as_point(c)
     n = c.size
     zero_jac = np.zeros((n, n))
-    m = SmoothMap(
+    return SmoothMap(
         n, float(rho),
         value=lambda x, c=c: c.copy(),
         jacobian=lambda x, zj=zero_jac: zj.copy(),
         analytic=AnalyticConstants(theta=0.0, gamma=0.0, eta=1.0),
         value_batch=lambda X, c=c: np.broadcast_to(c, (np.asarray(X).shape[0], c.size)).copy(),
+        restricted=lambda r, c=c: make_constant(c, r),
     )
-    m.restricted = lambda r, c=c: make_constant(c, r)
-    return m
 
 
 def make_affine(A, b, rho: float) -> SmoothMap:
@@ -144,7 +146,7 @@ def make_affine(A, b, rho: float) -> SmoothMap:
     if not np.all(np.isfinite(A)):
         raise InvalidInput("A has non-finite entries")
     theta, eta = (float(v) for v in op_norm(np.stack([A, np.eye(n) - A])))
-    m = SmoothMap(
+    return SmoothMap(
         n, float(rho),
         # single points use ndarray.dot: the BLAS call of @, dispatched in
         # half the time on a small vector
@@ -152,9 +154,8 @@ def make_affine(A, b, rho: float) -> SmoothMap:
         jacobian=lambda x, A=A: A.copy(),
         analytic=AnalyticConstants(theta=theta, gamma=0.0, eta=eta),
         value_batch=lambda X, A=A, b=b: np.asarray(X) @ A.T + b,
+        restricted=lambda r, A=A, b=b: make_affine(A, b, r),
     )
-    m.restricted = lambda r, A=A, b=b: make_affine(A, b, r)
-    return m
 
 
 def make_quadratic(A, b, Q, rho: float) -> SmoothMap:
@@ -192,7 +193,7 @@ def make_quadratic(A, b, Q, rho: float) -> SmoothMap:
     s = math.sqrt(max(0.0, float(np.linalg.eigvalsh(R.T @ R)[-1])))
     theta = float(norms[0]) + 2.0 * float(rho) * s
     eta = float(norms[1]) + 2.0 * float(rho) * s
-    m = SmoothMap(
+    return SmoothMap(
         n, float(rho),
         value=lambda x, A=A, b=b, Q=Q: A.dot(x) + b + (Q @ x).dot(x),
         jacobian=lambda x, A=A, Q=Q: A + 2.0 * (Q @ x),
@@ -202,9 +203,8 @@ def make_quadratic(A, b, Q, rho: float) -> SmoothMap:
             gamma_flag=CertFlag.CONSERVATIVE,
             eta_flag=CertFlag.CONSERVATIVE),
         value_batch=lambda X, A=A, b=b, Q=Q: X @ A.T + b + _quadratic_forms(X, Q),
+        restricted=lambda r, A=A, b=b, Q=Q: make_quadratic(A, b, Q, r),
     )
-    m.restricted = lambda r, A=A, b=b, Q=Q: make_quadratic(A, b, Q, r)
-    return m
 
 
 def _quadratic_forms(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -219,16 +219,15 @@ def _quadratic_forms(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
 def shift_map(m: SmoothMap, w) -> SmoothMap:
     """The map x -> m(x) - w.  Jacobian and all Lipschitz data unchanged."""
     w = as_point(w, dim=m.dimension)
-    out = SmoothMap(
+    return SmoothMap(
         m.dimension, m.domain_radius,
         value=lambda x, m=m, w=w: m.val(x) - w,
         jacobian=m.jacobian,
         analytic=m.analytic,
         value_batch=(None if m.value_batch is None
                      else (lambda X, m=m, w=w: m.vals(X) - w)),
+        restricted=lambda r, m=m, w=w: shift_map(m.restrict(r), w),
     )
-    out.restricted = lambda r, m=m, w=w: shift_map(m.restrict(r), w)
-    return out
 
 
 @dataclass
@@ -335,13 +334,12 @@ def _fd_error(f, x, h: float, exact) -> float:
     return float(np.linalg.norm(fd - exact) / max(1.0, float(np.linalg.norm(exact))))
 
 
-def validate_map(m: SmoothMap, n_points: int = 100, seed: int = 0,
-                 rel_tol: float = 1e-5) -> float:
+def validate_map(m: SmoothMap, n_points: int = 100, seed: int = 0) -> float:
     """Check the Jacobian against central finite differences of the value,
     and the batch value against the row-wise one.
 
     Returns the worst relative Jacobian error over random interior points;
-    raises InvalidInput when it exceeds ``rel_tol``, when the batch value
+    raises InvalidInput when it exceeds FD_REL_TOL, when the batch value
     differs by more than BATCH_REL_TOL relative, or when an oracle output is
     not finite.
     """
@@ -356,7 +354,7 @@ def validate_map(m: SmoothMap, n_points: int = 100, seed: int = 0,
             raise InvalidInput("map oracle returned non-finite values")
         worst = max(worst, _fd_error(m.val, x, h, J))
         rows.append(v)
-    if worst > rel_tol:
+    if worst > FD_REL_TOL:
         raise InvalidInput(
             f"jacobian disagrees with finite differences (relative error {worst:.2e})")
     _require_agreement(m.vals(pts), np.stack(rows), "batch value", "the row-wise value")
@@ -371,11 +369,10 @@ def _require_agreement(got: np.ndarray, want: np.ndarray, what: str, reference: 
         raise InvalidInput(f"{what} disagrees with {reference} (relative error {err:.2e})")
 
 
-def validate_payoff(p: Payoff, n_points: int = 100, seed: int = 0,
-                    rel_tol: float = 1e-5) -> float:
-    """Check the shapes of both outputs of ``grads`` and their values
-    against central differences of J, and concavity of J(x, .) at sampled
-    midpoints.  Returns the worst relative gradient error."""
+def validate_payoff(p: Payoff, n_points: int = 100, seed: int = 0) -> float:
+    """Check the shapes of both outputs of ``grads``, their values against
+    central differences of J (within FD_REL_TOL), and concavity of J(x, .)
+    at sampled midpoints.  Returns the worst relative gradient error."""
     rng = np.random.default_rng(seed)
     h = 1e-6 * max(p.x_radius, 1.0)
     xs = sample_ball(rng, n_points, p.dimension, p.x_radius * 0.98)
@@ -395,7 +392,7 @@ def validate_payoff(p: Payoff, n_points: int = 100, seed: int = 0,
         mid = p.value(x, 0.5 * (ya + yb))
         if mid < 0.5 * (p.value(x, ya) + p.value(x, yb)) - 1e-9:
             raise InvalidInput("payoff is not concave in y at a sampled midpoint")
-    if worst > rel_tol:
+    if worst > FD_REL_TOL:
         raise InvalidInput(
             f"payoff gradients disagree with finite differences (relative error {worst:.2e})")
     return worst
@@ -503,7 +500,7 @@ def map_from_dict(doc: dict, path: str = "problem") -> SmoothMap:
                     f"x = {witness} gives {name} >= {bound:.12g} "
                     f"(deficit {bound - values[name]:.6g})",
                     path=f"{declared_path}.{name}")
-        declare(m, {**values, **{name + "_flag": CertFlag.ANALYTIC for name in values}})
+        m = declare(m, {**values, **{name + "_flag": CertFlag.ANALYTIC for name in values}})
     return m
 
 
@@ -527,10 +524,10 @@ def axis_lower_bounds(m: SmoothMap, names) -> dict:
 
 
 def declare(m: SmoothMap, values: dict) -> SmoothMap:
-    """Put the declared constants ``values`` (with their flags) on ``m`` and
-    on every restriction of it: a bound declared on ball(rho) still holds
-    on each smaller ball, where the catalog rebuilds the map."""
-    m.analytic = replace(m.analytic, **values)
+    """A copy of ``m`` with the declared constants ``values`` (with their
+    flags), and so is every restriction of it: a bound declared on
+    ball(rho) still holds on each smaller ball, where the catalog rebuilds
+    the map."""
     rebuild = m.restricted
-    m.restricted = lambda r: declare(rebuild(r), values)
-    return m
+    return replace(m, analytic=replace(m.analytic, **values),
+                   restricted=lambda r: declare(rebuild(r), values))

@@ -32,6 +32,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field, replace
 
@@ -40,8 +41,7 @@ import numpy as np
 from .ba import ba_small_radius, run_ba
 from .catalog import (SmoothMap, ba_payoff, map_from_dict, read_array, read_number,
                       require_fields, vi_payoff)
-from .constants import (CertFlag, ConstantsReport, admissible_radius, ba_report,
-                        delta_const, vi_report)
+from .constants import ConstantsReport, admissible_radius, ba_report, delta_const, vi_report
 from .errors import (BallSaddleError, CertificationError, ConfigError, DimensionMismatch,
                      HypothesisViolation, InvalidInput, NonConvergence)
 from .geometry import Ball, Box, ConvexSet, as_point
@@ -265,13 +265,11 @@ def _certify(cfg: RunConfig, fail, point: SaddlePoint | None = None,
     elif cfg.command == "vi-shifted":
         shifted, report, record = shift_problem(m, cfg.w, seed=cfg.seed, fail=fail)
         cert = run_vi(shifted, cfg.r, report, {}, point, gate=record, **kw)
-    elif cfg.command in ("prox-pair", "best-approx"):
+    else:  # prox-pair or best-approx
         Y = _y_set(cfg, m)
         cert = run_ba(m, Y, cfg.T, cfg.r, ba_report(m, Y, seed=cfg.seed),
                       {}, point, uniqueness=uniqueness,
                       theorem="5" if cfg.command == "prox-pair" else "6", **kw)
-    else:
-        raise ConfigError(f"unknown command {cfg.command!r}")
     return cert.to_dict(), cert.failed_checks()
 
 
@@ -388,25 +386,28 @@ def _to_jsonable(obj):
         return {k: _to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
         return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, CertFlag):
-        return obj.value
     if isinstance(obj, float) and not np.isfinite(obj):
         return repr(obj)
     return obj
 
 
 def _write_atomic(path: str, text: str):
-    """Write ``text`` to ``path`` through ``path.tmp``; a failure leaves no
-    ``.tmp`` behind and raises InvalidInput naming ``path``."""
-    tmp = path + ".tmp"
+    """Write ``text`` to ``path`` through a fresh temporary file beside it,
+    with the mode a plain ``open(path, "w")`` gives; no other file is
+    touched.  A failure leaves no temporary file behind and raises
+    InvalidInput naming ``path``."""
+    tmp = None
     try:
-        with open(tmp, "w") as fh:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                                   prefix=os.path.basename(path) + ".", suffix=".tmp")
+        umask = os.umask(0)
+        os.umask(umask)
+        with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)  # mkstemp made it 0600
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:
-        if os.path.isfile(tmp):
+        if tmp is not None and os.path.isfile(tmp):
             os.remove(tmp)
         raise InvalidInput(f"cannot write {path}: {exc.strerror or exc}") from None
 

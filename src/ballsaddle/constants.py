@@ -207,10 +207,11 @@ def _support(C: ConvexSet):
     return lambda v: radius * float(np.linalg.norm(v))
 
 
-def _min_residual_over_set(b: np.ndarray, A: np.ndarray, C: ConvexSet) -> CertValue:
-    """A proved lower bound on min over y in C of ||b - A^T y||: in closed
-    form on balls (analytic), by weak duality on boxes and
-    projection-oracle sets.
+def min_residual(b: np.ndarray, A: np.ndarray, C: ConvexSet) -> CertValue:
+    """A proved lower bound on min over y in C of ||b - A^T y||, the one
+    routine of sigma (b, A the map value and Jacobian at the origin) and
+    delta (``Payoff.grad0_affine``): in closed form on balls (analytic), by
+    weak duality on boxes and projection-oracle sets.
 
     For a unit u, ||b - A^T y|| >= <u, b> - <A u, y> >= <u, b> - h_C(A u)
     (``_support``).  Projected gradient descent on the convex quadratic
@@ -248,31 +249,16 @@ def _min_residual_over_set(b: np.ndarray, A: np.ndarray, C: ConvexSet) -> CertVa
     return CertValue(bound, CertFlag.CONSERVATIVE)
 
 
-def sigma_vi(phi0, jac0, rho: float) -> float:
-    """min over ||y|| <= rho of ||phi0 - jac0^T y|| (the VI-mode sigma).
-
-    ``phi0`` and ``jac0`` are the map value and Jacobian at the origin.
-    """
-    return _min_residual_over_set(phi0, jac0, Ball(rho, np.size(phi0))).value
-
-
-def sigma_ba(f0, jac0, Y: ConvexSet) -> float:
-    """A proved lower bound on min over y in Y of ||jac0^T y - f0|| (the
-    approximation-mode sigma), the minimum itself on a ball; ``ba_report``
-    carries its flag."""
-    return _min_residual_over_set(f0, jac0, Y).value
-
-
 def delta_const(payoff, Y: ConvexSet, n_samples: int = 2000, seed: int = 0) -> CertValue:
     """min over y in Y of ||grad_x J(0, y)||.
 
     Catalog payoffs expose the affine structure of the gradient at the
-    origin, so the minimum is bounded from below by ``_min_residual_over_set``
+    origin, so the minimum is bounded from below by ``min_residual``
     (analytic when its duality gap closed); black-box payoffs fall back to
     a sampled minimum flagged as not certification grade.
     """
     if payoff.grad0_affine is not None:
-        return _min_residual_over_set(*payoff.grad0_affine, Y)
+        return min_residual(*payoff.grad0_affine, Y)
     require_count("n_samples", n_samples, 1)
     rng = np.random.default_rng(seed)
     ys = Y.sample(rng, n_samples)
@@ -302,7 +288,7 @@ def vi_report(m, samples: int = 1000, seed: int = 0) -> ConstantsReport:
     M = CertValue(2.0 * (theta.value + rho * gamma.value),
                   combine_flags(theta.flag, gamma.flag))
     zero = np.zeros(m.dimension)
-    sig = CertValue(sigma_vi(m.val(zero), m.jac(zero), rho), CertFlag.ANALYTIC)
+    sig = min_residual(m.val(zero), m.jac(zero), Ball(rho, m.dimension))
     report = ConstantsReport(rho=rho, theta=theta, gamma=gamma, M=M, sigma=sig,
                              radius_rule="vi")
     return replace(report, r_max=admissible_radius(report) if sig.value > 0 else 0.0)
@@ -326,7 +312,7 @@ def ba_report(m, Y: ConvexSet, samples: int = 1000, seed: int = 0) -> ConstantsR
     L = CertValue(2.0 * (eta.value + theta.value + gamma.value * (rho + Y.sup_norm())),
                   combine_flags(theta.flag, gamma.flag, eta.flag))
     zero = np.zeros(m.dimension)
-    sig = _min_residual_over_set(m.val(zero), m.jac(zero), Y)
+    sig = min_residual(m.val(zero), m.jac(zero), Y)
     delta = CertValue(2.0 * sig.value, sig.flag)
     report = ConstantsReport(rho=rho, theta=theta, gamma=gamma, eta=eta, delta=delta,
                              L=L, sigma=sig, radius_rule="ba")

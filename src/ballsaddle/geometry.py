@@ -33,13 +33,6 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return p
 
 
-def inner(a, b) -> float:
-    """Euclidean inner product <a, b>."""
-    a = as_point(a)
-    b = as_point(b, dim=a.size)
-    return float(a @ b)
-
-
 def norm(x) -> float:
     """Euclidean norm ||x||."""
     return float(np.linalg.norm(as_point(x)))

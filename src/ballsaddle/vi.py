@@ -76,13 +76,12 @@ class VICertificate(Certificate):
 
 
 def check_vi(m: SmoothMap, x_star, r: float, n_samples: int = CHECK_SAMPLES,
-             seed: int = 0, strict_margin: float = STRICT_MARGIN) -> CheckReport:
+             seed: int = 0) -> CheckReport:
     """Sampled check of the double strict inequality at x*.
 
     Samples ball(r) (enriched with sphere points, axis points and the
     antipode of x*), excludes a ball of radius EXCLUSION_FACTOR * r around
-    x*, and requires both inner products below -strict_margin everywhere.
-    The certify step keeps the default margin STRICT_MARGIN.
+    x*, and requires both inner products below -STRICT_MARGIN everywhere.
     """
     require_count("n_samples", n_samples, 1)
     x_star = np.asarray(x_star, dtype=float)
@@ -95,8 +94,8 @@ def check_vi(m: SmoothMap, x_star, r: float, n_samples: int = CHECK_SAMPLES,
         d = x_star - block
         return np.stack([d @ fx, np.einsum("mi,mi->m", m.vals(block), d)], axis=1)
     first, second = by_blocks(forms, xs).T
-    return slack_report("vi-double-inequality", -np.maximum(first, second) - strict_margin, xs,
-                        {"strict_margin": strict_margin,
+    return slack_report("vi-double-inequality", -np.maximum(first, second) - STRICT_MARGIN, xs,
+                        {"strict_margin": STRICT_MARGIN,
                          "exclusion_radius": EXCLUSION_FACTOR * r,
                          "worst_first_form": float(np.max(first)),
                          "worst_second_form": float(np.max(second))})

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ballsaddle import (Ball, Box, HypothesisViolation, InvalidInput,
-                        ba_small_radius, check_nearest_point, dist_ball,
+                        ProjectionOracle, ba_small_radius, check_nearest_point, dist_ball,
                         make_affine, make_constant, solve_best_approx,
                         solve_prox_pair)
 from ballsaddle import ba as ba_module
@@ -112,6 +112,20 @@ class TestProxPair:
         assert_allclose(cert.y_star, T.project(np.array([2.0, 0.0])), atol=1e-6)
         assert cert.projection_gap <= 1e-6
         assert cert.passed
+
+    def test_projection_oracle_T_matches_its_box(self):
+        # an oracle T is sampled through its projection, both in the
+        # containment check and in the saddle checks; the pair and its
+        # probe record are those of the box itself
+        box = Box([-0.5, -0.5], [0.5, 0.5])
+        oracle = ProjectionOracle(box.project, box.sup_norm(), 2)
+        for m, r in ((constant_two(), 0.5), (shifted_identity(), 0.4)):
+            want = solve_prox_pair(m, Ball(1.0, 2), box, r=r)
+            got = solve_prox_pair(m, Ball(1.0, 2), oracle, r=r)
+            assert got.passed and got.uniqueness["starts"] == UNIQUENESS_STARTS
+            assert np.array_equal(got.x_star, want.x_star)
+            assert np.array_equal(got.y_star, want.y_star)
+            assert got.uniqueness == want.uniqueness
 
     def test_default_sets_prove_uniqueness(self, monkeypatch):
         # Y = ball(rho) and T = ball(r) is statement 6's problem: the

@@ -390,6 +390,22 @@ class TestCertificates:
         assert captured.err.count("\n") == 1
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_out_leaves_the_users_tmp_file_alone(self, tmp_path):
+        # the certificate was written through <out>.tmp, which replaced and
+        # then removed a file of that name
+        cfgp = write_config(tmp_path, {"problem": AFFINE})
+        out, users = tmp_path / "c.json", tmp_path / "c.json.tmp"
+        users.write_bytes(b"user data\n")
+        plain = tmp_path / "plain"
+        with open(plain, "w"):
+            pass
+        assert main(["vi", "--config", cfgp, "--out", str(out)]) == 0
+        assert users.read_bytes() == b"user data\n"
+        assert json.loads(out.read_text())["certificate"]["passed"] is True
+        assert out.stat().st_mode == plain.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "c.json", "c.json.tmp", "cfg.json", "plain"]
+
     def test_deterministic_bytes(self, tmp_path):
         cfgp = write_config(tmp_path, {"problem": AFFINE})
         a, b = tmp_path / "a.json", tmp_path / "b.json"

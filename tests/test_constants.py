@@ -12,7 +12,7 @@ from ballsaddle import (Ball, Box, CertFlag, CertValue,
                         admissible_radius, ba_report,
                         combine_flags, delta_const, estimate_lipschitz,
                         estimate_theta, make_affine, make_constant,
-                        make_quadratic, op_norm, sigma_ba, sigma_vi, vi_payoff,
+                        make_quadratic, min_residual, op_norm, vi_payoff,
                         vi_report)
 from ballsaddle import constants
 from ballsaddle.oracles import grid_sigma_oracle
@@ -184,16 +184,16 @@ class TestEstimates:
 class TestSigma:
     def test_affine_instance_exact(self):
         # F(x) = x + (2, 0): min over |y| <= 1 of |F(0) - y| = |(2,0)| - 1
-        s = sigma_vi(np.array([2.0, 0.0]), np.eye(2), 1.0)
+        s = min_residual(np.array([2.0, 0.0]), np.eye(2), Ball(1.0, 2)).value
         assert abs(s - 1.0) <= 1e-8
 
     def test_interior_zero(self):
         # the target is reachable inside the ball, so the min residual is 0
-        s = sigma_vi(np.array([0.3, 0.0]), np.eye(2), 1.0)
+        s = min_residual(np.array([0.3, 0.0]), np.eye(2), Ball(1.0, 2)).value
         assert s <= 1e-6
 
     def test_tiny_jacobian_guard(self):
-        s = sigma_vi(np.array([2.0, 0.0]), np.zeros((2, 2)), 1.0)
+        s = min_residual(np.array([2.0, 0.0]), np.zeros((2, 2)), Ball(1.0, 2)).value
         assert abs(s - 2.0) <= 1e-12
 
     def test_matches_grid_oracle(self):
@@ -201,7 +201,7 @@ class TestSigma:
         for _ in range(8):
             b = rng.normal(size=2) * 2.0
             A = rng.normal(size=(2, 2))
-            mine = sigma_vi(b, A, 1.0)
+            mine = min_residual(b, A, Ball(1.0, 2)).value
             grid = grid_sigma_oracle(b, A, Ball(1.0, 2))
             if mine > 1e-3:
                 assert abs(mine - grid) <= 1e-4
@@ -219,7 +219,7 @@ class TestSigma:
             V = np.linalg.qr(rng.normal(size=(5, 5)))[0]
             A = U @ np.diag(np.logspace(0, -8, 5)) @ V.T
             b = 0.5 * rng.normal(size=5)
-            sigma = sigma_vi(b, A, 1.0)
+            sigma = min_residual(b, A, Ball(1.0, 5)).value
             # lower bound: no feasible y does better
             ys = np.vstack([Ball(1.0, 5).sample(probe, 200), _sphere(probe, 200, 5)])
             assert sigma <= np.min(np.linalg.norm(b - ys @ A, axis=1)) + 1e-12
@@ -231,12 +231,12 @@ class TestSigma:
 
     def test_ball_of_other_dimension_rejected(self):
         with pytest.raises(DimensionMismatch):
-            sigma_ba(np.array([2.0, 0.0]), np.eye(2), Ball(1.0, 3))
+            min_residual(np.array([2.0, 0.0]), np.eye(2), Ball(1.0, 3))
 
     def test_ba_sigma_over_box(self):
         # constant f: the residual |f'(0)^T y - f(0)| reduces to |f(0)|
         Y = Box([0.0, 0.0], [1.0, 1.0])
-        s = sigma_ba(np.array([3.0, 0.0]), np.zeros((2, 2)), Y)
+        s = min_residual(np.array([3.0, 0.0]), np.zeros((2, 2)), Y).value
         assert abs(s - 3.0) <= 1e-8
 
     @staticmethod
@@ -255,8 +255,8 @@ class TestSigma:
         for n in (2, 3, 5, 8, 16):
             for _ in range(10):
                 b, A, Y, exact = self._diagonal_instance(rng, n)
-                assert sigma_ba(b, A, Y) <= exact + 1e-13
-                v = constants._min_residual_over_set(b, A, Y)
+                v = min_residual(b, A, Y)
+                assert v.value <= exact + 1e-13
                 assert v.flag is CertFlag.CONSERVATIVE or exact - v.value <= 1e-10
 
     @pytest.mark.parametrize("n, ppa", [(2, 201), (3, 41)])
@@ -265,7 +265,7 @@ class TestSigma:
         for _ in range(6):
             A, b = rng.normal(size=(n, n)), 2.0 * rng.normal(size=n)
             Y = Box(-rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, n))
-            mine = sigma_ba(b, A, Y)
+            mine = min_residual(b, A, Y).value
             grid = grid_sigma_oracle(b, A, Y, ppa=ppa)
             assert mine <= grid + 1e-12
             # the coarser 3-d grid localizes an interior zero only to a cell
@@ -278,7 +278,7 @@ class TestSigma:
         rng = np.random.default_rng(41)
         for n in (2, 4, 8):
             b, A, Y, exact = self._diagonal_instance(rng, n)
-            v = constants._min_residual_over_set(b, A, Y)
+            v = min_residual(b, A, Y)
             assert v.flag is CertFlag.CONSERVATIVE
             assert 0.0 <= v.value <= exact + 1e-13
 
@@ -288,12 +288,12 @@ class TestSigma:
         # same way, stays at or below the box value
         b, A = np.array([2.0, 0.5]), np.array([[1.0, 0.3], [0.0, 0.8]])
         ball = ProjectionOracle(lambda z: z / max(1.0, np.linalg.norm(z)), 1.0, 2)
-        v = constants._min_residual_over_set(b, A, ball)
+        v = min_residual(b, A, ball)
         assert v.flag is CertFlag.ANALYTIC
-        assert abs(v.value - sigma_ba(b, A, Ball(1.0, 2))) <= 1e-9
+        assert abs(v.value - min_residual(b, A, Ball(1.0, 2)).value) <= 1e-9
         box = Box([-0.5, -0.5], [0.5, 0.5])
         oracle = ProjectionOracle(box.project, box.sup_norm(), 2)
-        assert constants._min_residual_over_set(b, A, oracle).value <= sigma_ba(b, A, box)
+        assert min_residual(b, A, oracle).value <= min_residual(b, A, box).value
 
     def test_box_bound_keeps_its_flag(self):
         # the same bound, with its flag, is the sigma and delta of a ba
@@ -301,7 +301,7 @@ class TestSigma:
         m = make_affine(np.array([[1.0, 0.3], [0.0, 0.8]]), [2.0, 0.5], 1.0)
         Y = Box([-0.5, -0.5], [0.5, 0.5])
         rep = ba_report(m, Y)
-        v = constants._min_residual_over_set(m.val(np.zeros(2)), m.jac(np.zeros(2)), Y)
+        v = min_residual(m.val(np.zeros(2)), m.jac(np.zeros(2)), Y)
         assert rep.sigma == v and rep.delta == CertValue(2.0 * v.value, v.flag)
         assert delta_const(vi_payoff(m), Y) == v
 

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ballsaddle import (Ball, Box, CertificationError, DimensionMismatch,
-                        InvalidInput, ProjectionOracle, dist_ball, inner, norm,
+                        InvalidInput, ProjectionOracle, dist_ball, norm,
                         project_ball, sample_ball, sample_sphere)
 from ballsaddle.geometry import as_point
 
@@ -21,8 +21,7 @@ def test_as_point_validation():
         as_point([1.0, 2.0], dim=3)
 
 
-def test_inner_norm():
-    assert inner([1.0, 2.0], [3.0, -1.0]) == 1.0
+def test_norm():
     assert norm([3.0, 4.0]) == 5.0
 
 

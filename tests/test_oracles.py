@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ballsaddle import (Ball, Box, InvalidInput, NonConvergence, Payoff,
-                        make_affine, make_constant, sigma_vi, solve_vi)
+                        make_affine, make_constant, min_residual, solve_vi)
 from ballsaddle.oracles import (ball_grid, fixedpoint_vi_oracle,
                                 grid_saddle_oracle, grid_sigma_oracle,
                                 grid_vi_oracle, set_grid, uniqueness_probe,
@@ -154,7 +154,7 @@ class TestSigmaOracle:
             A = rng.normal(size=(2, 2))
             b = rng.normal(size=2)
             b *= 3.2 / np.linalg.norm(b)  # keep the target out of reach
-            mine = sigma_vi(b, A, 1.0)
+            mine = min_residual(b, A, Ball(1.0, 2)).value
             assert abs(mine - grid_sigma_oracle(b, A, Ball(1.0, 2))) <= 1e-4
 
     def test_box_set(self):

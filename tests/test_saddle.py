@@ -73,15 +73,16 @@ class TestConfig:
 
     def test_settings_are_declared_once(self):
         # the two run settings are SaddleConfig's; the check thresholds are
-        # module constants that no caller of the certify path can set, the
-        # standalone audits keep only a strict margin defaulting to the constant,
-        # and the sampled checks draw CHECK_SAMPLES samples
+        # module constants that no caller of the certify path can set, only
+        # the nearest-point audit keeps a strict margin defaulting to the
+        # constant, and the sampled checks draw CHECK_SAMPLES samples
         assert [f.name for f in dataclasses.fields(SaddleConfig)] == [
             "r", "T", "L", "smoothness", "tol", "max_iters", "r_max"]
+        params = inspect.signature(check_nearest_point).parameters
+        assert params["strict_margin"].default == saddle_module.STRICT_MARGIN
+        assert "strict_margin" not in inspect.signature(check_vi).parameters
         for audit in (check_vi, check_nearest_point):
-            params = inspect.signature(audit).parameters
-            assert params["strict_margin"].default == saddle_module.STRICT_MARGIN
-            assert "exclusion_factor" not in params
+            assert "exclusion_factor" not in inspect.signature(audit).parameters
         for check in (check_vi, check_nearest_point, check_saddle):
             assert inspect.signature(check).parameters["n_samples"].default == CHECK_SAMPLES
         # the sample and start counts are no settings of any solve
@@ -169,6 +170,23 @@ class TestSolve:
         a = solve_saddle(p, cfg)
         b = solve_saddle(p, cfg, x0=[0.2, -0.1], y0=[0.5, 0.5])
         assert_allclose(a.x_star, b.x_star, atol=1e-8)
+
+    def test_step_halving_restart(self):
+        # a smoothness at 3% of 2 M + theta makes the step too long for this
+        # convex-concave payoff: the residual blows up, the step is halved
+        # and the solve restarts from the best iterate, landing on the
+        # solution of the safe step
+        rng = np.random.default_rng(25)
+        A, b = rng.normal(size=(2, 2)), 2.0 * rng.normal(size=2)
+        m = make_affine(A, b, 1.0)
+        rep = vi_report(m)
+        M, safe_smoothness = rep.M.value, 2.0 * rep.M.value + rep.theta.value
+        p = vi_payoff(m)
+        cfg = SaddleConfig(r=0.5, T=Ball(0.5, 2), L=M, smoothness=0.03 * safe_smoothness)
+        safe = SaddleConfig(r=0.5, T=Ball(0.5, 2), L=M, smoothness=safe_smoothness)
+        halved = solve_saddle(p, cfg)
+        assert halved.step == cfg.step / 8  # below the configured step: three halvings
+        assert_allclose(halved.x_star, solve_saddle(p, safe).x_star, atol=1e-7)
 
     def test_determinism(self):
         p = bilinear_1d()

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ballsaddle import (Ball, Box, CertificationError, HypothesisViolation,
-                        InvalidInput, check_vi, make_affine, make_constant,
+                        InvalidInput, SmoothMap, check_vi, make_affine, make_constant,
                         make_quadratic, small_radius, solve_best_approx, solve_prox_pair,
                         solve_vi, solve_vi_shifted, vi_report)
 from ballsaddle import saddle as saddle_module
@@ -261,6 +261,32 @@ class TestSolveVI:
         assert set(d) >= {"mode", "r", "solution", "residuals", "constants",
                           "checks", "passed"}
         assert d["checks"]["vi"]["name"] == "vi-double-inequality"
+
+
+@pytest.mark.parametrize("r", [2.0, 0.0, -0.1, np.nan, np.inf])
+@pytest.mark.parametrize("solve", [
+    lambda m, r: solve_vi(m, r),
+    lambda m, r: solve_vi(m, r, mode="heuristic"),
+    lambda m, r: solve_best_approx(m, r),
+    lambda m, r: solve_prox_pair(m, Ball(1.0, 2), None, r)],
+    ids=["vi-certified", "vi-heuristic", "best-approx", "prox-pair"])
+def test_radius_outside_the_ball_is_invalid(solve, r):
+    # the gate of every solve takes r only in (0, rho], whatever the mode
+    with pytest.raises(InvalidInput, match=r"r must lie in \(0, 1.0\], got"):
+        solve(affine_instance(), r)
+
+
+def test_bare_map_matches_its_catalog_twin():
+    # a map without value_batch and restricted takes the row-wise loop of
+    # vals in the audits and the generic branch of restrict in small_radius
+    A, b = np.array([[1.0, 0.3], [-0.2, 0.8]]), np.array([2.0, 0.5])
+    twin = make_affine(A, b, 1.0)
+    bare = SmoothMap(2, 1.0, lambda x: A.dot(x) + b, lambda x: A.copy(),
+                     analytic=twin.analytic)
+    assert bare.value_batch is None and bare.restricted is None
+    for solve in (solve_vi, solve_best_approx):
+        assert solve(bare).to_dict() == solve(twin).to_dict()
+    assert small_radius(bare).to_dict() == small_radius(twin).to_dict()
 
 
 class TestCheckVI:
