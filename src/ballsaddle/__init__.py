@@ -19,9 +19,9 @@ from .ba import (BACertificate, ba_small_radius, certify_ba, check_nearest_point
 from .catalog import (AnalyticConstants, Payoff, SmoothMap, ba_payoff,
                       make_affine, make_constant, make_quadratic, map_from_dict,
                       shift_map, validate_map, validate_payoff, vi_payoff)
-from .constants import (CertFlag, CertValue, ConstantsReport, admissible_radius,
-                        ba_report, combine_flags, delta_const, estimate_lipschitz,
-                        estimate_theta, min_residual, op_norm, vi_report)
+from .constants import (CertFlag, CertValue, ConstantsReport, ba_report, combine_flags,
+                        delta_const, estimate_lipschitz, estimate_theta, min_residual,
+                        op_norm, vi_report)
 from .errors import (BallSaddleError, CertificationError, ConfigError, DimensionMismatch,
                      HypothesisViolation, InvalidInput, NonConvergence)
 from .geometry import (Ball, Box, ConvexSet, ProjectionOracle, dist_ball, norm,
@@ -39,8 +39,8 @@ __all__ = [
     "ConfigError", "ConstantsReport", "ConvexSet", "DimensionMismatch",
     "HypothesisViolation", "InvalidInput", "NonConvergence", "Payoff",
     "ProjectionOracle", "SaddleChecks", "SaddleConfig", "SaddlePoint",
-    "SmallRadiusResult", "SmoothMap", "VICertificate", "admissible_radius",
-    "ba_payoff", "ba_report", "ba_small_radius", "certify_ba", "certify_vi",
+    "SmallRadiusResult", "SmoothMap", "VICertificate", "ba_payoff",
+    "ba_report", "ba_small_radius", "certify_ba", "certify_vi",
     "check_nearest_point", "check_saddle", "check_vi", "combine_flags",
     "delta_const", "dist_ball", "estimate_lipschitz", "estimate_theta",
     "make_affine", "make_constant", "make_quadratic", "map_from_dict",

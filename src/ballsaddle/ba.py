@@ -17,8 +17,9 @@ unique nearest point of ball(r) to its own image:
 and nearest-point conclusions; ``ba_small_radius`` picks a radius that
 makes the hypotheses automatic when f(0) != 0.  ``run_ba`` is the one path
 of statements 5 and 6, which both solves and the CLI's run and ``verify``
-take: it gates the problem (``ba_problem``), solves and probes uniqueness
-unless a stored solution is given, and certifies (``certify_ba``).
+take: it gates the problem (``saddle.gated_problem``, then T within Y),
+solves and probes uniqueness unless a stored solution is given, and
+certifies (``certify_ba``).
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from .geometry import Ball, Box, ConvexSet, ball_projection, dist_ball, norm, pr
 from .saddle import (AUDIT_SAMPLES, CHECK_SAMPLES, CHECK_TOL, EXCLUSION_FACTOR, SPHERE_TOL,
                      STRICT_MARGIN, Certificate, CheckReport, SaddleChecks, SaddleConfig,
                      SaddlePoint, ball_check_samples, by_blocks, check_saddle, claims_sphere,
-                     contraction, exclusion_mask, failed_names, gate, probe_uniqueness,
-                     raise_failure, slack_report, solve_saddle, sphere_fixed_point,
-                     sphere_records, uniqueness_consistent)
+                     contraction, exclusion_mask, failed_names, gated_problem,
+                     probe_uniqueness, raise_failure, slack_report, solve_saddle,
+                     sphere_fixed_point, sphere_records, uniqueness_consistent)
 from .vi import COLLAPSE_TOL, SmallRadiusResult, radius_from_origin
 
 IDENTITY_TOL = 1e-6
@@ -65,7 +66,7 @@ class BACertificate(Certificate):
             rep, gap = self.constants, abs(norm(self.x_star) - self.r)
             first += [("collapse", self.collapse_gap <= COLLAPSE_TOL),
                       ("sphere-membership", gap <= SPHERE_TOL
-                       or not claims_sphere(rep.L.value, self.r, rep.r_max))]
+                       or not claims_sphere(rep.weight.value, self.r, rep.r_max))]
             own = [("nearest-point", self.nearest_check.passed),
                    ("distance-identity", self.distance_gap <= IDENTITY_TOL)]
         return failed_names(*first) + super().failed_checks() + failed_names(*own)
@@ -99,21 +100,6 @@ def _containment_check(T: ConvexSet, Y: ConvexSet, seed: int, fail, n: int = 128
             return
 
 
-def ba_problem(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None, r: float | None,
-               report: ConstantsReport, mode: str = "certified", *, seed: int = 0,
-               fail=raise_failure, **settings) -> SaddleConfig:
-    """The gated saddle problem of an approximation run: ``gate`` on the
-    report, T (ball(r) when None) contained in Y, the regularization weight
-    L and the smoothness 2 L + theta.  ``settings`` are the run settings of
-    SaddleConfig."""
-    r = gate(report, r, mode, m.domain_radius, fail)
-    T = Ball(r, m.dimension) if T is None else T
-    _containment_check(T, Y, seed + 7, fail)
-    L = report.L.value
-    return SaddleConfig(r=r, T=T, L=L, smoothness=2.0 * L + report.theta.value,
-                        r_max=report.r_max, **settings)
-
-
 def collapses(m: SmoothMap, Y: ConvexSet, cfg: SaddleConfig) -> bool:
     """Whether the problem ``cfg`` with dual set Y is statement 6's,
     Y = ball(rho) and T = ball(r), whose contraction proves uniqueness."""
@@ -126,7 +112,7 @@ def certify_ba(m: SmoothMap, Y: ConvexSet, point: SaddlePoint, cfg: SaddleConfig
                uniqueness: dict | None = None, seed: int = 0,
                theorem: str = "5") -> BACertificate:
     """The certify step of an approximation run on the problem ``cfg`` from
-    ``ba_problem``.
+    ``gated_problem``.
 
     Measures y* = P_T(f(x*)) of ``point`` (a fresh solve or a stored
     solution).  Statement 5 adds the sampled saddle checks; statement 6 the
@@ -176,8 +162,9 @@ def run_ba(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None, r: float | None,
            theorem: str = "5") -> BACertificate:
     """The one path of statements 5 and 6, which ``solve_prox_pair``,
     ``solve_best_approx`` and the CLI's run and ``verify`` all take: gate
-    the problem (``ba_problem``, failures to ``fail``), solve unless
-    ``point`` (a stored solution) is given, then ``certify_ba``.
+    the problem (``gated_problem``, then T contained in Y, failures to
+    ``fail``), solve unless ``point`` (a stored solution) is given, then
+    ``certify_ba``.
 
     The solve is ``sphere_fixed_point`` of x -> P_ball(r)(f(x)) when the
     problem ``collapses`` and its contraction is proved (certification-grade
@@ -187,7 +174,8 @@ def run_ba(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None, r: float | None,
     record ``uniqueness`` must be ``uniqueness_consistent``, else
     ``fail("uniqueness-record")``.
     """
-    cfg = ba_problem(m, Y, T, r, report, mode, seed=seed, fail=fail, **settings)
+    cfg = gated_problem(m, report, r, mode, T, fail=fail, **settings)
+    _containment_check(cfg.T, Y, seed + 7, fail)
     collapsed = collapses(m, Y, cfg)
     if point is None:
         q = contraction(m, cfg.r, report.theta.value, cfg.r)[1] if collapsed else np.inf

@@ -32,21 +32,18 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from .ba import ba_small_radius, run_ba
 from .catalog import (SmoothMap, ba_payoff, map_from_dict, read_array, read_number,
                       require_fields, vi_payoff)
-from .constants import ConstantsReport, admissible_radius, ba_report, delta_const, vi_report
+from .constants import ConstantsReport, ba_report, delta_const, vi_report
 from .errors import (BallSaddleError, CertificationError, ConfigError, DimensionMismatch,
                      HypothesisViolation, InvalidInput, NonConvergence)
 from .geometry import Ball, Box, ConvexSet, as_point
-from .saddle import (SaddleConfig, SaddlePoint, check_saddle, gate, payoff_depends_on_y,
-                     raise_failure, solve_saddle)
+from .saddle import (SaddleConfig, SaddlePoint, check_saddle, gate, gated_problem,
+                     payoff_depends_on_y, raise_failure, solve_saddle)
 from .vi import run_vi, shift_problem, small_radius
 
 CERT_FORMAT = "ballsaddle-certificate/5"
@@ -175,28 +172,17 @@ def _y_set(cfg: RunConfig, m: SmoothMap) -> ConvexSet:
 def _saddle_problem(cfg: RunConfig, m: SmoothMap, fail=raise_failure):
     """(payoff, gated saddle config, saddle-rule constants report) of the
     generic saddle command on ball(r) x T."""
-    rho = m.domain_radius
     if cfg.payoff == "vi":
-        rep = vi_report(m, seed=cfg.seed)
-        payoff, L = vi_payoff(m), rep.M
+        rep, payoff = vi_report(m, seed=cfg.seed), vi_payoff(m)
     else:
         Y = _y_set(cfg, m)
-        rep = ba_report(m, Y, seed=cfg.seed)
-        payoff, L = ba_payoff(m, Y), rep.L
+        rep, payoff = ba_report(m, Y, seed=cfg.seed), ba_payoff(m, Y)
     # sigma > 0 and the default r come from the payoff's own report; the
     # certified-mode checks need the saddle report, which depends on T
-    r = gate(rep, cfg.r, "heuristic", rho, fail)
+    r = gate(rep, cfg.r, "heuristic", m.domain_radius, fail)
     T = cfg.T or Ball(r, m.dimension)
-    delta = delta_const(payoff, T)
-    report = ConstantsReport(
-        rho=rho, theta=rep.theta, gamma=rep.gamma, eta=rep.eta, delta=delta,
-        M=rep.M, L=L, sigma=rep.sigma, radius_rule="saddle")
-    if delta.value > 0.0:
-        report = replace(report, r_max=admissible_radius(report))
-    gate(report, r, cfg.mode, rho, fail)
-    scfg = SaddleConfig(r=r, T=T, L=L.value, smoothness=2.0 * L.value + rep.theta.value,
-                        r_max=report.r_max)
-    return payoff, scfg, report
+    report = replace(rep, delta=delta_const(payoff, T), L=rep.weight, radius_rule="saddle")
+    return payoff, gated_problem(m, report, r, cfg.mode, T, fail=fail), report
 
 
 def _certify_saddle(cfg: RunConfig, payoff, scfg: SaddleConfig,
@@ -384,30 +370,28 @@ def _compare_dicts(stored, fresh, prefix: str = "") -> list[str]:
 def _to_jsonable(obj):
     if isinstance(obj, dict):
         return {k: _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, float) and not np.isfinite(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
 
 
 def _write_atomic(path: str, text: str):
     """Write ``text`` to ``path`` through a fresh temporary file beside it,
-    with the mode a plain ``open(path, "w")`` gives; no other file is
-    touched.  A failure leaves no temporary file behind and raises
-    InvalidInput naming ``path``."""
-    tmp = None
+    ``<path>.<random hex>.tmp``, created exclusively with mode 0666 less the
+    umask, the mode a plain ``open(path, "w")`` gives; no other file is
+    touched.  A failure removes the temporary file if this call created it
+    and raises InvalidInput naming ``path``."""
+    tmp, created = f"{path}.{os.urandom(8).hex()}.tmp", False
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                                   prefix=os.path.basename(path) + ".", suffix=".tmp")
-        umask = os.umask(0)
-        os.umask(umask)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        created = True
         with os.fdopen(fd, "w") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~umask)  # mkstemp made it 0600
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:
-        if tmp is not None and os.path.isfile(tmp):
+        if created:
             os.remove(tmp)
         raise InvalidInput(f"cannot write {path}: {exc.strerror or exc}") from None
 

@@ -17,18 +17,21 @@ Each constant carries a certification flag: exact analytic value, a proved
 conservative bound (an upper bound of theta, gamma, eta, M and L, the
 denominators of the admissible radius; a lower bound of sigma and delta, its
 numerators), or a sampled lower bound (not certification grade).
-The admissible radius caps the ball radius ``r`` at which the sphere-located
-solution is guaranteed.
+The admissible radius ``r_max`` caps the ball radius ``r`` at which the
+sphere-located solution is guaranteed.  ``RADIUS_RULES`` names each radius
+rule's numerator, its denominator (also the regularization weight of the
+solved problem) and the scale of the denominator; ``ConstantsReport``
+computes ``r_max`` from it when the report is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import HypothesisViolation, InvalidInput
+from .errors import InvalidInput
 from .geometry import Ball, Box, ConvexSet, as_point, axis_points
 
 SIGMA_TOL = 1e-10
@@ -72,9 +75,17 @@ class CertValue:
         return {"value": self.value, "flag": self.flag.value}
 
 
+# radius rule -> (numerator, denominator, scale): r_max = min(rho, num / (scale den)),
+# 0 for a zero numerator and rho for a zero denominator (a vacuous bound)
+RADIUS_RULES = {"vi": ("sigma", "M", 2.0), "ba": ("sigma", "L", 1.0),
+                "saddle": ("delta", "L", 2.0)}
+
+
 @dataclass(frozen=True, slots=True)
 class ConstantsReport:
-    """All constants used by a run, the radius rule, and the admissible radius."""
+    """All constants used by a run, the radius rule, and the admissible
+    radius ``r_max``, computed from ``RADIUS_RULES`` when the report is built
+    (``dataclasses.replace`` recomputes it; it cannot be set)."""
 
     rho: float
     theta: CertValue
@@ -84,8 +95,27 @@ class ConstantsReport:
     M: CertValue | None = None
     L: CertValue | None = None
     sigma: CertValue | None = None
-    r_max: float = 0.0
     radius_rule: str = "vi"
+    r_max: float = field(init=False)
+
+    def __post_init__(self):
+        if self.radius_rule not in RADIUS_RULES:
+            raise InvalidInput(f"unknown radius rule {self.radius_rule!r}")
+        if not self.rho > 0:
+            raise InvalidInput("rho must be positive")
+        num_name, den_name, scale = RADIUS_RULES[self.radius_rule]
+        num, den = getattr(self, num_name), getattr(self, den_name)
+        if num is None or den is None:
+            raise InvalidInput(
+                f"radius rule {self.radius_rule!r} needs {num_name} and {den_name} in the report")
+        object.__setattr__(self, "r_max", 0.0 if num.value <= 0.0 else self.rho
+                           if den.value <= 0.0 else min(self.rho, num.value / (scale * den.value)))
+
+    @property
+    def weight(self) -> CertValue:
+        """The denominator of the radius rule: the regularization weight of
+        the solved problem."""
+        return getattr(self, RADIUS_RULES[self.radius_rule][1])
 
     @property
     def certified(self) -> bool:
@@ -289,9 +319,7 @@ def vi_report(m, samples: int = 1000, seed: int = 0) -> ConstantsReport:
                   combine_flags(theta.flag, gamma.flag))
     zero = np.zeros(m.dimension)
     sig = min_residual(m.val(zero), m.jac(zero), Ball(rho, m.dimension))
-    report = ConstantsReport(rho=rho, theta=theta, gamma=gamma, M=M, sigma=sig,
-                             radius_rule="vi")
-    return replace(report, r_max=admissible_radius(report) if sig.value > 0 else 0.0)
+    return ConstantsReport(rho=rho, theta=theta, gamma=gamma, M=M, sigma=sig, radius_rule="vi")
 
 
 def ba_report(m, Y: ConvexSet, samples: int = 1000, seed: int = 0) -> ConstantsReport:
@@ -314,34 +342,5 @@ def ba_report(m, Y: ConvexSet, samples: int = 1000, seed: int = 0) -> ConstantsR
     zero = np.zeros(m.dimension)
     sig = min_residual(m.val(zero), m.jac(zero), Y)
     delta = CertValue(2.0 * sig.value, sig.flag)
-    report = ConstantsReport(rho=rho, theta=theta, gamma=gamma, eta=eta, delta=delta,
-                             L=L, sigma=sig, radius_rule="ba")
-    return replace(report, r_max=admissible_radius(report) if sig.value > 0 else 0.0)
-
-
-def admissible_radius(report: ConstantsReport) -> float:
-    """Largest certified ball radius under the report's radius rule, capped
-    at the report's ``rho``.
-
-    Rules: ``saddle`` uses delta/(2 L), ``vi`` uses sigma/(2 M), ``ba`` uses
-    sigma/L.  A zero denominator with a positive numerator makes the bound
-    vacuous (returns ``rho``); a zero numerator is a hypothesis violation.
-    """
-    rule, rho = report.radius_rule, report.rho
-    if rho <= 0:
-        raise InvalidInput("rho must be positive")
-    if rule == "saddle":
-        num, den, what, scale = report.delta, report.L, "delta", 2.0
-    elif rule == "vi":
-        num, den, what, scale = report.sigma, report.M, "sigma", 2.0
-    elif rule == "ba":
-        num, den, what, scale = report.sigma, report.L, "sigma", 1.0
-    else:
-        raise InvalidInput(f"unknown radius rule {rule!r}")
-    if num is None or den is None:
-        raise InvalidInput(f"radius rule {rule!r} needs both its constants in the report")
-    if num.value <= 0.0:
-        raise HypothesisViolation(f"positivity hypothesis violated: {what} = 0")
-    if den.value <= 0.0:
-        return rho
-    return min(rho, num.value / (scale * den.value))
+    return ConstantsReport(rho=rho, theta=theta, gamma=gamma, eta=eta, delta=delta,
+                           L=L, sigma=sig, radius_rule="ba")

@@ -16,7 +16,8 @@ run it (see ``Certificate`` for the collapsed pairs of 2, 4 and 6).
 
 Each statement family has one path, which a solve and ``verify`` share
 (``vi.run_vi``, ``ba.run_ba``, and ``cli._certify`` for statement 1):
-``gate``, the radius/mode gate; then a solver step unless a stored solution
+``gated_problem``, the radius/mode ``gate`` and the saddle problem of the
+report's radius rule; then a solver step unless a stored solution
 is given (``solve_saddle`` or ``sphere_fixed_point``; statement 5 adds
 ``probe_uniqueness``); then a certify step (one ``sphere_records`` call
 proves uniqueness for statements 2, 4 and 6, and 5 on their sets, and the
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import ConstantsReport, require_count
+from .constants import RADIUS_RULES, ConstantsReport, require_count
 from .errors import CertificationError, HypothesisViolation, InvalidInput, NonConvergence
 from .geometry import (Ball, ConvexSet, as_point, axis_points, ball_projection, norm,
                        project_ball, sample_ball, sample_sphere)
@@ -62,10 +63,11 @@ class SaddleConfig:
     the checks are fixed constants (CHECK_TOL, STRICT_MARGIN, ...).
 
     ``smoothness`` bounds the Lipschitz constant of the saddle operator and
-    fixes the extragradient step 1/(2 * smoothness); the problem builders
-    set it to 2 * weight + theta from the constants report.  ``r_max`` is
-    the admissible radius when known; it gates the sphere-membership check
-    (statement 6's certificate gates its own with its report's r_max).
+    fixes the extragradient step 1/(2 * smoothness); ``gated_problem`` sets
+    L to the report's ``weight`` and the smoothness to 2 L + theta.
+    ``r_max`` is the admissible radius when known; it gates the
+    sphere-membership check (statement 6's certificate gates its own with
+    its report's r_max).
     """
 
     r: float
@@ -323,21 +325,19 @@ def raise_failure(name: str, error: Exception):
     raise error
 
 
-def gate(report, r, mode: str, rho: float, fail=raise_failure) -> float:
+def gate(report: ConstantsReport, r, mode: str, rho: float, fail=raise_failure) -> float:
     """The radius/mode gate of every solve; returns r.
 
-    The numerator of the report's radius rule (sigma, or delta for the
-    saddle rule) must be positive, r defaults to the admissible radius and
-    must lie in (0, rho], and certified mode needs certification-grade
-    constants and r <= r_max.  Heuristic mode skips the last two.  Without
-    positivity and without an explicit r the gate raises even when ``fail``
-    records.
+    The numerator of the report's radius rule (``RADIUS_RULES``) must be
+    positive, r defaults to the admissible radius and must lie in (0, rho],
+    and certified mode needs certification-grade constants and r <= r_max.
+    Heuristic mode skips the last two.  Without positivity and without an
+    explicit r the gate raises even when ``fail`` records.
     """
     if mode not in ("certified", "heuristic"):
         raise InvalidInput(f"mode must be 'certified' or 'heuristic', got {mode!r}")
-    what = "delta" if report.radius_rule == "saddle" else "sigma"
-    positive = getattr(report, what)
-    if positive is None or positive.value <= 0.0:
+    what = RADIUS_RULES[report.radius_rule][0]
+    if getattr(report, what).value <= 0.0:
         error = HypothesisViolation(
             f"{what} = 0: the dual set reaches the gradient kernel at the origin")
         fail("positivity", error)
@@ -357,6 +357,18 @@ def gate(report, r, mode: str, rho: float, fail=raise_failure) -> float:
                 f"r = {r} exceeds the admissible radius {report.r_max}",
                 deficit=r - report.r_max))
     return float(r)
+
+
+def gated_problem(m, report: ConstantsReport, r: float | None, mode: str,
+                  T: ConvexSet | None = None, *, fail=raise_failure, **settings) -> SaddleConfig:
+    """The saddle problem of every statement: ``gate`` on the report, then
+    ball(r) x T (T = ball(r) when None) of the map ``m`` with the
+    regularization weight L = ``report.weight`` and the smoothness
+    2 L + theta.  ``settings`` are the run settings of SaddleConfig."""
+    r = gate(report, r, mode, m.domain_radius, fail)
+    L = report.weight.value
+    return SaddleConfig(r=r, T=Ball(r, m.dimension) if T is None else T, L=L,
+                        smoothness=2.0 * L + report.theta.value, r_max=report.r_max, **settings)
 
 
 def admissible(r: float, r_max: float | None) -> bool:

@@ -9,15 +9,15 @@ sphere of radius r satisfying the double strict inequality
 The point is the fixed point of x -> -r F(x)/||F(x)||, computed by its
 Banach iteration when the constants prove it a contraction, else as the
 collapsed saddle point of the payoff J(x, y) = <F(x), x - y> regularized
-with weight L = M.  It is certified by the structural identities x* = y*,
-F(x*) != 0 and x* antiparallel to F(x*) on the sphere, y-maximal in closed
-form, the contraction that makes it unique, the double inequality (with
-y* = x*, the x-strictly-minimal saddle inequality) proved in closed form,
-and a sampled audit of it.
+with the weight M of the "vi" radius rule.  It is certified by the
+structural identities x* = y*, F(x*) != 0 and x* antiparallel to F(x*) on
+the sphere, y-maximal in closed form, the contraction that makes it unique,
+the double inequality (with y* = x*, the x-strictly-minimal saddle
+inequality) proved in closed form, and a sampled audit of it.
 ``run_vi`` is the one path of statements 2 and 4: it gates the problem
-(``vi_problem``), solves unless a stored solution is given, and certifies
-(``certify_vi``).  ``solve_vi`` and the CLI's run and ``verify`` all take
-it.
+(``saddle.gated_problem``), solves unless a stored solution is given, and
+certifies (``certify_vi``).  ``solve_vi`` and the CLI's run and ``verify``
+all take it.
 
 ``solve_vi_shifted`` handles maps with vanishing Jacobian at the origin
 shifted by a far-enough target w, and ``small_radius`` picks a radius that
@@ -34,11 +34,12 @@ import numpy as np
 from .catalog import SmoothMap, shift_map, vi_payoff
 from .constants import ConstantsReport, op_norm, require_count, vi_report
 from .errors import HypothesisViolation, InvalidInput
-from .geometry import Ball, norm
+from .geometry import norm
 from .saddle import (AUDIT_SAMPLES, CHECK_SAMPLES, CHECK_TOL, EXCLUSION_FACTOR, STRICT_MARGIN,
                      Certificate, CheckReport, SaddleConfig, SaddlePoint, ball_check_samples,
-                     by_blocks, contraction, exclusion_mask, failed_names, gate, raise_failure,
-                     slack_report, solve_saddle, sphere_fixed_point, sphere_records)
+                     by_blocks, contraction, exclusion_mask, failed_names, gated_problem,
+                     raise_failure, slack_report, solve_saddle, sphere_fixed_point,
+                     sphere_records)
 
 COLLAPSE_TOL = 1e-6
 DIRECTION_TOL = 1e-6
@@ -101,29 +102,18 @@ def check_vi(m: SmoothMap, x_star, r: float, n_samples: int = CHECK_SAMPLES,
                          "worst_second_form": float(np.max(second))})
 
 
-def vi_problem(m: SmoothMap, r: float | None, report: ConstantsReport,
-               mode: str = "certified", *, fail=raise_failure, **settings) -> SaddleConfig:
-    """The gated saddle problem of a VI run: ``gate`` on the report, then
-    T = ball(r), the regularization weight L = M and the smoothness
-    2 M + theta.  ``settings`` are the run settings of SaddleConfig."""
-    r = gate(report, r, mode, m.domain_radius, fail)
-    M = report.M.value
-    return SaddleConfig(r=r, T=Ball(r, m.dimension), L=M,
-                        smoothness=2.0 * M + report.theta.value,
-                        r_max=report.r_max, **settings)
-
-
 def certify_vi(m: SmoothMap, point: SaddlePoint, cfg: SaddleConfig,
                report: ConstantsReport, *, mode: str = "certified",
                seed: int = 0) -> VICertificate:
-    """The certify step of a VI run on the problem ``cfg`` from ``vi_problem``;
-    the certificate is labeled statement 2 (``run_vi`` relabels it 4).
+    """The certify step of a VI run on the problem ``cfg`` from
+    ``gated_problem``; the certificate is labeled statement 2 (``run_vi``
+    relabels it 4).
 
     Measures the structural identities of ``point`` (a fresh solve or a
     stored solution): x* = y*, F(x*) != 0, x* antiparallel to F(x*) on the
     sphere and y-maximal in closed form; then proves the double inequality
     and audits it on AUDIT_SAMPLES samples.  It never raises on a failed
-    check: the gates ran in ``vi_problem``, and a failed identity or check
+    check: the gates ran in ``gated_problem``, and a failed identity or check
     is a name in ``failed_checks``.  The uniqueness and proof records are
     the ``sphere_records`` of x -> -r F(x)/||F(x)||, with the floor
     ||F(0)|| - r theta of ||F|| on ball(r) and the proof terms (2r, theta).
@@ -155,13 +145,13 @@ def run_vi(m: SmoothMap, r: float | None, report: ConstantsReport, settings: dic
            gate: dict | None = None) -> VICertificate:
     """The one path of statements 2 and 4, which ``solve_vi``,
     ``solve_vi_shifted`` and the CLI's run and ``verify`` all take: gate the
-    problem (``vi_problem``, failures to ``fail``), solve unless ``point``
+    problem (``gated_problem``, failures to ``fail``), solve unless ``point``
     (a stored solution) is given, then ``certify_vi``.  The solve is
     ``sphere_fixed_point`` when the constants are certification grade and
     ``contraction`` gives q < 1, else the extragradient.  A shift ``gate``
     record from ``shift_problem`` labels the certificate statement 4.
     """
-    cfg = vi_problem(m, r, report, mode, fail=fail, **settings)
+    cfg = gated_problem(m, report, r, mode, fail=fail, **settings)
     if point is None:
         _, q = contraction(m, cfg.r, report.theta.value)
         if report.certified and q < 1.0:

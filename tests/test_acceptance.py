@@ -14,11 +14,9 @@ from ballsaddle import (Ball, Box, ba_payoff, check_nearest_point, check_vi, mak
                         solve_best_approx, solve_prox_pair, solve_saddle, solve_vi,
                         solve_vi_shifted, validate_map, validate_payoff,
                         vi_payoff)
-from ballsaddle.ba import ba_problem
 from ballsaddle.cli import main
 from ballsaddle.oracles import grid_sigma_oracle, grid_vi_oracle, uniqueness_probe
-from ballsaddle.saddle import SaddlePoint, check_saddle
-from ballsaddle.vi import vi_problem
+from ballsaddle.saddle import SaddlePoint, check_saddle, gated_problem
 
 N_SAMPLES = 10**4
 SOLVE_TOL = 1e-10
@@ -92,10 +90,10 @@ def collapsed_maps():
 def collapsed_problem(m, cert):
     """(payoff, saddle config) of the statement 2, 4 or 6 instance ``cert``
     of the map ``m``, at the acceptance solver tolerance."""
+    cfg = gated_problem(m, cert.constants, cert.r, "certified", tol=SOLVE_TOL)
     if cert.theorem in ("2", "4"):
-        return vi_payoff(m), vi_problem(m, cert.r, cert.constants, tol=SOLVE_TOL)
-    Y = Ball(1.0, m.dimension)
-    return ba_payoff(m, Y), ba_problem(m, Y, None, cert.r, cert.constants, tol=SOLVE_TOL)
+        return vi_payoff(m), cfg
+    return ba_payoff(m, Ball(1.0, m.dimension)), cfg
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +108,8 @@ def saddle_checks(named, generated):
            for name, m in collapsed_maps().items()}
     prox, m, Y = named["prox-box"], make_constant([2.0, 0.0], 1.0), Ball(1.0, 2)
     out["prox-box"] = run(ba_payoff(m, Y),
-                          ba_problem(m, Y, PROX_BOX, prox.r, prox.constants, tol=SOLVE_TOL),
+                          gated_problem(m, prox.constants, prox.r, "certified", PROX_BOX,
+                                        tol=SOLVE_TOL),
                           prox, 0)
     for i, cert in enumerate(generated):
         out[f"gen-{i}"] = run(*collapsed_problem(generator_map(i), cert), cert, i)

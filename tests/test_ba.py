@@ -11,7 +11,7 @@ from ballsaddle import (Ball, Box, HypothesisViolation, InvalidInput,
                         make_affine, make_constant, solve_best_approx,
                         solve_prox_pair)
 from ballsaddle import ba as ba_module
-from ballsaddle.saddle import UNIQUENESS_STARTS, SaddlePoint
+from ballsaddle.saddle import UNIQUENESS_STARTS, SaddlePoint, gated_problem
 
 
 def constant_two():
@@ -85,8 +85,10 @@ class TestBestApprox:
         cert = solve_best_approx(shifted_identity())
         off = dataclasses.replace(cert, x_star=cert.x_star * (1.0 - 2e-6 / cert.r))
         assert off.failed_checks() == ["sphere-membership"]
-        beyond = dataclasses.replace(
-            off, constants=dataclasses.replace(cert.constants, r_max=0.5 * cert.r))
+        rep = cert.constants  # r_max = sigma / L: a quarter of sigma puts r beyond it
+        beyond = dataclasses.replace(off, constants=dataclasses.replace(
+            rep, sigma=dataclasses.replace(rep.sigma, value=rep.sigma.value / 4)))
+        assert beyond.constants.r_max < cert.r
         assert beyond.failed_checks() == []
 
     @pytest.mark.parametrize("keyword", ["tolerance", "step", "fail", "theorem", "point",
@@ -202,7 +204,7 @@ def test_statement_6_needs_its_sets():
     # the proof and the contraction are statement 6's only on Y = ball(rho), T = ball(r)
     m, Y = constant_two(), Ball(1.0, 2)
     report = ba_module.ba_report(m, Y)
-    cfg = ba_module.ba_problem(m, Y, Box([-0.5, -0.5], [0.5, 0.5]), 0.5, report)
+    cfg = gated_problem(m, report, 0.5, "certified", Box([-0.5, -0.5], [0.5, 0.5]))
     point = SaddlePoint(np.array([0.5, 0.0]), np.array([0.5, 0.0]), 0.0, 1, 0.0)
     with pytest.raises(InvalidInput, match="statement 6"):
         ba_module.certify_ba(m, Y, point, cfg, report, theorem="6")

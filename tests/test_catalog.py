@@ -8,10 +8,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ballsaddle import (Ball, Box, CertFlag, ConfigError, DimensionMismatch,
-                        InvalidInput, SmoothMap, ba_payoff, make_affine,
+                        InvalidInput, SmoothMap, ba_payoff, check_saddle, make_affine,
                         make_constant, make_quadratic, map_from_dict, shift_map,
-                        sample_ball, small_radius, validate_map, validate_payoff,
-                        vi_payoff)
+                        sample_ball, small_radius, solve_best_approx, solve_vi,
+                        validate_map, validate_payoff, vi_payoff)
+from ballsaddle.saddle import SaddlePoint, gated_problem
 
 
 def rand_quadratic(rng, n, rho=1.0, scale=0.2):
@@ -522,3 +523,24 @@ class TestMapFromDict:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="kind"):
             map_from_dict({"kind": "cubic", "rho": 1.0})
+
+
+@pytest.mark.parametrize("family", ["vi", "ba"])
+def test_rowwise_payoff_values_give_the_batched_checks(family):
+    # a payoff without value batches falls back to one value call per row
+    rng = np.random.default_rng(5)
+    A, b = rng.normal(size=(3, 3)), rng.normal(size=3) + 3.0
+    Q = 0.2 * rng.normal(size=(3, 3, 3))
+    m = make_quadratic(A, b, 0.5 * (Q + np.transpose(Q, (0, 2, 1))), 1.0)
+    if family == "vi":
+        cert, p = solve_vi(m), vi_payoff(m)
+    else:
+        cert, p = solve_best_approx(m), ba_payoff(m, Ball(1.0, 3))
+    point = SaddlePoint(cert.x_star, cert.y_star, cert.residual, cert.iterations, 0.0)
+    cfg = gated_problem(m, cert.constants, cert.r, "certified")
+    rowwise = dataclasses.replace(p, value_xbatch=None, value_ybatch=None)
+    batched, looped = (check_saddle(q, point, cfg, seed=1, n_samples=300) for q in (p, rowwise))
+    assert [r.passed for r in looped.reports] == [r.passed for r in batched.reports]
+    assert_allclose([r.margin for r in looped.reports] + [looped.minimax_gap],
+                    [r.margin for r in batched.reports] + [batched.minimax_gap],
+                    rtol=1e-12, atol=0.0)

@@ -1,6 +1,7 @@
 """Command line interface: config parsing, exit codes, certificates, verify."""
 
 import json
+import os
 import pathlib
 import re
 
@@ -405,6 +406,19 @@ class TestCertificates:
         assert out.stat().st_mode == plain.stat().st_mode
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "c.json", "c.json.tmp", "cfg.json", "plain"]
+
+    def test_out_leaves_the_umask_alone(self, tmp_path, monkeypatch):
+        # the umask was read by setting and restoring it, which is process-wide
+        def no_umask(mask):
+            raise AssertionError("os.umask called")
+        cfgp = write_config(tmp_path, {"problem": AFFINE})
+        out, plain = tmp_path / "c.json", tmp_path / "plain"
+        with open(plain, "w"):
+            pass
+        monkeypatch.setattr(os, "umask", no_umask)
+        assert main(["vi", "--config", cfgp, "--out", str(out)]) == 0
+        assert out.stat().st_mode == plain.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "cfg.json", "plain"]
 
     def test_deterministic_bytes(self, tmp_path):
         cfgp = write_config(tmp_path, {"problem": AFFINE})

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ballsaddle import (Ball, Box, CertFlag, CertValue,
+from ballsaddle import (Ball, Box, CertFlag, CertValue, ConstantsReport,
                         DimensionMismatch, HypothesisViolation, InvalidInput,
-                        ProjectionOracle,
-                        admissible_radius, ba_report,
+                        ProjectionOracle, ba_report,
                         combine_flags, delta_const, estimate_lipschitz,
                         estimate_theta, make_affine, make_constant,
-                        make_quadratic, min_residual, op_norm, vi_payoff,
+                        make_quadratic, min_residual, op_norm, solve_vi, vi_payoff,
                         vi_report)
 from ballsaddle import constants
+from ballsaddle.cli import _saddle_problem, parse_config
+from ballsaddle.saddle import gate, gated_problem
 from ballsaddle.oracles import grid_sigma_oracle
 
 
@@ -351,16 +352,87 @@ class TestReports:
         assert abs(rep.r_max - 1.0) <= 1e-8
 
     def test_zero_sigma(self):
-        # F(0) = 0 kills the positivity hypothesis: report degrades, the
-        # radius rule itself refuses
+        # F(0) = 0 kills the positivity hypothesis: no radius is admissible
         m = make_affine(np.eye(2), [0.0, 0.0], 1.0)
         rep = vi_report(m)
         assert rep.r_max == 0.0
-        with pytest.raises(HypothesisViolation):
-            admissible_radius(rep)
 
     def test_vacuous_denominator(self):
         # M = 0 (constant map): the radius bound degenerates to rho itself
         m = make_constant([3.0, 4.0], 1.0)
         rep = vi_report(m)
         assert rep.r_max == 1.0
+
+
+RULE_PROBLEM = {"kind": "affine", "A": [[1.0, 0.2], [0.0, 1.0]], "b": [2.0, 0.5], "rho": 1.0}
+
+
+def rule_report(rule):
+    """(map, report) of each radius rule: a VI report, an approximation
+    report on a box Y, and the saddle report of statement 1."""
+    cfg = parse_config({"problem": RULE_PROBLEM}, "saddle")
+    m = cfg.smooth_map
+    if rule == "vi":
+        return m, vi_report(m)
+    if rule == "ba":
+        return m, ba_report(m, Box([-0.6, -0.6], [0.6, 0.6]))
+    return m, _saddle_problem(cfg, m)[2]
+
+
+@pytest.mark.parametrize("rule", sorted(constants.RADIUS_RULES))
+class TestRadiusRules:
+    def test_r_max_and_weight_follow_the_table(self, rule):
+        m, rep = rule_report(rule)
+        num, den, scale = constants.RADIUS_RULES[rule]
+        assert rep.radius_rule == rule
+        assert 0.0 < rep.r_max < rep.rho
+        numerator, denominator = getattr(rep, num).value, getattr(rep, den).value
+        assert rep.r_max == min(rep.rho, numerator / (scale * denominator))
+        assert rep.weight is getattr(rep, den)
+        cfg = gated_problem(m, rep, None, "certified")
+        assert (cfg.r, cfg.r_max, cfg.L) == (rep.r_max, rep.r_max, rep.weight.value)
+        assert cfg.smoothness == 2.0 * cfg.L + rep.theta.value
+
+    def test_zero_numerator_admits_no_radius(self, rule):
+        m, rep = rule_report(rule)
+        num = constants.RADIUS_RULES[rule][0]
+        zero = dataclasses.replace(rep, **{num: CertValue(0.0, CertFlag.ANALYTIC)})
+        assert zero.r_max == 0.0
+        with pytest.raises(HypothesisViolation, match=f"^{num} = 0"):
+            gate(zero, None, "certified", rep.rho)
+
+    def test_zero_denominator_is_vacuous(self, rule):
+        _, rep = rule_report(rule)
+        den = constants.RADIUS_RULES[rule][1]
+        zero = dataclasses.replace(rep, **{den: CertValue(0.0, CertFlag.ANALYTIC)})
+        assert zero.r_max == rep.rho
+
+    @pytest.mark.parametrize("change", ["rule", "numerator", "denominator", "rho", "rho-sign"])
+    def test_a_report_without_its_rule_is_invalid(self, rule, change):
+        _, rep = rule_report(rule)
+        num, den, _ = constants.RADIUS_RULES[rule]
+        fields = {"rule": {"radius_rule": "sigma"}, "numerator": {num: None},
+                  "denominator": {den: None}, "rho": {"rho": 0.0}, "rho-sign": {"rho": -1.0}}
+        with pytest.raises(InvalidInput):
+            dataclasses.replace(rep, **fields[change])
+
+
+def test_replaced_sigma_recomputes_r_max():
+    # r_max was a settable field that dataclasses.replace carried over: with a
+    # quarter of sigma it stayed 0.2314, and solve_vi certified a passing run there
+    m = make_affine([[1.0, 0.2], [0.0, 1.0]], [2.0, 0.5], 1.0)
+    rep = vi_report(m)
+    quarter = dataclasses.replace(
+        rep, sigma=dataclasses.replace(rep.sigma, value=rep.sigma.value / 4))
+    assert quarter.r_max == min(rep.rho, quarter.sigma.value / (2.0 * rep.M.value)) < rep.r_max
+    with pytest.raises(HypothesisViolation, match="admissible radius") as err:
+        solve_vi(m, r=rep.r_max, report=quarter)
+    assert err.value.deficit == rep.r_max - quarter.r_max
+    names = []
+    gated_problem(m, quarter, rep.r_max, "certified", fail=lambda name, error: names.append(name))
+    assert names == ["radius-admissible"]
+    with pytest.raises(ValueError, match="r_max"):
+        dataclasses.replace(rep, r_max=rep.r_max)
+    with pytest.raises(TypeError, match="r_max"):
+        ConstantsReport(rho=1.0, theta=rep.theta, gamma=rep.gamma, M=rep.M, sigma=rep.sigma,
+                        r_max=rep.r_max)

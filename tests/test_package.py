@@ -1,4 +1,9 @@
-"""The package's export list."""
+"""The package's export list and its modules' imports."""
+
+import ast
+import pathlib
+
+import pytest
 
 import ballsaddle
 
@@ -14,3 +19,22 @@ def test_every_public_callable_is_exported():
     public = {name for name, value in vars(ballsaddle).items()
               if not name.startswith("_") and callable(value)}
     assert public - set(ballsaddle.__all__) == set()
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(ballsaddle.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_imported_name_is_used(path):
+    # a name a module imports is read in that module or re-exported in __all__
+    tree = ast.parse(path.read_text())
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    assert imported - used - exported == set()

@@ -18,12 +18,12 @@ from ballsaddle import (Ball, Box, InvalidInput, NonConvergence, Payoff,
                         project_ball, sample_ball, sample_sphere, shift_map,
                         solve_best_approx, solve_saddle, solve_vi, solve_vi_shifted,
                         vi_payoff, vi_report)
-from ballsaddle.ba import ba_problem, certify_ba, solve_prox_pair
+from ballsaddle.ba import certify_ba, solve_prox_pair
 from ballsaddle import saddle as saddle_module
 from ballsaddle.cli import _saddle_problem, parse_config, main as cli_main
 from ballsaddle.oracles import fixedpoint_vi_oracle
-from ballsaddle.saddle import CHECK_SAMPLES, payoff_depends_on_y
-from ballsaddle.vi import certify_vi, vi_problem
+from ballsaddle.saddle import CHECK_SAMPLES, gated_problem, payoff_depends_on_y
+from ballsaddle.vi import certify_vi
 
 
 def linear_payoff(c, rho, y_set):
@@ -121,10 +121,10 @@ class TestConfig:
             return 1.0 / (2.0 * (2.0 * weight.value + report.theta.value))
 
         rep = vi_report(m)
-        assert vi_problem(m, None, rep).step == step(rep.M, rep)
+        assert gated_problem(m, rep, None, "certified").step == step(rep.M, rep)
         Y = Ball(1.0, 3)
         rep = ba_report(m, Y)
-        assert ba_problem(m, Y, None, None, rep).step == step(rep.L, rep)
+        assert gated_problem(m, rep, None, "certified").step == step(rep.L, rep)
         for payoff in ("vi", "ba"):
             cfg = parse_config({"problem": problem, "payoff": payoff}, "saddle")
             _, scfg, rep = _saddle_problem(cfg, m)
@@ -430,7 +430,7 @@ def collapsed_instance(request, m):
     if request == "best-approx":
         cert = solve_best_approx(m)
         Y = Ball(1.0, m.dimension)
-        cfg = ba_problem(m, Y, None, cert.r, cert.constants)
+        cfg = gated_problem(m, cert.constants, cert.r, "certified")
         return (cert, ba_payoff(m, Y), cfg,
                 lambda p: certify_ba(m, Y, p, cfg, cert.constants, theorem="6"))
     if request == "vi-shifted":
@@ -438,7 +438,7 @@ def collapsed_instance(request, m):
         m = shift_map(m, [16.0, 0.0])
     else:
         cert = solve_vi(m)
-    cfg = vi_problem(m, cert.r, cert.constants)
+    cfg = gated_problem(m, cert.constants, cert.r, "certified")
     return cert, vi_payoff(m), cfg, lambda p: certify_vi(m, p, cfg, cert.constants)
 
 
