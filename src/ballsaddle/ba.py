@@ -29,15 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import SmoothMap, ba_payoff
-from .constants import ConstantsReport, ba_report, require_count
+from .constants import ConstantsReport, ba_report
 from .errors import HypothesisViolation, InvalidInput
 from .geometry import Ball, Box, ConvexSet, ball_projection, dist_ball, norm, project_ball
-from .saddle import (AUDIT_SAMPLES, CHECK_SAMPLES, CHECK_TOL, EXCLUSION_FACTOR, SPHERE_TOL,
-                     STRICT_MARGIN, Certificate, CheckReport, SaddleChecks, SaddleConfig,
-                     SaddlePoint, ball_check_samples, by_blocks, check_saddle, claims_sphere,
-                     contraction, exclusion_mask, failed_names, gated_problem,
-                     probe_uniqueness, raise_failure, slack_report, solve_saddle,
-                     sphere_fixed_point, sphere_records, uniqueness_consistent)
+from .saddle import (AUDIT_SAMPLES, CHECK_SAMPLES, CHECK_TOL, SPHERE_TOL, STRICT_MARGIN,
+                     Certificate, CheckReport, SaddleChecks, SaddleConfig, SaddlePoint, audit,
+                     check_saddle, claims_sphere, contraction, failed_names, gated_problem,
+                     probe_uniqueness, raise_failure, solve_saddle, sphere_fixed_point,
+                     sphere_records, uniqueness_consistent)
 from .vi import COLLAPSE_TOL, SmallRadiusResult, radius_from_origin
 
 IDENTITY_TOL = 1e-6
@@ -214,21 +213,15 @@ def solve_prox_pair(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None,
 def check_nearest_point(m: SmoothMap, x_star, r: float,
                         n_samples: int = CHECK_SAMPLES, seed: int = 0,
                         strict_margin: float = STRICT_MARGIN) -> CheckReport:
-    """Sampled check that x* is closer to every image f(x) than x itself is,
-    by more than strict_margin (the certify step keeps STRICT_MARGIN), over
-    ball(r) outside the exclusion ball of radius EXCLUSION_FACTOR * r."""
-    require_count("n_samples", n_samples, 1)
+    """Sampled check (``saddle.audit``) that x* is closer to every image
+    f(x) than x itself is, by more than strict_margin (the certify step
+    keeps STRICT_MARGIN), over ball(r) outside the exclusion ball of radius
+    EXCLUSION_FACTOR * r."""
     x_star = np.asarray(x_star, dtype=float)
-    rng = np.random.default_rng(seed)
-    xs = ball_check_samples(rng, n_samples, m.dimension, r, x_star)
-    xs = xs[exclusion_mask(xs, x_star, r)]
 
-    def gain(block):
-        F = m.vals(block)
-        return np.linalg.norm(F - block, axis=1) - np.linalg.norm(F - x_star, axis=1)
-    slack = by_blocks(gain, xs) - strict_margin
-    return slack_report("nearest-point", slack, xs, {"strict_margin": strict_margin,
-                                                     "exclusion_radius": EXCLUSION_FACTOR * r})
+    def gains(block, F):
+        return (np.linalg.norm(F - block, axis=1) - np.linalg.norm(F - x_star, axis=1))[:, None]
+    return audit("nearest-point", m, x_star, r, n_samples, seed, gains, strict_margin)
 
 
 def solve_best_approx(m: SmoothMap, r: float | None = None,

@@ -1,10 +1,10 @@
 """Problem catalog: smooth maps on a ball and the payoffs built from them.
 
 A ``SmoothMap`` bundles value and Jacobian oracles on the ball of radius
-``rho`` with (optional) analytic constants.  The catalog constructors cover
-constant, affine and quadratic maps and compute their constants with honest
-flags: exact where the formula is exact, conservative where only an upper
-bound is proved.
+``rho`` with (optional) analytic constants.  A catalog map, constant,
+affine or quadratic, is a ``CoefficientMap``: its coefficients, from which
+it derives its oracles and its constants with honest flags, exact where
+the formula is exact, conservative where only an upper bound is proved.
 
 Payoffs are scalar functions J(x, y) with one gradient oracle, ``grads``,
 that returns both partial gradients.  Two families matter here:
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -59,22 +59,19 @@ class AnalyticConstants:
 
 @dataclass(frozen=True)
 class SmoothMap:
-    """A C^1 map R^n -> R^n queried on the ball of radius ``rho``, built
-    complete and never changed.
-
-    ``value`` and ``jacobian`` are single-point oracles; ``value_batch``
-    (rows-in, rows-out) is optional and only used to speed up sampled checks.
-    ``restricted`` rebuilds the map on a smaller ball so conservative
-    constants tighten with the radius.
-    """
+    """A C^1 map R^n -> R^n on the ball of radius ``domain_radius``, built
+    complete and never changed: single-point ``value`` and ``jacobian``
+    oracles and optional declared constants ``analytic``, which ``restrict``
+    keeps.  Only a ``CoefficientMap`` sets ``value_batch`` (rows in, rows
+    out) for the sampled checks; a bare map evaluates row by row."""
 
     dimension: int
     domain_radius: float
     value: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
     analytic: AnalyticConstants | None = None
-    value_batch: Callable[[np.ndarray], np.ndarray] | None = None
-    restricted: Callable[[float], "SmoothMap"] | None = None
+    value_batch: Callable[[np.ndarray], np.ndarray] | None = field(
+        default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -108,57 +105,92 @@ class SmoothMap:
         return out
 
     def restrict(self, new_rho: float) -> "SmoothMap":
-        """The same map viewed on a smaller ball, constants recomputed."""
+        """The same map on a smaller ball; a catalog map derives its
+        constants there."""
         if not (0 < new_rho <= self.domain_radius):
             raise InvalidInput(
                 f"restriction radius must lie in (0, {self.domain_radius}], got {new_rho}")
-        if self.restricted is not None:
-            return self.restricted(new_rho)
-        return SmoothMap(self.dimension, new_rho, self.value, self.jacobian,
-                         analytic=self.analytic, value_batch=self.value_batch)
+        return replace(self, domain_radius=float(new_rho))
 
 
-def make_constant(c, rho: float) -> SmoothMap:
+@dataclass(frozen=True, eq=False)
+class CoefficientMap(SmoothMap):
+    """The catalog map x -> A x + b + (x^T Q_i x)_i - w_1 - ... - w_k (no A
+    when constant, no Q when affine; the ``shifts`` w_j subtracted last, in
+    order).  Its oracles, batch value and constants at ``domain_radius``
+    (``make_quadratic`` gives the bounds), under the ``declared`` (name,
+    value) pairs, derive from these fields when it is built, so ``restrict``
+    or ``dataclasses.replace`` of a field rebuilds them, and a replaced
+    oracle is refused.  The oracles hold the arrays, not the map."""
+
+    dimension: int = field(init=False)
+    value: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
+    jacobian: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
+    analytic: AnalyticConstants = field(init=False)
+    value_batch: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
+    b: np.ndarray
+    A: np.ndarray | None = None
+    Q: np.ndarray | None = None
+    shifts: tuple = ()
+    declared: tuple = ()
+
+    def __post_init__(self):
+        A, b, Q, n, rho = self.A, self.b, self.Q, self.b.size, self.domain_radius
+        object.__setattr__(self, "dimension", n)
+        super().__post_init__()
+        if A is None:
+            value, jacobian = (lambda x, c=b: c.copy()), (lambda x, zj=np.zeros((n, n)): zj.copy())
+            batch = lambda X, c=b: np.broadcast_to(c, (np.asarray(X).shape[0], c.size)).copy()
+            analytic = AnalyticConstants(theta=0.0, gamma=0.0, eta=1.0)
+        elif Q is None:
+            # single points use ndarray.dot: the BLAS call of @, dispatched in
+            # half the time on a small vector
+            value, jacobian = (lambda x, A=A, b=b: A.dot(x) + b), (lambda x, A=A: A.copy())
+            batch = lambda X, A=A, b=b: np.asarray(X) @ A.T + b
+            theta, eta = (float(v) for v in op_norm(np.stack([A, np.eye(n) - A])))
+            analytic = AnalyticConstants(theta=theta, gamma=0.0, eta=eta)
+        else:
+            value = lambda x, A=A, b=b, Q=Q: A.dot(x) + b + (Q @ x).dot(x)
+            jacobian = lambda x, A=A, Q=Q: A + 2.0 * (Q @ x)
+            batch = lambda X, A=A, b=b, Q=Q: X @ A.T + b + _quadratic_forms(X, Q)
+            norms, R = op_norm(np.stack([A, np.eye(n) - A])), Q.reshape(n * n, n)
+            s = math.sqrt(max(0.0, float(np.linalg.eigvalsh(R.T @ R)[-1])))
+            analytic = AnalyticConstants(
+                float(norms[0]) + 2.0 * rho * s, 2.0 * s, float(norms[1]) + 2.0 * rho * s,
+                *(CertFlag.CONSERVATIVE,) * 3)
+        for w in self.shifts:
+            value = lambda x, f=value, w=w: f(x) - w
+            batch = lambda X, f=batch, w=w: f(X) - w
+        for name, v in (("value", value), ("jacobian", jacobian), ("value_batch", batch),
+                        ("analytic", replace(analytic, **dict(self.declared)))):
+            object.__setattr__(self, name, v)
+
+
+def _linear_part(A, b) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b) as float arrays: b a point, A a finite square matrix of its size."""
+    b, A = as_point(b), np.asarray(A, dtype=float)
+    if A.shape != (b.size, b.size):
+        raise DimensionMismatch(f"A has shape {A.shape}, b has size {b.size}")
+    if not np.all(np.isfinite(A)):
+        raise InvalidInput("A has non-finite entries")
+    return A, b
+
+
+def make_constant(c, rho: float) -> CoefficientMap:
     """The map x -> c.  theta = gamma = 0 and eta = 1, all exact."""
-    c = as_point(c)
-    n = c.size
-    zero_jac = np.zeros((n, n))
-    return SmoothMap(
-        n, float(rho),
-        value=lambda x, c=c: c.copy(),
-        jacobian=lambda x, zj=zero_jac: zj.copy(),
-        analytic=AnalyticConstants(theta=0.0, gamma=0.0, eta=1.0),
-        value_batch=lambda X, c=c: np.broadcast_to(c, (np.asarray(X).shape[0], c.size)).copy(),
-        restricted=lambda r, c=c: make_constant(c, r),
-    )
+    return CoefficientMap(float(rho), as_point(c))
 
 
-def make_affine(A, b, rho: float) -> SmoothMap:
+def make_affine(A, b, rho: float) -> CoefficientMap:
     """The map x -> A x + b.
 
     theta = ||A||, gamma = 0, eta = ||I - A||, all exact (spectral norms).
     """
-    b = as_point(b)
-    A = np.asarray(A, dtype=float)
-    n = b.size
-    if A.shape != (n, n):
-        raise DimensionMismatch(f"A has shape {A.shape}, b has size {n}")
-    if not np.all(np.isfinite(A)):
-        raise InvalidInput("A has non-finite entries")
-    theta, eta = (float(v) for v in op_norm(np.stack([A, np.eye(n) - A])))
-    return SmoothMap(
-        n, float(rho),
-        # single points use ndarray.dot: the BLAS call of @, dispatched in
-        # half the time on a small vector
-        value=lambda x, A=A, b=b: A.dot(x) + b,
-        jacobian=lambda x, A=A: A.copy(),
-        analytic=AnalyticConstants(theta=theta, gamma=0.0, eta=eta),
-        value_batch=lambda X, A=A, b=b: np.asarray(X) @ A.T + b,
-        restricted=lambda r, A=A, b=b: make_affine(A, b, r),
-    )
+    A, b = _linear_part(A, b)
+    return CoefficientMap(float(rho), b, A)
 
 
-def make_quadratic(A, b, Q, rho: float) -> SmoothMap:
+def make_quadratic(A, b, Q, rho: float) -> CoefficientMap:
     """Component i of the map is (A x + b)_i + x^T Q_i x with symmetric Q_i.
 
     Row i of the Jacobian is A_i + 2 (Q_i x)^T, so row i of J(x) - J(x') is
@@ -166,45 +198,23 @@ def make_quadratic(A, b, Q, rho: float) -> SmoothMap:
     With s = ||sum_i Q_i^2||^(1/2) the constants used are the proved bounds
     gamma = 2 s, theta = ||A|| + 2 rho s and eta = ||I - A|| + 2 rho s, all
     conservative.  s is never above sqrt(sum_i ||Q_i||^2), and equals it when
-    every Q_i is a multiple of one matrix.  All-zero Q collapses to the affine
-    constructor.  Q is symmetrized once, (Q_i + Q_i^T)/2, which leaves a
-    symmetric Q_i bit for bit, so sum_i Q_i^2 = R^T R for the (n^2, n) stack R
-    of the Q_i, and s^2 is the largest eigenvalue of that n x n matrix.
+    every Q_i is a multiple of one matrix.  All-zero Q gives the affine map.
+    Q is symmetrized once, (Q_i + Q_i^T)/2, which leaves a symmetric Q_i bit
+    for bit, so sum_i Q_i^2 = R^T R for the (n^2, n) stack R of the Q_i, and
+    s^2 is the largest eigenvalue of that n x n matrix.
     """
-    b = as_point(b)
-    A = np.asarray(A, dtype=float)
-    n = b.size
-    if A.shape != (n, n):
-        raise DimensionMismatch(f"A has shape {A.shape}, b has size {n}")
-    Q = np.asarray(Q, dtype=float)
+    A, b = _linear_part(A, b)
+    n, Q = b.size, np.asarray(Q, dtype=float)
     if Q.shape != (n, n, n):
         raise DimensionMismatch(
             f"Q must stack {n} square matrices of size {n}, got shape {Q.shape}")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(Q))):
-        raise InvalidInput("coefficients have non-finite entries")
+    if not np.all(np.isfinite(Q)):
+        raise InvalidInput("Q has non-finite entries")
     asym = float(np.max(np.abs(Q - Q.transpose(0, 2, 1))))
     if asym > 1e-12:
         raise InvalidInput(f"each Q_i must be symmetric (max asymmetry {asym:.2e})")
     Q = 0.5 * (Q + Q.transpose(0, 2, 1))
-    if not Q.any():
-        return make_affine(A, b, rho)
-    norms = op_norm(np.stack([A, np.eye(n) - A]))
-    R = Q.reshape(n * n, n)
-    s = math.sqrt(max(0.0, float(np.linalg.eigvalsh(R.T @ R)[-1])))
-    theta = float(norms[0]) + 2.0 * float(rho) * s
-    eta = float(norms[1]) + 2.0 * float(rho) * s
-    return SmoothMap(
-        n, float(rho),
-        value=lambda x, A=A, b=b, Q=Q: A.dot(x) + b + (Q @ x).dot(x),
-        jacobian=lambda x, A=A, Q=Q: A + 2.0 * (Q @ x),
-        analytic=AnalyticConstants(
-            theta=theta, gamma=2.0 * s, eta=eta,
-            theta_flag=CertFlag.CONSERVATIVE,
-            gamma_flag=CertFlag.CONSERVATIVE,
-            eta_flag=CertFlag.CONSERVATIVE),
-        value_batch=lambda X, A=A, b=b, Q=Q: X @ A.T + b + _quadratic_forms(X, Q),
-        restricted=lambda r, A=A, b=b, Q=Q: make_quadratic(A, b, Q, r),
-    )
+    return CoefficientMap(float(rho), b, A, Q if Q.any() else None)
 
 
 def _quadratic_forms(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -217,17 +227,14 @@ def _quadratic_forms(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def shift_map(m: SmoothMap, w) -> SmoothMap:
-    """The map x -> m(x) - w.  Jacobian and all Lipschitz data unchanged."""
+    """The map x -> m(x) - w.  Jacobian and all Lipschitz data unchanged: a
+    catalog map takes w as its last shift, a bare map a value oracle that
+    subtracts it."""
     w = as_point(w, dim=m.dimension)
-    return SmoothMap(
-        m.dimension, m.domain_radius,
-        value=lambda x, m=m, w=w: m.val(x) - w,
-        jacobian=m.jacobian,
-        analytic=m.analytic,
-        value_batch=(None if m.value_batch is None
-                     else (lambda X, m=m, w=w: m.vals(X) - w)),
-        restricted=lambda r, m=m, w=w: shift_map(m.restrict(r), w),
-    )
+    if isinstance(m, CoefficientMap):
+        return replace(m, shifts=m.shifts + (w,))
+    return SmoothMap(m.dimension, m.domain_radius, value=lambda x, m=m, w=w: m.val(x) - w,
+                     jacobian=m.jacobian, analytic=m.analytic)
 
 
 @dataclass
@@ -357,16 +364,12 @@ def validate_map(m: SmoothMap, n_points: int = 100, seed: int = 0) -> float:
     if worst > FD_REL_TOL:
         raise InvalidInput(
             f"jacobian disagrees with finite differences (relative error {worst:.2e})")
-    _require_agreement(m.vals(pts), np.stack(rows), "batch value", "the row-wise value")
-    return worst
-
-
-def _require_agreement(got: np.ndarray, want: np.ndarray, what: str, reference: str):
-    """A fast oracle path must agree with its reference within BATCH_REL_TOL
-    of the reference's norm."""
-    err = float(np.linalg.norm(got - want) / max(1.0, float(np.linalg.norm(want))))
+    want = np.stack(rows)
+    err = float(np.linalg.norm(m.vals(pts) - want) / max(1.0, float(np.linalg.norm(want))))
     if not err <= BATCH_REL_TOL:
-        raise InvalidInput(f"{what} disagrees with {reference} (relative error {err:.2e})")
+        raise InvalidInput(
+            f"batch value disagrees with the row-wise value (relative error {err:.2e})")
+    return worst
 
 
 def validate_payoff(p: Payoff, n_points: int = 100, seed: int = 0) -> float:
@@ -523,11 +526,7 @@ def axis_lower_bounds(m: SmoothMap, names) -> dict:
     return best
 
 
-def declare(m: SmoothMap, values: dict) -> SmoothMap:
-    """A copy of ``m`` with the declared constants ``values`` (with their
-    flags), and so is every restriction of it: a bound declared on
-    ball(rho) still holds on each smaller ball, where the catalog rebuilds
-    the map."""
-    rebuild = m.restricted
-    return replace(m, analytic=replace(m.analytic, **values),
-                   restricted=lambda r: declare(rebuild(r), values))
+def declare(m: CoefficientMap, values: dict) -> CoefficientMap:
+    """``m`` with the declared constants ``values`` (and flags) over its own
+    at every radius: a bound declared on ball(rho) holds on each smaller ball."""
+    return replace(m, declared=m.declared + tuple(values.items()))

@@ -493,6 +493,24 @@ def slack_report(name: str, slack: np.ndarray, points: np.ndarray, details: dict
                        witness=None if passed else points[i], details=details)
 
 
+def audit(name: str, m, x_star, r: float, n_samples: int, seed: int, gains,
+          strict_margin: float = STRICT_MARGIN, forms: tuple = ()) -> CheckReport:
+    """The sampled check of ``check_vi`` and ``check_nearest_point``: over
+    ``ball_check_samples`` outside the exclusion ball about x*, by blocks,
+    each column of ``gains(block, m.vals(block))`` must exceed
+    ``strict_margin``.  The details name, under each of ``forms``, the
+    largest negated gain of its column."""
+    require_count("n_samples", n_samples, 1)
+    x_star = np.asarray(x_star, dtype=float)
+    rng = np.random.default_rng(seed)
+    xs = ball_check_samples(rng, n_samples, m.dimension, r, x_star)
+    xs = xs[exclusion_mask(xs, x_star, r)]
+    g = by_blocks(lambda block: gains(block, m.vals(block)), xs)
+    details = {"strict_margin": strict_margin, "exclusion_radius": EXCLUSION_FACTOR * r}
+    details.update((form, -float(np.min(column))) for form, column in zip(forms, g.T))
+    return slack_report(name, np.min(g, axis=1) - strict_margin, xs, details)
+
+
 def check_saddle(payoff, point: SaddlePoint, cfg: SaddleConfig, seed: int = 0,
                  n_samples: int = CHECK_SAMPLES) -> SaddleChecks:
     """Sampled certification of a saddle candidate (solved or stored), with

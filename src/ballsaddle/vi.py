@@ -32,14 +32,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import SmoothMap, shift_map, vi_payoff
-from .constants import ConstantsReport, op_norm, require_count, vi_report
+from .constants import ConstantsReport, op_norm, vi_report
 from .errors import HypothesisViolation, InvalidInput
 from .geometry import norm
-from .saddle import (AUDIT_SAMPLES, CHECK_SAMPLES, CHECK_TOL, EXCLUSION_FACTOR, STRICT_MARGIN,
-                     Certificate, CheckReport, SaddleConfig, SaddlePoint, ball_check_samples,
-                     by_blocks, contraction, exclusion_mask, failed_names, gated_problem,
-                     raise_failure, slack_report, solve_saddle, sphere_fixed_point,
-                     sphere_records)
+from .saddle import (AUDIT_SAMPLES, CHECK_SAMPLES, CHECK_TOL, Certificate, CheckReport,
+                     SaddleConfig, SaddlePoint, audit, contraction, failed_names, gated_problem,
+                     raise_failure, solve_saddle, sphere_fixed_point, sphere_records)
 
 COLLAPSE_TOL = 1e-6
 DIRECTION_TOL = 1e-6
@@ -78,28 +76,18 @@ class VICertificate(Certificate):
 
 def check_vi(m: SmoothMap, x_star, r: float, n_samples: int = CHECK_SAMPLES,
              seed: int = 0) -> CheckReport:
-    """Sampled check of the double strict inequality at x*.
-
-    Samples ball(r) (enriched with sphere points, axis points and the
-    antipode of x*), excludes a ball of radius EXCLUSION_FACTOR * r around
-    x*, and requires both inner products below -STRICT_MARGIN everywhere.
-    """
-    require_count("n_samples", n_samples, 1)
+    """Sampled check (``saddle.audit``) of the double strict inequality at
+    x*: both inner products below -STRICT_MARGIN over ball(r), enriched with
+    sphere points, axis points and the antipode of x*, outside the
+    exclusion ball of radius EXCLUSION_FACTOR * r about x*."""
     x_star = np.asarray(x_star, dtype=float)
-    rng = np.random.default_rng(seed)
-    xs = ball_check_samples(rng, n_samples, m.dimension, r, x_star)
-    xs = xs[exclusion_mask(xs, x_star, r)]
     fx = m.val(x_star)
 
-    def forms(block):
+    def gains(block, values):
         d = x_star - block
-        return np.stack([d @ fx, np.einsum("mi,mi->m", m.vals(block), d)], axis=1)
-    first, second = by_blocks(forms, xs).T
-    return slack_report("vi-double-inequality", -np.maximum(first, second) - STRICT_MARGIN, xs,
-                        {"strict_margin": STRICT_MARGIN,
-                         "exclusion_radius": EXCLUSION_FACTOR * r,
-                         "worst_first_form": float(np.max(first)),
-                         "worst_second_form": float(np.max(second))})
+        return -np.stack([d @ fx, np.einsum("mi,mi->m", values, d)], axis=1)
+    return audit("vi-double-inequality", m, x_star, r, n_samples, seed, gains,
+                 forms=("worst_first_form", "worst_second_form"))
 
 
 def certify_vi(m: SmoothMap, point: SaddlePoint, cfg: SaddleConfig,

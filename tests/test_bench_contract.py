@@ -52,6 +52,18 @@ def test_traced_targets_exist():
         assert name in sys.modules
 
 
+def test_traced_map_methods_cover_catalog_maps():
+    # the tracer wraps SmoothMap's own methods; an override in the catalog
+    # map type would leave catalog maps uncounted
+    catalog_type = type(ballsaddle.make_affine([[1.0]], [1.0], 1.0))
+    mro = catalog_type.__mro__
+    below = mro[:mro.index(ballsaddle.SmoothMap)]
+    assert catalog_type in below
+    for meth, _ in tracer.EVAL_METHODS:
+        assert meth in vars(ballsaddle.SmoothMap)
+        assert all(meth not in vars(cls) for cls in below)
+
+
 @pytest.mark.parametrize("request_type", REQUESTS)
 def test_request_certifies_and_checks(request_type):
     inst = _instance(request_type)

@@ -1,7 +1,9 @@
 """Catalog maps, payoffs and the JSON problem schema."""
 
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from ballsaddle import (Ball, Box, CertFlag, ConfigError, DimensionMismatch,
                         make_constant, make_quadratic, map_from_dict, shift_map,
                         sample_ball, small_radius, solve_best_approx, solve_vi,
                         validate_map, validate_payoff, vi_payoff)
+from ballsaddle import catalog
 from ballsaddle.saddle import SaddlePoint, gated_problem
 
 
@@ -115,6 +118,59 @@ def test_restrict_tightens_quadratic_constants():
     assert small.analytic.theta < m.analytic.theta
     x = np.array([0.1, -0.1])
     assert_allclose(small.val(x), m.val(x))
+
+
+def test_a_catalog_map_refuses_new_oracles():
+    # the copy used to keep the old batch value and restriction: for the
+    # negated map below, vals and restrict(0.5).val gave [1.1, 0.2] at
+    # (0.1, 0.2) while val gave [-1.1, -0.2]
+    m = make_affine(np.eye(2), (1, 0), 1)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(m, value=lambda x: -m.value(x), jacobian=lambda x: -m.jacobian(x))
+    for name in ("jacobian", "value_batch", "analytic", "dimension"):
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(m, **{name: getattr(m, name)})
+
+
+def test_restriction_of_a_declared_shifted_quadratic_keeps_its_constants():
+    # theta and gamma recomputed on the smaller ball, the declared eta kept:
+    # the values the closure-built restriction of the map gave, bit for bit
+    doc = {"kind": "quadratic", "rho": 1.0, "shift": [0.5, -0.25, 1.0],
+           "A": [[1.0, 0.3, 0.0], [-0.2, 0.8, 0.1], [0.0, 0.4, 1.1]], "b": [2.0, 0.5, -1.0],
+           "Q": [[[0.3, 0.1, 0.0], [0.1, 0.0, 0.2], [0.0, 0.2, -0.1]],
+                 [[0.0, 0.0, 0.1], [0.0, 0.2, 0.0], [0.1, 0.0, 0.0]],
+                 [[0.1, 0.0, 0.0], [0.0, -0.3, 0.1], [0.0, 0.1, 0.2]]],
+           "analytic_constants": {"eta": 7.5}}
+    m = map_from_dict(doc)
+    conservative, analytic = CertFlag.CONSERVATIVE, CertFlag.ANALYTIC
+    for r, theta in ((1.0, "0x1.1698da46adfd7p+1"), (0.3, "0x1.8a6f2965c2cc1p+0")):
+        small = m.restrict(r)
+        assert small.analytic == catalog.AnalyticConstants(
+            float.fromhex(theta), float.fromhex("0x1.d107447123615p-1"), 7.5,
+            conservative, conservative, analytic)
+        x = np.array([0.1, -0.2, 0.05])
+        assert small.val(x).tobytes() == m.val(x).tobytes()
+        assert small.vals(x[None]).tobytes() == m.vals(x[None]).tobytes()
+
+
+def test_a_catalog_map_is_freed_by_reference_counting():
+    # the oracles hold the coefficients, not the map: no reference cycle
+    # keeps a 256 KB Q alive until the cyclic collector runs
+    rng = np.random.default_rng(3)
+    gc.disable()
+    try:
+        for build in (lambda: rand_quadratic(rng, 32),
+                      lambda: shift_map(make_constant([1.0, 2.0], 1.0), [0.5, 0.5]),
+                      lambda: map_from_dict({"kind": "affine", "A": [[2.0]], "b": [1.0],
+                                             "rho": 1.0, "analytic_constants": {"theta": 3.0}}
+                                            ).restrict(0.5)):
+            m = build()
+            ref = weakref.ref(m)
+            m.vals(np.zeros((2, m.dimension)))
+            del m
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_shift_map():
@@ -239,15 +295,14 @@ def test_validate_payoff_rejects_a_disagreeing_fused_oracle(which):
 
 @pytest.mark.parametrize("make", [vi_payoff, lambda m: ba_payoff(m, Ball(1.0, 3))])
 def test_payoff_gradients_follow_a_replaced_map(make):
-    # the fused gradients call the map's own oracles: a copy with new ones
+    # the fused gradients call the map's own oracles: a map with new ones
     # is the map they differentiate, and lists are converted as val converts
     rng = np.random.default_rng(44)
     m = rand_quadratic(rng, 3)
-    negated = dataclasses.replace(m, value=lambda x: -m.value(x),
-                                  jacobian=lambda x: -m.jacobian(x))
+    negated = SmoothMap(3, 1.0, value=lambda x: -m.value(x), jacobian=lambda x: -m.jacobian(x))
     flipped = make(negated)
-    listed = make(dataclasses.replace(m, value=lambda x: m.value(x).tolist(),
-                                      jacobian=lambda x: m.jacobian(x).tolist()))
+    listed = make(SmoothMap(3, 1.0, value=lambda x: m.value(x).tolist(),
+                            jacobian=lambda x: m.jacobian(x).tolist()))
     p, family = make(m), "vi" if make is vi_payoff else "ba"
     for x, y in zip(sample_ball(rng, 5, 3, 1.0), sample_ball(rng, 5, 3, 1.0)):
         gx, gy = flipped.grads(x, y)
@@ -396,15 +451,17 @@ def test_quadratic_batch_memory_stays_linear_in_rows():
     assert peak < 8e6, peak
 
 
-def affine_with_batch(batch, n=3):
-    A = np.arange(n * n, dtype=float).reshape(n, n) / n ** 2
-    b = np.ones(n)
-    return SmoothMap(n, 1.0, value=lambda x: A @ x + b, jacobian=lambda x: A,
-                     value_batch=lambda X: batch(X @ A.T + b))
+def quadratic_with_batch(monkeypatch, batch, n=3):
+    """A quadratic catalog map whose batch value takes its quadratic forms
+    through ``batch``; its row-wise value is left alone."""
+    forms = catalog._quadratic_forms
+    monkeypatch.setattr(catalog, "_quadratic_forms", lambda X, Q: batch(forms(X, Q)))
+    return rand_quadratic(np.random.default_rng(n), n)
 
 
-def test_batch_of_the_wrong_shape_is_rejected():
-    m = affine_with_batch(lambda V: V.T)
+def test_batch_of_the_wrong_shape_is_rejected(monkeypatch):
+    # an extra axis broadcasts the batch value to (rows, rows, n)
+    m = quadratic_with_batch(monkeypatch, lambda V: V[:, None, :])
     with pytest.raises(DimensionMismatch, match="batch value"):
         m.vals(np.zeros((4, 3)))
     with pytest.raises(DimensionMismatch):
@@ -413,10 +470,10 @@ def test_batch_of_the_wrong_shape_is_rejected():
 
 @pytest.mark.parametrize("batch", [lambda V: V.T, lambda V: V + 1e-3],
                          ids=["transposed", "offset"])
-def test_validate_map_catches_batch_disagreeing_with_value(batch):
-    # three rows of three: a transposed batch has the right shape
+def test_validate_map_catches_batch_disagreeing_with_value(monkeypatch, batch):
+    # three rows of three: transposed forms have the right shape
     with pytest.raises(InvalidInput, match="batch value disagrees"):
-        validate_map(affine_with_batch(batch), n_points=3, seed=0)
+        validate_map(quadratic_with_batch(monkeypatch, batch), n_points=3, seed=0)
 
 
 class TestMapFromDict:

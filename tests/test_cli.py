@@ -1020,10 +1020,9 @@ class TestVerify:
 # F(x) = A x + b on ball(1) without its declared constants: the sampled
 # constants once drew their points with scipy
 SAMPLED_REPORTS = (
-    "import dataclasses\n"
-    "from ballsaddle import Ball, ba_report, make_affine, vi_report\n"
-    "m = dataclasses.replace(make_affine([[1.0, 0.2], [0.0, 0.9]], [2.0, 0.0], 1.0),\n"
-    "                        analytic=None, restricted=None)\n"
+    "from ballsaddle import Ball, SmoothMap, ba_report, make_affine, vi_report\n"
+    "m = make_affine([[1.0, 0.2], [0.0, 0.9]], [2.0, 0.0], 1.0)\n"
+    "m = SmoothMap(m.dimension, m.domain_radius, m.value, m.jacobian)\n"
     "assert not vi_report(m, samples=20).certified\n"
     "assert not ba_report(m, Ball(1.0, 2), samples=20).certified\n")
 

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from ballsaddle import (Ball, Box, CertFlag, CertValue, ConstantsReport,
                         DimensionMismatch, HypothesisViolation, InvalidInput,
-                        ProjectionOracle, ba_report,
+                        ProjectionOracle, SmoothMap, ba_report,
                         combine_flags, delta_const, estimate_lipschitz,
                         estimate_theta, make_affine, make_constant,
                         make_quadratic, min_residual, op_norm, solve_vi, vi_payoff,
@@ -44,7 +44,7 @@ def _trust_region_point(b, A, rho):
 
 def bare(m):
     """The same map with its declared constants dropped."""
-    return dataclasses.replace(m, analytic=None, restricted=None)
+    return SmoothMap(m.dimension, m.domain_radius, m.value, m.jacobian)
 
 
 class TestOpNorm:
@@ -196,6 +196,16 @@ class TestSigma:
     def test_tiny_jacobian_guard(self):
         s = min_residual(np.array([2.0, 0.0]), np.zeros((2, 2)), Ball(1.0, 2)).value
         assert abs(s - 2.0) <= 1e-12
+
+    def test_tiny_jacobian_on_a_box_is_a_conservative_bound(self):
+        # ||A|| = 1e-10 <= 1e-9 ends the box iteration at its first iterate,
+        # y = 0, before the duality gap 1e-10 * sum|b_i| / ||b|| closes; the
+        # exact minimum takes 1e-10 off each |b_i|
+        b = np.array([2.0, -1.0, 0.5])
+        got = min_residual(b, 1e-10 * np.eye(3), Box(-np.ones(3), np.ones(3)))
+        assert got.flag is CertFlag.CONSERVATIVE
+        exact = float(np.linalg.norm(np.abs(b) - 1e-10))
+        assert exact - 1e-9 <= got.value <= exact
 
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(11)

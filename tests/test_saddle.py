@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ballsaddle import (Ball, Box, InvalidInput, NonConvergence, Payoff,
-                        SaddleConfig, SaddlePoint, ba_payoff, ba_report,
+                        SaddleConfig, SaddlePoint, SmoothMap, ba_payoff, ba_report,
                         check_nearest_point, check_saddle, check_vi, make_affine,
                         make_constant, make_quadratic, map_from_dict, phi_value_grad,
                         project_ball, sample_ball, sample_sphere, shift_map,
@@ -22,7 +22,8 @@ from ballsaddle.ba import certify_ba, solve_prox_pair
 from ballsaddle import saddle as saddle_module
 from ballsaddle.cli import _saddle_problem, parse_config, main as cli_main
 from ballsaddle.oracles import fixedpoint_vi_oracle
-from ballsaddle.saddle import CHECK_SAMPLES, gated_problem, payoff_depends_on_y
+from ballsaddle.saddle import (CHECK_SAMPLES, MAX_STEP_HALVINGS, gated_problem,
+                               payoff_depends_on_y)
 from ballsaddle.vi import certify_vi
 
 
@@ -188,6 +189,26 @@ class TestSolve:
         assert halved.step == cfg.step / 8  # below the configured step: three halvings
         assert_allclose(halved.x_star, solve_saddle(p, safe).x_star, atol=1e-7)
 
+    def test_step_halving_limit(self):
+        # the x-gradient at the origin alternates between 1e-3 e_1 and e_1
+        # and vanishes elsewhere, so x stays at 0 and every other residual
+        # is 1000 times the last: past iteration 20 each blow-up halves the
+        # step, and the 61st halving gives up
+        calls = []
+
+        def grads(x, y):
+            if x.any():
+                return np.zeros(2), np.zeros(2)
+            calls.append(1)
+            return np.array([1e-3 if len(calls) % 2 else 1.0, 0.0]), np.zeros(2)
+        p = Payoff(2, 1.0, Ball(1.0, 2), lambda x, y: 0.0, grads)
+        cfg = SaddleConfig(r=1.0, T=Ball(1.0, 2), L=0.0, smoothness=0.5, tol=1e-300)
+        with pytest.raises(NonConvergence, match="step halving limit reached") as exc:
+            solve_saddle(p, cfg)
+        # the k-th blow-up comes at iteration 20 + 2 k
+        assert exc.value.iterations == 20 + 2 * (MAX_STEP_HALVINGS + 1)
+        assert exc.value.residual == 2.0 ** -MAX_STEP_HALVINGS
+
     def test_determinism(self):
         p = bilinear_1d()
         cfg = SaddleConfig(r=0.3, T=p.y_set, L=0.0, smoothness=1.0, tol=1e-10)
@@ -276,7 +297,8 @@ class TestSolve:
                 return np.full_like(oracle(x), np.nan)
             return call
 
-        m = dataclasses.replace(m, value=poisoned(value), jacobian=poisoned(jacobian))
+        m = SmoothMap(m.dimension, m.domain_radius, poisoned(value), poisoned(jacobian),
+                      analytic=m.analytic)
         solve = saddle_module.solve_saddle
 
         def probe_solve(*args, **kwargs):
@@ -656,7 +678,8 @@ def test_non_finite_map_stops_the_fixed_point(solve, bad):
         state["calls"] += 1
         return value(x) if state["calls"] < 4 else np.full(4, bad)  # call 1 is F(0) for q
     with pytest.raises(InvalidInput, match="not finite at iteration 3"):
-        solve(dataclasses.replace(m, value=poisoned), report=report)
+        solve(SmoothMap(m.dimension, m.domain_radius, poisoned, m.jacobian, m.analytic),
+              report=report)
 
 
 @pytest.mark.parametrize("solve", [solve_vi, solve_best_approx], ids=["vi", "best-approx"])

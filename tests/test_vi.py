@@ -1,7 +1,5 @@
 """Variational inequality certificates: solve, gates, shifted form, small radius."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -18,6 +16,11 @@ def affine_instance():
     # F(x) = x + (2, 0) on the unit ball: theta = 1, M = 2, sigma = 1,
     # admissible radius 1/4, solution (-1/4, 0)
     return make_affine(np.eye(2), [2.0, 0.0], 1.0)
+
+
+def bare(m):
+    """The same map with its declared constants dropped."""
+    return SmoothMap(m.dimension, m.domain_radius, m.value, m.jacobian)
 
 
 @pytest.fixture
@@ -112,7 +115,7 @@ class TestSolveVI:
             solve_vi(m)
 
     def test_sampled_constants_need_heuristic_mode(self):
-        m = dataclasses.replace(affine_instance(), analytic=None, restricted=None)
+        m = bare(affine_instance())
         with pytest.raises(CertificationError):
             solve_vi(m, r=0.2)
         cert = solve_vi(m, r=0.2, mode="heuristic", tol=1e-10)
@@ -219,10 +222,8 @@ class TestSolveVI:
         # q = 1 / (2 - 1) = 1 at r = 1 proves no contraction
         lambda: solve_vi(affine_instance(), r=1.0, mode="heuristic"),
         # sampled constants: theta is a lower bound, so q proves nothing
-        lambda: solve_vi(dataclasses.replace(affine_instance(), analytic=None, restricted=None),
-                         r=0.2, mode="heuristic"),
-        lambda: solve_best_approx(dataclasses.replace(affine_instance(), analytic=None,
-                                                      restricted=None), mode="heuristic")],
+        lambda: solve_vi(bare(affine_instance()), r=0.2, mode="heuristic"),
+        lambda: solve_best_approx(bare(affine_instance()), mode="heuristic")],
         ids=["vi-q-one", "vi-sampled", "best-approx-sampled"])
     def test_unproved_contraction_runs_the_extragradient(self, solve_calls, fixed_point_calls,
                                                          solve):
@@ -277,16 +278,17 @@ def test_radius_outside_the_ball_is_invalid(solve, r):
 
 
 def test_bare_map_matches_its_catalog_twin():
-    # a map without value_batch and restricted takes the row-wise loop of
-    # vals in the audits and the generic branch of restrict in small_radius
+    # a bare map takes the row-wise loop of vals in the audits, and its
+    # restriction in small_radius keeps the declared constants it is given
     A, b = np.array([[1.0, 0.3], [-0.2, 0.8]]), np.array([2.0, 0.5])
     twin = make_affine(A, b, 1.0)
-    bare = SmoothMap(2, 1.0, lambda x: A.dot(x) + b, lambda x: A.copy(),
-                     analytic=twin.analytic)
-    assert bare.value_batch is None and bare.restricted is None
+    plain = SmoothMap(2, 1.0, lambda x: A.dot(x) + b, lambda x: A.copy(),
+                      analytic=twin.analytic)
+    assert plain.value_batch is None and twin.value_batch is not None
+    assert plain.restrict(0.5).analytic is twin.analytic
     for solve in (solve_vi, solve_best_approx):
-        assert solve(bare).to_dict() == solve(twin).to_dict()
-    assert small_radius(bare).to_dict() == small_radius(twin).to_dict()
+        assert solve(plain).to_dict() == solve(twin).to_dict()
+    assert small_radius(plain).to_dict() == small_radius(twin).to_dict()
 
 
 class TestCheckVI:
