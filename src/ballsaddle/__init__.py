@@ -26,8 +26,8 @@ from .errors import (BallSaddleError, CertificationError, ConfigError, Dimension
                      HypothesisViolation, InvalidInput, NonConvergence)
 from .geometry import (Ball, Box, ConvexSet, ProjectionOracle, dist_ball, norm,
                        project_ball, sample_ball, sample_sphere)
-from .saddle import (CheckReport, SaddleChecks, SaddleConfig, SaddlePoint,
-                     check_saddle, phi_value_grad, solve_saddle)
+from .saddle import (CheckReport, SaddleCertificate, SaddleChecks, SaddleConfig, SaddlePoint,
+                     check_saddle, phi_value_grad, run_saddle, solve_saddle)
 from .vi import (SmallRadiusResult, VICertificate, certify_vi, check_vi,
                  small_radius, solve_vi, solve_vi_shifted)
 
@@ -38,13 +38,13 @@ __all__ = [
     "CertFlag", "CertValue", "CertificationError", "CheckReport",
     "ConfigError", "ConstantsReport", "ConvexSet", "DimensionMismatch",
     "HypothesisViolation", "InvalidInput", "NonConvergence", "Payoff",
-    "ProjectionOracle", "SaddleChecks", "SaddleConfig", "SaddlePoint",
+    "ProjectionOracle", "SaddleCertificate", "SaddleChecks", "SaddleConfig", "SaddlePoint",
     "SmallRadiusResult", "SmoothMap", "VICertificate", "ba_payoff",
     "ba_report", "ba_small_radius", "certify_ba", "certify_vi",
     "check_nearest_point", "check_saddle", "check_vi", "combine_flags",
     "delta_const", "dist_ball", "estimate_lipschitz", "estimate_theta",
     "make_affine", "make_constant", "make_quadratic", "map_from_dict",
-    "min_residual", "norm", "op_norm", "phi_value_grad", "project_ball",
+    "min_residual", "norm", "op_norm", "phi_value_grad", "project_ball", "run_saddle",
     "sample_ball", "sample_sphere", "shift_map", "small_radius",
     "solve_best_approx", "solve_prox_pair", "solve_saddle", "solve_vi",
     "solve_vi_shifted", "validate_map", "validate_payoff", "vi_payoff",

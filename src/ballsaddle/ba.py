@@ -33,7 +33,7 @@ from .constants import ConstantsReport, ba_report
 from .errors import HypothesisViolation, InvalidInput
 from .geometry import Ball, Box, ConvexSet, ball_projection, dist_ball, norm, project_ball
 from .saddle import (AUDIT_SAMPLES, CHECK_SAMPLES, CHECK_TOL, SPHERE_TOL, STRICT_MARGIN,
-                     Certificate, CheckReport, SaddleChecks, SaddleConfig, SaddlePoint, audit,
+                     Certificate, CheckReport, SaddleConfig, SaddlePoint, audit,
                      check_saddle, claims_sphere, contraction, failed_names, gated_problem,
                      probe_uniqueness, raise_failure, solve_saddle, sphere_fixed_point,
                      sphere_records, uniqueness_consistent)
@@ -51,7 +51,6 @@ class BACertificate(Certificate):
     audit and the distance identity (6)."""
 
     projection_gap: float
-    saddle_checks: SaddleChecks | None = None
     collapse_gap: float | None = None
     distance_gap: float | None = None
     nearest_check: CheckReport | None = None
@@ -59,9 +58,7 @@ class BACertificate(Certificate):
 
     def failed_checks(self) -> list[str]:
         first, own = [("projection", self.projection_gap <= IDENTITY_TOL)], []
-        if self.saddle_checks is not None:  # statement 5
-            first.append(("saddle-checks", self.saddle_checks.passed))
-        else:  # statement 6
+        if self.theorem == "6":
             rep, gap = self.constants, abs(norm(self.x_star) - self.r)
             first += [("collapse", self.collapse_gap <= COLLAPSE_TOL),
                       ("sphere-membership", gap <= SPHERE_TOL
@@ -73,9 +70,7 @@ class BACertificate(Certificate):
     def to_dict(self):
         d = super().to_dict()
         d["residuals"]["projection_gap"] = float(self.projection_gap)
-        if self.saddle_checks is not None:
-            d["checks"]["saddle"] = self.saddle_checks.to_dict()
-        else:
+        if self.theorem == "6":
             d["residuals"].update(collapse_gap=float(self.collapse_gap),
                                   distance_gap=float(self.distance_gap))
             d["checks"]["nearest-point"] = self.nearest_check.to_dict()

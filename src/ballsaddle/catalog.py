@@ -14,7 +14,8 @@ that returns both partial gradients.  Two families matter here:
 
 both concave (indeed affine or quadratic-concave) in y, with analytic
 gradients and with the affine structure of grad_x J(0, .) exposed so the
-delta constant can be solved exactly.
+delta constant can be solved exactly.  Both are a ``MapPayoff``, which,
+like a ``CoefficientMap``, derives these from its map when it is built.
 """
 
 from __future__ import annotations
@@ -271,11 +272,34 @@ class Payoff:
         return np.array([self.value(x, y) for y in Y], dtype=float)
 
 
-def vi_payoff(m: SmoothMap) -> Payoff:
-    """J(x, y) = <m(x), x - y> on ball(rho) x ball(rho).
+@dataclass
+class MapPayoff(Payoff):
+    """The catalog payoff of the map ``smooth_map`` on ball(rho) x ``y_set``:
+    ``kind`` "vi" (``vi_payoff``) or "ba" (``ba_payoff``).  Its dimension,
+    radius, oracles, batch values and ``grad0_affine`` derive from the map
+    when it is built, so ``dataclasses.replace`` of the map or the set
+    rebuilds them, and a replaced oracle is refused.  The oracles hold the
+    map, not the payoff."""
 
-    grad_x = jac(x)^T (x - y) + m(x), grad_y = -m(x).
-    """
+    dimension: int = field(init=False)
+    x_radius: float = field(init=False)
+    value: Callable[[np.ndarray, np.ndarray], float] = field(init=False, repr=False)
+    grads: Callable = field(init=False, repr=False)
+    grad0_affine: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    value_xbatch: Callable = field(init=False, repr=False)
+    value_ybatch: Callable = field(init=False, repr=False)
+    smooth_map: SmoothMap
+    kind: str
+
+    def __post_init__(self):
+        m = self.smooth_map
+        self.dimension, self.x_radius = m.dimension, m.domain_radius
+        (self.value, self.grads, self.grad0_affine, self.value_xbatch,
+         self.value_ybatch) = _PAYOFF_ORACLES[self.kind](m)
+
+
+def _vi_oracles(m: SmoothMap):
+    """The derived fields of ``vi_payoff(m)``, in ``MapPayoff`` order."""
 
     def value(x, y, m=m):
         return float(np.dot(m.val(x), x - y))
@@ -292,18 +316,12 @@ def vi_payoff(m: SmoothMap) -> Payoff:
         v = m.val(x)
         return (x - np.asarray(Y)) @ v
 
-    return Payoff(
-        m.dimension, m.domain_radius, Ball(m.domain_radius, m.dimension), value, grads,
-        grad0_affine=(m.val(np.zeros(m.dimension)), m.jac(np.zeros(m.dimension))),
-        value_xbatch=value_xbatch, value_ybatch=value_ybatch,
-    )
+    zero = np.zeros(m.dimension)
+    return value, grads, (m.val(zero), m.jac(zero)), value_xbatch, value_ybatch
 
 
-def ba_payoff(m: SmoothMap, y_set: ConvexSet) -> Payoff:
-    """J(x, y) = ||m(x) - x||^2 - ||m(x) - y||^2 on ball(rho) x Y.
-
-    grad_x = 2 (x - m(x) - jac(x)^T (x - y)), grad_y = 2 (m(x) - y).
-    """
+def _ba_oracles(m: SmoothMap):
+    """The derived fields of ``ba_payoff(m, Y)``, in ``MapPayoff`` order."""
 
     def value(x, y, m=m):
         fx = m.val(x)
@@ -325,11 +343,26 @@ def ba_payoff(m: SmoothMap, y_set: ConvexSet) -> Payoff:
         return float(np.dot(fx - x, fx - x)) - np.einsum("mi,mi->m", d, d)
 
     zero = np.zeros(m.dimension)
-    return Payoff(
-        m.dimension, m.domain_radius, y_set, value, grads,
-        grad0_affine=(2.0 * m.val(zero), 2.0 * m.jac(zero)),
-        value_xbatch=value_xbatch, value_ybatch=value_ybatch,
-    )
+    return value, grads, (2.0 * m.val(zero), 2.0 * m.jac(zero)), value_xbatch, value_ybatch
+
+
+_PAYOFF_ORACLES = {"vi": _vi_oracles, "ba": _ba_oracles}
+
+
+def vi_payoff(m: SmoothMap) -> MapPayoff:
+    """J(x, y) = <m(x), x - y> on ball(rho) x ball(rho).
+
+    grad_x = jac(x)^T (x - y) + m(x), grad_y = -m(x).
+    """
+    return MapPayoff(Ball(m.domain_radius, m.dimension), m, "vi")
+
+
+def ba_payoff(m: SmoothMap, y_set: ConvexSet) -> MapPayoff:
+    """J(x, y) = ||m(x) - x||^2 - ||m(x) - y||^2 on ball(rho) x Y.
+
+    grad_x = 2 (x - m(x) - jac(x)^T (x - y)), grad_y = 2 (m(x) - y).
+    """
+    return MapPayoff(y_set, m, "ba")
 
 
 def _fd_error(f, x, h: float, exact) -> float:
@@ -511,12 +544,17 @@ def axis_lower_bounds(m: SmoothMap, names) -> dict:
     """{name: (lower bound, witness point)} for each of ``names`` among
     theta, gamma and eta, from the Jacobians at the origin and at the 2n
     axis points +-rho e_i: theta >= ||J(x)||, eta >= ||I - J(x)|| and
-    gamma >= ||J(x) - J(0)|| / rho."""
+    gamma >= ||J(x) - J(0)|| / rho.  A catalog map without Q has one
+    Jacobian everywhere: every point ties with the origin, whose label the
+    strict > keeps, so only the origin is visited."""
     n, rho = m.dimension, m.domain_radius
     jac0 = m.jac(np.zeros(n))
     labels = ["0"] + [f"{'+-'[k % 2]}{rho:g} e_{k // 2 + 1}" for k in range(2 * n)]
+    points = np.vstack([np.zeros((1, n)), axis_points(n, rho)])
+    if isinstance(m, CoefficientMap) and m.Q is None:
+        points = points[:1]
     best = {}
-    for label, x in zip(labels, np.vstack([np.zeros((1, n)), axis_points(n, rho)])):
+    for label, x in zip(labels, points):
         J = jac0 if label == "0" else m.jac(x)
         bounded = {"theta": J, "eta": np.eye(n) - J, "gamma": (J - jac0) / rho}
         for name in names:

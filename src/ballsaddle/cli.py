@@ -33,17 +33,16 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .ba import ba_small_radius, run_ba
 from .catalog import (SmoothMap, ba_payoff, map_from_dict, read_array, read_number,
                       require_fields, vi_payoff)
-from .constants import ConstantsReport, ba_report, delta_const, vi_report
+from .constants import ba_report, vi_report
 from .errors import (BallSaddleError, CertificationError, ConfigError, DimensionMismatch,
                      HypothesisViolation, InvalidInput, NonConvergence)
 from .geometry import Ball, Box, ConvexSet, as_point
-from .saddle import (SaddleConfig, SaddlePoint, check_saddle, gate, gated_problem,
-                     payoff_depends_on_y, raise_failure, solve_saddle)
+from .saddle import SaddlePoint, raise_failure, run_saddle
 from .vi import run_vi, shift_problem, small_radius
 
 CERT_FORMAT = "ballsaddle-certificate/5"
@@ -169,42 +168,6 @@ def _y_set(cfg: RunConfig, m: SmoothMap) -> ConvexSet:
     return cfg.Y or Ball(m.domain_radius, m.dimension)
 
 
-def _saddle_problem(cfg: RunConfig, m: SmoothMap, fail=raise_failure):
-    """(payoff, gated saddle config, saddle-rule constants report) of the
-    generic saddle command on ball(r) x T."""
-    if cfg.payoff == "vi":
-        rep, payoff = vi_report(m, seed=cfg.seed), vi_payoff(m)
-    else:
-        Y = _y_set(cfg, m)
-        rep, payoff = ba_report(m, Y, seed=cfg.seed), ba_payoff(m, Y)
-    # sigma > 0 and the default r come from the payoff's own report; the
-    # certified-mode checks need the saddle report, which depends on T
-    r = gate(rep, cfg.r, "heuristic", m.domain_radius, fail)
-    T = cfg.T or Ball(r, m.dimension)
-    report = replace(rep, delta=delta_const(payoff, T), L=rep.weight, radius_rule="saddle")
-    return payoff, gated_problem(m, report, r, cfg.mode, T, fail=fail), report
-
-
-def _certify_saddle(cfg: RunConfig, payoff, scfg: SaddleConfig,
-                    report: ConstantsReport, point: SaddlePoint) -> tuple[dict, list[str]]:
-    """The certify step of the saddle command, the sampled saddle checks:
-    (certificate body, names of its failed checks)."""
-    checks = check_saddle(payoff, point, scfg, seed=cfg.seed + 1)
-    doc = {
-        "theorem": "1", "mode": cfg.mode, "r": float(scfg.r),
-        "solution": {"x_star": [float(v) for v in point.x_star],
-                     "y_star": [float(v) for v in point.y_star],
-                     "y_star_unique": payoff_depends_on_y(payoff, point.x_star, scfg.T,
-                                                          seed=cfg.seed)},
-        "residuals": {"saddle_residual": float(point.residual)},
-        "iterations": int(point.iterations), "step": float(point.step),
-        "constants": report.to_dict(),
-        "checks": {"saddle": checks.to_dict()},
-        "passed": bool(checks.passed),
-    }
-    return doc, [] if checks.passed else ["saddle-checks"]
-
-
 def run(cfg: RunConfig) -> tuple[dict, list[str]]:
     """Execute a parsed config: (certificate document without envelope
     fields, names of its failed checks)."""
@@ -234,19 +197,16 @@ def run(cfg: RunConfig) -> tuple[dict, list[str]]:
 def _certify(cfg: RunConfig, fail, point: SaddlePoint | None = None,
              uniqueness: dict | None = None) -> tuple[dict, list[str]]:
     """(certificate body, names of its failed checks) of a solving command:
-    the one path of ``run`` and ``verify``.  It gates the problem, with
-    failed hypothesis gates (and an inconsistent probe record) going to
-    ``fail``; solves unless ``point``, a stored solution, is given; and
-    certifies.  A stored ``prox-pair`` comes with its probe record
-    ``uniqueness``."""
-    m = cfg.smooth_map
-    if cfg.command == "saddle":
-        payoff, scfg, report = _saddle_problem(cfg, m, fail)
-        if point is None:
-            point = solve_saddle(payoff, scfg)
-        return _certify_saddle(cfg, payoff, scfg, report, point)
-    kw = {"mode": cfg.mode, "seed": cfg.seed, "fail": fail}
-    if cfg.command == "vi":
+    the one path of ``run`` and ``verify``, ``run_saddle``, ``run_vi`` or
+    ``run_ba`` with the failure sink ``fail``, given from ``verify`` a stored
+    solution ``point`` (and a ``prox-pair``'s probe record ``uniqueness``)."""
+    m, kw = cfg.smooth_map, {"mode": cfg.mode, "seed": cfg.seed, "fail": fail}
+    if cfg.command == "saddle":  # run_saddle derives the saddle report from the payoff's own
+        Y = _y_set(cfg, m)
+        report, payoff = ((vi_report(m, seed=cfg.seed), vi_payoff(m)) if cfg.payoff == "vi"
+                          else (ba_report(m, Y, seed=cfg.seed), ba_payoff(m, Y)))
+        cert = run_saddle(m, payoff, cfg.T, cfg.r, report, {}, point, **kw)
+    elif cfg.command == "vi":
         cert = run_vi(m, cfg.r, vi_report(m, seed=cfg.seed), {}, point, **kw)
     elif cfg.command == "vi-shifted":
         shifted, report, record = shift_problem(m, cfg.w, seed=cfg.seed, fail=fail)

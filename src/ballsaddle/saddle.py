@@ -15,25 +15,25 @@ the radius is admissible, and the minimax gap of phi; statements 1 and 5
 run it (see ``Certificate`` for the collapsed pairs of 2, 4 and 6).
 
 Each statement family has one path, which a solve and ``verify`` share
-(``vi.run_vi``, ``ba.run_ba``, and ``cli._certify`` for statement 1):
+(``run_saddle`` for statement 1, ``vi.run_vi`` and ``ba.run_ba``):
 ``gated_problem``, the radius/mode ``gate`` and the saddle problem of the
 report's radius rule; then a solver step unless a stored solution
 is given (``solve_saddle`` or ``sphere_fixed_point``; statement 5 adds
 ``probe_uniqueness``); then a certify step (one ``sphere_records`` call
 proves uniqueness for statements 2, 4 and 6, and 5 on their sets, and the
 strict inequality of 2, 4 and 6, which they audit on AUDIT_SAMPLES
-samples).  A solve runs the gate with a failure sink that raises,
+samples; 1 and 5 run ``check_saddle``).  A solve runs the gate with a failure sink that raises,
 ``verify`` with one that records instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constants import RADIUS_RULES, ConstantsReport, require_count
+from .constants import RADIUS_RULES, ConstantsReport, delta_const, require_count
 from .errors import CertificationError, HypothesisViolation, InvalidInput, NonConvergence
 from .geometry import (Ball, ConvexSet, as_point, axis_points, ball_projection, norm,
                        project_ball, sample_ball, sample_sphere)
@@ -156,7 +156,8 @@ def failed_names(*checks: tuple[str, bool]) -> list[str]:
 class Certificate:
     """Solution, constants and uniqueness record of one certified run; the
     VI and approximation certificates add their own identities and checks,
-    and statement 5 the sampled saddle checks.  The collapsed pairs of
+    and statements 1 and 5 carry ``check_saddle``'s ``saddle_checks``
+    (named ``saddle-checks``).  The collapsed pairs of
     statements 2, 4 and 6 prove x-strictly-minimal in closed form
     (``proof``, the proof record of ``sphere_records``, named
     ``proof_check``) and audit it in their own sampled check, and
@@ -181,13 +182,15 @@ class Certificate:
     uniqueness: dict | None
     y_maximal_slack: float | None
     proof: dict | None
+    saddle_checks: SaddleChecks | None = field(default=None, kw_only=True)
     proof_check = "proof"
 
     def failed_checks(self) -> list[str]:
-        """Closed-form y-maximal, uniqueness and the proof; the subclasses
-        put their identities first and their own checks last."""
+        """Closed-form y-maximal, the saddle checks, uniqueness and the proof;
+        the subclasses put their identities first and their own checks last."""
         return failed_names(
             ("y-maximal", self.y_maximal_slack is None or self.y_maximal_slack >= 0.0),
+            ("saddle-checks", self.saddle_checks is None or self.saddle_checks.passed),
             ("uniqueness", self.uniqueness is None or bool(self.uniqueness["passed"])),
             (self.proof_check, self.proof is None or bool(self.proof["passed"])))
 
@@ -204,9 +207,28 @@ class Certificate:
             "iterations": int(self.iterations),
             "constants": self.constants.to_dict(),
             "checks": {"uniqueness": self.uniqueness,
-                       **({} if self.proof is None else {"proof": self.proof})},
+                       **({} if self.proof is None else {"proof": self.proof}),
+                       **({} if self.saddle_checks is None
+                          else {"saddle": self.saddle_checks.to_dict()})},
             "passed": bool(self.passed),
         }
+
+
+@dataclass
+class SaddleCertificate(Certificate):
+    """Certificate of statement 1: the sampled saddle checks, the solver's
+    ``step`` and ``y_star_unique``, whether the payoff depends on y near x*
+    (else y* is one valid choice among many).  It has no uniqueness record."""
+
+    step: float
+    y_star_unique: bool
+
+    def to_dict(self):
+        d = super().to_dict()
+        del d["checks"]["uniqueness"]
+        d["solution"]["y_star_unique"] = self.y_star_unique
+        d["step"] = float(self.step)
+        return d
 
 
 def _grads(payoff):
@@ -369,6 +391,29 @@ def gated_problem(m, report: ConstantsReport, r: float | None, mode: str,
     L = report.weight.value
     return SaddleConfig(r=r, T=Ball(r, m.dimension) if T is None else T, L=L,
                         smoothness=2.0 * L + report.theta.value, r_max=report.r_max, **settings)
+
+
+def run_saddle(m, payoff, T: ConvexSet | None, r: float | None, report: ConstantsReport,
+               settings: dict, point: SaddlePoint | None = None, *, mode: str, seed: int,
+               fail) -> SaddleCertificate:
+    """Statement 1's one path, which the CLI's run and ``verify`` take: phi =
+    (L/2) ||x||^2 + J on ball(r) x T (T = ball(r) when None) for the payoff J
+    of ``m``.  The heuristic ``gate`` of J's own ``report`` (positivity, the
+    default r), then ``gated_problem`` in ``mode`` on the saddle report (delta
+    over T, L the weight, the "saddle" rule), failures to ``fail``; a solve
+    unless ``point`` (a stored solution) is given; then ``check_saddle``."""
+    r = gate(report, r, "heuristic", m.domain_radius, fail)
+    T = Ball(r, m.dimension) if T is None else T
+    report = replace(report, delta=delta_const(payoff, T), L=report.weight, radius_rule="saddle")
+    cfg = gated_problem(m, report, r, mode, T, fail=fail, **settings)
+    if point is None:
+        point = solve_saddle(payoff, cfg)
+    return SaddleCertificate(
+        theorem="1", mode=mode, r=cfg.r, x_star=point.x_star, y_star=point.y_star,
+        residual=point.residual, iterations=point.iterations, constants=report,
+        uniqueness=None, y_maximal_slack=None, proof=None, step=point.step,
+        saddle_checks=check_saddle(payoff, point, cfg, seed=seed + 1),
+        y_star_unique=payoff_depends_on_y(payoff, point.x_star, cfg.T, seed=seed))
 
 
 def admissible(r: float, r_max: float | None) -> bool:

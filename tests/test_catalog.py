@@ -10,7 +10,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ballsaddle import (Ball, Box, CertFlag, ConfigError, DimensionMismatch,
-                        InvalidInput, SmoothMap, ba_payoff, check_saddle, make_affine,
+                        InvalidInput, Payoff, SmoothMap, ba_payoff, check_saddle, delta_const,
+                        make_affine, op_norm,
                         make_constant, make_quadratic, map_from_dict, shift_map,
                         sample_ball, small_radius, solve_best_approx, solve_vi,
                         validate_map, validate_payoff, vi_payoff)
@@ -130,6 +131,52 @@ def test_a_catalog_map_refuses_new_oracles():
     for name in ("jacobian", "value_batch", "analytic", "dimension"):
         with pytest.raises(ValueError, match="init=False"):
             dataclasses.replace(m, **{name: getattr(m, name)})
+
+
+@pytest.mark.parametrize("family", ["vi", "ba"])
+def test_a_catalog_payoff_refuses_new_oracles(family):
+    # the copy of the payoff of x + (2, 0) with the oracles of x + (0.5, 0)
+    # used to keep its delta data and batch values: delta over T = ball(0.2)
+    # came out 1.8 against the true 0.3, and values_x evaluated the old map
+    m1, m2 = make_affine(np.eye(2), (2, 0), 1), make_affine(np.eye(2), (0.5, 0), 1)
+    Y = Ball(1.0, 2)
+    p1, p2 = (vi_payoff(m) if family == "vi" else ba_payoff(m, Y) for m in (m1, m2))
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(p1, value=p2.value, grads=p2.grads)
+    for name in ("grad0_affine", "value_xbatch", "value_ybatch", "dimension", "x_radius"):
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(p1, **{name: getattr(p1, name)})
+    # a new map rebuilds every derived field
+    moved, T = dataclasses.replace(p1, smooth_map=m2), Ball(0.2, 2)
+    assert delta_const(moved, T) == delta_const(p2, T)
+    if family == "vi":
+        assert delta_const(moved, T).value == pytest.approx(0.3, rel=1e-12)
+    X, y = sample_ball(np.random.default_rng(0), 5, 2, 1.0), np.array([0.1, -0.2])
+    assert_allclose(moved.values_x(X, y), [p2.value(x, y) for x in X], rtol=1e-12)
+    assert_allclose(moved.values_y(y, X), [p2.value(y, x) for x in X], rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind, calls", [("affine", 1), ("quadratic", 17)])
+def test_axis_lower_bounds_of_a_constant_jacobian_visit_the_origin(monkeypatch, kind, calls):
+    # an affine map's Jacobian is the same at every axis point: the origin's
+    # SVD alone gives the same bound and witness as all 2n + 1 of them
+    rng = np.random.default_rng(4)
+    doc = {"kind": kind, "A": rng.normal(size=(8, 8)).tolist(), "b": [1.0] * 8, "rho": 1.0}
+    if kind == "quadratic":
+        Q = 0.1 * rng.normal(size=(8, 8, 8))
+        doc["Q"] = (Q + Q.transpose(0, 2, 1)).tolist()
+    m = map_from_dict(doc)
+    counted = []
+    monkeypatch.setattr(catalog, "op_norm", lambda M: counted.append(M) or op_norm(M))
+    bounds = catalog.axis_lower_bounds(m, {"theta": 10.0})
+    assert len(counted) == calls
+    monkeypatch.undo()
+    full = catalog.axis_lower_bounds(SmoothMap(8, 1.0, m.value, m.jacobian),
+                                     ("theta", "gamma", "eta"))
+    assert bounds == {"theta": full["theta"]}
+    assert catalog.axis_lower_bounds(m, ("theta", "gamma", "eta")) == full
+    if kind == "affine":
+        assert full["theta"] == (op_norm(np.array(doc["A"])), "0")
 
 
 def test_restriction_of_a_declared_shifted_quadratic_keeps_its_constants():
@@ -595,7 +642,7 @@ def test_rowwise_payoff_values_give_the_batched_checks(family):
         cert, p = solve_best_approx(m), ba_payoff(m, Ball(1.0, 3))
     point = SaddlePoint(cert.x_star, cert.y_star, cert.residual, cert.iterations, 0.0)
     cfg = gated_problem(m, cert.constants, cert.r, "certified")
-    rowwise = dataclasses.replace(p, value_xbatch=None, value_ybatch=None)
+    rowwise = Payoff(p.dimension, p.x_radius, p.y_set, p.value, p.grads, p.grad0_affine)
     batched, looped = (check_saddle(q, point, cfg, seed=1, n_samples=300) for q in (p, rowwise))
     assert [r.passed for r in looped.reports] == [r.passed for r in batched.reports]
     assert_allclose([r.margin for r in looped.reports] + [looped.minimax_gap],

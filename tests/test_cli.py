@@ -8,10 +8,12 @@ import re
 import numpy as np
 import pytest
 
-from ballsaddle import ConfigError, NonConvergence
+from ballsaddle import (Ball, ConfigError, NonConvergence, SaddlePoint, ba_payoff, ba_report,
+                        map_from_dict, run_saddle, solve_best_approx, solve_prox_pair,
+                        solve_vi, solve_vi_shifted, vi_payoff, vi_report)
 from ballsaddle.cli import (_FIELDS, CERT_FORMAT, COMMANDS, _build_parser,
                             _to_jsonable, main, parse_config, run, set_from_dict)
-from ballsaddle.saddle import UNIQUENESS_STARTS
+from ballsaddle.saddle import UNIQUENESS_STARTS, raise_failure
 
 AFFINE = {"kind": "affine", "A": [[1.0, 0.0], [0.0, 1.0]],
           "b": [2.0, 0.0], "rho": 1.0}
@@ -475,6 +477,30 @@ ROUND_TRIPS = {
     "constants": ("constants", {"problem": AFFINE, "application": "ba"}),
     "small-radius": ("small-radius", {"problem": AFFINE}),
 }
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def saddle_certificate(m, payoff, point=None):
+    """Statement 1 of the map ``m`` through the public API, as the
+    ``saddle`` command runs it with its defaults."""
+    Y = Ball(m.domain_radius, m.dimension)
+    payoff, own = ((vi_payoff(m), vi_report(m)) if payoff == "vi"
+                   else (ba_payoff(m, Y), ba_report(m, Y)))
+    return run_saddle(m, payoff, None, None, own, {}, point, mode="certified", seed=0,
+                      fail=raise_failure)
+
+
+# the public API call of each solving ROUND_TRIPS case, on the case's map
+API_CALLS = {
+    "vi": solve_vi,
+    "vi-shifted": lambda m: solve_vi_shifted(m, [16.0, 0.0], 1.0),
+    "prox-pair-box": lambda m: solve_prox_pair(m, Ball(1.0, 2), set_from_dict(BOX, 2, "t_set"),
+                                               0.5),
+    "prox-pair": lambda m: solve_prox_pair(m, Ball(1.0, 2), None),
+    "best-approx": solve_best_approx,
+    "saddle-vi": lambda m: saddle_certificate(m, "vi"),
+    "saddle-ba": lambda m: saddle_certificate(m, "ba"),
+}
 
 
 class TestVerify:
@@ -507,6 +533,26 @@ class TestVerify:
         assert out["failures"] == []
         # run and verify take one certify path: the recomputed body is the stored one
         assert out["recomputed"] == json.loads(cert.read_text())["certificate"]
+
+    @pytest.mark.parametrize("case", [case for case, (command, _) in sorted(ROUND_TRIPS.items())
+                                      if command not in ("constants", "small-radius")])
+    def test_cli_body_is_the_api_certificate(self, tmp_path, case):
+        # the CLI keeps no certify step of its own: its body is the library's
+        command, doc = ROUND_TRIPS[case]
+        body = json.loads(self.make_cert(tmp_path, command, doc).read_text())["certificate"]
+        cert = API_CALLS[case](map_from_dict(doc["problem"]))
+        assert body == cert.to_dict()
+        assert (cert.failed_checks(), body["passed"]) == ([], True)
+
+    @pytest.mark.parametrize("payoff", ["vi", "ba"])
+    def test_run_saddle_reproduces_a_stored_body(self, payoff):
+        stored = json.loads((FIXTURES / f"format5-saddle-{payoff}.json").read_text())
+        body, sol = stored["certificate"], stored["certificate"]["solution"]
+        point = SaddlePoint(np.array(sol["x_star"]), np.array(sol["y_star"]),
+                            body["residuals"]["saddle_residual"], body["iterations"], body["step"])
+        cert = saddle_certificate(map_from_dict(stored["config"]["problem"]), payoff, point)
+        assert cert.to_dict() == body
+        assert "uniqueness" not in body["checks"] and cert.failed_checks() == []
 
     @pytest.mark.parametrize("case", sorted(ROUND_TRIPS))
     def test_envelope_seed_follows_the_schema(self, tmp_path, case):
@@ -687,22 +733,25 @@ class TestVerify:
         assert main(["verify", "--config", str(cert)]) == 0
 
     def test_zero_sigma_without_radius_is_named(self, tmp_path, capsys):
-        cert = self.make_cert(tmp_path)
-
         def tamper(doc):
             doc["config"]["problem"]["b"] = [0.0, 0.0]
-        assert "positivity" in self.verify_tampered(tmp_path, capsys, cert, tamper)
-        # the solve path still refuses the problem as a hypothesis violation
-        cfgp = write_config(tmp_path, {"problem": dict(AFFINE, b=[0.0, 0.0])})
-        assert main(["vi", "--config", cfgp]) == 2
-        assert "sigma = 0" in capsys.readouterr().err
+        for case in ("vi", "saddle-vi", "saddle-ba"):
+            command, doc = ROUND_TRIPS[case]
+            cert = self.make_cert(tmp_path, command, doc, name=f"{case}.json")
+            assert "positivity" in self.verify_tampered(tmp_path, capsys, cert, tamper)
+            # the solve path still refuses the problem as a hypothesis violation
+            cfgp = write_config(tmp_path, dict(doc, problem=dict(AFFINE, b=[0.0, 0.0])))
+            assert main([command, "--config", cfgp]) == 2
+            assert "sigma = 0" in capsys.readouterr().err
 
     def test_gate_that_stops_recomputation_is_the_only_failure(self, tmp_path, capsys):
         # with sigma = 0 and no r nothing is recomputed, so no stored field is named
         def tamper(doc):
             doc["config"]["problem"]["b"] = [0.0, 0.0]
-        assert self.verify_tampered(tmp_path, capsys, self.make_cert(tmp_path),
-                                    tamper) == ["positivity"]
+        for case in ("vi", "saddle-vi", "saddle-ba"):
+            command, doc = ROUND_TRIPS[case]
+            cert = self.make_cert(tmp_path, command, doc, name=f"{case}.json")
+            assert self.verify_tampered(tmp_path, capsys, cert, tamper) == ["positivity"]
         command, doc = ROUND_TRIPS["small-radius"]
         cert = self.make_cert(tmp_path, command, doc, name="small.json")
         assert self.verify_tampered(tmp_path, capsys, cert, tamper) == ["origin-nonzero"]
@@ -885,7 +934,7 @@ class TestVerify:
         # certificates of the other solving commands, stored before the
         # uniqueness and proof records of statements 2, 4 and 6 came from
         # one builder: their bodies are recomputed exactly
-        path = pathlib.Path(__file__).parent / "fixtures" / f"format5-{case}.json"
+        path = FIXTURES / f"format5-{case}.json"
         stored = json.loads(path.read_text())
         command, doc = ROUND_TRIPS[case]
         assert stored["format"] == CERT_FORMAT and stored["command"] == command

@@ -8,14 +8,14 @@ from numpy.testing import assert_allclose
 
 from ballsaddle import (Ball, Box, CertFlag, CertValue, ConstantsReport,
                         DimensionMismatch, HypothesisViolation, InvalidInput,
-                        ProjectionOracle, SmoothMap, ba_report,
+                        Payoff, ProjectionOracle, SmoothMap, ba_report,
                         combine_flags, delta_const, estimate_lipschitz,
                         estimate_theta, make_affine, make_constant,
                         make_quadratic, min_residual, op_norm, solve_vi, vi_payoff,
                         vi_report)
 from ballsaddle import constants
-from ballsaddle.cli import _saddle_problem, parse_config
-from ballsaddle.saddle import gate, gated_problem
+from ballsaddle.cli import parse_config
+from ballsaddle.saddle import gate, gated_problem, raise_failure, run_saddle
 from ballsaddle.oracles import grid_sigma_oracle
 
 
@@ -165,7 +165,8 @@ class TestEstimates:
         # delta's sampled minimum raised on an empty min() for 0 and on a
         # negative dimension for -1; the estimates raised a TypeError on 2.5
         m = make_affine(np.eye(2), [2.0, 0.0], 1.0)
-        p = dataclasses.replace(vi_payoff(m), grad0_affine=None)
+        p = vi_payoff(m)
+        p = Payoff(p.dimension, p.x_radius, p.y_set, p.value, p.grads)  # no grad0_affine
         with pytest.raises(InvalidInput, match="n_samples must be an integer >= 1"):
             delta_const(p, Ball(1.0, 2), n_samples=count)
         with pytest.raises(InvalidInput, match="samples must be an integer >= 1"):
@@ -386,7 +387,9 @@ def rule_report(rule):
         return m, vi_report(m)
     if rule == "ba":
         return m, ba_report(m, Box([-0.6, -0.6], [0.6, 0.6]))
-    return m, _saddle_problem(cfg, m)[2]
+    cert = run_saddle(m, vi_payoff(m), None, None, vi_report(m), {}, mode="certified", seed=0,
+                      fail=raise_failure)
+    return m, cert.constants
 
 
 @pytest.mark.parametrize("rule", sorted(constants.RADIUS_RULES))

@@ -20,10 +20,10 @@ from ballsaddle import (Ball, Box, InvalidInput, NonConvergence, Payoff,
                         vi_payoff, vi_report)
 from ballsaddle.ba import certify_ba, solve_prox_pair
 from ballsaddle import saddle as saddle_module
-from ballsaddle.cli import _saddle_problem, parse_config, main as cli_main
+from ballsaddle.cli import main as cli_main
 from ballsaddle.oracles import fixedpoint_vi_oracle
 from ballsaddle.saddle import (CHECK_SAMPLES, MAX_STEP_HALVINGS, gated_problem,
-                               payoff_depends_on_y)
+                               payoff_depends_on_y, raise_failure, run_saddle)
 from ballsaddle.vi import certify_vi
 
 
@@ -126,10 +126,11 @@ class TestConfig:
         Y = Ball(1.0, 3)
         rep = ba_report(m, Y)
         assert gated_problem(m, rep, None, "certified").step == step(rep.L, rep)
-        for payoff in ("vi", "ba"):
-            cfg = parse_config({"problem": problem, "payoff": payoff}, "saddle")
-            _, scfg, rep = _saddle_problem(cfg, m)
-            assert scfg.step == step(rep.L, rep)
+        # statement 1 takes the payoff's weight as L, on its saddle report
+        for payoff, own in ((vi_payoff(m), vi_report(m)), (ba_payoff(m, Y), rep)):
+            cert = run_saddle(m, payoff, None, None, own, {}, mode="certified", seed=0,
+                              fail=raise_failure)
+            assert cert.step == step(cert.constants.L, cert.constants)
 
 
 class TestSolve:
@@ -389,8 +390,9 @@ class TestChecks:
         def counting(X, y, batch=p.value_xbatch):
             calls.append(len(X))
             return batch(X, y)
-        checks = check_saddle(dataclasses.replace(p, value_xbatch=counting), pt, cfg, seed=0,
-                              n_samples=300)
+        counted = Payoff(p.dimension, p.x_radius, p.y_set, p.value, p.grads, p.grad0_affine,
+                         counting, p.value_ybatch)
+        checks = check_saddle(counted, pt, cfg, seed=0, n_samples=300)
         assert checks.to_dict() == check_saddle(p, pt, cfg, seed=0, n_samples=300).to_dict()
         assert len(calls) == 1
 
