@@ -276,10 +276,12 @@ class Payoff:
 class MapPayoff(Payoff):
     """The catalog payoff of the map ``smooth_map`` on ball(rho) x ``y_set``:
     ``kind`` "vi" (``vi_payoff``) or "ba" (``ba_payoff``).  Its dimension,
-    radius, oracles, batch values and ``grad0_affine`` derive from the map
-    when it is built, so ``dataclasses.replace`` of the map or the set
-    rebuilds them, and a replaced oracle is refused.  The oracles hold the
-    map, not the payoff."""
+    radius, oracles, batch values and ``grad0_affine``, and for "vi" its
+    ``y_set`` ball(rho), derive from the map when it is built, so
+    ``dataclasses.replace`` of the map or the set rebuilds them, and a
+    replaced oracle is refused.  Attribute assignment is not guarded: a
+    payoff assigned a new map or oracle keeps the old derived fields.  The
+    oracles hold the map, not the payoff."""
 
     dimension: int = field(init=False)
     x_radius: float = field(init=False)
@@ -294,6 +296,8 @@ class MapPayoff(Payoff):
     def __post_init__(self):
         m = self.smooth_map
         self.dimension, self.x_radius = m.dimension, m.domain_radius
+        if self.kind == "vi":
+            self.y_set = Ball(m.domain_radius, m.dimension)
         (self.value, self.grads, self.grad0_affine, self.value_xbatch,
          self.value_ybatch) = _PAYOFF_ORACLES[self.kind](m)
 
@@ -354,7 +358,7 @@ def vi_payoff(m: SmoothMap) -> MapPayoff:
 
     grad_x = jac(x)^T (x - y) + m(x), grad_y = -m(x).
     """
-    return MapPayoff(Ball(m.domain_radius, m.dimension), m, "vi")
+    return MapPayoff(None, m, "vi")
 
 
 def ba_payoff(m: SmoothMap, y_set: ConvexSet) -> MapPayoff:

@@ -205,7 +205,7 @@ def _certify(cfg: RunConfig, fail, point: SaddlePoint | None = None,
         Y = _y_set(cfg, m)
         report, payoff = ((vi_report(m, seed=cfg.seed), vi_payoff(m)) if cfg.payoff == "vi"
                           else (ba_report(m, Y, seed=cfg.seed), ba_payoff(m, Y)))
-        cert = run_saddle(m, payoff, cfg.T, cfg.r, report, {}, point, **kw)
+        cert = run_saddle(payoff, cfg.T, cfg.r, report, point, **kw)
     elif cfg.command == "vi":
         cert = run_vi(m, cfg.r, vi_report(m, seed=cfg.seed), {}, point, **kw)
     elif cfg.command == "vi-shifted":

@@ -393,19 +393,19 @@ def gated_problem(m, report: ConstantsReport, r: float | None, mode: str,
                         smoothness=2.0 * L + report.theta.value, r_max=report.r_max, **settings)
 
 
-def run_saddle(m, payoff, T: ConvexSet | None, r: float | None, report: ConstantsReport,
-               settings: dict, point: SaddlePoint | None = None, *, mode: str, seed: int,
+def run_saddle(payoff, T: ConvexSet | None, r: float | None, report: ConstantsReport,
+               point: SaddlePoint | None = None, *, mode: str, seed: int,
                fail) -> SaddleCertificate:
     """Statement 1's one path, which the CLI's run and ``verify`` take: phi =
-    (L/2) ||x||^2 + J on ball(r) x T (T = ball(r) when None) for the payoff J
-    of ``m``.  The heuristic ``gate`` of J's own ``report`` (positivity, the
-    default r), then ``gated_problem`` in ``mode`` on the saddle report (delta
-    over T, L the weight, the "saddle" rule), failures to ``fail``; a solve
-    unless ``point`` (a stored solution) is given; then ``check_saddle``."""
-    r = gate(report, r, "heuristic", m.domain_radius, fail)
-    T = Ball(r, m.dimension) if T is None else T
+    (L/2) ||x||^2 + J on ball(r) x T (T = ball(r) when None), J a catalog
+    payoff.  The heuristic ``gate`` of J's own ``report`` (positivity, the
+    default r), then ``gated_problem`` of J's map in ``mode`` on the saddle
+    report (delta over T, L the weight, the "saddle" rule), failures to
+    ``fail``; a solve unless ``point`` is given; then ``check_saddle``."""
+    r = gate(report, r, "heuristic", payoff.x_radius, fail)
+    T = Ball(r, payoff.dimension) if T is None else T
     report = replace(report, delta=delta_const(payoff, T), L=report.weight, radius_rule="saddle")
-    cfg = gated_problem(m, report, r, mode, T, fail=fail, **settings)
+    cfg = gated_problem(payoff.smooth_map, report, r, mode, T, fail=fail)
     if point is None:
         point = solve_saddle(payoff, cfg)
     return SaddleCertificate(

@@ -154,6 +154,10 @@ def test_a_catalog_payoff_refuses_new_oracles(family):
     X, y = sample_ball(np.random.default_rng(0), 5, 2, 1.0), np.array([0.1, -0.2])
     assert_allclose(moved.values_x(X, y), [p2.value(x, y) for x in X], rtol=1e-12)
     assert_allclose(moved.values_y(y, X), [p2.value(y, x) for x in X], rtol=1e-12)
+    # a restricted map moves the radius, and a "vi" payoff's y_set with it
+    small = dataclasses.replace(p1, smooth_map=m1.restrict(0.5))
+    assert small.x_radius == 0.5
+    assert small.y_set == (Ball(0.5, 2) if family == "vi" else Y)
 
 
 @pytest.mark.parametrize("kind, calls", [("affine", 1), ("quadratic", 17)])

@@ -486,7 +486,7 @@ def saddle_certificate(m, payoff, point=None):
     Y = Ball(m.domain_radius, m.dimension)
     payoff, own = ((vi_payoff(m), vi_report(m)) if payoff == "vi"
                    else (ba_payoff(m, Y), ba_report(m, Y)))
-    return run_saddle(m, payoff, None, None, own, {}, point, mode="certified", seed=0,
+    return run_saddle(payoff, None, None, own, point, mode="certified", seed=0,
                       fail=raise_failure)
 
 

@@ -387,7 +387,7 @@ def rule_report(rule):
         return m, vi_report(m)
     if rule == "ba":
         return m, ba_report(m, Box([-0.6, -0.6], [0.6, 0.6]))
-    cert = run_saddle(m, vi_payoff(m), None, None, vi_report(m), {}, mode="certified", seed=0,
+    cert = run_saddle(vi_payoff(m), None, None, vi_report(m), mode="certified", seed=0,
                       fail=raise_failure)
     return m, cert.constants
 

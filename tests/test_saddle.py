@@ -128,7 +128,7 @@ class TestConfig:
         assert gated_problem(m, rep, None, "certified").step == step(rep.L, rep)
         # statement 1 takes the payoff's weight as L, on its saddle report
         for payoff, own in ((vi_payoff(m), vi_report(m)), (ba_payoff(m, Y), rep)):
-            cert = run_saddle(m, payoff, None, None, own, {}, mode="certified", seed=0,
+            cert = run_saddle(payoff, None, None, own, mode="certified", seed=0,
                               fail=raise_failure)
             assert cert.step == step(cert.constants.L, cert.constants)
 
