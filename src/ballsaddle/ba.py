@@ -18,8 +18,9 @@ and nearest-point conclusions; ``ba_small_radius`` picks a radius that
 makes the hypotheses automatic when f(0) != 0.  ``run_ba`` is the one path
 of statements 5 and 6, which both solves and the CLI's run and ``verify``
 take: it gates the problem (``saddle.gated_problem``, then T within Y),
-solves and probes uniqueness unless a stored solution is given, and
-certifies (``certify_ba``).
+solves unless a stored solution is given (``saddle.sphere_solve`` on the
+sets above, else the extragradient and the uniqueness probe), and builds
+the certificate.
 """
 
 from __future__ import annotations
@@ -33,17 +34,17 @@ from .constants import ConstantsReport, ba_report
 from .errors import HypothesisViolation, InvalidInput
 from .geometry import Ball, Box, ConvexSet, ball_projection, dist_ball, norm, project_ball
 from .saddle import (AUDIT_SAMPLES, CHECK_SAMPLES, CHECK_TOL, SPHERE_TOL, STRICT_MARGIN,
-                     Certificate, CheckReport, SaddleConfig, SaddlePoint, audit,
-                     check_saddle, claims_sphere, contraction, failed_names, gated_problem,
-                     probe_uniqueness, raise_failure, solve_saddle, sphere_fixed_point,
-                     sphere_records, uniqueness_consistent)
+                     Certificate, CheckReport, SaddlePoint, audit, check_saddle,
+                     claims_sphere, failed_names, gated_problem, probe_uniqueness,
+                     raise_failure, solve_saddle, sphere_records, sphere_solve,
+                     uniqueness_consistent)
 from .vi import COLLAPSE_TOL, SmallRadiusResult, radius_from_origin
 
 IDENTITY_TOL = 1e-6
 CONTAINMENT_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class BACertificate(Certificate):
     """Certificate of statement 5 or 6: the projection identity, then the
     saddle checks (5), or the collapse, sphere membership (gated as in
@@ -94,30 +95,29 @@ def _containment_check(T: ConvexSet, Y: ConvexSet, seed: int, fail, n: int = 128
             return
 
 
-def collapses(m: SmoothMap, Y: ConvexSet, cfg: SaddleConfig) -> bool:
-    """Whether the problem ``cfg`` with dual set Y is statement 6's,
-    Y = ball(rho) and T = ball(r), whose contraction proves uniqueness."""
-    return (isinstance(Y, Ball) and Y.radius == m.domain_radius
-            and isinstance(cfg.T, Ball) and cfg.T.radius == cfg.r)
+def run_ba(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None, r: float | None,
+           report: ConstantsReport, settings: dict, point: SaddlePoint | None = None, *,
+           mode: str, seed: int, fail, uniqueness: dict | None = None,
+           theorem: str = "5") -> BACertificate:
+    """The one path of statements 5 and 6, which ``solve_prox_pair``,
+    ``solve_best_approx`` and the CLI's run and ``verify`` all take.
 
+    Gates the problem (``gated_problem``, then T contained in Y, failures
+    to ``fail``).  Statement 6 needs its sets, Y = ball(rho) and T =
+    ball(r), else InvalidInput before any solve.  On them the pair
+    collapses: ``sphere_solve`` of x -> P_ball(r)(f(x)), with the floor
+    max(r, reach), reach = ||f(0)|| - r theta (the projection is
+    1-Lipschitz, and radial beyond r), and its ``sphere_records`` with the
+    proof terms (r, max(1, 2 theta)) give the uniqueness record (and
+    statement 6's proof).  On other sets a solve takes the extragradient
+    and ``probe_uniqueness``, and a stored probe record ``uniqueness`` must
+    be ``uniqueness_consistent``, else ``fail("uniqueness-record")``.
 
-def certify_ba(m: SmoothMap, Y: ConvexSet, point: SaddlePoint, cfg: SaddleConfig,
-               report: ConstantsReport, *, mode: str = "certified",
-               uniqueness: dict | None = None, seed: int = 0,
-               theorem: str = "5") -> BACertificate:
-    """The certify step of an approximation run on the problem ``cfg`` from
-    ``gated_problem``.
-
-    Measures y* = P_T(f(x*)) of ``point`` (a fresh solve or a stored
-    solution).  Statement 5 adds the sampled saddle checks; statement 6 the
-    collapse x* = y*, the distance identity, y-maximal in closed form, the
-    proved nearest-point inequality and its audit on AUDIT_SAMPLES samples.
-    Uniqueness is the probe record ``uniqueness``, or when the problem
-    ``collapses`` the uniqueness record of the ``sphere_records`` of
-    x -> P_ball(r)(f(x)), with the floor max(r, reach), reach = ||f(0)|| -
-    r theta (the projection is 1-Lipschitz, and radial beyond r), and the
-    proof terms (r, max(1, 2 theta)); statement 6 also keeps their proof
-    record.  A failed identity or check is a name in ``failed_checks``.
+    The certificate measures y* = P_T(f(x*)).  Statement 5 adds the sampled
+    saddle checks; statement 6 the collapse x* = y*, the distance identity,
+    y-maximal in closed form, the proved nearest-point inequality and its
+    audit on AUDIT_SAMPLES samples.  A failed check is a name in
+    ``failed_checks``.
 
     The proof of statement 6: for a lower bound phi >= r of ||f(x*)||
     (the records' phi_lower, from reach), x* = r f(x*)/||f(x*)|| and f is
@@ -125,65 +125,40 @@ def certify_ba(m: SmoothMap, Y: ConvexSet, point: SaddlePoint, cfg: SaddleConfig
     (phi/r - 2 theta) ||x - x*||^2 on ball(r).  The proof's coefficient is
     phi/r - max(1, 2 theta), which covers both conditions.
     """
-    x_star, y_star, r, theta = point.x_star, point.y_star, cfg.r, report.theta.value
-    collapsed = collapses(m, Y, cfg)
-    if theorem == "6" and not collapsed:
-        raise InvalidInput("statement 6 needs Y = ball(rho) and T = ball(r)")
-    fx = m.val(x_star)
-    if collapsed:
-        uniqueness, proof = sphere_records(contraction(m, r, theta, r), theta,
-                                           norm(x_star - project_ball(fx, r)), norm(fx),
-                                           (r, max(1.0, 2.0 * theta)), m.dimension)
-    cert = BACertificate(
-        theorem=theorem, mode=mode, r=r, x_star=x_star, y_star=y_star,
-        residual=point.residual, iterations=point.iterations,
-        projection_gap=norm(y_star - cfg.T.project(fx)), constants=report,
-        uniqueness=uniqueness, y_maximal_slack=None, proof=proof if theorem == "6" else None)
-    if theorem == "6":
-        dist = dist_ball(fx, r)
-        cert.collapse_gap, cert.distance_gap = norm(x_star - y_star), abs(norm(fx - x_star) - dist)
-        # sup over y in ball(r) of J(x*, y) = ||f - x*||^2 - ||f - y||^2 less J(x*, y*)
-        cert.y_maximal_slack = CHECK_TOL - (norm(fx - y_star) ** 2 - dist ** 2)
-        cert.nearest_check = check_nearest_point(m, x_star, r, AUDIT_SAMPLES, seed + 4)
-    else:
-        cert.saddle_checks = check_saddle(ba_payoff(m, Y), point, cfg, seed=seed + 1)
-    return cert
-
-
-def run_ba(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None, r: float | None,
-           report: ConstantsReport, settings: dict, point: SaddlePoint | None = None, *,
-           mode: str, seed: int, fail, uniqueness: dict | None = None,
-           theorem: str = "5") -> BACertificate:
-    """The one path of statements 5 and 6, which ``solve_prox_pair``,
-    ``solve_best_approx`` and the CLI's run and ``verify`` all take: gate
-    the problem (``gated_problem``, then T contained in Y, failures to
-    ``fail``), solve unless ``point`` (a stored solution) is given, then
-    ``certify_ba``.
-
-    The solve is ``sphere_fixed_point`` of x -> P_ball(r)(f(x)) when the
-    problem ``collapses`` and its contraction is proved (certification-grade
-    constants, q < 1), else the extragradient on the saddle payoff.  Unless
-    the problem ``collapses`` (a contraction proves uniqueness there), a
-    solve probes uniqueness (``probe_uniqueness``), and a stored probe
-    record ``uniqueness`` must be ``uniqueness_consistent``, else
-    ``fail("uniqueness-record")``.
-    """
     cfg = gated_problem(m, report, r, mode, T, fail=fail, **settings)
     _containment_check(cfg.T, Y, seed + 7, fail)
-    collapsed = collapses(m, Y, cfg)
-    if point is None:
-        q = contraction(m, cfg.r, report.theta.value, cfg.r)[1] if collapsed else np.inf
-        if report.certified and q < 1.0:
-            point = sphere_fixed_point(lambda x: ball_projection(m.val(x), cfg.r), q,
-                                       m.dimension, cfg)
-        else:
-            point = solve_saddle(ba_payoff(m, Y), cfg)
-        if not collapsed:
-            uniqueness = probe_uniqueness(ba_payoff(m, Y), cfg, seed + 3)
-    elif not collapsed and not uniqueness_consistent(uniqueness):
+    r, theta = cfg.r, report.theta.value
+    collapsed = (isinstance(Y, Ball) and Y.radius == m.domain_radius
+                 and isinstance(cfg.T, Ball) and cfg.T.radius == r)
+    if theorem == "6" and not collapsed:
+        raise InvalidInput("statement 6 needs Y = ball(rho) and T = ball(r)")
+    if collapsed:
+        point, contracted = sphere_solve(m, lambda x: ball_projection(m.val(x), r), r,
+                                         lambda: ba_payoff(m, Y), cfg, report, point)
+    elif point is None:
+        point = solve_saddle(ba_payoff(m, Y), cfg)
+        uniqueness = probe_uniqueness(ba_payoff(m, Y), cfg, seed + 3)
+    elif not uniqueness_consistent(uniqueness):
         fail("uniqueness-record", None)
-    return certify_ba(m, Y, point, cfg, report, mode=mode, uniqueness=uniqueness, seed=seed,
-                      theorem=theorem)
+    x_star, y_star = point.x_star, point.y_star
+    fx, proof = m.val(x_star), None
+    if collapsed:
+        uniqueness, proof = sphere_records(contracted, theta, norm(x_star - project_ball(fx, r)),
+                                           norm(fx), (r, max(1.0, 2.0 * theta)), m.dimension)
+    common = dict(mode=mode, r=r, x_star=x_star, y_star=y_star, residual=point.residual,
+                  iterations=point.iterations, constants=report, uniqueness=uniqueness,
+                  projection_gap=norm(y_star - cfg.T.project(fx)))
+    if theorem != "6":
+        checks = check_saddle(ba_payoff(m, Y), point, cfg, seed=seed + 1)
+        return BACertificate(theorem=theorem, y_maximal_slack=None, proof=None,
+                             saddle_checks=checks, **common)
+    dist = dist_ball(fx, r)
+    return BACertificate(
+        theorem="6", proof=proof, collapse_gap=norm(x_star - y_star),
+        distance_gap=abs(norm(fx - x_star) - dist),
+        # sup over y in ball(r) of J(x*, y) = ||f - x*||^2 - ||f - y||^2 less J(x*, y*)
+        y_maximal_slack=CHECK_TOL - (norm(fx - y_star) ** 2 - dist ** 2),
+        nearest_check=check_nearest_point(m, x_star, r, AUDIT_SAMPLES, seed + 4), **common)
 
 
 def solve_prox_pair(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None,
@@ -196,8 +171,8 @@ def solve_prox_pair(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None,
     ``r`` defaults to the admissible radius sigma / L and ``T`` (None) to
     ball(r).  Certified mode requires certification-grade constants and r
     within the admissible radius.  Uniqueness is probed from
-    UNIQUENESS_STARTS starts unless the problem ``collapses`` (a
-    contraction proves it).  ``settings`` are the run settings of
+    UNIQUENESS_STARTS starts unless Y = ball(rho) and T = ball(r), where
+    a contraction proves it.  ``settings`` are the run settings of
     SaddleConfig, as for ``solve_vi``.
     """
     if report is None:
@@ -237,4 +212,5 @@ def ba_small_radius(m: SmoothMap, epsilon: float = 0.5) -> SmallRadiusResult:
     """The radius of statement 7: requires f(0) != 0, since a fixed point at
     the origin leaves nothing to approximate from the sphere."""
     return radius_from_origin(
-        m, epsilon, lambda restricted, r_star: ba_report(restricted, Ball(r_star, m.dimension)))
+        m, epsilon, lambda restricted, r_star: ba_report(restricted, Ball(r_star, m.dimension)),
+        "7")

@@ -17,13 +17,13 @@ run it (see ``Certificate`` for the collapsed pairs of 2, 4 and 6).
 Each statement family has one path, which a solve and ``verify`` share
 (``run_saddle`` for statement 1, ``vi.run_vi`` and ``ba.run_ba``):
 ``gated_problem``, the radius/mode ``gate`` and the saddle problem of the
-report's radius rule; then a solver step unless a stored solution
-is given (``solve_saddle`` or ``sphere_fixed_point``; statement 5 adds
-``probe_uniqueness``); then a certify step (one ``sphere_records`` call
-proves uniqueness for statements 2, 4 and 6, and 5 on their sets, and the
-strict inequality of 2, 4 and 6, which they audit on AUDIT_SAMPLES
-samples; 1 and 5 run ``check_saddle``).  A solve runs the gate with a failure sink that raises,
-``verify`` with one that records instead.
+report's radius rule; a solver step unless a stored solution is given; one
+certificate constructor call.  Statements 2, 4 and 6 (and 5 on their sets)
+take ``sphere_solve``, whose one ``contraction`` picks the solver and feeds
+``sphere_records``, the proof of uniqueness and of the strict inequality,
+audited on AUDIT_SAMPLES samples; 1 and 5 run ``check_saddle`` (5 on other
+sets adds ``probe_uniqueness``).  A solve runs the gate with a failure sink
+that raises, ``verify`` with one that records instead.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def failed_names(*checks: tuple[str, bool]) -> list[str]:
     return [name for name, ok in checks if not ok]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Certificate:
     """Solution, constants and uniqueness record of one certified run; the
     VI and approximation certificates add their own identities and checks,
@@ -168,7 +168,8 @@ class Certificate:
     the certificate format notes in the README).  ``mode`` is "certified"
     only when every constant used is certification grade and r respects the
     admissible radius.  ``failed_checks`` names every failed check and is
-    the only verdict: ``passed`` holds when it is empty.
+    the only verdict: ``passed`` holds when it is empty.  Certificates are
+    frozen: each is built in one call, and ``dataclasses.replace`` copies.
     """
 
     theorem: str
@@ -214,7 +215,7 @@ class Certificate:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class SaddleCertificate(Certificate):
     """Certificate of statement 1: the sampled saddle checks, the solver's
     ``step`` and ``y_star_unique``, whether the payoff depends on y near x*
@@ -449,11 +450,24 @@ def contraction(m, r: float, theta: float, least: float = -np.inf) -> tuple[floa
     below on ball(r), and the map G of statements 2, 4 and 6, m then a
     normalization that is r/floor-Lipschitz on its image (floor = max(least,
     reach); statement 6 projects, so its least is r), contracts with q =
-    r theta / floor, inf for floor <= 0.  Their solve and certify step both
-    take q from here."""
+    r theta / floor, inf for floor <= 0; ``sphere_solve`` takes it once."""
     reach = norm(m.val(np.zeros(m.dimension))) - r * theta
     floor = max(least, reach)
     return reach, (r * theta / floor if floor > 0.0 else np.inf)
+
+
+def sphere_solve(m, G, least: float, payoff, cfg: SaddleConfig, report: ConstantsReport,
+                 point: SaddlePoint | None) -> tuple[SaddlePoint, tuple[float, float]]:
+    """(point, ``contraction``'s (reach, q)) of statement 2, 4 or 6, whose
+    solution is the fixed point of ``G``, with the floor ``least``.  Unless
+    ``point`` (a stored solution) is given, it solves with
+    ``sphere_fixed_point`` of G for certification-grade constants and
+    q < 1, else with ``solve_saddle`` of ``payoff()``, built only then."""
+    reach, q = contraction(m, cfg.r, report.theta.value, least)
+    if point is None:
+        point = (sphere_fixed_point(G, q, m.dimension, cfg) if report.certified and q < 1.0
+                 else solve_saddle(payoff(), cfg))
+    return point, (reach, q)
 
 
 def sphere_records(contracted: tuple[float, float], theta: float, gap: float,

@@ -15,9 +15,9 @@ the sphere, y-maximal in closed form, the contraction that makes it unique,
 the double inequality (with y* = x*, the x-strictly-minimal saddle
 inequality) proved in closed form, and a sampled audit of it.
 ``run_vi`` is the one path of statements 2 and 4: it gates the problem
-(``saddle.gated_problem``), solves unless a stored solution is given, and
-certifies (``certify_vi``).  ``solve_vi`` and the CLI's run and ``verify``
-all take it.
+(``saddle.gated_problem``), solves unless a stored solution is given
+(``saddle.sphere_solve``), and builds the certificate.  ``solve_vi`` and
+the CLI's run and ``verify`` all take it.
 
 ``solve_vi_shifted`` handles maps with vanishing Jacobian at the origin
 shifted by a far-enough target w, and ``small_radius`` picks a radius that
@@ -27,7 +27,7 @@ makes the positivity hypothesis automatic when F(0) != 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,15 +36,16 @@ from .constants import ConstantsReport, op_norm, vi_report
 from .errors import HypothesisViolation, InvalidInput
 from .geometry import norm
 from .saddle import (AUDIT_SAMPLES, CHECK_SAMPLES, CHECK_TOL, Certificate, CheckReport,
-                     SaddleConfig, SaddlePoint, audit, contraction, failed_names, gated_problem,
-                     raise_failure, solve_saddle, sphere_fixed_point, sphere_records)
+                     SaddlePoint, audit, failed_names, gated_problem, raise_failure,
+                     sphere_records, sphere_solve)
 
 COLLAPSE_TOL = 1e-6
 DIRECTION_TOL = 1e-6
 MAP_ZERO_TOL = 1e-9
+SIGMA_FLOOR_TOL = 1e-8  # rounding allowance of sigma >= sigma_floor
 
 
-@dataclass
+@dataclass(frozen=True)
 class VICertificate(Certificate):
     """Certificate of statement 2 or 4: the structural identities, the
     proved double inequality and its sampled audit and, for statement 4,
@@ -54,7 +55,7 @@ class VICertificate(Certificate):
     map_norm: float
     direction_gap: float
     vi_check: CheckReport
-    gate: dict = field(default_factory=dict)
+    gate: dict
     proof_check = "vi-inequality-proof"
 
     def failed_checks(self) -> list[str]:
@@ -90,70 +91,51 @@ def check_vi(m: SmoothMap, x_star, r: float, n_samples: int = CHECK_SAMPLES,
                  forms=("worst_first_form", "worst_second_form"))
 
 
-def certify_vi(m: SmoothMap, point: SaddlePoint, cfg: SaddleConfig,
-               report: ConstantsReport, *, mode: str = "certified",
-               seed: int = 0) -> VICertificate:
-    """The certify step of a VI run on the problem ``cfg`` from
-    ``gated_problem``; the certificate is labeled statement 2 (``run_vi``
-    relabels it 4).
+def run_vi(m: SmoothMap, r: float | None, report: ConstantsReport, settings: dict,
+           point: SaddlePoint | None = None, *, mode: str, seed: int, fail,
+           gate: dict | None = None) -> VICertificate:
+    """The one path of statements 2 and 4, which ``solve_vi``,
+    ``solve_vi_shifted`` and the CLI's run and ``verify`` all take.
 
-    Measures the structural identities of ``point`` (a fresh solve or a
-    stored solution): x* = y*, F(x*) != 0, x* antiparallel to F(x*) on the
-    sphere and y-maximal in closed form; then proves the double inequality
-    and audits it on AUDIT_SAMPLES samples.  It never raises on a failed
-    check: the gates ran in ``gated_problem``, and a failed identity or check
-    is a name in ``failed_checks``.  The uniqueness and proof records are
-    the ``sphere_records`` of x -> -r F(x)/||F(x)||, with the floor
+    Gates the problem (``gated_problem``, failures to ``fail``), then
+    ``sphere_solve`` of x -> -r F(x)/||F(x)|| unless ``point`` (a stored
+    solution) is given.  The certificate measures x* = y*, F(x*) != 0, x*
+    antiparallel to F(x*) on the sphere and y-maximal in closed form, proves
+    the double inequality and audits it on AUDIT_SAMPLES samples; a failed
+    check is a name in ``failed_checks``.  Its uniqueness and proof records
+    are the ``sphere_records`` of the contraction, with the floor
     ||F(0)|| - r theta of ||F|| on ball(r) and the proof terms (2r, theta).
+    A shift ``gate`` record from ``shift_problem`` labels it statement 4.
 
     The proof: x* = -r F(x*)/||F(x*)|| gives <F(x*), x* - x> <=
     -(||F(x*)||/2r) ||x - x*||^2 on ball(r), and F is theta-Lipschitz, so
     both forms are at most -(phi/2r - theta) ||x - x*||^2 for any lower
     bound phi of ||F(x*)||, such as the records' phi_lower.
     """
-    x_star, r, theta = point.x_star, cfg.r, report.theta.value
+    cfg = gated_problem(m, report, r, mode, fail=fail, **settings)
+    r, theta = cfg.r, report.theta.value
+
+    def toward_sphere(x):  # -r F(x)/||F(x)||, NaN where undefined: the step check names it
+        fx = m.val(x)
+        nf = math.sqrt(fx @ fx)
+        return fx * (-r / nf) if 0.0 < nf < math.inf else fx * math.nan
+    point, contracted = sphere_solve(m, toward_sphere, -np.inf, lambda: vi_payoff(m), cfg,
+                                     report, point)
+    x_star, y_star = point.x_star, point.y_star
     fx = m.val(x_star)
     map_norm = norm(fx)
     direction_gap = norm(x_star + (r / map_norm) * fx) if map_norm > 0.0 else np.inf
-    uniqueness, proof = sphere_records(contraction(m, r, theta), theta, direction_gap, map_norm,
+    uniqueness, proof = sphere_records(contracted, theta, direction_gap, map_norm,
                                        (2.0 * r, theta), m.dimension)
     return VICertificate(
-        theorem="2", mode=mode, r=r, x_star=x_star, y_star=point.y_star,
+        theorem="2" if gate is None else "4", mode=mode, r=r, x_star=x_star, y_star=y_star,
         residual=point.residual, iterations=point.iterations,
-        collapse_gap=norm(x_star - point.y_star), map_norm=map_norm,
+        collapse_gap=norm(x_star - y_star), map_norm=map_norm,
         direction_gap=direction_gap, constants=report,
         vi_check=check_vi(m, x_star, r, AUDIT_SAMPLES, seed + 2),
         # sup of J(x*, .) over ball(r) less J(x*, y*) is <F(x*), y*> + r ||F(x*)||
-        y_maximal_slack=CHECK_TOL - float(fx @ point.y_star) - r * map_norm,
-        uniqueness=uniqueness, proof=proof)
-
-
-def run_vi(m: SmoothMap, r: float | None, report: ConstantsReport, settings: dict,
-           point: SaddlePoint | None = None, *, mode: str, seed: int, fail,
-           gate: dict | None = None) -> VICertificate:
-    """The one path of statements 2 and 4, which ``solve_vi``,
-    ``solve_vi_shifted`` and the CLI's run and ``verify`` all take: gate the
-    problem (``gated_problem``, failures to ``fail``), solve unless ``point``
-    (a stored solution) is given, then ``certify_vi``.  The solve is
-    ``sphere_fixed_point`` when the constants are certification grade and
-    ``contraction`` gives q < 1, else the extragradient.  A shift ``gate``
-    record from ``shift_problem`` labels the certificate statement 4.
-    """
-    cfg = gated_problem(m, report, r, mode, fail=fail, **settings)
-    if point is None:
-        _, q = contraction(m, cfg.r, report.theta.value)
-        if report.certified and q < 1.0:
-            def toward_sphere(x):  # -r F(x)/||F(x)||, NaN where undefined: the step check names it
-                fx = m.val(x)
-                nf = math.sqrt(fx @ fx)
-                return fx * (-cfg.r / nf) if 0.0 < nf < math.inf else fx * math.nan
-            point = sphere_fixed_point(toward_sphere, q, m.dimension, cfg)
-        else:
-            point = solve_saddle(vi_payoff(m), cfg)
-    cert = certify_vi(m, point, cfg, report, mode=mode, seed=seed)
-    if gate is not None:
-        cert.theorem, cert.gate = "4", gate
-    return cert
+        y_maximal_slack=CHECK_TOL - float(fx @ y_star) - r * map_norm,
+        uniqueness=uniqueness, proof=proof, gate={} if gate is None else gate)
 
 
 def solve_vi(m: SmoothMap, r: float | None = None,
@@ -218,13 +200,20 @@ def solve_vi_shifted(m: SmoothMap, w, r: float | None = None, *, seed: int = 0,
 @dataclass(frozen=True)
 class SmallRadiusResult:
     """A radius certified from the origin data alone, plus the constants of
-    the map restricted to that ball."""
+    the map restricted to that ball, for statement ``theorem``, 3 or 7.
+    ``failed_checks`` names ``sigma-floor`` when the report's sigma falls
+    below the floor eps ||m(0)|| by more than SIGMA_FLOOR_TOL."""
 
     r_star: float
     epsilon: float
     sigma_floor: float
     report: ConstantsReport
     map: SmoothMap
+    theorem: str
+
+    def failed_checks(self) -> list[str]:
+        return failed_names(
+            ("sigma-floor", self.report.sigma.value >= self.sigma_floor - SIGMA_FLOOR_TOL))
 
     def to_dict(self):
         return {"r_star": float(self.r_star), "epsilon": float(self.epsilon),
@@ -232,10 +221,12 @@ class SmallRadiusResult:
                 "constants": self.report.to_dict()}
 
 
-def radius_from_origin(m: SmoothMap, epsilon: float, report_of) -> SmallRadiusResult:
+def radius_from_origin(m: SmoothMap, epsilon: float, report_of,
+                       theorem: str) -> SmallRadiusResult:
     """r* = min(rho, (1 - eps) ||m(0)|| / ||jac(0)||) and the constants
     report ``report_of(restricted map, r*)`` of the map restricted to
-    ball(r*), whose sigma is then at least eps * ||m(0)|| > 0."""
+    ball(r*), whose sigma is then at least eps * ||m(0)|| > 0, for
+    statement ``theorem``."""
     if not (0.0 < epsilon < 1.0):
         raise InvalidInput(f"epsilon must lie in (0, 1), got {epsilon}")
     zero = np.zeros(m.dimension)
@@ -248,11 +239,12 @@ def radius_from_origin(m: SmoothMap, epsilon: float, report_of) -> SmallRadiusRe
     restricted = m.restrict(r_star)
     return SmallRadiusResult(r_star=float(r_star), epsilon=float(epsilon),
                              sigma_floor=float(epsilon * v0),
-                             report=report_of(restricted, r_star), map=restricted)
+                             report=report_of(restricted, r_star), map=restricted,
+                             theorem=theorem)
 
 
 def small_radius(m: SmoothMap, epsilon: float = 0.5) -> SmallRadiusResult:
     """The radius of statement 3: requires m(0) != 0, which turns
     nonvanishing at the origin into a certified variational inequality on
     the sphere of any r <= r*."""
-    return radius_from_origin(m, epsilon, lambda restricted, r_star: vi_report(restricted))
+    return radius_from_origin(m, epsilon, lambda restricted, r_star: vi_report(restricted), "3")

@@ -11,7 +11,8 @@ from ballsaddle import (Ball, Box, HypothesisViolation, InvalidInput,
                         make_affine, make_constant, solve_best_approx,
                         solve_prox_pair)
 from ballsaddle import ba as ba_module
-from ballsaddle.saddle import UNIQUENESS_STARTS, SaddlePoint, gated_problem
+from ballsaddle import saddle as saddle_module
+from ballsaddle.saddle import UNIQUENESS_STARTS, SaddlePoint, raise_failure
 
 
 def constant_two():
@@ -204,10 +205,21 @@ def test_statement_6_needs_its_sets():
     # the proof and the contraction are statement 6's only on Y = ball(rho), T = ball(r)
     m, Y = constant_two(), Ball(1.0, 2)
     report = ba_module.ba_report(m, Y)
-    cfg = gated_problem(m, report, 0.5, "certified", Box([-0.5, -0.5], [0.5, 0.5]))
     point = SaddlePoint(np.array([0.5, 0.0]), np.array([0.5, 0.0]), 0.0, 1, 0.0)
     with pytest.raises(InvalidInput, match="statement 6"):
-        ba_module.certify_ba(m, Y, point, cfg, report, theorem="6")
+        ba_module.run_ba(m, Y, Box([-0.5, -0.5], [0.5, 0.5]), 0.5, report, {}, point,
+                         mode="certified", seed=0, fail=raise_failure, theorem="6")
+
+
+def test_statement_6_on_other_sets_stops_before_any_solve(count_calls):
+    # the sets are checked before the solve; this ran a solve and 16 probe solves first
+    solves, probes, fixed_points = (count_calls(getattr(saddle_module, name)) for name in (
+        "solve_saddle", "probe_uniqueness", "sphere_fixed_point"))
+    m, Y = constant_two(), Ball(1.0, 2)
+    with pytest.raises(InvalidInput, match="statement 6"):
+        ba_module.run_ba(m, Y, Box([-0.5, -0.5], [0.5, 0.5]), 0.5, ba_module.ba_report(m, Y),
+                         {}, mode="certified", seed=0, fail=raise_failure, theorem="6")
+    assert solves == probes == fixed_points == []
 
 
 class TestNearestCheck:

@@ -96,9 +96,9 @@ def test_wide_quadratic_request_certifies_and_checks(slot):
 def test_request_runs_traced():
     solve = ballsaddle.saddle.solve_saddle
     with tracer.Tracer() as tr:
-        assert ballsaddle.vi.solve_saddle is not solve
+        assert ballsaddle.saddle.solve_saddle is not solve
         problems.certify(ballsaddle, _instance("vi"))
-    assert ballsaddle.vi.solve_saddle is solve
+    assert ballsaddle.saddle.solve_saddle is solve
     names = {s.name for s in tr.spans}
     assert {"constants.report", "vi.solve_vi", "vi.check"} <= names
     # vi solves by the proved contraction's fixed-point iteration, proves

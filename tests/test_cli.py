@@ -1,5 +1,6 @@
 """Command line interface: config parsing, exit codes, certificates, verify."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -9,11 +10,13 @@ import numpy as np
 import pytest
 
 from ballsaddle import (Ball, ConfigError, NonConvergence, SaddlePoint, ba_payoff, ba_report,
-                        map_from_dict, run_saddle, solve_best_approx, solve_prox_pair,
-                        solve_vi, solve_vi_shifted, vi_payoff, vi_report)
+                        ba_small_radius, map_from_dict, run_saddle, small_radius,
+                        solve_best_approx, solve_prox_pair, solve_vi, solve_vi_shifted,
+                        vi_payoff, vi_report)
+from ballsaddle import cli as cli_module
 from ballsaddle.cli import (_FIELDS, CERT_FORMAT, COMMANDS, _build_parser,
                             _to_jsonable, main, parse_config, run, set_from_dict)
-from ballsaddle.saddle import UNIQUENESS_STARTS, raise_failure
+from ballsaddle.saddle import UNIQUENESS_STARTS, contraction, raise_failure
 
 AFFINE = {"kind": "affine", "A": [[1.0, 0.0], [0.0, 1.0]],
           "b": [2.0, 0.0], "rho": 1.0}
@@ -260,14 +263,12 @@ class TestExitCodes:
 
     def test_exclusion_factor_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch):
         import ballsaddle.saddle as saddle_mod
-        import ballsaddle.vi as vi_mod
         calls, solve = [], saddle_mod.solve_saddle
 
         def counting(*args, **kwargs):
             calls.append(1)
             return solve(*args, **kwargs)
-        for mod in (saddle_mod, vi_mod):
-            monkeypatch.setattr(mod, "solve_saddle", counting)
+        monkeypatch.setattr(saddle_mod, "solve_saddle", counting)
         cfgp = write_config(tmp_path, {"problem": AFFINE,
                                        "tolerances": {"exclusion_factor": 3}})
         assert main(["vi", "--config", cfgp]) == 1
@@ -292,13 +293,13 @@ class TestExitCodes:
             in capsys.readouterr().err
 
     def test_nonconvergence_is_four(self, tmp_path, capsys, monkeypatch):
-        import ballsaddle.vi as vi_mod
+        import ballsaddle.saddle as saddle_mod
 
         def explode(*a, **kw):
             raise NonConvergence("probe", residual=1.0, iterations=5)
 
         # the certified affine vi takes the sphere fixed-point solve
-        monkeypatch.setattr(vi_mod, "sphere_fixed_point", explode)
+        monkeypatch.setattr(saddle_mod, "sphere_fixed_point", explode)
         cfgp = write_config(tmp_path, {"problem": AFFINE})
         assert main(["vi", "--config", cfgp]) == 4
         assert "non-convergence" in capsys.readouterr().err
@@ -501,6 +502,35 @@ API_CALLS = {
     "saddle-vi": lambda m: saddle_certificate(m, "vi"),
     "saddle-ba": lambda m: saddle_certificate(m, "ba"),
 }
+
+
+@pytest.mark.parametrize("case", ["vi", "vi-shifted", "best-approx", "prox-pair"])
+def test_one_contraction_per_run(tmp_path, capsys, count_calls, case):
+    # one (reach, q) picks the solver and feeds the records; a solve took two
+    command, doc = ROUND_TRIPS[case]
+    calls = count_calls(contraction)
+    cert = API_CALLS[case](map_from_dict(doc["problem"]))
+    assert cert.uniqueness["method"] == "contraction" and calls == [1]
+    out = tmp_path / "cert.json"
+    for argv in ([command, "--config", write_config(tmp_path, doc), "--out", str(out)],
+                 ["verify", "--config", str(out)]):
+        calls.clear()
+        assert main(argv) == 0 and calls == [1], argv[0]
+
+
+@pytest.mark.parametrize("application, theorem, solve", [("vi", "3", small_radius),
+                                                          ("ba", "7", ba_small_radius)])
+def test_small_radius_verdict_comes_from_the_library(monkeypatch, application, theorem, solve):
+    # the CLI lays out SmallRadiusResult's label and sigma-floor verdict
+    command, doc = ROUND_TRIPS["small-radius"]
+    cfg = parse_config(dict(doc, application=application), command)
+    res = solve(cfg.smooth_map, cfg.epsilon)
+    body, failures = run(cfg)
+    assert (res.theorem, res.failed_checks()) == (body["theorem"], failures) == (theorem, [])
+    short = dataclasses.replace(res, sigma_floor=res.report.sigma.value + 1.0)
+    monkeypatch.setattr(cli_module, solve.__name__, lambda m, epsilon: short)
+    body, failures = run(cfg)
+    assert short.failed_checks() == failures == ["sigma-floor"] and not body["passed"]
 
 
 class TestVerify:

@@ -2,10 +2,14 @@
 
 import ast
 import pathlib
+import re
+import sys
 
 import pytest
 
 import ballsaddle
+
+SOURCES = sorted(pathlib.Path(ballsaddle.__file__).parent.glob("*.py"))
 
 
 def test_every_exported_name_resolves():
@@ -21,8 +25,7 @@ def test_every_public_callable_is_exported():
     assert public - set(ballsaddle.__all__) == set()
 
 
-@pytest.mark.parametrize("path", sorted(pathlib.Path(ballsaddle.__file__).parent.glob("*.py")),
-                         ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_imported_name_is_used(path):
     # a name a module imports is read in that module or re-exported in __all__
     tree = ast.parse(path.read_text())
@@ -38,3 +41,27 @@ def test_every_imported_name_is_used(path):
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             exported = set(ast.literal_eval(node.value))
     assert imported - used - exported == set()
+
+
+def test_docstring_names_resolve():
+    # a ``name`` or ``module.name`` in the sources names something the package
+    # defines or reads (a def, class, argument, attribute, keyword, name or
+    # identifier-like string), a module of it, or a standard-library module
+    known = set(sys.stdlib_module_names) | {"ballsaddle"} | {path.stem for path in SOURCES}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                known.add(node.name)
+            elif isinstance(node, (ast.arg, ast.keyword)):
+                known.add(node.arg)
+            elif isinstance(node, ast.Attribute):
+                known.add(node.attr)
+            elif isinstance(node, ast.Name):
+                known.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and node.value.isidentifier():
+                known.add(node.value)
+    named = {name for path in SOURCES
+             for name in re.findall(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)``", path.read_text())}
+    assert len(named) > 100
+    assert sorted(name for name in named if not set(name.split(".")) <= known) == []

@@ -11,20 +11,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ballsaddle import (Ball, Box, InvalidInput, NonConvergence, Payoff,
-                        SaddleConfig, SaddlePoint, SmoothMap, ba_payoff, ba_report,
+from ballsaddle import (BACertificate, Ball, Box, CheckReport, InvalidInput, NonConvergence,
+                        Payoff, SaddleCertificate, SaddleChecks, SaddleConfig, SaddlePoint,
+                        SmoothMap, VICertificate, ba_payoff, ba_report,
                         check_nearest_point, check_saddle, check_vi, make_affine,
                         make_constant, make_quadratic, map_from_dict, phi_value_grad,
                         project_ball, sample_ball, sample_sphere, shift_map,
                         solve_best_approx, solve_saddle, solve_vi, solve_vi_shifted,
                         vi_payoff, vi_report)
-from ballsaddle.ba import certify_ba, solve_prox_pair
+from ballsaddle.ba import run_ba, solve_prox_pair
 from ballsaddle import saddle as saddle_module
 from ballsaddle.cli import main as cli_main
 from ballsaddle.oracles import fixedpoint_vi_oracle
-from ballsaddle.saddle import (CHECK_SAMPLES, MAX_STEP_HALVINGS, gated_problem,
+from ballsaddle.saddle import (CHECK_SAMPLES, MAX_STEP_HALVINGS, Certificate, gated_problem,
                                payoff_depends_on_y, raise_failure, run_saddle)
-from ballsaddle.vi import certify_vi
+from ballsaddle.vi import run_vi
 
 
 def linear_payoff(c, rho, y_set):
@@ -449,21 +450,22 @@ def quartic_map():
 
 
 def collapsed_instance(request, m):
-    """(certificate, saddle payoff, saddle config, certify step of a point)
-    of a solved statement 2, 4 or 6 instance of ``m``."""
+    """(certificate, saddle payoff, saddle config, certificate of a stored
+    point) of a solved statement 2, 4 or 6 instance of ``m``."""
+    kw = {"mode": "certified", "seed": 0, "fail": raise_failure}
     if request == "best-approx":
         cert = solve_best_approx(m)
         Y = Ball(1.0, m.dimension)
         cfg = gated_problem(m, cert.constants, cert.r, "certified")
         return (cert, ba_payoff(m, Y), cfg,
-                lambda p: certify_ba(m, Y, p, cfg, cert.constants, theorem="6"))
+                lambda p: run_ba(m, Y, None, cert.r, cert.constants, {}, p, theorem="6", **kw))
     if request == "vi-shifted":
         cert = solve_vi_shifted(m, [16.0, 0.0], r=1.0)
         m = shift_map(m, [16.0, 0.0])
     else:
         cert = solve_vi(m)
     cfg = gated_problem(m, cert.constants, cert.r, "certified")
-    return cert, vi_payoff(m), cfg, lambda p: certify_vi(m, p, cfg, cert.constants)
+    return cert, vi_payoff(m), cfg, lambda p: run_vi(m, cert.r, cert.constants, {}, p, **kw)
 
 
 def moved_points(x, r):
@@ -696,3 +698,57 @@ def test_fixed_point_needs_a_contraction(q):
     cfg = SaddleConfig(r=0.5, T=Ball(0.5, 2), L=0.0, smoothness=0.0)
     with pytest.raises(InvalidInput, match="contract"):
         saddle_module.sphere_fixed_point(lambda x: x, q, 2, cfg)
+
+
+def solved_certificates():
+    """{statement label: a solved certificate} of every statement of the
+    README's check-order table, on F(x) = x + (2, 0)."""
+    m = make_affine(np.eye(2), [2.0, 0.0], 1.0)
+    Y = Ball(1.0, 2)
+    return {"1": run_saddle(vi_payoff(m), None, None, vi_report(m), mode="certified", seed=0,
+                            fail=raise_failure),
+            "2, 4": solve_vi(m),
+            "5": solve_prox_pair(make_constant([2.0, 0.0], 1.0), Y, Box([-0.5, -0.5], [0.5, 0.5]),
+                                 0.5),
+            "6": solve_best_approx(m)}
+
+
+def test_certificates_are_frozen():
+    certs = solved_certificates()
+    base = certs["2, 4"]
+    certs["base"] = Certificate(**{f.name: getattr(base, f.name)
+                                   for f in dataclasses.fields(Certificate)})
+    assert {type(cert) for cert in certs.values()} == {
+        Certificate, SaddleCertificate, VICertificate, BACertificate}
+    for cert in certs.values():
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cert.theorem = "0"
+        assert dataclasses.replace(cert, theorem="0").theorem == "0"
+
+
+def test_readme_check_order_table_matches_failed_checks():
+    # every check of each statement made to fail names the README row, in its order
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    table = readme.split("| statement | `failed_checks()` names, in order |\n", 1)[1]
+    rows = {}
+    for line in table.split("\n\n", 1)[0].splitlines()[1:]:
+        label, names = line.strip("|").split("|")
+        rows[label.split("(")[0].strip()] = re.findall(r"`([a-z-]+)`", names)
+    certs = solved_certificates()
+    assert set(rows) == set(certs) and all(cert.passed for cert in certs.values())
+    failing = SaddleChecks([CheckReport("x-strictly-minimal", False, 1, -1.0)], 0.0)
+    fails = {"uniqueness": {"passed": False}, "proof": {"passed": False},
+             "y_maximal_slack": -1.0}
+    vi, ba = certs["2, 4"], certs["6"]
+    broken = {
+        "1": dataclasses.replace(certs["1"], saddle_checks=failing),
+        "2, 4": dataclasses.replace(
+            vi, collapse_gap=1.0, map_norm=0.0, direction_gap=1.0,
+            vi_check=dataclasses.replace(vi.vi_check, passed=False), **fails),
+        "5": dataclasses.replace(certs["5"], projection_gap=1.0, saddle_checks=failing,
+                                 uniqueness={"passed": False}),
+        "6": dataclasses.replace(
+            ba, projection_gap=1.0, collapse_gap=1.0, x_star=0.5 * ba.x_star, distance_gap=1.0,
+            nearest_check=dataclasses.replace(ba.nearest_check, passed=False), **fails)}
+    for label, cert in broken.items():
+        assert cert.failed_checks() == rows[label], label

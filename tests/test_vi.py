@@ -24,48 +24,18 @@ def bare(m):
 
 
 @pytest.fixture
-def solve_calls(monkeypatch):
-    """Calls of solve_saddle, counted where the solve paths look it up."""
-    import ballsaddle.ba as ba_mod
-    import ballsaddle.saddle as saddle_mod
-    import ballsaddle.vi as vi_mod
-    calls, solve = [], saddle_mod.solve_saddle
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
-    for mod in (saddle_mod, vi_mod, ba_mod):
-        monkeypatch.setattr(mod, "solve_saddle", counting)
-    return calls
+def solve_calls(count_calls):
+    return count_calls(saddle_module.solve_saddle)
 
 
 @pytest.fixture
-def fixed_point_calls(monkeypatch):
-    """Calls of sphere_fixed_point, counted where the solve paths look it up."""
-    import ballsaddle.ba as ba_mod
-    import ballsaddle.saddle as saddle_mod
-    import ballsaddle.vi as vi_mod
-    calls, solve = [], saddle_mod.sphere_fixed_point
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
-    for mod in (vi_mod, ba_mod):
-        monkeypatch.setattr(mod, "sphere_fixed_point", counting)
-    return calls
+def fixed_point_calls(count_calls):
+    return count_calls(saddle_module.sphere_fixed_point)
 
 
 @pytest.fixture
-def probe_calls(monkeypatch):
-    """Calls of uniqueness_probe, counted where probe_uniqueness looks it up."""
-    import ballsaddle.saddle as saddle_mod
-    calls, probe = [], saddle_mod.uniqueness_probe
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return probe(*args, **kwargs)
-    monkeypatch.setattr(saddle_mod, "uniqueness_probe", counting)
-    return calls
+def probe_calls(count_calls):
+    return count_calls(saddle_module.uniqueness_probe)
 
 
 def box_pair(**settings):
