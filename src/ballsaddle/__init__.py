@@ -14,8 +14,7 @@ independent brute-force oracles (dense grids, fixed-point iteration) live
 in ``ballsaddle.oracles``.
 """
 
-from .ba import (BACertificate, ba_small_radius, check_nearest_point, solve_best_approx,
-                 solve_prox_pair)
+from .ba import ba_small_radius, check_nearest_point, solve_best_approx, solve_prox_pair
 from .catalog import (AnalyticConstants, Payoff, SmoothMap, ba_payoff,
                       make_affine, make_constant, make_quadratic, map_from_dict,
                       shift_map, validate_map, validate_payoff, vi_payoff)
@@ -26,23 +25,22 @@ from .errors import (BallSaddleError, CertificationError, ConfigError, Dimension
                      HypothesisViolation, InvalidInput, NonConvergence)
 from .geometry import (Ball, Box, ConvexSet, ProjectionOracle, dist_ball, norm,
                        project_ball, sample_ball, sample_sphere)
-from .saddle import (CheckReport, SaddleCertificate, SaddleChecks, SaddleConfig, SaddlePoint,
+from .saddle import (Certificate, CheckReport, SaddleChecks, SaddleConfig, SaddlePoint,
                      check_saddle, phi_value_grad, run_saddle, solve_saddle)
-from .vi import (SmallRadiusResult, VICertificate, check_vi, small_radius, solve_vi,
-                 solve_vi_shifted)
+from .vi import SmallRadiusResult, check_vi, small_radius, solve_vi, solve_vi_shifted
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticConstants", "BACertificate", "Ball", "BallSaddleError", "Box", "CertFlag",
-    "CertValue", "CertificationError", "CheckReport", "ConfigError", "ConstantsReport",
+    "AnalyticConstants", "Ball", "BallSaddleError", "Box", "CertFlag", "CertValue",
+    "Certificate", "CertificationError", "CheckReport", "ConfigError", "ConstantsReport",
     "ConvexSet", "DimensionMismatch", "HypothesisViolation", "InvalidInput", "NonConvergence",
-    "Payoff", "ProjectionOracle", "SaddleCertificate", "SaddleChecks", "SaddleConfig",
-    "SaddlePoint", "SmallRadiusResult", "SmoothMap", "VICertificate", "ba_payoff", "ba_report",
-    "ba_small_radius", "check_nearest_point", "check_saddle", "check_vi", "combine_flags",
-    "delta_const", "dist_ball", "estimate_lipschitz", "estimate_theta", "make_affine",
-    "make_constant", "make_quadratic", "map_from_dict", "min_residual", "norm", "op_norm",
-    "phi_value_grad", "project_ball", "run_saddle", "sample_ball", "sample_sphere",
-    "shift_map", "small_radius", "solve_best_approx", "solve_prox_pair", "solve_saddle",
-    "solve_vi", "solve_vi_shifted", "validate_map", "validate_payoff", "vi_payoff", "vi_report",
+    "Payoff", "ProjectionOracle", "SaddleChecks", "SaddleConfig", "SaddlePoint",
+    "SmallRadiusResult", "SmoothMap", "ba_payoff", "ba_report", "ba_small_radius",
+    "check_nearest_point", "check_saddle", "check_vi", "combine_flags", "delta_const",
+    "dist_ball", "estimate_lipschitz", "estimate_theta", "make_affine", "make_constant",
+    "make_quadratic", "map_from_dict", "min_residual", "norm", "op_norm", "phi_value_grad",
+    "project_ball", "run_saddle", "sample_ball", "sample_sphere", "shift_map", "small_radius",
+    "solve_best_approx", "solve_prox_pair", "solve_saddle", "solve_vi", "solve_vi_shifted",
+    "validate_map", "validate_payoff", "vi_payoff", "vi_report",
 ]

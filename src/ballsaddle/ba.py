@@ -20,12 +20,12 @@ of statements 5 and 6, which both solves and the CLI's run and ``verify``
 take: it gates the problem (``saddle.gated_problem``, then T within Y),
 solves unless a stored solution is given (``saddle.sphere_solve`` on the
 sets above, else the extragradient and the uniqueness probe), and builds
-the certificate.
+its ``saddle.Certificate``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -33,49 +33,13 @@ from .catalog import SmoothMap, ba_payoff
 from .constants import ConstantsReport, ba_report
 from .errors import HypothesisViolation, InvalidInput
 from .geometry import Ball, Box, ConvexSet, ball_projection, dist_ball, norm, project_ball
-from .saddle import (AUDIT_SAMPLES, CHECK_SAMPLES, CHECK_TOL, SPHERE_TOL, STRICT_MARGIN,
-                     Certificate, CheckReport, SaddlePoint, audit, check_saddle,
-                     claims_sphere, failed_names, gated_problem, probe_uniqueness,
-                     raise_failure, solve_saddle, sphere_records, sphere_solve,
-                     uniqueness_consistent)
-from .vi import COLLAPSE_TOL, SmallRadiusResult, radius_from_origin
+from .saddle import (AUDIT_SAMPLES, CHECK_SAMPLES, CHECK_TOL, STRICT_MARGIN, Certificate,
+                     CheckReport, SaddlePoint, audit, check_saddle, claims_sphere,
+                     gated_problem, probe_uniqueness, raise_failure, solve_saddle,
+                     sphere_records, sphere_solve, uniqueness_consistent)
+from .vi import SmallRadiusResult, radius_from_origin
 
-IDENTITY_TOL = 1e-6
 CONTAINMENT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class BACertificate(Certificate):
-    """Certificate of statement 5 or 6: the projection identity, then the
-    saddle checks (5), or the collapse, sphere membership (gated as in
-    ``check_saddle``), the proved nearest-point inequality, its sampled
-    audit and the distance identity (6)."""
-
-    projection_gap: float
-    collapse_gap: float | None = None
-    distance_gap: float | None = None
-    nearest_check: CheckReport | None = None
-    proof_check = "nearest-point-proof"
-
-    def failed_checks(self) -> list[str]:
-        first, own = [("projection", self.projection_gap <= IDENTITY_TOL)], []
-        if self.theorem == "6":
-            rep, gap = self.constants, abs(norm(self.x_star) - self.r)
-            first += [("collapse", self.collapse_gap <= COLLAPSE_TOL),
-                      ("sphere-membership", gap <= SPHERE_TOL
-                       or not claims_sphere(rep.weight.value, self.r, rep.r_max))]
-            own = [("nearest-point", self.nearest_check.passed),
-                   ("distance-identity", self.distance_gap <= IDENTITY_TOL)]
-        return failed_names(*first) + super().failed_checks() + failed_names(*own)
-
-    def to_dict(self):
-        d = super().to_dict()
-        d["residuals"]["projection_gap"] = float(self.projection_gap)
-        if self.theorem == "6":
-            d["residuals"].update(collapse_gap=float(self.collapse_gap),
-                                  distance_gap=float(self.distance_gap))
-            d["checks"]["nearest-point"] = self.nearest_check.to_dict()
-        return d
 
 
 def _containment_check(T: ConvexSet, Y: ConvexSet, seed: int, fail, n: int = 128):
@@ -98,7 +62,7 @@ def _containment_check(T: ConvexSet, Y: ConvexSet, seed: int, fail, n: int = 128
 def run_ba(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None, r: float | None,
            report: ConstantsReport, settings: dict, point: SaddlePoint | None = None, *,
            mode: str, seed: int, fail, uniqueness: dict | None = None,
-           theorem: str = "5") -> BACertificate:
+           theorem: str = "5") -> Certificate:
     """The one path of statements 5 and 6, which ``solve_prox_pair``,
     ``solve_best_approx`` and the CLI's run and ``verify`` all take.
 
@@ -113,11 +77,13 @@ def run_ba(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None, r: float | None,
     and ``probe_uniqueness``, and a stored probe record ``uniqueness`` must
     be ``uniqueness_consistent``, else ``fail("uniqueness-record")``.
 
-    The certificate measures y* = P_T(f(x*)).  Statement 5 adds the sampled
-    saddle checks; statement 6 the collapse x* = y*, the distance identity,
-    y-maximal in closed form, the proved nearest-point inequality and its
-    audit on AUDIT_SAMPLES samples.  A failed check is a name in
-    ``failed_checks``.
+    The ``Certificate`` measures y* = P_T(f(x*)).  Statement 5 adds the
+    sampled saddle checks; statement 6 the collapse x* = y*, sphere
+    membership (when ``claims_sphere``), the distance identity, y-maximal
+    in closed form, the proved nearest-point inequality and its audit on
+    AUDIT_SAMPLES samples.  A failed check is a name in ``failed_checks``.
+    The payoff, which the extragradient, the probe and ``check_saddle``
+    share, is built once and only when one of them runs.
 
     The proof of statement 6: for a lower bound phi >= r of ||f(x*)||
     (the records' phi_lower, from reach), x* = r f(x*)/||f(x*)|| and f is
@@ -132,12 +98,13 @@ def run_ba(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None, r: float | None,
                  and isinstance(cfg.T, Ball) and cfg.T.radius == r)
     if theorem == "6" and not collapsed:
         raise InvalidInput("statement 6 needs Y = ball(rho) and T = ball(r)")
+    payoff = cache(lambda: ba_payoff(m, Y))  # built once, and only by a step that needs it
     if collapsed:
         point, contracted = sphere_solve(m, lambda x: ball_projection(m.val(x), r), r,
-                                         lambda: ba_payoff(m, Y), cfg, report, point)
+                                         payoff, cfg, report, point)
     elif point is None:
-        point = solve_saddle(ba_payoff(m, Y), cfg)
-        uniqueness = probe_uniqueness(ba_payoff(m, Y), cfg, seed + 3)
+        point = solve_saddle(payoff(), cfg)
+        uniqueness = probe_uniqueness(payoff(), cfg, seed + 3)
     elif not uniqueness_consistent(uniqueness):
         fail("uniqueness-record", None)
     x_star, y_star = point.x_star, point.y_star
@@ -145,25 +112,26 @@ def run_ba(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None, r: float | None,
     if collapsed:
         uniqueness, proof = sphere_records(contracted, theta, norm(x_star - project_ball(fx, r)),
                                            norm(fx), (r, max(1.0, 2.0 * theta)), m.dimension)
-    common = dict(mode=mode, r=r, x_star=x_star, y_star=y_star, residual=point.residual,
-                  iterations=point.iterations, constants=report, uniqueness=uniqueness,
-                  projection_gap=norm(y_star - cfg.T.project(fx)))
-    if theorem != "6":
-        checks = check_saddle(ba_payoff(m, Y), point, cfg, seed=seed + 1)
-        return BACertificate(theorem=theorem, y_maximal_slack=None, proof=None,
-                             saddle_checks=checks, **common)
-    dist = dist_ball(fx, r)
-    return BACertificate(
-        theorem="6", proof=proof, collapse_gap=norm(x_star - y_star),
-        distance_gap=abs(norm(fx - x_star) - dist),
-        # sup over y in ball(r) of J(x*, y) = ||f - x*||^2 - ||f - y||^2 less J(x*, y*)
-        y_maximal_slack=CHECK_TOL - (norm(fx - y_star) ** 2 - dist ** 2),
-        nearest_check=check_nearest_point(m, x_star, r, AUDIT_SAMPLES, seed + 4), **common)
+    if theorem == "6":
+        dist, on_sphere = dist_ball(fx, r), claims_sphere(report.weight.value, r, report.r_max)
+        own = dict(
+            proof=proof, collapse_gap=norm(x_star - y_star),
+            sphere_gap=abs(norm(x_star) - r) if on_sphere else None,
+            distance_gap=abs(norm(fx - x_star) - dist),
+            # sup over y in ball(r) of J(x*, y) = ||f - x*||^2 - ||f - y||^2 less J(x*, y*)
+            y_maximal_slack=CHECK_TOL - (norm(fx - y_star) ** 2 - dist ** 2),
+            nearest_check=check_nearest_point(m, x_star, r, AUDIT_SAMPLES, seed + 4))
+    else:
+        own = dict(saddle_checks=check_saddle(payoff(), point, cfg, seed=seed + 1))
+    return Certificate(theorem=theorem, mode=mode, r=r, x_star=x_star, y_star=y_star,
+                       residual=point.residual, iterations=point.iterations, constants=report,
+                       uniqueness=uniqueness, projection_gap=norm(y_star - cfg.T.project(fx)),
+                       **own)
 
 
 def solve_prox_pair(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None,
                     r: float | None = None, report: ConstantsReport | None = None,
-                    *, mode: str = "certified", seed: int = 0, **settings) -> BACertificate:
+                    *, mode: str = "certified", seed: int = 0, **settings) -> Certificate:
     """Solve and certify the saddle pair of statement 5 (``run_ba``): the
     approximation payoff on ball(r) x T, with y* the projection of f(x*)
     onto T.
@@ -196,7 +164,7 @@ def check_nearest_point(m: SmoothMap, x_star, r: float,
 
 def solve_best_approx(m: SmoothMap, r: float | None = None,
                       report: ConstantsReport | None = None, *, mode: str = "certified",
-                      seed: int = 0, **settings) -> BACertificate:
+                      seed: int = 0, **settings) -> Certificate:
     """Certify the unique best-approximation point of statement 6:
     Y = ball(rho) and T = ball(r), where the saddle pair collapses onto
     x* = P_ball(r)(f(x*)).  The keywords are those of ``solve_prox_pair``.

@@ -306,7 +306,8 @@ def _compare_dicts(stored, fresh, prefix: str = "") -> list[str]:
     """Dotted paths where ``fresh`` disagrees with ``stored``.  Finite numbers
     agree within VERIFY_REL_TOL of their own magnitude plus VERIFY_ABS_TOL,
     which absorbs last-bit noise in values near 0; a non-finite number
-    matches only itself."""
+    matches only itself, and a boolean only the same boolean (in Python
+    ``True == 1.0``)."""
     bad = []
     if isinstance(stored, dict) and isinstance(fresh, dict):
         for key in sorted(set(stored) | set(fresh)):
@@ -315,8 +316,11 @@ def _compare_dicts(stored, fresh, prefix: str = "") -> list[str]:
                 continue
             bad.extend(_compare_dicts(stored[key], fresh[key], prefix + key + "."))
         return bad
-    if isinstance(stored, (int, float)) and isinstance(fresh, (int, float)) \
-            and not isinstance(stored, bool) and not isinstance(fresh, bool):
+    if isinstance(stored, bool) or isinstance(fresh, bool):
+        if stored is not fresh:
+            bad.append(prefix.rstrip("."))
+        return bad
+    if isinstance(stored, (int, float)) and isinstance(fresh, (int, float)):
         a, b = float(stored), float(fresh)
         if a != b and not (math.isfinite(a) and math.isfinite(b) and
                            abs(a - b) <= VERIFY_REL_TOL * max(abs(a), abs(b)) + VERIFY_ABS_TOL):

@@ -12,24 +12,26 @@ a contraction (``contraction``), ``sphere_fixed_point`` iterates it instead.
 property of y* within tolerance, the strictly-minimizing property of x*
 with a margin outside a small exclusion ball, sphere membership of x* when
 the radius is admissible, and the minimax gap of phi; statements 1 and 5
-run it (see ``Certificate`` for the collapsed pairs of 2, 4 and 6).
+run it.  The collapsed pairs of 2, 4 and 6 prove their inequality instead
+(``sphere_records``) and audit it on AUDIT_SAMPLES samples.
 
 Each statement family has one path, which a solve and ``verify`` share
 (``run_saddle`` for statement 1, ``vi.run_vi`` and ``ba.run_ba``):
 ``gated_problem``, the radius/mode ``gate`` and the saddle problem of the
 report's radius rule; a solver step unless a stored solution is given; one
-certificate constructor call.  Statements 2, 4 and 6 (and 5 on their sets)
-take ``sphere_solve``, whose one ``contraction`` picks the solver and feeds
-``sphere_records``, the proof of uniqueness and of the strict inequality,
-audited on AUDIT_SAMPLES samples; 1 and 5 run ``check_saddle`` (5 on other
-sets adds ``probe_uniqueness``).  A solve runs the gate with a failure sink
-that raises, ``verify`` with one that records instead.
+``Certificate`` constructor call.  Statements 2, 4 and 6 (and 5 on their
+sets) take ``sphere_solve``, whose one ``contraction`` picks the solver and
+feeds ``sphere_records``; 5 on other sets adds ``probe_uniqueness``.  A
+solve runs the gate with a failure sink that raises, ``verify`` with one
+that records instead.  Every statement's certificate is a ``Certificate``,
+whose ``failed_checks`` walks the one order CHECK_ORDER.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -50,6 +52,10 @@ CHECK_SAMPLES = 2000
 CHECK_BLOCK = 512
 # check thresholds, fixed: a passed certificate means the same checks whatever its config
 CHECK_TOL = 1e-8  # slack of y-maximal
+IDENTITY_TOL = 1e-6  # projection and distance identities
+COLLAPSE_TOL = 1e-6  # |x* - y*| of a collapsed pair
+DIRECTION_TOL = 1e-6  # |x* + r F(x*)/|F(x*)|| of statements 2 and 4
+MAP_ZERO_TOL = 1e-9  # |F(x*)| above it is nonzero
 STRICT_MARGIN = 1e-9  # margin of the strict inequalities
 EXCLUSION_FACTOR = 1e-4  # radius of the exclusion ball about x*, a share of r
 RADIUS_SLACK = 1e-12  # rounding allowance of r <= r_max
@@ -104,7 +110,7 @@ class SaddlePoint:
     step: float
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class CheckReport:
     """Outcome of one sampled check.
 
@@ -127,7 +133,7 @@ class CheckReport:
                             for k, v in self.details.items()}}
 
 
-@dataclass
+@dataclass(frozen=True)
 class SaddleChecks:
     reports: list[CheckReport]
     minimax_gap: float
@@ -147,28 +153,40 @@ class SaddleChecks:
                 "reports": [rep.to_dict() for rep in self.reports]}
 
 
-def failed_names(*checks: tuple[str, bool]) -> list[str]:
-    """The names of the (name, held) pairs that did not hold, in order."""
-    return [name for name, ok in checks if not ok]
+# the one order of ``Certificate.failed_checks``: (name, field, test of the
+# field); "proof" is named after its audit
+CHECK_ORDER = (
+    ("projection", "projection_gap", lambda gap: gap <= IDENTITY_TOL),
+    ("collapse", "collapse_gap", lambda gap: gap <= COLLAPSE_TOL),
+    ("sphere-membership", "sphere_gap", lambda gap: gap <= SPHERE_TOL),
+    ("map-nonzero", "map_norm", lambda value: value > MAP_ZERO_TOL),
+    ("y-maximal", "y_maximal_slack", lambda slack: slack >= 0.0),
+    ("saddle-checks", "saddle_checks", attrgetter("passed")),
+    ("uniqueness", "uniqueness", itemgetter("passed")),
+    ("proof", "proof", itemgetter("passed")),
+    ("vi-inequality", "vi_check", attrgetter("passed")),
+    ("nearest-point", "nearest_check", attrgetter("passed")),
+    ("direction", "direction_gap", lambda gap: gap <= DIRECTION_TOL),
+    ("distance-identity", "distance_gap", lambda gap: gap <= IDENTITY_TOL))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
-    """Solution, constants and uniqueness record of one certified run; the
-    VI and approximation certificates add their own identities and checks,
-    and statements 1 and 5 carry ``check_saddle``'s ``saddle_checks``
-    (named ``saddle-checks``).  The collapsed pairs of
-    statements 2, 4 and 6 prove x-strictly-minimal in closed form
-    (``proof``, the proof record of ``sphere_records``, named
-    ``proof_check``) and audit it in their own sampled check, and
-    ``y_maximal_slack`` is CHECK_TOL less sup_y J(x*, y) - J(x*, y*) in
-    closed form over T = ball(r); the body leaves it out.
+    """The certificate of every solving statement, 1, 2, 4, 5 and 6: its
+    solution and constants, and the evidence its statement computes; the
+    other fields are None.  Statements 1 and 5 carry ``saddle_checks``, 1
+    ``step`` and ``y_star_unique`` (whether J depends on y near x*) for a
+    uniqueness record.  The collapsed pairs of 2, 4 and 6 carry the proof
+    of ``sphere_records``, its audit ``vi_check`` (2, 4) or
+    ``nearest_check`` (6) and ``y_maximal_slack``, CHECK_TOL less
+    sup_y J(x*, y) - J(x*, y*) in closed form, which the body leaves out,
+    as it does ``sphere_gap`` (6, when ``claims_sphere``).  The shift
+    record of statement 4 is its ``gate`` (2 writes an empty one).
 
-    ``theorem`` is the wire label of the certified statement template (see
-    the certificate format notes in the README).  ``mode`` is "certified"
-    only when every constant used is certification grade and r respects the
-    admissible radius.  ``failed_checks`` names every failed check and is
-    the only verdict: ``passed`` holds when it is empty.  Certificates are
+    ``theorem`` is the wire label of the statement (see the README).
+    ``mode`` is "certified" only when every constant used is certification
+    grade and r respects the admissible radius.  ``failed_checks`` is the
+    only verdict: ``passed`` holds when it is empty.  Certificates are
     frozen: each is built in one call, and ``dataclasses.replace`` copies.
     """
 
@@ -180,55 +198,58 @@ class Certificate:
     residual: float
     iterations: int
     constants: ConstantsReport
-    uniqueness: dict | None
-    y_maximal_slack: float | None
-    proof: dict | None
-    saddle_checks: SaddleChecks | None = field(default=None, kw_only=True)
-    proof_check = "proof"
+    uniqueness: dict | None = None
+    proof: dict | None = None
+    y_maximal_slack: float | None = None
+    saddle_checks: SaddleChecks | None = None
+    projection_gap: float | None = None
+    collapse_gap: float | None = None
+    sphere_gap: float | None = None
+    map_norm: float | None = None
+    direction_gap: float | None = None
+    distance_gap: float | None = None
+    vi_check: CheckReport | None = None
+    nearest_check: CheckReport | None = None
+    gate: dict | None = None
+    step: float | None = None
+    y_star_unique: bool | None = None
 
     def failed_checks(self) -> list[str]:
-        """Closed-form y-maximal, the saddle checks, uniqueness and the proof;
-        the subclasses put their identities first and their own checks last."""
-        return failed_names(
-            ("y-maximal", self.y_maximal_slack is None or self.y_maximal_slack >= 0.0),
-            ("saddle-checks", self.saddle_checks is None or self.saddle_checks.passed),
-            ("uniqueness", self.uniqueness is None or bool(self.uniqueness["passed"])),
-            (self.proof_check, self.proof is None or bool(self.proof["passed"])))
+        """The failed checks in CHECK_ORDER, skipping each field that is None."""
+        proof = ("vi-inequality-proof" if self.vi_check is not None
+                 else "nearest-point-proof" if self.nearest_check is not None else "proof")
+        return [proof if name == "proof" else name for name, attr, held in CHECK_ORDER
+                if (value := getattr(self, attr)) is not None and not held(value)]
 
     @property
     def passed(self) -> bool:
         return not self.failed_checks()
 
     def to_dict(self):
-        return {
-            "theorem": self.theorem, "mode": self.mode, "r": float(self.r),
-            "solution": {"x_star": [float(v) for v in self.x_star],
-                         "y_star": [float(v) for v in self.y_star]},
-            "residuals": {"saddle_residual": float(self.residual)},
-            "iterations": int(self.iterations),
-            "constants": self.constants.to_dict(),
-            "checks": {"uniqueness": self.uniqueness,
-                       **({} if self.proof is None else {"proof": self.proof}),
-                       **({} if self.saddle_checks is None
-                          else {"saddle": self.saddle_checks.to_dict()})},
-            "passed": bool(self.passed),
-        }
-
-
-@dataclass(frozen=True)
-class SaddleCertificate(Certificate):
-    """Certificate of statement 1: the sampled saddle checks, the solver's
-    ``step`` and ``y_star_unique``, whether the payoff depends on y near x*
-    (else y* is one valid choice among many).  It has no uniqueness record."""
-
-    step: float
-    y_star_unique: bool
-
-    def to_dict(self):
-        d = super().to_dict()
-        del d["checks"]["uniqueness"]
-        d["solution"]["y_star_unique"] = self.y_star_unique
-        d["step"] = float(self.step)
+        """The certificate body.  ``checks.uniqueness`` is written, null or
+        not, unless ``y_star_unique`` stands in for it (statement 1)."""
+        solution = {"x_star": [float(v) for v in self.x_star],
+                    "y_star": [float(v) for v in self.y_star]}
+        residuals = {"saddle_residual": float(self.residual)}
+        residuals.update((name, float(getattr(self, name))) for name in (
+            "projection_gap", "collapse_gap", "direction_gap", "map_norm", "distance_gap")
+            if getattr(self, name) is not None)
+        checks = {} if self.y_star_unique is not None else {"uniqueness": self.uniqueness}
+        if self.proof is not None:
+            checks["proof"] = self.proof
+        checks.update((name, report.to_dict()) for name, report in (
+            ("saddle", self.saddle_checks), ("vi", self.vi_check),
+            ("nearest-point", self.nearest_check)) if report is not None)
+        d = {"theorem": self.theorem, "mode": self.mode, "r": float(self.r),
+             "solution": solution, "residuals": residuals, "iterations": int(self.iterations),
+             "constants": self.constants.to_dict(), "checks": checks,
+             "passed": bool(self.passed)}
+        if self.y_star_unique is not None:
+            solution["y_star_unique"] = self.y_star_unique
+        if self.step is not None:
+            d["step"] = float(self.step)
+        if self.gate is not None:
+            d["gate"] = self.gate
         return d
 
 
@@ -396,7 +417,7 @@ def gated_problem(m, report: ConstantsReport, r: float | None, mode: str,
 
 def run_saddle(payoff, T: ConvexSet | None, r: float | None, report: ConstantsReport,
                point: SaddlePoint | None = None, *, mode: str, seed: int,
-               fail) -> SaddleCertificate:
+               fail) -> Certificate:
     """Statement 1's one path, which the CLI's run and ``verify`` take: phi =
     (L/2) ||x||^2 + J on ball(r) x T (T = ball(r) when None), J a catalog
     payoff.  The heuristic ``gate`` of J's own ``report`` (positivity, the
@@ -409,11 +430,10 @@ def run_saddle(payoff, T: ConvexSet | None, r: float | None, report: ConstantsRe
     cfg = gated_problem(payoff.smooth_map, report, r, mode, T, fail=fail)
     if point is None:
         point = solve_saddle(payoff, cfg)
-    return SaddleCertificate(
+    return Certificate(
         theorem="1", mode=mode, r=cfg.r, x_star=point.x_star, y_star=point.y_star,
         residual=point.residual, iterations=point.iterations, constants=report,
-        uniqueness=None, y_maximal_slack=None, proof=None, step=point.step,
-        saddle_checks=check_saddle(payoff, point, cfg, seed=seed + 1),
+        step=point.step, saddle_checks=check_saddle(payoff, point, cfg, seed=seed + 1),
         y_star_unique=payoff_depends_on_y(payoff, point.x_star, cfg.T, seed=seed))
 
 

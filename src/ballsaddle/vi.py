@@ -16,8 +16,8 @@ the double inequality (with y* = x*, the x-strictly-minimal saddle
 inequality) proved in closed form, and a sampled audit of it.
 ``run_vi`` is the one path of statements 2 and 4: it gates the problem
 (``saddle.gated_problem``), solves unless a stored solution is given
-(``saddle.sphere_solve``), and builds the certificate.  ``solve_vi`` and
-the CLI's run and ``verify`` all take it.
+(``saddle.sphere_solve``), and builds its ``saddle.Certificate``.
+``solve_vi`` and the CLI's run and ``verify`` all take it.
 
 ``solve_vi_shifted`` handles maps with vanishing Jacobian at the origin
 shifted by a far-enough target w, and ``small_radius`` picks a radius that
@@ -35,44 +35,11 @@ from .catalog import SmoothMap, shift_map, vi_payoff
 from .constants import ConstantsReport, op_norm, vi_report
 from .errors import HypothesisViolation, InvalidInput
 from .geometry import norm
-from .saddle import (AUDIT_SAMPLES, CHECK_SAMPLES, CHECK_TOL, Certificate, CheckReport,
-                     SaddlePoint, audit, failed_names, gated_problem, raise_failure,
+from .saddle import (AUDIT_SAMPLES, CHECK_SAMPLES, CHECK_TOL, MAP_ZERO_TOL, Certificate,
+                     CheckReport, SaddlePoint, audit, gated_problem, raise_failure,
                      sphere_records, sphere_solve)
 
-COLLAPSE_TOL = 1e-6
-DIRECTION_TOL = 1e-6
-MAP_ZERO_TOL = 1e-9
 SIGMA_FLOOR_TOL = 1e-8  # rounding allowance of sigma >= sigma_floor
-
-
-@dataclass(frozen=True)
-class VICertificate(Certificate):
-    """Certificate of statement 2 or 4: the structural identities, the
-    proved double inequality and its sampled audit and, for statement 4,
-    the shift gate record."""
-
-    collapse_gap: float
-    map_norm: float
-    direction_gap: float
-    vi_check: CheckReport
-    gate: dict
-    proof_check = "vi-inequality-proof"
-
-    def failed_checks(self) -> list[str]:
-        return (failed_names(("collapse", self.collapse_gap <= COLLAPSE_TOL),
-                             ("map-nonzero", self.map_norm > MAP_ZERO_TOL))
-                + super().failed_checks()
-                + failed_names(("vi-inequality", self.vi_check.passed),
-                               ("direction", self.direction_gap <= DIRECTION_TOL)))
-
-    def to_dict(self):
-        d = super().to_dict()
-        d["residuals"].update(collapse_gap=float(self.collapse_gap),
-                              direction_gap=float(self.direction_gap),
-                              map_norm=float(self.map_norm))
-        d["checks"]["vi"] = self.vi_check.to_dict()
-        d["gate"] = self.gate
-        return d
 
 
 def check_vi(m: SmoothMap, x_star, r: float, n_samples: int = CHECK_SAMPLES,
@@ -93,7 +60,7 @@ def check_vi(m: SmoothMap, x_star, r: float, n_samples: int = CHECK_SAMPLES,
 
 def run_vi(m: SmoothMap, r: float | None, report: ConstantsReport, settings: dict,
            point: SaddlePoint | None = None, *, mode: str, seed: int, fail,
-           gate: dict | None = None) -> VICertificate:
+           gate: dict | None = None) -> Certificate:
     """The one path of statements 2 and 4, which ``solve_vi``,
     ``solve_vi_shifted`` and the CLI's run and ``verify`` all take.
 
@@ -127,7 +94,7 @@ def run_vi(m: SmoothMap, r: float | None, report: ConstantsReport, settings: dic
     direction_gap = norm(x_star + (r / map_norm) * fx) if map_norm > 0.0 else np.inf
     uniqueness, proof = sphere_records(contracted, theta, direction_gap, map_norm,
                                        (2.0 * r, theta), m.dimension)
-    return VICertificate(
+    return Certificate(
         theorem="2" if gate is None else "4", mode=mode, r=r, x_star=x_star, y_star=y_star,
         residual=point.residual, iterations=point.iterations,
         collapse_gap=norm(x_star - y_star), map_norm=map_norm,
@@ -140,7 +107,7 @@ def run_vi(m: SmoothMap, r: float | None, report: ConstantsReport, settings: dic
 
 def solve_vi(m: SmoothMap, r: float | None = None,
              report: ConstantsReport | None = None, *, mode: str = "certified",
-             seed: int = 0, **settings) -> VICertificate:
+             seed: int = 0, **settings) -> Certificate:
     """Solve and certify the variational inequality on ball(r) (``run_vi``).
 
     ``r`` defaults to the admissible radius.  In certified mode the
@@ -186,7 +153,7 @@ def shift_problem(m: SmoothMap, w, *, seed: int = 0, fail=raise_failure):
 
 
 def solve_vi_shifted(m: SmoothMap, w, r: float | None = None, *, seed: int = 0,
-                     mode: str = "certified", **settings) -> VICertificate:
+                     mode: str = "certified", **settings) -> Certificate:
     """Variational inequality for x -> m(x) - w when the Jacobian of ``m``
     vanishes at the origin (see ``shift_problem`` for the gate).  Every
     radius up to rho is then admissible for the shifted map.  ``mode`` and
@@ -212,8 +179,8 @@ class SmallRadiusResult:
     theorem: str
 
     def failed_checks(self) -> list[str]:
-        return failed_names(
-            ("sigma-floor", self.report.sigma.value >= self.sigma_floor - SIGMA_FLOOR_TOL))
+        held = self.report.sigma.value >= self.sigma_floor - SIGMA_FLOOR_TOL
+        return [] if held else ["sigma-floor"]
 
     def to_dict(self):
         return {"r_star": float(self.r_star), "epsilon": float(self.epsilon),

@@ -12,6 +12,7 @@ from ballsaddle import (Ball, Box, HypothesisViolation, InvalidInput,
                         solve_prox_pair)
 from ballsaddle import ba as ba_module
 from ballsaddle import saddle as saddle_module
+from ballsaddle.catalog import MapPayoff
 from ballsaddle.saddle import UNIQUENESS_STARTS, SaddlePoint, raise_failure
 
 
@@ -83,14 +84,20 @@ class TestBestApprox:
     def test_sphere_membership_is_an_identity(self):
         # statement 6 runs no saddle check; its certificate gates | ||x*|| - r |
         # as check_saddle did: L > 0 and r within the admissible radius
-        cert = solve_best_approx(shifted_identity())
-        off = dataclasses.replace(cert, x_star=cert.x_star * (1.0 - 2e-6 / cert.r))
-        assert off.failed_checks() == ["sphere-membership"]
+        m = shifted_identity()
+        cert = solve_best_approx(m)
+        assert cert.sphere_gap <= 1e-12
+        assert dataclasses.replace(cert, sphere_gap=2e-6).failed_checks() == [
+            "sphere-membership"]
         rep = cert.constants  # r_max = sigma / L: a quarter of sigma puts r beyond it
-        beyond = dataclasses.replace(off, constants=dataclasses.replace(
-            rep, sigma=dataclasses.replace(rep.sigma, value=rep.sigma.value / 4)))
-        assert beyond.constants.r_max < cert.r
-        assert beyond.failed_checks() == []
+        beyond = dataclasses.replace(rep, sigma=dataclasses.replace(
+            rep.sigma, value=rep.sigma.value / 4))
+        assert beyond.r_max < cert.r
+        point = SaddlePoint(cert.x_star, cert.y_star, cert.residual, cert.iterations, 1.0)
+        again = ba_module.run_ba(m, Ball(m.domain_radius, m.dimension), None, cert.r, beyond,
+                                 {}, point, mode="heuristic", seed=0, fail=raise_failure,
+                                 theorem="6")
+        assert again.sphere_gap is None and again.passed
 
     @pytest.mark.parametrize("keyword", ["tolerance", "step", "fail", "theorem", "point",
                                          "gate", "uniqueness", "starts"])
@@ -102,6 +109,23 @@ class TestBestApprox:
             solve_best_approx(m, **{keyword: 1e-8})
         with pytest.raises(TypeError, match=keyword):
             solve_prox_pair(m, Ball(m.domain_radius, m.dimension), None, **{keyword: 1e-8})
+
+
+def test_one_payoff_per_run(monkeypatch):
+    # a box prox-pair's solve, probe and saddle checks share one payoff; a
+    # certified best-approx solves by the fixed point and checks in closed
+    # form, so it builds none
+    built, post_init = [], MapPayoff.__post_init__
+
+    def counted(payoff):
+        built.append(1)
+        post_init(payoff)
+    monkeypatch.setattr(MapPayoff, "__post_init__", counted)
+    assert solve_prox_pair(constant_two(), Ball(1.0, 2), Box([-0.5, -0.5], [0.5, 0.5]),
+                           r=0.5).passed
+    assert len(built) == 1
+    built.clear()
+    assert solve_best_approx(shifted_identity()).passed and built == []
 
 
 class TestProxPair:

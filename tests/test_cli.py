@@ -974,6 +974,39 @@ class TestVerify:
         out = json.loads(capsys.readouterr().out)
         assert out["failures"] == [] and out["recomputed"] == stored["certificate"]
 
+    @pytest.mark.parametrize("command, failures", [
+        ("vi", ["collapse", "uniqueness", "vi-inequality-proof", "vi-inequality", "direction"]),
+        ("best-approx", ["uniqueness", "nearest-point-proof"])])
+    def test_failing_certificate_verifies_its_failures(self, capsys, command, failures):
+        # heuristic certificates of x + (2, 0) at r = 1, twice its admissible
+        # radius, stored with their failing verdicts: verify recomputes each
+        # body exactly and names the same failures in the same order
+        path = FIXTURES / f"format5-{command}-failing.json"
+        stored = json.loads(path.read_text())
+        assert stored["command"] == command and stored["config"]["problem"] == AFFINE
+        assert stored["config"]["r"] == 1.0 and stored["config"]["heuristic"] is True
+        capsys.readouterr()
+        assert main(["verify", "--config", str(path)]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["failures"] == failures and out["recomputed"] == stored["certificate"]
+
+    @pytest.mark.parametrize("case, path, value", [
+        ("vi-shifted", ("r",), True), ("saddle-vi", ("solution", "y_star_unique"), 1)])
+    def test_boolean_matches_only_a_boolean(self, tmp_path, capsys, case, path, value):
+        # True == 1.0 in Python: a stored boolean where a number is recorded,
+        # or a number where a boolean is, once verified
+        doc = json.loads((FIXTURES / f"format5-{case}.json").read_text())
+        body = doc["certificate"]
+        for key in path[:-1]:
+            body = body[key]
+        assert body[path[-1]] == value and type(body[path[-1]]) is not type(value)
+        body[path[-1]] = value
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cert)]) == 3
+        assert json.loads(capsys.readouterr().out)["failures"] == ["recorded:" + ".".join(path)]
+
     def test_config_cannot_loosen_a_tampered_certificate(self, tmp_path, capsys):
         # y* of the saddle certificate of x + (2, 0) moved from (-0.25, 0) to
         # (0, 0), then verify's own recomputed body pasted back in, as a

@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ballsaddle import (BACertificate, Ball, Box, CheckReport, InvalidInput, NonConvergence,
-                        Payoff, SaddleCertificate, SaddleChecks, SaddleConfig, SaddlePoint,
-                        SmoothMap, VICertificate, ba_payoff, ba_report,
+from ballsaddle import (Ball, Box, CheckReport, InvalidInput, NonConvergence, Payoff,
+                        SaddleChecks, SaddleConfig, SaddlePoint, SmoothMap, ba_payoff, ba_report,
                         check_nearest_point, check_saddle, check_vi, make_affine,
                         make_constant, make_quadratic, map_from_dict, phi_value_grad,
                         project_ball, sample_ball, sample_sphere, shift_map,
@@ -715,25 +714,60 @@ def solved_certificates():
 
 def test_certificates_are_frozen():
     certs = solved_certificates()
-    base = certs["2, 4"]
-    certs["base"] = Certificate(**{f.name: getattr(base, f.name)
-                                   for f in dataclasses.fields(Certificate)})
-    assert {type(cert) for cert in certs.values()} == {
-        Certificate, SaddleCertificate, VICertificate, BACertificate}
+    assert all(type(cert) is Certificate for cert in certs.values())
     for cert in certs.values():
         with pytest.raises(dataclasses.FrozenInstanceError):
             cert.theorem = "0"
         assert dataclasses.replace(cert, theorem="0").theorem == "0"
+    # the check reports a certificate holds are frozen too: its verdict cannot change
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        certs["2, 4"].vi_check.passed = False
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        certs["1"].saddle_checks.reports = []
 
 
-def test_readme_check_order_table_matches_failed_checks():
-    # every check of each statement made to fail names the README row, in its order
+TABLE_HEADER = "| statement | `failed_checks()` names, in order |\n"
+
+
+def readme_check_order():
+    """(the names of the README's one order of ``failed_checks()``, in the
+    paragraph above its table, {statement label: the names of its row})."""
     readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
-    table = readme.split("| statement | `failed_checks()` names, in order |\n", 1)[1]
+    above, table = readme.split(TABLE_HEADER, 1)
+    order = re.findall(r"`([a-z-]+)`", above.rstrip().rsplit("\n\n", 1)[1])
     rows = {}
     for line in table.split("\n\n", 1)[0].splitlines()[1:]:
         label, names = line.strip("|").split("|")
         rows[label.split("(")[0].strip()] = re.findall(r"`([a-z-]+)`", names)
+    return order, rows
+
+
+def test_readme_rows_follow_the_one_order():
+    order, rows = readme_check_order()
+    assert len(order) == len(set(order)) == 14 and len(rows) == 4
+    for label, row in rows.items():
+        names = iter(order)
+        assert row and all(name in names for name in row), label
+
+
+def test_every_failing_check_names_the_one_order():
+    # every check field set and failing: the README's order, with the proof
+    # named after the vi audit, which takes precedence over nearest-point
+    order, _ = readme_check_order()
+    vi = solved_certificates()["2, 4"]
+    failing = dataclasses.replace(vi.vi_check, passed=False)
+    cert = dataclasses.replace(
+        vi, projection_gap=1.0, collapse_gap=1.0, sphere_gap=1.0, map_norm=0.0,
+        y_maximal_slack=-1.0, saddle_checks=SaddleChecks([failing], 0.0),
+        uniqueness={"passed": False}, proof={"passed": False}, vi_check=failing,
+        nearest_check=failing, direction_gap=1.0, distance_gap=1.0)
+    assert cert.failed_checks() == [
+        name for name in order if name not in ("nearest-point-proof", "proof")]
+
+
+def test_readme_check_order_table_matches_failed_checks():
+    # every check of each statement made to fail names the README row, in its order
+    _, rows = readme_check_order()
     certs = solved_certificates()
     assert set(rows) == set(certs) and all(cert.passed for cert in certs.values())
     failing = SaddleChecks([CheckReport("x-strictly-minimal", False, 1, -1.0)], 0.0)
@@ -748,7 +782,7 @@ def test_readme_check_order_table_matches_failed_checks():
         "5": dataclasses.replace(certs["5"], projection_gap=1.0, saddle_checks=failing,
                                  uniqueness={"passed": False}),
         "6": dataclasses.replace(
-            ba, projection_gap=1.0, collapse_gap=1.0, x_star=0.5 * ba.x_star, distance_gap=1.0,
+            ba, projection_gap=1.0, collapse_gap=1.0, sphere_gap=1.0, distance_gap=1.0,
             nearest_check=dataclasses.replace(ba.nearest_check, passed=False), **fails)}
     for label, cert in broken.items():
         assert cert.failed_checks() == rows[label], label
