@@ -17,10 +17,11 @@ unique nearest point of ball(r) to its own image:
 and nearest-point conclusions; ``ba_small_radius`` picks a radius that
 makes the hypotheses automatic when f(0) != 0.  ``run_ba`` is the one path
 of statements 5 and 6, which both solves and the CLI's run and ``verify``
-take: it gates the problem (``saddle.gated_problem``, then T within Y),
-solves unless a stored solution is given (``saddle.sphere_solve`` on the
-sets above, else the extragradient and the uniqueness probe), and builds
-its ``saddle.Certificate``.
+take, each in one call: it builds the constants report of f and Y, gates
+the problem (``saddle.gated_problem``, then T within Y), solves unless a
+stored solution is given (``saddle.sphere_solve`` on the sets above, else
+the extragradient and the uniqueness probe), and builds its
+``saddle.Certificate``.
 """
 
 from __future__ import annotations
@@ -60,14 +61,15 @@ def _containment_check(T: ConvexSet, Y: ConvexSet, seed: int, fail, n: int = 128
 
 
 def run_ba(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None, r: float | None,
-           report: ConstantsReport, settings: dict, point: SaddlePoint | None = None, *,
-           mode: str, seed: int, fail, uniqueness: dict | None = None,
+           report: ConstantsReport | None, settings: dict, point: SaddlePoint | None = None,
+           *, mode: str, seed: int, fail=raise_failure, uniqueness: dict | None = None,
            theorem: str = "5") -> Certificate:
     """The one path of statements 5 and 6, which ``solve_prox_pair``,
     ``solve_best_approx`` and the CLI's run and ``verify`` all take.
 
-    Gates the problem (``gated_problem``, then T contained in Y, failures
-    to ``fail``).  Statement 6 needs its sets, Y = ball(rho) and T =
+    ``report`` defaults to ``ba_report`` of ``m`` and ``Y``.  Gates the
+    problem (``gated_problem``, then T contained in Y, failures to
+    ``fail``).  Statement 6 needs its sets, Y = ball(rho) and T =
     ball(r), else InvalidInput before any solve.  On them the pair
     collapses: ``sphere_solve`` of x -> P_ball(r)(f(x)), with the floor
     max(r, reach), reach = ||f(0)|| - r theta (the projection is
@@ -91,6 +93,7 @@ def run_ba(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None, r: float | None,
     (phi/r - 2 theta) ||x - x*||^2 on ball(r).  The proof's coefficient is
     phi/r - max(1, 2 theta), which covers both conditions.
     """
+    report = report or ba_report(m, Y, seed=seed)
     cfg = gated_problem(m, report, r, mode, T, fail=fail, **settings)
     _containment_check(cfg.T, Y, seed + 7, fail)
     r, theta = cfg.r, report.theta.value
@@ -143,9 +146,7 @@ def solve_prox_pair(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None,
     a contraction proves it.  ``settings`` are the run settings of
     SaddleConfig, as for ``solve_vi``.
     """
-    if report is None:
-        report = ba_report(m, Y, seed=seed)
-    return run_ba(m, Y, T, r, report, settings, mode=mode, seed=seed, fail=raise_failure)
+    return run_ba(m, Y, T, r, report, settings, mode=mode, seed=seed)
 
 
 def check_nearest_point(m: SmoothMap, x_star, r: float,
@@ -169,11 +170,8 @@ def solve_best_approx(m: SmoothMap, r: float | None = None,
     Y = ball(rho) and T = ball(r), where the saddle pair collapses onto
     x* = P_ball(r)(f(x*)).  The keywords are those of ``solve_prox_pair``.
     """
-    Y = Ball(m.domain_radius, m.dimension)
-    if report is None:
-        report = ba_report(m, Y, seed=seed)
-    return run_ba(m, Y, None, r, report, settings, mode=mode, seed=seed, fail=raise_failure,
-                  theorem="6")
+    return run_ba(m, Ball(m.domain_radius, m.dimension), None, r, report, settings,
+                  mode=mode, seed=seed, theorem="6")
 
 
 def ba_small_radius(m: SmoothMap, epsilon: float = 0.5) -> SmallRadiusResult:

@@ -36,14 +36,14 @@ import time
 from dataclasses import dataclass, field
 
 from .ba import ba_small_radius, run_ba
-from .catalog import (SmoothMap, ba_payoff, map_from_dict, read_array, read_number,
-                      require_fields, vi_payoff)
+from .catalog import (MapPayoff, SmoothMap, map_from_dict, read_array, read_number,
+                      require_fields)
 from .constants import ba_report, vi_report
 from .errors import (BallSaddleError, CertificationError, ConfigError, DimensionMismatch,
                      HypothesisViolation, InvalidInput, NonConvergence)
 from .geometry import Ball, Box, ConvexSet, as_point
 from .saddle import SaddlePoint, raise_failure, run_saddle
-from .vi import run_vi, shift_problem, small_radius
+from .vi import run_vi, small_radius
 
 CERT_FORMAT = "ballsaddle-certificate/5"
 VERIFY_FORMAT = "ballsaddle-verification/1"
@@ -67,8 +67,8 @@ _FIELDS = {
 class RunConfig:
     """A fully-resolved run request; ``to_dict`` is the echo embedded in
     certificates.  No field sets a solver setting or a check threshold.
-    ``smooth_map``, ``Y`` and ``T`` are the map and the sets ``parse_config``
-    built from ``problem``, ``y_set`` and ``t_set``, outside the schema."""
+    ``smooth_map``, ``Y`` (default ball(rho)) and ``T``, outside the schema,
+    are built by ``parse_config`` from ``problem``, ``y_set`` and ``t_set``."""
 
     command: str
     problem: dict
@@ -137,6 +137,7 @@ def parse_config(doc: dict, command: str) -> RunConfig:
         if name in doc:
             setattr(cfg, name, doc[name])
             setattr(cfg, attr, set_from_dict(doc[name], m.dimension, name))
+    cfg.Y = cfg.Y or Ball(m.domain_radius, m.dimension)
     return cfg
 
 
@@ -163,11 +164,6 @@ def set_from_dict(doc: dict, dim: int, path: str) -> ConvexSet:
     raise ConfigError(f"unknown set kind {kind!r}", path=f"{path}.kind")
 
 
-def _y_set(cfg: RunConfig, m: SmoothMap) -> ConvexSet:
-    """The configured Y, else ball(rho)."""
-    return cfg.Y or Ball(m.domain_radius, m.dimension)
-
-
 def run(cfg: RunConfig) -> tuple[dict, list[str]]:
     """Execute a parsed config: (certificate document without envelope
     fields, names of its failed checks)."""
@@ -176,7 +172,7 @@ def run(cfg: RunConfig) -> tuple[dict, list[str]]:
         if cfg.application == "vi":
             rep, theorem = vi_report(m), "2"
         else:
-            rep, theorem = ba_report(m, _y_set(cfg, m)), "5"
+            rep, theorem = ba_report(m, cfg.Y), "5"
         return {"theorem": theorem,
                 "mode": "certified" if rep.certified else "heuristic",
                 "constants": rep.to_dict(), "passed": True}, []
@@ -196,25 +192,17 @@ def run(cfg: RunConfig) -> tuple[dict, list[str]]:
 
 def _certify(cfg: RunConfig, fail, point: SaddlePoint | None = None,
              uniqueness: dict | None = None) -> tuple[dict, list[str]]:
-    """(certificate body, names of its failed checks) of a solving command:
-    the one path of ``run`` and ``verify``, ``run_saddle``, ``run_vi`` or
-    ``run_ba`` with the failure sink ``fail``, given from ``verify`` a stored
-    solution ``point`` (and a ``prox-pair``'s probe record ``uniqueness``)."""
+    """(body, names of failed checks) of a solving command, the one path of
+    ``run`` and ``verify``: one ``run_saddle``, ``run_vi`` or ``run_ba`` call
+    on what the config gives, the sink ``fail`` and, from ``verify``, a stored
+    ``point`` (and a ``prox-pair``'s probe record ``uniqueness``)."""
     m, kw = cfg.smooth_map, {"mode": cfg.mode, "seed": cfg.seed, "fail": fail}
-    if cfg.command == "saddle":  # run_saddle derives the saddle report from the payoff's own
-        Y = _y_set(cfg, m)
-        report, payoff = ((vi_report(m, seed=cfg.seed), vi_payoff(m)) if cfg.payoff == "vi"
-                          else (ba_report(m, Y, seed=cfg.seed), ba_payoff(m, Y)))
-        cert = run_saddle(payoff, cfg.T, cfg.r, report, point, **kw)
-    elif cfg.command == "vi":
-        cert = run_vi(m, cfg.r, vi_report(m, seed=cfg.seed), {}, point, **kw)
-    elif cfg.command == "vi-shifted":
-        shifted, report, record = shift_problem(m, cfg.w, seed=cfg.seed, fail=fail)
-        cert = run_vi(shifted, cfg.r, report, {}, point, gate=record, **kw)
+    if cfg.command == "saddle":
+        cert = run_saddle(MapPayoff(cfg.Y, m, cfg.payoff), cfg.T, cfg.r, None, point, **kw)
+    elif cfg.command in ("vi", "vi-shifted"):
+        cert = run_vi(m, cfg.r, None, {}, point, w=cfg.w, **kw)
     else:  # prox-pair or best-approx
-        Y = _y_set(cfg, m)
-        cert = run_ba(m, Y, cfg.T, cfg.r, ba_report(m, Y, seed=cfg.seed),
-                      {}, point, uniqueness=uniqueness,
+        cert = run_ba(m, cfg.Y, cfg.T, cfg.r, None, {}, point, uniqueness=uniqueness,
                       theorem="5" if cfg.command == "prox-pair" else "6", **kw)
     return cert.to_dict(), cert.failed_checks()
 
@@ -307,28 +295,27 @@ def _compare_dicts(stored, fresh, prefix: str = "") -> list[str]:
     agree within VERIFY_REL_TOL of their own magnitude plus VERIFY_ABS_TOL,
     which absorbs last-bit noise in values near 0; a non-finite number
     matches only itself, and a boolean only the same boolean (in Python
-    ``True == 1.0``)."""
-    bad = []
+    ``True == 1.0``).  Lists of equal length agree element by element under
+    the same rules; a list that disagrees anywhere is named by its own path."""
     if isinstance(stored, dict) and isinstance(fresh, dict):
+        bad = []
         for key in sorted(set(stored) | set(fresh)):
             if key not in stored or key not in fresh:
                 bad.append(prefix + key)
                 continue
             bad.extend(_compare_dicts(stored[key], fresh[key], prefix + key + "."))
         return bad
-    if isinstance(stored, bool) or isinstance(fresh, bool):
-        if stored is not fresh:
-            bad.append(prefix.rstrip("."))
-        return bad
-    if isinstance(stored, (int, float)) and isinstance(fresh, (int, float)):
+    if isinstance(stored, list) and isinstance(fresh, list):
+        same = len(stored) == len(fresh) and not any(map(_compare_dicts, stored, fresh))
+    elif isinstance(stored, bool) or isinstance(fresh, bool):
+        same = stored is fresh
+    elif isinstance(stored, (int, float)) and isinstance(fresh, (int, float)):
         a, b = float(stored), float(fresh)
-        if a != b and not (math.isfinite(a) and math.isfinite(b) and
-                           abs(a - b) <= VERIFY_REL_TOL * max(abs(a), abs(b)) + VERIFY_ABS_TOL):
-            bad.append(prefix.rstrip("."))
-        return bad
-    if stored != fresh:
-        bad.append(prefix.rstrip("."))
-    return bad
+        same = a == b or (math.isfinite(a) and math.isfinite(b) and
+                          abs(a - b) <= VERIFY_REL_TOL * max(abs(a), abs(b)) + VERIFY_ABS_TOL)
+    else:
+        same = stored == fresh
+    return [] if same else [prefix.rstrip(".")]
 
 
 def _to_jsonable(obj):

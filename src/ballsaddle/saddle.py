@@ -35,7 +35,8 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .constants import RADIUS_RULES, ConstantsReport, delta_const, require_count
+from .constants import (RADIUS_RULES, ConstantsReport, ba_report, delta_const, require_count,
+                        vi_report)
 from .errors import CertificationError, HypothesisViolation, InvalidInput, NonConvergence
 from .geometry import (Ball, ConvexSet, as_point, axis_points, ball_projection, norm,
                        project_ball, sample_ball, sample_sphere)
@@ -415,19 +416,26 @@ def gated_problem(m, report: ConstantsReport, r: float | None, mode: str,
                         smoothness=2.0 * L + report.theta.value, r_max=report.r_max, **settings)
 
 
-def run_saddle(payoff, T: ConvexSet | None, r: float | None, report: ConstantsReport,
-               point: SaddlePoint | None = None, *, mode: str, seed: int,
-               fail) -> Certificate:
+def run_saddle(payoff, T: ConvexSet | None, r: float | None,
+               report: ConstantsReport | None = None, point: SaddlePoint | None = None, *,
+               mode: str, seed: int, fail=raise_failure) -> Certificate:
     """Statement 1's one path, which the CLI's run and ``verify`` take: phi =
     (L/2) ||x||^2 + J on ball(r) x T (T = ball(r) when None), J a catalog
-    payoff.  The heuristic ``gate`` of J's own ``report`` (positivity, the
-    default r), then ``gated_problem`` of J's map in ``mode`` on the saddle
-    report (delta over T, L the weight, the "saddle" rule), failures to
-    ``fail``; a solve unless ``point`` is given; then ``check_saddle``."""
-    r = gate(report, r, "heuristic", payoff.x_radius, fail)
-    T = Ball(r, payoff.dimension) if T is None else T
-    report = replace(report, delta=delta_const(payoff, T), L=report.weight, radius_rule="saddle")
-    cfg = gated_problem(payoff.smooth_map, report, r, mode, T, fail=fail)
+    payoff.  The heuristic ``gate`` of J's own ``report`` (None: built by
+    J's kind; positivity, the default r), then ``gated_problem`` of J's map
+    in ``mode`` on the saddle report (delta over T, L the weight, the
+    "saddle" rule), failures to ``fail``; a solve unless ``point`` is given;
+    then ``check_saddle``.  A certified run with no r whose saddle r_max is
+    positive and below J's default radius runs at r = that r_max; a default
+    T then shrinks with it, which can only raise delta."""
+    own = report or (vi_report(payoff.smooth_map, seed=seed) if payoff.kind == "vi"
+                     else ba_report(payoff.smooth_map, payoff.y_set, seed=seed))
+    radius = gate(own, r, "heuristic", payoff.x_radius, fail)
+    report = replace(own, delta=delta_const(payoff, T or Ball(radius, payoff.dimension)),
+                     L=own.weight, radius_rule="saddle")
+    if r is None and mode == "certified" and 0.0 < report.r_max < radius:
+        return run_saddle(payoff, T, report.r_max, own, point, mode=mode, seed=seed, fail=fail)
+    cfg = gated_problem(payoff.smooth_map, report, radius, mode, T, fail=fail)
     if point is None:
         point = solve_saddle(payoff, cfg)
     return Certificate(

@@ -14,10 +14,10 @@ structural identities x* = y*, F(x*) != 0 and x* antiparallel to F(x*) on
 the sphere, y-maximal in closed form, the contraction that makes it unique,
 the double inequality (with y* = x*, the x-strictly-minimal saddle
 inequality) proved in closed form, and a sampled audit of it.
-``run_vi`` is the one path of statements 2 and 4: it gates the problem
-(``saddle.gated_problem``), solves unless a stored solution is given
-(``saddle.sphere_solve``), and builds its ``saddle.Certificate``.
-``solve_vi`` and the CLI's run and ``verify`` all take it.
+``run_vi`` is the one path of statements 2 and 4, which ``solve_vi``,
+``solve_vi_shifted`` and the CLI take: it derives the report (and statement
+4's shifted map), gates the problem (``saddle.gated_problem``), solves unless
+given a solution (``saddle.sphere_solve``), and builds a ``saddle.Certificate``.
 
 ``solve_vi_shifted`` handles maps with vanishing Jacobian at the origin
 shifted by a far-enough target w, and ``small_radius`` picks a radius that
@@ -58,27 +58,33 @@ def check_vi(m: SmoothMap, x_star, r: float, n_samples: int = CHECK_SAMPLES,
                  forms=("worst_first_form", "worst_second_form"))
 
 
-def run_vi(m: SmoothMap, r: float | None, report: ConstantsReport, settings: dict,
-           point: SaddlePoint | None = None, *, mode: str, seed: int, fail,
-           gate: dict | None = None) -> Certificate:
+def run_vi(m: SmoothMap, r: float | None, report: ConstantsReport | None, settings: dict,
+           point: SaddlePoint | None = None, *, mode: str, seed: int, fail=raise_failure,
+           w=None) -> Certificate:
     """The one path of statements 2 and 4, which ``solve_vi``,
     ``solve_vi_shifted`` and the CLI's run and ``verify`` all take.
 
-    Gates the problem (``gated_problem``, failures to ``fail``), then
-    ``sphere_solve`` of x -> -r F(x)/||F(x)|| unless ``point`` (a stored
-    solution) is given.  The certificate measures x* = y*, F(x*) != 0, x*
-    antiparallel to F(x*) on the sphere and y-maximal in closed form, proves
-    the double inequality and audits it on AUDIT_SAMPLES samples; a failed
-    check is a name in ``failed_checks``.  Its uniqueness and proof records
-    are the ``sphere_records`` of the contraction, with the floor
-    ||F(0)|| - r theta of ||F|| on ball(r) and the proof terms (2r, theta).
-    A shift ``gate`` record from ``shift_problem`` labels it statement 4.
+    Given a target ``w``, ``shift_problem`` gates statement 4's shift, whose
+    map is solved and whose record labels the certificate "4".  ``report``
+    (None: built) is the map's.  Gates the problem (``gated_problem``,
+    failures to ``fail``), then ``sphere_solve`` of x -> -r F(x)/||F(x)||
+    unless ``point`` (a stored solution) is given.  The certificate measures
+    x* = y*, F(x*) != 0, x* antiparallel to F(x*) on the sphere and
+    y-maximal in closed form, proves the double inequality and audits it on
+    AUDIT_SAMPLES samples; a failed check is a name in ``failed_checks``.
+    Its uniqueness and proof records are the ``sphere_records`` of the
+    contraction, with the floor ||F(0)|| - r theta of ||F|| on ball(r) and
+    the proof terms (2r, theta).
 
     The proof: x* = -r F(x*)/||F(x*)|| gives <F(x*), x* - x> <=
     -(||F(x*)||/2r) ||x - x*||^2 on ball(r), and F is theta-Lipschitz, so
     both forms are at most -(phi/2r - theta) ||x - x*||^2 for any lower
     bound phi of ||F(x*)||, such as the records' phi_lower.
     """
+    record = {}
+    if w is not None:  # statement 4 solves the shifted map
+        m, shifted_report, record = shift_problem(m, w, seed=seed, fail=fail)
+    report = report or (shifted_report if record else vi_report(m, seed=seed))
     cfg = gated_problem(m, report, r, mode, fail=fail, **settings)
     r, theta = cfg.r, report.theta.value
 
@@ -95,14 +101,14 @@ def run_vi(m: SmoothMap, r: float | None, report: ConstantsReport, settings: dic
     uniqueness, proof = sphere_records(contracted, theta, direction_gap, map_norm,
                                        (2.0 * r, theta), m.dimension)
     return Certificate(
-        theorem="2" if gate is None else "4", mode=mode, r=r, x_star=x_star, y_star=y_star,
+        theorem="4" if record else "2", mode=mode, r=r, x_star=x_star, y_star=y_star,
         residual=point.residual, iterations=point.iterations,
         collapse_gap=norm(x_star - y_star), map_norm=map_norm,
         direction_gap=direction_gap, constants=report,
         vi_check=check_vi(m, x_star, r, AUDIT_SAMPLES, seed + 2),
         # sup of J(x*, .) over ball(r) less J(x*, y*) is <F(x*), y*> + r ||F(x*)||
         y_maximal_slack=CHECK_TOL - float(fx @ y_star) - r * map_norm,
-        uniqueness=uniqueness, proof=proof, gate={} if gate is None else gate)
+        uniqueness=uniqueness, proof=proof, gate=record)
 
 
 def solve_vi(m: SmoothMap, r: float | None = None,
@@ -116,9 +122,7 @@ def solve_vi(m: SmoothMap, r: float | None = None,
     ``settings`` are the run settings of SaddleConfig (``tol`` and
     ``max_iters``), which holds their defaults.
     """
-    if report is None:
-        report = vi_report(m, seed=seed)
-    return run_vi(m, r, report, settings, mode=mode, seed=seed, fail=raise_failure)
+    return run_vi(m, r, report, settings, mode=mode, seed=seed)
 
 
 def shift_problem(m: SmoothMap, w, *, seed: int = 0, fail=raise_failure):
@@ -159,9 +163,7 @@ def solve_vi_shifted(m: SmoothMap, w, r: float | None = None, *, seed: int = 0,
     radius up to rho is then admissible for the shifted map.  ``mode`` and
     ``settings`` are those of ``solve_vi``.
     """
-    shifted, report, record = shift_problem(m, w, seed=seed)
-    return run_vi(shifted, r, report, settings, mode=mode, seed=seed, fail=raise_failure,
-                  gate=record)
+    return run_vi(m, r, None, settings, mode=mode, seed=seed, w=w)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Command line interface: config parsing, exit codes, certificates, verify."""
 
 import dataclasses
+import inspect
 import json
 import os
 import pathlib
@@ -13,7 +14,10 @@ from ballsaddle import (Ball, ConfigError, NonConvergence, SaddlePoint, ba_payof
                         ba_small_radius, map_from_dict, run_saddle, small_radius,
                         solve_best_approx, solve_prox_pair, solve_vi, solve_vi_shifted,
                         vi_payoff, vi_report)
+from ballsaddle import ba as ba_module
 from ballsaddle import cli as cli_module
+from ballsaddle import saddle as saddle_module
+from ballsaddle import vi as vi_module
 from ballsaddle.cli import (_FIELDS, CERT_FORMAT, COMMANDS, _build_parser,
                             _to_jsonable, main, parse_config, run, set_from_dict)
 from ballsaddle.saddle import UNIQUENESS_STARTS, contraction, raise_failure
@@ -479,6 +483,8 @@ ROUND_TRIPS = {
     "small-radius": ("small-radius", {"problem": AFFINE}),
 }
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+# the failures of format5-vi-failing.json, in verify's order
+FAILING_VI = ["collapse", "uniqueness", "vi-inequality-proof", "vi-inequality", "direction"]
 
 
 def saddle_certificate(m, payoff, point=None):
@@ -502,6 +508,49 @@ API_CALLS = {
     "saddle-vi": lambda m: saddle_certificate(m, "vi"),
     "saddle-ba": lambda m: saddle_certificate(m, "ba"),
 }
+
+
+# each runner given no report: it builds the report the public call builds
+# (for statement 1, the payoff's own report)
+RUNNER_CALLS = {
+    "vi": lambda m: vi_module.run_vi(m, None, None, {}, mode="certified", seed=0),
+    "vi-shifted": lambda m: vi_module.run_vi(m, 1.0, None, {}, mode="certified", seed=0,
+                                             w=[16.0, 0.0]),
+    "prox-pair-box": lambda m: ba_module.run_ba(m, Ball(1.0, 2), set_from_dict(BOX, 2, "t_set"),
+                                                0.5, None, {}, mode="certified", seed=0),
+    "prox-pair": lambda m: ba_module.run_ba(m, Ball(1.0, 2), None, None, None, {},
+                                            mode="certified", seed=0),
+    "best-approx": lambda m: ba_module.run_ba(m, Ball(1.0, 2), None, None, None, {},
+                                              mode="certified", seed=0, theorem="6"),
+    "saddle-vi": lambda m: run_saddle(vi_payoff(m), None, None, mode="certified", seed=0),
+    "saddle-ba": lambda m: run_saddle(ba_payoff(m, Ball(1.0, 2)), None, None,
+                                      mode="certified", seed=0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUNNER_CALLS))
+def test_runner_without_a_report_matches_the_public_call(case):
+    m = map_from_dict(ROUND_TRIPS[case][1]["problem"])
+    cert, api = RUNNER_CALLS[case](m), API_CALLS[case](m)
+    assert cert.to_dict() == api.to_dict()
+    assert cert.failed_checks() == api.failed_checks() == []
+
+
+@pytest.mark.parametrize("case", sorted(API_CALLS))
+def test_solve_builds_one_report_inside_its_runner(tmp_path, capsys, monkeypatch, case):
+    # the CLI passes what the config gives; the runner derives the report
+    built = []
+    for fn in (vi_report, ba_report):
+        def building(*args, fn=fn, **kwargs):
+            built.append({frame.function for frame in inspect.stack(0)}
+                         & {"run_saddle", "run_vi", "run_ba"})
+            return fn(*args, **kwargs)
+        for mod in (cli_module, saddle_module, vi_module, ba_module):
+            if getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, building)
+    command, doc = ROUND_TRIPS[case]
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 0
+    assert len(built) == 1 and built[0], built
 
 
 @pytest.mark.parametrize("case", ["vi", "vi-shifted", "best-approx", "prox-pair"])
@@ -975,8 +1024,7 @@ class TestVerify:
         assert out["failures"] == [] and out["recomputed"] == stored["certificate"]
 
     @pytest.mark.parametrize("command, failures", [
-        ("vi", ["collapse", "uniqueness", "vi-inequality-proof", "vi-inequality", "direction"]),
-        ("best-approx", ["uniqueness", "nearest-point-proof"])])
+        ("vi", FAILING_VI), ("best-approx", ["uniqueness", "nearest-point-proof"])])
     def test_failing_certificate_verifies_its_failures(self, capsys, command, failures):
         # heuristic certificates of x + (2, 0) at r = 1, twice its admissible
         # radius, stored with their failing verdicts: verify recomputes each
@@ -989,6 +1037,40 @@ class TestVerify:
         assert main(["verify", "--config", str(path)]) == 3
         out = json.loads(capsys.readouterr().out)
         assert out["failures"] == failures and out["recomputed"] == stored["certificate"]
+
+    @pytest.mark.parametrize("case, path, scale, failures", [
+        ("saddle-vi", ("saddle", "reports", 0, "margin"), 1 + 1e-12, []),
+        ("saddle-vi", ("saddle", "reports", 0, "margin"), 1 + 1e-3,
+         ["recorded:checks.saddle.reports"]),
+        ("vi-failing", ("vi", "witness", 0), 1 + 1e-12, FAILING_VI),
+        ("vi-failing", ("vi", "witness", 0), 1 + 1e-3,
+         FAILING_VI + ["recorded:checks.vi.witness"])])
+    def test_list_entries_follow_the_number_rule(self, tmp_path, capsys, case, path, scale,
+                                                 failures):
+        # last-bit noise in a number inside a list matches as it does in a
+        # dict; a change beyond the tolerance names the list's own path
+        doc = json.loads((FIXTURES / f"format5-{case}.json").read_text())
+        node = doc["certificate"]["checks"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] *= scale
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cert)]) == (3 if failures else 0)
+        assert json.loads(capsys.readouterr().out)["failures"] == failures
+
+    def test_certified_saddle_defaults_to_the_saddle_radius(self, tmp_path, capsys):
+        # the ba payoff's own default radius, 0.75, exceeds the saddle rule's
+        # 0.625; delta over the smaller ball(0.625) keeps that radius admissible
+        doc = {"problem": AFFINE, "payoff": "ba", "y_set": BOX}
+        cert = self.make_cert(tmp_path, "saddle", doc)
+        body = json.loads(cert.read_text())["certificate"]
+        assert (body["r"], body["constants"]["r_max"], body["constants"]["delta"]) == (
+            0.625, 0.6875, {"value": 2.75, "flag": "analytic"})
+        assert body["passed"] and main(["verify", "--config", str(cert)]) == 0
+        heuristic = self.make_cert(tmp_path, "saddle", dict(doc, heuristic=True), name="h.json")
+        assert json.loads(heuristic.read_text())["certificate"]["r"] == 0.75
 
     @pytest.mark.parametrize("case, path, value", [
         ("vi-shifted", ("r",), True), ("saddle-vi", ("solution", "y_star_unique"), 1)])
@@ -1166,3 +1248,21 @@ def test_library_leaves_scipy_unimported(tmp_path, case):
 def test_command_list_is_stable():
     assert COMMANDS == ("constants", "saddle", "vi", "vi-shifted", "prox-pair",
                         "best-approx", "small-radius", "verify")
+
+
+def test_cli_dump_repeats_its_records(tmp_path):
+    # the byte-identity tool: two runs of the same configs write equal files
+    import cli_dump
+
+    src = pathlib.Path(cli_module.__file__).parents[1]
+    configs = [c for c in cli_dump.CONFIGS
+               if c[0] in ("vi-affine-0", "saddle-ba-ybox-affine", "constants-ba-affine")]
+    first = cli_dump.dump(str(src), str(tmp_path / "a.json"), configs)
+    assert cli_dump.dump(str(src), str(tmp_path / "b.json"), configs) == first
+    assert first[0] == 3
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    records = {r["name"]: r for r in json.loads((tmp_path / "a.json").read_text())}
+    assert all(r["run"]["exit"] == 0 and r["verify-stored"]["document"]["verified"]
+               for r in records.values())
+    assert records["vi-affine-0"]["verify-moved"]["exit"] == 3
+    assert "verify-moved" not in records["constants-ba-affine"]

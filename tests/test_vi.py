@@ -10,6 +10,7 @@ from ballsaddle import (Ball, Box, CertificationError, HypothesisViolation,
                         solve_vi, solve_vi_shifted, vi_report)
 from ballsaddle import saddle as saddle_module
 from ballsaddle.saddle import AUDIT_SAMPLES, CHECK_SAMPLES, UNIQUENESS_STARTS
+from ballsaddle.vi import run_vi
 
 
 def affine_instance():
@@ -111,8 +112,8 @@ class TestSolveVI:
     def test_unknown_setting_is_a_type_error(self, keyword):
         # the settings go to SaddleConfig, which knows only its own fields;
         # the step follows from the report, the check thresholds are fixed,
-        # and the failure sink, a stored point and the shift gate record
-        # belong to the internal run_vi
+        # the failure sink and a stored point belong to the internal run_vi,
+        # and the shift gate record to shift_problem
         with pytest.raises(TypeError, match=keyword):
             solve_vi(affine_instance(), **{keyword: 1e-8})
         with pytest.raises(TypeError, match=keyword):
@@ -123,6 +124,13 @@ class TestSolveVI:
         with pytest.raises(TypeError, match="exclusion_factor"):
             solve_vi(affine_instance(), exclusion_factor=1.0)
         assert solve_calls == []
+
+    def test_run_vi_takes_the_target_not_a_gate_record(self):
+        # run_vi derives statement 4's shift record, and its label, from w
+        m = quartic_gate_map()
+        assert run_vi(m, 1.0, None, {}, mode="certified", seed=0, w=[16.0, 0.0]).theorem == "4"
+        with pytest.raises(TypeError, match="gate"):
+            run_vi(m, 1.0, None, {}, mode="certified", seed=0, gate={"M1": 1.0})
 
     def test_theorem_is_not_a_keyword(self):
         # statement 4 needs the shift gate, so only solve_vi_shifted labels it
