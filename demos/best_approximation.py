@@ -27,7 +27,7 @@ def check(label, ok):
 
 def report(title, mapping, r, expect):
     print(f"\n== {title} ==")
-    cert = solve_best_approx(mapping, r=r, seed=0, tol=1e-10)
+    cert = solve_best_approx(mapping, r=r, seed=0)
     x = cert.x_star
     fx = mapping.val(x)
     dist = np.linalg.norm(fx - x)

@@ -29,7 +29,7 @@ Y = Ball(1.0, 2)
 T = Box([-0.5, -0.5], [0.5, 0.5])
 
 print("== f = (2, 0), Y = ball(1), T = box[-1/2, 1/2]^2, r = 1/2 ==")
-cert = solve_prox_pair(mapping, Y, T, r=0.5, tol=1e-10)
+cert = solve_prox_pair(mapping, Y, T, r=0.5)
 x, y = cert.x_star, cert.y_star
 print(f"  x* = {np.array2string(x, precision=8)}   |x*| = {np.linalg.norm(x):.10f}")
 print(f"  y* = {np.array2string(y, precision=8)}")
@@ -49,7 +49,7 @@ check("every sampled claim passed", cert.passed)
 # ======================================================================
 print("\n== tighter box T = [-0.2, 0.2]^2 ==")
 tight = solve_prox_pair(mapping, Y, Box([-0.2, -0.2], [0.2, 0.2]),
-                        r=0.5, tol=1e-10)
+                        r=0.5)
 print(f"  y* = {np.array2string(tight.y_star, precision=8)}")
 check("dual clamp follows the box: y* = (0.2, 0)",
       np.linalg.norm(tight.y_star - np.array([0.2, 0.0])) <= 1e-6)

@@ -32,10 +32,10 @@ import numpy as np
 
 from .catalog import SmoothMap, ba_payoff
 from .constants import ConstantsReport, ba_report
-from .errors import HypothesisViolation, InvalidInput
+from .errors import CertificationError, HypothesisViolation, InvalidInput
 from .geometry import Ball, Box, ConvexSet, ball_projection, dist_ball, norm, project_ball
-from .saddle import (AUDIT_SAMPLES, CHECK_SAMPLES, CHECK_TOL, STRICT_MARGIN, Certificate,
-                     CheckReport, SaddlePoint, audit, check_saddle, claims_sphere,
+from .saddle import (AUDIT_SAMPLES, CHECK_SAMPLES, CHECK_TOL, STRICT_MARGIN, UNIQUENESS_STARTS,
+                     Certificate, CheckReport, SaddlePoint, audit, check_saddle, claims_sphere,
                      gated_problem, probe_uniqueness, raise_failure, solve_saddle,
                      sphere_records, sphere_solve, uniqueness_consistent)
 from .vi import SmallRadiusResult, radius_from_origin
@@ -61,7 +61,7 @@ def _containment_check(T: ConvexSet, Y: ConvexSet, seed: int, fail, n: int = 128
 
 
 def run_ba(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None, r: float | None,
-           report: ConstantsReport | None, settings: dict, point: SaddlePoint | None = None,
+           report: ConstantsReport | None, point: SaddlePoint | None = None,
            *, mode: str, seed: int, fail=raise_failure, uniqueness: dict | None = None,
            theorem: str = "5") -> Certificate:
     """The one path of statements 5 and 6, which ``solve_prox_pair``,
@@ -94,7 +94,7 @@ def run_ba(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None, r: float | None,
     phi/r - max(1, 2 theta), which covers both conditions.
     """
     report = report or ba_report(m, Y, seed=seed)
-    cfg = gated_problem(m, report, r, mode, T, fail=fail, **settings)
+    cfg = gated_problem(m, report, r, mode, T, fail=fail)
     _containment_check(cfg.T, Y, seed + 7, fail)
     r, theta = cfg.r, report.theta.value
     collapsed = (isinstance(Y, Ball) and Y.radius == m.domain_radius
@@ -109,7 +109,8 @@ def run_ba(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None, r: float | None,
         point = solve_saddle(payoff(), cfg)
         uniqueness = probe_uniqueness(payoff(), cfg, seed + 3)
     elif not uniqueness_consistent(uniqueness):
-        fail("uniqueness-record", None)
+        fail("uniqueness-record", CertificationError("the uniqueness record is not a "
+             f"{UNIQUENESS_STARTS}-start probe record consistent with its own spread"))
     x_star, y_star = point.x_star, point.y_star
     fx, proof = m.val(x_star), None
     if collapsed:
@@ -134,7 +135,7 @@ def run_ba(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None, r: float | None,
 
 def solve_prox_pair(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None,
                     r: float | None = None, report: ConstantsReport | None = None,
-                    *, mode: str = "certified", seed: int = 0, **settings) -> Certificate:
+                    *, mode: str = "certified", seed: int = 0) -> Certificate:
     """Solve and certify the saddle pair of statement 5 (``run_ba``): the
     approximation payoff on ball(r) x T, with y* the projection of f(x*)
     onto T.
@@ -143,10 +144,8 @@ def solve_prox_pair(m: SmoothMap, Y: ConvexSet, T: ConvexSet | None,
     ball(r).  Certified mode requires certification-grade constants and r
     within the admissible radius.  Uniqueness is probed from
     UNIQUENESS_STARTS starts unless Y = ball(rho) and T = ball(r), where
-    a contraction proves it.  ``settings`` are the run settings of
-    SaddleConfig, as for ``solve_vi``.
-    """
-    return run_ba(m, Y, T, r, report, settings, mode=mode, seed=seed)
+    a contraction proves it."""
+    return run_ba(m, Y, T, r, report, mode=mode, seed=seed)
 
 
 def check_nearest_point(m: SmoothMap, x_star, r: float,
@@ -163,15 +162,14 @@ def check_nearest_point(m: SmoothMap, x_star, r: float,
     return audit("nearest-point", m, x_star, r, n_samples, seed, gains, strict_margin)
 
 
-def solve_best_approx(m: SmoothMap, r: float | None = None,
-                      report: ConstantsReport | None = None, *, mode: str = "certified",
-                      seed: int = 0, **settings) -> Certificate:
+def solve_best_approx(m: SmoothMap, r: float | None = None, report: ConstantsReport | None = None,
+                      *, mode: str = "certified", seed: int = 0) -> Certificate:
     """Certify the unique best-approximation point of statement 6:
     Y = ball(rho) and T = ball(r), where the saddle pair collapses onto
     x* = P_ball(r)(f(x*)).  The keywords are those of ``solve_prox_pair``.
     """
-    return run_ba(m, Ball(m.domain_radius, m.dimension), None, r, report, settings,
-                  mode=mode, seed=seed, theorem="6")
+    return run_ba(m, Ball(m.domain_radius, m.dimension), None, r, report, mode=mode, seed=seed,
+                  theorem="6")
 
 
 def ba_small_radius(m: SmoothMap, epsilon: float = 0.5) -> SmallRadiusResult:

@@ -200,9 +200,9 @@ def _certify(cfg: RunConfig, fail, point: SaddlePoint | None = None,
     if cfg.command == "saddle":
         cert = run_saddle(MapPayoff(cfg.Y, m, cfg.payoff), cfg.T, cfg.r, None, point, **kw)
     elif cfg.command in ("vi", "vi-shifted"):
-        cert = run_vi(m, cfg.r, None, {}, point, w=cfg.w, **kw)
+        cert = run_vi(m, cfg.r, None, point, w=cfg.w, **kw)
     else:  # prox-pair or best-approx
-        cert = run_ba(m, cfg.Y, cfg.T, cfg.r, None, {}, point, uniqueness=uniqueness,
+        cert = run_ba(m, cfg.Y, cfg.T, cfg.r, None, point, uniqueness=uniqueness,
                       theorem="5" if cfg.command == "prox-pair" else "6", **kw)
     return cert.to_dict(), cert.failed_checks()
 

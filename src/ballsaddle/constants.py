@@ -36,6 +36,7 @@ from .geometry import Ball, Box, ConvexSet, as_point, axis_points
 
 SIGMA_TOL = 1e-10
 SIGMA_MAX_ITERS = 10**5
+REPORT_SAMPLES = 1000  # points of each sampled constant of a report
 
 
 def require_count(name: str, value, least: int):
@@ -297,23 +298,23 @@ def delta_const(payoff, Y: ConvexSet, n_samples: int = 2000, seed: int = 0) -> C
     return CertValue(best, CertFlag.SAMPLED)
 
 
-def _gamma(m, samples: int, seed: int) -> CertValue:
-    """The declared Jacobian Lipschitz constant, else a sampled lower bound."""
+def _theta_gamma(m, seed: int) -> tuple[CertValue, CertValue]:
+    """theta and gamma of a report: declared analytic constants, else sampled lower bounds."""
+    theta = estimate_theta(m, samples=REPORT_SAMPLES, seed=seed)
     if m.analytic is not None:
-        return CertValue(m.analytic.gamma, m.analytic.gamma_flag)
-    return estimate_lipschitz(m.jac, m.domain_radius, pairs=samples, seed=seed + 1,
-                              dim=m.dimension)
+        return theta, CertValue(m.analytic.gamma, m.analytic.gamma_flag)
+    return theta, estimate_lipschitz(m.jac, m.domain_radius, pairs=REPORT_SAMPLES,
+                                     seed=seed + 1, dim=m.dimension)
 
 
-def vi_report(m, samples: int = 1000, seed: int = 0) -> ConstantsReport:
+def vi_report(m, *, seed: int = 0) -> ConstantsReport:
     """Constants report for a variational-inequality run on the map ``m``.
 
     theta and gamma come from declared analytic constants when present and
-    from sampling otherwise (which downgrades the report to heuristic);
-    sigma is solved exactly from the map data at the origin.
+    from REPORT_SAMPLES samples otherwise (which downgrades the report to
+    heuristic); sigma is solved exactly from the map data at the origin.
     """
-    theta = estimate_theta(m, samples=samples, seed=seed)
-    gamma = _gamma(m, samples, seed)
+    theta, gamma = _theta_gamma(m, seed)
     rho = m.domain_radius
     M = CertValue(2.0 * (theta.value + rho * gamma.value),
                   combine_flags(theta.flag, gamma.flag))
@@ -322,20 +323,19 @@ def vi_report(m, samples: int = 1000, seed: int = 0) -> ConstantsReport:
     return ConstantsReport(rho=rho, theta=theta, gamma=gamma, M=M, sigma=sig, radius_rule="vi")
 
 
-def ba_report(m, Y: ConvexSet, samples: int = 1000, seed: int = 0) -> ConstantsReport:
+def ba_report(m, Y: ConvexSet, *, seed: int = 0) -> ConstantsReport:
     """Constants report for a best-approximation run of the map ``m`` with
     dual set ``Y`` (which must be bounded).
 
     L = 2 (eta + theta + gamma (rho + sup_Y ||y||)), delta = 2 sigma, and the
     admissible radius is sigma / L capped at rho.
     """
-    theta = estimate_theta(m, samples=samples, seed=seed)
-    gamma = _gamma(m, samples, seed)
+    theta, gamma = _theta_gamma(m, seed)
     if m.analytic is not None and m.analytic.eta is not None:
         eta = CertValue(m.analytic.eta, m.analytic.eta_flag)
     else:
         eta = estimate_lipschitz(lambda x, m=m: x - m.val(x), m.domain_radius,
-                                 pairs=samples, seed=seed + 2, dim=m.dimension)
+                                 pairs=REPORT_SAMPLES, seed=seed + 2, dim=m.dimension)
     rho = m.domain_radius
     L = CertValue(2.0 * (eta.value + theta.value + gamma.value * (rho + Y.sup_norm())),
                   combine_flags(theta.flag, gamma.flag, eta.flag))

@@ -33,6 +33,13 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return p
 
 
+def radius_checked(r: float) -> float:
+    """``r``, a ball radius, which must be finite and positive (else InvalidInput)."""
+    if not (math.isfinite(r) and r > 0):
+        raise InvalidInput(f"ball radius must be finite and positive, got {r}")
+    return r
+
+
 def norm(x) -> float:
     """Euclidean norm ||x||."""
     return float(np.linalg.norm(as_point(x)))
@@ -44,9 +51,7 @@ def project_ball(z, r: float) -> np.ndarray:
     Returns ``z`` unchanged inside the ball, else the radial rescaling
     ``r * z / ||z||``.
     """
-    if r <= 0:
-        raise InvalidInput("ball radius must be positive")
-    return ball_projection(as_point(z), r)
+    return ball_projection(as_point(z), radius_checked(r))
 
 
 def ball_projection(z: np.ndarray, r: float) -> np.ndarray:
@@ -65,9 +70,7 @@ def ball_projection(z: np.ndarray, r: float) -> np.ndarray:
 
 def dist_ball(p, r: float) -> float:
     """Distance from ``p`` to the ball of radius ``r``: max(0, ||p|| - r)."""
-    if r <= 0:
-        raise InvalidInput("ball radius must be positive")
-    return max(0.0, norm(p) - r)
+    return max(0.0, norm(p) - radius_checked(r))
 
 
 class ConvexSet:
@@ -100,8 +103,7 @@ class Ball(ConvexSet):
     dim: int
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise InvalidInput("ball radius must be positive")
+        radius_checked(self.radius)
         if self.dim < 1:
             raise InvalidInput("ball dimension must be >= 1")
 
@@ -118,9 +120,9 @@ class Ball(ConvexSet):
         return sample_ball(rng, n, self.dim, self.radius)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box(ConvexSet):
-    """Axis-aligned box {x : lower <= x <= upper} (componentwise)."""
+    """Axis-aligned box {x : lower <= x <= upper}, equal only to itself."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -193,8 +195,7 @@ class ProjectionOracle(ConvexSet):
 
 def sample_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
     """n points uniform in the ball of the given radius, shape (n, dim)."""
-    if radius <= 0:
-        raise InvalidInput("ball radius must be positive")
+    radius_checked(radius)
     g = rng.standard_normal(size=(n, dim))
     lengths = np.linalg.norm(g, axis=1, keepdims=True)
     lengths[lengths == 0] = 1.0
@@ -217,6 +218,6 @@ def sample_sphere(rng: np.random.Generator, n: int, dim: int, radius: float) -> 
     g = rng.standard_normal(size=(n, dim))
     lengths = np.linalg.norm(g, axis=1, keepdims=True)
     lengths[lengths == 0] = 1.0
-    g *= radius
+    g *= radius_checked(radius)
     g /= lengths
     return g

@@ -1,8 +1,10 @@
 """Brute-force oracles used to cross-check solver output.
 
 Everything here is deliberately dumb: dense axis-aligned grids, exhaustive
-scans, plain fixed-point iterations.  The oracles share no code path with
-the solvers, so agreement between the two is meaningful evidence.
+scans, plain fixed-point iterations, sharing no code path with the solvers,
+so agreement is evidence.  ``uniqueness_probe`` alone runs the solver it is
+handed: it is the prox-pair probe of ``saddle.probe_uniqueness``, kept here
+where the benchmark's tracer times it.
 
 Grids are limited to low dimensions (the point count grows as ppa ** dim
 for ``ppa`` points per axis, and is capped).  Ball grids are enriched with the

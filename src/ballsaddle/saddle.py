@@ -66,8 +66,9 @@ RADIUS_SLACK = 1e-12  # rounding allowance of r <= r_max
 class SaddleConfig:
     """Problem geometry, regularization weight and the run settings ``tol``
     and ``max_iters``, which set how accurately a solve runs: the one place
-    where they get their defaults and their validation.  The thresholds of
-    the checks are fixed constants (CHECK_TOL, STRICT_MARGIN, ...).
+    where they get their defaults and their validation; statement calls run
+    at the defaults.  The thresholds of the checks are fixed constants
+    (CHECK_TOL, STRICT_MARGIN, ...).
 
     ``smoothness`` bounds the Lipschitz constant of the saddle operator and
     fixes the extragradient step 1/(2 * smoothness); ``gated_problem`` sets
@@ -102,7 +103,7 @@ class SaddleConfig:
         return 1.0 if self.smoothness <= 1e-12 else 1.0 / (2.0 * self.smoothness)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SaddlePoint:
     x_star: np.ndarray
     y_star: np.ndarray
@@ -111,7 +112,7 @@ class SaddlePoint:
     step: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class CheckReport:
     """Outcome of one sampled check.
 
@@ -134,7 +135,7 @@ class CheckReport:
                             for k, v in self.details.items()}}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SaddleChecks:
     reports: list[CheckReport]
     minimax_gap: float
@@ -171,7 +172,7 @@ CHECK_ORDER = (
     ("distance-identity", "distance_gap", lambda gap: gap <= IDENTITY_TOL))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Certificate:
     """The certificate of every solving statement, 1, 2, 4, 5 and 6: its
     solution and constants, and the evidence its statement computes; the
@@ -189,6 +190,7 @@ class Certificate:
     grade and r respects the admissible radius.  ``failed_checks`` is the
     only verdict: ``passed`` holds when it is empty.  Certificates are
     frozen: each is built in one call, and ``dataclasses.replace`` copies.
+    They compare and hash by identity; their ``to_dict`` bodies by value.
     """
 
     theorem: str
@@ -405,15 +407,15 @@ def gate(report: ConstantsReport, r, mode: str, rho: float, fail=raise_failure) 
 
 
 def gated_problem(m, report: ConstantsReport, r: float | None, mode: str,
-                  T: ConvexSet | None = None, *, fail=raise_failure, **settings) -> SaddleConfig:
+                  T: ConvexSet | None = None, *, fail=raise_failure) -> SaddleConfig:
     """The saddle problem of every statement: ``gate`` on the report, then
     ball(r) x T (T = ball(r) when None) of the map ``m`` with the
-    regularization weight L = ``report.weight`` and the smoothness
-    2 L + theta.  ``settings`` are the run settings of SaddleConfig."""
+    regularization weight L = ``report.weight``, the smoothness 2 L + theta
+    and SaddleConfig's default run settings."""
     r = gate(report, r, mode, m.domain_radius, fail)
     L = report.weight.value
     return SaddleConfig(r=r, T=Ball(r, m.dimension) if T is None else T, L=L,
-                        smoothness=2.0 * L + report.theta.value, r_max=report.r_max, **settings)
+                        smoothness=2.0 * L + report.theta.value, r_max=report.r_max)
 
 
 def run_saddle(payoff, T: ConvexSet | None, r: float | None,

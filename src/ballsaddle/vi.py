@@ -58,7 +58,7 @@ def check_vi(m: SmoothMap, x_star, r: float, n_samples: int = CHECK_SAMPLES,
                  forms=("worst_first_form", "worst_second_form"))
 
 
-def run_vi(m: SmoothMap, r: float | None, report: ConstantsReport | None, settings: dict,
+def run_vi(m: SmoothMap, r: float | None, report: ConstantsReport | None,
            point: SaddlePoint | None = None, *, mode: str, seed: int, fail=raise_failure,
            w=None) -> Certificate:
     """The one path of statements 2 and 4, which ``solve_vi``,
@@ -85,7 +85,7 @@ def run_vi(m: SmoothMap, r: float | None, report: ConstantsReport | None, settin
     if w is not None:  # statement 4 solves the shifted map
         m, shifted_report, record = shift_problem(m, w, seed=seed, fail=fail)
     report = report or (shifted_report if record else vi_report(m, seed=seed))
-    cfg = gated_problem(m, report, r, mode, fail=fail, **settings)
+    cfg = gated_problem(m, report, r, mode, fail=fail)
     r, theta = cfg.r, report.theta.value
 
     def toward_sphere(x):  # -r F(x)/||F(x)||, NaN where undefined: the step check names it
@@ -113,16 +113,14 @@ def run_vi(m: SmoothMap, r: float | None, report: ConstantsReport | None, settin
 
 def solve_vi(m: SmoothMap, r: float | None = None,
              report: ConstantsReport | None = None, *, mode: str = "certified",
-             seed: int = 0, **settings) -> Certificate:
+             seed: int = 0) -> Certificate:
     """Solve and certify the variational inequality on ball(r) (``run_vi``).
 
     ``r`` defaults to the admissible radius.  In certified mode the
     constants must be certification grade and r must respect the admissible
     radius; heuristic mode skips both gates and watermarks the certificate.
-    ``settings`` are the run settings of SaddleConfig (``tol`` and
-    ``max_iters``), which holds their defaults.
     """
-    return run_vi(m, r, report, settings, mode=mode, seed=seed)
+    return run_vi(m, r, report, mode=mode, seed=seed)
 
 
 def shift_problem(m: SmoothMap, w, *, seed: int = 0, fail=raise_failure):
@@ -157,13 +155,12 @@ def shift_problem(m: SmoothMap, w, *, seed: int = 0, fail=raise_failure):
 
 
 def solve_vi_shifted(m: SmoothMap, w, r: float | None = None, *, seed: int = 0,
-                     mode: str = "certified", **settings) -> Certificate:
+                     mode: str = "certified") -> Certificate:
     """Variational inequality for x -> m(x) - w when the Jacobian of ``m``
     vanishes at the origin (see ``shift_problem`` for the gate).  Every
-    radius up to rho is then admissible for the shifted map.  ``mode`` and
-    ``settings`` are those of ``solve_vi``.
-    """
-    return run_vi(m, r, None, settings, mode=mode, seed=seed, w=w)
+    radius up to rho is then admissible for the shifted map.  ``mode`` is
+    that of ``solve_vi``."""
+    return run_vi(m, r, None, mode=mode, seed=seed, w=w)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from ballsaddle.oracles import grid_sigma_oracle, grid_vi_oracle, uniqueness_pro
 from ballsaddle.saddle import SaddlePoint, check_saddle, gated_problem
 
 N_SAMPLES = 10**4
-SOLVE_TOL = 1e-10
+GAP_TOL = 1e-10  # criterion 10: the sampled minimax gap is below 10 GAP_TOL
 PROX_BOX = Box([-0.5, -0.5], [0.5, 0.5])
 
 
@@ -39,17 +39,16 @@ def quartic_map():
 
 @pytest.fixture(scope="module")
 def named():
-    """The named instances, solved once at acceptance settings.  Their
+    """The named instances, solved once (at the default settings).  Their
     N_SAMPLES checks run in the criteria."""
     out = {}
-    out["vi-constant"] = solve_vi(make_constant([3.0, 4.0], 1.0), r=0.5, tol=SOLVE_TOL)
-    out["vi-affine"] = solve_vi(make_affine(np.eye(2), [2.0, 0.0], 1.0), tol=SOLVE_TOL)
-    out["vi-shifted"] = solve_vi_shifted(quartic_map(), [16.0, 0.0], r=1.0, tol=SOLVE_TOL)
-    out["ba-constant"] = solve_best_approx(make_constant([2.0, 0.0], 1.0), tol=SOLVE_TOL)
-    out["ba-identity"] = solve_best_approx(make_affine(np.eye(2), [2.0, 0.0], 1.0),
-                                           tol=SOLVE_TOL)
+    out["vi-constant"] = solve_vi(make_constant([3.0, 4.0], 1.0), r=0.5)
+    out["vi-affine"] = solve_vi(make_affine(np.eye(2), [2.0, 0.0], 1.0))
+    out["vi-shifted"] = solve_vi_shifted(quartic_map(), [16.0, 0.0], r=1.0)
+    out["ba-constant"] = solve_best_approx(make_constant([2.0, 0.0], 1.0))
+    out["ba-identity"] = solve_best_approx(make_affine(np.eye(2), [2.0, 0.0], 1.0))
     out["prox-box"] = solve_prox_pair(make_constant([2.0, 0.0], 1.0), Ball(1.0, 2), PROX_BOX,
-                                      r=0.5, tol=SOLVE_TOL)
+                                      r=0.5)
     return out
 
 
@@ -75,7 +74,7 @@ def generator_map(i):
 @pytest.fixture(scope="module")
 def generated():
     """20 seeded catalog problems solved in certified mode at r = r_max."""
-    return [solve_vi(generator_map(i), tol=SOLVE_TOL, seed=i) for i in range(20)]
+    return [solve_vi(generator_map(i), seed=i) for i in range(20)]
 
 
 def collapsed_maps():
@@ -89,8 +88,8 @@ def collapsed_maps():
 
 def collapsed_problem(m, cert):
     """(payoff, saddle config) of the statement 2, 4 or 6 instance ``cert``
-    of the map ``m``, at the acceptance solver tolerance."""
-    cfg = gated_problem(m, cert.constants, cert.r, "certified", tol=SOLVE_TOL)
+    of the map ``m``."""
+    cfg = gated_problem(m, cert.constants, cert.r, "certified")
     if cert.theorem in ("2", "4"):
         return vi_payoff(m), cfg
     return ba_payoff(m, Ball(1.0, m.dimension)), cfg
@@ -108,8 +107,7 @@ def saddle_checks(named, generated):
            for name, m in collapsed_maps().items()}
     prox, m, Y = named["prox-box"], make_constant([2.0, 0.0], 1.0), Ball(1.0, 2)
     out["prox-box"] = run(ba_payoff(m, Y),
-                          gated_problem(m, prox.constants, prox.r, "certified", PROX_BOX,
-                                        tol=SOLVE_TOL),
+                          gated_problem(m, prox.constants, prox.r, "certified", PROX_BOX),
                           prox, 0)
     for i, cert in enumerate(generated):
         out[f"gen-{i}"] = run(*collapsed_problem(generator_map(i), cert), cert, i)
@@ -126,7 +124,7 @@ def test_criterion_01_constant_map_closed_form():
         cases.append((c, r))
     for c, r in cases:
         m = make_constant(c, 1.0)
-        cert = solve_vi(m, r=r, tol=SOLVE_TOL)
+        cert = solve_vi(m, r=r)
         nc = np.linalg.norm(c)
         expect = -r * c / nc
         checks.append((f"x* closed form (dim {c.size})",
@@ -282,18 +280,18 @@ def test_criterion_09_uniqueness(named):
 
 
 def test_criterion_10_minimax_gap(saddle_checks):
-    checks = [(name, sampled.minimax_gap <= 10.0 * SOLVE_TOL)
+    checks = [(name, sampled.minimax_gap <= 10.0 * GAP_TOL)
               for name, sampled in saddle_checks.items()]
-    _line(10, "sampled duality gap below 10 tol on all acceptance instances",
+    _line(10, "sampled duality gap below 10 GAP_TOL on all acceptance instances",
           checks)
 
 
 def test_criterion_11_determinism(named, generated, tmp_path):
     checks = []
-    again = solve_vi(make_affine(np.eye(2), [2.0, 0.0], 1.0), tol=SOLVE_TOL)
+    again = solve_vi(make_affine(np.eye(2), [2.0, 0.0], 1.0))
     checks.append(("library rerun identical",
                    again.to_dict() == named["vi-affine"].to_dict()))
-    g5 = solve_vi(generator_map(5), tol=SOLVE_TOL, seed=5)
+    g5 = solve_vi(generator_map(5), seed=5)
     checks.append(("generator rerun identical",
                    g5.to_dict() == generated[5].to_dict()))
     cfg = tmp_path / "cfg.json"

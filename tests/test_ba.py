@@ -1,14 +1,15 @@
 """Best-approximation certificates: prox pairs, collapse, nearest point."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ballsaddle import (Ball, Box, HypothesisViolation, InvalidInput,
-                        ProjectionOracle, SmoothMap, ba_small_radius, check_nearest_point, dist_ball,
-                        make_affine, make_constant, solve_best_approx,
+from ballsaddle import (Ball, Box, CertificationError, HypothesisViolation, InvalidInput,
+                        ProjectionOracle, SmoothMap, ba_small_radius, check_nearest_point,
+                        dist_ball, make_affine, make_constant, solve_best_approx,
                         solve_prox_pair)
 from ballsaddle import ba as ba_module
 from ballsaddle import saddle as saddle_module
@@ -29,7 +30,7 @@ def shifted_identity():
 
 class TestBestApprox:
     def test_constant_instance(self):
-        cert = solve_best_approx(constant_two(), tol=1e-10)
+        cert = solve_best_approx(constant_two())
         assert cert.theorem == "6"
         assert cert.passed
         assert abs(cert.r - 1.0) <= 1e-9
@@ -40,13 +41,13 @@ class TestBestApprox:
         assert cert.nearest_check.passed
 
     def test_shifted_identity_instance(self):
-        cert = solve_best_approx(shifted_identity(), tol=1e-10)
+        cert = solve_best_approx(shifted_identity())
         assert abs(cert.r - 0.5) <= 1e-9
         assert_allclose(cert.x_star, [0.5, 0.0], atol=1e-7)
         assert cert.passed
 
     def test_distance_identity_holds(self):
-        cert = solve_best_approx(constant_two(), tol=1e-10)
+        cert = solve_best_approx(constant_two())
         fx = np.array([2.0, 0.0])
         assert abs(np.linalg.norm(fx - cert.x_star)
                    - dist_ball(fx, cert.r)) <= 1e-6
@@ -63,7 +64,7 @@ class TestBestApprox:
 
     def test_contraction_record(self):
         # q = r theta / max(r, ||f(0)|| - r theta) = 0.5 / 1.5 for f(x) = x + (2, 0)
-        cert = solve_best_approx(shifted_identity(), tol=1e-6)
+        cert = solve_best_approx(shifted_identity())
         uniq = cert.uniqueness
         assert uniq["method"] == "contraction" and uniq["passed"]
         assert uniq["q"] == pytest.approx(1 / 3, rel=1e-12)
@@ -95,15 +96,16 @@ class TestBestApprox:
         assert beyond.r_max < cert.r
         point = SaddlePoint(cert.x_star, cert.y_star, cert.residual, cert.iterations, 1.0)
         again = ba_module.run_ba(m, Ball(m.domain_radius, m.dimension), None, cert.r, beyond,
-                                 {}, point, mode="heuristic", seed=0, fail=raise_failure,
+                                 point, mode="heuristic", seed=0, fail=raise_failure,
                                  theorem="6")
         assert again.sphere_gap is None and again.passed
 
     @pytest.mark.parametrize("keyword", ["tolerance", "step", "fail", "theorem", "point",
-                                         "gate", "uniqueness", "starts"])
+                                         "gate", "uniqueness", "starts", "tol", "max_iters"])
     def test_unknown_setting_is_a_type_error(self, keyword):
         # the failure sink, the statement label, a stored point and probe
-        # record and the start count are arguments of the internal run_ba
+        # record and the start count are arguments of the internal run_ba;
+        # the solve runs at SaddleConfig's default tol and max_iters
         m = shifted_identity()
         with pytest.raises(TypeError, match=keyword):
             solve_best_approx(m, **{keyword: 1e-8})
@@ -134,7 +136,7 @@ class TestProxPair:
         m = constant_two()
         Y = Ball(1.0, 2)
         T = Box([-0.5, -0.5], [0.5, 0.5])
-        cert = solve_prox_pair(m, Y, T, r=0.5, tol=1e-10)
+        cert = solve_prox_pair(m, Y, T, r=0.5)
         assert cert.theorem == "5"
         assert_allclose(cert.y_star, T.project(np.array([2.0, 0.0])), atol=1e-6)
         assert cert.projection_gap <= 1e-6
@@ -214,12 +216,12 @@ class TestProxPair:
         m = constant_two()
         m = SmoothMap(m.dimension, m.domain_radius, m.value, m.jacobian)
         cert = solve_prox_pair(m, Ball(1.0, 2), Ball(0.5, 2), r=0.5,
-                               mode="heuristic", tol=1e-10)
+                               mode="heuristic")
         assert cert.mode == "heuristic"
         assert not cert.constants.certified
 
     def test_certificate_dict_shape(self):
-        d = solve_best_approx(constant_two(), tol=1e-10).to_dict()
+        d = solve_best_approx(constant_two()).to_dict()
         assert d["theorem"] == "6"
         assert "nearest-point" in d["checks"] and "saddle" not in d["checks"]
         assert d["residuals"]["collapse_gap"] <= 1e-6
@@ -231,7 +233,7 @@ def test_statement_6_needs_its_sets():
     report = ba_module.ba_report(m, Y)
     point = SaddlePoint(np.array([0.5, 0.0]), np.array([0.5, 0.0]), 0.0, 1, 0.0)
     with pytest.raises(InvalidInput, match="statement 6"):
-        ba_module.run_ba(m, Y, Box([-0.5, -0.5], [0.5, 0.5]), 0.5, report, {}, point,
+        ba_module.run_ba(m, Y, Box([-0.5, -0.5], [0.5, 0.5]), 0.5, report, point,
                          mode="certified", seed=0, fail=raise_failure, theorem="6")
 
 
@@ -242,7 +244,7 @@ def test_statement_6_on_other_sets_stops_before_any_solve(count_calls):
     m, Y = constant_two(), Ball(1.0, 2)
     with pytest.raises(InvalidInput, match="statement 6"):
         ba_module.run_ba(m, Y, Box([-0.5, -0.5], [0.5, 0.5]), 0.5, ba_module.ba_report(m, Y),
-                         {}, mode="certified", seed=0, fail=raise_failure, theorem="6")
+                         mode="certified", seed=0, fail=raise_failure, theorem="6")
     assert solves == probes == fixed_points == []
 
 
@@ -278,9 +280,24 @@ class TestBASmallRadius:
 
     def test_certifies_downstream(self):
         res = ba_small_radius(shifted_identity(), epsilon=0.5)
-        cert = solve_best_approx(res.map, report=res.report, tol=1e-10)
+        cert = solve_best_approx(res.map, report=res.report)
         assert cert.passed
 
     def test_fixed_origin_rejected(self):
         with pytest.raises(HypothesisViolation):
             ba_small_radius(make_affine(np.eye(2), [0.0, 0.0], 1.0))
+
+
+def test_inconsistent_probe_record_is_a_certification_error():
+    # a stored probe record that uniqueness_consistent rejects went to the
+    # sink as fail("uniqueness-record", None), so raise_failure raised None:
+    # a TypeError; a recording sink still names the check
+    m, Y = constant_two(), Ball(1.0, 2)
+    point = SaddlePoint(np.array([0.5, 0.0]), np.array([0.5, 0.0]), 0.0, 1, 0.0)
+    run = functools.partial(ba_module.run_ba, m, Y, Box([-0.25, -0.25], [0.25, 0.25]), 0.5,
+                            None, point, mode="certified", seed=0, uniqueness={"starts": 3})
+    with pytest.raises(CertificationError, match=f"{UNIQUENESS_STARTS}-start probe record"):
+        run()
+    failures = []
+    run(fail=lambda name, error: failures.append((name, type(error))))
+    assert failures == [("uniqueness-record", CertificationError)]

@@ -513,14 +513,14 @@ API_CALLS = {
 # each runner given no report: it builds the report the public call builds
 # (for statement 1, the payoff's own report)
 RUNNER_CALLS = {
-    "vi": lambda m: vi_module.run_vi(m, None, None, {}, mode="certified", seed=0),
-    "vi-shifted": lambda m: vi_module.run_vi(m, 1.0, None, {}, mode="certified", seed=0,
+    "vi": lambda m: vi_module.run_vi(m, None, None, mode="certified", seed=0),
+    "vi-shifted": lambda m: vi_module.run_vi(m, 1.0, None, mode="certified", seed=0,
                                              w=[16.0, 0.0]),
     "prox-pair-box": lambda m: ba_module.run_ba(m, Ball(1.0, 2), set_from_dict(BOX, 2, "t_set"),
-                                                0.5, None, {}, mode="certified", seed=0),
-    "prox-pair": lambda m: ba_module.run_ba(m, Ball(1.0, 2), None, None, None, {},
+                                                0.5, None, mode="certified", seed=0),
+    "prox-pair": lambda m: ba_module.run_ba(m, Ball(1.0, 2), None, None, None,
                                             mode="certified", seed=0),
-    "best-approx": lambda m: ba_module.run_ba(m, Ball(1.0, 2), None, None, None, {},
+    "best-approx": lambda m: ba_module.run_ba(m, Ball(1.0, 2), None, None, None,
                                               mode="certified", seed=0, theorem="6"),
     "saddle-vi": lambda m: run_saddle(vi_payoff(m), None, None, mode="certified", seed=0),
     "saddle-ba": lambda m: run_saddle(ba_payoff(m, Ball(1.0, 2)), None, None,
@@ -1217,8 +1217,8 @@ SAMPLED_REPORTS = (
     "from ballsaddle import Ball, SmoothMap, ba_report, make_affine, vi_report\n"
     "m = make_affine([[1.0, 0.2], [0.0, 0.9]], [2.0, 0.0], 1.0)\n"
     "m = SmoothMap(m.dimension, m.domain_radius, m.value, m.jacobian)\n"
-    "assert not vi_report(m, samples=20).certified\n"
-    "assert not ba_report(m, Ball(1.0, 2), samples=20).certified\n")
+    "assert not vi_report(m).certified\n"
+    "assert not ba_report(m, Ball(1.0, 2)).certified\n")
 
 
 @pytest.mark.parametrize("case", ["cli-vi", "sampled-reports"])

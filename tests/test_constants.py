@@ -349,7 +349,7 @@ class TestReports:
 
     def test_vi_sampled_not_certified(self):
         m = bare(make_affine(np.eye(2), [2.0, 0.0], 1.0))
-        rep = vi_report(m, samples=100, seed=0)
+        rep = vi_report(m, seed=0)
         assert not rep.certified
         assert rep.theta.flag is CertFlag.SAMPLED
 
@@ -449,3 +449,19 @@ def test_replaced_sigma_recomputes_r_max():
     with pytest.raises(TypeError, match="r_max"):
         ConstantsReport(rho=1.0, theta=rep.theta, gamma=rep.gamma, M=rep.M, sigma=rep.sigma,
                         r_max=rep.r_max)
+
+
+def test_reports_take_no_sample_count():
+    # the sampled constants draw REPORT_SAMPLES points; the count is no
+    # keyword, and a positional count is refused rather than read as the seed
+    m, Y = bare(make_affine(np.eye(2), [2.0, 0.0], 1.0)), Ball(1.0, 2)
+    with pytest.raises(TypeError, match="samples"):
+        vi_report(m, samples=20)
+    with pytest.raises(TypeError, match="samples"):
+        ba_report(m, Y, samples=20)
+    with pytest.raises(TypeError):
+        vi_report(m, 20)
+    with pytest.raises(TypeError):
+        ba_report(m, Y, 20)
+    theta = estimate_theta(m, samples=constants.REPORT_SAMPLES, seed=0)
+    assert vi_report(m).theta == ba_report(m, Y).theta == theta

@@ -150,3 +150,17 @@ def test_sample_ball_and_sphere():
 
     sph = sample_sphere(rng, 500, 3, 0.7)
     assert_allclose(np.linalg.norm(sph, axis=1), 0.7, atol=1e-12)
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, -1.0])
+def test_ball_radius_must_be_finite_and_positive(radius):
+    # Ball(nan, 2) projected to [nan, nan], and as the T of a prox pair it
+    # ended in a bare ZeroDivisionError (nan) or a nan constant (inf); the
+    # ball helpers returned nan points or, from dist_ball, a distance of 0,
+    # and sample_sphere took a negative radius for its absolute value
+    for build in (lambda: Ball(radius, 2), lambda: project_ball([3.0, 4.0], radius),
+                  lambda: dist_ball([3.0, 4.0], radius),
+                  lambda: sample_ball(np.random.default_rng(0), 2, 2, radius),
+                  lambda: sample_sphere(np.random.default_rng(0), 2, 2, radius)):
+        with pytest.raises(InvalidInput, match=f"finite and positive, got {radius}"):
+            build()

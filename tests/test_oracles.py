@@ -73,7 +73,7 @@ class TestSaddleOracle:
 class TestVIOracle:
     def test_affine_agrees_with_solver(self):
         m = make_affine(np.eye(2), [2.0, 0.0], 1.0)
-        cert = solve_vi(m, tol=1e-10)
+        cert = solve_vi(m)
         cand = grid_vi_oracle(m, cert.r, ppa=201)
         spacing = 2.0 * cert.r / 200
         assert np.linalg.norm(cand - cert.x_star) <= 2.0 * spacing
@@ -95,7 +95,7 @@ class TestVIOracle:
 class TestFixedPoint:
     def test_agrees_with_saddle_route(self):
         m = make_affine(np.eye(2), [2.0, 0.0], 1.0)
-        cert = solve_vi(m, tol=1e-10)
+        cert = solve_vi(m)
         fp = fixedpoint_vi_oracle(m, cert.r, step=0.2)
         assert np.linalg.norm(fp - cert.x_star) <= 1e-6
 

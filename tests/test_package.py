@@ -1,6 +1,7 @@
 """The package's export list and its modules' imports."""
 
 import ast
+import inspect
 import pathlib
 import re
 import sys
@@ -65,3 +66,15 @@ def test_docstring_names_resolve():
              for name in re.findall(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)``", path.read_text())}
     assert len(named) > 100
     assert sorted(name for name in named if not set(name.split(".")) <= known) == []
+
+
+def test_no_public_callable_forwards_keywords():
+    # a call that takes **kwargs can hand a setting on unseen: the statement
+    # calls once forwarded tol and max_iters to SaddleConfig that way
+    # (exception classes take Exception's *args and have no signature)
+    def forwards(obj):
+        return any(p.kind is p.VAR_KEYWORD for p in inspect.signature(obj).parameters.values())
+    callables = {name: getattr(ballsaddle, name) for name in ballsaddle.__all__}
+    assert sorted(name for name, obj in callables.items() if callable(obj)
+                  and not (isinstance(obj, type) and issubclass(obj, BaseException))
+                  and forwards(obj)) == []

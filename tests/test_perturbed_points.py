@@ -57,12 +57,11 @@ def recertify(m, request, cert, x, y, seed):
     through the certify path of a verify: gates, no solve, certify."""
     point = SaddlePoint(x, y, cert.residual, cert.iterations, 0.0)
     if request == "vi":
-        again = run_vi(m, cert.r, cert.constants, {}, point, mode="certified", seed=seed,
+        again = run_vi(m, cert.r, cert.constants, point, mode="certified", seed=seed,
                        fail=raise_failure)
     else:
         again = run_ba(m, Ball(m.domain_radius, m.dimension), None, cert.r, cert.constants,
-                       {}, point, mode="certified", seed=seed, fail=raise_failure,
-                       theorem="6")
+                       point, mode="certified", seed=seed, fail=raise_failure, theorem="6")
     return again.failed_checks()
 
 

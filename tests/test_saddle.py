@@ -91,6 +91,10 @@ class TestConfig:
             {f.name for f in dataclasses.fields(SaddleConfig)}
             | set(inspect.signature(solve_prox_pair).parameters))
         assert not hasattr(saddle_module, "require_exclusion_factor")
+        # statement calls and their runners take no run settings at all
+        for run in (run_vi, run_ba, gated_problem):
+            params = inspect.signature(run).parameters.values()
+            assert not [p for p in params if p.name == "settings" or p.kind is p.VAR_KEYWORD]
 
     def test_readme_settings_table_matches_the_config(self):
         # the "Solver settings" table lists exactly the run settings of
@@ -457,14 +461,14 @@ def collapsed_instance(request, m):
         Y = Ball(1.0, m.dimension)
         cfg = gated_problem(m, cert.constants, cert.r, "certified")
         return (cert, ba_payoff(m, Y), cfg,
-                lambda p: run_ba(m, Y, None, cert.r, cert.constants, {}, p, theorem="6", **kw))
+                lambda p: run_ba(m, Y, None, cert.r, cert.constants, p, theorem="6", **kw))
     if request == "vi-shifted":
         cert = solve_vi_shifted(m, [16.0, 0.0], r=1.0)
         m = shift_map(m, [16.0, 0.0])
     else:
         cert = solve_vi(m)
     cfg = gated_problem(m, cert.constants, cert.r, "certified")
-    return cert, vi_payoff(m), cfg, lambda p: run_vi(m, cert.r, cert.constants, {}, p, **kw)
+    return cert, vi_payoff(m), cfg, lambda p: run_vi(m, cert.r, cert.constants, p, **kw)
 
 
 def moved_points(x, r):
@@ -685,10 +689,13 @@ def test_non_finite_map_stops_the_fixed_point(solve, bad):
               report=report)
 
 
-@pytest.mark.parametrize("solve", [solve_vi, solve_best_approx], ids=["vi", "best-approx"])
-def test_fixed_point_cap_carries_the_residual(solve):
+@pytest.mark.parametrize("request_type", ["vi", "best-approx"])
+def test_fixed_point_cap_carries_the_residual(request_type):
+    # the cap is SaddleConfig's; statement calls take no run settings
+    G, q, r = sphere_map(request_type, family_map("quadratic", 8, 5))
+    cfg = SaddleConfig(r=r, T=Ball(r, 8), L=0.0, smoothness=0.0, max_iters=2)
     with pytest.raises(NonConvergence, match="2 map values") as exc:
-        solve(family_map("quadratic", 8, 5), max_iters=2)
+        saddle_module.sphere_fixed_point(G, q, 8, cfg)
     assert exc.value.iterations == 2 and exc.value.residual > 0.0
 
 
@@ -786,3 +793,21 @@ def test_readme_check_order_table_matches_failed_checks():
             nearest_check=dataclasses.replace(ba.nearest_check, passed=False), **fails)}
     for label, cert in broken.items():
         assert cert.failed_checks() == rows[label], label
+
+
+def test_records_with_array_fields_compare_by_identity():
+    # the generated __eq__ compared array fields and raised "truth value of an
+    # array is ambiguous", and __hash__ raised "unhashable type"; bodies
+    # compare through to_dict
+    m = make_affine(0.5 * np.eye(2), [1.0, 0.5], 1.0)
+    a, b = solve_vi(m), solve_vi(m)
+    box = Box([-0.1, -0.1], [0.1, 0.1])
+    c, d = (solve_prox_pair(m, Ball(1.0, 2), box) for _ in range(2))
+    records = [(a, b), (a.vi_check, b.vi_check), (c.saddle_checks, d.saddle_checks),
+               (Box([0, 0], [1, 1]), Box([0, 0], [1, 1])),
+               (SaddlePoint(a.x_star, a.y_star, 0.0, 1, 1.0),
+                SaddlePoint(a.x_star, a.y_star, 0.0, 1, 1.0))]
+    for one, other in records:
+        assert one == one and one != other and one not in [other]
+        assert len({one, other, one}) == 2
+    assert a.to_dict() == b.to_dict() and c.to_dict() == d.to_dict()

@@ -39,10 +39,10 @@ def probe_calls(count_calls):
     return count_calls(saddle_module.uniqueness_probe)
 
 
-def box_pair(**settings):
+def box_pair(**keywords):
     # f = (2, 0) with the box T = [-1/2, 1/2]^2 inside Y = ball(1): statement 5
     return solve_prox_pair(make_constant([2.0, 0.0], 1.0), Ball(1.0, 2),
-                           Box([-0.5, -0.5], [0.5, 0.5]), r=0.5, **settings)
+                           Box([-0.5, -0.5], [0.5, 0.5]), r=0.5, **keywords)
 
 
 def quartic_gate_map(scale=1.0):
@@ -54,7 +54,7 @@ def quartic_gate_map(scale=1.0):
 
 class TestSolveVI:
     def test_affine_certificate(self):
-        cert = solve_vi(affine_instance(), tol=1e-10)
+        cert = solve_vi(affine_instance())
         assert cert.passed and cert.mode == "certified"
         assert abs(cert.r - 0.25) <= 1e-9
         assert_allclose(cert.x_star, [-0.25, 0.0], atol=1e-7)
@@ -65,13 +65,13 @@ class TestSolveVI:
 
     def test_constant_map_closed_form(self):
         # F = (3, 4): the solution is the antipodal sphere point -r F / |F|
-        cert = solve_vi(make_constant([3.0, 4.0], 1.0), r=0.5, tol=1e-10)
+        cert = solve_vi(make_constant([3.0, 4.0], 1.0), r=0.5)
         assert_allclose(cert.x_star, [-0.3, -0.4], atol=1e-7)
         assert cert.passed
 
     def test_solution_direction_identity(self):
         # x* = -r F(x*) / ||F(x*)|| is reported as the direction gap
-        cert = solve_vi(affine_instance(), tol=1e-10)
+        cert = solve_vi(affine_instance())
         F = cert.x_star + np.array([2.0, 0.0])
         assert_allclose(cert.x_star, -0.25 * F / np.linalg.norm(F), atol=1e-6)
 
@@ -89,7 +89,7 @@ class TestSolveVI:
         m = bare(affine_instance())
         with pytest.raises(CertificationError):
             solve_vi(m, r=0.2)
-        cert = solve_vi(m, r=0.2, mode="heuristic", tol=1e-10)
+        cert = solve_vi(m, r=0.2, mode="heuristic")
         assert cert.mode == "heuristic"
         assert not cert.constants.certified
         assert cert.passed  # checks still run and still pass
@@ -108,12 +108,13 @@ class TestSolveVI:
             solve_vi(affine_instance(), mode="party")
 
     @pytest.mark.parametrize("keyword", ["tolerance", "step", "fail", "smoothness", "point",
-                                         "gate", "uniqueness", "check_tol", "strict_margin"])
+                                         "gate", "uniqueness", "check_tol", "strict_margin",
+                                         "tol", "max_iters"])
     def test_unknown_setting_is_a_type_error(self, keyword):
-        # the settings go to SaddleConfig, which knows only its own fields;
-        # the step follows from the report, the check thresholds are fixed,
-        # the failure sink and a stored point belong to the internal run_vi,
-        # and the shift gate record to shift_problem
+        # a statement call takes no run settings: it solves at SaddleConfig's
+        # defaults; the step follows from the report, the check thresholds are
+        # fixed, the failure sink and a stored point belong to the internal
+        # run_vi, and the shift gate record to shift_problem
         with pytest.raises(TypeError, match=keyword):
             solve_vi(affine_instance(), **{keyword: 1e-8})
         with pytest.raises(TypeError, match=keyword):
@@ -128,9 +129,9 @@ class TestSolveVI:
     def test_run_vi_takes_the_target_not_a_gate_record(self):
         # run_vi derives statement 4's shift record, and its label, from w
         m = quartic_gate_map()
-        assert run_vi(m, 1.0, None, {}, mode="certified", seed=0, w=[16.0, 0.0]).theorem == "4"
+        assert run_vi(m, 1.0, None, mode="certified", seed=0, w=[16.0, 0.0]).theorem == "4"
         with pytest.raises(TypeError, match="gate"):
-            run_vi(m, 1.0, None, {}, mode="certified", seed=0, gate={"M1": 1.0})
+            run_vi(m, 1.0, None, mode="certified", seed=0, gate={"M1": 1.0})
 
     def test_theorem_is_not_a_keyword(self):
         # statement 4 needs the shift gate, so only solve_vi_shifted labels it
@@ -211,7 +212,7 @@ class TestSolveVI:
     def test_contraction_record(self):
         # q = r theta / (||F(0)|| - r theta) = 0.2 / 1.8, and the solver's
         # direction gap bounds the distance to the unique solution
-        cert = solve_vi(affine_instance(), r=0.2, tol=1e-6)
+        cert = solve_vi(affine_instance(), r=0.2)
         uniq = cert.uniqueness
         assert uniq["method"] == "contraction" and uniq["passed"]
         assert uniq["q"] == pytest.approx(0.2 / 1.8, rel=1e-12)
@@ -235,7 +236,7 @@ class TestSolveVI:
         assert (len(solve_calls), len(probe_calls)) == (17, 1)
 
     def test_certificate_dict_shape(self):
-        d = solve_vi(affine_instance(), tol=1e-10).to_dict()
+        d = solve_vi(affine_instance()).to_dict()
         assert d["theorem"] == "2"
         assert set(d) >= {"mode", "r", "solution", "residuals", "constants",
                           "checks", "passed"}
@@ -272,7 +273,7 @@ def test_bare_map_matches_its_catalog_twin():
 class TestCheckVI:
     def test_margin_positive_at_solution(self):
         m = affine_instance()
-        cert = solve_vi(m, tol=1e-10)
+        cert = solve_vi(m)
         rep = check_vi(m, cert.x_star, cert.r, n_samples=3000, seed=5)
         assert rep.passed and rep.margin > 0
 
@@ -309,7 +310,7 @@ class TestCheckVI:
 class TestShifted:
     def test_accepts_above_threshold(self):
         # M1 = 8, threshold 16; w = (16, 0) meets it exactly
-        cert = solve_vi_shifted(quartic_gate_map(), [16.0, 0.0], r=1.0, tol=1e-10)
+        cert = solve_vi_shifted(quartic_gate_map(), [16.0, 0.0], r=1.0)
         assert cert.theorem == "4"
         assert cert.passed
         assert_allclose(cert.x_star, [1.0, 0.0], atol=1e-6)
@@ -347,7 +348,7 @@ class TestSmallRadius:
     def test_restricted_map_certifies(self):
         res = small_radius(make_affine(4.0 * np.eye(2), [2.0, 0.0], 1.0),
                            epsilon=0.5)
-        cert = solve_vi(res.map, report=res.report, tol=1e-10)
+        cert = solve_vi(res.map, report=res.report)
         assert cert.passed
 
     def test_vanishing_origin_rejected(self):
